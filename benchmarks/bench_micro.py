@@ -322,52 +322,48 @@ def test_micro_incremental_coverage_speedup(record_rows, graph):
 
 
 def test_micro_dataplane(record_rows, graph):
-    """The pre-data-plane IPC path (a throwaway pool per generation
-    phase, graph broadcast to every worker, pickled arrays on the wire)
-    vs the persistent zero-copy pool with the delta + varint wire codec.
-    CI floors: >= 2x wall-clock on the many-phase generation scenario,
-    >= 1.5x payload byte reduction (targets: 3x / 2x)."""
-    from repro.cluster.parallel import GenerationPool, run_generation_pool
+    """The pre-data-plane IPC path (a throwaway executor per generation
+    phase, graph copied to every worker, pickled arrays on the wire)
+    vs the persistent zero-copy executor with the delta + varint wire
+    codec.  CI floors: >= 2x wall-clock on the many-phase generation
+    scenario, >= 1.5x payload byte reduction (targets: 3x / 2x)."""
+    from repro.cluster import GeneratePhase, MultiprocessingSpec, make_executor
     from repro.ris.serialization import pack_message
     from repro.ris.wire import encode_batch
 
     phases = 16
     count = 10
     workload = f"facebook, {phases} phases x {count} sets, 1 worker"
+    plan = GeneratePhase("bench/gen", counts=(count,))
 
-    def per_phase_pools():
-        # One throwaway pool per phase, shared-memory broadcast disabled —
-        # exactly what every generation phase used to pay.
-        outcomes = []
-        for phase in range(phases):
-            outcomes.extend(
-                run_generation_pool(
-                    graph,
-                    "ic",
-                    "bfs",
-                    [count],
-                    [np.random.default_rng(phase)],
-                    processes=1,
-                    zero_copy=False,
-                )
-            )
-        return outcomes
+    def fresh_cluster():
+        cluster = SimulatedCluster(1, seed=0)
+        cluster.init_collections(graph.num_nodes, backend="flat")
+        return cluster
+
+    def per_phase_executors():
+        # One throwaway executor per phase, shared-memory broadcast
+        # disabled — exactly what every generation phase used to pay.
+        cluster = fresh_cluster()
+        spec = MultiprocessingSpec(processes=1, zero_copy=False)
+        for _phase in range(phases):
+            with make_executor(spec, cluster, graph=graph) as executor:
+                executor.run_phase(plan)
+        return cluster.machines[0].collection
 
     def persistent_zero_copy():
-        outcomes = []
-        with GenerationPool(graph, processes=1, zero_copy=True) as pool:
-            for phase in range(phases):
-                outcomes.extend(
-                    pool.run("ic", "bfs", [count], [np.random.default_rng(phase)])
-                )
-        return outcomes
+        cluster = fresh_cluster()
+        spec = MultiprocessingSpec(processes=1, zero_copy=True)
+        with make_executor(spec, cluster, graph=graph) as executor:
+            for _phase in range(phases):
+                executor.run_phase(plan)
+        return cluster.machines[0].collection
 
-    baseline_s, reference = _best_of(per_phase_pools)
+    baseline_s, reference = _best_of(per_phase_executors)
     pooled_s, pooled = _best_of(persistent_zero_copy)
-    for ref, got in zip(reference, pooled):
-        assert ref.error is None and got.error is None
-        np.testing.assert_array_equal(ref.batch.nodes, got.batch.nodes)
-        np.testing.assert_array_equal(ref.batch.offsets, got.batch.offsets)
+    assert reference.num_sets == pooled.num_sets == phases * count
+    np.testing.assert_array_equal(reference.nodes, pooled.nodes)
+    np.testing.assert_array_equal(reference.offsets, pooled.offsets)
     speedup = baseline_s / pooled_s
 
     # Payload size: the same framed envelope around pickled FlatBatch
@@ -383,14 +379,14 @@ def test_micro_dataplane(record_rows, graph):
         {
             "metric": "generation wall-clock (s)",
             "workload": workload,
-            "per_phase_pool": round(baseline_s, 4),
+            "per_phase_executor": round(baseline_s, 4),
             "dataplane": round(pooled_s, 4),
             "improvement_x": round(speedup, 2),
         },
         {
             "metric": "payload size (bytes)",
             "workload": "facebook, one 2000-set batch",
-            "per_phase_pool": raw_bytes,
+            "per_phase_executor": raw_bytes,
             "dataplane": wire_bytes,
             "improvement_x": round(reduction, 2),
         },
@@ -398,21 +394,20 @@ def test_micro_dataplane(record_rows, graph):
     record_rows(
         "micro_dataplane",
         rows,
-        "Data plane: per-phase copy pools + pickled arrays vs "
-        "persistent zero-copy pool + varint wire format",
+        "Data plane: per-phase copy-broadcast executors + pickled arrays vs "
+        "persistent zero-copy executor + varint wire format",
     )
     assert speedup >= 2.0, f"data plane speedup {speedup:.2f}x below the 2x floor"
     assert reduction >= 1.5, f"payload reduction {reduction:.2f}x below the 1.5x floor"
 
 
 def test_micro_socket_overhead(record_rows, graph):
-    """The TCP socket backend vs the multiprocessing pool on the same
-    generation workload (loopback workers, shared-memory graph).  Both
-    backends ship the identical delta+varint payload, so ``num_bytes``
-    must agree exactly; the socket's *measured* transport counters then
-    expose the true framing cost.  CI gates: payload accounting parity,
-    framing overhead <= 2 KiB per round trip, and wall-clock within 1.5x
-    of the multiprocessing pool."""
+    """Loopback TCP workers vs socketpair workers on the same generation
+    workload (same worker protocol, shared-memory graph).  Both ship the
+    identical delta+varint payload, so ``num_bytes`` must agree exactly;
+    the *measured* transport counters then expose the true framing cost.
+    CI gates: payload accounting parity, framing overhead <= 2 KiB per
+    round trip, and TCP wall-clock within 1.5x of the socketpair's."""
     from repro.cluster import GENERATION, GeneratePhase, make_executor
 
     machines = 4
@@ -434,7 +429,6 @@ def test_micro_socket_overhead(record_rows, graph):
     assert socket_sets == mp_sets == list(counts)
     # Backend-neutral payload accounting is identical byte for byte.
     assert socket_record.num_bytes == mp_record.num_bytes
-    assert mp_record.wire_sent == mp_record.wire_received == 0
 
     wire_total = socket_record.wire_sent + socket_record.wire_received
     framing = wire_total - socket_record.num_bytes
@@ -455,7 +449,7 @@ def test_micro_socket_overhead(record_rows, graph):
     record_rows(
         "micro_socket_overhead",
         rows,
-        "Socket executor: loopback TCP transport vs the multiprocessing pool",
+        "Socket executor: loopback TCP transport vs the multiprocessing socketpair",
     )
     assert framing_per_rt <= 2048, (
         f"socket framing overhead {framing_per_rt:.0f} B/round-trip above the 2 KiB bound"

@@ -14,34 +14,26 @@ Run:
 import argparse
 import time
 
-import numpy as np
-
 from repro import gigabit_cluster, load_dataset, shared_memory_server
-from repro.cluster import run_generation_pool
+from repro.cluster import GeneratePhase, SimulatedCluster, make_executor
 from repro.experiments import print_table
 from repro.experiments.scaling import ScalingConfig, run_scaling
 
 
+def timed_generation(graph, counts) -> float:
+    """Wall time of one generation phase, one worker process per machine."""
+    cluster = SimulatedCluster(len(counts), seed=0)
+    cluster.init_collections(graph.num_nodes, backend="flat")
+    with make_executor(f"multiprocessing:{len(counts)}", cluster, graph=graph) as executor:
+        start = time.perf_counter()
+        executor.run_phase(GeneratePhase("study/generate", counts=counts))
+        return time.perf_counter() - start
+
+
 def real_multiprocessing_check(graph, num_rr_sets: int, processes: int) -> None:
-    """Generate the same batch serially and in parallel; print wall times."""
-    counts = [num_rr_sets // processes] * processes
-
-    start = time.perf_counter()
-    run_generation_pool(
-        graph, "ic", "bfs", [num_rr_sets], [np.random.default_rng(0)], processes=1
-    )
-    serial = time.perf_counter() - start
-
-    start = time.perf_counter()
-    run_generation_pool(
-        graph,
-        "ic",
-        "bfs",
-        counts,
-        [np.random.default_rng(i) for i in range(processes)],
-        processes=processes,
-    )
-    parallel = time.perf_counter() - start
+    """Generate the same number of sets on 1 and on N workers; print wall times."""
+    serial = timed_generation(graph, [num_rr_sets])
+    parallel = timed_generation(graph, [num_rr_sets // processes] * processes)
 
     print(
         f"\nreal multiprocessing cross-check ({num_rr_sets} RR sets, "

@@ -1,4 +1,4 @@
-"""The Executor layer: one phase-plan interface over both backends.
+"""The Executor layer: one phase-plan interface over every backend.
 
 Algorithms (DIIMM, D-SSA, D-SUBSIM, D-OPIM-C) describe each distributed
 step as a declarative *phase plan* — generate RR sets, map a work
@@ -10,11 +10,13 @@ keeping the accounting contract identical:
   simulated cluster, exactly as the algorithms previously did by calling
   :meth:`SimulatedCluster.map <repro.cluster.cluster.SimulatedCluster.map>`
   directly;
-* :class:`MultiprocessingExecutor` fans the generation phase out over
-  real OS processes (the closest local equivalent of the paper's MPI
-  workers), shipping each machine's private RNG to its worker and
-  restoring the advanced RNG state afterwards — so a run is
-  reproducible and *identical* to the simulated backend for a fixed
+* :class:`MultiprocessingExecutor` and
+  :class:`~repro.cluster.socket_executor.SocketExecutor` fan the
+  generation phase out over real worker processes (the closest
+  equivalent of the paper's MPI workers; see
+  :mod:`repro.cluster.parallel`), shipping each machine's private RNG to
+  its worker and restoring the advanced RNG state afterwards — so a run
+  is reproducible and *identical* to the simulated backend for a fixed
   seed, which the conformance tests pin.
 
 Every phase lands in the cluster's :class:`~repro.cluster.metrics.RunMetrics`
@@ -37,9 +39,6 @@ takes the original code path untouched.
 
 from __future__ import annotations
 
-import dataclasses
-import time
-import warnings
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from ..ris import make_sampler
 from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, RRSampler, sample_set_range
 from ..ris.wire import encoded_batch_nbytes
-from .cluster import MachineFailure, SimulatedCluster
+from .cluster import SimulatedCluster
 from .faults import (
     CORRUPT,
     CRASH_HARD,
@@ -66,14 +65,7 @@ from .faults import (
 )
 from .machine import Machine
 from .metrics import COMPUTATION, GENERATION, RunMetrics
-from .parallel import GenerationOutcome, GenerationPool
-from .spec import (
-    ExecutorSpec,
-    MultiprocessingSpec,
-    SimulatedSpec,
-    SocketSpec,
-    as_spec,
-)
+from .spec import ExecutorSpec, MultiprocessingSpec, SimulatedSpec, SocketSpec, as_spec
 
 __all__ = [
     "GeneratePhase",
@@ -88,7 +80,6 @@ __all__ = [
     "MultiprocessingExecutor",
     "EXECUTORS",
     "make_executor",
-    "fold_legacy_executor_kwargs",
     "as_executor",
     "executor_scope",
 ]
@@ -271,8 +262,8 @@ class Executor(ABC):
         Samplers precompute traversal tables (overlay arrays, prefix
         sums, ``p_max``) at construction, so every cached sampler is
         stale once a :class:`~repro.graphs.digraph.GraphDelta` lands or
-        the graph is rebased.  The multiprocessing backend additionally
-        re-broadcasts the shared-memory block to its workers.
+        the graph is rebased.  Worker-backed executors additionally
+        re-broadcast the graph to their workers.
         """
         self._samplers = {}
 
@@ -339,11 +330,11 @@ class Executor(ABC):
 
     # -- resource lifecycle ---------------------------------------------
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory).
+        """Release backend resources (worker processes, shared memory).
 
-        A no-op for the simulated backend; the multiprocessing backend
-        stops its persistent worker pool and unlinks the shared-memory
-        graph block.  Idempotent, and safe to call on every exit path —
+        A no-op for the simulated backend; worker-backed executors reap
+        their workers and unlink the shared-memory graph block.
+        Idempotent, and safe to call on every exit path —
         the entry points call it in a ``finally`` so fault-recovery
         aborts and checkpoint/resume cycles reclaim everything.
         """
@@ -354,7 +345,7 @@ class Executor(ABC):
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- fault-path helpers shared by both backends ---------------------
+    # -- fault-path helpers shared by every backend ----------------------
     @staticmethod
     def _batch_nbytes(batch: FlatBatch) -> int:
         """Wire size of one generation batch (delta + varint encoded)."""
@@ -553,352 +544,18 @@ class SimulatedExecutor(Executor):
         return self._result_from_last_phase(label, results)
 
 
-class WorkerBackedExecutor(Executor):
-    """Shared master-side logic for executors that fan out to real workers.
-
-    Subclasses provide :meth:`_dispatch` — ship per-machine generation
-    tasks to *some* worker transport (an OS-process pool, TCP sockets)
-    and return one :class:`~repro.cluster.parallel.GenerationOutcome`
-    per machine — and inherit everything delicate: RNG restore, batch
-    append, slowdown metering, and the fault path's attempt loop with
-    retries, backoff, per-kind recovery events and reassignment of last
-    resort.  Keeping that logic in one place is what keeps the backends
-    bit-identical to each other under every fault scenario.
-
-    Each machine's private RNG is shipped to its worker, the worker
-    draws the machine's batch with it, and the advanced RNG state is
-    restored on the master — so collections *and* subsequent random
-    decisions are bit-identical to :class:`SimulatedExecutor` for the
-    same seed.  A machine's own RNG is only advanced once its payload
-    verifies, so every retry ships the identical pre-attempt state and
-    redraws the identical batch — content never depends on which faults
-    fired.
-    """
-
-    def _dispatch(
-        self,
-        model: str,
-        method: str,
-        counts: List[int],
-        rngs: List[Any],
-        directives: List[str | None] | None = None,
-        timeout: float | None = None,
-    ) -> List[GenerationOutcome]:
-        """Run one generation wave on the backend's workers.
-
-        ``counts[i]`` / ``rngs[i]`` / ``directives[i]`` describe task
-        ``i``; outcomes come back in the same order.  Failures are
-        captured per task (``outcome.error``), never raised."""
-        raise NotImplementedError
-
-    # -- backend knobs the fault path consults --------------------------
-    def _directive_for(self, kind: str) -> str:
-        """Worker directive injecting fault ``kind``.
-
-        Process-pool workers have no connection to sever and no payload
-        channel of their own to drop, so both are collapsed onto a hard
-        kill: silent from the master's side, detected only by the phase
-        deadline.  Transports with richer failure modes override this.
-        """
-        if kind in (DROP, DISCONNECT):
-            return CRASH_HARD
-        return kind
-
-    def _error_kind(self, error: str) -> str:
-        """Recovery-event kind for a worker error string."""
-        for kind in ("timeout", "corruption", "disconnect"):
-            if error.startswith(kind):
-                return kind
-        return "crash"
-
-    # -- measured-transport hooks ---------------------------------------
-    def _wire_mark(self) -> Any:
-        """Snapshot of the transport counters before a phase (or None)."""
-        return None
-
-    def _wire_extras(self, mark: Any) -> Dict[str, int]:
-        """Per-phase transport kwargs for ``record_compute_phase``."""
-        return {}
-
-    def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
-        if self.faults is not None:
-            return self._run_generate_with_faults(plan)
-        targets = self._generation_targets(plan)
-        if plan.rng_scheme == "per-set":
-            # The worker resolves this token into per_set_rng substreams;
-            # the machines' sequential streams are never consumed, so no
-            # rng_state comes back.
-            rngs = [
-                ("per-set", plan.seed, machine.machine_id, plan.starts[machine.machine_id])
-                for machine in self.machines
-            ]
-        else:
-            rngs = [machine.rng for machine in self.machines]
-        mark = self._wire_mark()
-        outcomes = self._dispatch(
-            plan.model,
-            plan.method,
-            list(plan.counts),
-            rngs,
-        )
-        times = []
-        results = []
-        ipc_bytes = 0
-        for machine, target, outcome in zip(self.machines, targets, outcomes):
-            if outcome.error is not None:
-                raise MachineFailure(machine.machine_id, plan.label) from RuntimeError(
-                    outcome.error
-                )
-            if outcome.rng_state is not None:
-                machine.set_rng_state(outcome.rng_state)
-            append_batch(target, outcome.batch)
-            times.append(outcome.elapsed * machine.slowdown)
-            results.append(outcome.batch.count)
-            ipc_bytes += outcome.nbytes
-        self.metrics.record_compute_phase(
-            GENERATION, plan.label, times, num_bytes=ipc_bytes, **self._wire_extras(mark)
-        )
-        return self._result_from_last_phase(plan.label, results)
-
-    def _run_generate_with_faults(self, plan: GeneratePhase) -> PhaseResult:
-        """Generation over real workers with real failure detection.
-
-        Injected faults become per-worker *directives* (raise, SIGKILL,
-        flip a payload byte, sever the connection); the phase timeout and
-        backoff are genuine wall-clock, so a hard-killed worker really is
-        declared lost by the deadline — and a severed connection really
-        is detected by the broken stream.
-        """
-        targets = self._generation_targets(plan)
-        counts = plan.counts
-        faults, policy = self.faults, self.retry
-        round_index = self.metrics.current_round
-        label = plan.label
-
-        times: List[float] = [0.0] * self.num_machines
-        results: List[int] = [0] * self.num_machines
-        pending = set(range(self.num_machines))
-        last_kind: Dict[int, str] = {}
-        ipc_bytes = 0
-        mark = self._wire_mark()
-
-        for attempt in range(1, policy.max_attempts + 1):
-            if not pending:
-                break
-            delay = policy.delay_before(attempt)
-            if delay:
-                time.sleep(delay)
-            ids = sorted(pending)
-            directives: List[str | None] = [
-                None
-                if (fault := faults.failure_for(mid, round_index, attempt)) is None
-                else self._directive_for(fault.kind)
-                for mid in ids
-            ]
-            outcomes = self._dispatch(
-                plan.model,
-                plan.method,
-                [counts[mid] for mid in ids],
-                [self.machines[mid].rng for mid in ids],
-                directives=directives,
-                timeout=policy.phase_timeout,
-            )
-            for mid, (batch, rng_state, elapsed, error, nbytes) in zip(ids, outcomes):
-                machine = self.machines[mid]
-                ipc_bytes += nbytes
-                if error is None:
-                    factor = faults.straggler_factor(mid, round_index, attempt)
-                    metered = elapsed * machine.slowdown * factor
-                    if factor > 1.0:
-                        self.metrics.record_recovery(
-                            "straggler-wait",
-                            mid,
-                            label,
-                            attempt,
-                            time_lost=metered - elapsed * machine.slowdown,
-                            detail=f"injected slowdown x{factor:g}",
-                        )
-                    machine.set_rng_state(rng_state)
-                    append_batch(targets[mid], batch)
-                    results[mid] = batch.count
-                    times[mid] += metered
-                    pending.discard(mid)
-                    continue
-                kind = self._error_kind(error)
-                last_kind[mid] = kind
-                lost = elapsed * machine.slowdown + delay
-                self.metrics.record_recovery(
-                    kind, mid, label, attempt, time_lost=lost, detail=error
-                )
-                times[mid] += lost
-
-        if pending:
-            failed = {mid: last_kind.get(mid, "crash") for mid in sorted(pending)}
-            if not policy.reassign:
-                self._raise_unrecovered(label, failed, policy.max_attempts)
-            # Reassignment of last resort: the master replays each lost
-            # quota inline with the machine's own (never-advanced) RNG, so
-            # the batches equal what the workers would have produced.
-            sampler = self.sampler(plan.model, plan.method)
-            for mid in sorted(pending):
-                machine = self.machines[mid]
-                start = time.perf_counter()
-                batch = sampler.sample_batch(machine.rng, counts[mid])
-                elapsed = time.perf_counter() - start
-                append_batch(targets[mid], batch)
-                results[mid] = batch.count
-                times[mid] += elapsed
-                self.metrics.record_recovery(
-                    "reassignment",
-                    mid,
-                    label,
-                    policy.max_attempts,
-                    time_lost=elapsed,
-                    detail=(
-                        f"quota of {counts[mid]} RR sets replayed on the master "
-                        f"after {failed[mid]}"
-                    ),
-                )
-
-        self.metrics.record_compute_phase(
-            GENERATION, label, times, num_bytes=ipc_bytes, **self._wire_extras(mark)
-        )
-        return self._result_from_last_phase(label, results)
-
-
-class MultiprocessingExecutor(WorkerBackedExecutor):
-    """Real OS-process fan-out for the generation phase.
-
-    The executor owns a persistent :class:`~repro.cluster.parallel.GenerationPool`
-    — workers and the shared-memory graph broadcast live for the whole
-    run instead of being rebuilt every phase.  Call :meth:`close` (the
-    entry points do, via a ``with``-block) to stop the workers and unlink
-    the shared block.  Generation phases record the framed, compressed
-    payload bytes the workers actually shipped; worker wall-clock time is
-    scaled by the machine's ``slowdown``, keeping heterogeneous-cluster
-    metering consistent.
-
-    Non-generation phases run through the shared accounting path: seed
-    selection is master-side and cheap compared to generation (the
-    paper parallelises generation only).
-    """
-
-    name = "multiprocessing"
-
-    def __init__(
-        self,
-        cluster: SimulatedCluster,
-        graph=None,
-        processes: int | None = None,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        start_method: str | None = None,
-        zero_copy: bool | None = None,
-    ) -> None:
-        if graph is None:
-            raise ValueError("MultiprocessingExecutor requires the graph up front")
-        super().__init__(cluster, graph, faults=faults, retry=retry)
-        self.processes = processes
-        self.start_method = start_method
-        self.zero_copy = zero_copy
-        self._pool: GenerationPool | None = None
-
-    @property
-    def pool(self) -> GenerationPool:
-        """The executor-owned persistent worker pool, built on first use."""
-        if self._pool is None:
-            self._pool = GenerationPool(
-                self.graph,
-                processes=self.processes,
-                start_method=self.start_method,
-                zero_copy=self.zero_copy,
-            )
-        return self._pool
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    def refresh_graph(self) -> None:
-        super().refresh_graph()
-        if self._pool is not None:
-            self._pool.refresh_graph()
-
-    def _dispatch(
-        self,
-        model: str,
-        method: str,
-        counts: List[int],
-        rngs: List[Any],
-        directives: List[str | None] | None = None,
-        timeout: float | None = None,
-    ) -> List[GenerationOutcome]:
-        return self.pool.run(
-            model, method, counts, rngs, directives=directives, timeout=timeout
-        )
-
-
 # ----------------------------------------------------------------------
 # Factories
 # ----------------------------------------------------------------------
 EXECUTORS: Tuple[str, ...] = ("simulated", "multiprocessing", "socket")
 
 
-def fold_legacy_executor_kwargs(
-    spec: ExecutorSpec,
-    *,
-    processes: int | None = None,
-    start_method: str | None = None,
-    zero_copy: bool | None = None,
-    owner: str = "make_executor",
-) -> ExecutorSpec:
-    """Fold deprecated per-backend kwargs into an :class:`ExecutorSpec`.
-
-    Emits one :class:`DeprecationWarning` per kwarg actually passed, then
-    returns a spec with the value applied (explicit spec options win over
-    legacy kwargs).  Legacy kwargs on a backend that has no such option
-    (``processes`` with the simulated or socket executor) raise
-    ``ValueError`` exactly as the old keyword plumbing did implicitly by
-    ignoring them — silently dropping a requested worker count would be
-    worse than failing.
-    """
-    legacy = {
-        "processes": processes,
-        "start_method": start_method,
-        "zero_copy": zero_copy,
-    }
-    changes = {}
-    for name, value in legacy.items():
-        if value is None:
-            continue
-        warnings.warn(
-            f"{owner}: the {name}= keyword is deprecated; pass an ExecutorSpec "
-            f'(e.g. MultiprocessingSpec({name}={value!r})) or a string shorthand '
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if not any(f.name == name for f in dataclasses.fields(spec)):
-            raise ValueError(
-                f"{name}= does not apply to the {spec.kind!r} executor"
-            )
-        if getattr(spec, name) is None:
-            changes[name] = value
-    if changes:
-        spec = spec.with_overrides(**changes)
-    return spec.validate()
-
-
 def make_executor(
     spec: ExecutorSpec | str | None,
     cluster: SimulatedCluster,
     graph=None,
-    processes: int | None = None,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
-    start_method: str | None = None,
-    zero_copy: bool | None = None,
 ) -> Executor:
     """Build the executor an :class:`~repro.cluster.spec.ExecutorSpec` describes.
 
@@ -908,28 +565,13 @@ def make_executor(
     backend.  ``faults`` (a :class:`~repro.cluster.faults.FaultPlan`)
     enables the fault-tolerant generation path on any backend; ``retry``
     overrides the default recovery policy.
-
-    ``processes``, ``start_method`` and ``zero_copy`` are deprecated:
-    they predate specs and now warn before being folded into the spec's
-    matching option (the spec wins when both are given).
     """
-    resolved = fold_legacy_executor_kwargs(
-        as_spec(spec),
-        processes=processes,
-        start_method=start_method,
-        zero_copy=zero_copy,
-    )
+    resolved = as_spec(spec)
     if isinstance(resolved, SimulatedSpec):
         return SimulatedExecutor(cluster, graph=graph, faults=faults, retry=retry)
     if isinstance(resolved, MultiprocessingSpec):
         return MultiprocessingExecutor(
-            cluster,
-            graph=graph,
-            processes=resolved.processes,
-            faults=faults,
-            retry=retry,
-            start_method=resolved.start_method,
-            zero_copy=resolved.zero_copy,
+            cluster, graph=graph, spec=resolved, faults=faults, retry=retry
         )
     if isinstance(resolved, SocketSpec):
         # Imported lazily: the socket backend pulls in server plumbing
@@ -985,3 +627,9 @@ def as_executor(obj) -> Executor:
     if isinstance(obj, SimulatedCluster):
         return SimulatedExecutor(obj)
     raise TypeError(f"cannot build an executor from {type(obj).__name__}")
+
+
+# The worker-backed executors subclass Executor, so their module can only
+# be imported once everything above exists; they are re-exported because
+# this module is where callers look for every executor class.
+from .parallel import MultiprocessingExecutor, WorkerBackedExecutor  # noqa: E402

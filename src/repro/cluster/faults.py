@@ -26,10 +26,11 @@ never the collections or the selected seeds.
 
 Timing semantics: under :class:`~repro.cluster.executor.SimulatedExecutor`
 timeouts, backoff and straggler waits are charged in *simulated* time
-(they appear in the metrics, nothing sleeps); under
-:class:`~repro.cluster.executor.MultiprocessingExecutor` the phase
-timeout and backoff are real wall-clock — a hung or ``kill -9``'d worker
-really is detected by the deadline.
+(they appear in the metrics, nothing sleeps); under the worker-backed
+executors (:class:`~repro.cluster.executor.WorkerBackedExecutor`) the
+phase timeout and backoff are real wall-clock — a silent worker really
+is detected by the deadline, and a ``kill -9``'d one by its broken
+stream.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ __all__ = [
 
 #: The worker raises during the attempt; the draw is lost.
 CRASH = "crash"
-#: The worker process dies without a word (``kill -9``); only the phase
-#: timeout detects it.  Simulated executors treat it like ``crash``.
+#: The worker process dies without a word (``kill -9``).  Real workers'
+#: masters see the broken stream at once (logged as ``disconnect``); the
+#: simulated executor charges the phase timeout.
 CRASH_HARD = "crash-hard"
 #: The machine completes the attempt ``factor`` times slower.
 STRAGGLER = "straggler"
@@ -69,10 +71,9 @@ STRAGGLER = "straggler"
 CORRUPT = "corrupt"
 #: The payload never arrives; only the phase timeout detects it.
 DROP = "drop"
-#: The machine's transport connection closes mid-attempt.  The socket
-#: executor detects this *immediately* (EOF/reset on the stream, no
-#: deadline wait) and reconnects before retrying; backends without a
-#: connection treat it like a silent loss.
+#: The machine's worker stream closes mid-attempt.  Worker-backed
+#: executors detect this *immediately* (EOF/reset on the stream, no
+#: deadline wait) and re-open the stream before retrying.
 DISCONNECT = "disconnect"
 
 FAULT_KINDS: Tuple[str, ...] = (CRASH, CRASH_HARD, STRAGGLER, CORRUPT, DROP, DISCONNECT)

@@ -1,100 +1,123 @@
-"""Worker-pool plumbing for the multiprocessing executor.
+"""Real generation workers: one worker loop, one channel, one dispatch.
 
 The simulated cluster meters sequential execution; this module is the
-cross-check: it actually fans RR-set generation out over OS processes,
-the closest local equivalent of the paper's MPI workers.
+cross-check: it fans RR-set generation out over OS processes, the local
+equivalent of the paper's MPI workers.  There is one worker program and
+one master-side implementation, whatever carries the bytes; the
+executors built on it differ only in how a channel *obtains* its
+connected stream (:meth:`WorkerChannel.open`):
 
-Data plane
-----------
-A :class:`GenerationPool` owns its workers and the graph broadcast for
-the lifetime of a run instead of paying both costs on every phase:
+* :class:`MultiprocessingExecutor` — an owned process handed one end of
+  a ``socket.socketpair()``.  No listening port: local parallelism never
+  exposes a pickle-speaking endpoint to other users of the host.
+* :class:`~repro.cluster.socket_executor.SocketExecutor` — loopback TCP
+  to owned ``serve_worker`` processes, or TCP to external ones.
 
-* **Zero-copy graph broadcast.**  The master exports the graph's six
-  CSR arrays into one ``multiprocessing.shared_memory`` block
-  (:meth:`DirectedGraph.to_shared <repro.graphs.digraph.DirectedGraph.to_shared>`)
-  and ships only the tiny block *spec* to the workers, which attach
-  read-only views (:meth:`from_shared
-  <repro.graphs.digraph.DirectedGraph.from_shared>`) — no graph copy is
-  pickled, which is what makes the ``spawn`` start method affordable.
-  When shared memory is unavailable (or ``zero_copy=False``), the pool
-  degrades gracefully to the classic copy-based initializer that ships
-  the whole graph to every worker.
-* **Persistent workers.**  The ``Pool`` is created lazily on the first
-  phase and reused for every later one; each worker attaches the graph
-  once and caches one sampler per ``(model, method)`` — including the
-  blocked ``"vectorized"`` kernels, whose per-worker frontier scratch
-  lives in that cache and whose CSR reads go straight against the
-  shared-memory graph views.  A phase
-  deadline expiry terminates and discards the pool (a dead or hung
-  worker may hold a task forever), and the next phase transparently
-  starts a fresh one — the recovery path the executor's
-  :class:`~repro.cluster.faults.RetryPolicy` drives.
-* **Compressed payloads.**  Workers draw straight into the flat CSR
-  layout via :meth:`RRSampler.sample_batch
-  <repro.ris.rrset.RRSampler.sample_batch>`, encode the batch with the
-  delta + varint wire codec (:func:`repro.ris.wire.encode_batch`) and
-  return it plus their advanced RNG state as a single framed payload
-  (:func:`repro.ris.serialization.pack_message`: magic, version,
-  length, CRC32).  The master verifies the frame, then decodes — a
-  corrupted payload surfaces as a typed, retryable error instead of
-  wrong data, and each outcome carries the actual bytes shipped.
+Protocol
+--------
+Every message is one CRC32 frame (:func:`~repro.ris.serialization.pack_message`)
+holding ``(op, seq, body)``; ``seq`` is a per-channel sequence number
+that matches replies to requests, so several machines are pipelined
+onto one stream and answered in any order:
+
+``enroll``
+    ``{"token", "graph" | "shm_spec" | "path"}`` — the worker takes the
+    graph shipped inline, attaches a shared-memory export
+    (:meth:`DirectedGraph.to_shared <repro.graphs.digraph.DirectedGraph.to_shared>`,
+    no copy) or loads an ``.npz`` from its local disk, and caches it
+    under the token; samplers are cached per ``(token, model, method)``.
+    Replies ``("enrolled", seq, info)``.
+``generate``
+    ``{"token", "model", "method", "count", "rng", "directive"}`` — the
+    worker draws the batch with the shipped RNG (or a per-set token)
+    and replies ``("batch", seq, (payload, elapsed))`` where ``payload``
+    is the inner frame — the delta + varint encoded batch
+    (:mod:`repro.ris.wire`) and the advanced RNG state — whose size is
+    the backend-neutral ``num_bytes``; ``wire_sent`` /
+    ``wire_received`` / ``round_trips`` count the real stream traffic.
+    Failures reply ``("error", seq, (message, elapsed))``.
+``ping`` / ``shutdown``
+    Heartbeat (``pong``) and orderly worker exit (``bye``).
 
 Restoring the returned RNG state keeps master-side generators
 bit-identical to the simulated backend, and the decoded batches are
 bit-identical to locally drawn ones, so none of this changes results.
 
-Results are collected with a deadline (``timeout``): a worker that never
-answers — crashed, ``kill -9``'d, or its payload dropped — leaves a
-``"timeout: ..."`` outcome for its machine instead of hanging the pool.
-Injected faults arrive as per-machine *directives* so the fault path is
-exercised end to end: ``"crash"`` raises inside the worker,
-``"crash-hard"`` SIGKILLs the worker process, ``"corrupt"`` flips a byte
-of the framed payload.
+Failure model
+-------------
+Injected directives exercise every failure the master can see:
+``crash`` replies an error, ``crash-hard`` kills the worker process,
+``disconnect`` severs the stream — both break the stream and are seen
+*at once* as ``disconnect`` — ``drop`` swallows the reply so only the
+phase deadline notices (``timeout``), and ``corrupt`` flips a byte of
+the inner payload so its CRC fails on arrival (``corruption``).  A
+machine's RNG only advances when its payload verifies, so every retry
+redraws the identical batch.
 
-Only generation is parallelised — it dominates the running time in every
-figure of the paper — while seed selection still runs through NEWGREEDI
-on the gathered per-machine collections.  This module is deliberately
-executor-internal: algorithms go through
-:mod:`repro.cluster.executor`, never through the pool directly.
+Only generation is parallelised — it dominates the running time in
+every figure of the paper; seed selection runs through NEWGREEDI on the
+gathered per-machine collections.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
+import selectors
+import socket
 import time
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+import uuid
+from collections import OrderedDict
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from ..graphs.digraph import DirectedGraph, SharedGraphHandle, attach_shared
+from ..graphs.io import load_npz
 from ..ris import make_sampler
+from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, sample_set_range
 from ..ris.serialization import (
     MESSAGE_HEADER_BYTES,
+    FrameTruncatedError,
     PayloadCorruptionError,
     pack_message,
+    read_frame,
     unpack_message,
 )
 from ..ris.wire import decode_batch, encode_batch
-from .faults import CORRUPT, CRASH, CRASH_HARD
+from .cluster import MachineFailure, SimulatedCluster
+from .executor import Executor, GeneratePhase, PhaseResult
+from .faults import CORRUPT, CRASH, CRASH_HARD, DISCONNECT, DROP, FaultPlan, RetryPolicy
+from .metrics import GENERATION
+from .spec import ExecutorSpec, MultiprocessingSpec
 
-__all__ = ["GenerationOutcome", "GenerationPool", "run_generation_pool"]
+__all__ = [
+    "GenerationOutcome",
+    "WorkerState",
+    "serve_connection",
+    "WorkerChannel",
+    "WorkerBackedExecutor",
+    "MultiprocessingExecutor",
+]
 
-#: Environment override for the pool's start method (``fork``/``spawn``/
+#: Environment override for the workers' start method (``fork``/``spawn``/
 #: ``forkserver``); CI uses it to run the whole suite under ``spawn``.
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
+
+#: Worker-side cap on cached graph enrollments: a long-lived worker
+#: serving masters that refresh their graphs should not accumulate
+#: attachments forever.
+_MAX_ENROLLMENTS = 4
 
 
 class GenerationOutcome(NamedTuple):
     """One machine's generation outcome.
 
     ``error`` is ``None`` on success, otherwise a one-line description
-    (prefixed ``"crash:"``, ``"corruption:"`` or ``"timeout:"`` for
-    injected/detected fault kinds) and ``batch`` / ``rng_state`` are
-    ``None``.  ``nbytes`` is the size of the framed compressed payload
-    the worker actually shipped (0 when nothing arrived).
+    (prefixed ``"crash:"``, ``"corruption:"``, ``"disconnect:"`` or
+    ``"timeout:"`` for injected/detected fault kinds) and ``batch`` /
+    ``rng_state`` are ``None``.  ``nbytes`` is the size of the framed
+    compressed payload the worker actually shipped (0 when nothing
+    arrived).
     """
 
     batch: FlatBatch | None
@@ -102,65 +125,6 @@ class GenerationOutcome(NamedTuple):
     elapsed: float
     error: str | None
     nbytes: int = 0
-
-
-# Worker-process globals, set once by _init_worker and reused across
-# every phase the persistent pool serves.
-_WORKER_GRAPH: DirectedGraph | None = None
-_WORKER_SAMPLERS: Dict[Tuple[str, str], Any] = {}
-
-
-def _init_worker(graph_or_spec: Any, shared: bool) -> None:
-    global _WORKER_GRAPH
-    if shared:
-        # The spec's "kind" decides whether this is a plain CSR block or a
-        # versioned base+overlay export.
-        _WORKER_GRAPH = attach_shared(graph_or_spec)
-    else:
-        _WORKER_GRAPH = graph_or_spec
-    _WORKER_SAMPLERS.clear()
-
-
-def _worker_generate(
-    task: Tuple[int, str, str, int, np.random.Generator, str | None],
-) -> Tuple[int, bytes | None, float, str | None]:
-    machine_id, model, method, count, rng, directive = task
-    start = time.perf_counter()
-    if directive == CRASH_HARD:
-        # The injected equivalent of `kill -9`: the process dies without
-        # returning anything; only the master's deadline notices.
-        os.kill(os.getpid(), signal.SIGKILL)
-    try:
-        if directive == CRASH:
-            raise RuntimeError("injected worker crash")
-        sampler = _WORKER_SAMPLERS.get((model, method))
-        if sampler is None:
-            sampler = make_sampler(_WORKER_GRAPH, model=model, method=method)
-            _WORKER_SAMPLERS[(model, method)] = sampler
-        if isinstance(rng, tuple) and rng and rng[0] == "per-set":
-            # Per-set token ("per-set", seed, machine_id, start): each RR
-            # set comes from its own counter-based substream, so no
-            # sequential rng state travels either way.
-            __, seed, token_machine, start_index = rng
-            batch = sample_set_range(sampler, seed, token_machine, start_index, count)
-            payload = pack_message((encode_batch(batch), None))
-        else:
-            batch = sampler.sample_batch(rng, count)
-            payload = pack_message((encode_batch(batch), rng.bit_generator.state))
-    except Exception as exc:  # shipped back; the executor decides recovery
-        prefix = "crash: " if directive == CRASH else ""
-        return (
-            machine_id,
-            None,
-            time.perf_counter() - start,
-            f"{prefix}{type(exc).__name__}: {exc}",
-        )
-    if directive == CORRUPT and len(payload) > MESSAGE_HEADER_BYTES:
-        # Flip one body byte so the CRC32 check fails on arrival.
-        corrupted = bytearray(payload)
-        corrupted[MESSAGE_HEADER_BYTES] ^= 0xFF
-        payload = bytes(corrupted)
-    return machine_id, payload, time.perf_counter() - start, None
 
 
 def _resolve_start_method(start_method: str | None) -> str:
@@ -176,145 +140,385 @@ def _resolve_start_method(start_method: str | None) -> str:
     return method
 
 
-class GenerationPool:
-    """Persistent worker pool with a zero-copy graph broadcast.
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+class WorkerState:
+    """Graphs and samplers a worker keeps across requests and streams."""
 
-    Parameters
-    ----------
-    graph:
-        Weighted graph the workers sample from.  Broadcast once: through
-        a shared-memory block when available, else copied into each
-        worker's initializer.
-    processes:
-        Worker count; defaults to the machine count of the first phase,
-        capped at the CPU count.
-    start_method:
-        ``multiprocessing`` start method; defaults to the
-        ``REPRO_MP_START_METHOD`` environment variable, then ``fork``
-        where available, else ``spawn``.
-    zero_copy:
-        ``True`` requires shared memory (raises where unsupported),
-        ``False`` forces the copy-based broadcast, ``None`` (default)
-        tries shared memory and silently falls back.
+    def __init__(self) -> None:
+        self.graphs: "OrderedDict[str, DirectedGraph]" = OrderedDict()
+        self.samplers: Dict[Tuple[str, str, str], Any] = {}
 
-    The pool is lazy: workers start on the first :meth:`run` call.  Call
-    :meth:`close` (or use the context manager) to reclaim the workers
-    and the shared-memory block; ``__del__`` is only a backstop.
+    def enroll(self, request: Dict[str, Any]) -> Tuple[str, Any]:
+        """One enrollment request -> ``(reply op, reply body)``."""
+        token = request["token"]
+        try:
+            if token not in self.graphs:
+                if request.get("graph") is not None:
+                    graph = request["graph"]
+                elif request.get("shm_spec") is not None:
+                    # The spec's "kind" says plain CSR block or versioned
+                    # base+overlay export.
+                    graph = attach_shared(request["shm_spec"])
+                elif request.get("path"):
+                    graph = load_npz(request["path"])
+                else:
+                    return "error", (f"unknown token {token!r} and no graph source", 0.0)
+                self.graphs[token] = graph
+                while len(self.graphs) > _MAX_ENROLLMENTS:
+                    stale, _ = self.graphs.popitem(last=False)
+                    self.samplers = {
+                        key: sampler for key, sampler in self.samplers.items() if key[0] != stale
+                    }
+            self.graphs.move_to_end(token)
+            return "enrolled", {"num_nodes": self.graphs[token].num_nodes}
+        except Exception as exc:  # noqa: BLE001 - shipped back to the master
+            return "error", (f"enroll failed: {type(exc).__name__}: {exc}", 0.0)
+
+    def sampler(self, token: str, model: str, method: str):
+        key = (token, model, method)
+        if key not in self.samplers:
+            graph = self.graphs.get(token)
+            if graph is None:
+                raise KeyError(f"unknown enrollment token {token!r}")
+            self.samplers[key] = make_sampler(graph, model=model, method=method)
+        return self.samplers[key]
+
+    def generate(self, request: Dict[str, Any]) -> Tuple[str, Any]:
+        """One generation request -> ``(reply op, reply body)``."""
+        directive = request.get("directive")
+        start = time.perf_counter()
+        try:
+            if directive == CRASH:
+                raise RuntimeError("injected worker crash")
+            sampler = self.sampler(request["token"], request["model"], request["method"])
+            rng, count = request["rng"], request["count"]
+            if isinstance(rng, tuple) and rng and rng[0] == "per-set":
+                # Per-set token ("per-set", seed, machine_id, start): each RR
+                # set comes from its own counter-based substream, so no
+                # sequential rng state travels either way.
+                __, seed, machine_id, start_index = rng
+                batch = sample_set_range(sampler, seed, machine_id, start_index, count)
+                rng_state = None
+            else:
+                batch = sampler.sample_batch(rng, count)
+                rng_state = rng.bit_generator.state
+            payload = pack_message((encode_batch(batch), rng_state))
+        except Exception as exc:  # noqa: BLE001 - the executor decides recovery
+            prefix = "crash: " if directive == CRASH else ""
+            message = f"{prefix}{type(exc).__name__}: {exc}"
+            return "error", (message, time.perf_counter() - start)
+        if directive == CORRUPT and len(payload) > MESSAGE_HEADER_BYTES:
+            # Flip one body byte of the *inner* frame: the outer frame (and
+            # its seq) stays intact, so the master attributes the CRC failure
+            # to the right machine while the stream stays aligned.
+            corrupted = bytearray(payload)
+            corrupted[MESSAGE_HEADER_BYTES] ^= 0xFF
+            payload = bytes(corrupted)
+        return "batch", (payload, time.perf_counter() - start)
+
+
+def serve_connection(conn: socket.socket, state: WorkerState) -> bool:
+    """Serve one master stream until it ends; False on orderly shutdown."""
+
+    def reply(seq: int, op: str, body: Any) -> None:
+        conn.sendall(pack_message((op, seq, body)))
+
+    try:
+        with conn:
+            while True:
+                message = read_frame(conn.recv)
+                if message is None:
+                    return True  # the master hung up
+                op, seq, body = message
+                if op == "shutdown":
+                    reply(seq, "bye", None)
+                    return False
+                if op == "ping":
+                    reply(seq, "pong", None)
+                elif op == "enroll":
+                    reply(seq, *state.enroll(body))
+                elif op == "generate":
+                    directive = body.get("directive")
+                    if directive == CRASH_HARD:
+                        # The injected equivalent of `kill -9`: the process
+                        # dies mid-request and takes its stream with it.
+                        os._exit(1)
+                    result = state.generate(body)
+                    if directive == DISCONNECT:
+                        return True
+                    if directive != DROP:
+                        reply(seq, *result)
+                else:
+                    reply(seq, "error", (f"unknown op {op!r}", 0.0))
+    except (OSError, PayloadCorruptionError):
+        # A broken or garbled stream only ends this session.
+        return True
+
+
+def _serve_pair(conn: socket.socket, master_end: socket.socket) -> None:
+    """Process target of a socketpair worker: serve its one stream, exit."""
+    # Under fork the child holds a copy of the master's end of its own
+    # stream; while it does, the master dying would never read as EOF here.
+    master_end.close()
+    serve_connection(conn, WorkerState())
+
+
+# ----------------------------------------------------------------------
+# Master side
+# ----------------------------------------------------------------------
+class WorkerChannel:
+    """The master's end of one worker stream, with wire accounting.
+
+    ``wire_sent`` / ``wire_received`` count every framed byte that
+    crossed the stream (requests, replies, enrollment, heartbeats);
+    ``round_trips`` counts completed request/reply exchanges.
+
+    :meth:`open` is the transport seam.  This base class obtains its
+    stream from ``socket.socketpair()`` with an owned process on the
+    other end, and a pair cannot be re-dialed, so a lost stream means
+    kill + respawn; the TCP subclass dials (and re-dials) instead.
     """
+
+    #: Whether the worker shares this host's shared memory.
+    local = True
+
+    def __init__(self, index: int, ctx) -> None:
+        self.index = index
+        self.sock: socket.socket | None = None
+        self.process: mp.process.BaseProcess | None = None
+        #: Token of the graph the worker behind the *current* stream holds.
+        self.enrolled: str | None = None
+        self.wire_sent = 0
+        self.wire_received = 0
+        self.round_trips = 0
+        self._ctx = ctx
+        self._seq = 0
+
+    def open(self, timeout: float) -> None:
+        """Obtain a connected stream (``timeout`` bounds a TCP dial)."""
+        self.stop_process(grace=0.0)
+        ours, theirs = socket.socketpair()
+        process = self._ctx.Process(target=_serve_pair, args=(theirs, ours), daemon=True)
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self.sock, self.process = ours, process
+
+    def send(self, op: str, body: Any, timeout: float | None = None) -> int:
+        """Write one request frame; returns its sequence number."""
+        if self.sock is None:
+            raise ConnectionError(f"worker channel {self.index} is not connected")
+        self._seq += 1
+        data = pack_message((op, self._seq, body))
+        self.sock.settimeout(timeout)
+        try:
+            self.sock.sendall(data)
+        finally:
+            self.sock.settimeout(None)
+        self.wire_sent += len(data)
+        return self._seq
+
+    def recv(self, deadline: float | None = None) -> Any:
+        """Read one frame; ``deadline`` is an absolute ``time.monotonic``."""
+        if self.sock is None:
+            raise ConnectionError(f"worker channel {self.index} is not connected")
+        sock = self.sock
+
+        def metered_recv(count: int) -> bytes:
+            if deadline is not None:
+                sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            chunk = sock.recv(count)
+            self.wire_received += len(chunk)
+            return chunk
+
+        try:
+            return read_frame(metered_recv, eof_ok=False)
+        finally:
+            sock.settimeout(None)
+
+    def request(self, op: str, body: Any, timeout: float) -> Tuple[str, Any]:
+        """One blocking exchange -> ``(reply op, reply body)``."""
+        seq = self.send(op, body, timeout)
+        deadline = time.monotonic() + timeout
+        while True:
+            reply_op, reply_seq, reply_body = self.recv(deadline)
+            if reply_seq == seq:  # anything else is a straggler from a dropped phase
+                self.round_trips += 1
+                return reply_op, reply_body
+
+    def drop(self) -> None:
+        """Close the stream so that the worker reads EOF.
+
+        ``shutdown`` first: under ``fork`` a sibling worker started later
+        holds a copy of this descriptor, and a bare ``close`` would then
+        never reach the peer — it would stay parked on a dead stream.
+        """
+        sock, self.sock, self.enrolled = self.sock, None, None
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already reset by the peer
+            sock.close()
+
+    def stop_process(self, grace: float = 2.0) -> None:
+        """Reap the owned worker: wait ``grace``, then SIGTERM, then SIGKILL."""
+        process, self.process = self.process, None
+        if process is None:
+            return
+        process.join(grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(2.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+
+
+class WorkerBackedExecutor(Executor):
+    """Generation fanned out to real worker processes.
+
+    Machines are pipelined round-robin onto the channels: machine ``i``
+    talks over ``channels[i % workers]``, a phase's requests are all
+    written before any reply is awaited, and replies are matched by
+    sequence number from whichever channel is readable.  Workers and the
+    shared-memory graph export live for the whole run; :meth:`close`
+    (the entry points call it through a ``with``-block) reaps the
+    workers and then unlinks the block.
+
+    Each machine's private RNG is shipped to its worker, the worker
+    draws the machine's batch with it, and the advanced RNG state is
+    restored on the master — so collections *and* subsequent random
+    decisions are bit-identical to :class:`SimulatedExecutor` for the
+    same seed.  A machine's own RNG is only advanced once its payload
+    verifies, so every retry ships the identical pre-attempt state and
+    redraws the identical batch — content never depends on which faults
+    fired.  Failure *detection* is real: a broken stream is a
+    ``disconnect`` the moment it breaks, an expired
+    ``RetryPolicy.phase_timeout`` is a ``timeout``, and the channel is
+    re-opened (and the worker re-enrolled) before the next attempt.
+
+    Subclasses say which channels to build (:meth:`_make_channels`);
+    worker wall-clock time is scaled by the machine's ``slowdown``,
+    keeping heterogeneous-cluster metering consistent.
+    """
+
+    #: Seconds allowed for connecting + enrolling a worker, and for a
+    #: heartbeat ping; :class:`~repro.cluster.spec.SocketSpec` overrides.
+    connect_timeout = 10.0
+    heartbeat_timeout = 5.0
+    #: ``.npz`` every worker loads the graph from instead of receiving it.
+    graph_path: str | None = None
 
     def __init__(
         self,
-        graph: DirectedGraph,
-        processes: int | None = None,
-        start_method: str | None = None,
-        zero_copy: bool | None = None,
+        cluster: SimulatedCluster,
+        graph,
+        spec: ExecutorSpec,
+        faults: FaultPlan | None = None,
+        retry: RetryPolicy | None = None,
     ) -> None:
-        self.graph = graph
-        self.processes = processes
-        self.start_method = _resolve_start_method(start_method)
-        self._zero_copy_mode = zero_copy
+        if graph is None:
+            raise ValueError(f"{type(self).__name__} requires the graph up front")
+        super().__init__(cluster, graph, faults=faults, retry=retry)
+        self.spec = spec.validate()
+        self.start_method = _resolve_start_method(spec.start_method)
+        self._ctx = mp.get_context(self.start_method)
+        self._channels: List[WorkerChannel] | None = None
         self._handle: SharedGraphHandle | None = None
-        self._pool = None
+        self._zero_copy_mode = spec.zero_copy
+        self._token = uuid.uuid4().hex
         self._closed = False
+
+    # -- channels and graph broadcast --------------------------------------
+    def _make_channels(self) -> List[WorkerChannel]:
+        raise NotImplementedError
+
+    def _default_workers(self) -> int:
+        """One worker per machine, capped at the CPU count."""
+        return min(max(self.num_machines, 1), mp.cpu_count())
 
     @property
     def zero_copy(self) -> bool:
-        """Whether the pool (next) start uses the shared-memory broadcast.
+        """Whether local workers (will) attach the shared-memory export.
 
-        ``True`` until a failed shared-memory export flips the pool onto
-        the copy-based fallback for good.
+        ``True`` until a failed export flips the executor onto the
+        copy-based fallback for good.
         """
         return self._zero_copy_mode is not False
 
-    def _broadcast_args(self) -> Tuple[Any, bool]:
-        if self._zero_copy_mode is False:
-            return self.graph, False
-        if self._handle is None:
+    def _ensure_channels(self) -> List[WorkerChannel]:
+        """The channel list and the graph export local workers attach.
+
+        Both are lazy.  The export precedes the first spawn so that every
+        worker inherits the master's ``resource_tracker`` (a worker that
+        had to start its own would report — and unlink — the block as
+        leaked when it exits), and failing it here raises to the caller
+        instead of reading as a transport failure.
+        """
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        if self._channels is None:
+            self._channels = self._make_channels()
+        wanted = self.zero_copy and self.graph_path is None
+        if wanted and self._handle is None and any(c.local for c in self._channels):
             try:
                 self._handle = self.graph.to_shared()
             except Exception:
                 if self._zero_copy_mode:  # explicitly required
                     raise
                 self._zero_copy_mode = False
-                return self.graph, False
-        return self._handle.spec, True
+        return self._channels
 
-    def _ensure_pool(self, num_machines: int):
-        if self._closed:
-            raise RuntimeError("GenerationPool is closed")
-        if self._pool is None:
-            ctx = mp.get_context(self.start_method)
-            processes = self.processes or min(max(num_machines, 1), mp.cpu_count())
-            graph_or_spec, shared = self._broadcast_args()
-            self._pool = ctx.Pool(
-                processes=processes,
-                initializer=_init_worker,
-                initargs=(graph_or_spec, shared),
-            )
-        return self._pool
+    def _graph_source(self, channel: WorkerChannel) -> Dict[str, Any]:
+        """The enrollment entry saying where the worker finds the graph."""
+        if self.graph_path is not None:
+            return {"path": self.graph_path}
+        if channel.local and self._handle is not None:
+            return {"shm_spec": self._handle.spec}
+        # Shared memory does not cross hosts (or is unavailable/disabled).
+        return {"graph": self.graph}
 
-    def _discard_pool(self) -> None:
-        """Terminate the workers; the next phase starts a fresh pool."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    def _ensure_channel(self, channel: WorkerChannel) -> None:
+        """Connect ``channel`` and enroll its worker under the current token."""
+        if channel.sock is None:
+            channel.open(self.connect_timeout)
+        if channel.enrolled == self._token:
+            return
+        request = {"token": self._token, **self._graph_source(channel)}
+        op, detail = channel.request("enroll", request, self.connect_timeout)
+        if op != "enrolled":
+            channel.drop()
+            raise ConnectionError(f"worker {channel.index} refused enrollment: {detail}")
+        channel.enrolled = self._token
 
-    def refresh_graph(self) -> None:
-        """Re-broadcast the graph after it mutated in place.
-
-        The shared-memory export is a snapshot, so workers attached to
-        it keep sampling the old graph after a
-        :class:`~repro.graphs.digraph.GraphDelta` lands.  Discarding the
-        workers and the block makes the next phase export the graph's
-        current state and start a fresh pool against it.
-        """
-        self._discard_pool()
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.unlink()
-
-    def run(
+    # -- dispatch ------------------------------------------------------------
+    def _dispatch(
         self,
         model: str,
         method: str,
-        counts: Sequence[int],
-        rngs: Sequence[np.random.Generator],
-        directives: Sequence[str | None] | None = None,
+        counts: List[int],
+        rngs: List[Any],
+        directives: List[str | None] | None = None,
         timeout: float | None = None,
     ) -> List[GenerationOutcome]:
-        """Draw per-machine RR-set batches on the persistent workers.
+        """Run one generation wave on the workers.
 
-        Parameters
-        ----------
-        model, method:
-            Sampler selection, as in :func:`repro.ris.make_sampler`;
-            workers cache one sampler per combination.
-        counts:
-            Per-machine batch sizes.
-        rngs:
-            Per-machine generators; pickled to the workers with their
-            state, so the draws equal what the machines would have drawn
-            locally.  The callers' generators are NOT advanced — restore
-            the returned state onto each machine to stay in sync.
-        directives:
-            Optional per-machine injected-fault directive (``"crash"``,
-            ``"crash-hard"``, ``"corrupt"`` or ``None``), in machine
-            order.
-        timeout:
-            Wall-clock deadline in seconds for the whole phase.
-            Machines whose results have not arrived when it expires get
-            a ``"timeout: ..."`` outcome and the worker pool is
-            recycled; ``None`` waits forever — a dead worker then
-            hangs, exactly the failure mode
-            :class:`~repro.cluster.faults.RetryPolicy.phase_timeout`
-            exists to prevent.
-
-        Returns
-        -------
-        One :class:`GenerationOutcome` per machine, in machine order.
-        Worker exceptions, corrupted payloads and timeouts are captured
-        per machine, not raised here.
+        ``counts[i]`` / ``rngs[i]`` / ``directives[i]`` describe task
+        ``i`` (a generator is pickled with its state and NOT advanced
+        here — restore the returned state to stay in sync); outcomes
+        come back in the same order.  ``timeout`` is the wall-clock
+        deadline for the whole wave; ``None`` waits forever, so a silent
+        worker then hangs — the failure mode
+        :class:`~repro.cluster.faults.RetryPolicy.phase_timeout` exists
+        to prevent.  Failures are captured per task (``outcome.error``),
+        never raised.
         """
         if len(counts) != len(rngs):
             raise ValueError("counts and rngs must have the same length")
@@ -322,70 +526,340 @@ class GenerationPool:
             raise ValueError("directives must have one entry per machine")
         if not counts:
             return []
-        pool = self._ensure_pool(len(counts))
-        tasks = [
-            (i, model, method, int(count), rng, directives[i] if directives else None)
-            for i, (count, rng) in enumerate(zip(counts, rngs))
-        ]
-        raw: dict[int, Tuple[bytes | None, float, str | None]] = {}
-        start = time.monotonic()
-        pending = pool.imap_unordered(_worker_generate, tasks)
-        try:
-            for __ in range(len(tasks)):
-                if timeout is None:
-                    item = pending.next()
-                else:
-                    remaining = timeout - (time.monotonic() - start)
-                    item = pending.next(max(remaining, 1e-3))
-                raw[item[0]] = item[1:]
-        except mp.TimeoutError:
-            # A worker died or hung mid-task; its task would occupy the
-            # pool forever, so recycle the workers.
-            self._discard_pool()
+        channels = self._ensure_channels()
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        expired = None if timeout is None else f"timeout: no result within {timeout:g}s"
+        outcomes: List[GenerationOutcome | None] = [None] * len(counts)
+        waiting: Dict[WorkerChannel, Dict[int, int]] = {}  # channel -> seq -> task
 
-        outcomes: List[GenerationOutcome] = []
-        for machine_id in range(len(tasks)):
-            if machine_id not in raw:
-                outcomes.append(
-                    GenerationOutcome(
-                        None,
-                        None,
-                        timeout or 0.0,
-                        f"timeout: no result within {timeout:g}s",
-                    )
-                )
-                continue
-            payload, elapsed, error = raw[machine_id]
-            if error is not None:
-                outcomes.append(GenerationOutcome(None, None, elapsed, error))
-                continue
-            nbytes = len(payload)
+        # Start every missing worker before enrolling any: a spawned
+        # interpreter takes a while to boot, and they can boot side by side.
+        for channel in channels[: len(counts)]:
+            if channel.sock is None:
+                try:
+                    channel.open(self.connect_timeout)
+                except OSError:
+                    pass  # tried again, and reported, per task below
+        # Pipeline: write every request before awaiting any reply.
+        for position, (count, rng) in enumerate(zip(counts, rngs)):
+            channel = channels[position % len(channels)]
+            request = {
+                "token": self._token,
+                "model": model,
+                "method": method,
+                "count": int(count),
+                "rng": rng,
+                "directive": directives[position] if directives else None,
+            }
             try:
-                body, rng_state = unpack_message(payload)
-                batch = decode_batch(body)
-            except PayloadCorruptionError as exc:
-                outcomes.append(
-                    GenerationOutcome(None, None, elapsed, f"corruption: {exc}", nbytes)
-                )
+                self._ensure_channel(channel)
+                seq = channel.send("generate", request, self.connect_timeout)
+            except (OSError, PayloadCorruptionError) as exc:
+                # The stream is gone, and with it every reply still owed on
+                # it; a later task re-opens the channel with a clean slate.
+                channel.drop()
+                for lost in (position, *waiting.pop(channel, {}).values()):
+                    outcomes[lost] = GenerationOutcome(None, None, 0.0, f"disconnect: {exc}")
                 continue
-            outcomes.append(GenerationOutcome(batch, rng_state, elapsed, None, nbytes))
+            waiting.setdefault(channel, {})[seq] = position
+
+        with selectors.DefaultSelector() as selector:
+
+            def give_up(channel: WorkerChannel, elapsed: float, error: str) -> None:
+                # Late replies could still arrive and desynchronize seq
+                # matching, so the stream goes too; it is re-opened on next use.
+                for position in waiting.pop(channel).values():
+                    outcomes[position] = GenerationOutcome(None, None, elapsed, error)
+                selector.unregister(channel.sock)
+                channel.drop()
+
+            for channel in waiting:
+                selector.register(channel.sock, selectors.EVENT_READ, channel)
+            # Drain whichever stream is readable: a reply can exceed the
+            # socket buffer, and a worker parked in sendall behind a channel
+            # the master is not reading would idle through its next task.
+            while waiting:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                ready = selector.select(remaining) if remaining is None or remaining > 0 else []
+                if not ready:
+                    for channel in list(waiting):
+                        give_up(channel, timeout, expired)
+                    break
+                for key, _events in ready:
+                    channel, slots = key.data, waiting[key.data]
+                    try:
+                        op, seq, body = channel.recv(deadline)
+                    except socket.timeout:  # stalled mid-frame past the deadline
+                        give_up(channel, timeout, expired)
+                        continue
+                    except (FrameTruncatedError, OSError) as exc:
+                        # The stream broke: the worker died, was killed, or
+                        # severed the connection.
+                        give_up(channel, 0.0, f"disconnect: {exc}")
+                        continue
+                    except PayloadCorruptionError as exc:
+                        # read_frame drained the bad frame, so the stream is
+                        # still aligned — but the seq is unreadable.  Charge
+                        # the oldest outstanding request.
+                        position = slots.pop(min(slots))
+                        outcomes[position] = GenerationOutcome(
+                            None, None, 0.0, f"corruption: {exc}"
+                        )
+                    else:
+                        position = slots.pop(seq, None)
+                        if position is None:
+                            continue  # stale straggler from a dropped phase
+                        channel.round_trips += 1
+                        if op == "error":
+                            error, elapsed = body
+                            outcomes[position] = GenerationOutcome(None, None, elapsed, error)
+                        else:
+                            payload, elapsed = body
+                            try:
+                                encoded, rng_state = unpack_message(payload)
+                                outcome = GenerationOutcome(
+                                    decode_batch(encoded), rng_state, elapsed, None, len(payload)
+                                )
+                            except PayloadCorruptionError as exc:
+                                outcome = GenerationOutcome(
+                                    None, None, elapsed, f"corruption: {exc}", len(payload)
+                                )
+                            outcomes[position] = outcome
+                    if not slots:
+                        del waiting[channel]
+                        selector.unregister(channel.sock)
         return outcomes
 
+    # -- generation phases ---------------------------------------------------
+    def _wire_totals(self) -> Tuple[int, int, int]:
+        channels = self._channels or []
+        return (
+            sum(c.wire_sent for c in channels),
+            sum(c.wire_received for c in channels),
+            sum(c.round_trips for c in channels),
+        )
+
+    def _wire_since(self, mark: Tuple[int, int, int]) -> Dict[str, int]:
+        """Per-phase transport kwargs for ``record_compute_phase``."""
+        sent, received, trips = self._wire_totals()
+        return {
+            "wire_sent": sent - mark[0],
+            "wire_received": received - mark[1],
+            "round_trips": trips - mark[2],
+        }
+
+    def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
+        if self.faults is not None:
+            return self._run_generate_with_faults(plan)
+        targets = self._generation_targets(plan)
+        if plan.rng_scheme == "per-set":
+            # The worker resolves this token into per_set_rng substreams;
+            # the machines' sequential streams are never consumed, so no
+            # rng_state comes back.
+            rngs = [
+                ("per-set", plan.seed, machine.machine_id, plan.starts[machine.machine_id])
+                for machine in self.machines
+            ]
+        else:
+            rngs = [machine.rng for machine in self.machines]
+        mark = self._wire_totals()
+        outcomes = self._dispatch(plan.model, plan.method, list(plan.counts), rngs)
+        times = []
+        results = []
+        ipc_bytes = 0
+        for machine, target, outcome in zip(self.machines, targets, outcomes):
+            if outcome.error is not None:
+                raise MachineFailure(machine.machine_id, plan.label) from RuntimeError(
+                    outcome.error
+                )
+            if outcome.rng_state is not None:
+                machine.set_rng_state(outcome.rng_state)
+            append_batch(target, outcome.batch)
+            times.append(outcome.elapsed * machine.slowdown)
+            results.append(outcome.batch.count)
+            ipc_bytes += outcome.nbytes
+        self.metrics.record_compute_phase(
+            GENERATION, plan.label, times, num_bytes=ipc_bytes, **self._wire_since(mark)
+        )
+        return self._result_from_last_phase(plan.label, results)
+
+    @staticmethod
+    def _error_kind(error: str) -> str:
+        """Recovery-event kind for a worker error string."""
+        for kind in ("timeout", "corruption", "disconnect"):
+            if error.startswith(kind):
+                return kind
+        return "crash"
+
+    def _run_generate_with_faults(self, plan: GeneratePhase) -> PhaseResult:
+        """Generation over real workers with real failure detection.
+
+        Injected faults travel as per-request *directives* (raise,
+        SIGKILL, flip a payload byte, swallow the reply, sever the
+        stream); the phase timeout and backoff are genuine wall-clock,
+        so a silent worker really is declared lost by the deadline — and
+        a dead one really is detected by its broken stream.
+        """
+        targets = self._generation_targets(plan)
+        counts = plan.counts
+        faults, policy = self.faults, self.retry
+        round_index = self.metrics.current_round
+        label = plan.label
+
+        times: List[float] = [0.0] * self.num_machines
+        results: List[int] = [0] * self.num_machines
+        pending = set(range(self.num_machines))
+        last_kind: Dict[int, str] = {}
+        ipc_bytes = 0
+        mark = self._wire_totals()
+
+        for attempt in range(1, policy.max_attempts + 1):
+            if not pending:
+                break
+            delay = policy.delay_before(attempt)
+            if delay:
+                time.sleep(delay)
+            ids = sorted(pending)
+            directives: List[str | None] = [
+                None
+                if (fault := faults.failure_for(mid, round_index, attempt)) is None
+                else fault.kind
+                for mid in ids
+            ]
+            outcomes = self._dispatch(
+                plan.model,
+                plan.method,
+                [counts[mid] for mid in ids],
+                [self.machines[mid].rng for mid in ids],
+                directives=directives,
+                timeout=policy.phase_timeout,
+            )
+            for mid, (batch, rng_state, elapsed, error, nbytes) in zip(ids, outcomes):
+                machine = self.machines[mid]
+                ipc_bytes += nbytes
+                if error is None:
+                    factor = faults.straggler_factor(mid, round_index, attempt)
+                    metered = elapsed * machine.slowdown * factor
+                    if factor > 1.0:
+                        self.metrics.record_recovery(
+                            "straggler-wait",
+                            mid,
+                            label,
+                            attempt,
+                            time_lost=metered - elapsed * machine.slowdown,
+                            detail=f"injected slowdown x{factor:g}",
+                        )
+                    machine.set_rng_state(rng_state)
+                    append_batch(targets[mid], batch)
+                    results[mid] = batch.count
+                    times[mid] += metered
+                    pending.discard(mid)
+                    continue
+                kind = self._error_kind(error)
+                last_kind[mid] = kind
+                lost = elapsed * machine.slowdown + delay
+                self.metrics.record_recovery(
+                    kind, mid, label, attempt, time_lost=lost, detail=error
+                )
+                times[mid] += lost
+
+        if pending:
+            failed = {mid: last_kind.get(mid, "crash") for mid in sorted(pending)}
+            if not policy.reassign:
+                self._raise_unrecovered(label, failed, policy.max_attempts)
+            # Reassignment of last resort: the master replays each lost
+            # quota inline with the machine's own (never-advanced) RNG, so
+            # the batches equal what the workers would have produced.
+            sampler = self.sampler(plan.model, plan.method)
+            for mid in sorted(pending):
+                machine = self.machines[mid]
+                start = time.perf_counter()
+                batch = sampler.sample_batch(machine.rng, counts[mid])
+                elapsed = time.perf_counter() - start
+                append_batch(targets[mid], batch)
+                results[mid] = batch.count
+                times[mid] += elapsed
+                self.metrics.record_recovery(
+                    "reassignment",
+                    mid,
+                    label,
+                    policy.max_attempts,
+                    time_lost=elapsed,
+                    detail=(
+                        f"quota of {counts[mid]} RR sets replayed on the master "
+                        f"after {failed[mid]}"
+                    ),
+                )
+
+        self.metrics.record_compute_phase(
+            GENERATION, label, times, num_bytes=ipc_bytes, **self._wire_since(mark)
+        )
+        return self._result_from_last_phase(label, results)
+
+    # -- lifecycle -----------------------------------------------------------
+    def heartbeat(self) -> List[float | None]:
+        """Ping every worker; per-channel round-trip seconds (None = dead)."""
+        latencies: List[float | None] = []
+        for channel in self._ensure_channels():
+            started = time.monotonic()
+            try:
+                self._ensure_channel(channel)
+                channel.request("ping", None, self.heartbeat_timeout)
+                latencies.append(time.monotonic() - started)
+            except (OSError, PayloadCorruptionError):
+                channel.drop()
+                latencies.append(None)
+        return latencies
+
+    def refresh_graph(self) -> None:
+        """Re-broadcast the graph after it mutated in place.
+
+        The shared-memory export is a snapshot, so workers attached to
+        it would keep sampling the old graph after a
+        :class:`~repro.graphs.digraph.GraphDelta` lands.  A new token
+        makes every worker enroll the graph's current state — over its
+        live stream — on next use; the stale export is unlinked now
+        that no new enrollment can reference it.
+        """
+        super().refresh_graph()
+        self._token = uuid.uuid4().hex
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.unlink()
+
     def close(self) -> None:
-        """Stop the workers and unlink the shared-memory block."""
+        """Reap the owned workers, then unlink the shared-memory block.
+
+        In that order on every path, so no worker is still attached —
+        or still registering the block with the resource tracker — when
+        the master retires it.  External workers are only hung up on.
+        """
+        if self._closed:
+            return
         self._closed = True
+        channels, self._channels = self._channels or [], None
         try:
-            self._discard_pool()
+            for channel in channels:
+                if channel.process is not None and channel.sock is not None:
+                    try:
+                        channel.send("shutdown", None, 1.0)
+                    except OSError:
+                        channel.drop()
+            for channel in channels:
+                # Still connected means the worker was asked to exit: give it
+                # time to say "bye" and go; a worker nobody could ask is killed.
+                asked = channel.process is not None and channel.sock is not None
+                if asked:
+                    try:
+                        channel.recv(time.monotonic() + 1.0)
+                    except (OSError, PayloadCorruptionError):
+                        pass
+                channel.drop()
+                channel.stop_process(grace=2.0 if asked else 0.0)
         finally:
             handle, self._handle = self._handle, None
             if handle is not None:
                 handle.unlink()
-
-    def __enter__(self) -> "GenerationPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def __del__(self) -> None:
         try:
@@ -393,39 +867,22 @@ class GenerationPool:
         except Exception:
             pass
 
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else ("live" if self._pool else "lazy")
-        return (
-            f"GenerationPool({self.graph!r}, start_method={self.start_method!r}, "
-            f"zero_copy={self.zero_copy}, {state})"
-        )
 
+class MultiprocessingExecutor(WorkerBackedExecutor):
+    """Generation on owned worker processes over ``socket.socketpair()``."""
 
-def run_generation_pool(
-    graph: DirectedGraph,
-    model: str,
-    method: str,
-    counts: Sequence[int],
-    rngs: Sequence[np.random.Generator],
-    processes: int | None = None,
-    directives: Sequence[str | None] | None = None,
-    timeout: float | None = None,
-    start_method: str | None = None,
-    zero_copy: bool | None = None,
-) -> List[GenerationOutcome]:
-    """One-shot convenience wrapper: a single phase on a throwaway pool.
+    name = "multiprocessing"
 
-    Builds a :class:`GenerationPool` (zero-copy graph broadcast when
-    available, copy fallback otherwise), runs one generation phase and
-    tears the pool down again.  Executors keep a persistent
-    :class:`GenerationPool` instead; this wrapper exists for tests and
-    ad-hoc callers that want the old per-call semantics.
-    """
-    if not counts:
-        return []
-    with GenerationPool(
-        graph, processes=processes, start_method=start_method, zero_copy=zero_copy
-    ) as pool:
-        return pool.run(
-            model, method, counts, rngs, directives=directives, timeout=timeout
-        )
+    def __init__(
+        self,
+        cluster: SimulatedCluster,
+        graph=None,
+        spec: MultiprocessingSpec | None = None,
+        faults: FaultPlan | None = None,
+        retry: RetryPolicy | None = None,
+    ) -> None:
+        super().__init__(cluster, graph, spec or MultiprocessingSpec(), faults, retry)
+
+    def _make_channels(self) -> List[WorkerChannel]:
+        workers = self.spec.processes or self._default_workers()
+        return [WorkerChannel(i, self._ctx) for i in range(workers)]

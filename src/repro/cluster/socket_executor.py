@@ -1,247 +1,64 @@
-"""The socket backend: logical machines served by TCP workers.
+"""The socket backend: the worker protocol carried over TCP.
 
-This is the real multi-node counterpart of the multiprocessing pool —
-each worker is a process reachable over a persistent TCP connection
-(loopback by default, ``host:port`` list for an actual cluster), and
-every byte between master and workers travels as a
-:func:`~repro.ris.serialization.pack_message` frame read back with the
-streaming :func:`~repro.ris.serialization.read_frame` helper.
+This is the real multi-node mode of :mod:`repro.cluster.parallel` —
+same worker loop, same channel, same dispatch; only the way a channel
+obtains its stream differs.  A worker is a process that listens
+(:func:`serve_worker`, exposed as the ``repro worker`` CLI, so a real
+deployment is this file running on every node) and the master dials it:
 
-Protocol
---------
-Every message is one CRC32 frame whose payload is an ``(op, seq, body)``
-tuple; ``seq`` is a per-connection sequence number the master uses to
-match responses to requests, so several machines can be pipelined onto
-one connection and answered in any completion order:
+* ``SocketSpec()`` / ``socket:N`` — the executor owns ``serve_worker``
+  processes on loopback, dials them, re-dials after a lost stream and
+  respawns one whose port refuses.  This rehearses listen / accept /
+  dial / re-dial on one box.
+* ``SocketSpec(addresses=...)`` — externally started workers, dialed
+  (and re-dialed) only; the graph ships inline, or each node loads its
+  local copy when ``graph_path`` is set.
 
-``enroll``
-    ``{"token", "graph" | "shm_spec" | "path"}`` — the worker loads the
-    graph (shipped inline, attached from a shared-memory spec for
-    loopback workers, or read from an ``.npz`` on its local disk) and
-    caches it under the token; samplers are cached per
-    ``(token, model, method)`` exactly like
-    :class:`~repro.cluster.parallel.GenerationPool` workers.  Replies
-    ``("enrolled", seq, info)``.
-``generate``
-    ``{"token", "model", "method", "count", "rng", "directive"}`` — the
-    worker draws the batch with the shipped RNG (or a per-set token) and
-    replies ``("batch", seq, (payload, elapsed))`` where ``payload`` is
-    the *same* inner frame the multiprocessing workers produce
-    (``pack_message((encode_batch(batch), rng_state))``), so
-    ``num_bytes`` accounting stays comparable across backends while
-    ``wire_sent`` / ``wire_received`` record the real socket traffic.
-    Failures reply ``("error", seq, (message, elapsed))``.
-``ping`` / ``shutdown``
-    Heartbeat (``pong``) and orderly worker exit (``bye``).
-
-Failure model
--------------
-Injected directives exercise every first-class network failure:
-``crash`` replies an error, ``crash-hard`` kills the worker process
-outright, ``drop`` swallows the response (only the phase deadline
-notices), ``corrupt`` flips a byte of the inner payload so its CRC fails
-on arrival, and ``disconnect`` severs the connection mid-phase — the
-master sees the broken stream *immediately*, re-dials, and retries under
-the same :class:`~repro.cluster.faults.RetryPolicy` that governs the
-other backends.  The RNG discipline is inherited from
-:class:`~repro.cluster.executor.WorkerBackedExecutor`: a machine's
-stream only advances when its payload verifies, so collections and seed
-sets stay bit-identical to the simulated and multiprocessing executors,
-healthy or faulted.
-
-The worker side lives in this module too (:func:`serve_worker`,
-exposed as the ``repro worker`` CLI), so a real deployment is just the
-same file running on every node.
+A worker serves one connection at a time and keeps its graphs and
+samplers across connections, so a master can drop, re-dial and keep
+generating without re-shipping the graph.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import socket
-import time
-import uuid
-from collections import OrderedDict
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
-from ..graphs.digraph import DirectedGraph, SharedGraphHandle, attach_shared
-from ..graphs.io import load_npz
-from ..ris import make_sampler
-from ..ris.rrset import sample_set_range
-from ..ris.serialization import (
-    MESSAGE_HEADER_BYTES,
-    FrameTruncatedError,
-    PayloadCorruptionError,
-    pack_message,
-    read_frame,
-    unpack_message,
-)
-from ..ris.wire import decode_batch, encode_batch
+# Not called here — the master-side decode lives in parallel.py — but the
+# benchmark tracer (benchmarks/e2e/trace.py) patches both names on this
+# module by path, so they must stay importable from it.
+from ..ris.serialization import unpack_message  # noqa: F401
+from ..ris.wire import decode_batch  # noqa: F401
 from .cluster import SimulatedCluster
-from .executor import WorkerBackedExecutor
-from .faults import CORRUPT, CRASH, CRASH_HARD, DISCONNECT, DROP, FaultPlan, RetryPolicy
-from .parallel import GenerationOutcome, _resolve_start_method
+from .faults import FaultPlan, RetryPolicy
+from .parallel import WorkerBackedExecutor, WorkerChannel, WorkerState, serve_connection
 from .spec import SocketSpec
 
 __all__ = ["SocketExecutor", "serve_worker"]
-
-#: Worker-side cap on cached graph enrollments: a long-lived worker
-#: serving masters that refresh their graphs should not accumulate
-#: attachments forever.
-_MAX_ENROLLMENTS = 4
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _WorkerState:
-    """Graphs and samplers a worker keeps across connections."""
-
-    def __init__(self) -> None:
-        self.graphs: "OrderedDict[str, DirectedGraph]" = OrderedDict()
-        self.samplers: Dict[Tuple[str, str, str], Any] = {}
-
-    def enroll(self, token: str, graph: DirectedGraph) -> None:
-        self.graphs[token] = graph
-        self.graphs.move_to_end(token)
-        while len(self.graphs) > _MAX_ENROLLMENTS:
-            stale, _ = self.graphs.popitem(last=False)
-            self.samplers = {
-                key: sampler for key, sampler in self.samplers.items() if key[0] != stale
-            }
-
-    def sampler(self, token: str, model: str, method: str):
-        key = (token, model, method)
-        if key not in self.samplers:
-            graph = self.graphs.get(token)
-            if graph is None:
-                raise KeyError(f"unknown enrollment token {token!r}")
-            self.samplers[key] = make_sampler(graph, model=model, method=method)
-        return self.samplers[key]
-
-
-def _send_frame(conn: socket.socket, message: Any) -> None:
-    conn.sendall(pack_message(message))
-
-
-def _handle_enroll(state: _WorkerState, seq: int, request: Dict[str, Any]) -> Any:
-    token = request["token"]
-    try:
-        if token not in state.graphs:
-            if request.get("graph") is not None:
-                graph = request["graph"]
-            elif request.get("shm_spec") is not None:
-                graph = attach_shared(request["shm_spec"])
-            elif request.get("path"):
-                graph = load_npz(request["path"])
-            else:
-                return ("error", seq, (f"unknown token {token!r} and no graph source", 0.0))
-            state.enroll(token, graph)
-        return ("enrolled", seq, {"num_nodes": state.graphs[token].num_nodes})
-    except Exception as exc:  # noqa: BLE001 - shipped back to the master
-        return ("error", seq, (f"enroll failed: {type(exc).__name__}: {exc}", 0.0))
-
-
-def _handle_generate(
-    state: _WorkerState, seq: int, request: Dict[str, Any]
-) -> Tuple[Any, str | None]:
-    """One generation request -> ``(reply, action)``.
-
-    ``reply`` is ``None`` when the directive suppresses the response
-    (drop/disconnect); ``action`` is ``"exit"`` (kill the process) or
-    ``"disconnect"`` (close this connection) for the matching
-    directives.
-    """
-    directive = request.get("directive")
-    if directive == CRASH_HARD:
-        # The injected equivalent of `kill -9`: the whole worker process
-        # dies, taking its listening socket with it.
-        return None, "exit"
-    start = time.perf_counter()
-    try:
-        if directive == CRASH:
-            raise RuntimeError("injected worker crash")
-        sampler = state.sampler(request["token"], request["model"], request["method"])
-        rng = request["rng"]
-        count = request["count"]
-        if isinstance(rng, tuple) and rng and rng[0] == "per-set":
-            __, seed, machine_id, start_index = rng
-            batch = sample_set_range(sampler, seed, machine_id, start_index, count)
-            payload = pack_message((encode_batch(batch), None))
-        else:
-            batch = sampler.sample_batch(rng, count)
-            payload = pack_message((encode_batch(batch), rng.bit_generator.state))
-    except Exception as exc:  # noqa: BLE001 - shipped back to the master
-        prefix = "crash: " if directive == CRASH else ""
-        message = f"{prefix}{type(exc).__name__}: {exc}"
-        return ("error", seq, (message, time.perf_counter() - start)), None
-    if directive == CORRUPT and len(payload) > MESSAGE_HEADER_BYTES:
-        # Flip one body byte of the *inner* frame: the outer frame (and
-        # its seq) stays intact, so the master attributes the CRC failure
-        # to the right machine while the stream stays aligned.
-        corrupted = bytearray(payload)
-        corrupted[MESSAGE_HEADER_BYTES] ^= 0xFF
-        payload = bytes(corrupted)
-    elapsed = time.perf_counter() - start
-    if directive == DROP:
-        return None, None
-    if directive == DISCONNECT:
-        return None, "disconnect"
-    return ("batch", seq, (payload, elapsed)), None
-
-
-def _serve_connection(conn: socket.socket, state: _WorkerState) -> bool:
-    """Serve one master connection; returns False on orderly shutdown."""
-    try:
-        with conn:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
-                message = read_frame(conn.recv)
-                if message is None:
-                    return True  # peer hung up; keep serving new dials
-                op, seq, body = message
-                if op == "shutdown":
-                    _send_frame(conn, ("bye", seq, None))
-                    return False
-                if op == "ping":
-                    _send_frame(conn, ("pong", seq, None))
-                elif op == "enroll":
-                    _send_frame(conn, _handle_enroll(state, seq, body))
-                elif op == "generate":
-                    reply, action = _handle_generate(state, seq, body)
-                    if action == "exit":
-                        os._exit(1)
-                    if action == "disconnect":
-                        return True
-                    if reply is not None:
-                        _send_frame(conn, reply)
-                else:
-                    _send_frame(conn, ("error", seq, (f"unknown op {op!r}", 0.0)))
-    except (OSError, PayloadCorruptionError):
-        # A broken or garbled connection only ends this session; the
-        # worker stays up for the master's re-dial.
-        return True
-
-
 def serve_worker(host: str = "127.0.0.1", port: int = 0, *, ready=None) -> int:
     """Run a generation worker: accept master connections until shutdown.
 
     Binds ``host:port`` (port 0 picks a free one), reports the bound
     port through the optional ``ready`` callable, then serves one
-    connection at a time — state (graphs, samplers) persists across
-    connections, so a master can drop, re-dial and keep generating
-    without re-shipping the graph.  Returns the bound port after an
-    orderly ``shutdown`` request.
+    connection at a time with
+    :func:`~repro.cluster.parallel.serve_connection`.  Returns the bound
+    port after an orderly ``shutdown`` request.
     """
     server = socket.create_server((host, port))
     bound = server.getsockname()[1]
     if ready is not None:
         ready(bound)
-    state = _WorkerState()
+    state = WorkerState()
     try:
         while True:
             conn, _peer = server.accept()
-            if not _serve_connection(conn, state):
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if not serve_connection(conn, state):
                 return bound
     finally:
         server.close()
@@ -260,110 +77,63 @@ def _worker_entry(host: str, pipe) -> None:
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
-class _WorkerChannel:
-    """One persistent connection to a worker, with wire accounting.
+class TcpChannel(WorkerChannel):
+    """A worker channel whose stream is a dialed TCP connection.
 
-    ``wire_sent`` / ``wire_received`` count every framed byte that
-    crossed the socket (requests, responses, enrollment, heartbeats);
-    ``round_trips`` counts completed request/response exchanges.  A
-    channel owning its worker process (loopback mode) can respawn it
-    after a hard kill; external workers can only be re-dialed.
+    With no ``address`` the channel owns a loopback ``serve_worker``
+    process (and learns its address on spawn): a lost stream is
+    re-dialed, and the worker respawned if the dial is refused.  With an
+    ``address`` the worker is external and can only be re-dialed.
     """
 
-    def __init__(self, index: int, address: Tuple[str, int] | None) -> None:
-        self.index = index
+    def __init__(self, index: int, ctx, address: Tuple[str, int] | None = None) -> None:
+        super().__init__(index, ctx)
         self.address = address
-        self.sock: socket.socket | None = None
-        self.process: mp.process.BaseProcess | None = None
-        self.wire_sent = 0
-        self.wire_received = 0
-        self.round_trips = 0
-        self._seq = 0
+        self.local = address is None
 
-    @property
-    def owned(self) -> bool:
-        return self.address is None or self.process is not None
+    def _dial(self, timeout: float) -> None:
+        sock = socket.create_connection(self.address, timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)
+        self.sock = sock
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def connect(self, address: Tuple[str, int], timeout: float) -> None:
-        self.drop()
-        self.sock = socket.create_connection(address, timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(None)
-
-    def send(self, message: Any, timeout: float | None = None) -> None:
-        if self.sock is None:
-            raise ConnectionError(f"worker channel {self.index} is not connected")
-        data = pack_message(message)
-        self.sock.settimeout(timeout)
+    def _spawn(self, timeout: float) -> None:
+        parent, child = self._ctx.Pipe(duplex=False)
+        process = self._ctx.Process(target=_worker_entry, args=("127.0.0.1", child), daemon=True)
+        process.start()
+        child.close()
         try:
-            self.sock.sendall(data)
+            if not parent.poll(timeout):
+                process.terminate()
+                raise ConnectionError(
+                    f"spawned worker {self.index} did not report a port within {timeout:g}s"
+                )
+            self.address = ("127.0.0.1", parent.recv())
         finally:
-            self.sock.settimeout(None)
-        self.wire_sent += len(data)
+            parent.close()
+        self.process = process
 
-    def recv(self, deadline: float | None = None) -> Any:
-        """Read one frame; ``deadline`` is an absolute ``time.monotonic``."""
-        if self.sock is None:
-            raise ConnectionError(f"worker channel {self.index} is not connected")
-        sock = self.sock
-
-        def metered_recv(count: int) -> bytes:
-            if deadline is not None:
-                sock.settimeout(max(deadline - time.monotonic(), 1e-3))
-            chunk = sock.recv(count)
-            self.wire_received += len(chunk)
-            return chunk
-
-        try:
-            return read_frame(metered_recv, eof_ok=False)
-        finally:
-            sock.settimeout(None)
-
-    def drop(self) -> None:
-        """Close the connection (the worker process, if any, lives on)."""
-        sock, self.sock = self.sock, None
-        if sock is not None:
+    def open(self, timeout: float) -> None:
+        if not self.local:
+            self._dial(timeout)
+            return
+        # A refused dial and a dead process are the same condition: the
+        # connection reset from a killed worker can reach the master
+        # *before* the exit is observable via is_alive(), so a failed
+        # reconnect to a live-looking process still means respawn.
+        if self.process is not None and self.process.is_alive():
             try:
-                sock.close()
+                self._dial(timeout)
+                return
             except OSError:
                 pass
-
-    def stop_process(self, grace: float = 2.0) -> None:
-        process, self.process = self.process, None
-        if process is not None:
-            process.join(grace)
-            if process.is_alive():
-                process.terminate()
-                process.join(grace)
+        self.stop_process(grace=0.0)
+        self._spawn(timeout)
+        self._dial(timeout)
 
 
 class SocketExecutor(WorkerBackedExecutor):
-    """Generation fanned out to TCP workers (loopback or real nodes).
-
-    With ``spec.addresses`` unset the executor spawns loopback worker
-    processes (one per machine by default, capped at the CPU count) and
-    enrolls them against the shared-memory graph export; with addresses
-    set it dials externally started ``repro worker`` processes and ships
-    the graph inline — or names ``spec.graph_path`` so each node loads
-    its local copy, the real-cluster deployment mode.
-
-    Machines are pipelined round-robin onto the channels: machine ``i``
-    talks over ``channels[i % workers]``, requests for a phase are all
-    written before any response is awaited, and responses are matched by
-    sequence number, so one connection serves several machines without
-    serializing their draws.
-
-    The fault machinery (attempt loops, recovery events, reassignment)
-    is inherited from :class:`~repro.cluster.executor.WorkerBackedExecutor`;
-    this class contributes real failure *detection*: a broken stream is
-    a ``disconnect`` the moment it breaks, an expired
-    ``RetryPolicy.phase_timeout`` is a ``timeout``, and a re-dial (plus
-    worker respawn for owned processes) precedes the next attempt.
-    """
+    """Generation on TCP workers (owned loopback processes or real nodes)."""
 
     name = "socket"
 
@@ -375,295 +145,13 @@ class SocketExecutor(WorkerBackedExecutor):
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        if graph is None:
-            raise ValueError("SocketExecutor requires the graph up front")
-        super().__init__(cluster, graph, faults=faults, retry=retry)
-        self.spec = (spec or SocketSpec()).validate()
-        self._channels: List[_WorkerChannel] | None = None
-        self._ctx = mp.get_context(_resolve_start_method(self.spec.start_method))
-        self._handle: SharedGraphHandle | None = None
-        self._zero_copy_mode = self.spec.zero_copy
-        self._token = uuid.uuid4().hex
-        self._closed = False
+        super().__init__(cluster, graph, spec or SocketSpec(), faults, retry)
+        self.connect_timeout = self.spec.connect_timeout
+        self.heartbeat_timeout = self.spec.heartbeat_timeout
+        self.graph_path = self.spec.graph_path
 
-    # -- graph broadcast -------------------------------------------------
-    def _graph_source(self, channel: _WorkerChannel) -> Dict[str, Any]:
-        """The enrollment payload entry describing where the graph lives."""
-        if self.spec.graph_path is not None:
-            return {"path": self.spec.graph_path}
-        if channel.address is not None and channel.process is None:
-            # External worker: shared memory does not cross hosts.
-            return {"graph": self.graph}
-        if self._zero_copy_mode is not False:
-            if self._handle is None:
-                try:
-                    self._handle = self.graph.to_shared()
-                except Exception:
-                    if self._zero_copy_mode:  # explicitly required
-                        raise
-                    self._zero_copy_mode = False
-                    return {"graph": self.graph}
-            return {"shm_spec": self._handle.spec}
-        return {"graph": self.graph}
-
-    # -- channel lifecycle -----------------------------------------------
-    def _spawn(self, channel: _WorkerChannel) -> None:
-        parent, child = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_entry, args=("127.0.0.1", child), daemon=True
-        )
-        process.start()
-        child.close()
-        if not parent.poll(self.spec.connect_timeout):
-            process.terminate()
-            raise ConnectionError(
-                f"spawned worker {channel.index} did not report a port within "
-                f"{self.spec.connect_timeout:g}s"
-            )
-        port = parent.recv()
-        parent.close()
-        channel.process = process
-        channel.address = ("127.0.0.1", port)
-
-    def _ensure_channel(self, channel: _WorkerChannel) -> None:
-        """(Re)connect and enroll one channel, respawning a dead worker."""
-        if channel.sock is not None:
-            return
-        if channel.owned:
-            # A refused dial and a dead process are the same condition:
-            # the connection reset from a killed worker can reach the
-            # master *before* the exit is observable via is_alive(), so
-            # a failed reconnect to a live-looking process still means
-            # respawn.
-            if channel.process is not None and channel.process.is_alive():
-                try:
-                    channel.connect(channel.address, self.spec.connect_timeout)
-                except OSError:
-                    pass
-            if channel.sock is None:
-                channel.stop_process()
-                self._spawn(channel)
-                channel.connect(channel.address, self.spec.connect_timeout)
-        else:
-            channel.connect(channel.address, self.spec.connect_timeout)
-        seq = channel.next_seq()
-        channel.send(
-            ("enroll", seq, {"token": self._token, **self._graph_source(channel)}),
-            timeout=self.spec.connect_timeout,
-        )
-        deadline = time.monotonic() + self.spec.connect_timeout
-        reply = channel.recv(deadline)
-        if reply is None or reply[0] != "enrolled" or reply[1] != seq:
-            detail = reply[2] if reply and reply[0] == "error" else reply
-            channel.drop()
-            raise ConnectionError(
-                f"worker {channel.index} at {channel.address} refused enrollment: {detail}"
-            )
-        channel.round_trips += 1
-
-    def _ensure_channels(self) -> List[_WorkerChannel]:
-        """The channel list (lazily built; connections dial per use)."""
-        if self._closed:
-            raise RuntimeError("SocketExecutor is closed")
-        if self._channels is None:
-            if self.spec.addresses is not None:
-                self._channels = [
-                    _WorkerChannel(i, address)
-                    for i, address in enumerate(self.spec.addresses)
-                ]
-            else:
-                workers = self.spec.workers or min(
-                    max(self.num_machines, 1), mp.cpu_count()
-                )
-                self._channels = [_WorkerChannel(i, None) for i in range(workers)]
-        return self._channels
-
-    # -- dispatch ---------------------------------------------------------
-    def _dispatch(
-        self,
-        model: str,
-        method: str,
-        counts: List[int],
-        rngs: List[Any],
-        directives: List[str | None] | None = None,
-        timeout: float | None = None,
-    ) -> List[GenerationOutcome]:
-        if not counts:
-            return []
-        channels = self._ensure_channels()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        outcomes: List[GenerationOutcome | None] = [None] * len(counts)
-        pending: Dict[_WorkerChannel, Dict[int, int]] = {}
-
-        # Pipeline: write every request before awaiting any response.
-        for position, (count, rng) in enumerate(zip(counts, rngs)):
-            channel = channels[position % len(channels)]
-            request = {
-                "token": self._token,
-                "model": model,
-                "method": method,
-                "count": int(count),
-                "rng": rng,
-                "directive": directives[position] if directives else None,
-            }
-            try:
-                self._ensure_channel(channel)
-                seq = channel.next_seq()
-                channel.send(("generate", seq, request), timeout=self.spec.connect_timeout)
-            except (OSError, ConnectionError) as exc:
-                channel.drop()
-                outcomes[position] = GenerationOutcome(
-                    None, None, 0.0, f"disconnect: {exc}"
-                )
-                continue
-            pending.setdefault(channel, {})[seq] = position
-
-        for channel, waiting in pending.items():
-            while waiting:
-                try:
-                    message = channel.recv(deadline)
-                except socket.timeout:
-                    for position in waiting.values():
-                        outcomes[position] = GenerationOutcome(
-                            None,
-                            None,
-                            timeout or 0.0,
-                            f"timeout: no result within {timeout:g}s",
-                        )
-                    # Late responses could still arrive and desynchronize
-                    # seq matching; re-dial before the next use.
-                    channel.drop()
-                    break
-                except (FrameTruncatedError, ConnectionError, OSError) as exc:
-                    # The stream broke mid-frame (or at a boundary): the
-                    # worker died, was killed, or severed the connection.
-                    for position in waiting.values():
-                        outcomes[position] = GenerationOutcome(
-                            None, None, 0.0, f"disconnect: {exc}"
-                        )
-                    channel.drop()
-                    break
-                except PayloadCorruptionError as exc:
-                    # read_frame drained the bad frame, so the stream is
-                    # still aligned — but the seq is unreadable.  Charge
-                    # the oldest outstanding request.
-                    oldest = min(waiting)
-                    position = waiting.pop(oldest)
-                    outcomes[position] = GenerationOutcome(
-                        None, None, 0.0, f"corruption: {exc}"
-                    )
-                    continue
-                op, seq, body = message
-                position = waiting.pop(seq, None)
-                if position is None:
-                    continue  # stale straggler from a recycled phase
-                channel.round_trips += 1
-                if op == "error":
-                    error, elapsed = body
-                    outcomes[position] = GenerationOutcome(None, None, elapsed, error)
-                    continue
-                payload, elapsed = body
-                nbytes = len(payload)
-                try:
-                    encoded, rng_state = unpack_message(payload)
-                    batch = decode_batch(encoded)
-                except PayloadCorruptionError as exc:
-                    outcomes[position] = GenerationOutcome(
-                        None, None, elapsed, f"corruption: {exc}", nbytes
-                    )
-                    continue
-                outcomes[position] = GenerationOutcome(
-                    batch, rng_state, elapsed, None, nbytes
-                )
-        return [
-            outcome
-            if outcome is not None
-            else GenerationOutcome(None, None, 0.0, "disconnect: no outcome recorded")
-            for outcome in outcomes
-        ]
-
-    # -- fault-path knobs --------------------------------------------------
-    def _directive_for(self, kind: str) -> str:
-        # Every kind is first-class over a socket: drop stays a silent
-        # non-response (deadline detection), disconnect severs the
-        # stream (immediate detection), crash-hard kills the process.
-        return kind
-
-    def _wire_mark(self) -> Tuple[int, int, int]:
-        channels = self._channels or []
-        return (
-            sum(c.wire_sent for c in channels),
-            sum(c.wire_received for c in channels),
-            sum(c.round_trips for c in channels),
-        )
-
-    def _wire_extras(self, mark: Tuple[int, int, int]) -> Dict[str, int]:
-        sent, received, trips = self._wire_mark()
-        return {
-            "wire_sent": sent - mark[0],
-            "wire_received": received - mark[1],
-            "round_trips": trips - mark[2],
-        }
-
-    # -- public niceties ---------------------------------------------------
-    def heartbeat(self) -> List[float | None]:
-        """Ping every worker; per-channel round-trip seconds (None = dead)."""
-        latencies: List[float | None] = []
-        for channel in self._ensure_channels():
-            started = time.monotonic()
-            try:
-                self._ensure_channel(channel)
-                seq = channel.next_seq()
-                channel.send(("ping", seq, None), timeout=self.spec.heartbeat_timeout)
-                deadline = time.monotonic() + self.spec.heartbeat_timeout
-                while True:
-                    reply = channel.recv(deadline)
-                    if reply[0] == "pong" and reply[1] == seq:
-                        break
-                channel.round_trips += 1
-                latencies.append(time.monotonic() - started)
-            except (OSError, ConnectionError, PayloadCorruptionError, socket.timeout):
-                channel.drop()
-                latencies.append(None)
-        return latencies
-
-    def refresh_graph(self) -> None:
-        """Re-broadcast the graph after it mutated in place.
-
-        A new enrollment token makes every worker attach the graph's
-        current state on its next use; the stale shared-memory export is
-        unlinked once no new enrollment can reference it.
-        """
-        super().refresh_graph()
-        self._token = uuid.uuid4().hex
-        handle, self._handle = self._handle, None
-        # Keep worker processes alive; drop connections so the next phase
-        # re-dials and re-enrolls under the new token.
-        for channel in self._channels or []:
-            channel.drop()
-        if handle is not None:
-            handle.unlink()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        channels, self._channels = self._channels, None
-        for channel in channels or []:
-            if channel.process is not None and channel.sock is not None:
-                try:
-                    channel.send(("shutdown", channel.next_seq(), None), timeout=1.0)
-                    channel.recv(time.monotonic() + 1.0)
-                except (OSError, ConnectionError, PayloadCorruptionError, socket.timeout):
-                    pass
-            channel.drop()
-            channel.stop_process()
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.unlink()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _make_channels(self) -> List[WorkerChannel]:
+        if self.spec.addresses is not None:
+            return [TcpChannel(i, self._ctx, a) for i, a in enumerate(self.spec.addresses)]
+        workers = self.spec.workers or self._default_workers()
+        return [TcpChannel(i, self._ctx) for i in range(workers)]

@@ -1,20 +1,12 @@
-"""Declarative executor specification: one object instead of kwarg soup.
-
-Historically the executor choice travelled as an ad-hoc string
-(``executor="simulated"|"multiprocessing"``) plus backend-specific
-keywords (``processes=``, ``start_method=``, ``zero_copy=``) threaded
-through :class:`~repro.core.config.RunConfig`, every ``*_from_config``
-entry point, :class:`~repro.core.pool.SamplePool` and ``repro serve``.
-Adding the socket backend would have meant another round of keyword
-plumbing through all of them.
+"""Declarative executor specification: one object names the backend.
 
 An :class:`ExecutorSpec` carries the backend *and* its validated options
 as one frozen value:
 
 * :class:`SimulatedSpec` — sequential metered execution (no options);
-* :class:`MultiprocessingSpec` — local OS-process fan-out
-  (``processes``, ``start_method``, ``zero_copy``);
-* :class:`SocketSpec` — TCP workers
+* :class:`MultiprocessingSpec` — owned local worker processes over
+  socketpairs (``processes``, ``start_method``, ``zero_copy``);
+* :class:`SocketSpec` — the same workers over TCP
   (:class:`~repro.cluster.socket_executor.SocketExecutor`): either
   ``addresses`` of externally started workers or locally spawned
   loopback workers, plus connection/heartbeat deadlines.
@@ -28,7 +20,7 @@ String shorthands (the CLI surface)
 ``parse`` understands::
 
     simulated
-    multiprocessing              # pool sized to the machine count
+    multiprocessing              # one worker process per machine
     multiprocessing:8            # 8 worker processes
     socket                       # spawn loopback workers, one per machine
     socket:4                     # spawn 4 loopback workers
@@ -184,13 +176,13 @@ class _StartMethodOptions(ExecutorSpec):
 @register_spec
 @dataclass(frozen=True)
 class MultiprocessingSpec(_StartMethodOptions):
-    """Local OS-process fan-out through a persistent GenerationPool.
+    """Owned local worker processes, each reached over a socketpair.
 
     Parameters
     ----------
     processes:
-        Worker-pool size; ``None`` sizes the pool to the machine count,
-        capped at the CPU count.
+        Worker count; ``None`` means one per machine, capped at the CPU
+        count.
     start_method:
         ``multiprocessing`` start method; ``None`` defers to
         ``REPRO_MP_START_METHOD``, then ``fork`` where available.

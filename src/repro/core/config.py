@@ -15,7 +15,6 @@ facade and direct library use all fail identically.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -73,10 +72,6 @@ class RunConfig:
         shorthand (``"simulated"``, ``"multiprocessing:4"``,
         ``"socket:127.0.0.1:9100,9101"``); coerced to a spec at
         construction.
-    processes:
-        Deprecated — worker-pool size for the multiprocessing executor.
-        Use ``executor=MultiprocessingSpec(processes=...)`` or the
-        ``"multiprocessing:N"`` shorthand instead.
     network:
         Master<->slave cost model; ``None`` means the shared-memory
         profile.
@@ -119,7 +114,6 @@ class RunConfig:
     sketch_precision: int = 10
     stopping: str = "schedule"
     executor: str | ExecutorSpec = "simulated"
-    processes: int | None = None
     network: NetworkModel | None = None
     checkpoint_dir: str | None = None
     resume: bool = False
@@ -137,14 +131,6 @@ class RunConfig:
                 # Left as-is so validate() reports the canonical
                 # ``config.executor must be one of ...`` message.
                 pass
-        if self.processes is not None:
-            warnings.warn(
-                "RunConfig.processes is deprecated; use "
-                "executor=MultiprocessingSpec(processes=...) or the "
-                "'multiprocessing:N' shorthand",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     def validate(self, algorithm: str | None = None) -> "RunConfig":
         """Check every field; raise ``ValueError`` naming the bad one.
@@ -198,10 +184,6 @@ class RunConfig:
             self.executor.validate()
         except ValueError as exc:
             raise ValueError(f"config.executor is invalid: {exc}") from None
-        if self.processes is not None and self.processes < 1:
-            raise ValueError(
-                f"config.processes must be >= 1 or None, got {self.processes}"
-            )
         if self.theta_initial is not None and self.theta_initial < 1:
             raise ValueError(
                 f"config.theta_initial must be >= 1 or None, got {self.theta_initial}"
@@ -262,20 +244,8 @@ class RunConfig:
         return replace(self, **changes)
 
     def executor_spec(self) -> ExecutorSpec:
-        """The validated executor spec, with the deprecated ``processes``
-        field folded in (silently — the deprecation already warned at
-        construction).  Entry points resolve the executor through this,
-        so a spec's own ``processes`` always wins over the legacy field,
-        and ``processes`` stays a no-op for backends without a pool —
-        matching the historical keyword behaviour."""
-        spec = self.executor if isinstance(self.executor, ExecutorSpec) else as_spec(self.executor)
-        if (
-            self.processes is not None
-            and hasattr(spec, "processes")
-            and spec.processes is None
-        ):
-            spec = spec.with_overrides(processes=self.processes)
-        return spec.validate()
+        """The validated executor spec entry points build the executor from."""
+        return as_spec(self.executor)
 
     def describe(self) -> dict[str, Any]:
         """A JSON-friendly summary (graph as its size, plan as its syntax)."""

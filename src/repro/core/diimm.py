@@ -87,7 +87,6 @@ def diimm(
     algorithm_label: str = "DIIMM",
     backend: str = "flat",
     executor: str = "simulated",
-    processes: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     faults: FaultPlan | str | None = None,
@@ -118,12 +117,10 @@ def diimm(
         memory (see :mod:`repro.coverage.sketch`).
     executor:
         Execution backend for the phase plans: ``"simulated"``
-        (sequential metered execution, the default) or
-        ``"multiprocessing"`` (generation fanned out over OS processes).
+        (sequential metered execution, the default), or an
+        :class:`~repro.cluster.spec.ExecutorSpec` / shorthand such as
+        ``"multiprocessing:4"`` (generation fanned out over OS processes).
         Seeds and collections are identical for a fixed random seed.
-    processes:
-        Worker-pool size for the multiprocessing executor; ignored by
-        the simulated one.
     checkpoint_dir:
         When set, the driver snapshots the loop state there after every
         non-final round (collections, coverage counts, RNG streams, rule
@@ -155,7 +152,6 @@ def diimm(
         seed=seed,
         backend=backend,
         executor=executor,
-        processes=processes,
         network=network,
         checkpoint_dir=checkpoint_dir,
         resume=resume,

@@ -57,7 +57,6 @@ def distributed_opimc(
     theta_initial: int | None = None,
     backend: str = "flat",
     executor: str = "simulated",
-    processes: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     faults: FaultPlan | str | None = None,
@@ -85,7 +84,6 @@ def distributed_opimc(
         seed=seed,
         backend=backend,
         executor=executor,
-        processes=processes,
         network=network,
         checkpoint_dir=checkpoint_dir,
         resume=resume,

@@ -34,7 +34,6 @@ def distributed_subsim(
     seed: int = 0,
     backend: str = "flat",
     executor: str = "simulated",
-    processes: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
     faults: FaultPlan | str | None = None,
@@ -65,7 +64,6 @@ def distributed_subsim(
         seed=seed,
         backend=backend,
         executor=executor,
-        processes=processes,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         faults=faults,

@@ -63,12 +63,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
-from ..cluster.executor import (
-    GeneratePhase,
-    MapPhase,
-    fold_legacy_executor_kwargs,
-    make_executor,
-)
+from ..cluster.executor import GeneratePhase, MapPhase, make_executor
 from ..cluster.spec import as_spec
 from ..cluster.metrics import GENERATION, RunMetrics
 from ..cluster.network import NetworkModel
@@ -116,9 +111,6 @@ class SamplePool:
         ``"socket:..."``); the pool owns the executor (worker
         processes, shared-memory graph, socket connections) until
         :meth:`close`.
-    processes, start_method, zero_copy:
-        Deprecated — pass the matching :class:`ExecutorSpec` option
-        instead; each warns before being folded into the spec.
     rng_scheme:
         See :data:`RNG_SCHEMES`.
     sampler:
@@ -141,13 +133,10 @@ class SamplePool:
         model: str = "ic",
         method: str = "bfs",
         executor="simulated",
-        processes: int | None = None,
         network: NetworkModel | None = None,
         rng_scheme: str = "cluster",
         sampler: RRSampler | None = None,
         sampler_factory=None,
-        start_method: str | None = None,
-        zero_copy: bool | None = None,
     ) -> None:
         if method not in PREFIX_DETERMINISTIC_METHODS:
             raise ValueError(
@@ -165,13 +154,7 @@ class SamplePool:
             )
         if sampler is not None and sampler_factory is not None:
             raise ValueError("pass either sampler or sampler_factory, not both")
-        spec = fold_legacy_executor_kwargs(
-            as_spec(executor),
-            processes=processes,
-            start_method=start_method,
-            zero_copy=zero_copy,
-            owner="SamplePool",
-        )
+        spec = as_spec(executor)
         self.graph = graph
         self.seed = seed
         self.model = model

@@ -52,7 +52,6 @@ import numpy as np
 from ..applications.budgeted import budgeted_influence_maximization
 from ..applications.profit import profit_maximization
 from ..applications.targeted import TargetedSampler, targeted_influence_maximization
-from ..cluster.executor import fold_legacy_executor_kwargs
 from ..cluster.network import NetworkModel
 from ..cluster.spec import as_spec
 from ..core.config import RunConfig
@@ -175,9 +174,6 @@ class InfluenceService:
         shorthand, forwarded to each pool's executor.
     network:
         Master<->slave cost model, forwarded to each pool.
-    processes, start_method, zero_copy:
-        Deprecated — pass the matching :class:`ExecutorSpec` option
-        instead; each warns before being folded into the spec.
     cache_size:
         Maximum memoized query results (LRU).
     dynamic:
@@ -198,10 +194,7 @@ class InfluenceService:
         model: str = "ic",
         method: str = "bfs",
         executor="simulated",
-        processes: int | None = None,
         network: NetworkModel | None = None,
-        start_method: str | None = None,
-        zero_copy: bool | None = None,
         cache_size: int = 128,
         dynamic: bool = False,
     ) -> None:
@@ -217,16 +210,7 @@ class InfluenceService:
         #: :meth:`apply_update` and :meth:`compact`, exposed over
         #: ``stats`` and in update replies.
         self.graph_version = 0
-        self._executor_kwargs = dict(
-            executor=fold_legacy_executor_kwargs(
-                as_spec(executor),
-                processes=processes,
-                start_method=start_method,
-                zero_copy=zero_copy,
-                owner="InfluenceService",
-            ),
-            network=network,
-        )
+        self._executor_kwargs = dict(executor=as_spec(executor), network=network)
         self._pools: Dict[Tuple, SamplePool] = {}
         self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
         self._cache_size = cache_size

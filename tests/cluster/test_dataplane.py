@@ -1,64 +1,33 @@
-"""Zero-copy data plane: shared graph, persistent pool, shm reclamation.
+"""Zero-copy data plane: shared graph, persistent workers, shm reclamation.
 
-Three properties pinned here:
+The shared-memory graph export is pinned directly; everything about the
+workers comes from :mod:`tests.cluster.transport_suite`, instantiated
+here on the ``multiprocessing`` (socketpair) transport and in
+``test_socket.py`` on loopback TCP:
 
-* **Bit-identity** — the {copy, zero-copy} x {fork, spawn} matrix of pool
-  configurations produces collections and RNG states identical to the
-  simulated backend (and hence to each other).
-* **Persistence** — the executor's pool (and the workers inside it) live
-  across phases; only a phase deadline or :meth:`close` recycles them.
+* **Bit-identity** — the {copy, zero-copy} x {fork, spawn} matrix
+  produces collections and RNG states identical to the simulated backend
+  (and hence to each other).
+* **Persistence** — the executor's workers live across phases; only a
+  lost stream or :meth:`close` replaces them.
 * **Reclamation** — the shared-memory block never outlives the run: it
   is gone from ``/dev/shm`` after a normal close, after a ``kill -9``'d
-  worker, after an aborted run, and after checkpoint/resume.
+  worker, after an aborted run, and after checkpoint/resume — with no
+  ``resource_tracker`` warning at teardown.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.api import run
-from repro.cluster import SimulatedCluster
-from repro.cluster.executor import (
-    GeneratePhase,
-    MultiprocessingExecutor,
-    SimulatedExecutor,
-)
-from repro.cluster.faults import CRASH_HARD, FaultToleranceExceeded, RetryPolicy
-from repro.cluster.parallel import START_METHOD_ENV, GenerationPool
-from repro.core.config import RunConfig
 from repro.graphs.digraph import DirectedGraph, _CSR_FIELDS
 from repro.ris import make_sampler
 
-
-def shm_segments() -> set:
-    """Names of live POSIX shared-memory segments created by Python."""
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux: fall back to "nothing visible"
-        return set()
-
-
-def snapshot(executor):
-    return (
-        [
-            [m.collection.get(j).tolist() for j in range(m.collection.num_sets)]
-            for m in executor.machines
-        ],
-        [m.rng.bit_generator.state for m in executor.machines],
-    )
-
-
-def build_executor(name, graph, num_machines=3, seed=5, **kwargs):
-    cluster = SimulatedCluster(num_machines, seed=seed)
-    cluster.init_collections(graph.num_nodes, backend="flat")
-    if name == "simulated":
-        return SimulatedExecutor(cluster, graph=graph)
-    return MultiprocessingExecutor(cluster, graph=graph, **kwargs)
+from . import transport_suite as suite
+from .transport_suite import shm_segments
 
 
 # ----------------------------------------------------------------------
@@ -113,204 +82,23 @@ class TestSharedGraph:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity across the broadcast/start-method matrix
+# The worker-transport suite on socketpair workers
 # ----------------------------------------------------------------------
-class TestPoolConformance:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_matches_simulated_backend(self, small_wc_graph, zero_copy, start_method):
-        if start_method not in mp.get_all_start_methods():
-            pytest.skip(f"{start_method} unavailable")
-        reference = build_executor("simulated", small_wc_graph)
-        reference.run_phase(GeneratePhase("t/gen", counts=(15, 10, 5)))
-
-        executor = build_executor(
-            "multiprocessing",
-            small_wc_graph,
-            start_method=start_method,
-            zero_copy=zero_copy,
-        )
-        try:
-            executor.run_phase(GeneratePhase("t/gen", counts=(15, 10, 5)))
-            assert executor.pool.zero_copy == zero_copy
-            assert executor.pool.start_method == start_method
-            assert snapshot(executor) == snapshot(reference)
-        finally:
-            executor.close()
-
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_fault_directives_in_both_broadcast_modes(self, small_wc_graph, zero_copy):
-        from repro.cluster.faults import CORRUPT, CRASH
-
-        with GenerationPool(small_wc_graph, processes=1, zero_copy=zero_copy) as pool:
-            outcomes = pool.run(
-                "ic",
-                "bfs",
-                [5, 5, 5],
-                [np.random.default_rng(s) for s in (1, 2, 3)],
-                directives=[None, CRASH, CORRUPT],
-            )
-        assert outcomes[0].error is None and outcomes[0].batch.count == 5
-        assert outcomes[1].error.startswith("crash:")
-        assert outcomes[2].error.startswith("corruption:")
-        assert outcomes[2].nbytes > 0  # the corrupted payload did arrive
-
-    def test_env_var_selects_start_method(self, small_wc_graph, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        pool = GenerationPool(small_wc_graph)
-        assert pool.start_method == "spawn"
-
-    def test_explicit_method_beats_env_var(self, small_wc_graph, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        pool = GenerationPool(small_wc_graph, start_method="fork")
-        assert pool.start_method == "fork"
-
-    def test_unknown_start_method_rejected(self, small_wc_graph):
-        with pytest.raises(ValueError, match="unavailable"):
-            GenerationPool(small_wc_graph, start_method="teleport")
+class TestPoolConformance(suite.ConformanceSuite):
+    transport = "multiprocessing"
 
 
-# ----------------------------------------------------------------------
-# Pool persistence and recycling
-# ----------------------------------------------------------------------
-class TestPersistentPool:
-    def test_workers_survive_across_phases(self, small_wc_graph):
-        with GenerationPool(small_wc_graph, processes=1) as pool:
-            first = pool.run("ic", "bfs", [5], [np.random.default_rng(0)])
-            inner = pool._pool
-            assert inner is not None
-            second = pool.run("lt", "bfs", [5], [np.random.default_rng(1)])
-            # Same mp.Pool object: no re-fork, no re-broadcast.
-            assert pool._pool is inner
-        assert first[0].error is None and second[0].error is None
-
-    def test_executor_owns_one_pool_for_the_run(self, small_wc_graph):
-        executor = build_executor("multiprocessing", small_wc_graph)
-        try:
-            executor.run_phase(GeneratePhase("t/one", counts=(5, 5, 5)))
-            pool = executor.pool
-            inner = pool._pool
-            executor.run_phase(GeneratePhase("t/two", counts=(5, 5, 5)))
-            assert executor.pool is pool and pool._pool is inner
-        finally:
-            executor.close()
-
-    def test_timeout_recycles_the_pool_then_recovers(self, small_wc_graph):
-        with GenerationPool(small_wc_graph, processes=1) as pool:
-            outcomes = pool.run(
-                "ic",
-                "bfs",
-                [5],
-                [np.random.default_rng(0)],
-                directives=[CRASH_HARD],
-                timeout=5.0,
-            )
-            assert outcomes[0].error.startswith("timeout")
-            assert pool._pool is None  # the dead worker's pool was discarded
-            retry = pool.run("ic", "bfs", [5], [np.random.default_rng(0)])
-            assert retry[0].error is None and retry[0].batch.count == 5
-
-    def test_closed_pool_rejects_further_phases(self, small_wc_graph):
-        pool = GenerationPool(small_wc_graph)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run("ic", "bfs", [1], [np.random.default_rng(0)])
+class TestPersistentPool(suite.LifecycleSuite):
+    transport = "multiprocessing"
 
 
-# ----------------------------------------------------------------------
-# Copy-based fallback
-# ----------------------------------------------------------------------
-class TestFallback:
-    def test_degrades_to_copy_when_shared_memory_fails(
-        self, small_wc_graph, monkeypatch
-    ):
-        def broken(self):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(DirectedGraph, "to_shared", broken)
-        with GenerationPool(small_wc_graph) as pool:
-            assert pool.zero_copy  # optimistic until the first export
-            outcomes = pool.run(
-                "ic", "bfs", [8, 8, 8], [np.random.default_rng(s) for s in (1, 2, 3)]
-            )
-            assert not pool.zero_copy
-            assert all(o.error is None for o in outcomes)
-        # Copies or views, the draws are the same bits.
-        expected = make_sampler(small_wc_graph, "ic").sample_batch(
-            np.random.default_rng(1), 8
-        )
-        np.testing.assert_array_equal(outcomes[0].batch.nodes, expected.nodes)
-
-    def test_required_zero_copy_raises_instead_of_degrading(
-        self, small_wc_graph, monkeypatch
-    ):
-        def broken(self):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(DirectedGraph, "to_shared", broken)
-        with GenerationPool(small_wc_graph, zero_copy=True) as pool:
-            with pytest.raises(OSError, match="no shared memory"):
-                pool.run("ic", "bfs", [1], [np.random.default_rng(0)])
+class TestFallback(suite.FallbackSuite):
+    transport = "multiprocessing"
 
 
-# ----------------------------------------------------------------------
-# Shared-memory reclamation on every exit path
-# ----------------------------------------------------------------------
-class TestShmReclamation:
-    def test_normal_close_reclaims(self, small_wc_graph):
-        before = shm_segments()
-        executor = build_executor("multiprocessing", small_wc_graph)
-        executor.run_phase(GeneratePhase("t/gen", counts=(5, 5, 5)))
-        assert shm_segments() - before  # the graph block is live mid-run
-        executor.close()
-        assert shm_segments() <= before
+class TestShmReclamation(suite.ShmReclamationSuite):
+    transport = "multiprocessing"
 
-    def test_killed_worker_does_not_leak(self, small_wc_graph):
-        before = shm_segments()
-        with GenerationPool(small_wc_graph, processes=1) as pool:
-            pool.run(
-                "ic",
-                "bfs",
-                [5],
-                [np.random.default_rng(0)],
-                directives=[CRASH_HARD],
-                timeout=5.0,
-            )
-        assert shm_segments() <= before
 
-    def test_aborted_run_reclaims(self, small_wc_graph):
-        before = shm_segments()
-        config = RunConfig(
-            graph=small_wc_graph,
-            k=4,
-            machines=2,
-            eps=0.7,
-            seed=11,
-            executor="multiprocessing",
-            processes=2,
-            faults="crash@m1a*",
-            retry=RetryPolicy(max_attempts=2, phase_timeout=20.0, reassign=False),
-        )
-        with pytest.raises(FaultToleranceExceeded):
-            run("diimm", config)
-        assert shm_segments() <= before
-
-    def test_checkpoint_resume_reclaims_and_matches(self, small_wc_graph, tmp_path):
-        from dataclasses import replace
-
-        before = shm_segments()
-        config = RunConfig(
-            graph=small_wc_graph,
-            k=4,
-            machines=2,
-            eps=0.7,
-            seed=11,
-            executor="multiprocessing",
-            processes=2,
-            checkpoint_dir=str(tmp_path / "run"),
-        )
-        first = run("diimm", config)
-        assert shm_segments() <= before
-        resumed = run("diimm", replace(config, resume=True))
-        assert resumed.seeds == first.seeds
-        assert shm_segments() <= before
+class TestWireAccounting(suite.WireAccountingSuite):
+    transport = "multiprocessing"

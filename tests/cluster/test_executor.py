@@ -1,12 +1,11 @@
 """Shared conformance suite for the Executor layer.
 
-Every test in :class:`TestExecutorConformance` runs against both
-executors; the central contract is that for a fixed cluster seed the two
+Every test in :class:`TestExecutorConformance` runs against every
+executor; the central contract is that for a fixed cluster seed the
 backends produce bit-identical collections, identical RNG end states and
 the same recorded phase structure.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -22,7 +21,6 @@ from repro.cluster import (
     SimulatedExecutor,
     as_executor,
     make_executor,
-    run_generation_pool,
 )
 from repro.core import diimm
 
@@ -222,42 +220,6 @@ class TestFactories:
         executor = SimulatedExecutor(cluster, graph=small_wc_graph)
         assert executor.sampler("ic", "bfs") is executor.sampler("ic", "bfs")
         assert executor.sampler("ic", "bfs") is not executor.sampler("lt", "bfs")
-
-
-class TestGenerationPool:
-    def test_counts_rngs_length_checked(self, small_wc_graph):
-        with pytest.raises(ValueError, match="same length"):
-            run_generation_pool(
-                small_wc_graph, "ic", "bfs", [1, 2], [np.random.default_rng(0)]
-            )
-
-    def test_empty_counts(self, small_wc_graph):
-        assert run_generation_pool(small_wc_graph, "ic", "bfs", [], []) == []
-
-    def test_worker_error_captured_per_machine(self, small_wc_graph):
-        # object() is picklable but has no .random, so the draw raises
-        # inside the worker; the pool reports it per machine instead of
-        # blowing up the whole map.
-        outcomes = run_generation_pool(
-            small_wc_graph,
-            "ic",
-            "bfs",
-            [3, 3],
-            [np.random.default_rng(0), object()],
-        )
-        assert len(outcomes) == 2
-        ok = outcomes[0]
-        assert ok.error is None and ok.batch.count == 3 and ok.rng_state is not None
-        assert ok.nbytes > 0
-        bad = outcomes[1]
-        assert bad.batch is None and bad.rng_state is None and bad.nbytes == 0
-        assert "AttributeError" in bad.error
-
-    def test_caller_rngs_not_advanced(self, small_wc_graph):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        run_generation_pool(small_wc_graph, "ic", "bfs", [5], [rng])
-        assert rng.bit_generator.state == before
 
 
 class TestEndToEnd:

@@ -9,13 +9,14 @@ change only the metered times and the recovery log.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import run
-from repro.cluster import SimulatedCluster
-from repro.cluster.executor import GeneratePhase, MultiprocessingExecutor, SimulatedExecutor
+from repro.cluster import MultiprocessingSpec, SimulatedCluster, SocketSpec, make_executor
+from repro.cluster.executor import GeneratePhase, SimulatedExecutor
 from repro.cluster.faults import (
     CORRUPT,
     CRASH,
@@ -327,14 +328,26 @@ class TestGenerateLevelInvariance:
 # ----------------------------------------------------------------------
 # Multiprocessing executor: real processes, real timeouts
 # ----------------------------------------------------------------------
-def _mp_generate(graph, faults, retry, machines=2, count=60):
+def _generate_on(spec, graph, faults, retry, machines=2, count=60, expect=None):
+    """Run one faulted generation phase on ``spec``'s workers.
+
+    Returns ``(targets, metrics)``; with ``expect`` set the phase must
+    raise that exception, returned in place of the targets."""
     cluster = SimulatedCluster(machines, seed=5)
-    executor = MultiprocessingExecutor(
-        cluster, graph=graph, processes=machines, faults=faults, retry=retry
-    )
     targets = tuple(FlatRRCollection(graph.num_nodes) for _ in range(machines))
-    executor.run_phase(GeneratePhase(label="gen", counts=(count,) * machines, targets=targets))
-    return targets, executor.metrics
+    plan = GeneratePhase(label="gen", counts=(count,) * machines, targets=targets)
+    with make_executor(spec, cluster, graph=graph, faults=faults, retry=retry) as executor:
+        if expect is None:
+            executor.run_phase(plan)
+            return targets, executor.metrics
+        with pytest.raises(expect) as info:
+            executor.run_phase(plan)
+        return info.value, executor.metrics
+
+
+def _mp_generate(graph, faults, retry, machines=2, count=60):
+    spec = MultiprocessingSpec(processes=machines)
+    return _generate_on(spec, graph, faults, retry, machines, count)
 
 
 @pytest.mark.slow
@@ -358,8 +371,7 @@ class TestCrashMatrixMultiprocessing:
             "diimm",
             _diimm_config(
                 small_wc_graph,
-                executor="multiprocessing",
-                processes=2,
+                executor="multiprocessing:2",
                 faults="crash@m1",
                 retry=RetryPolicy(max_attempts=3, phase_timeout=30.0),
             ),
@@ -367,18 +379,6 @@ class TestCrashMatrixMultiprocessing:
         assert result.seeds == baseline.seeds
         assert result.num_rr_sets == baseline.num_rr_sets
         assert result.metrics.recovery_events_of("crash")
-
-    def test_worker_death_hits_phase_timeout(self, small_wc_graph):
-        """Satellite: a kill -9'd worker is detected by the wall-clock
-        deadline and, with reassignment disabled, surfaces as
-        PhaseTimeoutError naming the dead machine."""
-        retry = RetryPolicy(max_attempts=2, phase_timeout=3.0, reassign=False)
-        with pytest.raises(PhaseTimeoutError) as info:
-            _mp_generate(
-                small_wc_graph, faults=FaultPlan.parse("crash-hard@m1a*"), retry=retry
-            )
-        assert 1 in info.value.machine_ids
-        assert info.value.timeout == pytest.approx(3.0)
 
     def test_worker_death_recovers_via_reassignment(self, small_wc_graph):
         retry = RetryPolicy(max_attempts=2, phase_timeout=3.0)
@@ -388,9 +388,46 @@ class TestCrashMatrixMultiprocessing:
         )
         for ref, got in zip(reference, faulty):
             np.testing.assert_array_equal(ref.nodes, got.nodes)
-        timeouts = metrics.recovery_events_of("timeout")
-        assert timeouts and all(event.machine_id == 1 for event in timeouts)
+        # The dead worker's broken stream is seen at once: no deadline fired.
+        assert not metrics.recovery_events_of("timeout")
+        lost = metrics.recovery_events_of("disconnect")
+        assert lost and all(event.machine_id == 1 for event in lost)
         assert metrics.recovery_events_of("reassignment")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "spec", [MultiprocessingSpec(processes=2), SocketSpec(workers=2)], ids=lambda s: s.kind
+)
+class TestWorkerLoss:
+    """How a lost worker is *detected*, on every worker transport, with
+    reassignment disabled so the detection kind decides the error."""
+
+    def test_silent_worker_hits_phase_timeout(self, small_wc_graph, spec):
+        """A worker that never answers is only noticed by the wall-clock
+        deadline, and surfaces as PhaseTimeoutError naming its machine."""
+        retry = RetryPolicy(max_attempts=2, phase_timeout=3.0, reassign=False)
+        error, _ = _generate_on(
+            spec, small_wc_graph, FaultPlan.parse("drop@m1a*"), retry, expect=PhaseTimeoutError
+        )
+        assert 1 in error.machine_ids
+        assert error.timeout == pytest.approx(3.0)
+
+    def test_worker_death_is_seen_at_once(self, small_wc_graph, spec):
+        """A kill -9'd worker breaks its stream: every attempt fails as a
+        disconnect without waiting out the deadline."""
+        retry = RetryPolicy(max_attempts=2, phase_timeout=30.0, reassign=False)
+        started = time.monotonic()
+        error, metrics = _generate_on(
+            spec,
+            small_wc_graph,
+            FaultPlan.parse("crash-hard@m1a*"),
+            retry,
+            expect=FaultToleranceExceeded,
+        )
+        assert time.monotonic() - started < 15.0
+        assert error.machine_ids == (1,)
+        assert [event.kind for event in metrics.recovery_events] == ["disconnect"] * 2
 
 
 # ----------------------------------------------------------------------

@@ -1,151 +1,53 @@
-"""SocketExecutor: loopback conformance, fault matrix, wire accounting.
+"""SocketExecutor: the transport suite over TCP, fault matrix, external workers.
 
 The socket backend must be bit-identical to the simulated and
 multiprocessing executors — healthy and under every injected fault kind —
 while recording *measured* transport traffic (``wire_sent`` /
 ``wire_received`` / ``round_trips``) alongside the backend-neutral
-``num_bytes`` payload accounting.
+``num_bytes`` payload accounting.  Everything it shares with the
+``multiprocessing`` transport is pinned by
+:mod:`tests.cluster.transport_suite`, instantiated here on loopback TCP;
+the fault matrix and the external-worker tests are TCP's own.
 """
 
 import multiprocessing as mp
 import socket as socket_mod
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
-    GENERATION,
     FaultPlan,
     GeneratePhase,
     RetryPolicy,
     SimulatedCluster,
     SocketExecutor,
     SocketSpec,
-    make_executor,
     serve_worker,
 )
 from repro.ris.serialization import pack_message, read_frame
 
-MACHINES = 3
-COUNTS = (14, 9, 21)
+from . import transport_suite as suite
+from .transport_suite import COUNTS, MACHINES, run_and_snapshot, snapshot
 
 
-def build(name, graph, num_machines=MACHINES, seed=5, **kwargs):
-    cluster = SimulatedCluster(num_machines, seed=seed)
-    cluster.init_collections(graph.num_nodes, backend="flat")
-    return make_executor(name, cluster, graph=graph, **kwargs)
+class TestLoopbackConformance(suite.ConformanceSuite):
+    transport = "socket"
 
 
-def snapshot(executor):
-    return (
-        [m.collection.nodes[: m.collection.offsets[m.collection.num_sets]].tolist()
-         for m in executor.machines],
-        [m.collection.num_sets for m in executor.machines],
-        [m.rng.bit_generator.state for m in executor.machines],
-    )
+class TestLifecycle(suite.LifecycleSuite):
+    transport = "socket"
 
 
-def run_and_snapshot(name, graph, plan, **kwargs):
-    with build(name, graph, **kwargs) as executor:
-        executor.run_phase(plan)
-        return snapshot(executor), executor.metrics
+class TestFallback(suite.FallbackSuite):
+    transport = "socket"
 
 
-class TestLoopbackConformance:
-    @pytest.mark.parametrize(
-        "model,method", [("ic", "bfs"), ("lt", "bfs"), ("ic", "subsim")]
-    )
-    def test_bit_identical_to_other_backends(self, small_wc_graph, model, method):
-        plan = GeneratePhase("t/gen", counts=COUNTS, model=model, method=method)
-        golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
-        for name in ("multiprocessing", "socket"):
-            got, _ = run_and_snapshot(name, small_wc_graph, plan)
-            assert got == golden, name
-
-    def test_per_set_scheme_bit_identical(self, small_wc_graph):
-        plan = GeneratePhase(
-            "t/perset", counts=COUNTS, rng_scheme="per-set", seed=123,
-            starts=(0, 14, 23),
-        )
-        golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
-        got, _ = run_and_snapshot("socket", small_wc_graph, plan)
-        # Per-set draws never touch the machine streams, so compare
-        # collections only; the RNG states are unchanged on both sides.
-        assert got == golden
-
-    def test_sequential_phases_share_connection(self, small_wc_graph):
-        with build("socket", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=COUNTS))
-            executor.run_phase(GeneratePhase("t/two", counts=(5, 5, 5)))
-            phases = executor.metrics.phases_in(GENERATION)
-            assert len(phases) == 2
-            # Enrollment happens once, on the first phase.
-            assert phases[0].round_trips > phases[1].round_trips
-            assert [m.collection.num_sets for m in executor.machines] == [
-                c + 5 for c in COUNTS
-            ]
-
-    def test_heartbeat(self, small_wc_graph):
-        with build("socket", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2)))
-            latencies = executor.heartbeat()
-            assert latencies and all(
-                lat is not None and lat >= 0.0 for lat in latencies
-            )
+class TestShmReclamation(suite.ShmReclamationSuite):
+    transport = "socket"
 
 
-class TestWireAccounting:
-    def test_payload_bytes_match_mp_accounting_and_wire_overhead(
-        self, small_wc_graph
-    ):
-        plan = GeneratePhase("t/gen", counts=COUNTS)
-        _, mp_metrics = run_and_snapshot("multiprocessing", small_wc_graph, plan)
-        with build("socket", small_wc_graph) as executor:
-            executor.run_phase(plan)
-            batches = [
-                (m.collection.nodes[: m.collection.offsets[m.collection.num_sets]],
-                 m.collection.offsets[: m.collection.num_sets + 1])
-                for m in executor.machines
-            ]
-            record = executor.metrics.phases_in(GENERATION)[-1]
-
-        mp_record = mp_metrics.phases_in(GENERATION)[-1]
-        # num_bytes is the backend-neutral payload accounting: identical
-        # to the multiprocessing backend for the same phase.
-        assert record.num_bytes == mp_record.num_bytes
-        # The multiprocessing backend has no wire.
-        assert mp_record.wire_sent == mp_record.wire_received == 0
-
-        # The payload is the delta+varint batch encoding plus a bounded
-        # envelope (frame header, pickle scaffolding, RNG state) — far
-        # below the raw (u64 node, u64 offset) tuple-vector size the
-        # naive wire format would ship.
-        raw = sum(
-            8 * len(nodes) + 8 * len(offsets) for nodes, offsets in batches
-        )
-        assert 0 < record.num_bytes < raw
-
-        # Measured socket traffic: responses carry each inner payload in
-        # one outer frame, so received >= payload and the overhead is
-        # bounded; requests went out and round trips completed.
-        assert record.round_trips >= MACHINES
-        assert record.wire_received >= record.num_bytes
-        assert record.wire_received <= record.num_bytes + record.round_trips * 512
-        assert record.wire_sent > 0
-
-    def test_run_metrics_wire_summary(self, small_wc_graph):
-        with build("socket", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=COUNTS))
-            summary = executor.metrics.wire_summary()
-        assert summary["wire_sent"] > 0
-        assert summary["wire_received"] > 0
-        assert summary["round_trips"] >= MACHINES
-        # Simulated runs stay wire-free.
-        with build("simulated", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=COUNTS))
-            assert executor.metrics.wire_summary() == {
-                "wire_sent": 0, "wire_received": 0, "round_trips": 0,
-            }
+class TestWireAccounting(suite.WireAccountingSuite):
+    transport = "socket"
 
 
 RETRY = RetryPolicy(max_attempts=3, phase_timeout=5.0, backoff=0.0)
@@ -204,32 +106,6 @@ class TestFaultMatrix:
             faults=FaultPlan.parse(faults), retry=RETRY,
         )
         assert sock == sim
-
-
-class TestLifecycle:
-    def test_context_manager_and_double_close(self, small_wc_graph):
-        executor = build("socket", small_wc_graph)
-        with executor as entered:
-            assert entered is executor
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2)))
-        executor.close()  # second close is a no-op
-        executor.close()
-
-    def test_close_after_abort(self, small_wc_graph):
-        executor = build("socket", small_wc_graph)
-        boom = GeneratePhase("t/gen", counts=(2, 2))  # wrong machine count
-        with pytest.raises(ValueError):
-            with executor:
-                executor.run_phase(boom)
-                raise AssertionError("run_phase should have rejected the plan")
-        executor.close()
-
-    def test_refresh_graph_reenrolls(self, small_wc_graph):
-        with build("socket", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=(2, 2, 2)))
-            executor.refresh_graph()
-            executor.run_phase(GeneratePhase("t/two", counts=(2, 2, 2)))
-            assert [m.collection.num_sets for m in executor.machines] == [4, 4, 4]
 
 
 class TestExternalWorkers:

@@ -1,10 +1,10 @@
-"""ExecutorSpec: parsing, validation, coercion, and the deprecation shims.
+"""ExecutorSpec: parsing, validation and coercion.
 
-The declarative spec API replaces the old ``executor=<name>`` string plus
-``processes=``/``start_method=``/``zero_copy=`` keyword plumbing; these
-tests pin the shorthand grammar (parse/describe round-trips), the
-validation messages, and that every legacy keyword still works behind a
-:class:`DeprecationWarning`.
+The declarative spec is the only way to choose and configure an
+executor; these tests pin the shorthand grammar (parse/describe
+round-trips), the validation messages, and that every entry point
+(``make_executor``, ``RunConfig``, ``SamplePool``, ``InfluenceService``)
+accepts a spec or its shorthand.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ from repro.cluster import (
     SimulatedSpec,
     SocketSpec,
     as_spec,
-    fold_legacy_executor_kwargs,
     make_executor,
     spec_summary,
 )
@@ -135,27 +134,6 @@ class TestFactory:
         with make_executor("simulated", cluster, graph=small_wc_graph) as ex:
             assert ex.name == "simulated"
 
-    def test_make_executor_legacy_processes_warns(self, small_wc_graph):
-        cluster = SimulatedCluster(2, seed=3)
-        with pytest.warns(DeprecationWarning, match="processes= keyword"):
-            ex = make_executor(
-                "multiprocessing", cluster, graph=small_wc_graph, processes=2
-            )
-        with ex:
-            assert ex.pool.processes == 2
-
-    def test_spec_option_wins_over_legacy_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            spec = fold_legacy_executor_kwargs(
-                MultiprocessingSpec(processes=3), processes=7
-            )
-        assert spec.processes == 3
-
-    def test_legacy_kwarg_on_wrong_backend_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="does not apply"):
-                fold_legacy_executor_kwargs(SimulatedSpec(), processes=2)
-
 
 class TestRunConfigShims:
     def test_executor_string_coerced_to_spec(self, small_wc_graph):
@@ -166,19 +144,6 @@ class TestRunConfigShims:
         config = RunConfig(graph=small_wc_graph, k=2, executor="mpi")
         with pytest.raises(ValueError, match="config.executor must be one of"):
             config.validate()
-
-    def test_processes_deprecated_and_folded(self, small_wc_graph):
-        with pytest.warns(DeprecationWarning, match="RunConfig.processes"):
-            config = RunConfig(
-                graph=small_wc_graph, k=2, executor="multiprocessing", processes=2
-            )
-        assert config.executor_spec() == MultiprocessingSpec(processes=2)
-
-    def test_processes_ignored_for_simulated(self, small_wc_graph):
-        # The historical keyword was a silent no-op off the mp backend.
-        with pytest.warns(DeprecationWarning):
-            config = RunConfig(graph=small_wc_graph, k=2, processes=2)
-        assert config.executor_spec() == SimulatedSpec()
 
     def test_invalid_spec_surfaces_in_validate(self, small_wc_graph):
         config = RunConfig(
@@ -196,13 +161,6 @@ class TestPoolAndServiceShims:
     def test_sample_pool_accepts_spec(self, small_wc_graph):
         with SamplePool(small_wc_graph, 2, executor=SimulatedSpec()) as pool:
             assert pool.executor.name == "simulated"
-
-    def test_sample_pool_processes_warns(self, small_wc_graph):
-        with pytest.warns(DeprecationWarning, match="SamplePool"):
-            with SamplePool(
-                small_wc_graph, 2, executor="multiprocessing", processes=2
-            ) as pool:
-                assert pool.executor.pool.processes == 2
 
     def test_sample_pool_init_failure_closes_executor(self, small_wc_graph):
         class Boom(Exception):
@@ -230,10 +188,7 @@ class TestPoolAndServiceShims:
             pool_mod.make_executor = original
         assert closed
 
-    def test_service_processes_warns(self, small_wc_graph):
-        with pytest.warns(DeprecationWarning, match="InfluenceService"):
-            service = InfluenceService(
-                small_wc_graph, machines=2, executor="multiprocessing", processes=2
-            )
+    def test_service_accepts_shorthand(self, small_wc_graph):
+        service = InfluenceService(small_wc_graph, machines=2, executor="multiprocessing:2")
         service.close()
         service.close()  # idempotent

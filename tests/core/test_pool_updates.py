@@ -54,8 +54,7 @@ def pool_on(graph, executor="simulated", **kwargs):
         machines=MACHINES,
         seed=SEED,
         rng_scheme="per-set",
-        executor=executor,
-        processes=MACHINES if executor == "multiprocessing" else None,
+        executor=f"multiprocessing:{MACHINES}" if executor == "multiprocessing" else executor,
         **kwargs,
     )
 

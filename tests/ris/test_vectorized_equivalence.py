@@ -422,7 +422,6 @@ class TestExecutors:
                 method=method,
                 seed=0,
                 executor=executor,
-                processes=2,
             )
             results[method] = run("diimm", config)
         spread_bfs = results["bfs"].estimated_spread

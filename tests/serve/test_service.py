@@ -203,8 +203,7 @@ class TestMultiprocessingService:
             small_wc_graph,
             machines=2,
             seed=SEED,
-            executor="multiprocessing",
-            processes=2,
+            executor="multiprocessing:2",
         ) as svc:
             warm_a = svc.query(Query(kind="diimm", k=4))
             warm_b = svc.query(Query(kind="diimm", k=6))

@@ -243,8 +243,7 @@ class TestMultiprocessingService:
             fresh_graph(small_wc_graph),
             machines=MACHINES,
             seed=SEED,
-            executor="multiprocessing",
-            processes=MACHINES,
+            executor=f"multiprocessing:{MACHINES}",
             dynamic=True,
         ) as svc:
             svc.query(Query(kind="diimm", k=4))

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.api import ALGORITHMS, RunConfig, run
 from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
 from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
 
@@ -169,7 +170,7 @@ class TestValidation:
             (dict(method="dfs"), "config.method must be one of"),
             (dict(backend="sqlite"), "config.backend must be one of"),
             (dict(executor="mpi"), "config.executor must be one of"),
-            (dict(processes=0), "config.processes must be >= 1 or None"),
+            (dict(executor=MultiprocessingSpec(processes=0)), "config.executor is invalid"),
             (dict(theta_initial=0), "config.theta_initial must be >= 1 or None"),
             (dict(resume=True), "config.resume requires config.checkpoint_dir"),
         ],
