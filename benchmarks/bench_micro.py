@@ -457,47 +457,3 @@ def test_micro_socket_overhead(record_rows, graph):
     assert socket_s <= mp_s * 1.5, (
         f"socket backend {overhead_pct:.1f}% slower than multiprocessing, above the 50% bound"
     )
-
-
-def test_micro_fault_overhead(record_rows, graph):
-    """Fault-tolerance bookkeeping on the healthy path: generation with
-    ``faults=None`` (the original code path) vs an *empty* ``FaultPlan``
-    (attempt loops, RNG snapshots, event accounting armed but idle);
-    regression gate: the armed path costs at most 5% throughput."""
-    from repro.cluster import FaultPlan, SimulatedExecutor
-    from repro.cluster.executor import GeneratePhase
-    from repro.ris import FlatRRCollection
-
-    machines = 4
-    count = 4000
-
-    def generate(faults):
-        cluster = SimulatedCluster(machines, seed=0)
-        executor = SimulatedExecutor(cluster, graph=graph, faults=faults)
-        targets = tuple(FlatRRCollection(graph.num_nodes) for __ in range(machines))
-        executor.run_phase(
-            GeneratePhase(label="bench", counts=(count,) * machines, targets=targets)
-        )
-        return targets
-
-    baseline_s, reference = _best_of(lambda: generate(None), repeats=5)
-    armed_s, armed = _best_of(lambda: generate(FaultPlan()), repeats=5)
-    for ref, got in zip(reference, armed):
-        assert np.array_equal(ref.nodes, got.nodes)
-        assert np.array_equal(ref.offsets, got.offsets)
-
-    overhead_pct = (armed_s / baseline_s - 1.0) * 100.0
-    rows = [
-        {
-            "workload": f"generate(facebook, m={machines}, {count * machines} sets)",
-            "baseline_s": round(baseline_s, 4),
-            "fault_armed_s": round(armed_s, 4),
-            "overhead_pct": round(overhead_pct, 2),
-        }
-    ]
-    record_rows(
-        "micro_fault_overhead",
-        rows,
-        "Fault tolerance: healthy-path generation, faults=None vs empty FaultPlan",
-    )
-    assert overhead_pct <= 5.0, f"fault-armed healthy path {overhead_pct:.1f}% slower"

@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="inject faults: ';'-separated kind@m<id>[r<round>][a<attempt>]"
         "[x<factor>] with kind one of crash, crash-hard, straggler, corrupt, "
-        "drop (e.g. 'crash@m1r2;straggler@m0x3'); the seed set is identical "
-        "to a fault-free run",
+        "drop, disconnect (e.g. 'crash@m1r2;straggler@m0x3'); the seed set is "
+        "identical to a fault-free run.  Without it nothing is injected; the "
+        "retry policy always applies",
     )
     run.add_argument(
         "--max-retries",
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="attempts each machine gets per generation phase before its "
-        "quota is reassigned (default 3; only meaningful with --fault-plan)",
+        "quota is reassigned (default 3; real failures count too)",
     )
     run.add_argument(
         "--phase-timeout",
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="deadline after which an unresponsive machine is declared lost "
-        "(wall-clock under --executor multiprocessing, simulated time "
-        "otherwise; only meaningful with --fault-plan)",
+        "(wall-clock on the worker-backed executors, simulated time "
+        "otherwise; default none)",
     )
 
     experiment = sub.add_parser(

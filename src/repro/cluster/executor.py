@@ -7,50 +7,53 @@ function, gather, broadcast, or run master-side code — and hand it to an
 keeping the accounting contract identical:
 
 * :class:`SimulatedExecutor` executes machines sequentially on the
-  simulated cluster, exactly as the algorithms previously did by calling
-  :meth:`SimulatedCluster.map <repro.cluster.cluster.SimulatedCluster.map>`
-  directly;
+  simulated cluster, metering each machine's wall clock;
 * :class:`MultiprocessingExecutor` and
   :class:`~repro.cluster.socket_executor.SocketExecutor` fan the
   generation phase out over real worker processes (the closest
   equivalent of the paper's MPI workers; see
-  :mod:`repro.cluster.parallel`), shipping each machine's private RNG to
-  its worker and restoring the advanced RNG state afterwards — so a run
-  is reproducible and *identical* to the simulated backend for a fixed
-  seed, which the conformance tests pin.
+  :mod:`repro.cluster.parallel`) — reproducibly, and *identically* to
+  the simulated backend for a fixed seed, which the conformance tests pin.
 
 Every phase lands in the cluster's :class:`~repro.cluster.metrics.RunMetrics`
 with per-machine times (scaled by each machine's ``slowdown``) and byte
 counts, whichever executor ran it.
 
-Fault tolerance
----------------
-Passing a :class:`~repro.cluster.faults.FaultPlan` (even an empty one)
-switches generation onto the fault-tolerant path: every machine's RNG is
-snapshotted before each attempt, injected faults fire per
-``(machine, round, attempt)``, and the :class:`~repro.cluster.faults.RetryPolicy`
-governs retries, backoff, timeouts and quota reassignment.  Because a
-failed attempt restores the pre-attempt snapshot and a reassigned quota
-replays the dead machine's stream, the final collections — and therefore
-the selected seeds — are bit-identical to a fault-free run; only the
-metered times and the recovery log differ.  ``faults=None`` (default)
-takes the original code path untouched.
+Generation: one loop, two hooks
+-------------------------------
+The paper's distributed step — "machine *i* draws its quota of RR sets" —
+has one implementation, :meth:`Executor._run_generate`: attempt waves
+over the machines still owing their quota, verified appends, time,
+recovery events, hand-over of a spent quota, the phase record.  A backend
+supplies ``_attempt_wave`` (one attempt for the given machine ids: drawn
+in-process with injected faults interpreted in *simulated* time, or
+shipped to real workers whose failures are detected in *real* time) and
+``_replay_host`` (whose clock redraws, and pays for, a spent quota).
+
+Every attempt draws on a *copy* of the machine's stream (or on the
+stateless per-set token) and the loop adopts the advanced state only
+with a verified batch, so a failed attempt leaves nothing to undo and
+the retry, or the replay, redraws the identical batch: collections and
+seeds are bit-identical to a failure-free run whatever fired; only
+metered times and the recovery log differ.  ``faults=None`` means the
+empty :class:`~repro.cluster.faults.FaultPlan` — no injection — and the
+:class:`~repro.cluster.faults.RetryPolicy` always applies, so a *real*
+worker loss is retried on a run that never asked for faults.
 """
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..ris import make_sampler
 from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, RRSampler, sample_set_range
 from ..ris.wire import encoded_batch_nbytes
-from .cluster import SimulatedCluster
+from .cluster import MachineFailure, SimulatedCluster
 from .faults import (
     CORRUPT,
     CRASH_HARD,
@@ -74,6 +77,7 @@ __all__ = [
     "BroadcastPhase",
     "MasterPhase",
     "PhaseResult",
+    "GenerationOutcome",
     "Executor",
     "SimulatedExecutor",
     "WorkerBackedExecutor",
@@ -200,6 +204,33 @@ class PhaseResult:
     num_bytes: int = 0
 
 
+class GenerationOutcome(NamedTuple):
+    """One machine's outcome of one generation attempt.
+
+    ``error`` is ``None`` on success, otherwise a one-line description
+    (prefixed ``"crash:"``, ``"corruption:"``, ``"disconnect:"`` or
+    ``"timeout:"`` for injected/detected fault kinds) and ``batch`` /
+    ``rng_state`` are ``None``.  ``elapsed`` is the attempt's draw time,
+    or the time it wasted when it failed.  ``nbytes`` is the size of the
+    framed compressed payload a worker actually shipped (0 when nothing
+    arrived, and for in-process attempts).
+    """
+
+    batch: FlatBatch | None
+    rng_state: Any
+    elapsed: float
+    error: str | None
+    nbytes: int = 0
+
+
+def _failure_kind(error: str) -> str:
+    """Recovery-event kind for an outcome's error string."""
+    for kind in ("timeout", "corruption", "disconnect"):
+        if error.startswith(kind):
+            return kind
+    return "crash"
+
+
 # ----------------------------------------------------------------------
 # Executors
 # ----------------------------------------------------------------------
@@ -209,8 +240,9 @@ class Executor(ABC):
     The executor owns *how* phases execute; the cluster keeps owning the
     distributed state (machines, RNGs, collections) and the accounting
     (metrics, network model).  Communication and master phases are pure
-    accounting and therefore shared by every implementation; generation
-    is the backend-specific part.
+    accounting and the generation loop (:meth:`_run_generate`) is common
+    too; a backend only says how one attempt wave runs and where a spent
+    quota is replayed.
     """
 
     name: str = "abstract"
@@ -224,10 +256,9 @@ class Executor(ABC):
     ) -> None:
         self.cluster = cluster
         self.graph = graph
-        #: Injected-fault plan; ``None`` disables the fault machinery and
-        #: takes the original (pre-fault-layer) generation path.
-        self.faults = faults
-        #: Recovery policy applied when ``faults`` is set.
+        #: Injected-fault plan; ``None`` is the empty plan (no injection).
+        self.faults = faults if faults is not None else FaultPlan()
+        #: Recovery policy; it governs real failures as well as injected ones.
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self._samplers: Dict[Tuple[str, str], RRSampler] = {}
 
@@ -279,14 +310,6 @@ class Executor(ABC):
                 raise ValueError(
                     f"expected {self.num_machines} generation targets, got {len(plan.targets)}"
                 )
-            if plan.rng_scheme == "per-set" and self.faults is not None:
-                # The fault machinery's snapshot/replay discipline manages
-                # sequential machine streams; per-set substreams are already
-                # replayable by construction, so the combination is refused
-                # rather than half-supported.
-                raise ValueError(
-                    "per-set generation does not compose with fault injection"
-                )
             return self._run_generate(plan)
         if isinstance(plan, MapPhase):
             results = self.cluster.map(plan.category, plan.label, plan.work)
@@ -324,9 +347,127 @@ class Executor(ABC):
             )
         return targets
 
-    @abstractmethod
+    # -- generation -------------------------------------------------------
     def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
-        """Backend-specific generation of ``plan.counts`` RR sets."""
+        """Draw ``plan.counts`` RR sets: the one generation loop.
+
+        Attempt-major over the machines that still owe their quota.  A
+        batch is appended — and its machine's advanced RNG state adopted —
+        only when the attempt reports success, so a failed attempt leaves
+        nothing to undo; a machine out of attempts has its quota replayed
+        in-process from its own untouched stream (:meth:`_replay_host`).
+        """
+        targets = self._generation_targets(plan)
+        faults, policy, label = self.faults, self.retry, plan.label
+        round_index = self.metrics.current_round
+        times: List[float] = [0.0] * self.num_machines
+        results: List[int] = [0] * self.num_machines
+        #: Machines still owing their quota -> kind of their last failure.
+        pending: Dict[int, str] = dict.fromkeys(range(self.num_machines), "")
+        payload_bytes = 0
+        wire_mark = self._wire_totals()
+
+        for attempt in range(1, policy.max_attempts + 1):
+            if not pending:
+                break
+            ids = list(pending)
+            delay = policy.delay_before(attempt)
+            for mid, outcome in zip(ids, self._attempt_wave(plan, ids, attempt)):
+                times[mid] += delay
+                payload_bytes += outcome.nbytes
+                if outcome.error is not None:
+                    pending[mid] = kind = _failure_kind(outcome.error)
+                    self.metrics.record_recovery(
+                        kind, mid, label, attempt, time_lost=outcome.elapsed, detail=outcome.error
+                    )
+                    times[mid] += outcome.elapsed
+                    continue
+                factor = faults.straggler_factor(mid, round_index, attempt)
+                if factor > 1.0:
+                    self.metrics.record_recovery(
+                        "straggler-wait",
+                        mid,
+                        label,
+                        attempt,
+                        time_lost=outcome.elapsed * (factor - 1.0),
+                        detail=f"injected slowdown x{factor:g}",
+                    )
+                if outcome.rng_state is not None:
+                    self.machines[mid].set_rng_state(outcome.rng_state)
+                append_batch(targets[mid], outcome.batch)
+                results[mid] = outcome.batch.count
+                times[mid] += outcome.elapsed * factor
+                del pending[mid]
+
+        for turn, mid in enumerate(pending):
+            host = self._replay_host(mid, turn, pending) if policy.reassign else None
+            if host is None:
+                # A timeout anywhere means the phase deadline fired, which
+                # callers tell from plain exhaustion.
+                if "timeout" in pending.values():
+                    raise PhaseTimeoutError(label, list(pending), policy.phase_timeout)
+                raise FaultToleranceExceeded(label, list(pending), policy.max_attempts)
+            try:
+                batch, elapsed = host.run(lambda _machine: self._draw(plan, mid))
+            except Exception as exc:
+                # It outlived every attempt and an in-process redraw: the
+                # error is the machine's input, not its worker.
+                raise MachineFailure(mid, label) from exc
+            append_batch(targets[mid], batch)
+            results[mid] = batch.count
+            times[host.machine_id] += elapsed
+            where = "the master" if host.machine_id == mid else f"machine {host.machine_id}"
+            self.metrics.record_recovery(
+                "reassignment",
+                mid,
+                label,
+                policy.max_attempts,
+                time_lost=elapsed,
+                detail=f"quota of {plan.counts[mid]} RR sets replayed on {where} "
+                f"after {pending[mid]}",
+            )
+
+        # (wire_sent, wire_received, round_trips) this phase added.
+        wire = [now - then for now, then in zip(self._wire_totals(), wire_mark)]
+        self.metrics.record_compute_phase(GENERATION, label, times, payload_bytes, *wire)
+        return self._result_from_last_phase(label, results)
+
+    @abstractmethod
+    def _attempt_wave(
+        self, plan: GeneratePhase, ids: Sequence[int], attempt: int
+    ) -> List[GenerationOutcome]:
+        """Run attempt ``attempt`` for machines ``ids``; one outcome each.
+
+        The attempt must not advance a machine's own RNG: it draws on a
+        copy and reports the advanced state in the outcome.  ``elapsed``
+        is in the machine's metered seconds (``slowdown`` applied);
+        injected stragglers are applied by the loop.  Recoverable
+        failures are reported per machine, never raised.
+        """
+
+    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> Machine | None:
+        """The machine whose clock redraws lost machine ``mid``'s quota —
+        the ``turn``-th of ``failed`` — and is charged for it: a survivor,
+        round-robin, or ``None`` when nobody is left."""
+        survivors = [m for m in self.machines if m.machine_id not in failed]
+        return survivors[turn % len(survivors)] if survivors else None
+
+    def _draw(self, plan: GeneratePhase, mid: int, rng=None) -> FlatBatch:
+        """Draw machine ``mid``'s quota in this process.
+
+        ``rng`` defaults to the machine's own stream; per-set phases
+        ignore it (set ``i`` comes from its own counter-based substream).
+        """
+        sampler = self.sampler(plan.model, plan.method)
+        if plan.rng_scheme == "per-set":
+            return sample_set_range(sampler, plan.seed, mid, plan.starts[mid], plan.counts[mid])
+        if rng is None:
+            rng = self.machines[mid].rng
+        return sampler.sample_batch(rng, plan.counts[mid])
+
+    def _wire_totals(self) -> Tuple[int, int, int]:
+        """Cumulative ``(sent, received, round trips)`` of the transport."""
+        return (0, 0, 0)
 
     # -- resource lifecycle ---------------------------------------------
     def close(self) -> None:
@@ -345,26 +486,6 @@ class Executor(ABC):
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- fault-path helpers shared by every backend ----------------------
-    @staticmethod
-    def _batch_nbytes(batch: FlatBatch) -> int:
-        """Wire size of one generation batch (delta + varint encoded)."""
-        return encoded_batch_nbytes(batch)
-
-    def _raise_unrecovered(
-        self, label: str, failed: Dict[int, str], attempts: int
-    ) -> None:
-        """Fail fast when retries are exhausted and reassignment is off.
-
-        ``failed`` maps machine id -> kind of its last failure; a timeout
-        anywhere means the phase deadline fired, which callers (and the
-        worker-death test) distinguish from plain exhaustion.
-        """
-        ids = sorted(failed)
-        if any(failed[i] == "timeout" for i in ids):
-            raise PhaseTimeoutError(label, ids, self.retry.phase_timeout)
-        raise FaultToleranceExceeded(label, ids, attempts)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(cluster={self.cluster!r})"
 
@@ -372,176 +493,56 @@ class Executor(ABC):
 class SimulatedExecutor(Executor):
     """Sequential metered execution on the simulated cluster.
 
-    Generation draws each machine's batch with the machine's own RNG via
-    :meth:`RRSampler.sample_batch <repro.ris.rrset.RRSampler.sample_batch>`
-    inside a metered :meth:`SimulatedCluster.map`, so timing semantics
-    (per-machine wall clock x slowdown, parallel time = max) are exactly
-    the cluster's.
+    Each machine's attempt is drawn in-process through
+    :meth:`Machine.run <repro.cluster.machine.Machine.run>`, so timing
+    semantics (per-machine wall clock x slowdown, parallel time = max)
+    are the cluster's.  Injected faults are interpreted in *simulated*
+    time: a crashed attempt's wasted work, a deadline wait or a spoiled
+    transfer is charged to the machine's metered time — nothing sleeps.
     """
 
     name = "simulated"
 
-    def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
-        if self.faults is not None:
-            return self._run_generate_with_faults(plan)
-        sampler = self.sampler(plan.model, plan.method)
-        targets = self._generation_targets(plan)
-        counts = plan.counts
-        if plan.rng_scheme == "per-set":
-            seed, starts = plan.seed, plan.starts
-
-            def work(machine: Machine) -> int:
-                mid = machine.machine_id
-                batch = sample_set_range(sampler, seed, mid, starts[mid], counts[mid])
-                append_batch(targets[mid], batch)
-                return batch.count
-
-        else:
-
-            def work(machine: Machine) -> int:
-                batch = sampler.sample_batch(machine.rng, counts[machine.machine_id])
-                append_batch(targets[machine.machine_id], batch)
-                return batch.count
-
-        results = self.cluster.map(GENERATION, plan.label, work)
-        return self._result_from_last_phase(plan.label, results)
-
-    def _run_generate_with_faults(self, plan: GeneratePhase) -> PhaseResult:
-        """Generation with injected faults, retries and reassignment.
-
-        All failure handling runs in *simulated* time: a crashed attempt's
-        wasted work, a timeout wait or a straggler's excess are charged to
-        the machine's metered time and logged as recovery events — nothing
-        sleeps.  The RNG discipline (snapshot before each attempt, restore
-        on failure, replay on reassignment) keeps the appended batches
-        bit-identical to a fault-free run.
-        """
-        sampler = self.sampler(plan.model, plan.method)
-        targets = self._generation_targets(plan)
-        counts = plan.counts
-        faults, policy = self.faults, self.retry
+    def _attempt_wave(
+        self, plan: GeneratePhase, ids: Sequence[int], attempt: int
+    ) -> List[GenerationOutcome]:
+        self.sampler(plan.model, plan.method)  # a bad plan raises here, not per machine
+        faults, timeout = self.faults, self.retry.phase_timeout
         round_index = self.metrics.current_round
-        label = plan.label
-        network = self.cluster.network
-
-        times: List[float] = [0.0] * self.num_machines
-        results: List[int] = [0] * self.num_machines
-        snapshots: Dict[int, Any] = {}
-        failed: Dict[int, str] = {}
-
-        for machine in self.machines:
-            mid = machine.machine_id
-            count = counts[mid]
-            snapshot = machine.rng_state()
-            snapshots[mid] = snapshot
-            last_kind = "crash"
-            succeeded = False
-            for attempt in range(1, policy.max_attempts + 1):
-                machine.set_rng_state(snapshot)
-                times[mid] += policy.delay_before(attempt)
-                fault = faults.failure_for(mid, round_index, attempt)
-                factor = faults.straggler_factor(mid, round_index, attempt)
-
-                def work(m: Machine) -> FlatBatch:
-                    return sampler.sample_batch(m.rng, count)
-
-                batch, elapsed = machine.run(work)
-                metered = elapsed * factor
-                if factor > 1.0:
-                    self.metrics.record_recovery(
-                        "straggler-wait",
-                        mid,
-                        label,
-                        attempt,
-                        time_lost=metered - elapsed,
-                        detail=f"injected slowdown x{factor:g}",
-                    )
-                timed_out = (
-                    policy.phase_timeout is not None and metered > policy.phase_timeout
-                )
-                if fault is not None and fault.kind in FAILURE_KINDS:
-                    # A plain crash reports itself and a dropped connection
-                    # resets the stream, so both are noticed at once; a hard
-                    # kill or dropped payload is silent and only the
-                    # deadline notices.
-                    silent = fault.kind in (CRASH_HARD, DROP)
-                    if silent and policy.phase_timeout is not None:
-                        last_kind, lost = "timeout", policy.phase_timeout
-                    elif fault.kind == DISCONNECT:
-                        last_kind, lost = "disconnect", metered
-                    else:
-                        last_kind, lost = "crash", metered
-                    self.metrics.record_recovery(
-                        last_kind, mid, label, attempt, time_lost=lost,
-                        detail=f"injected {fault.kind}",
-                    )
-                    times[mid] += lost
-                    continue
-                if timed_out:
-                    last_kind = "timeout"
-                    self.metrics.record_recovery(
-                        "timeout", mid, label, attempt,
-                        time_lost=policy.phase_timeout,
-                        detail=f"attempt ran {metered:g}s against a "
-                        f"{policy.phase_timeout:g}s deadline",
-                    )
-                    times[mid] += policy.phase_timeout
-                    continue
-                if fault is not None and fault.kind == CORRUPT:
-                    # The batch itself is intact on the worker; only the
-                    # transfer failed its CRC, so charge a retransmission
-                    # and keep the (already advanced) RNG stream.
-                    retrans = network.retransmission_time(self._batch_nbytes(batch))
-                    self.metrics.record_recovery(
-                        "corruption", mid, label, attempt, time_lost=retrans,
-                        detail="payload failed CRC32; retransmitted",
-                    )
-                    metered += retrans
-                append_batch(targets[mid], batch)
-                results[mid] = batch.count
-                times[mid] += metered
-                succeeded = True
-                break
-            if not succeeded:
-                machine.set_rng_state(snapshot)
-                failed[mid] = last_kind
-
-        if failed:
-            if not policy.reassign:
-                self._raise_unrecovered(label, failed, policy.max_attempts)
-            survivors = [m for m in self.machines if m.machine_id not in failed]
-            if not survivors:
-                self._raise_unrecovered(label, failed, policy.max_attempts)
-            for index, mid in enumerate(sorted(failed)):
-                survivor = survivors[index % len(survivors)]
-                replay = np.random.default_rng()
-                replay.bit_generator.state = snapshots[mid]
-                count = counts[mid]
-
-                def handover(m: Machine, _rng=replay, _count=count) -> FlatBatch:
-                    return sampler.sample_batch(_rng, _count)
-
-                batch, elapsed = survivor.run(handover)
-                append_batch(targets[mid], batch)
-                results[mid] = batch.count
-                # The logical machine's stream continues from the replayed
-                # draws, exactly where a healthy run would have left it.
-                self.machines[mid].set_rng_state(replay.bit_generator.state)
-                times[survivor.machine_id] += elapsed
-                self.metrics.record_recovery(
-                    "reassignment",
-                    mid,
-                    label,
-                    policy.max_attempts,
-                    time_lost=elapsed,
-                    detail=(
-                        f"quota of {count} RR sets replayed on machine "
-                        f"{survivor.machine_id} after {failed[mid]}"
-                    ),
-                )
-
-        self.metrics.record_compute_phase(GENERATION, label, times)
-        return self._result_from_last_phase(label, results)
+        outcomes = []
+        for mid in ids:
+            machine = self.machines[mid]
+            # A copy of the stream, as a worker would be shipped; per-set
+            # phases have no stream to copy.
+            rng = None if plan.rng_scheme == "per-set" else copy.deepcopy(machine.rng)
+            try:
+                batch, elapsed = machine.run(lambda _machine: self._draw(plan, mid, rng))
+            except Exception as exc:
+                # No worker to lose in-process: a retry would fail alike.
+                raise MachineFailure(mid, plan.label) from exc
+            fault = faults.failure_for(mid, round_index, attempt)
+            kind = None if fault is None else fault.kind
+            metered = elapsed * faults.straggler_factor(mid, round_index, attempt)
+            if kind in (CRASH_HARD, DROP) and timeout is not None:
+                # Silent failures: only the deadline notices.
+                lost, error = timeout, f"timeout: injected {kind}"
+            elif kind in FAILURE_KINDS:
+                # A crash reports itself and a dropped connection resets
+                # the stream, so both are noticed at once.
+                seen = "disconnect" if kind == DISCONNECT else "crash"
+                lost, error = metered, f"{seen}: injected {kind}"
+            elif timeout is not None and metered > timeout:
+                lost = timeout
+                error = f"timeout: attempt ran {metered:g}s against a {timeout:g}s deadline"
+            elif kind == CORRUPT:
+                spoiled = self.cluster.network.retransmission_time(encoded_batch_nbytes(batch))
+                lost, error = metered + spoiled, "corruption: payload failed CRC32"
+            else:
+                state = None if rng is None else rng.bit_generator.state
+                outcomes.append(GenerationOutcome(batch, state, elapsed, None))
+                continue
+            outcomes.append(GenerationOutcome(None, None, lost, error))
+        return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -563,8 +564,8 @@ def make_executor(
     ``"multiprocessing:8"``, ``"socket:127.0.0.1:9100,9101"`` — see
     :mod:`repro.cluster.spec`) or ``None`` for the default simulated
     backend.  ``faults`` (a :class:`~repro.cluster.faults.FaultPlan`)
-    enables the fault-tolerant generation path on any backend; ``retry``
-    overrides the default recovery policy.
+    injects failures, ``None`` injects none; ``retry`` overrides the
+    default recovery policy, which applies either way.
     """
     resolved = as_spec(spec)
     if isinstance(resolved, SimulatedSpec):

@@ -15,13 +15,17 @@ proven to return the bit-identical seed set a healthy run returns:
   the backoff between attempts, and whether an exhausted machine's
   generation quota is reassigned to a survivor.
 
+The plan only *injects* failures (no plan = the empty plan); the policy
+governs every generation phase of the one loop the executors share, so
+a worker that really dies is retried on a run that asked for no faults.
+
 Determinism argument (also in ``docs/architecture.md``): every RR set's
-content is drawn from the *logical* machine's private RNG stream.  A
-failed attempt restores the stream to its pre-attempt snapshot, so the
-retry — on the same machine or reassigned to any survivor — replays the
-identical substream for that ``(machine, round, attempt)`` slot and
-produces the identical batch, appended to the logical machine's store.
-Faults therefore change only the metered times and the recovery log,
+content is drawn from the *logical* machine's private RNG stream, and an
+attempt draws on a copy of it; the loop adopts the advanced state only
+together with a verified batch.  A failed attempt therefore leaves the
+stream where it was, and the retry — on the same machine or replayed
+elsewhere — redraws the identical batch for the logical machine's
+store.  Faults change only the metered times and the recovery log,
 never the collections or the selected seeds.
 
 Timing semantics: under :class:`~repro.cluster.executor.SimulatedExecutor`
@@ -66,8 +70,7 @@ CRASH = "crash"
 CRASH_HARD = "crash-hard"
 #: The machine completes the attempt ``factor`` times slower.
 STRAGGLER = "straggler"
-#: The payload arrives but fails its CRC32 check; a retransmission is
-#: requested.
+#: The payload arrives but fails its CRC32 check; the attempt is lost.
 CORRUPT = "corrupt"
 #: The payload never arrives; only the phase timeout detects it.
 DROP = "drop"
@@ -156,10 +159,10 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic set of injected faults.
 
-    An *empty* plan injects nothing but still engages the executors'
-    fault-tolerant bookkeeping (attempt loops, CRC verification, event
-    accounting) — the healthy-path overhead the benchmark gate meters.
-    ``faults=None`` on an executor disables the machinery entirely.
+    An *empty* plan injects nothing, and is what ``faults=None`` on an
+    executor means: the attempt loop, CRC verification and event
+    accounting run either way, and log nothing on a run that meets no
+    failure.
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
@@ -294,7 +297,7 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Recovery policy the executors apply when a fault fires.
+    """Recovery policy of every generation phase, injected faults or not.
 
     Parameters
     ----------
@@ -304,9 +307,9 @@ class RetryPolicy:
     phase_timeout:
         Seconds after which an unresponsive machine is declared lost —
         simulated time under the simulated executor, real wall-clock
-        under multiprocessing.  ``None`` disables timeout detection (a
-        hard-killed worker then hangs the phase, the pre-fault-layer
-        behavior).
+        on the worker-backed executors.  ``None`` disables timeout
+        detection (a silent worker then hangs the phase; a dead one is
+        still seen through its broken stream).
     backoff:
         Base delay before attempt ``a`` of ``backoff * 2**(a - 2)``
         seconds (exponential, nothing before the first attempt).

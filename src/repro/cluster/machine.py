@@ -72,22 +72,12 @@ class Machine:
     def set_rng_state(self, state: Any) -> None:
         """Fast-forward this machine's RNG to ``state``.
 
-        Used by executors that ran the machine's draws elsewhere (e.g. a
-        worker process) to keep the master-side generator in sync, so
-        later draws continue the same stream.
+        A generation attempt draws on a copy of this stream (in-process
+        or in a worker) and reports the advanced state; the executor's
+        loop adopts it here once the batch verified, so later draws
+        continue the same stream.
         """
         self.rng.bit_generator.state = state
-
-    def rng_state(self) -> Any:
-        """Snapshot of this machine's RNG state (a fresh dict each call).
-
-        The fault-tolerant executors take a snapshot before every
-        generation attempt; restoring it via :meth:`set_rng_state` makes
-        a retried (or reassigned) attempt replay the identical substream,
-        which is what keeps runs under failure bit-identical to healthy
-        runs.
-        """
-        return self.rng.bit_generator.state
 
     def run(self, work: Callable[["Machine"], Any]) -> Tuple[Any, float]:
         """Execute ``work(self)`` and return ``(result, elapsed_seconds)``.

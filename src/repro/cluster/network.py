@@ -60,10 +60,9 @@ class NetworkModel:
     def retransmission_time(self, num_bytes: int) -> float:
         """Time to recover a payload that failed its checksum on arrival.
 
-        One latency for the master's NACK, then a full re-send of the
-        payload.  The fault-tolerant simulated executor charges this when
-        an injected corruption fires — the batch content is intact on the
-        worker, only the transfer is repeated.
+        One latency for the master's NACK plus one full transfer of the
+        payload.  The simulated executor adds this to the time an attempt
+        loses when an injected corruption spoils its payload.
         """
         return self.latency + self.transfer_time(num_bytes)
 

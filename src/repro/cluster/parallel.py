@@ -68,13 +68,12 @@ import socket
 import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..graphs.digraph import DirectedGraph, SharedGraphHandle, attach_shared
 from ..graphs.io import load_npz
 from ..ris import make_sampler
-from ..ris.flat import append_batch
-from ..ris.rrset import FlatBatch, sample_set_range
+from ..ris.rrset import sample_set_range
 from ..ris.serialization import (
     MESSAGE_HEADER_BYTES,
     FrameTruncatedError,
@@ -84,14 +83,13 @@ from ..ris.serialization import (
     unpack_message,
 )
 from ..ris.wire import decode_batch, encode_batch
-from .cluster import MachineFailure, SimulatedCluster
-from .executor import Executor, GeneratePhase, PhaseResult
+from .cluster import SimulatedCluster
+from .executor import Executor, GeneratePhase, GenerationOutcome
 from .faults import CORRUPT, CRASH, CRASH_HARD, DISCONNECT, DROP, FaultPlan, RetryPolicy
-from .metrics import GENERATION
+from .machine import Machine
 from .spec import ExecutorSpec, MultiprocessingSpec
 
 __all__ = [
-    "GenerationOutcome",
     "WorkerState",
     "serve_connection",
     "WorkerChannel",
@@ -107,24 +105,6 @@ START_METHOD_ENV = "REPRO_MP_START_METHOD"
 #: serving masters that refresh their graphs should not accumulate
 #: attachments forever.
 _MAX_ENROLLMENTS = 4
-
-
-class GenerationOutcome(NamedTuple):
-    """One machine's generation outcome.
-
-    ``error`` is ``None`` on success, otherwise a one-line description
-    (prefixed ``"crash:"``, ``"corruption:"``, ``"disconnect:"`` or
-    ``"timeout:"`` for injected/detected fault kinds) and ``batch`` /
-    ``rng_state`` are ``None``.  ``nbytes`` is the size of the framed
-    compressed payload the worker actually shipped (0 when nothing
-    arrived).
-    """
-
-    batch: FlatBatch | None
-    rng_state: Any
-    elapsed: float
-    error: str | None
-    nbytes: int = 0
 
 
 def _resolve_start_method(start_method: str | None) -> str:
@@ -393,14 +373,12 @@ class WorkerBackedExecutor(Executor):
     workers and then unlinks the block.
 
     Each machine's private RNG is shipped to its worker, the worker
-    draws the machine's batch with it, and the advanced RNG state is
-    restored on the master — so collections *and* subsequent random
-    decisions are bit-identical to :class:`SimulatedExecutor` for the
-    same seed.  A machine's own RNG is only advanced once its payload
-    verifies, so every retry ships the identical pre-attempt state and
-    redraws the identical batch — content never depends on which faults
-    fired.  Failure *detection* is real: a broken stream is a
-    ``disconnect`` the moment it breaks, an expired
+    draws the machine's batch with it, and the advanced RNG state comes
+    back with the batch for the generation loop to adopt once the
+    payload verifies — so collections *and* subsequent random decisions
+    are bit-identical to :class:`SimulatedExecutor` for the same seed,
+    whichever faults fired.  Failure *detection* is real: a broken
+    stream is a ``disconnect`` the moment it breaks, an expired
     ``RetryPolicy.phase_timeout`` is a ``timeout``, and the channel is
     re-opened (and the worker re-enrolled) before the next attempt.
 
@@ -507,15 +485,19 @@ class WorkerBackedExecutor(Executor):
         rngs: List[Any],
         directives: List[str | None] | None = None,
         timeout: float | None = None,
+        machine_ids: Sequence[int] | None = None,
     ) -> List[GenerationOutcome]:
         """Run one generation wave on the workers.
 
         ``counts[i]`` / ``rngs[i]`` / ``directives[i]`` describe task
         ``i`` (a generator is pickled with its state and NOT advanced
         here — restore the returned state to stay in sync); outcomes
-        come back in the same order.  ``timeout`` is the wall-clock
-        deadline for the whole wave; ``None`` waits forever, so a silent
-        worker then hangs — the failure mode
+        come back in the same order.  ``machine_ids[i]`` is the machine
+        task ``i`` belongs to (default: machine ``i``) and fixes its
+        worker, ``machine_id mod W``, so a retry wave over a subset of
+        the machines lands where the first wave did.  ``timeout`` is the
+        wall-clock deadline for the whole wave; ``None`` waits forever,
+        so a silent worker then hangs — the failure mode
         :class:`~repro.cluster.faults.RetryPolicy.phase_timeout` exists
         to prevent.  Failures are captured per task (``outcome.error``),
         never raised.
@@ -526,7 +508,10 @@ class WorkerBackedExecutor(Executor):
             raise ValueError("directives must have one entry per machine")
         if not counts:
             return []
+        if machine_ids is None:
+            machine_ids = range(len(counts))
         channels = self._ensure_channels()
+        placement = [channels[mid % len(channels)] for mid in machine_ids]
         deadline = time.monotonic() + timeout if timeout is not None else None
         expired = None if timeout is None else f"timeout: no result within {timeout:g}s"
         outcomes: List[GenerationOutcome | None] = [None] * len(counts)
@@ -534,15 +519,14 @@ class WorkerBackedExecutor(Executor):
 
         # Start every missing worker before enrolling any: a spawned
         # interpreter takes a while to boot, and they can boot side by side.
-        for channel in channels[: len(counts)]:
+        for channel in dict.fromkeys(placement):
             if channel.sock is None:
                 try:
                     channel.open(self.connect_timeout)
                 except OSError:
                     pass  # tried again, and reported, per task below
         # Pipeline: write every request before awaiting any reply.
-        for position, (count, rng) in enumerate(zip(counts, rngs)):
-            channel = channels[position % len(channels)]
+        for position, (count, rng, channel) in enumerate(zip(counts, rngs, placement)):
             request = {
                 "token": self._token,
                 "model": model,
@@ -630,7 +614,7 @@ class WorkerBackedExecutor(Executor):
                         selector.unregister(channel.sock)
         return outcomes
 
-    # -- generation phases ---------------------------------------------------
+    # -- the generation loop's hooks -----------------------------------------
     def _wire_totals(self) -> Tuple[int, int, int]:
         channels = self._channels or []
         return (
@@ -639,60 +623,10 @@ class WorkerBackedExecutor(Executor):
             sum(c.round_trips for c in channels),
         )
 
-    def _wire_since(self, mark: Tuple[int, int, int]) -> Dict[str, int]:
-        """Per-phase transport kwargs for ``record_compute_phase``."""
-        sent, received, trips = self._wire_totals()
-        return {
-            "wire_sent": sent - mark[0],
-            "wire_received": received - mark[1],
-            "round_trips": trips - mark[2],
-        }
-
-    def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
-        if self.faults is not None:
-            return self._run_generate_with_faults(plan)
-        targets = self._generation_targets(plan)
-        if plan.rng_scheme == "per-set":
-            # The worker resolves this token into per_set_rng substreams;
-            # the machines' sequential streams are never consumed, so no
-            # rng_state comes back.
-            rngs = [
-                ("per-set", plan.seed, machine.machine_id, plan.starts[machine.machine_id])
-                for machine in self.machines
-            ]
-        else:
-            rngs = [machine.rng for machine in self.machines]
-        mark = self._wire_totals()
-        outcomes = self._dispatch(plan.model, plan.method, list(plan.counts), rngs)
-        times = []
-        results = []
-        ipc_bytes = 0
-        for machine, target, outcome in zip(self.machines, targets, outcomes):
-            if outcome.error is not None:
-                raise MachineFailure(machine.machine_id, plan.label) from RuntimeError(
-                    outcome.error
-                )
-            if outcome.rng_state is not None:
-                machine.set_rng_state(outcome.rng_state)
-            append_batch(target, outcome.batch)
-            times.append(outcome.elapsed * machine.slowdown)
-            results.append(outcome.batch.count)
-            ipc_bytes += outcome.nbytes
-        self.metrics.record_compute_phase(
-            GENERATION, plan.label, times, num_bytes=ipc_bytes, **self._wire_since(mark)
-        )
-        return self._result_from_last_phase(plan.label, results)
-
-    @staticmethod
-    def _error_kind(error: str) -> str:
-        """Recovery-event kind for a worker error string."""
-        for kind in ("timeout", "corruption", "disconnect"):
-            if error.startswith(kind):
-                return kind
-        return "crash"
-
-    def _run_generate_with_faults(self, plan: GeneratePhase) -> PhaseResult:
-        """Generation over real workers with real failure detection.
+    def _attempt_wave(
+        self, plan: GeneratePhase, ids: Sequence[int], attempt: int
+    ) -> List[GenerationOutcome]:
+        """One wave on the workers, with real failure detection.
 
         Injected faults travel as per-request *directives* (raise,
         SIGKILL, flip a payload byte, swallow the reply, sever the
@@ -700,101 +634,34 @@ class WorkerBackedExecutor(Executor):
         so a silent worker really is declared lost by the deadline — and
         a dead one really is detected by its broken stream.
         """
-        targets = self._generation_targets(plan)
-        counts = plan.counts
-        faults, policy = self.faults, self.retry
+        time.sleep(self.retry.delay_before(attempt))
+        if plan.rng_scheme == "per-set":
+            # The worker resolves this token into per_set_rng substreams;
+            # the machines' sequential streams are never consumed, so no
+            # rng_state comes back.
+            rngs = [("per-set", plan.seed, mid, plan.starts[mid]) for mid in ids]
+        else:
+            rngs = [self.machines[mid].rng for mid in ids]
         round_index = self.metrics.current_round
-        label = plan.label
-
-        times: List[float] = [0.0] * self.num_machines
-        results: List[int] = [0] * self.num_machines
-        pending = set(range(self.num_machines))
-        last_kind: Dict[int, str] = {}
-        ipc_bytes = 0
-        mark = self._wire_totals()
-
-        for attempt in range(1, policy.max_attempts + 1):
-            if not pending:
-                break
-            delay = policy.delay_before(attempt)
-            if delay:
-                time.sleep(delay)
-            ids = sorted(pending)
-            directives: List[str | None] = [
-                None
-                if (fault := faults.failure_for(mid, round_index, attempt)) is None
-                else fault.kind
-                for mid in ids
-            ]
-            outcomes = self._dispatch(
-                plan.model,
-                plan.method,
-                [counts[mid] for mid in ids],
-                [self.machines[mid].rng for mid in ids],
-                directives=directives,
-                timeout=policy.phase_timeout,
-            )
-            for mid, (batch, rng_state, elapsed, error, nbytes) in zip(ids, outcomes):
-                machine = self.machines[mid]
-                ipc_bytes += nbytes
-                if error is None:
-                    factor = faults.straggler_factor(mid, round_index, attempt)
-                    metered = elapsed * machine.slowdown * factor
-                    if factor > 1.0:
-                        self.metrics.record_recovery(
-                            "straggler-wait",
-                            mid,
-                            label,
-                            attempt,
-                            time_lost=metered - elapsed * machine.slowdown,
-                            detail=f"injected slowdown x{factor:g}",
-                        )
-                    machine.set_rng_state(rng_state)
-                    append_batch(targets[mid], batch)
-                    results[mid] = batch.count
-                    times[mid] += metered
-                    pending.discard(mid)
-                    continue
-                kind = self._error_kind(error)
-                last_kind[mid] = kind
-                lost = elapsed * machine.slowdown + delay
-                self.metrics.record_recovery(
-                    kind, mid, label, attempt, time_lost=lost, detail=error
-                )
-                times[mid] += lost
-
-        if pending:
-            failed = {mid: last_kind.get(mid, "crash") for mid in sorted(pending)}
-            if not policy.reassign:
-                self._raise_unrecovered(label, failed, policy.max_attempts)
-            # Reassignment of last resort: the master replays each lost
-            # quota inline with the machine's own (never-advanced) RNG, so
-            # the batches equal what the workers would have produced.
-            sampler = self.sampler(plan.model, plan.method)
-            for mid in sorted(pending):
-                machine = self.machines[mid]
-                start = time.perf_counter()
-                batch = sampler.sample_batch(machine.rng, counts[mid])
-                elapsed = time.perf_counter() - start
-                append_batch(targets[mid], batch)
-                results[mid] = batch.count
-                times[mid] += elapsed
-                self.metrics.record_recovery(
-                    "reassignment",
-                    mid,
-                    label,
-                    policy.max_attempts,
-                    time_lost=elapsed,
-                    detail=(
-                        f"quota of {counts[mid]} RR sets replayed on the master "
-                        f"after {failed[mid]}"
-                    ),
-                )
-
-        self.metrics.record_compute_phase(
-            GENERATION, label, times, num_bytes=ipc_bytes, **self._wire_since(mark)
+        faults = (self.faults.failure_for(mid, round_index, attempt) for mid in ids)
+        outcomes = self._dispatch(
+            plan.model,
+            plan.method,
+            [plan.counts[mid] for mid in ids],
+            rngs,
+            directives=[None if fault is None else fault.kind for fault in faults],
+            timeout=self.retry.phase_timeout,
+            machine_ids=ids,
         )
-        return self._result_from_last_phase(label, results)
+        return [
+            outcome._replace(elapsed=outcome.elapsed * self.machines[mid].slowdown)
+            for mid, outcome in zip(ids, outcomes)
+        ]
+
+    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> Machine:
+        """Reassignment of last resort: the master redraws the quota
+        inline, on the lost machine's own clock and slot."""
+        return self.machines[mid]
 
     # -- lifecycle -----------------------------------------------------------
     def heartbeat(self) -> List[float | None]:

@@ -93,13 +93,14 @@ class RunConfig:
         (D-SSA, D-OPIM-C) and the error-adaptive rule; ``None`` uses
         each framework's own default.  Ignored by the theta schedule.
     faults:
-        A :class:`~repro.cluster.faults.FaultPlan` — or its
-        :meth:`~repro.cluster.faults.FaultPlan.parse` string form —
-        enabling the fault-tolerant executor path.  ``None`` (default)
-        runs the original healthy path.
+        Failures to inject: a :class:`~repro.cluster.faults.FaultPlan`
+        or its :meth:`~repro.cluster.faults.FaultPlan.parse` string
+        form.  ``None`` (default) = no injection.
     retry:
-        Recovery policy applied when ``faults`` is set; ``None`` uses
-        :data:`~repro.cluster.faults.DEFAULT_RETRY`.
+        Recovery policy of every generation phase; ``None`` uses
+        :data:`~repro.cluster.faults.DEFAULT_RETRY`.  It always applies:
+        a worker that really dies is retried whether or not ``faults``
+        is set.
     """
 
     graph: Any

@@ -21,8 +21,6 @@ comparisons therefore isolate the distribution machinery itself.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..cluster.cluster import SimulatedCluster
 from ..cluster.executor import executor_scope, make_executor
 from ..cluster.faults import FaultPlan, RetryPolicy
@@ -107,10 +105,10 @@ def imm_from_config(config: RunConfig, *, executor=None, pool=None) -> IMResult:
     ``executor`` lends a pre-built single-machine executor whose worker
     pool and shared-memory graph the run reuses and never closes; the
     caller also owns the cluster's RNG streams (no reseeding happens).
-    ``pool`` serves the query warm from a
-    :class:`~repro.core.pool.SamplePool` built with
-    ``rng_scheme="legacy-imm"``; the result is bit-identical to a cold
-    run with the same config.
+    ``pool`` serves the query warm from a single-machine
+    :class:`~repro.core.pool.SamplePool`; with the default ``"cluster"``
+    RNG scheme the result is bit-identical to a cold run with the same
+    config.
     """
     config.validate("imm")
     graph, k = config.graph, config.k
@@ -143,12 +141,6 @@ def imm_from_config(config: RunConfig, *, executor=None, pool=None) -> IMResult:
         if executor is not None:
             raise ValueError("pass either executor or pool, not both")
         pool.check_config(config, machines=1)
-        if pool.rng_scheme not in ("legacy-imm", "per-set"):
-            raise ValueError(
-                "IMM warm pools must use rng_scheme='legacy-imm' (the "
-                "baseline's historical stream) or 'per-set' (dynamic "
-                f"serving's repairable substreams); got {pool.rng_scheme!r}"
-            )
         with pool.query_metrics() as metrics:
             driver = RoundDriver(
                 pool.executor,
@@ -166,10 +158,6 @@ def imm_from_config(config: RunConfig, *, executor=None, pool=None) -> IMResult:
     owns_executor = executor is None
     if owns_executor:
         cluster = SimulatedCluster(1, seed=config.seed)
-        # The baseline's historical stream: one generator seeded directly
-        # (not spawned through the cluster's seed sequence), so results
-        # match the original single-machine implementation bit for bit.
-        cluster.machines[0].rng = np.random.default_rng(config.seed)
         exec_ = make_executor(
             config.executor_spec(),
             cluster,

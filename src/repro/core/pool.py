@@ -79,13 +79,12 @@ __all__ = ["SamplePool", "PREFIX_DETERMINISTIC_METHODS", "RNG_SCHEMES"]
 PREFIX_DETERMINISTIC_METHODS: Tuple[str, ...] = ("bfs", "subsim")
 
 #: How the pool seeds its machines: ``"cluster"`` spawns per-machine
-#: streams from the cluster seed sequence (every distributed algorithm);
-#: ``"legacy-imm"`` seeds machine 0 directly (the single-machine IMM
-#: baseline's historical stream); ``"per-set"`` draws RR set ``i`` of
-#: machine ``m`` from its own counter-based substream
+#: streams from the cluster seed sequence (every algorithm, IMM being
+#: the ``l = 1`` case); ``"per-set"`` draws RR set ``i`` of machine ``m``
+#: from its own counter-based substream
 #: (:func:`~repro.ris.rrset.per_set_rng`), which is what makes sets
 #: individually regenerable after a graph update (:meth:`SamplePool.repair`).
-RNG_SCHEMES: Tuple[str, ...] = ("cluster", "legacy-imm", "per-set")
+RNG_SCHEMES: Tuple[str, ...] = ("cluster", "per-set")
 
 #: Donated coverage snapshots kept per collection key.
 MAX_CACHED_COVERAGE = 4
@@ -148,10 +147,6 @@ class SamplePool:
             raise ValueError(
                 f"rng_scheme must be one of {RNG_SCHEMES}, got {rng_scheme!r}"
             )
-        if rng_scheme == "legacy-imm" and machines != 1:
-            raise ValueError(
-                f"the legacy-imm RNG scheme is single-machine, got {machines} machines"
-            )
         if sampler is not None and sampler_factory is not None:
             raise ValueError("pass either sampler or sampler_factory, not both")
         spec = as_spec(executor)
@@ -161,8 +156,6 @@ class SamplePool:
         self.method = method
         self.rng_scheme = rng_scheme
         self.cluster = SimulatedCluster(machines, network=network, seed=seed)
-        if rng_scheme == "legacy-imm":
-            self.cluster.machines[0].rng = np.random.default_rng(seed)
         self.executor = make_executor(spec, self.cluster, graph=graph)
         try:
             self._sampler_factory = sampler_factory

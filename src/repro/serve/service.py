@@ -3,9 +3,9 @@
 An :class:`InfluenceService` owns one :class:`~repro.core.pool.SamplePool`
 per distinct sampling stream it has needed so far — the distributed
 cluster-seeded pool serving DIIMM / D-SUBSIM and the fixed-budget
-applications, the single-machine legacy pool serving the IMM baseline,
-and one targeted pool per distinct target set — and routes each query to
-the right pool:
+applications, the one-machine pool serving the IMM baseline (the
+``l = 1`` run), and one targeted pool per distinct target set — and
+routes each query to the right pool:
 
 * **IMM-family queries** (``imm``, ``diimm``, ``dsubsim``) run the normal
   :class:`~repro.core.driver.RoundDriver` schedule against prefix views
@@ -234,18 +234,11 @@ class InfluenceService:
             return pool
 
     def _im_pool(self, kind: str) -> SamplePool:
-        if kind == "imm":
-            return self._pool(
-                ("legacy", self.method),
-                machines=1,
-                model=self.model,
-                method=self.method,
-                rng_scheme="per-set" if self.dynamic else "legacy-imm",
-            )
+        single = kind == "imm"  # the l = 1 run of the same stream: its own pool
         method = "subsim" if kind == "dsubsim" else self.method
         return self._pool(
-            ("cluster", method),
-            machines=self.machines,
+            ("imm" if single else "cluster", method),
+            machines=1 if single else self.machines,
             model="ic" if kind == "dsubsim" else self.model,
             method=method,
             rng_scheme="per-set" if self.dynamic else "cluster",

@@ -11,6 +11,7 @@ import pytest
 from repro.cluster import (
     GENERATION,
     BroadcastPhase,
+    Executor,
     GatherPhase,
     GeneratePhase,
     MachineFailure,
@@ -19,6 +20,7 @@ from repro.cluster import (
     MultiprocessingExecutor,
     SimulatedCluster,
     SimulatedExecutor,
+    SocketExecutor,
     as_executor,
     make_executor,
 )
@@ -183,6 +185,14 @@ class TestExecutorConformance:
 
 
 class TestFactories:
+    @pytest.mark.parametrize(
+        "backend", [SimulatedExecutor, MultiprocessingExecutor, SocketExecutor]
+    )
+    def test_backends_share_the_one_generation_loop(self, backend):
+        """Retries, metering and recovery live in Executor._run_generate;
+        a backend that overrides it has grown a second loop."""
+        assert backend._run_generate is Executor._run_generate
+
     def test_make_executor_unknown_name(self, small_wc_graph):
         cluster = SimulatedCluster(2, seed=0)
         with pytest.raises(ValueError, match="unknown executor"):

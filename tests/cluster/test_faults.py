@@ -9,6 +9,8 @@ change only the metered times and the recovery log.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import time
 
 import numpy as np
@@ -190,7 +192,7 @@ class TestMessageFraming:
 # ----------------------------------------------------------------------
 #: Plans the matrix proves invariant.  Each exercises a distinct recovery
 #: path: transient crash (retry), persistent crash (reassignment),
-#: straggler (no retry, time only), corruption (retransmission), silent
+#: straggler (no retry, time only), corruption (spoiled transfer, retry), silent
 #: drop (timeout detection), and a pile-up of all of them at once.
 MATRIX_PLANS = [
     "crash@m1",
@@ -294,6 +296,18 @@ class TestSeededPlanInvariance:
         assert result.estimated_spread == baseline.estimated_spread
 
 
+#: One plan per fault kind -> the recovery event the simulated executor
+#: logs it as (silent failures wait out the simulated deadline).
+PER_SET_FAULTS = [
+    ("crash@m1", "crash"),
+    ("crash-hard@m1", "timeout"),
+    ("disconnect@m1", "disconnect"),
+    ("drop@m1", "timeout"),
+    ("corrupt@m1", "corruption"),
+    ("straggler@m1x3", "straggler-wait"),
+]
+
+
 class TestGenerateLevelInvariance:
     """Invariance at the executor layer, independent of any algorithm."""
 
@@ -323,6 +337,29 @@ class TestGenerateLevelInvariance:
         # Round-targeted specs never fire outside a driver round.
         fires = any(spec.round_index is None for spec in FaultPlan.parse(plan).specs)
         assert bool(metrics.recovery_events) == fires
+
+    @pytest.mark.parametrize("fault,logged", PER_SET_FAULTS)
+    def test_per_set_phase_invariant_under_every_fault_kind(self, small_wc_graph, fault, logged):
+        """Per-set phases pass through the same loop: their token is
+        stateless, so a retry or a replay redraws the identical sets."""
+
+        def generate(faults):
+            cluster = SimulatedCluster(3, seed=5)
+            cluster.init_collections(small_wc_graph.num_nodes)
+            executor = SimulatedExecutor(cluster, graph=small_wc_graph, faults=faults, retry=RETRY)
+            executor.run_phase(
+                GeneratePhase(
+                    "gen", counts=(14, 9, 21), rng_scheme="per-set", seed=123, starts=(0, 14, 23)
+                )
+            )
+            return [m.collection for m in cluster.machines], cluster.metrics
+
+        reference, _ = generate(None)
+        faulty, metrics = generate(FaultPlan.parse(fault))
+        for ref, got in zip(reference, faulty):
+            np.testing.assert_array_equal(ref.nodes, got.nodes)
+            np.testing.assert_array_equal(ref.offsets, got.offsets)
+        assert logged in [event.kind for event in metrics.recovery_events]
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +465,25 @@ class TestWorkerLoss:
         assert time.monotonic() - started < 15.0
         assert error.machine_ids == (1,)
         assert [event.kind for event in metrics.recovery_events] == ["disconnect"] * 2
+
+    def test_unarmed_run_recovers_from_a_killed_worker(self, small_wc_graph, spec):
+        """No FaultPlan anywhere: the retry policy still applies, so a
+        worker that really dies mid-run costs one retry, not the run."""
+        config = _diimm_config(small_wc_graph, machines=2)
+        golden = run("diimm", config)
+        cluster = SimulatedCluster(2, seed=config.seed)
+        with make_executor(spec, cluster, graph=small_wc_graph) as executor:
+            assert executor.retry is DEFAULT_RETRY
+            assert None not in executor.heartbeat()  # workers up, RNG streams untouched
+            victim = executor._channels[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            result = run("diimm", config, executor=executor)
+        assert result.seeds == golden.seeds
+        assert result.num_rr_sets == golden.num_rr_sets
+        assert result.estimated_spread == golden.estimated_spread
+        events = result.metrics.recovery_events
+        assert [(event.kind, event.machine_id) for event in events] == [("disconnect", 1)]
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,32 @@ class ConformanceSuite(TransportSuite):
         # are unchanged on both sides.
         assert got == golden
 
+    @pytest.mark.parametrize(
+        "fault,logged",
+        [
+            ("crash@m1", "crash"),
+            ("crash-hard@m1", "disconnect"),  # real workers see the broken stream at once
+            ("disconnect@m1", "disconnect"),
+            ("drop@m1", "timeout"),
+            ("corrupt@m1", "corruption"),
+            ("straggler@m1x3", "straggler-wait"),
+        ],
+    )
+    def test_per_set_scheme_bit_identical_under_faults(self, small_wc_graph, fault, logged):
+        plan = GeneratePhase(
+            "t/perset", counts=COUNTS, rng_scheme="per-set", seed=123, starts=(0, 14, 23)
+        )
+        golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
+        got, metrics = run_and_snapshot(
+            self.spec(2),
+            small_wc_graph,
+            plan,
+            faults=FaultPlan.parse(fault),
+            retry=RetryPolicy(max_attempts=2, phase_timeout=3.0),
+        )
+        assert got == golden
+        assert logged in [event.kind for event in metrics.recovery_events]
+
     @pytest.mark.parametrize("zero_copy", [True, False])
     def test_fault_directives_in_both_broadcast_modes(self, small_wc_graph, zero_copy):
         with self.build(small_wc_graph, workers=1, zero_copy=zero_copy) as executor:
@@ -218,6 +244,17 @@ class LifecycleSuite(TransportSuite):
             assert [channel.process.pid for channel in executor._channels] == pids
             assert all(channel.process.is_alive() for channel in executor._channels)
         assert all(outcome.error is None for outcome in first + second)
+
+    def test_retry_wave_keeps_machine_mod_workers_placement(self, small_wc_graph):
+        """Machines 1 and 3 live on worker 1; the retry wave over just
+        those two must go back there, not to positions 0 and 1."""
+        faults = FaultPlan.parse("crash@m1;crash@m3")
+        with self.build(small_wc_graph, workers=2, num_machines=4, faults=faults) as executor:
+            executor.run_phase(GeneratePhase("t/gen", counts=(3, 3, 3, 3)))
+            zero, one = executor._channels
+            # enroll + machines 0, 2 once; enroll + machines 1, 3 twice.
+            assert (zero.round_trips, one.round_trips) == (3, 5)
+            assert [m.collection.num_sets for m in executor.machines] == [3, 3, 3, 3]
 
     def test_executor_owns_one_pool_for_the_run(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:

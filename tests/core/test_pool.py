@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import POOLABLE, RunConfig, run
 from repro.cluster.cluster import SimulatedCluster
+from repro.core import diimm, imm
 from repro.core.pool import MAX_CACHED_COVERAGE, SamplePool
 from repro.coverage.state import CoverageState
 from repro.ris import FlatRRCollection, make_sampler
@@ -24,10 +25,6 @@ class TestConstruction:
     def test_rejects_unknown_rng_scheme(self, small_wc_graph):
         with pytest.raises(ValueError, match="rng_scheme"):
             SamplePool(small_wc_graph, rng_scheme="nope")
-
-    def test_legacy_imm_is_single_machine(self, small_wc_graph):
-        with pytest.raises(ValueError, match="single-machine"):
-            SamplePool(small_wc_graph, machines=2, rng_scheme="legacy-imm")
 
     def test_close_is_idempotent(self, small_wc_graph):
         pool = SamplePool(small_wc_graph, machines=2)
@@ -199,16 +196,19 @@ class TestWarmColdEquivalence:
                 assert warm.total_edges_examined == cold[k].total_edges_examined
             assert pool.queries_served == 3
 
-    def test_imm_requires_legacy_scheme(self, small_wc_graph):
-        with SamplePool(small_wc_graph, machines=1, seed=7) as pool:
-            with pytest.raises(ValueError, match="legacy-imm"):
-                run("imm", RunConfig(graph=small_wc_graph, k=3, seed=7), pool=pool)
+    @pytest.mark.parametrize("k,seed", [(3, 7), (4, 11), (6, 3)])
+    def test_imm_is_diimm_on_one_machine(self, small_wc_graph, k, seed):
+        """Lemma 2 at l = 1: IMM draws the l = 1 cluster stream, so the
+        baseline and one-machine DIIMM see the same RR sets."""
+        single = imm(small_wc_graph, k, seed=seed)
+        distributed = diimm(small_wc_graph, k, 1, seed=seed)
+        assert single.seeds == distributed.seeds
+        assert single.num_rr_sets == distributed.num_rr_sets
+        assert single.estimated_spread == distributed.estimated_spread
 
     def test_imm_warm_equals_cold(self, small_wc_graph):
         cold = run("imm", RunConfig(graph=small_wc_graph, k=4, seed=7))
-        with SamplePool(
-            small_wc_graph, machines=1, seed=7, rng_scheme="legacy-imm"
-        ) as pool:
+        with SamplePool(small_wc_graph, machines=1, seed=7) as pool:
             warm = run("imm", RunConfig(graph=small_wc_graph, k=4, seed=7), pool=pool)
         assert warm.seeds == cold.seeds
         assert warm.estimated_spread == cold.estimated_spread

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import SimulatedCluster
-from repro.cluster.executor import GeneratePhase, make_executor
-from repro.cluster.faults import FaultPlan
+from repro.cluster.executor import make_executor
 from repro.core.pool import SamplePool
 from repro.coverage import CoverageState
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
@@ -278,22 +277,3 @@ class TestRefusals:
                 cold.close()
         finally:
             warm.close()
-
-    def test_per_set_generation_refuses_fault_injection(self, small_wc_graph):
-        cluster = SimulatedCluster(1, seed=SEED)
-        executor = make_executor(
-            "simulated", cluster, graph=small_wc_graph, faults=FaultPlan()
-        )
-        with pytest.raises(ValueError, match="fault injection"):
-            executor.run_phase(
-                GeneratePhase(
-                    "gen",
-                    counts=(5,),
-                    targets=None,
-                    model="ic",
-                    method="bfs",
-                    rng_scheme="per-set",
-                    seed=SEED,
-                    starts=(0,),
-                )
-            )
