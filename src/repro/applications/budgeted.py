@@ -16,7 +16,7 @@ the master simply ranks by ``Delta(v) / c(v)`` instead of ``Delta(v)``.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..cluster.cluster import SimulatedCluster
 from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
+from ..coverage.kernel import sparse_decrements
 from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
@@ -115,31 +116,21 @@ def budgeted_influence_maximization(
     def run_map_round(seed_node: int) -> int:
         cluster.broadcast("budgeted/seed", SEED_BYTES)
 
-        def map_stage(machine: Machine) -> tuple[Dict[int, int], int]:
-            store = machine.collection
-            covered = machine.state["covered"]
-            delta: Dict[int, int] = {}
-            newly = 0
-            for element in store.sets_containing(seed_node):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                newly += 1
-                for node in store.get(element).tolist():
-                    delta[node] = delta.get(node, 0) + 1
-            return delta, newly
+        def map_stage(machine: Machine):
+            return sparse_decrements(
+                machine.collection, seed_node, machine.state["covered"]
+            )
 
         responses = cluster.map(COMPUTATION, "budgeted/map", map_stage)
         cluster.gather(
-            "budgeted/gather", [TUPLE_BYTES * len(d) for d, __ in responses]
+            "budgeted/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
         )
 
         def reduce_stage() -> int:
             gained = 0
-            for delta, newly in responses:
+            for ids, decs, newly in responses:
                 gained += newly
-                for node, dec in delta.items():
-                    counts[node] -= dec
+                counts[ids] -= decs
             return gained
 
         return cluster.run_on_master("budgeted/reduce", reduce_stage)

@@ -16,7 +16,7 @@ round structure verbatim.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ..cluster.cluster import SimulatedCluster
 from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
+from ..coverage.kernel import sparse_decrements
 from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
@@ -109,31 +110,21 @@ def profit_maximization(
         seeds.append(candidate)
         cluster.broadcast("profit/seed", SEED_BYTES)
 
-        def map_stage(machine: Machine, seed_node: int = candidate) -> tuple[Dict[int, int], int]:
-            store = machine.collection
-            covered = machine.state["covered"]
-            delta: Dict[int, int] = {}
-            newly = 0
-            for element in store.sets_containing(seed_node):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                newly += 1
-                for node in store.get(element).tolist():
-                    delta[node] = delta.get(node, 0) + 1
-            return delta, newly
+        def map_stage(machine: Machine, seed_node: int = candidate):
+            return sparse_decrements(
+                machine.collection, seed_node, machine.state["covered"]
+            )
 
         responses = cluster.map(COMPUTATION, "profit/map", map_stage)
         cluster.gather(
-            "profit/gather", [TUPLE_BYTES * len(d) for d, __ in responses]
+            "profit/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
         )
 
         def reduce_stage() -> int:
             gained = 0
-            for delta, newly in responses:
+            for ids, decs, newly in responses:
                 gained += newly
-                for node, dec in delta.items():
-                    counts[node] -= dec
+                counts[ids] -= decs
             return gained
 
         coverage += cluster.run_on_master("profit/reduce", reduce_stage)

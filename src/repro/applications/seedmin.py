@@ -15,8 +15,6 @@ instead of a seed count.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
@@ -24,6 +22,7 @@ from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
 from ..coverage.greedy import BucketQueue
+from ..coverage.kernel import sparse_decrements
 from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
@@ -94,31 +93,21 @@ def seed_minimization(
         seeds.append(candidate)
         cluster.broadcast("seedmin/seed", SEED_BYTES)
 
-        def map_stage(machine: Machine, seed_node: int = candidate) -> tuple[Dict[int, int], int]:
-            store = machine.collection
-            covered = machine.state["covered"]
-            delta: Dict[int, int] = {}
-            newly = 0
-            for element in store.sets_containing(seed_node):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                newly += 1
-                for node in store.get(element).tolist():
-                    delta[node] = delta.get(node, 0) + 1
-            return delta, newly
+        def map_stage(machine: Machine, seed_node: int = candidate):
+            return sparse_decrements(
+                machine.collection, seed_node, machine.state["covered"]
+            )
 
         responses = cluster.map(COMPUTATION, "seedmin/map", map_stage)
         cluster.gather(
-            "seedmin/gather", [TUPLE_BYTES * len(d) for d, __ in responses]
+            "seedmin/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
         )
 
         def reduce_stage() -> int:
             gained = 0
-            for delta, newly in responses:
+            for ids, decs, newly in responses:
                 gained += newly
-                for node, dec in delta.items():
-                    counts[node] -= dec
+                counts[ids] -= decs
             return gained
 
         coverage += cluster.run_on_master("seedmin/reduce", reduce_stage)

@@ -42,17 +42,22 @@ class BucketQueue:
 
     def __init__(self, counts: np.ndarray, candidates: Sequence[int] | None = None) -> None:
         self._counts = counts
-        self._buckets: Dict[int, List[int]] = {}
-        ids = range(counts.size) if candidates is None else candidates
-        max_d = 0
-        for set_id in ids:
-            d = int(counts[set_id])
-            if d > 0:
-                self._buckets.setdefault(d, []).append(int(set_id))
-                max_d = max(max_d, d)
-        for heap in self._buckets.values():
-            heapq.heapify(heap)
-        self._cursor = max_d
+        if candidates is None:
+            ids = np.flatnonzero(counts > 0)
+        else:
+            ids = np.asarray(candidates, dtype=np.int64)
+            ids = ids[counts[ids] > 0]
+        marginals = counts[ids]
+        # Sorted by (marginal, id) every bucket is one slice, and an
+        # ascending list already satisfies the heap invariant.
+        order = np.lexsort((ids, marginals))
+        marginals = marginals[order]
+        ids = ids[order].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(marginals)) + 1).tolist(), len(ids)]
+        self._buckets: Dict[int, List[int]] = {
+            int(marginals[lo]): ids[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+        }
+        self._cursor = int(marginals[-1]) if ids else 0
 
     def pop_max(self) -> int | None:
         """Return the lowest-id set with the largest current marginal.

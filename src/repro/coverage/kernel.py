@@ -73,9 +73,10 @@ def as_flat(store):
     """Return ``store`` with the flat CSR surface (no-op when already flat).
 
     A :class:`~repro.ris.flat.FlatPrefixView` — the warm pool's per-query
-    window onto a shared collection — already exposes the raw arrays the
-    kernel reads and passes through untouched; anything else is copied
-    into a fresh :class:`FlatRRCollection`.
+    window onto a shared collection — already exposes what the selection
+    kernels read (``sets_containing`` and the forward arrays) and passes
+    through untouched; anything else is copied into a fresh
+    :class:`FlatRRCollection`.
     """
     if isinstance(store, (FlatRRCollection, FlatPrefixView)):
         return store

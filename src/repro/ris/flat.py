@@ -5,17 +5,22 @@ arrays — one ``int32`` ``nodes`` array concatenating all set contents and
 one ``int64`` ``offsets`` array delimiting them — exactly the layout the
 CSR graph and the checkpoint format already use.  The inverted index
 ``I_i(v)`` is itself stored in CSR form (``inv_sets`` / ``inv_offsets``),
-built in one shot with a stable ``np.argsort`` over the nodes array plus
-an ``np.bincount`` prefix sum, instead of the reference
-:class:`~repro.ris.collection.RRCollection`'s per-node Python lists.
+built in one shot by :func:`build_inverted_index` — one in-place sort of
+packed ``(node, set id)`` keys plus an ``np.bincount`` prefix sum —
+instead of the reference :class:`~repro.ris.collection.RRCollection`'s
+per-node Python lists.
 
 The collection grows append-mostly: DIIMM grows ``R_i`` in waves, so
-appends are buffered and both CSR structures are rebuilt lazily on the
-next read.  With ``W`` waves over ``T`` total incidences the rebuild
-work is ``O(W * T)`` — negligible next to generation — and every read
-between waves hits pure NumPy arrays, which is what lets
-:mod:`repro.coverage.kernel` replace the per-element Python loops of the
-greedy hot path with fancy indexing.
+appends are buffered and folded into the forward arrays on the next
+read; the inverted side is built by the first read that needs it
+(selection, ``affected_sets``, ``coverage_of``), so a wave's coverage
+ingest — which only counts nodes — never pays for it.  With ``W``
+selection rounds over ``T`` total incidences that is ``W`` sorts of at
+most ``T`` keys, once per round that grew and never per query: a
+:class:`FlatPrefixView` cuts the rows of its store's index instead of
+building its own.  Every read between waves hits pure NumPy arrays,
+which is what lets :mod:`repro.coverage.kernel` replace the per-element
+Python loops of the greedy hot path with fancy indexing.
 
 Since the dynamic-graph work the store also *repairs* in place: when a
 :class:`~repro.graphs.digraph.GraphDelta` lands, :meth:`affected_sets`
@@ -33,7 +38,8 @@ Ordering invariants (relied on by the exactness tests):
   (sorted) order, identical to the reference store;
 * ``sets_containing(v)`` returns element indices in ascending order,
   matching the insertion-ordered lists of the reference inverted index —
-  the stable sort ties element ids back in ascending order.
+  the set id is the low half of the sort key.  Prefix views rely on it:
+  the sets below a limit are a leading slice of every row.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "FlatPrefixView",
     "MAX_NODES",
     "append_batch",
+    "build_inverted_index",
     "make_collection",
     "gather_rows",
 ]
@@ -80,6 +87,38 @@ def gather_rows(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np
     ends = np.cumsum(lengths)
     ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
     return values[np.repeat(starts, lengths) + ramp]
+
+
+def _set_id_bits(num_nodes: int, num_sets: int) -> int:
+    """Bits the set id takes in an index sort key; checks the key fits."""
+    bits = max(num_sets - 1, 0).bit_length()
+    if (num_nodes - 1).bit_length() + bits > 63:
+        raise ValueError(
+            f"cannot index {num_sets} RR sets over {num_nodes} nodes: the "
+            "(node, set id) sort key must fit in 63 bits"
+        )
+    return bits
+
+
+def build_inverted_index(
+    nodes: np.ndarray, offsets: np.ndarray, num_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR inverted index ``(inv_sets, inv_offsets)`` of a CSR set store.
+
+    Sorts the keys ``node << bits | set_id`` in place and masks the set
+    ids back out, so each node's row lists its sets in ascending id —
+    the order a stable argsort of ``nodes`` gives — without the argsort's
+    permutation array or a gather through it.
+    """
+    num_sets = offsets.size - 1
+    bits = _set_id_bits(num_nodes, num_sets)
+    inv_sets = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(offsets))
+    inv_sets |= np.left_shift(nodes, bits, dtype=np.int64)
+    inv_sets.sort()
+    inv_sets &= (1 << bits) - 1
+    inv_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=num_nodes), out=inv_offsets[1:])
+    return inv_sets, inv_offsets
 
 
 class FlatRRCollection:
@@ -113,9 +152,11 @@ class FlatRRCollection:
         self._num_nodes = num_nodes
         self._nodes = np.zeros(0, dtype=np.int32)
         self._offsets = np.zeros(1, dtype=np.int64)
+        # ``_inv_sets`` is None from the moment appends are folded in
+        # until a read that needs the inverted side rebuilds it.
         self._inv_sets = np.zeros(0, dtype=np.int64)
         self._inv_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        # Appends land here until the next read rebuilds the CSR arrays.
+        # Appends land here until the next read folds them in.
         self._pending: List[np.ndarray] = []
         self._pending_edges: List[np.ndarray] = []
         # Cumulative per-set edges-examined: entry j is the total over the
@@ -212,7 +253,7 @@ class FlatRRCollection:
             self._total_edges_examined += int(edges_examined)
 
     def _materialize(self) -> None:
-        """Fold pending appends into the CSR arrays and rebuild the index."""
+        """Fold pending appends into the forward CSR arrays."""
         if not self._pending:
             self._pending_edges = [e for e in self._pending_edges if e.size]
             return
@@ -228,19 +269,18 @@ class FlatRRCollection:
             [self._edges_cumsum, self._edges_cumsum[-1] + np.cumsum(per_set_edges)]
         )
         self._pending_edges = []
-        self._rebuild_index()
+        self._inv_sets = None
 
     def _rebuild_index(self) -> None:
-        # CSR inverted index: stable sort keeps element ids ascending
-        # within each node bucket, matching the reference I_i(v) order.
-        order = np.argsort(self._nodes, kind="stable")
-        set_ids = np.repeat(
-            np.arange(self._num_sets, dtype=np.int64), np.diff(self._offsets)
+        self._inv_sets, self._inv_offsets = build_inverted_index(
+            self._nodes, self._offsets, self._num_nodes
         )
-        self._inv_sets = set_ids[order]
-        counts = np.bincount(self._nodes, minlength=self._num_nodes)
-        self._inv_offsets = np.zeros(self._num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._inv_offsets[1:])
+
+    def _ensure_index(self) -> None:
+        """Fold pending appends, then build ``I_i(v)`` if they outdated it."""
+        self._materialize()
+        if self._inv_sets is None:
+            self._rebuild_index()
 
     # ------------------------------------------------------------------
     # Repair surface (dynamic graphs)
@@ -256,7 +296,7 @@ class FlatRRCollection:
         *contains* a touched node — the node-keyed inverted index is the
         edge→RR-set index.
         """
-        self._materialize()
+        self._ensure_index()
         if touched is None:
             return np.arange(self._num_sets, dtype=np.int64)
         touched = np.asarray(touched, dtype=np.int64)
@@ -370,13 +410,17 @@ class FlatRRCollection:
         return mapping
 
     def nbytes(self) -> int:
-        """Bytes held by the materialized CSR arrays."""
+        """Bytes held by the materialized CSR arrays, index included.
+
+        The inverted side is sized by what it will hold (one ``int64``
+        per incidence, ``num_nodes + 1`` offsets), so asking never
+        forces a build.
+        """
         self._materialize()
         return int(
             self._nodes.nbytes
             + self._offsets.nbytes
-            + self._inv_sets.nbytes
-            + self._inv_offsets.nbytes
+            + 8 * (self._nodes.size + self._num_nodes + 1)
             + self._edges_cumsum.nbytes
         )
 
@@ -398,13 +442,13 @@ class FlatRRCollection:
     @property
     def inv_sets(self) -> np.ndarray:
         """Element ids of the CSR inverted index, grouped by node."""
-        self._materialize()
+        self._ensure_index()
         return self._inv_sets
 
     @property
     def inv_offsets(self) -> np.ndarray:
         """``int64`` array of length ``num_nodes + 1`` delimiting ``I_i(v)``."""
-        self._materialize()
+        self._ensure_index()
         return self._inv_offsets
 
     # ------------------------------------------------------------------
@@ -470,7 +514,7 @@ class FlatRRCollection:
 
     def sets_containing(self, node: int) -> np.ndarray:
         """Ascending element ids of RR sets containing ``node`` (``I_i(node)``)."""
-        self._materialize()
+        self._ensure_index()
         node = int(node)
         if not 0 <= node < self._num_nodes:
             return self._inv_sets[:0]
@@ -480,15 +524,12 @@ class FlatRRCollection:
         """Per-node count of RR sets (with index >= ``start``) containing it."""
         self._materialize()
         lo = self._offsets[min(start, self._num_sets)]
-        return np.bincount(self._nodes[lo:], minlength=self._num_nodes).astype(np.int64)
+        counts = np.bincount(self._nodes[lo:], minlength=self._num_nodes)
+        return counts.astype(np.int64, copy=False)
 
     def coverage_of(self, seeds: Iterable[int]) -> int:
         """Number of stored RR sets covered by the seed set."""
-        self._materialize()
-        seeds = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
-        seeds = seeds[(seeds >= 0) & (seeds < self._num_nodes)]
-        elements = gather_rows(self._inv_sets, self._inv_offsets, seeds)
-        return int(np.unique(elements).size)
+        return _count_covered(self, seeds, self._num_sets)
 
     # ------------------------------------------------------------------
     # Conversions
@@ -544,6 +585,14 @@ class FlatRRCollection:
         )
 
 
+def _count_covered(store: FlatRRCollection, seeds: Iterable[int], limit: int) -> int:
+    """How many of ``store``'s first ``limit`` sets contain a seed."""
+    seeds = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
+    seeds = seeds[(seeds >= 0) & (seeds < store.num_nodes)]
+    elements = gather_rows(store.inv_sets, store.inv_offsets, seeds)
+    return int(np.unique(elements[elements < limit]).size)
+
+
 class FlatPrefixView:
     """A read-only view of the first ``limit`` RR sets of a flat store.
 
@@ -555,31 +604,29 @@ class FlatPrefixView:
     is bit-identical to the collection a cold run of the same schedule
     would have built, and so is everything selected from it.
 
-    The view implements the full store read protocol plus the raw-array
-    surface the flat coverage kernel uses (:attr:`nodes`,
-    :attr:`offsets`, :attr:`inv_sets`, :attr:`inv_offsets`), so greedy
-    selection and NEWGREEDI run on a view unchanged.  ``nodes`` and
-    ``offsets`` are zero-copy slices; the prefix inverted index is built
-    lazily per distinct limit (one stable argsort over the prefix — the
-    same work a cold run's per-round materialize does), or borrowed from
-    the backing store when the view covers it entirely.
+    The view implements the full store read protocol plus the forward
+    arrays the flat coverage kernel gathers from (:attr:`nodes`,
+    :attr:`offsets`), so greedy selection and NEWGREEDI run on a view
+    unchanged.  Both are zero-copy slices, and the view owns no inverted
+    index: every row of the store's ``I_i(v)`` is ascending in set id, so
+    the sets below the limit are the row cut at
+    ``searchsorted(row, limit)``.  A query over a pool that did not grow
+    therefore sorts nothing; one that did pays the store's single
+    rebuild, shared by every later query.
 
     Limits only grow (:meth:`set_limit`), matching the store's
     append-mostly growth, and must never exceed the backing store's
     current size — the pool tops the store up *before* advancing any
-    view.  A view does **not** survive in-place repair: after
-    :meth:`FlatRRCollection.replace_sets` / :meth:`~FlatRRCollection.compact`
-    its sliced arrays and cached prefix index describe the old contents,
-    so repair-capable callers (the sample pool) build a fresh view per
-    query and never hold one across an update.
+    view.  After :meth:`FlatRRCollection.replace_sets` the view reads
+    the repaired contents, after :meth:`~FlatRRCollection.compact` its
+    limit counts renumbered sets — neither is the snapshot a query
+    started on, so repair-capable callers (the sample pool) build a
+    fresh view per query and never hold one across an update.
     """
 
     def __init__(self, store: FlatRRCollection, limit: int = 0) -> None:
         self._store = store
         self._limit = 0
-        self._inv_limit = -1
-        self._inv_sets = np.zeros(0, dtype=np.int64)
-        self._inv_offsets = np.zeros(store.num_nodes + 1, dtype=np.int64)
         self.set_limit(limit)
 
     @property
@@ -614,37 +661,6 @@ class FlatPrefixView:
     def offsets(self) -> np.ndarray:
         return self._store.offsets[: self._limit + 1]
 
-    def _prefix_index(self) -> None:
-        if self._inv_limit == self._limit:
-            return
-        if self._limit == self._store.num_sets:
-            # The view covers the whole store: borrow its index.  The
-            # borrowed arrays stay valid even if the store grows later —
-            # they describe exactly the first `limit` sets.
-            self._inv_sets = self._store.inv_sets
-            self._inv_offsets = self._store.inv_offsets
-        else:
-            nodes = self.nodes
-            order = np.argsort(nodes, kind="stable")
-            set_ids = np.repeat(
-                np.arange(self._limit, dtype=np.int64), np.diff(self.offsets)
-            )
-            self._inv_sets = set_ids[order]
-            counts = np.bincount(nodes, minlength=self._store.num_nodes)
-            self._inv_offsets = np.zeros(self._store.num_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=self._inv_offsets[1:])
-        self._inv_limit = self._limit
-
-    @property
-    def inv_sets(self) -> np.ndarray:
-        self._prefix_index()
-        return self._inv_sets
-
-    @property
-    def inv_offsets(self) -> np.ndarray:
-        self._prefix_index()
-        return self._inv_offsets
-
     # -- store protocol -------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -677,26 +693,18 @@ class FlatPrefixView:
             yield self._store.get(idx)
 
     def sets_containing(self, node: int) -> np.ndarray:
-        self._prefix_index()
-        node = int(node)
-        if not 0 <= node < self._store.num_nodes:
-            return self._inv_sets[:0]
-        return self._inv_sets[self._inv_offsets[node] : self._inv_offsets[node + 1]]
+        row = self._store.sets_containing(node)
+        return row[: np.searchsorted(row, self._limit)]
 
     def coverage_counts(self, start: int = 0) -> np.ndarray:
         offsets = self._store.offsets
         lo = offsets[min(start, self._limit)]
         hi = offsets[self._limit]
-        return np.bincount(
-            self._store.nodes[lo:hi], minlength=self._store.num_nodes
-        ).astype(np.int64)
+        counts = np.bincount(self._store.nodes[lo:hi], minlength=self._store.num_nodes)
+        return counts.astype(np.int64, copy=False)
 
     def coverage_of(self, seeds: Iterable[int]) -> int:
-        self._prefix_index()
-        seeds = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
-        seeds = seeds[(seeds >= 0) & (seeds < self._store.num_nodes)]
-        elements = gather_rows(self._inv_sets, self._inv_offsets, seeds)
-        return int(np.unique(elements).size)
+        return _count_covered(self._store, seeds, self._limit)
 
     def __repr__(self) -> str:
         return (

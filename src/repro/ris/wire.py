@@ -211,14 +211,19 @@ def tuple_vector_nbytes(nodes: np.ndarray, counts: np.ndarray) -> int:
     coverage backends produce their deltas that way.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    deltas = nodes.copy()
-    if deltas.size:
-        deltas[1:] -= nodes[:-1]
-    header = int(varint_sizes(np.asarray([nodes.size], dtype=np.uint64))[0])
-    if nodes.size == 0:
-        return header
-    return int(
-        header
-        + varint_sizes(deltas).sum()
-        + varint_sizes(np.asarray(counts, dtype=np.uint64)).sum()
-    )
+    size = nodes.size
+    stream = np.empty(2 * size + 1, dtype=np.uint64)
+    stream[0] = size
+    if size:
+        stream[1] = nodes[0]
+        np.subtract(nodes[1:], nodes[:-1], out=stream[2 : size + 1], casting="unsafe")
+        stream[size + 1 :] = counts
+    # One byte per value, plus one for each value at or past each 7-bit
+    # boundary; almost none are, so the survivors run out after a pass or two.
+    total = stream.size
+    for threshold in _SIZE_THRESHOLDS:
+        stream = stream[stream >= threshold]
+        if not stream.size:
+            break
+        total += stream.size
+    return total

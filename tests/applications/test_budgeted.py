@@ -78,3 +78,27 @@ class TestBudgetedIM:
             budgeted_influence_maximization(
                 small_wc_graph, np.ones(n), budget=0, num_machines=1, num_rr_sets=10
             )
+
+
+# (seeds, objective.hex(), spent, metrics.total_bytes) recorded from the
+# dict-accumulating map stage before it was routed through
+# coverage.kernel.sparse_decrements; every field must stay identical.
+BUDGETED_GOLDENS = {
+    3: ([160, 166, 20, 36, 75, 67, 137, 55], "0x1.1c71c71c71c72p+6", 5.8951, 26288),
+    11: ([60, 168, 127, 32, 6, 88, 128, 40, 115], "0x1.2f1c71c71c71cp+6", 5.9705, 25000),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BUDGETED_GOLDENS))
+def test_result_and_bytes_pinned_to_reference_map_stage(small_wc_graph, seed):
+    costs = np.random.default_rng(seed).uniform(0.5, 2.0, size=small_wc_graph.num_nodes)
+    result = budgeted_influence_maximization(
+        small_wc_graph, costs, budget=6.0, num_machines=3, num_rr_sets=900, seed=seed
+    )
+    seeds, objective, spent, total_bytes = BUDGETED_GOLDENS[seed]
+    assert result.application == "budgeted-influence-maximization"
+    assert result.seeds == seeds
+    assert float(result.objective).hex() == objective
+    assert result.num_rr_sets == 900
+    assert result.params == {"budget": 6.0, "spent": spent, "num_machines": 3, "model": "ic"}
+    assert result.metrics.total_bytes == total_bytes

@@ -71,3 +71,38 @@ class TestProfitMaximization:
                 num_machines=1,
                 num_rr_sets=10,
             )
+
+
+# (seeds, objective.hex(), spread_estimate, total_cost, metrics.total_bytes)
+# recorded from the dict-accumulating map stage before it was routed
+# through coverage.kernel.sparse_decrements; every field must stay identical.
+PROFIT_GOLDENS = {
+    3: (
+        [36, 75, 160, 55, 20, 67, 166, 137, 60, 115, 76, 135, 104],
+        "0x1.859b1824471b0p+5", 86.89, 38.19, 24596,
+    ),
+    11: (
+        [168, 60, 127, 32, 128, 36, 40, 115, 132, 88, 35, 72],
+        "0x1.a451d05ec91fcp+5", 88.0, 35.46, 26692,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROFIT_GOLDENS))
+def test_result_and_bytes_pinned_to_reference_map_stage(small_wc_graph, seed):
+    costs = 4 * np.random.default_rng(seed).uniform(0.5, 2.0, size=small_wc_graph.num_nodes)
+    result = profit_maximization(
+        small_wc_graph, costs, num_machines=3, num_rr_sets=900, seed=seed
+    )
+    seeds, objective, spread_estimate, total_cost, total_bytes = PROFIT_GOLDENS[seed]
+    assert result.application == "profit-maximization"
+    assert result.seeds == seeds
+    assert float(result.objective).hex() == objective
+    assert result.num_rr_sets == 900
+    assert result.params == {
+        "spread_estimate": spread_estimate,
+        "total_cost": total_cost,
+        "num_machines": 3,
+        "model": "ic",
+    }
+    assert result.metrics.total_bytes == total_bytes

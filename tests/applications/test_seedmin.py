@@ -59,3 +59,31 @@ class TestSeedMinimization:
                 small_wc_graph, required_spread=5.0, num_machines=1,
                 num_rr_sets=10, max_seeds=0,
             )
+
+
+# (seeds, objective.hex(), achieved, metrics.total_bytes) recorded from
+# the dict-accumulating map stage before it was routed through
+# coverage.kernel.sparse_decrements; every field must stay identical.
+SEEDMIN_GOLDENS = {
+    3: ([36, 75, 136, 150, 132], "0x1.e71c71c71c71dp+5", 60.89, 18476),
+    11: ([75, 36, 168, 62, 49], "0x1.0471c71c71c72p+6", 65.11, 18852),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDMIN_GOLDENS))
+def test_result_and_bytes_pinned_to_reference_map_stage(small_wc_graph, seed):
+    result = seed_minimization(
+        small_wc_graph, required_spread=60.0, num_machines=3, num_rr_sets=900, seed=seed
+    )
+    seeds, objective, achieved, total_bytes = SEEDMIN_GOLDENS[seed]
+    assert result.application == "seed-minimization"
+    assert result.seeds == seeds
+    assert float(result.objective).hex() == objective
+    assert result.num_rr_sets == 900
+    assert result.params == {
+        "required_spread": 60.0,
+        "achieved": achieved,
+        "num_machines": 3,
+        "model": "ic",
+    }
+    assert result.metrics.total_bytes == total_bytes

@@ -1,5 +1,7 @@
 """Unit tests for the lazy bucket greedy and its naive oracle."""
 
+import heapq
+
 import pytest
 
 from repro.coverage import (
@@ -56,6 +58,62 @@ class TestBucketQueue:
         counts[0] = 0
         assert queue.pop_max() == 1
         assert queue.pop_max() is None
+
+
+class LoopBuiltQueue(BucketQueue):
+    """The per-id Python fill the array construction replaced — the
+    oracle for the pop sequence; ``pop_max`` is inherited unchanged."""
+
+    def __init__(self, counts, candidates=None):
+        self._counts = counts
+        self._buckets = {}
+        self._cursor = 0
+        for set_id in range(counts.size) if candidates is None else candidates:
+            d = int(counts[set_id])
+            if d > 0:
+                self._buckets.setdefault(d, []).append(int(set_id))
+                self._cursor = max(self._cursor, d)
+        for heap in self._buckets.values():
+            heapq.heapify(heap)
+
+
+class TestArrayBuiltQueueMatchesLoopBuilt:
+    @staticmethod
+    def drain(queue_cls, counts, candidates, schedule_seed):
+        """Pop to exhaustion, decrementing random ids between pops."""
+        counts = counts.copy()
+        queue = queue_cls(counts, candidates=candidates)
+        rng = np.random.default_rng(schedule_seed)
+        popped = []
+        while (set_id := queue.pop_max()) is not None:
+            popped.append(set_id)
+            assert type(set_id) is int
+            hit = rng.integers(0, counts.size, size=int(rng.integers(0, 6)))
+            counts[hit] = np.maximum(counts[hit] - rng.integers(1, 4, size=hit.size), 0)
+        return popped
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_same_pop_sequence_under_random_decrements(self, trial):
+        rng = np.random.default_rng(trial)
+        size = int(rng.integers(1, 40))
+        counts = rng.integers(0, int(rng.integers(1, 12)), size=size).astype(np.int64)
+        candidate_sets = [None, [], rng.permutation(size)[: size // 2 + 1].tolist()]
+        # Duplicates are not collapsed: a repeated id is popped repeatedly.
+        candidate_sets.append(rng.integers(0, size, size=size + 3).tolist())
+        for candidates in candidate_sets:
+            want = self.drain(LoopBuiltQueue, counts, candidates, trial)
+            assert self.drain(BucketQueue, counts, candidates, trial) == want
+
+    def test_all_zero_counts_yield_an_empty_queue(self):
+        counts = np.zeros(7, dtype=np.int64)
+        assert BucketQueue(counts).pop_max() is None
+        assert BucketQueue(counts, candidates=[3, 3, 0]).pop_max() is None
+        assert BucketQueue(np.zeros(0, dtype=np.int64)).pop_max() is None
+
+    def test_duplicate_candidates_survive(self):
+        counts = np.array([2, 6, 6], dtype=np.int64)
+        queue = BucketQueue(counts, candidates=[2, 1, 2, 0])
+        assert [queue.pop_max() for __ in range(5)] == [1, 2, 2, 0, None]
 
 
 class TestGreedyExample3:

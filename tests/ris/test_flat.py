@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.ris import FlatRRCollection, RRCollection, make_collection, make_sampler
-from repro.ris.flat import gather_rows
-from repro.ris.rrset import RRSample
+import repro.ris.flat as flat_module
+from repro.ris import (
+    FlatPrefixView,
+    FlatRRCollection,
+    RRCollection,
+    make_collection,
+    make_sampler,
+)
+from repro.ris.flat import _set_id_bits, build_inverted_index, gather_rows
+from repro.ris.rrset import FlatBatch, RRSample
 
 
 def make_sample(nodes, edges=0):
@@ -188,3 +195,148 @@ class TestValidationAndProtocol:
         assert isinstance(make_collection(4, "reference"), RRCollection)
         with pytest.raises(ValueError, match="backend"):
             make_collection(4, "sparse")
+
+
+def random_csr(rng, num_nodes, num_sets, max_size=6):
+    """A random CSR batch: sorted duplicate-free sets, some of them empty."""
+    sizes = rng.integers(0, min(max_size, num_nodes) + 1, size=num_sets)
+    sets = [np.sort(rng.choice(num_nodes, size=int(s), replace=False)) for s in sizes]
+    offsets = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=offsets[1:])
+    nodes = np.concatenate(sets).astype(np.int32) if num_sets else np.zeros(0, np.int32)
+    return nodes, offsets
+
+
+def argsort_index(nodes, offsets, num_nodes):
+    """The stable-argsort construction build_inverted_index replaced."""
+    order = np.argsort(nodes, kind="stable")
+    set_ids = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+    inv_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=num_nodes), out=inv_offsets[1:])
+    return set_ids[order], inv_offsets
+
+
+class TestBuildInvertedIndex:
+    @pytest.mark.parametrize(
+        "num_nodes,num_sets",
+        [(1, 1), (1, 9), (7, 1), (7, 0), (2, 2), (40, 33), (300, 64), (300, 65), (5, 500)],
+    )
+    def test_equals_stable_argsort_oracle(self, num_nodes, num_sets):
+        rng = np.random.default_rng(1000 * num_nodes + num_sets)
+        for __ in range(5):
+            nodes, offsets = random_csr(rng, num_nodes, num_sets)
+            inv_sets, inv_offsets = build_inverted_index(nodes, offsets, num_nodes)
+            want_sets, want_offsets = argsort_index(nodes, offsets, num_nodes)
+            assert inv_sets.dtype == inv_offsets.dtype == np.int64
+            assert np.array_equal(inv_sets, want_sets)
+            assert np.array_equal(inv_offsets, want_offsets)
+
+    def test_tombstoned_store_matches_oracle(self):
+        rng = np.random.default_rng(21)
+        nodes, offsets = random_csr(rng, 30, 50)
+        store = FlatRRCollection(30)
+        store.append_arrays(nodes, offsets)
+        store.invalidate([0, 7, 8, 49])
+        want_sets, want_offsets = argsort_index(store.nodes, store.offsets, 30)
+        assert np.array_equal(store.inv_sets, want_sets)
+        assert np.array_equal(store.inv_offsets, want_offsets)
+
+    def test_key_width_check_is_a_function_of_two_ints(self):
+        # 31 node bits + 32 set bits = 63: the widest key that fits.
+        assert _set_id_bits(2**31, 2**32) == 32
+        assert _set_id_bits(2**31, 2**32 - 5) == 32
+        assert _set_id_bits(1, 2**63) == 63
+        assert _set_id_bits(5, 0) == _set_id_bits(5, 1) == 0
+        for num_nodes, num_sets in [(2**31, 2**32 + 1), (2**31 - 1, 2**33), (2, 2**63 + 1)]:
+            with pytest.raises(ValueError, match="63 bits"):
+                _set_id_bits(num_nodes, num_sets)
+
+    def test_index_is_built_by_the_first_read_that_needs_it(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_inverted_index(*args)
+
+        monkeypatch.setattr(flat_module, "build_inverted_index", counting)
+        rng = np.random.default_rng(4)
+        store = FlatRRCollection(25)
+        store.append_arrays(*random_csr(rng, 25, 40))
+        # Forward-only reads — what coverage ingest does — sort nothing,
+        # and nbytes() prices the index without building it.
+        store.coverage_counts()
+        store.get(3)
+        priced = store.nbytes()
+        assert not calls
+        store.sets_containing(2)
+        store.coverage_of([1, 2])
+        store.affected_sets(np.asarray([3]))
+        assert len(calls) == 1
+        held = sum(
+            a.nbytes
+            for a in (store.nodes, store.offsets, store.inv_sets, store.inv_offsets)
+        ) + 8 * (store.num_sets + 1)
+        assert priced == store.nbytes() == held
+        # One more wave, one more build — by the read, not the append.
+        store.append_arrays(*random_csr(rng, 25, 10))
+        store.coverage_counts(start=40)
+        assert len(calls) == 1
+        assert store.inv_sets.size == store.total_size
+        assert len(calls) == 2
+
+
+class TestPrefixViewCutsTheStoreIndex:
+    """A view owns no index: its answers are the store's rows cut at the
+    limit, and must equal a cold store holding only the first ``limit``
+    sets — for every limit, after growth, and across a repair."""
+
+    @staticmethod
+    def cold_prefix(store, limit):
+        cold = FlatRRCollection(store.num_nodes)
+        cold.append_arrays(
+            store.nodes[: store.offsets[limit]].copy(), store.offsets[: limit + 1].copy()
+        )
+        return cold
+
+    def assert_every_limit_matches(self, store, rng):
+        for limit in range(store.num_sets + 1):
+            view = FlatPrefixView(store, limit)
+            cold = self.cold_prefix(store, limit)
+            for node in range(store.num_nodes):
+                assert np.array_equal(
+                    view.sets_containing(node), cold.sets_containing(node)
+                )
+            seeds = rng.choice(store.num_nodes, size=3, replace=False).tolist()
+            assert view.coverage_of(seeds) == cold.coverage_of(seeds)
+            assert view.coverage_of([]) == 0
+            start = int(rng.integers(0, limit + 1))
+            for begin in (0, start):
+                assert np.array_equal(
+                    view.coverage_counts(start=begin), cold.coverage_counts(start=begin)
+                )
+
+    def test_view_holds_no_index_state(self):
+        view = FlatPrefixView(FlatRRCollection(4), 0)
+        assert set(vars(view)) == {"_store", "_limit"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_limit_before_and_after_growth_and_repair(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(3, 15))
+        store = FlatRRCollection(num_nodes)
+        store.append_arrays(*random_csr(rng, num_nodes, int(rng.integers(1, 30))))
+        self.assert_every_limit_matches(store, rng)
+
+        held = FlatPrefixView(store, store.num_sets // 2)
+        before = [held.sets_containing(v).copy() for v in range(num_nodes)]
+        store.append_arrays(*random_csr(rng, num_nodes, int(rng.integers(1, 20))))
+        # The view taken before the growth still answers for its prefix.
+        for node in range(num_nodes):
+            assert np.array_equal(held.sets_containing(node), before[node])
+        self.assert_every_limit_matches(store, rng)
+
+        ids = np.unique(rng.integers(0, store.num_sets, size=4))
+        nodes, offsets = random_csr(rng, num_nodes, ids.size)
+        fresh = np.zeros(ids.size, dtype=np.int64)
+        store.replace_sets(ids, FlatBatch(nodes, offsets, fresh - 1, fresh))
+        self.assert_every_limit_matches(store, rng)

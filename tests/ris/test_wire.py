@@ -171,3 +171,37 @@ class TestTupleVectorSize:
             + encode_varints(counts.astype(np.uint64))
         )
         assert tuple_vector_nbytes(nodes, counts) == explicit
+
+    @staticmethod
+    def encoded_vector(nodes, counts):
+        """The wire layout the size stands for: header, deltas, counts."""
+        nodes = np.asarray(nodes, dtype=np.uint64)
+        deltas = np.diff(nodes, prepend=np.uint64(0))
+        header = np.asarray([nodes.size], dtype=np.uint64)
+        return encode_varints(np.concatenate([header, deltas, np.asarray(counts, np.uint64)]))
+
+    @pytest.mark.parametrize("position", range(1, MAX_VARINT_BYTES))
+    def test_size_equals_encoding_across_each_7_bit_boundary(self, position):
+        boundary = 2 ** (7 * position)
+        around = [boundary - 1, boundary, boundary + 1]
+        # Counts straddle the boundary as values; node *gaps* straddle it
+        # as deltas (node ids are int64, so the last boundary, 2**63, is
+        # only reachable on the counts side).
+        counts = np.asarray(around, dtype=np.uint64)
+        if boundary < 2**62:
+            nodes = np.cumsum(np.asarray(around, dtype=np.int64))
+        else:
+            nodes = np.asarray([0, 2**62 - 1, 2**63 - 1], dtype=np.int64)
+        size = tuple_vector_nbytes(nodes, counts)
+        assert size == len(self.encoded_vector(nodes, counts))
+        assert size == 1 + int(varint_sizes(np.diff(nodes, prepend=0)).sum()) + int(
+            varint_sizes(counts).sum()
+        )
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_size_equals_encoding_on_random_vectors(self, trial):
+        rng = np.random.default_rng(trial)
+        size = int(rng.integers(0, 300))
+        nodes = np.unique(rng.integers(0, 2 ** int(rng.integers(1, 63)), size=size))
+        counts = rng.integers(0, 2 ** int(rng.integers(1, 63)), size=nodes.size)
+        assert tuple_vector_nbytes(nodes, counts) == len(self.encoded_vector(nodes, counts))

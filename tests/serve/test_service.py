@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.ris.flat as flat_module
 from repro.api import RunConfig, run
 from repro.applications import (
     budgeted_influence_maximization,
@@ -144,6 +145,36 @@ class TestCaching:
             svc.query(Query(kind="diimm", k=3))
             svc.query(Query(kind="diimm", k=5))
             assert svc.describe()["cache_entries"] == 1
+
+
+class TestIndexBuildCount:
+    """A count, not a timing gate: selection must not re-derive the
+    inverted index per query or per view, only per store that grew."""
+
+    def test_warm_miss_builds_nothing_and_cold_builds_once_per_grown_store(
+        self, service, small_wc_graph, monkeypatch
+    ):
+        builds = []
+        real = flat_module.build_inverted_index
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flat_module, "build_inverted_index", counting)
+        for kind in ("imm", "diimm", "dsubsim"):
+            service.query(Query(kind=kind, k=5))  # grows and indexes the pool
+            sizes = service.pool_sizes()
+            builds.clear()
+            hits = service.stats.cache_hits
+            service.query(Query(kind=kind, k=5, eps=0.6))  # looser: needs fewer sets
+            assert service.stats.cache_hits == hits  # a miss: it selected
+            assert service.pool_sizes() == sizes  # ... on an un-grown pool
+            assert builds == []
+
+        builds.clear()
+        cold = run("diimm", RunConfig(graph=small_wc_graph, k=9, machines=MACHINES, seed=SEED))
+        assert 1 <= len(builds) <= len(cold.metrics.rounds()) * MACHINES
 
 
 class TestConcurrency:
