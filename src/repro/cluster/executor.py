@@ -460,7 +460,8 @@ class Executor(ABC):
         """
         sampler = self.sampler(plan.model, plan.method)
         if plan.rng_scheme == "per-set":
-            return sample_set_range(sampler, plan.seed, mid, plan.starts[mid], plan.counts[mid])
+            start = plan.starts[mid]
+            return sample_set_range(sampler, plan.seed, mid, range(start, start + plan.counts[mid]))
         if rng is None:
             rng = self.machines[mid].rng
         return sampler.sample_batch(rng, plan.counts[mid])

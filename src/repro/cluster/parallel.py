@@ -179,7 +179,9 @@ class WorkerState:
                 # set comes from its own counter-based substream, so no
                 # sequential rng state travels either way.
                 __, seed, machine_id, start_index = rng
-                batch = sample_set_range(sampler, seed, machine_id, start_index, count)
+                batch = sample_set_range(
+                    sampler, seed, machine_id, range(start_index, start_index + count)
+                )
                 rng_state = None
             else:
                 batch = sampler.sample_batch(rng, count)

@@ -31,9 +31,11 @@ query, and merges it into the pool's lifetime metrics afterwards.
 Queries against *different* pools run concurrently.
 
 Bit-for-bit warm/cold equivalence holds for the per-set generation
-methods (``bfs``, ``subsim``) only; the blocked ``vectorized`` sampler
-consumes randomness per wave, so pools refuse it rather than silently
-weakening the correctness anchor.
+methods (``bfs``, ``subsim``) only; ``method="vectorized"`` feeds a whole
+block of sets from one generator, so pools refuse it rather than
+silently weakening the correctness anchor.  (``rng_scheme="per-set"``
+pools still run IC draws on that blocked kernel — fed one generator per
+set, which moves no byte; see :mod:`repro.ris.vectorized`.)
 
 Dynamic graphs
 --------------
@@ -70,12 +72,14 @@ from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
 from ..graphs.digraph import GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
-from ..ris.rrset import RRSampler, concat_batches, sample_set_range
+from ..ris.rrset import RRSampler, sample_set_range
 
 __all__ = ["SamplePool", "PREFIX_DETERMINISTIC_METHODS", "RNG_SCHEMES"]
 
 #: Generation methods whose batches equal sequential per-set draws, the
-#: property warm/cold bit-equality rests on.
+#: property warm/cold bit-equality rests on.  A property of the *coin
+#: source*, not of blocking: ``bfs`` under ``rng_scheme="per-set"`` runs
+#: the vectorized wave loop with one generator per set and stays here.
 PREFIX_DETERMINISTIC_METHODS: Tuple[str, ...] = ("bfs", "subsim")
 
 #: How the pool seeds its machines: ``"cluster"`` spawns per-machine
@@ -299,7 +303,7 @@ class SamplePool:
                     if count:
                         if per_set:
                             batch = sample_set_range(
-                                sampler, seed, mid, starts[mid], count
+                                sampler, seed, mid, range(starts[mid], starts[mid] + count)
                             )
                         else:
                             batch = sampler.sample_batch(machine.rng, count)
@@ -402,14 +406,8 @@ class SamplePool:
             old_nodes = gather_rows(store.nodes, store.offsets, ids)
             old_sizes = store.offsets[ids + 1] - store.offsets[ids]
             old_bounds = np.concatenate(([0], np.cumsum(old_sizes)))
-            # Redraw each contiguous id run from its own substreams.
-            runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
-            batch = concat_batches(
-                [
-                    sample_set_range(sampler, seed, mid, int(run[0]), run.size)
-                    for run in runs
-                ]
-            )
+            # One blocked draw: every id redrawn from its own substream.
+            batch = sample_set_range(sampler, seed, mid, ids)
             store.replace_sets(ids, batch)
             for state in cache:
                 # Only ids below the snapshot's watermark were ever
@@ -447,7 +445,7 @@ class SamplePool:
             fresh = FlatRRCollection(num_nodes)
             if counts[mid]:
                 append_batch(
-                    fresh, sample_set_range(sampler, seed, mid, 0, counts[mid])
+                    fresh, sample_set_range(sampler, seed, mid, range(counts[mid]))
                 )
             stores[mid] = fresh
             return counts[mid]

@@ -103,9 +103,9 @@ def make_sampler(graph, model: str = "ic", method: str = "bfs") -> RRSampler:
 
         if isinstance(graph, VersionedGraph):
             raise ValueError(
-                "the vectorized kernels read base CSR arrays only and cannot "
-                "traverse a VersionedGraph overlay; call graph.compact() (or "
-                "rebase()) and sample the compacted graph instead"
+                "method='vectorized' is not offered on a VersionedGraph overlay "
+                "(its LT kernel reads base CSR arrays only); call graph.compact() "
+                "(or rebase()) and sample the compacted graph instead"
             )
     if model_key == "lt":
         if method_key == "subsim":

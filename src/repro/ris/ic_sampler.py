@@ -22,8 +22,16 @@ import numpy as np
 
 from ..graphs.digraph import DirectedGraph
 from .rrset import FlatBatch, RRSample, RRSampler
+from .vectorized import VectorizedICSampler
 
 __all__ = ["ICReverseBFSSampler"]
+
+#: Sets per blocked draw under the per-set scheme.  Every set there pays
+#: its own generator, root draw and per-wave coin fill (~30 us), so the
+#: wave loop's NumPy overhead is amortised by a far smaller block than the
+#: vectorized method's: 128 sets draw within ~20% of 1024 at an eighth of
+#: the visited scratch, which dynamic services hold per pool.
+PER_SET_BLOCK = 128
 
 
 def _grow(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
@@ -71,6 +79,8 @@ class ICReverseBFSSampler(RRSampler):
         # frontier fast path (list scalar reads beat numpy scalar reads).
         self._indptr_list: list[int] | None = None
         self._ov_lists: tuple | None = None
+        # Lazy blocked kernel behind sample_sets.
+        self._blocked: VectorizedICSampler | None = None
 
     def _reset_scratch(self) -> None:
         if self._scratch_dirty:
@@ -111,6 +121,17 @@ class ICReverseBFSSampler(RRSampler):
                 prob_parts.append(self._probs[start:stop])
                 idx_parts.append(self._indices[start:stop])
         return np.concatenate(prob_parts), np.concatenate(idx_parts)
+
+    def sample_sets(self, rngs) -> FlatBatch:
+        """One RR set per generator, advanced a block at a time.
+
+        Bit-identical to ``sample_batch(rng, 1)`` per generator: the
+        blocked wave loop fills each set's coins from that set's own
+        generator (see :mod:`repro.ris.vectorized`, "RNG contract").
+        """
+        if self._blocked is None:
+            self._blocked = VectorizedICSampler(self.graph, block_size=PER_SET_BLOCK)
+        return self._blocked.sample_sets(rngs)
 
     def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
         """Draw one RR set; ``root`` can be pinned for testing."""

@@ -20,7 +20,7 @@ from bisect import bisect_left
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler
+from .rrset import FlatBatch, RRSample, RRSampler, uniform_rows
 
 __all__ = ["LTReverseWalkSampler"]
 
@@ -64,17 +64,12 @@ class LTReverseWalkSampler(RRSampler):
         # Weighted-cascade fast path: when all in-edges of a node carry the
         # same probability, the step distribution is "stop with 1 - sum,
         # else uniform neighbor", which avoids the binary search.
-        indptr, probs = self._indptr, self._in_probs
-        self._uniform = np.zeros(graph.num_nodes, dtype=bool)
-        for v in range(graph.num_nodes):
-            seg = probs[indptr[v] : indptr[v + 1]]
-            if seg.size:
-                self._uniform[v] = bool(np.all(seg == seg[0]))
+        self._uniform = uniform_rows(self._indptr, self._in_probs)
         if self._ov_lookup is not None:
-            for v in np.flatnonzero(self._ov_lookup >= 0):
-                row = int(self._ov_lookup[v])
-                seg = self._ov_probs[self._ov_indptr[row] : self._ov_indptr[row + 1]]
-                self._uniform[v] = bool(seg.size and np.all(seg == seg[0]))
+            patched = np.flatnonzero(self._ov_lookup >= 0)
+            self._uniform[patched] = uniform_rows(self._ov_indptr, self._ov_probs)[
+                self._ov_lookup[patched]
+            ]
         # Plain-Python copies of the walk's lookup tables, built lazily by
         # sample_batch: scalar indexing into lists is several times faster
         # than numpy scalar indexing, and the walk is all scalar reads.

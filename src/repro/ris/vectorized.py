@@ -25,27 +25,40 @@ target on the livejournal-like stand-in, >= 3x CI floor).
 
 RNG contract
 ------------
-Blocking reorders RNG consumption: one ``random(total)`` call now covers
-a whole wave of *many* sets, where the per-set path drew per set.  The
-draws therefore differ bit-for-bit from ``sample_batch`` in general and
-the vectorized samplers are held to the per-set path by the
-*statistical-equivalence* harness (``tests/ris/equivalence.py``) instead
-of the differential bit-identity suite.  One ordering IS preserved: with
-``block_size=1`` the IC kernel visits nodes, maps coins to edges and
-draws the root exactly like :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`,
-so that configuration is pinned bit-identical
-(``tests/ris/test_vectorized_equivalence.py::TestBitIdentity``) — the
-anchor proving the kernel computes the *same* process, with the larger
-blocks certified distributionally.
+The IC wave loop (:meth:`VectorizedICSampler._advance`) visits nodes and
+maps coins to edges exactly like
+:class:`~repro.ris.ic_sampler.ICReverseBFSSampler`; all that couples a
+block's sets is *where a wave's coins come from*.  It has two sources:
 
-Scratch memory is ``block_size * num_nodes`` bytes (one byte per
-visited-mark).  When ``block_size`` is not given, each sampler picks one
-automatically from the graph size (see :data:`DEFAULT_BLOCK` /
+* **one generator for the block** (``sample_batch``,
+  ``method="vectorized"``): one ``rng.random(total)`` covers a wave of
+  many sets, so the draws differ bit-for-bit from the per-set path and
+  are held to it by the *statistical-equivalence* harness
+  (``tests/ris/equivalence.py``); at ``block_size=1`` they coincide
+  (``tests/ris/test_vectorized_equivalence.py::TestBitIdentity``).
+* **one generator per set** (:meth:`~VectorizedICSampler.sample_sets`,
+  every ``rng_scheme="per-set"`` draw): set ``j`` takes its root from
+  ``rngs[j].integers(0, n)`` and each wave's coins from ``rngs[j]``
+  alone.  The frontier is sorted by ``set * n + node``, so those coins
+  are one contiguous run in the scalar sampler's frontier order, and a
+  set with nothing to flip draws nothing — the sequence of calls on
+  ``rngs[j]`` *is* the scalar sampler's.  Bit-identical at any block
+  size (``tests/ris/test_batch_samplers.py::TestSampleSets``), which is
+  how pools and repairs draw at block speed without moving a byte.
+
+The LT kernel has the first source only.
+
+Scratch memory is one byte per visited-mark, ``num_nodes`` per set of
+the largest block drawn so far (at most ``block_size`` sets).  When
+``block_size`` is not given, each sampler picks one automatically from
+the graph size (see :data:`DEFAULT_BLOCK` /
 :data:`DEFAULT_SCRATCH_BYTES`); pass an explicit value to trade memory
 against per-wave overhead on unusual graphs.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -55,7 +68,7 @@ from ..diffusion.triggering import (
     TriggeringDistribution,
 )
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler
+from .rrset import FlatBatch, RRSample, RRSampler, concat_batches, uniform_rows
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -99,17 +112,20 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = int(block_size)
         # One flat visited bitmap for the whole block, addressed by
-        # ``set * n + node``; allocated lazily on the first draw.
+        # ``set * n + node``; allocated by the first draw for the sets it
+        # advances (a 20-set repair never pays for a full block) and
+        # regrown only when a later draw advances more.
         self._visited: np.ndarray | None = None
         # True while a draw is in flight; a draw that raised mid-wave
         # leaves it set and the next draw hard-resets the bitmap instead
         # of trusting the (possibly partial) incremental reset.
         self._scratch_dirty = False
 
-    def _scratch(self) -> np.ndarray:
-        if self._visited is None:
-            self._visited = np.zeros(self.block_size * self.graph.num_nodes, dtype=bool)
-        if self._scratch_dirty:
+    def _scratch(self, num_sets: int) -> np.ndarray:
+        size = num_sets * self.graph.num_nodes
+        if self._visited is None or self._visited.size < size:
+            self._visited = np.zeros(size, dtype=bool)
+        elif self._scratch_dirty:
             self._visited[:] = False
         self._scratch_dirty = True
         return self._visited
@@ -137,21 +153,14 @@ class _BlockedFrontierSampler(RRSampler):
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         n = self.graph.num_nodes
-        parts: list[np.ndarray] = []
-        sizes_parts: list[np.ndarray] = []
-        roots_parts: list[np.ndarray] = []
-        edges_parts: list[np.ndarray] = []
-        done = 0
-        while done < count:
-            block = min(self.block_size, count - done)
-            roots = rng.integers(0, n, size=block).astype(np.int64, copy=False)
-            nodes, sizes, edges = self._run_block(rng, roots)
-            parts.append(nodes)
-            sizes_parts.append(sizes)
-            roots_parts.append(roots)
-            edges_parts.append(edges)
-            done += block
-        return self._pack(count, parts, sizes_parts, roots_parts, edges_parts)
+
+        def blocks():
+            for done in range(0, count, self.block_size):
+                size = min(self.block_size, count - done)
+                roots = rng.integers(0, n, size=size).astype(np.int64, copy=False)
+                yield roots, self._run_block(rng, roots)
+
+        return self._pack(blocks())
 
     def sample_batch_rooted(self, rng: np.random.Generator, roots) -> FlatBatch:
         """Draw one RR set per pinned root (the property-test entry point).
@@ -166,29 +175,20 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError("roots must be a 1-D array of node ids")
         if roots.size and (int(roots.min()) < 0 or int(roots.max()) >= self.graph.num_nodes):
             raise ValueError(f"roots must lie in [0, {self.graph.num_nodes})")
-        parts, sizes_parts, roots_parts, edges_parts = [], [], [], []
-        for start in range(0, roots.size, self.block_size):
-            block_roots = roots[start : start + self.block_size]
-            nodes, sizes, edges = self._run_block(rng, block_roots)
-            parts.append(nodes)
-            sizes_parts.append(sizes)
-            roots_parts.append(block_roots)
-            edges_parts.append(edges)
-        return self._pack(int(roots.size), parts, sizes_parts, roots_parts, edges_parts)
+        starts = range(0, roots.size, self.block_size)
+        blocks = (roots[start : start + self.block_size] for start in starts)
+        return self._pack((block, self._run_block(rng, block)) for block in blocks)
 
     @staticmethod
-    def _pack(count, parts, sizes_parts, roots_parts, edges_parts) -> FlatBatch:
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        if count:
-            np.cumsum(np.concatenate(sizes_parts), out=offsets[1:])
-            nodes = np.concatenate(parts).astype(np.int32, copy=False)
-            roots = np.concatenate(roots_parts)
-            edges = np.concatenate(edges_parts)
-        else:
-            nodes = np.zeros(0, dtype=np.int32)
-            roots = np.zeros(0, dtype=np.int64)
-            edges = np.zeros(0, dtype=np.int64)
-        return FlatBatch(nodes, offsets, roots, edges)
+    def _pack(blocks) -> FlatBatch:
+        """Concatenate ``(roots, _run_block result)`` pairs, drawn in order."""
+        blocks = [(roots, *result) for roots, result in blocks]
+        if not blocks:
+            return concat_batches([])
+        roots, nodes, sizes, edges = (np.concatenate(part) for part in zip(*blocks))
+        offsets = np.zeros(roots.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return FlatBatch(nodes.astype(np.int32, copy=False), offsets, roots, edges)
 
     def __repr__(self) -> str:
         return (
@@ -218,43 +218,106 @@ def _finish_block(
     return all_nodes[order].astype(np.int32), sizes
 
 
+def _per_set_coins(rngs: list):
+    """The coin source filling set ``j``'s run of every wave from ``rngs[j]``."""
+
+    def coins(total: int, wave_edges: np.ndarray) -> np.ndarray:
+        out = np.empty(total)
+        active = np.flatnonzero(wave_edges)
+        stop = 0
+        # The frontier is sorted by set: runs are contiguous, sets ascending.
+        for j, need in zip(active.tolist(), wave_edges[active].tolist()):
+            start, stop = stop, stop + need
+            rngs[j].random(out=out[start:stop])
+        return out
+
+    return coins
+
+
 class VectorizedICSampler(_BlockedFrontierSampler):
     """Blocked reverse-BFS frontier kernel for the IC model.
 
     Each wave gathers the in-edges of every (set, node) frontier pair in
     the block, draws one Bernoulli batch over all of them, and folds the
-    successful sources back through the visited bitmap.  With
-    ``block_size=1`` the wave structure, edge ordering and draw counts
-    collapse to exactly :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`'s,
-    making that configuration bit-identical to the per-set path.
+    successful sources back through the visited bitmap.  The wave
+    structure and edge ordering are exactly
+    :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`'s; which generator
+    a wave's coins come from decides bit-identity (module docstring,
+    "RNG contract").
     """
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
         super().__init__(graph, block_size=block_size)
+        # Per-node ``(row start, row count)`` tables over the in-edge
+        # arrays: a plain CSR's are its indptr; a VersionedGraph's point
+        # patched nodes at their overlay rows, appended after the base.
+        indptr, indices, probs, overlay = graph.in_csr()
+        starts, counts = indptr[:-1], np.diff(indptr)
+        uniform = uniform_rows(indptr, probs)
+        if overlay is not None:
+            lookup, ov_indptr, ov_indices, ov_probs = overlay
+            patched = np.flatnonzero(lookup >= 0)
+            rows = lookup[patched]
+            starts = starts.copy()
+            starts[patched] = indices.size + ov_indptr[rows]
+            counts[patched] = np.diff(ov_indptr)[rows]
+            uniform[patched] = uniform_rows(ov_indptr, ov_probs)[rows]
+            indices = np.concatenate((indices, ov_indices))
+            probs = np.concatenate((probs, ov_probs))
+        self._row_starts, self._row_counts = starts, counts
+        self._indices, self._probs = indices, probs
         # Per-node uniform-probability fast path (weighted-cascade and
         # uniform graphs): when every in-edge of every node carries its
         # node's single probability, the wave's trial probabilities are a
         # frontier-sized repeat instead of an edge-index gather, and the
         # edge index itself only needs materialising at the successes.
-        # The trial values and draw order are unchanged, so the block=1
-        # bit-identity anchor holds on both paths.
-        indptr, probs = graph.in_indptr, graph.in_probs
-        degrees = np.diff(indptr)
-        node_prob = np.zeros(graph.num_nodes, dtype=probs.dtype)
-        nonzero = degrees > 0
-        node_prob[nonzero] = probs[indptr[:-1][nonzero]]
+        # The trial values and draw order are unchanged, so bit-identity
+        # to the per-set path holds on both paths.
         self._node_prob: np.ndarray | None = None
-        if np.array_equal(np.repeat(node_prob, degrees), probs):
-            self._node_prob = node_prob
+        nonzero = counts > 0
+        if uniform[nonzero].all():
+            self._node_prob = np.zeros(graph.num_nodes, dtype=probs.dtype)
+            self._node_prob[nonzero] = probs[starts[nonzero]]
 
     def _run_block(
         self, rng: np.random.Generator, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        graph = self.graph
-        n = graph.num_nodes
-        indptr, indices, probs = graph.in_indptr, graph.in_indices, graph.in_probs
+        return self._advance(roots, lambda total, wave_edges: rng.random(total))
+
+    def sample_sets(self, rngs) -> FlatBatch:
+        """One RR set per generator, ``block_size`` sets per wave loop.
+
+        The per-set coin source: set ``j`` draws its root and then every
+        wave's coins from ``rngs[j]`` alone, in the order
+        :class:`~repro.ris.ic_sampler.ICReverseBFSSampler` would, so the
+        batch is bit-identical to one scalar draw per generator.
+        """
+        n = self.graph.num_nodes
+        rngs = iter(rngs)
+
+        def blocks():
+            while block := list(islice(rngs, self.block_size)):
+                roots = np.fromiter(
+                    (rng.integers(0, n) for rng in block), dtype=np.int64, count=len(block)
+                )
+                yield roots, self._advance(roots, _per_set_coins(block))
+
+        return self._pack(blocks())
+
+    def _advance(self, roots: np.ndarray, coins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The IC wave loop: advance one block of rooted sets to completion.
+
+        ``coins(total, wave_edges)`` supplies a wave's ``total`` uniforms
+        in frontier order — ``wave_edges[j]`` of them belong to set ``j``,
+        contiguously, sets ascending.  One generator for the whole block
+        (:meth:`_run_block`) or one per set (:meth:`sample_sets`): the
+        loop itself does not know which.
+        """
+        n = self.graph.num_nodes
+        row_starts, row_counts = self._row_starts, self._row_counts
+        indices, probs = self._indices, self._probs
         num_sets = roots.size
-        visited = self._scratch()
+        visited = self._scratch(num_sets)
 
         front_sets = np.arange(num_sets, dtype=np.int64)
         front_nodes = roots
@@ -264,36 +327,37 @@ class VectorizedICSampler(_BlockedFrontierSampler):
         edges = np.zeros(num_sets, dtype=np.int64)
 
         while front_nodes.size:
-            starts = indptr[front_nodes]
-            counts = indptr[front_nodes + 1] - starts
+            starts = row_starts[front_nodes]
+            counts = row_counts[front_nodes]
             ends = counts.cumsum()
             total = int(ends[-1])
             # bincount's float accumulator is exact for edge totals < 2^53.
-            edges += np.bincount(front_sets, weights=counts, minlength=num_sets).astype(
+            wave_edges = np.bincount(front_sets, weights=counts, minlength=num_sets).astype(
                 np.int64
             )
+            edges += wave_edges
             if total == 0:
                 break
             if self._node_prob is not None:
                 # Uniform-per-node probabilities: repeat them over each
-                # node's edge run — same values rng.random is compared
+                # node's edge run — same values the coins are compared
                 # against, no per-edge gather, no full edge index.
                 trial_probs = np.repeat(self._node_prob[front_nodes], counts)
-                hit = np.flatnonzero(rng.random(total) < trial_probs)
+                hit = np.flatnonzero(coins(total, wave_edges) < trial_probs)
                 if hit.size == 0:
                     break
                 # Edges of frontier entry j occupy
                 # [ends[j]-counts[j], ends[j]), so the owning entry of a
-                # hit position is one searchsorted, and its CSR edge id
-                # is the position shifted by the entry's wave offset.
+                # hit position is one searchsorted, and its edge id is
+                # the position shifted by the entry's wave offset.
                 owner_idx = np.searchsorted(ends, hit, side="right")
                 reached = indices[starts[owner_idx] + counts[owner_idx] - ends[owner_idx] + hit]
                 owners = front_sets[owner_idx]
             else:
                 # starts[j] - wave offset of node j, repeated over its
-                # edges, plus a running arange == the CSR index of every
+                # edges, plus a running arange == the edge id of every
                 # edge in the wave (identical values to per-node slices,
-                # one pass each).  CSR edge ids fit int32 on every graph
+                # one pass each).  Edge ids fit int32 on every graph
                 # the int32-id layout admits unless the edge count itself
                 # overflows; halve the bandwidth of the widest arrays
                 # when they do.
@@ -301,7 +365,7 @@ class VectorizedICSampler(_BlockedFrontierSampler):
                 edge_idx = np.repeat((starts + counts - ends).astype(dt), counts) + np.arange(
                     total, dtype=dt
                 )
-                hit = np.flatnonzero(rng.random(total) < probs[edge_idx])
+                hit = np.flatnonzero(coins(total, wave_edges) < probs[edge_idx])
                 if hit.size == 0:
                     break
                 reached = indices[edge_idx[hit]]
@@ -357,13 +421,7 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         self._prefix = np.concatenate(([0.0], np.cumsum(graph.in_probs)))
         # Weighted-cascade fast path, per node: equal in-probabilities
         # mean "stop w.p. 1 - sum, else uniform neighbor".
-        indptr, probs = graph.in_indptr, graph.in_probs
-        uniform = np.zeros(graph.num_nodes, dtype=bool)
-        for v in range(graph.num_nodes):
-            seg = probs[indptr[v] : indptr[v + 1]]
-            if seg.size:
-                uniform[v] = bool(np.all(seg == seg[0]))
-        self._uniform = uniform
+        self._uniform = uniform_rows(graph.in_indptr, graph.in_probs)
 
     def _run_block(
         self, rng: np.random.Generator, roots: np.ndarray
@@ -373,7 +431,7 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         indptr, indices = graph.in_indptr, graph.in_indices
         prefix, uniform, sums = self._prefix, self._uniform, self._sums
         num_sets = roots.size
-        visited = self._scratch()
+        visited = self._scratch(num_sets)
 
         walk_sets = np.arange(num_sets, dtype=np.int64)
         current = roots.copy()

@@ -12,6 +12,9 @@ delete-only, mixed) and both executors.
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.cluster.executor import make_executor
 from repro.core.pool import SamplePool
 from repro.coverage import CoverageState
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
-from repro.ris import make_sampler
+from repro.ris import ICReverseBFSSampler, VectorizedICSampler, make_sampler
 
 SEED = 41
 MACHINES = 2
@@ -277,3 +280,108 @@ class TestRefusals:
                 cold.close()
         finally:
             warm.close()
+
+
+class TestBlockedDrawCount:
+    """A count, not a timing gate: per-set generation reaches the blocked
+    kernel in as few draws as the id sets allow, never the scalar loop."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"sample_sets": 0, "blocks": 0, "sample_batch": 0}
+
+        def counting(cls, attr, key):
+            real = getattr(cls, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, attr, wrapper)
+
+        counting(ICReverseBFSSampler, "sample_sets", "sample_sets")
+        counting(ICReverseBFSSampler, "sample_batch", "sample_batch")
+        counting(VectorizedICSampler, "_advance", "blocks")
+        return calls
+
+    def test_update_is_one_blocked_draw_per_machine(self, small_wc_graph, calls):
+        machines = 4
+        with SamplePool(
+            fresh_versioned(small_wc_graph), machines=machines, seed=SEED, rng_scheme="per-set"
+        ) as pool:
+            pool.ensure("main", [40] * machines)
+            calls.update(sample_sets=0, blocks=0)
+            repaired = pool.apply_update(make_delta(small_wc_graph, "mixed"))
+            assert repaired["main"] > machines  # scattered ids, several per machine
+            assert 1 <= calls["sample_sets"] <= machines
+            assert calls["blocks"] == calls["sample_sets"]
+            assert calls["sample_batch"] == 0
+
+    def test_build_and_rebuild_fill_whole_blocks(self, small_wc_graph, calls):
+        machines, per_machine = 4, 300
+        with SamplePool(
+            fresh_versioned(small_wc_graph), machines=machines, seed=SEED, rng_scheme="per-set"
+        ) as pool:
+            pool.ensure("main", [per_machine] * machines)
+            block = pool.executor.sampler("ic", "bfs")._blocked.block_size
+            budget = machines * math.ceil(per_machine / block)
+            assert machines <= calls["blocks"] <= budget
+            calls.update(blocks=0)
+            pool.apply_update(GraphDelta(add_nodes=1))  # full invalidation
+            assert machines <= calls["blocks"] <= budget
+            assert calls["sample_batch"] == 0
+
+
+def update_stream(graph, rounds: int):
+    """Ten seeded mixed batches, each valid on the graph the previous
+    ones left (built against a shadow copy)."""
+    shadow = fresh_versioned(graph)
+    rng = np.random.default_rng(5)
+    n = graph.num_nodes
+    deltas = []
+    for step in range(rounds):
+        edges = [(u, v) for u, v, _ in shadow.edges()]
+        picks = rng.choice(len(edges), size=4, replace=False)
+        delta = GraphDelta(
+            add_edges=[
+                (int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.1, 0.9)))
+                for _ in range(2)
+            ],
+            remove_edges=[edges[int(i)] for i in picks[:2]],
+            reweight_edges=[
+                (*edges[int(i)], float(rng.uniform(0.05, 0.95))) for i in picks[2:]
+            ],
+            remove_nodes=[int(rng.integers(n))] if step == 6 else [],
+        )
+        shadow.apply(delta)
+        deltas.append(delta)
+    return deltas
+
+
+@pytest.mark.parametrize("executor", ["simulated", "multiprocessing:2", "socket:2"])
+def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
+    """Build, top-up and ten repairs leave the bytes every executor left
+    before per-set draws moved onto the blocked kernel (digests recorded
+    at that parent commit; they pass there too)."""
+
+    def digest(pool) -> str:
+        sha = hashlib.sha256()
+        for store in pool.stores("main"):
+            sha.update(np.ascontiguousarray(store.nodes).tobytes())
+            sha.update(np.ascontiguousarray(store.offsets[: store.num_sets + 1]).tobytes())
+        return sha.hexdigest()[:16]
+
+    with SamplePool(
+        fresh_versioned(small_wc_graph),
+        machines=MACHINES,
+        seed=SEED,
+        rng_scheme="per-set",
+        executor=executor,
+    ) as pool:
+        pool.ensure("main", [60, 60])
+        assert digest(pool) == "6967b574a95f6cfc"
+        pool.ensure("main", [90, 75])
+        assert digest(pool) == "64f8f8e492b6e943"
+        for delta in update_stream(small_wc_graph, 10):
+            pool.apply_update(delta)
+        assert digest(pool) == "7fb0c472ed167c61"

@@ -16,7 +16,7 @@ def per_set_stores(graph, num_machines, seed=3, count=30):
     sampler = make_sampler(graph, model="ic", method="bfs")
     stores = [make_collection(graph.num_nodes, "flat") for _ in range(num_machines)]
     for mid, store in enumerate(stores):
-        append_batch(store, sample_set_range(sampler, seed, mid, 0, count))
+        append_batch(store, sample_set_range(sampler, seed, mid, range(count)))
     return sampler, stores
 
 
@@ -32,14 +32,7 @@ def repair_machine(state, store, sampler, machine_id, ids, seed=3):
     """Regenerate ``ids`` in place and feed the retraction to ``state``."""
     ids = np.asarray(ids, dtype=np.int64)
     old_nodes = gather_rows(store.nodes, store.offsets, ids)
-    runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
-    batches = [
-        sample_set_range(sampler, seed, machine_id, int(run[0]), run.size)
-        for run in runs
-    ]
-    from repro.ris.rrset import concat_batches
-
-    batch = concat_batches(batches)
+    batch = sample_set_range(sampler, seed, machine_id, ids)
     store.replace_sets(ids, batch)
     state.repair(machine_id, old_nodes, batch.nodes)
 
@@ -73,20 +66,13 @@ class TestRepair:
         # Grow the store beyond the watermark, then repair a mix of
         # ingested and never-ingested sets: only the ingested prefix is
         # retracted (the pool's searchsorted split).
-        append_batch(stores[0], sample_set_range(sampler, 3, 0, 20, 10))
+        append_batch(stores[0], sample_set_range(sampler, 3, 0, range(20, 30)))
         ids = np.array([5, 6, 24, 25], dtype=np.int64)
         old_nodes = gather_rows(stores[0].nodes, stores[0].offsets, ids)
         old_bounds = np.concatenate(
             ([0], np.cumsum(stores[0].offsets[ids + 1] - stores[0].offsets[ids]))
         )
-        from repro.ris.rrset import concat_batches
-
-        batch = concat_batches(
-            [
-                sample_set_range(sampler, 99, 0, 5, 2),
-                sample_set_range(sampler, 99, 0, 24, 2),
-            ]
-        )
+        batch = sample_set_range(sampler, 99, 0, ids)
         stores[0].replace_sets(ids, batch)
         below = int(np.searchsorted(ids, state.watermarks[0]))
         assert below == 2

@@ -8,18 +8,29 @@ generator ends in the same state.  The optimized batch implementations
 may reorganize bookkeeping but must never touch the RNG differently.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.diffusion import ICTriggering, LTTriggering
+from repro.graphs import DirectedGraph, GraphBuilder, erdos_renyi, weighted_cascade
 from repro.ris import (
     FlatRRCollection,
     TriggeringRRSampler,
+    VectorizedICSampler,
     append_batch,
     make_collection,
     make_sampler,
 )
-from repro.ris.rrset import pack_samples
+from repro.ris.ic_sampler import PER_SET_BLOCK
+from repro.ris.rrset import (
+    RRSampler,
+    concat_batches,
+    pack_samples,
+    per_set_rng,
+    sample_set_range,
+)
 from repro.ris.stats import RRSetStatistics
 
 SAMPLER_SPECS = [
@@ -222,3 +233,149 @@ class TestScratchStateLeak:
             sampler = build(spec, small_wc_graph)
             sampler.sample_batch(np.random.default_rng(0), 20)
             assert not sampler._visited.any()
+
+
+def per_set_oracle(sampler, seed, machine_id, ids):
+    """The per-set scheme as first written: one scalar draw per set id."""
+    return concat_batches(
+        [sampler.sample_batch(per_set_rng(seed, machine_id, int(i)), 1) for i in ids]
+    )
+
+
+def random_ic_graph(seed, probabilities):
+    rng = np.random.default_rng(seed)
+    graph = erdos_renyi(int(rng.integers(40, 160)), int(rng.integers(100, 900)), rng)
+    if probabilities == "weighted-cascade":
+        return weighted_cascade(graph)
+    src, dst, _ = graph.edge_arrays()
+    if probabilities == "dense":  # most coins succeed: long, wide waves
+        probs = np.full(src.size, 0.9)
+    else:  # per-edge probabilities, off the uniform-per-node fast path
+        probs = rng.uniform(0.02, 0.7, size=src.size)
+    return DirectedGraph(graph.num_nodes, src, dst, probs)
+
+
+def id_sets(block, rng):
+    scattered = np.sort(rng.choice(5000, size=37, replace=False))
+    return {
+        "empty": [],
+        "one": [17],
+        "contiguous": range(40, 95),
+        "scattered": scattered,
+        "block-1": range(3, 3 + block - 1),
+        "block": range(block),
+        "block+1": range(9, 9 + block + 1),
+        "shuffled": rng.permutation(scattered),
+    }
+
+
+class TestSampleSets:
+    """``sample_sets`` — every per-set draw's entry point — equals one
+    scalar ``sample_batch(rng, 1)`` per generator on all four arrays.
+    The scalar loop stays here as the oracle."""
+
+    @pytest.mark.parametrize("probabilities", ["weighted-cascade", "nonuniform", "dense"])
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    def test_blocked_ic_equals_scalar_loop(self, graph_seed, probabilities):
+        graph = random_ic_graph(graph_seed, probabilities)
+        sampler = make_sampler(graph, model="ic", method="bfs")
+        empty = sampler.sample_sets([])  # builds the blocked kernel
+        assert empty.count == 0 and empty.offsets.tolist() == [0]
+        assert (sampler._blocked._node_prob is None) == (probabilities == "nonuniform")
+        for name, ids in id_sets(PER_SET_BLOCK, np.random.default_rng(graph_seed)).items():
+            batch = sample_set_range(sampler, 5, graph_seed, ids)
+            assert_batches_equal(batch, per_set_oracle(sampler, 5, graph_seed, ids))
+            assert batch.count == len(ids), name
+
+    def test_dead_roots_and_first_wave_deaths(self):
+        # Node 0 has no in-edge (a root there examines nothing); nodes
+        # 1..5 have one in-edge that almost never fires (the set dies on
+        # its first wave); 6..9 sit on a certain chain back to 5.
+        edges = [(0, v, 1e-9) for v in range(1, 6)]
+        edges += [(v - 1, v, 1.0) for v in range(6, 10)]
+        graph = GraphBuilder.from_edges(edges, num_nodes=10)
+        sampler = make_sampler(graph, model="ic", method="bfs")
+        batch = sample_set_range(sampler, 2, 0, range(200))
+        assert_batches_equal(batch, per_set_oracle(sampler, 2, 0, range(200)))
+        sizes = np.diff(batch.offsets)
+        assert ((sizes == 1) & (batch.edges_examined == 0)).any()
+        assert ((sizes == 1) & (batch.edges_examined == 1)).any()
+        assert (sizes > 3).any()
+
+    def test_kernel_matches_at_any_block_size(self, small_wc_graph):
+        scalar = make_sampler(small_wc_graph, model="ic", method="bfs")
+        expected = per_set_oracle(scalar, 9, 1, range(70))
+        for block in (1, 2, 7, 64, 1024):
+            kernel = VectorizedICSampler(small_wc_graph, block_size=block)
+            rngs = [per_set_rng(9, 1, i) for i in range(70)]
+            assert_batches_equal(kernel.sample_sets(rngs), expected)
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in SAMPLER_SPECS if s != ("ic", "bfs")], ids=SPEC_IDS[1:]
+    )
+    def test_default_is_the_scalar_loop(self, small_wc_graph, spec):
+        # LT, SUBSIM and triggering have no bit-identical blocked form
+        # yet: they keep the base class's one-set-at-a-time loop.
+        sampler = build(spec, small_wc_graph)
+        assert type(sampler).sample_sets is RRSampler.sample_sets
+        ids = [0, 1, 2, 50, 7]
+        assert_batches_equal(
+            sample_set_range(sampler, 4, 3, ids), per_set_oracle(sampler, 4, 3, ids)
+        )
+        assert sample_set_range(sampler, 4, 3, []).offsets.tolist() == [0]
+
+    def test_negative_ids_rejected(self, small_wc_graph):
+        sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
+        with pytest.raises(ValueError, match=">= 0"):
+            sample_set_range(sampler, 1, 0, [4, -1, 6])
+
+    def test_scratch_sized_by_the_draw_and_reused(self, small_wc_graph):
+        n = small_wc_graph.num_nodes
+        sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
+        sample_set_range(sampler, 1, 0, range(5))
+        kernel = sampler._blocked
+        assert kernel._visited.size == 5 * n  # not a full block
+        sample_set_range(sampler, 1, 0, range(3 * PER_SET_BLOCK))
+        scratch = kernel._visited
+        assert scratch.size == PER_SET_BLOCK * n and not scratch.any()
+        sample_set_range(sampler, 1, 0, range(9))
+        assert kernel._visited is scratch and not scratch.any()
+
+    @pytest.mark.parametrize("fail_after", [0, 1, 3])
+    def test_generator_raising_mid_block_does_not_poison_the_next_draw(
+        self, small_wc_graph, fail_after
+    ):
+        sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
+        expected = sample_set_range(sampler, 8, 0, range(60))  # warms the scratch
+        # Fail the longest-lived set: at its root draw, or some waves in,
+        # when the rest of the block has already marked the scratch.
+        victim = int(np.diff(expected.offsets).argmax())
+        rngs = [per_set_rng(8, 0, i) for i in range(60)]
+        rngs[victim] = _FlakyRNG(rngs[victim], fail_after)
+        with pytest.raises(RuntimeError, match="injected"):
+            sampler.sample_sets(rngs)
+        assert_batches_equal(sample_set_range(sampler, 8, 0, range(60)), expected)
+        assert not sampler._blocked._visited.any()
+
+
+def test_vectorized_method_draws_the_bytes_it_always_did(small_wc_graph):
+    """``method="vectorized"`` shares its wave loop with the per-set
+    coin source; its own coin source did not change.  Digests recorded
+    at the commit before the loop was shared."""
+    src, dst, _ = small_wc_graph.edge_arrays()
+    probs = np.random.default_rng(3).uniform(0.05, 0.6, size=src.size)
+    nonuniform = DirectedGraph(small_wc_graph.num_nodes, src, dst, probs)
+    recorded = {
+        ("wc", None): "e5416fa6dc076faa",
+        ("wc", 7): "b3d8f859f8298beb",
+        ("nonuniform", None): "c923c6ce64834b24",
+        ("nonuniform", 7): "b553c407bc8a6c07",
+    }
+    for (name, block), expected in recorded.items():
+        graph = small_wc_graph if name == "wc" else nonuniform
+        sampler = VectorizedICSampler(graph, block_size=block)
+        batch = sampler.sample_batch(np.random.default_rng(11), 300)
+        digest = hashlib.sha256()
+        for array in batch:
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest()[:16] == expected, (name, block)

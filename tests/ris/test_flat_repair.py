@@ -13,7 +13,7 @@ from repro.ris.rrset import FlatBatch, concat_batches, sample_set_range
 def store(small_wc_graph):
     sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
     store = FlatRRCollection(small_wc_graph.num_nodes)
-    append_batch(store, sample_set_range(sampler, seed=3, machine_id=0, start=0, count=40))
+    append_batch(store, sample_set_range(sampler, seed=3, machine_id=0, ids=range(40)))
     return store
 
 
@@ -119,7 +119,7 @@ class TestReplaceSets:
         nodes_before, offsets_before, _ = snapshot(store)
         ids = np.arange(10, 20, dtype=np.int64)
         store.replace_sets(
-            ids, sample_set_range(sampler, seed=3, machine_id=0, start=10, count=10)
+            ids, sample_set_range(sampler, seed=3, machine_id=0, ids=ids)
         )
         assert np.array_equal(store.nodes, nodes_before)
         assert np.array_equal(store.offsets, offsets_before)

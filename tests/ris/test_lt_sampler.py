@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from repro.diffusion import exact_spread_lt
-from repro.graphs import GraphBuilder, cycle_graph, uniform, path_graph, weighted_cascade
-from repro.ris import LTReverseWalkSampler
+from repro.graphs import (
+    DirectedGraph,
+    GraphBuilder,
+    GraphDelta,
+    VersionedGraph,
+    cycle_graph,
+    path_graph,
+    uniform,
+    weighted_cascade,
+)
+from repro.ris import LTReverseWalkSampler, VectorizedLTSampler
+from repro.ris.rrset import uniform_rows
 
 
 class TestStructure:
@@ -100,3 +110,68 @@ class TestDistribution:
         a = sampler.sample_many(20, np.random.default_rng(5))
         b = sampler.sample_many(20, np.random.default_rng(5))
         assert all(np.array_equal(x.nodes, y.nodes) for x, y in zip(a, b))
+
+
+def loop_uniform(graph) -> np.ndarray:
+    """The per-node loop both LT samplers ran at construction, kept as
+    the reference for the vectorised ``uniform_rows``."""
+    flags = np.zeros(graph.num_nodes, dtype=bool)
+    for v in range(graph.num_nodes):
+        seg = graph.in_probabilities(v)
+        if seg.size:
+            flags[v] = bool(np.all(seg == seg[0]))
+    return flags
+
+
+class TestUniformRowFlags:
+    # In-row values per node: empty rows first, last, adjacent, everywhere, nowhere.
+    SHAPES = {
+        "empty-first": [[], [0.2, 0.2], [0.1, 0.3]],
+        "empty-last": [[0.5], [0.2, 0.1, 0.2], []],
+        "empty-adjacent": [[0.3, 0.3], [], [], [0.1, 0.2], [], [0.4]],
+        "all-empty": [[], [], []],
+        "no-empty": [[0.25, 0.25], [0.5, 0.25], [1.0]],
+        "last-entry-differs": [[0.2, 0.2, 0.2, 0.1], [0.2, 0.2]],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_the_loop(self, shape):
+        rows = self.SHAPES[shape]
+        indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows]))).astype(np.int64)
+        values = np.asarray([p for row in rows for p in row], dtype=np.float64)
+        expected = [bool(row) and all(p == row[0] for p in row) for row in rows]
+        assert uniform_rows(indptr, values).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_loop_on_random_graphs(self, small_wc_graph, seed):
+        rng = np.random.default_rng(seed)
+        src, dst, probs = small_wc_graph.edge_arrays()
+        # Halve a random third of the edges: a mix of uniform and
+        # non-uniform rows, sums still <= 1.
+        probs = np.where(rng.random(probs.size) < 0.33, probs * 0.5, probs)
+        keep = rng.random(probs.size) < 0.7  # leaves some rows empty
+        graph = DirectedGraph(small_wc_graph.num_nodes, src[keep], dst[keep], probs[keep])
+        expected = loop_uniform(graph)
+        assert expected.any() and not expected.all()
+        np.testing.assert_array_equal(LTReverseWalkSampler(graph)._uniform, expected)
+        np.testing.assert_array_equal(VectorizedLTSampler(graph)._uniform, expected)
+
+    def test_overlay_rows_override_the_base(self, small_wc_graph, rng):
+        graph = VersionedGraph(
+            DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
+        )
+        triples = list(small_wc_graph.edges())
+        picks = [triples[int(i)] for i in rng.choice(len(triples), size=6, replace=False)]
+        emptied = picks[0][1]
+        graph.apply(
+            GraphDelta(
+                # One row loses every edge, three stop being uniform, and
+                # removals alone leave rows uniform.
+                remove_edges=[(int(u), emptied) for u in small_wc_graph.in_neighbors(emptied)]
+                + [(u, v) for u, v, _ in picks[1:3] if v != emptied],
+                reweight_edges=[(u, v, p * 0.5) for u, v, p in picks[3:] if v != emptied],
+            )
+        )
+        expected = loop_uniform(graph)
+        assert not expected[emptied]
+        np.testing.assert_array_equal(LTReverseWalkSampler(graph)._uniform, expected)

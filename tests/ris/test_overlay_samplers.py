@@ -12,7 +12,8 @@ import pytest
 
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
 from repro.ris import make_sampler
-from repro.ris.rrset import sample_set_range
+from repro.ris.ic_sampler import PER_SET_BLOCK
+from repro.ris.rrset import concat_batches, per_set_rng, sample_set_range
 
 
 def versioned_with_delta(graph, rng, lt_safe=False):
@@ -57,8 +58,8 @@ def test_overlay_matches_compacted(small_wc_graph, rng, model, method):
     overlay_sampler = make_sampler(graph, model=model, method=method)
     compact_sampler = make_sampler(compacted, model=model, method=method)
     for machine_id in (0, 2):
-        a = sample_set_range(overlay_sampler, seed=11, machine_id=machine_id, start=0, count=60)
-        b = sample_set_range(compact_sampler, seed=11, machine_id=machine_id, start=0, count=60)
+        a = sample_set_range(overlay_sampler, seed=11, machine_id=machine_id, ids=range(60))
+        b = sample_set_range(compact_sampler, seed=11, machine_id=machine_id, ids=range(60))
         assert batches_equal(a, b)
 
 
@@ -69,14 +70,13 @@ def test_clean_wrapper_matches_plain_graph(small_wc_graph, model, method):
         DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
     )
     a = sample_set_range(
-        make_sampler(graph, model=model, method=method), seed=5, machine_id=0, start=0, count=40
+        make_sampler(graph, model=model, method=method), seed=5, machine_id=0, ids=range(40)
     )
     b = sample_set_range(
         make_sampler(small_wc_graph, model=model, method=method),
         seed=5,
         machine_id=0,
-        start=0,
-        count=40,
+        ids=range(40),
     )
     assert batches_equal(a, b)
 
@@ -88,13 +88,63 @@ def test_removed_node_never_sampled(small_wc_graph, rng):
     victim = int(max(range(graph.num_nodes), key=graph.out_degree))
     graph.apply(GraphDelta(remove_nodes=[victim]))
     sampler = make_sampler(graph, model="ic", method="bfs")
-    batch = sample_set_range(sampler, seed=1, machine_id=0, start=0, count=120)
+    batch = sample_set_range(sampler, seed=1, machine_id=0, ids=range(120))
     # The victim may still be a root (node ids are kept) but can never be
     # *reached* through an edge: any appearance is as a singleton root.
     for i in range(batch.count):
         row = batch.nodes[batch.offsets[i] : batch.offsets[i + 1]]
         if victim in row:
             assert int(batch.roots[i]) == victim and row.size == 1
+
+
+def overlay_after(graph, rng, kind):
+    wrapped = VersionedGraph(DirectedGraph(graph.num_nodes, *graph.edge_arrays()))
+    triples = list(graph.edges())
+    picks = [triples[int(i)] for i in rng.choice(len(triples), size=12, replace=False)]
+    n = graph.num_nodes
+    if kind == "insert":
+        delta = GraphDelta(
+            add_edges=[(int(rng.integers(n)), int(rng.integers(n)), 0.45) for _ in range(9)]
+        )
+    elif kind == "delete":
+        # Includes one node's whole in-row: a patched row of length zero.
+        target = picks[0][1]
+        whole_row = [(int(u), target) for u in graph.in_neighbors(target)]
+        others = [(u, v) for u, v, _ in picks[1:6] if v != target]
+        delta = GraphDelta(remove_edges=whole_row + others)
+    else:  # reweight: patched rows leave the uniform-per-node fast path
+        delta = GraphDelta(
+            reweight_edges=[(u, v, 0.05 + 0.07 * i) for i, (u, v, _) in enumerate(picks)]
+        )
+    wrapped.apply(delta)
+    return wrapped
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete", "reweight", "all-three"])
+def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
+    small_wc_graph, rng, kind
+):
+    """One blocked ``sample_sets`` draw over base + overlay row tables ==
+    the scalar per-set loop on the same overlay == either on the
+    compacted graph, for every id shape a build or a repair produces."""
+    if kind == "all-three":
+        graph = versioned_with_delta(small_wc_graph, rng)
+        graph.apply(GraphDelta(add_edges=[(3, 4, 0.5)], remove_nodes=[10]))  # stacked
+    else:
+        graph = overlay_after(small_wc_graph, rng, kind)
+    assert graph.in_overlay is not None
+    overlay_sampler = make_sampler(graph, model="ic", method="bfs")
+    compact_sampler = make_sampler(graph.compact(), model="ic", method="bfs")
+    scattered = np.sort(rng.choice(3000, size=41, replace=False))
+    shuffled = rng.permutation(scattered)
+    for ids in ([], [5], range(30, 80), scattered, shuffled, range(PER_SET_BLOCK + 1)):
+        blocked = sample_set_range(overlay_sampler, seed=11, machine_id=1, ids=ids)
+        scalar = concat_batches(
+            [overlay_sampler.sample_batch(per_set_rng(11, 1, int(i)), 1) for i in ids]
+        )
+        compacted = sample_set_range(compact_sampler, seed=11, machine_id=1, ids=ids)
+        assert batches_equal(blocked, scalar)
+        assert batches_equal(blocked, compacted)
 
 
 def test_vectorized_refuses_overlay(small_wc_graph):
