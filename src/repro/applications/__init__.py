@@ -10,9 +10,9 @@ substantiates the claim for four of them:
 * :func:`seed_minimization` — fewest seeds reaching a required spread;
 * :func:`profit_maximization` — spread benefit minus seeding cost.
 
-Each reuses the same distributed building blocks: per-machine RR
-collections, master-side aggregated marginals, and NEWGREEDI's
-map/reduce decrement rounds.
+Each reuses the same distributed building blocks: a sample pool's
+per-machine RR collections, master-side aggregated marginals, and
+NEWGREEDI's one map/reduce decrement round (``NewGreeDiRounds``).
 """
 
 from .adaptive import adaptive_influence_maximization

@@ -26,13 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
+from ..cluster.executor import MapPhase, SimulatedExecutor
 from ..cluster.metrics import GENERATION
 from ..cluster.network import NetworkModel
 from ..coverage.newgreedi import newgreedi
 from ..diffusion.base import get_model
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
+from ..ris.flat import FlatRRCollection, append_batch
 from .result import ApplicationResult
 from .targeted import TargetedSampler
 
@@ -81,7 +82,8 @@ def adaptive_influence_maximization(
     seeds: list[int] = []
     residual = graph
     cluster = SimulatedCluster(num_machines, network=network, seed=seed)
-    total_rr = 0
+    executor = SimulatedExecutor(cluster)
+    shares = cluster.split_count(rr_sets_per_round)
 
     for round_idx in range(k):
         inactive = [v for v in range(graph.num_nodes) if v not in activated]
@@ -89,17 +91,16 @@ def adaptive_influence_maximization(
             break
         base = make_sampler(residual, model=model, method=method)
         sampler = TargetedSampler(base, inactive)
-        cluster.init_collections(graph.num_nodes)
-        shares = cluster.split_count(rr_sets_per_round)
-        total_rr += rr_sets_per_round
+        # A new residual graph every round: nothing a pool could keep.
+        stores = [FlatRRCollection(graph.num_nodes) for __ in range(num_machines)]
 
-        def generate(machine: Machine) -> None:
-            machine.collection.extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
+        def generate(machine) -> None:
+            mid = machine.machine_id
+            append_batch(stores[mid], sampler.sample_batch(machine.rng, shares[mid]))
 
-        cluster.map(GENERATION, f"adaptive-{round_idx}/generate", generate)
-        selection = newgreedi(cluster, 1, label=f"adaptive-{round_idx}/newgreedi")
+        label = f"adaptive-{round_idx}"
+        executor.run_phase(MapPhase(f"{label}/generate", generate, category=GENERATION))
+        selection = newgreedi(executor, 1, stores=stores, label=f"{label}/newgreedi")
         chosen = selection.seeds[0]
         seeds.append(chosen)
 
@@ -113,7 +114,7 @@ def adaptive_influence_maximization(
         application="adaptive-influence-maximization",
         seeds=seeds,
         objective=float(len(activated)),
-        num_rr_sets=total_rr,
+        num_rr_sets=rr_sets_per_round * len(seeds),
         metrics=cluster.metrics,
         params={
             "k": k,

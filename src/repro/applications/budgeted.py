@@ -20,15 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
-from ..coverage.kernel import sparse_decrements
-from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
+from ..core.pool import SamplePool
+from ..coverage.newgreedi import NewGreeDiRounds
 from ..graphs.digraph import DirectedGraph
-from ..ris import make_sampler
-from .common import prepare_cluster
+from .common import sampled_stores
 from .result import ApplicationResult
 
 __all__ = ["budgeted_influence_maximization"]
@@ -43,8 +39,7 @@ def budgeted_influence_maximization(
     model: str = "ic",
     network: NetworkModel | None = None,
     seed: int = 0,
-    cluster: SimulatedCluster | None = None,
-    collections: Sequence | None = None,
+    pool: SamplePool | None = None,
 ) -> ApplicationResult:
     """Greedy budgeted seed selection over distributed RR sets.
 
@@ -54,14 +49,11 @@ def budgeted_influence_maximization(
         Per-node seeding cost, length ``n``; all costs must be positive.
     budget:
         Total budget ``B``.
-    cluster:
-        Optional lent cluster to run on (must have ``num_machines``
-        machines); the caller keeps ownership of its RNG streams and
-        metrics.
-    collections:
-        Optional pre-generated per-machine RR collections (one per
-        machine, e.g. warm-pool prefix views); generation is skipped and
-        ``num_rr_sets`` is taken from their actual total size.
+    pool:
+        Optional lent warm :class:`~repro.core.pool.SamplePool` built on
+        the same graph, ``num_machines``, ``seed`` and ``model``; selection
+        reads a ``num_rr_sets`` prefix of it, generating only what it lacks,
+        and the answer equals the cold call's.  The caller keeps ownership.
 
     Returns
     -------
@@ -77,100 +69,60 @@ def budgeted_influence_maximization(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
 
-    cluster = prepare_cluster(graph, num_machines, network, seed, cluster, collections)
-    if collections is None:
-        sampler = make_sampler(graph, model=model)
-        shares = cluster.split_count(num_rr_sets)
+    with sampled_stores(
+        "budgeted", graph, num_machines, num_rr_sets, model, network, seed, pool
+    ) as (executor, stores, metrics):
+        rounds = NewGreeDiRounds(executor, stores, "budgeted")
+        counts = rounds.counts
+        # A node's initial count *is* its singleton coverage: kept for the
+        # safeguard below, which therefore needs no second gather.
+        singleton = counts.copy()
 
-        def generate(machine: Machine) -> None:
-            machine.collection.extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
+        # Cost-effective lazy greedy: a max-heap on ratio with lazy
+        # re-evaluation (marginals only decrease, so a stale top is re-pushed
+        # with its fresh ratio).
+        heap = [
+            (-counts[v] / cost_arr[v], v)
+            for v in range(graph.num_nodes)
+            if counts[v] > 0 and cost_arr[v] <= budget
+        ]
+        heapq.heapify(heap)
+        heap_counts = {v: int(counts[v]) for __, v in heap}
 
-        cluster.map(GENERATION, "budgeted/generate", generate)
-    else:
-        num_rr_sets = sum(store.num_sets for store in collections)
-    counts = gather_coverage_counts(cluster, label="budgeted/init")
-
-    def reset(machine: Machine) -> int:
-        machine.state["covered"] = np.zeros(machine.collection.num_sets, dtype=bool)
-        return machine.collection.num_sets
-
-    total_elements = sum(cluster.map(COMPUTATION, "budgeted/reset", reset))
-
-    # Cost-effective lazy greedy: a max-heap on ratio with lazy
-    # re-evaluation (marginals only decrease, so a stale top is re-pushed
-    # with its fresh ratio).
-    heap = [
-        (-counts[v] / cost_arr[v], v)
-        for v in range(graph.num_nodes)
-        if counts[v] > 0 and cost_arr[v] <= budget
-    ]
-    heapq.heapify(heap)
-    heap_counts = {v: int(counts[v]) for __, v in heap}
-
-    seeds: list[int] = []
-    remaining = float(budget)
-    coverage = 0
-
-    def run_map_round(seed_node: int) -> int:
-        cluster.broadcast("budgeted/seed", SEED_BYTES)
-
-        def map_stage(machine: Machine):
-            return sparse_decrements(
-                machine.collection, seed_node, machine.state["covered"]
-            )
-
-        responses = cluster.map(COMPUTATION, "budgeted/map", map_stage)
-        cluster.gather(
-            "budgeted/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
-        )
-
-        def reduce_stage() -> int:
-            gained = 0
-            for ids, decs, newly in responses:
-                gained += newly
-                counts[ids] -= decs
-            return gained
-
-        return cluster.run_on_master("budgeted/reduce", reduce_stage)
-
-    while heap:
-        neg_ratio, candidate = heapq.heappop(heap)
-        if candidate in seeds or cost_arr[candidate] > remaining:
-            continue
-        current = int(counts[candidate])
-        if current <= 0:
-            continue
-        recorded = heap_counts.get(candidate, current)
-        if current < recorded:
-            # Stale ratio: re-file with the fresh marginal.
-            heap_counts[candidate] = current
-            heapq.heappush(heap, (-current / cost_arr[candidate], candidate))
-            continue
-        seeds.append(candidate)
-        remaining -= float(cost_arr[candidate])
-        coverage += run_map_round(candidate)
+        seeds: list[int] = []
+        remaining = float(budget)
+        while heap:
+            neg_ratio, candidate = heapq.heappop(heap)
+            if candidate in seeds or cost_arr[candidate] > remaining:
+                continue
+            current = int(counts[candidate])
+            if current <= 0:
+                continue
+            recorded = heap_counts.get(candidate, current)
+            if current < recorded:
+                # Stale ratio: re-file with the fresh marginal.
+                heap_counts[candidate] = current
+                heapq.heappush(heap, (-current / cost_arr[candidate], candidate))
+                continue
+            seeds.append(candidate)
+            remaining -= float(cost_arr[candidate])
+            rounds.select(candidate)
 
     # Classical safeguard: compare against the best affordable singleton.
+    coverage = rounds.coverage
     affordable = np.flatnonzero(cost_arr <= budget)
     if affordable.size:
-        initial_counts = gather_coverage_counts(cluster, label="budgeted/single")
-        best_single = int(affordable[np.argmax(initial_counts[affordable])])
-        single_cov = sum(
-            m.collection.coverage_of([best_single]) for m in cluster.machines
-        )
-        if single_cov > coverage:
+        best_single = int(affordable[np.argmax(singleton[affordable])])
+        if singleton[best_single] > coverage:
             seeds = [best_single]
-            coverage = single_cov
+            coverage = int(singleton[best_single])
 
-    fraction = coverage / total_elements if total_elements else 0.0
     return ApplicationResult(
         application="budgeted-influence-maximization",
         seeds=seeds,
-        objective=graph.num_nodes * fraction,
+        objective=graph.num_nodes * (coverage / rounds.num_elements),
         num_rr_sets=num_rr_sets,
-        metrics=cluster.metrics,
+        metrics=metrics,
         params={
             "budget": budget,
             "spent": round(float(cost_arr[seeds].sum()), 4) if seeds else 0.0,

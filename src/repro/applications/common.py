@@ -1,58 +1,69 @@
-"""Shared plumbing for the application-level algorithms.
+"""Shared assembly for the fixed-budget applications.
 
-The applications (budgeted, profit, targeted) all run the same prologue:
-build (or borrow) a simulated cluster and give each machine its RR
-collection — either a fresh empty store that the application then fills,
-or a pre-generated one (a warm pool's per-query prefix view), in which
-case generation is skipped entirely.  This module keeps that prologue in
-one place so the three entry points cannot drift apart.
+Budgeted, profit, targeted and seed minimization all select on a fixed
+number of RR sets and all obtain them the same way: from a
+:class:`~repro.core.pool.SamplePool` — a private one for a cold call, the
+caller's resident one for a warm call.  Cold and warm are one code path,
+which is what keeps a warm answer bit-identical to the cold run.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, List, Tuple
 
-from ..cluster.cluster import SimulatedCluster
+from ..cluster.executor import Executor
+from ..cluster.metrics import RunMetrics
 from ..cluster.network import NetworkModel
+from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph
+from ..ris.flat import FlatPrefixView
+from ..ris.rrset import RRSampler
 
-__all__ = ["prepare_cluster"]
+__all__ = ["sampled_stores"]
 
 
-def prepare_cluster(
+@contextmanager
+def sampled_stores(
+    label: str,
     graph: DirectedGraph,
     num_machines: int,
+    num_rr_sets: int,
+    model: str,
     network: NetworkModel | None,
     seed: int,
-    cluster: SimulatedCluster | None,
-    collections: Sequence | None,
-) -> SimulatedCluster:
-    """Return a cluster whose machines carry their RR collections.
+    pool: SamplePool | None,
+    sampler: RRSampler | None = None,
+) -> Iterator[Tuple[Executor, List[FlatPrefixView], RunMetrics]]:
+    """Yield ``(executor, stores, metrics)`` over ``num_rr_sets`` RR sets.
 
-    With ``cluster=None`` a fresh ``SimulatedCluster`` is built from
-    ``(num_machines, network, seed)``; a lent cluster is used as-is after
-    a machine-count check (its RNG streams and metrics stay the caller's
-    responsibility).  With ``collections=None`` every machine gets a
-    fresh empty flat store; otherwise the given stores — one per machine,
-    any object with the read surface of a flat collection, e.g. a
-    :class:`~repro.ris.flat.FlatPrefixView` — are attached directly and
-    the caller is expected to skip generation.
+    With ``pool=None`` a private pool is built on
+    ``SimulatedCluster(num_machines, network, seed)``'s machine streams
+    (drawing with ``sampler`` when given, else the per-set ``(model,
+    "bfs")`` sampler) and closed on exit; a lent pool must draw those same
+    streams (:meth:`SamplePool.check_streams
+    <repro.core.pool.SamplePool.check_streams>`) and keeps its own network
+    model and sampler.  Either way the pool is topped up to the
+    per-machine shares of ``num_rr_sets`` (``{label}/generate``; a pool
+    already that large draws nothing), ``stores`` are prefix views of
+    exactly those shares, and ``metrics`` meters this call alone, under
+    the pool's query lock.
     """
-    if cluster is None:
-        cluster = SimulatedCluster(num_machines, network=network, seed=seed)
-    elif cluster.num_machines != num_machines:
-        raise ValueError(
-            f"num_machines={num_machines} but the lent cluster has "
-            f"{cluster.num_machines} machines"
-        )
-    if collections is None:
-        cluster.init_collections(graph.num_nodes)
-    else:
-        if len(collections) != cluster.num_machines:
-            raise ValueError(
-                f"expected {cluster.num_machines} collections, "
-                f"got {len(collections)}"
+    if num_rr_sets < 1:
+        raise ValueError(f"num_rr_sets must be >= 1, got {num_rr_sets}")
+    with ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(
+                SamplePool(
+                    graph, num_machines, seed=seed, model=model, network=network, sampler=sampler
+                )
             )
-        for machine, store in zip(cluster.machines, collections):
-            machine.collection = store
-    return cluster
+        else:
+            pool.check_streams(graph, num_machines, seed, model, "bfs")
+        shares = pool.cluster.split_count(num_rr_sets)
+        metrics = stack.enter_context(pool.query_metrics())
+        pool.ensure("main", shares, label=f"{label}/generate")
+        stores = [
+            FlatPrefixView(store, share) for store, share in zip(pool.stores("main"), shares)
+        ]
+        yield pool.executor, stores, metrics

@@ -20,15 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
-from ..coverage.kernel import sparse_decrements
-from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
+from ..core.pool import SamplePool
+from ..coverage.newgreedi import NewGreeDiRounds
 from ..graphs.digraph import DirectedGraph
-from ..ris import make_sampler
-from .common import prepare_cluster
+from .common import sampled_stores
 from .result import ApplicationResult
 
 __all__ = ["profit_maximization"]
@@ -42,18 +38,18 @@ def profit_maximization(
     model: str = "ic",
     network: NetworkModel | None = None,
     seed: int = 0,
-    cluster: SimulatedCluster | None = None,
-    collections: Sequence | None = None,
+    pool: SamplePool | None = None,
 ) -> ApplicationResult:
     """Greedy profit-maximizing seed selection over distributed RR sets.
 
     Stops as soon as no node's estimated marginal spread exceeds its cost;
     the returned seed set can be empty when seeding anyone is unprofitable.
     ``objective`` reports the estimated profit
-    ``n * F_R(S) - sum_{v in S} c(v)``.  ``cluster`` lends a pre-built
-    cluster; ``collections`` attaches pre-generated per-machine stores
-    (e.g. warm-pool prefix views) and skips generation, with
-    ``num_rr_sets`` taken from their actual total size.
+    ``n * F_R(S) - sum_{v in S} c(v)``.  ``pool`` lends a warm
+    :class:`~repro.core.pool.SamplePool` built on the same graph,
+    ``num_machines``, ``seed`` and ``model``; selection reads a
+    ``num_rr_sets`` prefix of it, generating only what it lacks, and the
+    answer equals the cold call's.
     """
     n = graph.num_nodes
     cost_arr = np.asarray(list(costs), dtype=np.float64)
@@ -62,81 +58,44 @@ def profit_maximization(
     if np.any(cost_arr < 0):
         raise ValueError("costs must be non-negative")
 
-    cluster = prepare_cluster(graph, num_machines, network, seed, cluster, collections)
-    if collections is None:
-        sampler = make_sampler(graph, model=model)
-        shares = cluster.split_count(num_rr_sets)
+    with sampled_stores(
+        "profit", graph, num_machines, num_rr_sets, model, network, seed, pool
+    ) as (executor, stores, metrics):
+        rounds = NewGreeDiRounds(executor, stores, "profit")
+        counts = rounds.counts
+        spread_per_element = n / rounds.num_elements
 
-        def generate(machine: Machine) -> None:
-            machine.collection.extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
+        # Lazy greedy on the profit gain Delta(v) * n/theta - c(v): marginals
+        # only decrease, so a stale heap top re-files with its fresh gain and
+        # the loop stops as soon as the best fresh gain is non-positive.
+        def gain_of(node: int) -> float:
+            return float(counts[node]) * spread_per_element - float(cost_arr[node])
 
-        cluster.map(GENERATION, "profit/generate", generate)
-    else:
-        num_rr_sets = sum(store.num_sets for store in collections)
-    counts = gather_coverage_counts(cluster, label="profit/init")
+        heap = [(-gain_of(v), v) for v in range(n) if gain_of(v) > 0]
+        heapq.heapify(heap)
+        recorded = {v: -g for g, v in heap}
 
-    def reset(machine: Machine) -> int:
-        machine.state["covered"] = np.zeros(machine.collection.num_sets, dtype=bool)
-        return machine.collection.num_sets
+        seeds: list[int] = []
+        while heap:
+            neg_gain, candidate = heapq.heappop(heap)
+            fresh = gain_of(candidate)
+            if fresh <= 0:
+                continue
+            if fresh < recorded[candidate] - 1e-12:
+                recorded[candidate] = fresh
+                heapq.heappush(heap, (-fresh, candidate))
+                continue
+            seeds.append(candidate)
+            rounds.select(candidate)
 
-    total_elements = sum(cluster.map(COMPUTATION, "profit/reset", reset))
-    if total_elements == 0:
-        raise ValueError("num_rr_sets must be >= 1")
-    spread_per_element = n / total_elements
-
-    # Lazy greedy on the profit gain Delta(v) * n/theta - c(v): marginals
-    # only decrease, so a stale heap top re-files with its fresh gain and
-    # the loop stops as soon as the best fresh gain is non-positive.
-    def gain_of(node: int) -> float:
-        return float(counts[node]) * spread_per_element - float(cost_arr[node])
-
-    heap = [(-gain_of(v), v) for v in range(n) if gain_of(v) > 0]
-    heapq.heapify(heap)
-    recorded = {v: -g for g, v in heap}
-
-    seeds: list[int] = []
-    coverage = 0
-    while heap:
-        neg_gain, candidate = heapq.heappop(heap)
-        fresh = gain_of(candidate)
-        if fresh <= 0:
-            continue
-        if fresh < recorded[candidate] - 1e-12:
-            recorded[candidate] = fresh
-            heapq.heappush(heap, (-fresh, candidate))
-            continue
-        seeds.append(candidate)
-        cluster.broadcast("profit/seed", SEED_BYTES)
-
-        def map_stage(machine: Machine, seed_node: int = candidate):
-            return sparse_decrements(
-                machine.collection, seed_node, machine.state["covered"]
-            )
-
-        responses = cluster.map(COMPUTATION, "profit/map", map_stage)
-        cluster.gather(
-            "profit/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
-        )
-
-        def reduce_stage() -> int:
-            gained = 0
-            for ids, decs, newly in responses:
-                gained += newly
-                counts[ids] -= decs
-            return gained
-
-        coverage += cluster.run_on_master("profit/reduce", reduce_stage)
-
-    spread_estimate = coverage * spread_per_element
+    spread_estimate = rounds.coverage * spread_per_element
     profit = spread_estimate - float(cost_arr[seeds].sum()) if seeds else 0.0
     return ApplicationResult(
         application="profit-maximization",
         seeds=seeds,
         objective=profit,
         num_rr_sets=num_rr_sets,
-        metrics=cluster.metrics,
+        metrics=metrics,
         params={
             "spread_estimate": round(spread_estimate, 2),
             "total_cost": round(float(cost_arr[seeds].sum()), 2) if seeds else 0.0,

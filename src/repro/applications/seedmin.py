@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import COMPUTATION, GENERATION
 from ..cluster.network import NetworkModel
 from ..coverage.greedy import BucketQueue
-from ..coverage.kernel import sparse_decrements
-from ..coverage.newgreedi import SEED_BYTES, TUPLE_BYTES, gather_coverage_counts
+from ..coverage.newgreedi import NewGreeDiRounds
 from ..graphs.digraph import DirectedGraph
-from ..ris import make_sampler
+from .common import sampled_stores
 from .result import ApplicationResult
 
 __all__ = ["seed_minimization"]
@@ -63,65 +59,31 @@ def seed_minimization(
     if cap < 1:
         raise ValueError(f"max_seeds must be >= 1, got {max_seeds}")
 
-    sampler = make_sampler(graph, model=model)
-    cluster = SimulatedCluster(num_machines, network=network, seed=seed)
-    cluster.init_collections(n)
-    shares = cluster.split_count(num_rr_sets)
+    with sampled_stores(
+        "seedmin", graph, num_machines, num_rr_sets, model, network, seed, pool=None
+    ) as (executor, stores, metrics):
+        rounds = NewGreeDiRounds(executor, stores, "seedmin")
+        required_coverage = int(np.ceil(required_spread / n * rounds.num_elements))
 
-    def generate(machine: Machine) -> None:
-        machine.collection.extend(
-            sampler.sample_many(shares[machine.machine_id], machine.rng)
-        )
+        queue = BucketQueue(rounds.counts)
+        seeds: list[int] = []
+        while rounds.coverage < required_coverage and len(seeds) < cap:
+            candidate = queue.pop_max()
+            if candidate is None:
+                break
+            seeds.append(candidate)
+            rounds.select(candidate)
 
-    cluster.map(GENERATION, "seedmin/generate", generate)
-    counts = gather_coverage_counts(cluster, label="seedmin/init")
-
-    def reset(machine: Machine) -> int:
-        machine.state["covered"] = np.zeros(machine.collection.num_sets, dtype=bool)
-        return machine.collection.num_sets
-
-    total_elements = sum(cluster.map(COMPUTATION, "seedmin/reset", reset))
-    required_coverage = int(np.ceil(required_spread / n * total_elements))
-
-    queue = BucketQueue(counts)
-    seeds: list[int] = []
-    coverage = 0
-    while coverage < required_coverage and len(seeds) < cap:
-        candidate = queue.pop_max()
-        if candidate is None:
-            break
-        seeds.append(candidate)
-        cluster.broadcast("seedmin/seed", SEED_BYTES)
-
-        def map_stage(machine: Machine, seed_node: int = candidate):
-            return sparse_decrements(
-                machine.collection, seed_node, machine.state["covered"]
-            )
-
-        responses = cluster.map(COMPUTATION, "seedmin/map", map_stage)
-        cluster.gather(
-            "seedmin/gather", [TUPLE_BYTES * ids.size for ids, __, __ in responses]
-        )
-
-        def reduce_stage() -> int:
-            gained = 0
-            for ids, decs, newly in responses:
-                gained += newly
-                counts[ids] -= decs
-            return gained
-
-        coverage += cluster.run_on_master("seedmin/reduce", reduce_stage)
-
-    fraction = coverage / total_elements if total_elements else 0.0
+    achieved = n * (rounds.coverage / rounds.num_elements)
     return ApplicationResult(
         application="seed-minimization",
         seeds=seeds,
-        objective=n * fraction,
+        objective=achieved,
         num_rr_sets=num_rr_sets,
-        metrics=cluster.metrics,
+        metrics=metrics,
         params={
             "required_spread": required_spread,
-            "achieved": round(n * fraction, 2),
+            "achieved": round(achieved, 2),
             "num_machines": num_machines,
             "model": model,
         },

@@ -18,15 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import GENERATION
 from ..cluster.network import NetworkModel
+from ..core.pool import SamplePool
 from ..coverage.newgreedi import newgreedi
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
 from ..ris.rrset import RRSampler
-from .common import prepare_cluster
+from .common import sampled_stores
 from .result import ApplicationResult
 
 __all__ = ["TargetedSampler", "targeted_influence_maximization"]
@@ -62,8 +60,7 @@ def targeted_influence_maximization(
     model: str = "ic",
     network: NetworkModel | None = None,
     seed: int = 0,
-    cluster: SimulatedCluster | None = None,
-    collections: Sequence | None = None,
+    pool: SamplePool | None = None,
 ) -> ApplicationResult:
     """Select ``k`` seeds maximising the targeted influence spread.
 
@@ -81,39 +78,27 @@ def targeted_influence_maximization(
         Total targeted RR sets to generate (fixed-budget variant; the
         IMM-style adaptive schedule of :func:`repro.core.diimm.diimm`
         applies unchanged if a guarantee is required).
-    cluster:
-        Optional lent cluster to run on (the caller keeps ownership).
-    collections:
-        Optional pre-generated per-machine *targeted* RR stores (one per
-        machine, e.g. warm-pool prefix views grown with a
-        :class:`TargetedSampler` over the same target set); generation is
-        skipped and ``num_rr_sets`` is taken from their actual total size.
+    pool:
+        Optional lent warm :class:`~repro.core.pool.SamplePool` whose
+        sampler is a :class:`TargetedSampler` over the same target set,
+        built on the same graph, ``num_machines``, ``seed`` and ``model``;
+        selection reads a ``num_rr_sets`` prefix of it, generating only what
+        it lacks, and the answer equals the cold call's.  The caller keeps
+        ownership.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if num_rr_sets < 1:
-        raise ValueError(f"num_rr_sets must be >= 1, got {num_rr_sets}")
     sampler = TargetedSampler(make_sampler(graph, model=model), list(targets))
-    cluster = prepare_cluster(graph, num_machines, network, seed, cluster, collections)
-    if collections is None:
-        shares = cluster.split_count(num_rr_sets)
-
-        def generate(machine: Machine) -> None:
-            machine.collection.extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
-
-        cluster.map(GENERATION, "targeted/generate", generate)
-    else:
-        num_rr_sets = sum(store.num_sets for store in collections)
-    selection = newgreedi(cluster, k, label="targeted/newgreedi")
-    estimated = sampler.num_targets * selection.fraction
+    with sampled_stores(
+        "targeted", graph, num_machines, num_rr_sets, model, network, seed, pool, sampler
+    ) as (executor, stores, metrics):
+        selection = newgreedi(executor, k, stores=stores, label="targeted/newgreedi")
     return ApplicationResult(
         application="targeted-influence-maximization",
         seeds=selection.seeds,
-        objective=estimated,
+        objective=sampler.num_targets * selection.fraction,
         num_rr_sets=num_rr_sets,
-        metrics=cluster.metrics,
+        metrics=metrics,
         params={
             "k": k,
             "num_machines": num_machines,

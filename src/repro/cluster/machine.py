@@ -56,8 +56,6 @@ class Machine:
         #: The machine's RR store — a :class:`RRCollection` or
         #: :class:`~repro.ris.flat.FlatRRCollection`, per backend.
         self.collection = None
-        #: Scratch space algorithms may attach per-run state to.
-        self.state: dict[str, Any] = {}
 
     def init_collection(self, num_nodes: int, backend: str = "flat"):
         """Create (or reset) this machine's RR collection.

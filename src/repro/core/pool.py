@@ -517,26 +517,34 @@ class SamplePool:
     # ------------------------------------------------------------------
     # Config compatibility
     # ------------------------------------------------------------------
+    def check_streams(
+        self, graph, machines: int | None, seed: int, model: str, method: str
+    ) -> None:
+        """Reject a query whose cold run would not draw this pool's streams
+        (``machines=None`` skips the width check)."""
+        if machines is not None and self.num_machines != machines:
+            raise ValueError(
+                f"pool has {self.num_machines} machines, query needs {machines}"
+            )
+        if graph is not self.graph:
+            raise ValueError("the query's graph is not the pool's graph")
+        if seed != self.seed:
+            raise ValueError(
+                f"seed={seed} differs from the pool seed {self.seed}; "
+                "warm results would not match a cold run"
+            )
+        if (model, method) != (self.model, self.method):
+            raise ValueError(
+                f"pool samples ({self.model!r}, {self.method!r}); query wants "
+                f"({model!r}, {method!r})"
+            )
+
     def check_config(self, config, machines: int | None = None) -> None:
         """Reject a :class:`~repro.core.config.RunConfig` whose results
         could not equal a cold run over this pool's streams."""
-        expected = self.num_machines if machines is None else machines
-        if machines is not None and self.num_machines != machines:
-            raise ValueError(
-                f"pool has {self.num_machines} machines, query needs {expected}"
-            )
-        if config.graph is not self.graph:
-            raise ValueError("config.graph is not the pool's graph")
-        if config.seed != self.seed:
-            raise ValueError(
-                f"config.seed={config.seed} differs from the pool seed "
-                f"{self.seed}; warm results would not match a cold run"
-            )
-        if config.model != self.model or config.method != self.method:
-            raise ValueError(
-                f"pool samples ({self.model!r}, {self.method!r}); config wants "
-                f"({config.model!r}, {config.method!r})"
-            )
+        self.check_streams(
+            config.graph, machines, config.seed, config.model, config.method
+        )
         if config.backend != "flat":
             hint = (
                 "; sketch register banks cannot be windowed to a query's "

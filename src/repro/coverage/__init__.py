@@ -21,7 +21,7 @@ from .kernel import (
     sparse_coverage_delta,
     sparse_decrements,
 )
-from .newgreedi import NewGreeDiResult, gather_coverage_counts, newgreedi
+from .newgreedi import NewGreeDiResult, NewGreeDiRounds, gather_coverage_counts, newgreedi
 from .problem import CoverageInstance
 from .sketch import (
     SketchCoverageState,
@@ -40,6 +40,7 @@ __all__ = [
     "greedy_max_coverage",
     "naive_greedy_max_coverage",
     "NewGreeDiResult",
+    "NewGreeDiRounds",
     "newgreedi",
     "gather_coverage_counts",
     "greedi",

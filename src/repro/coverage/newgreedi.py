@@ -11,6 +11,10 @@ round:
   them, how much ``v``'s marginal must drop (``Delta_i``);
 * **reduce** — the master subtracts the gathered ``Delta_i`` maps.
 
+That round is :class:`NewGreeDiRounds`, the only copy in the package:
+:func:`newgreedi` drives it with the bucket queue, the applications with
+their own pick rules.
+
 Slaves respond with sparse ``(node, decrement)`` tuple vectors rather than
 full length-``n`` vectors, the traffic optimisation the paper highlights.
 The selection rule (largest marginal, lowest id on ties) is byte-for-byte
@@ -41,29 +45,10 @@ from ..ris.wire import tuple_vector_nbytes
 from .greedy import BucketQueue, GreedyResult, _pad_with_unselected
 from .kernel import as_flat, resolve_backend, sparse_decrements
 
-__all__ = ["NewGreeDiResult", "newgreedi", "gather_coverage_counts"]
+__all__ = ["NewGreeDiResult", "NewGreeDiRounds", "newgreedi", "gather_coverage_counts"]
 
-#: Bytes per raw ``(node, count)`` tuple; kept for reference/docs — the
-#: gathers below charge the delta + varint compressed vector size
-#: (:func:`repro.ris.wire.tuple_vector_nbytes`) instead.
-TUPLE_BYTES = 8
 #: Bytes to broadcast one chosen seed id.
 SEED_BYTES = 8
-
-
-def _sparse_delta_nbytes(delta, backend: str) -> int:
-    """Compressed wire size of one slave's sparse ``(node, count)`` reply.
-
-    Both backends must charge identical bytes for identical content, so
-    the reference backend's dict is serialised in sorted-node order —
-    exactly the order the flat kernel already produces.
-    """
-    if backend == "flat":
-        nodes, decrements = delta
-        return tuple_vector_nbytes(nodes, decrements)
-    nodes = np.fromiter(sorted(delta), dtype=np.int64, count=len(delta))
-    counts = np.asarray([delta[int(node)] for node in nodes], dtype=np.int64)
-    return tuple_vector_nbytes(nodes, counts)
 
 
 @dataclass
@@ -71,11 +56,6 @@ class NewGreeDiResult(GreedyResult):
     """Greedy result plus distributed bookkeeping."""
 
     covered_per_machine: List[int] | None = None
-
-    @property
-    def estimated_influence(self) -> float | None:
-        """``n * F_R(S)`` is computed by callers who know ``n``; kept simple here."""
-        return None
 
 
 def _stores_of(executor: Executor, stores: Sequence | None) -> List:
@@ -133,6 +113,118 @@ def gather_coverage_counts(
     return executor.run_phase(MasterPhase(f"{label}/reduce", reduce_counts)).results
 
 
+class NewGreeDiRounds:
+    """Algorithm 1's per-seed round, factored out of the rule that picks the seed.
+
+    Every greedy that keeps the aggregated marginals at the master —
+    NEWGREEDI's bucket queue to ``k``, the applications' cost-ratio,
+    profit-gain and coverage-threshold rules — maintains them the same
+    way: per chosen node one *broadcast → map (``Delta_i``) → gather →
+    reduce* round over the machines' stores.  This object owns the state
+    those rounds share: the master's marginals :attr:`counts`, each
+    store's ``covered`` flags, :attr:`covered_per_machine` and every
+    round's gain (:attr:`marginals`).  The caller owns the pick rule: it
+    reads :attr:`counts` and calls :meth:`select` once per chosen node.
+
+    Constructing it runs line 2 of Algorithm 1 — label every RR set
+    uncovered, per machine — as the ``{label}/reset`` phase.  With the flat
+    backend each machine also materialises its CSR view there (a no-op for
+    stores that are already flat), so any conversion cost is metered as
+    that machine's computation.  ``counts=None`` then gathers the
+    marginals from the stores (``{label}/init``); a given array is
+    adopted and decremented in place.
+    """
+
+    def __init__(
+        self,
+        executor: Executor,
+        stores: Sequence,
+        label: str,
+        backend: str = "flat",
+        counts: np.ndarray | None = None,
+    ) -> None:
+        self.executor = executor
+        self.stores = _stores_of(executor, stores)
+        self.label = label
+        self.backend = resolve_backend(backend)
+        self.covered_per_machine = [0] * executor.num_machines
+        self.marginals: List[int] = []
+        self._covered: List[np.ndarray | None] = [None] * executor.num_machines
+
+        def reset_covered(machine: Machine) -> int:
+            store = self.stores[machine.machine_id]
+            if self.backend == "flat":
+                store = self.stores[machine.machine_id] = as_flat(store)
+            self._covered[machine.machine_id] = np.zeros(store.num_sets, dtype=bool)
+            return store.num_sets
+
+        self.num_elements = sum(
+            executor.run_phase(MapPhase(f"{label}/reset", reset_covered)).results
+        )
+        if counts is None:
+            counts = gather_coverage_counts(executor, self.stores, label=f"{label}/init")
+        self.counts = counts
+
+    @property
+    def coverage(self) -> int:
+        """RR sets covered by the nodes selected so far."""
+        return sum(self.covered_per_machine)
+
+    def select(self, seed: int) -> int:
+        """Run one round for the chosen ``seed``; return its marginal gain.
+
+        Broadcasts the seed id, has every machine mark the RR sets ``seed``
+        newly covers and answer with its sparse ``(node, decrement)``
+        vector, charges the gather its compressed size
+        (:func:`repro.ris.wire.tuple_vector_nbytes` — identical bytes
+        whichever backend produced the vector) and subtracts the replies
+        from :attr:`counts` on the master.
+        """
+        executor, label, backend, counts = self.executor, self.label, self.backend, self.counts
+
+        def map_stage(machine: Machine):
+            store = self.stores[machine.machine_id]
+            covered = self._covered[machine.machine_id]
+            if backend == "flat":
+                return sparse_decrements(store, seed, covered)
+            delta: Dict[int, int] = {}
+            newly = 0
+            for element in store.sets_containing(seed):
+                if covered[element]:
+                    continue
+                covered[element] = True
+                newly += 1
+                for node in store.get(element).tolist():
+                    delta[node] = delta.get(node, 0) + 1
+            # Shipped in sorted-node order, exactly what the flat kernel
+            # produces, so both backends are charged identical bytes.
+            nodes = np.fromiter(sorted(delta), dtype=np.int64, count=len(delta))
+            decrements = np.asarray([delta[node] for node in nodes.tolist()], dtype=np.int64)
+            return nodes, decrements, newly
+
+        executor.run_phase(BroadcastPhase(f"{label}/seed", SEED_BYTES))
+        responses = executor.run_phase(MapPhase(f"{label}/map", map_stage)).results
+        executor.run_phase(
+            GatherPhase(
+                f"{label}/gather",
+                tuple(tuple_vector_nbytes(nodes, decs) for nodes, decs, __ in responses),
+            )
+        )
+
+        def reduce_stage() -> int:
+            gained = 0
+            for machine_idx, (nodes, decs, newly) in enumerate(responses):
+                self.covered_per_machine[machine_idx] += newly
+                gained += newly
+                if nodes.size:
+                    counts[nodes] -= decs
+            return gained
+
+        gained = executor.run_phase(MasterPhase(f"{label}/reduce", reduce_stage)).results
+        self.marginals.append(gained)
+        return gained
+
+
 def newgreedi(
     cluster,
     k: int,
@@ -185,7 +277,6 @@ def newgreedi(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    resolve_backend(backend)
     executor = as_executor(cluster)
     stores = _stores_of(executor, stores)
     num_universe_sets = stores[0].num_nodes
@@ -200,34 +291,18 @@ def newgreedi(
     if coverage_state is not None and coverage_state.num_nodes != num_universe_sets:
         raise ValueError("coverage_state covers a different universe of sets")
 
-    # Line 2 of Algorithm 1: label all RR sets as uncovered, per machine.
-    # With the flat backend each machine also materialises its CSR view
-    # here (a no-op for stores that are already flat), so any conversion
-    # cost is metered as that machine's computation.
-    def reset_covered(machine: Machine) -> int:
-        store = stores[machine.machine_id]
-        if backend == "flat":
-            store = as_flat(store)
-            stores[machine.machine_id] = store
-        machine.state["covered"] = np.zeros(store.num_sets, dtype=bool)
-        return store.num_sets
-
-    element_counts = executor.run_phase(MapPhase(f"{label}/reset", reset_covered)).results
-    num_elements = sum(element_counts)
-
     if coverage_state is not None:
         counts = coverage_state.selection_counts()
-    elif initial_counts is None:
-        counts = gather_coverage_counts(executor, stores, label=f"{label}/init")
-    else:
+    elif initial_counts is not None:
         counts = initial_counts.astype(np.int64, copy=True)
+    else:
+        counts = None  # gathered by the rounds, after their reset
+    rounds = NewGreeDiRounds(executor, stores, label, backend, counts)
 
-    queue = BucketQueue(counts)
+    # The pick rule: largest marginal, lowest id on ties, until k seeds.
+    queue = BucketQueue(rounds.counts)
     seeds: List[int] = []
-    marginals: List[int] = []
-    covered_per_machine = [0] * executor.num_machines
     master_select_time = 0.0
-
     while len(seeds) < k:
         start = time.perf_counter()
         seed = queue.pop_max()
@@ -235,55 +310,7 @@ def newgreedi(
         if seed is None:
             break
         seeds.append(seed)
-        executor.run_phase(BroadcastPhase(f"{label}/seed", SEED_BYTES))
-
-        def map_stage(machine: Machine, seed: int = seed):
-            store = stores[machine.machine_id]
-            covered = machine.state["covered"]
-            if backend == "flat":
-                nodes, decrements, newly = sparse_decrements(store, seed, covered)
-                return (nodes, decrements), newly
-            delta: Dict[int, int] = {}
-            newly = 0
-            for element in store.sets_containing(seed):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                newly += 1
-                for node in store.get(element).tolist():
-                    delta[node] = delta.get(node, 0) + 1
-            return delta, newly
-
-        responses = executor.run_phase(MapPhase(f"{label}/map", map_stage)).results
-        # A response carries the compressed sparse (node, decrement)
-        # vector, identical bytes whichever backend produced it.
-        executor.run_phase(
-            GatherPhase(
-                f"{label}/gather",
-                tuple(
-                    _sparse_delta_nbytes(delta, backend) for delta, __ in responses
-                ),
-            )
-        )
-
-        def reduce_stage() -> int:
-            gained = 0
-            for machine_idx, (delta, newly) in enumerate(responses):
-                covered_per_machine[machine_idx] += newly
-                gained += newly
-                if backend == "flat":
-                    ids, decs = delta
-                    if ids.size:
-                        counts[ids] -= decs
-                elif delta:
-                    ids = np.fromiter(delta.keys(), dtype=np.int64, count=len(delta))
-                    decs = np.fromiter(delta.values(), dtype=np.int64, count=len(delta))
-                    counts[ids] -= decs
-            return gained
-
-        marginals.append(
-            executor.run_phase(MasterPhase(f"{label}/reduce", reduce_stage)).results
-        )
+        rounds.select(seed)
 
     executor.metrics.record_compute_phase(
         COMPUTATION, f"{label}/select", [master_select_time]
@@ -291,8 +318,8 @@ def newgreedi(
     _pad_with_unselected(seeds, k, num_universe_sets)
     return NewGreeDiResult(
         seeds=seeds,
-        coverage=sum(covered_per_machine),
-        num_elements=num_elements,
-        marginals=marginals,
-        covered_per_machine=covered_per_machine,
+        coverage=rounds.coverage,
+        num_elements=rounds.num_elements,
+        marginals=rounds.marginals,
+        covered_per_machine=rounds.covered_per_machine,
     )

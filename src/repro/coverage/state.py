@@ -38,11 +38,6 @@ from .kernel import apply_sparse_delta, sparse_coverage_delta
 
 __all__ = ["CoverageState"]
 
-#: Bytes per raw ``(node, count)`` tuple; kept for reference/docs — the
-#: gathers below charge the delta + varint compressed vector size
-#: (:func:`repro.ris.wire.tuple_vector_nbytes`) instead.
-TUPLE_BYTES = 8
-
 
 class CoverageState:
     """Aggregated per-node coverage counts over a distributed collection.

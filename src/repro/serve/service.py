@@ -12,9 +12,10 @@ routes each query to the right pool:
   of the pool's collections, topping the pool up only when the query's
   accuracy parameters push theta past what previous queries generated.
 * **Application queries** (``budgeted``, ``profit``, ``targeted``) are
-  fixed-budget: the service tops the pool up to the per-machine shares of
-  ``num_rr_sets`` and hands the application prefix views in place of
-  generation.
+  fixed-budget: the service lends the application its pool (``pool=``),
+  and the application tops it up to the per-machine shares of
+  ``num_rr_sets`` and selects on prefix views — the very code its cold
+  call runs on a private pool.
 
 Either way the answer is bit-identical to the cold entry point with the
 same parameters — the correctness anchor ``tests/serve`` pins.
@@ -61,7 +62,6 @@ from ..core.imm import imm_from_config
 from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris import make_sampler
-from ..ris.flat import FlatPrefixView
 
 __all__ = ["QUERY_KINDS", "InfluenceService", "Query", "default_costs"]
 
@@ -349,32 +349,23 @@ class InfluenceService:
         return entry(config, pool=pool)
 
     def _run_app(self, query: Query, pool: SamplePool):
-        shares = pool.cluster.split_count(query.num_rr_sets)
-        with pool.query_metrics():
-            pool.ensure("main", shares, label=f"serve/{query.kind}/ensure")
-            views = [
-                FlatPrefixView(store, share)
-                for store, share in zip(pool.stores("main"), shares)
-            ]
-            common = dict(
-                num_machines=pool.num_machines,
-                num_rr_sets=query.num_rr_sets,
-                model=self.model,
-                seed=self.seed,
-                cluster=pool.cluster,
-                collections=views,
-            )
-            if query.kind == "budgeted":
-                costs = query.costs if query.costs is not None else default_costs(self.graph)
-                return budgeted_influence_maximization(
-                    self.graph, costs, query.budget, **common
-                )
-            if query.kind == "profit":
-                costs = query.costs if query.costs is not None else default_costs(self.graph)
-                return profit_maximization(self.graph, costs, **common)
+        common = dict(
+            num_machines=pool.num_machines,
+            num_rr_sets=query.num_rr_sets,
+            model=self.model,
+            seed=self.seed,
+            pool=pool,
+        )
+        if query.kind == "targeted":
             return targeted_influence_maximization(
                 self.graph, list(query.targets), query.k, **common
             )
+        costs = query.costs if query.costs is not None else default_costs(self.graph)
+        if query.kind == "budgeted":
+            return budgeted_influence_maximization(
+                self.graph, costs, query.budget, **common
+            )
+        return profit_maximization(self.graph, costs, **common)
 
     # ------------------------------------------------------------------
     # Dynamic graph updates

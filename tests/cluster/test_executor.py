@@ -103,9 +103,9 @@ class TestExecutorConformance:
         from repro.ris import make_collection
 
         executor = build_executor(executor_name, small_wc_graph)
-        for machine in executor.machines:
-            machine.state["R2"] = make_collection(small_wc_graph.num_nodes, "flat")
-        targets = tuple(m.state["R2"] for m in executor.machines)
+        targets = tuple(
+            make_collection(small_wc_graph.num_nodes, "flat") for __ in executor.machines
+        )
         executor.run_phase(GeneratePhase("t/gen", counts=(4, 4, 4), targets=targets))
         assert [t.num_sets for t in targets] == [4, 4, 4]
         # default collections untouched

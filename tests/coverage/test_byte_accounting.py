@@ -7,16 +7,28 @@ run charges byte-for-byte the same communication whether the map stage is
 the reference dict loop or the flat CSR kernel.
 """
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
+from repro.applications import (
+    adaptive_influence_maximization,
+    budgeted_influence_maximization,
+    profit_maximization,
+    seed_minimization,
+    targeted_influence_maximization,
+)
 from repro.cluster import COMMUNICATION, SimulatedCluster
 from repro.coverage import greedi, newgreedi
-from repro.coverage.newgreedi import SEED_BYTES, TUPLE_BYTES
+from repro.coverage.newgreedi import SEED_BYTES
 from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import RRCollection, make_sampler
+from repro.ris.wire import tuple_vector_nbytes
 
 MACHINES = 4
+# The package re-exports the function under the submodule's name.
+newgreedi_module = import_module("repro.coverage.newgreedi")
 
 
 def build_stores(seed: int, count: int = 120):
@@ -49,8 +61,8 @@ class TestNewGreediBytes:
 
     def test_gather_bytes_are_compressed_sparse_vectors(self):
         """Round r's gather charges the delta + varint size of each
-        machine's sparse vector — strictly below the raw TUPLE_BYTES
-        per distinct node it used to charge, and never zero (the length
+        machine's sparse vector — strictly below the raw 8 bytes per
+        distinct node it used to charge, and never zero (the length
         header always ships)."""
         __, stores = build_stores(5)
         cluster = SimulatedCluster(MACHINES, seed=0)
@@ -65,13 +77,56 @@ class TestNewGreediBytes:
         # Upper bound: even a dense response (every node, one tuple each)
         # in the old raw format — compression must only ever shrink.
         for size in gathers:
-            assert size < TUPLE_BYTES * stores[0].num_nodes * MACHINES
+            assert size < 8 * stores[0].num_nodes * MACHINES
         broadcasts = [
             p.num_bytes
             for p in cluster.metrics.phases
             if p.category == COMMUNICATION and p.label == "newgreedi/seed"
         ]
         assert broadcasts == [SEED_BYTES * MACHINES] * len(result.marginals)
+
+
+class TestApplicationBytes:
+    """Every application's per-seed gather is priced like NEWGREEDI's: the
+    compressed size of that round's replies, not 8 bytes per tuple."""
+
+    APPLICATIONS = {
+        "budgeted": lambda g, costs: budgeted_influence_maximization(
+            g, costs, 6.0, MACHINES, 900, seed=3
+        ),
+        "profit": lambda g, costs: profit_maximization(g, 4 * costs, MACHINES, 900, seed=3),
+        "seedmin": lambda g, costs: seed_minimization(g, 60.0, MACHINES, 900, seed=3),
+        "targeted": lambda g, costs: targeted_influence_maximization(
+            g, range(50), 5, MACHINES, 900, seed=3
+        ),
+        "adaptive": lambda g, costs: adaptive_influence_maximization(g, 3, MACHINES, 300, seed=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(APPLICATIONS))
+    def test_gathers_equal_the_replies_compressed_size(self, small_wc_graph, monkeypatch, name):
+        replies = []
+        real = newgreedi_module.sparse_decrements
+
+        def recording(store, seed, covered):
+            nodes, decrements, newly = real(store, seed, covered)
+            replies.append(tuple_vector_nbytes(nodes, decrements))
+            return nodes, decrements, newly
+
+        monkeypatch.setattr(newgreedi_module, "sparse_decrements", recording)
+        costs = np.random.default_rng(3).uniform(0.5, 2.0, size=small_wc_graph.num_nodes)
+        result = self.APPLICATIONS[name](small_wc_graph, costs)
+        gathers = [
+            p.num_bytes
+            for p in result.metrics.phases
+            if p.label.endswith("/gather") and not p.label.endswith("/init/gather")
+        ]
+        assert len(gathers) >= 3
+        # One reply per machine per round, in machine order.
+        per_round = np.asarray(replies).reshape(len(gathers), MACHINES).sum(axis=1)
+        assert gathers == per_round.tolist()
+        assert result.metrics.total_bytes == sum(
+            p.num_bytes for p in result.metrics.phases if p.category == COMMUNICATION
+        )
 
 
 class TestGreediBytes:
