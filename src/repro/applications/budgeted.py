@@ -69,10 +69,12 @@ def budgeted_influence_maximization(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
 
-    with sampled_stores(
-        "budgeted", graph, num_machines, num_rr_sets, model, network, seed, pool
-    ) as (executor, stores, metrics):
-        rounds = NewGreeDiRounds(executor, stores, "budgeted")
+    with (
+        sampled_stores(
+            "budgeted", graph, num_machines, num_rr_sets, model, network, seed, pool
+        ) as (executor, stores, metrics),
+        NewGreeDiRounds(executor, stores, "budgeted") as rounds,
+    ):
         counts = rounds.counts
         # A node's initial count *is* its singleton coverage: kept for the
         # safeguard below, which therefore needs no second gather.
@@ -81,19 +83,21 @@ def budgeted_influence_maximization(
         # Cost-effective lazy greedy: a max-heap on ratio with lazy
         # re-evaluation (marginals only decrease, so a stale top is re-pushed
         # with its fresh ratio).
-        heap = [
-            (-counts[v] / cost_arr[v], v)
-            for v in range(graph.num_nodes)
-            if counts[v] > 0 and cost_arr[v] <= budget
-        ]
+        nodes = np.flatnonzero((counts > 0) & (cost_arr <= budget))
+        ids, node_counts, node_costs = nodes.tolist(), counts[nodes], cost_arr[nodes]
+        heap = list(zip((-node_counts / node_costs).tolist(), ids))
         heapq.heapify(heap)
-        heap_counts = {v: int(counts[v]) for __, v in heap}
+        heap_counts = dict(zip(ids, node_counts.tolist()))
+        # No node on the heap costs less, so once the budget left is below
+        # this every remaining pop would be skipped as unaffordable.
+        cheapest = node_costs.min(initial=np.inf)
 
         seeds: list[int] = []
+        chosen: set[int] = set()
         remaining = float(budget)
-        while heap:
+        while heap and remaining >= cheapest:
             neg_ratio, candidate = heapq.heappop(heap)
-            if candidate in seeds or cost_arr[candidate] > remaining:
+            if candidate in chosen or cost_arr[candidate] > remaining:
                 continue
             current = int(counts[candidate])
             if current <= 0:
@@ -105,6 +109,7 @@ def budgeted_influence_maximization(
                 heapq.heappush(heap, (-current / cost_arr[candidate], candidate))
                 continue
             seeds.append(candidate)
+            chosen.add(candidate)
             remaining -= float(cost_arr[candidate])
             rounds.select(candidate)
 

@@ -59,10 +59,12 @@ def seed_minimization(
     if cap < 1:
         raise ValueError(f"max_seeds must be >= 1, got {max_seeds}")
 
-    with sampled_stores(
-        "seedmin", graph, num_machines, num_rr_sets, model, network, seed, pool=None
-    ) as (executor, stores, metrics):
-        rounds = NewGreeDiRounds(executor, stores, "seedmin")
+    with (
+        sampled_stores(
+            "seedmin", graph, num_machines, num_rr_sets, model, network, seed, pool=None
+        ) as (executor, stores, metrics),
+        NewGreeDiRounds(executor, stores, "seedmin") as rounds,
+    ):
         required_coverage = int(np.ceil(required_spread / n * rounds.num_elements))
 
         queue = BucketQueue(rounds.counts)

@@ -96,7 +96,8 @@ class SimulatedCluster:
             for i in range(num_machines)
         ]
         self.metrics = RunMetrics()
-        self._clock = clock
+        #: The time source master-side work is metered with (the machines share it).
+        self.clock = clock
 
     @property
     def num_machines(self) -> int:
@@ -131,9 +132,9 @@ class SimulatedCluster:
 
     def run_on_master(self, label: str, work: Callable[[], Any]) -> Any:
         """Run master-side work (e.g. the greedy scan) as a computation phase."""
-        start = self._clock()
+        start = self.clock()
         result = work()
-        elapsed = self._clock() - start
+        elapsed = self.clock() - start
         self.metrics.record_compute_phase(COMPUTATION, label, [elapsed])
         return result
 

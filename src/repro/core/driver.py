@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..cluster.executor import (
     Executor,
@@ -90,10 +90,17 @@ class RoundPlan:
     ``targets`` maps each collection key to the *total* number of RR sets
     it must reach this round (growth, not increment — re-running a round
     after a crash generates only what is still missing).
+
+    ``accepts(coverage, num_elements)`` is the round's acceptance test,
+    non-decreasing in ``coverage``.  A rule sets it only when the verdict
+    is *all* it will read of the round's selection; selection then stops
+    as soon as the remaining picks cannot reach it, and hands ``check`` a
+    shorter selection that fails the same test.
     """
 
     label: str
     targets: Mapping[str, int]
+    accepts: Callable[[int, int], bool] | None = field(default=None, compare=False)
 
 
 class StoppingRule(ABC):
@@ -170,16 +177,29 @@ class ImmScheduleRule(StoppingRule):
             )
         self.t += 1
         return RoundPlan(
-            f"search-{self.t}", {"main": self.params.theta_for_round(self.t)}
+            f"search-{self.t}",
+            {"main": self.params.theta_for_round(self.t)},
+            accepts=self.certifies,
         )
+
+    def certifies(self, coverage: int, num_elements: int) -> bool:
+        """Search round ``t``'s test, ``n * F_R(S_t) >= (1 + eps') * n / 2^t``.
+
+        Non-decreasing in ``coverage`` in floating point as well: a
+        correctly rounded quotient and product never decrease when an
+        operand grows.
+        """
+        n = self.params.n
+        fraction = coverage / num_elements if num_elements else 0.0
+        x = n / (2.0**self.t)
+        return n * fraction >= (1.0 + self.params.eps_prime) * x
 
     def check(self, driver: "RoundDriver", selection: GreedyResult, plan: RoundPlan) -> bool:
         if self.final_pending:
             return True
         n = self.params.n
         self.search_rounds = self.t
-        x = n / (2.0**self.t)
-        if n * selection.fraction >= (1.0 + self.params.eps_prime) * x:
+        if self.certifies(selection.coverage, selection.num_elements):
             self.lower_bound = n * selection.fraction / (1.0 + self.params.eps_prime)
             self.final_pending = True
         elif self.t >= self.params.max_search_rounds:
@@ -733,8 +753,8 @@ class RoundDriver:
             rr_store_nbytes=rr_store, coverage_nbytes=int(self.coverage.nbytes())
         )
 
-    def _select(self, round_label: str) -> GreedyResult:
-        key = self.rule.selection_key
+    def _select(self, plan: RoundPlan) -> GreedyResult:
+        key, round_label = self.rule.selection_key, plan.label
         if self.backend == "sketch":
             # The register deltas already travelled in the ingest gather,
             # so selection is a pure master-side computation over the
@@ -757,6 +777,7 @@ class RoundDriver:
                 label=f"{round_label}/newgreedi",
                 backend=self.backend,
                 coverage_state=self.coverage,
+                accepts=plan.accepts,
             )
 
         stores = self.stores[key]
@@ -764,7 +785,11 @@ class RoundDriver:
 
         def central_greedy(machine: Machine) -> GreedyResult:
             return greedy_max_coverage(
-                stores, self.k, backend=self.backend, initial_counts=counts
+                stores,
+                self.k,
+                backend=self.backend,
+                initial_counts=counts,
+                accepts=plan.accepts,
             )
 
         results = self.executor.run_phase(
@@ -825,6 +850,11 @@ class RoundDriver:
 
         metrics = self.executor.metrics
         rounds_executed = 0
+        # The last selection that ran to k seeds, and the per-machine sizes
+        # of the selection collection it ran on: a round that grows nothing
+        # (a final theta the search already reached) would recompute it
+        # seed for seed.  Not checkpointed — a resumed run selects again.
+        selection, selected_on = None, None
         while True:
             plan = self.rule.next_round()
             with metrics.annotated(round_index=round_index, rule=self.rule.name):
@@ -832,7 +862,12 @@ class RoundDriver:
                     self._grow(key, int(plan.targets[key]), plan.label)
                 self._ingest(plan.label)
                 self._record_memory()
-                selection = self._select(plan.label)
+                sizes = [store.num_sets for store in self.stores[self.rule.selection_key]]
+                if sizes != selected_on:
+                    selection = self._select(plan)
+                    # A selection cut short by plan.accepts answers that
+                    # round only.
+                    selected_on = sizes if len(selection.seeds) == self.k else None
                 stop = self.rule.check(self, selection, plan)
             rounds_executed += 1
             if stop:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -119,11 +119,25 @@ def _pad_with_unselected(seeds: List[int], k: int, num_universe_sets: int) -> No
         candidate += 1
 
 
+def _cannot_pass(accepts, coverage: int, picks_left: int, marginal, num_elements: int) -> bool:
+    """Whether a greedy selection at ``coverage`` is past saving for ``accepts``.
+
+    ``marginal`` is the next pick's gain, the largest one left; greedy
+    marginals never increase, so ``picks_left`` more picks add at most
+    ``picks_left * marginal`` and a non-decreasing test that fails on that
+    bound fails on the finished selection.
+    """
+    return accepts is not None and not accepts(
+        coverage + picks_left * int(marginal), num_elements
+    )
+
+
 def greedy_max_coverage(
     stores: Sequence,
     k: int,
     backend: str = "flat",
     initial_counts: np.ndarray | None = None,
+    accepts: Callable[[int, int], bool] | None = None,
 ) -> GreedyResult:
     """Lazy bucket greedy over one or more element stores.
 
@@ -145,6 +159,14 @@ def greedy_max_coverage(
     :class:`~repro.coverage.state.CoverageState`), skipping the
     ``O(total incidence)`` aggregation pass here.  The array is copied,
     never mutated.
+
+    ``accepts(coverage, num_elements)`` is the caller's test on the
+    finished selection, non-decreasing in ``coverage``.  When given, the
+    loop stops as soon as the selection can no longer pass it: before
+    committing pick ``j + 1`` it tests the upper bound
+    ``coverage_j + (k - j) * marginal_{j+1}`` (greedy marginals never
+    increase) and, if even that fails, returns the ``j`` seeds it has,
+    unpadded.  A selection that would pass is never cut short.
 
     Complexity is linear in the total incidence size: every
     (element, member) link is touched at most twice, matching the paper's
@@ -177,9 +199,14 @@ def greedy_max_coverage(
     coverage = 0
     num_elements = sum(store.num_sets for store in stores)
 
+    doomed = False
     while len(seeds) < k:
         seed = queue.pop_max()
         if seed is None:
+            break
+        # pop_max just verified counts[seed] is the largest marginal.
+        if _cannot_pass(accepts, coverage, k - len(seeds), counts[seed], num_elements):
+            doomed = True
             break
         gained = 0
         for store_idx, store in enumerate(stores):
@@ -196,7 +223,8 @@ def greedy_max_coverage(
         seeds.append(seed)
         marginals.append(gained)
         coverage += gained
-    _pad_with_unselected(seeds, k, num_universe_sets)
+    if not doomed:
+        _pad_with_unselected(seeds, k, num_universe_sets)
     return GreedyResult(
         seeds=seeds,
         coverage=coverage,

@@ -13,7 +13,8 @@ round:
 
 That round is :class:`NewGreeDiRounds`, the only copy in the package:
 :func:`newgreedi` drives it with the bucket queue, the applications with
-their own pick rules.
+their own pick rules.  It runs the round's work as the picks are made and
+writes the round's four phase records when the rounds object is closed.
 
 Slaves respond with sparse ``(node, decrement)`` tuple vectors rather than
 full length-``n`` vectors, the traffic optimisation the paper highlights.
@@ -27,22 +28,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.executor import (
-    BroadcastPhase,
-    Executor,
-    GatherPhase,
-    MapPhase,
-    MasterPhase,
-    as_executor,
-)
+from ..cluster.cluster import MachineFailure
+from ..cluster.executor import Executor, GatherPhase, MapPhase, MasterPhase, as_executor
 from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION
 from ..ris.wire import tuple_vector_nbytes
-from .greedy import BucketQueue, GreedyResult, _pad_with_unselected
+from .greedy import BucketQueue, GreedyResult, _cannot_pass, _pad_with_unselected
 from .kernel import as_flat, resolve_backend, sparse_decrements
 
 __all__ = ["NewGreeDiResult", "NewGreeDiRounds", "newgreedi", "gather_coverage_counts"]
@@ -113,6 +108,25 @@ def gather_coverage_counts(
     return executor.run_phase(MasterPhase(f"{label}/reduce", reduce_counts)).results
 
 
+def _reference_decrements(store, seed: int, covered: np.ndarray):
+    """:func:`~repro.coverage.kernel.sparse_decrements` over the store
+    protocol: the original dict-accumulating map stage."""
+    delta: Dict[int, int] = {}
+    newly = 0
+    for element in store.sets_containing(seed):
+        if covered[element]:
+            continue
+        covered[element] = True
+        newly += 1
+        for node in store.get(element).tolist():
+            delta[node] = delta.get(node, 0) + 1
+    # Shipped in sorted-node order, exactly what the flat kernel
+    # produces, so both backends are charged identical bytes.
+    nodes = np.fromiter(sorted(delta), dtype=np.int64, count=len(delta))
+    decrements = np.asarray([delta[node] for node in nodes.tolist()], dtype=np.int64)
+    return nodes, decrements, newly
+
+
 class NewGreeDiRounds:
     """Algorithm 1's per-seed round, factored out of the rule that picks the seed.
 
@@ -133,6 +147,13 @@ class NewGreeDiRounds:
     that machine's computation.  ``counts=None`` then gathers the
     marginals from the stores (``{label}/init``); a given array is
     adopted and decremented in place.
+
+    :meth:`select` meters a round — per-machine map times, reply sizes,
+    the master's reduce time — and keeps those numbers; :meth:`close`
+    turns them into the rounds' ``seed`` / ``map`` / ``gather`` /
+    ``reduce`` phase records, in round order.  Use the object as a context
+    manager (or close it in a ``finally``) around the pick loop, so the
+    rounds that completed are on the books even when one fails.
     """
 
     def __init__(
@@ -150,6 +171,8 @@ class NewGreeDiRounds:
         self.covered_per_machine = [0] * executor.num_machines
         self.marginals: List[int] = []
         self._covered: List[np.ndarray | None] = [None] * executor.num_machines
+        #: Per completed round: (machine map times, reply bytes, reduce time).
+        self._books: List[Tuple[List[float], List[int], float]] = []
 
         def reset_covered(machine: Machine) -> int:
             store = self.stores[machine.machine_id]
@@ -173,56 +196,66 @@ class NewGreeDiRounds:
     def select(self, seed: int) -> int:
         """Run one round for the chosen ``seed``; return its marginal gain.
 
-        Broadcasts the seed id, has every machine mark the RR sets ``seed``
-        newly covers and answer with its sparse ``(node, decrement)``
-        vector, charges the gather its compressed size
+        Every machine marks the RR sets ``seed`` newly covers and answers
+        with its sparse ``(node, decrement)`` vector, timed on its own
+        clock; each reply is priced at its compressed size
         (:func:`repro.ris.wire.tuple_vector_nbytes` — identical bytes
-        whichever backend produced the vector) and subtracts the replies
-        from :attr:`counts` on the master.
+        whichever backend produced the vector) and the master subtracts
+        the replies from :attr:`counts`.  The round's phase records are
+        written by :meth:`close`.
         """
-        executor, label, backend, counts = self.executor, self.label, self.backend, self.counts
+        decrements = sparse_decrements if self.backend == "flat" else _reference_decrements
+        stores, covered, counts = self.stores, self._covered, self.counts
 
         def map_stage(machine: Machine):
-            store = self.stores[machine.machine_id]
-            covered = self._covered[machine.machine_id]
-            if backend == "flat":
-                return sparse_decrements(store, seed, covered)
-            delta: Dict[int, int] = {}
-            newly = 0
-            for element in store.sets_containing(seed):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                newly += 1
-                for node in store.get(element).tolist():
-                    delta[node] = delta.get(node, 0) + 1
-            # Shipped in sorted-node order, exactly what the flat kernel
-            # produces, so both backends are charged identical bytes.
-            nodes = np.fromiter(sorted(delta), dtype=np.int64, count=len(delta))
-            decrements = np.asarray([delta[node] for node in nodes.tolist()], dtype=np.int64)
-            return nodes, decrements, newly
+            mid = machine.machine_id
+            return decrements(stores[mid], seed, covered[mid])
 
-        executor.run_phase(BroadcastPhase(f"{label}/seed", SEED_BYTES))
-        responses = executor.run_phase(MapPhase(f"{label}/map", map_stage)).results
-        executor.run_phase(
-            GatherPhase(
-                f"{label}/gather",
-                tuple(tuple_vector_nbytes(nodes, decs) for nodes, decs, __ in responses),
-            )
-        )
+        times: List[float] = []
+        sizes: List[int] = []
+        replies = []
+        for machine in self.executor.machines:
+            try:
+                reply, elapsed = machine.run(map_stage)
+            except Exception as exc:
+                raise MachineFailure(machine.machine_id, f"{self.label}/map") from exc
+            times.append(elapsed)
+            sizes.append(tuple_vector_nbytes(reply[0], reply[1]))
+            replies.append(reply)
 
-        def reduce_stage() -> int:
-            gained = 0
-            for machine_idx, (nodes, decs, newly) in enumerate(responses):
-                self.covered_per_machine[machine_idx] += newly
-                gained += newly
-                if nodes.size:
-                    counts[nodes] -= decs
-            return gained
-
-        gained = executor.run_phase(MasterPhase(f"{label}/reduce", reduce_stage)).results
+        clock = self.executor.cluster.clock
+        start = clock()
+        gained = 0
+        for machine_idx, (nodes, decs, newly) in enumerate(replies):
+            self.covered_per_machine[machine_idx] += newly
+            gained += newly
+            if nodes.size:
+                counts[nodes] -= decs
+        self._books.append((times, sizes, clock() - start))
         self.marginals.append(gained)
         return gained
+
+    def close(self) -> None:
+        """Write the phase records of every round run since the last close.
+
+        Per round, in order: the seed broadcast, the machines' map stage,
+        the gather of their replies and the master's reduce — stamped with
+        whatever round annotation the metrics carry now, so close inside
+        the scope the rounds ran in.
+        """
+        cluster, label = self.executor.cluster, self.label
+        books, self._books = self._books, []
+        for times, sizes, reduce_time in books:
+            cluster.broadcast(f"{label}/seed", SEED_BYTES)
+            cluster.metrics.record_compute_phase(COMPUTATION, f"{label}/map", times)
+            cluster.gather(f"{label}/gather", sizes)
+            cluster.metrics.record_compute_phase(COMPUTATION, f"{label}/reduce", [reduce_time])
+
+    def __enter__(self) -> "NewGreeDiRounds":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def newgreedi(
@@ -233,6 +266,7 @@ def newgreedi(
     label: str = "newgreedi",
     backend: str = "flat",
     coverage_state=None,
+    accepts: Callable[[int, int], bool] | None = None,
 ) -> NewGreeDiResult:
     """Run Algorithm 1 on the cluster and return the size-``k`` solution.
 
@@ -241,9 +275,9 @@ def newgreedi(
     cluster:
         The simulated cluster — or an
         :class:`~repro.cluster.executor.Executor` over one — whose
-        metrics record the timing/traffic.  Every round is expressed as
-        phase plans (map / gather / broadcast / master), so whichever
-        executor runs them, the accounting shape is the same.
+        metrics record the timing/traffic.  Every round lands there as
+        the same four phase records (broadcast / map / gather / master),
+        whichever executor the cluster sits under.
     k:
         Seed-set size.
     stores:
@@ -268,6 +302,15 @@ def newgreedi(
         with the original dict-accumulating loop.  Seeds, marginals,
         ``covered_per_machine`` and all charged bytes are identical
         between the two (regression-tested).
+    accepts:
+        ``accepts(coverage, num_elements)``, the caller's test on the
+        finished selection, non-decreasing in ``coverage``.  When given,
+        the loop stops as soon as the selection can no longer pass it:
+        before committing pick ``j + 1`` it tests the upper bound
+        ``coverage_j + (k - j) * marginal_{j+1}`` (greedy marginals never
+        increase) and, if even that fails, returns the ``j`` seeds it has,
+        unpadded — a prefix of the full run's, which the test fails too.
+        A selection that would pass is never cut short.
 
     Returns
     -------
@@ -297,25 +340,32 @@ def newgreedi(
         counts = initial_counts.astype(np.int64, copy=True)
     else:
         counts = None  # gathered by the rounds, after their reset
-    rounds = NewGreeDiRounds(executor, stores, label, backend, counts)
-
     # The pick rule: largest marginal, lowest id on ties, until k seeds.
-    queue = BucketQueue(rounds.counts)
     seeds: List[int] = []
+    doomed = False
     master_select_time = 0.0
-    while len(seeds) < k:
-        start = time.perf_counter()
-        seed = queue.pop_max()
-        master_select_time += time.perf_counter() - start
-        if seed is None:
-            break
-        seeds.append(seed)
-        rounds.select(seed)
+    with NewGreeDiRounds(executor, stores, label, backend, counts) as rounds:
+        queue = BucketQueue(rounds.counts)
+        while len(seeds) < k:
+            start = time.perf_counter()
+            seed = queue.pop_max()
+            master_select_time += time.perf_counter() - start
+            if seed is None:
+                break
+            # pop_max just verified counts[seed] is the largest marginal.
+            if _cannot_pass(
+                accepts, rounds.coverage, k - len(seeds), rounds.counts[seed], rounds.num_elements
+            ):
+                doomed = True
+                break
+            seeds.append(seed)
+            rounds.select(seed)
 
     executor.metrics.record_compute_phase(
         COMPUTATION, f"{label}/select", [master_select_time]
     )
-    _pad_with_unselected(seeds, k, num_universe_sets)
+    if not doomed:
+        _pad_with_unselected(seeds, k, num_universe_sets)
     return NewGreeDiResult(
         seeds=seeds,
         coverage=rounds.coverage,

@@ -25,6 +25,28 @@ class TestBudgetedIM:
         )
         assert len(result.seeds) == 4
 
+    def test_loop_stops_when_nothing_left_is_affordable(self, small_wc_graph, monkeypatch):
+        """Once the budget left is below every cost on the heap the loop
+        ends; it used to pop (and skip) every remaining node."""
+        import heapq
+
+        from repro.coverage.newgreedi import NewGreeDiRounds
+
+        events = []
+        real_pop, real_select = heapq.heappop, NewGreeDiRounds.select
+        monkeypatch.setattr(heapq, "heappop", lambda heap: events.append("pop") or real_pop(heap))
+        monkeypatch.setattr(
+            NewGreeDiRounds,
+            "select",
+            lambda self, seed: events.append("select") or real_select(self, seed),
+        )
+        costs = np.ones(small_wc_graph.num_nodes)
+        result = budgeted_influence_maximization(
+            small_wc_graph, costs, budget=3.5, num_machines=2, num_rr_sets=1000, seed=3
+        )
+        assert events.count("select") == len(result.seeds) == 3
+        assert events[-1] == "select"
+
     def test_expensive_hub_skipped(self):
         # Hub covers everything but costs more than the whole budget;
         # greedy must fall back to leaves.

@@ -46,6 +46,7 @@ class TestRuleMechanics:
         rule = self.make_rule()
         plan = rule.next_round()
         assert plan.targets == {"main": 100}
+        assert plan.accepts is None  # this rule reads a failing selection
         # Tiny coverage: huge sampling error, keep going with doubled theta.
         assert rule.check(None, selection_with_coverage(5.0, 100), plan) is False
         assert rule.theta == 200

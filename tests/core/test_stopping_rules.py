@@ -85,6 +85,24 @@ class TestImmScheduleRule:
         # The final round's check always stops.
         assert rule.check(None, selection(covering, num), final)
 
+    def test_only_search_rounds_carry_the_acceptance_test(self):
+        """``plan.accepts`` is the expression ``check`` decides with, at the
+        round the plan was made for; the final plan has none."""
+        rule = self.make()
+        first = rule.next_round()
+        num = first.targets["main"]
+        bar = (1.0 + rule.params.eps_prime) * (self.N / 2.0)
+        covering = math.ceil(bar * num / self.N)
+        assert first.accepts == rule.certifies
+        assert (first.accepts(covering - 1, num), first.accepts(covering, num)) == (False, True)
+        assert not first.accepts(num, 0)  # an empty collection certifies nothing
+        rule.check(None, selection(covering - 1, num), first)
+        second = rule.next_round()
+        assert second.accepts(covering - 1, num)  # round 2 halves the bar
+        rule.check(None, selection(covering - 1, num), second)
+        assert rule.final_pending
+        assert rule.next_round().accepts is None
+
     def test_below_threshold_keeps_searching(self):
         rule = self.make()
         plan = rule.next_round()
@@ -137,6 +155,7 @@ class TestStareStoppingRule:
         rule = self.make()
         plan = rule.next_round()
         assert plan.targets == {"select": 100, "verify": 100}
+        assert plan.accepts is None  # this rule reads a failing selection
         # Verification agrees exactly -> consistent; coverage 60 >= 50.
         driver = StubDriver(
             sets={"select": 100, "verify": 100}, coverage={"verify": 60}
@@ -209,6 +228,7 @@ class TestOpimStoppingRule:
         rule = self.make(theta_initial=10000)
         plan = rule.next_round()
         assert plan.targets == {"R1": 10000, "R2": 10000}
+        assert plan.accepts is None  # this rule reads a failing selection
         # Near-total coverage on large collections certifies immediately:
         # the ratio (~0.61) clears 1 - 1/e - 0.1 (~0.53).
         driver = StubDriver(sets={"R1": 10000, "R2": 10000}, coverage={"R2": 9500})
