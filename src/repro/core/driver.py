@@ -763,7 +763,10 @@ class RoundDriver:
             # commutative and idempotent).
             def sketch_select() -> GreedyResult:
                 return sketch_lazy_greedy(
-                    self.coverage.bank(), self.k, self.total_sets(key)
+                    self.coverage.bank(),
+                    self.k,
+                    self.total_sets(key),
+                    degrees=self.coverage.degrees(),
                 )
 
             return self.executor.run_phase(

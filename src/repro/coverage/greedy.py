@@ -1,91 +1,123 @@
 """Centralized greedy maximum coverage with the paper's lazy bucket scan.
 
-Algorithm 1's master-side engine: a vector ``D`` where ``D(d)`` lists the
-sets whose *recorded* marginal coverage is ``d``.  The scan walks ``d``
-downward; a set found with an outdated record is lazily re-filed into the
-bucket of its current marginal (lines 9-11 of Algorithm 1).  Because
-marginals only shrink under submodularity, a single downward pass with
-re-filing suffices for all ``k`` selections.
+Algorithm 1's master-side engine is a vector ``D`` where ``D(d)`` lists the
+sets whose *recorded* marginal coverage is ``d``; the scan walks ``d``
+downward and lazily re-files a set found with an outdated record into the
+bucket of its current marginal (lines 9-11).  Because marginals only
+shrink under submodularity, what that scan returns is the set with the
+largest *live* marginal, and :class:`BucketQueue` answers that question
+directly from the live counts.
 
-Buckets are kept as min-heaps of set ids, which pins the tie-breaking rule
-to *lowest id among the largest marginals*.  That determinism is what lets
-tests assert the exact Lemma 2 equivalence between this engine, the naive
-re-scan oracle below, and the distributed NEWGREEDI.
+Ties go to the *lowest id among the largest marginals*.  That determinism
+is what lets tests assert the exact Lemma 2 equivalence between this
+engine, the naive re-scan oracle below, and the distributed NEWGREEDI.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .kernel import as_flat, mark_and_decrement, resolve_backend
+from .kernel import FlatArrays, as_flat, mark_and_decrement, resolve_backend
 
 __all__ = ["BucketQueue", "GreedyResult", "greedy_max_coverage", "naive_greedy_max_coverage"]
 
 
+#: Entries a :class:`BucketQueue` keeps in view between passes over them all.
+ACTIVE_ENTRIES = 1024
+
+
 class BucketQueue:
-    """The vector ``D`` of Algorithm 1 with lazy re-filing.
+    """The vector ``D`` of Algorithm 1, read off the live counts.
+
+    Algorithm 1 files every set under its recorded marginal and re-files
+    the outdated ones it meets on the way down (lines 9-11).  Marginals
+    only shrink, so the records are implicit in the live array: the queue
+    keeps the :data:`ACTIVE_ENTRIES` entries that were largest, lowest id
+    first among equals, when last it looked at them all — the top buckets
+    of ``D`` — and remembers the smallest of them, its count
+    (``_threshold``) and id (``_horizon``).  Every entry left out was no
+    larger than that one and, where equal, no lower in id, and can only
+    have shrunk since.  So while the largest live count among the active
+    entries (first holder, hence lowest id) still ranks at or above that
+    mark it is the pick of the full scan; when it no longer does, one pass
+    over the remaining entries re-draws the active ones.  The picks are
+    those of the bucket scan (Lemma 2 needs nothing else); nothing is
+    sorted, filed or re-filed.
 
     Parameters
     ----------
     counts:
-        Live marginal-coverage array, *shared with the caller*: the queue
-        reads ``counts[u]`` at pop time to detect outdated records.  The
-        caller decrements it as elements become covered.
+        Live marginal-coverage array, *shared with the caller*, who
+        decrements it as elements become covered (never increments).
     candidates:
         Optional subset of set ids eligible for selection (used by GREEDI's
-        per-partition runs); defaults to every id.
+        per-partition runs); defaults to every id.  An id listed twice is
+        two entries.
     """
 
     def __init__(self, counts: np.ndarray, candidates: Sequence[int] | None = None) -> None:
         self._counts = counts
         if candidates is None:
-            ids = np.flatnonzero(counts > 0)
+            self._pool = np.flatnonzero(counts > 0)
         else:
-            ids = np.asarray(candidates, dtype=np.int64)
-            ids = ids[counts[ids] > 0]
-        marginals = counts[ids]
-        # Sorted by (marginal, id) every bucket is one slice, and an
-        # ascending list already satisfies the heap invariant.
-        order = np.lexsort((ids, marginals))
-        marginals = marginals[order]
-        ids = ids[order].tolist()
-        cuts = [0, *(np.flatnonzero(np.diff(marginals)) + 1).tolist(), len(ids)]
-        self._buckets: Dict[int, List[int]] = {
-            int(marginals[lo]): ids[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi
-        }
-        self._cursor = int(marginals[-1]) if ids else 0
+            self._pool = np.sort(np.asarray(candidates, dtype=np.int64))
+        #: Positions in the pool of popped entries, dropped at the next refill.
+        self._popped: List[int] = []
+        self._refill()
+
+    def _refill(self) -> None:
+        """Drop popped and exhausted entries; re-draw the active ones."""
+        pool = np.delete(self._pool, self._popped)
+        live = self._counts[pool]
+        positive = live > 0
+        self._pool, live = pool[positive], live[positive]
+        self._popped = []
+        self._threshold, self._horizon = 0, -1
+        self._active = np.zeros(0, dtype=np.int64)
+        if not live.size:
+            return
+        room = min(ACTIVE_ENTRIES, live.size)
+        threshold = np.partition(live, -room)[-room]
+        take = live > threshold
+        ties = np.flatnonzero(live == threshold)[: room - np.count_nonzero(take)]
+        take[ties] = True
+        self._active = np.flatnonzero(take)
+        self._threshold, self._horizon = int(threshold), int(self._pool[ties[-1]])
+
+    def _best(self) -> int | None:
+        """Index into the active entries of the pick, if one is certain."""
+        if not self._active.size:
+            return None
+        ids = self._pool[self._active]
+        live = self._counts[ids]
+        best = int(live.argmax())
+        top = live[best]
+        if top > self._threshold or (top == self._threshold and ids[best] <= self._horizon):
+            return best
+        return None
 
     def pop_max(self) -> int | None:
         """Return the lowest-id set with the largest current marginal.
 
         Returns ``None`` when every remaining marginal is zero.  The popped
-        set is removed; the caller must then mark its elements covered and
-        decrement the shared counts array.
+        entry is removed — it is never returned again, whether or not the
+        caller goes on to mark its elements covered and decrement the
+        shared counts array.
         """
-        d = self._cursor
-        while d > 0:
-            heap = self._buckets.get(d)
-            if not heap:
-                d -= 1
-                continue
-            set_id = heap[0]
-            current = int(self._counts[set_id])
-            if current < d:
-                # Outdated record: re-file into the bucket of the current
-                # marginal (Algorithm 1 lines 9-11).
-                heapq.heappop(heap)
-                if current > 0:
-                    heapq.heappush(self._buckets.setdefault(current, []), set_id)
-                continue
-            heapq.heappop(heap)
-            self._cursor = d
-            return set_id
-        self._cursor = 0
-        return None
+        best = self._best()
+        if best is None:
+            self._refill()
+            best = self._best()
+            if best is None:
+                return None
+        active = self._active
+        position = int(active[best])
+        self._active = np.concatenate((active[:best], active[best + 1 :]))
+        self._popped.append(position)
+        return int(self._pool[position])
 
 
 @dataclass
@@ -182,7 +214,7 @@ def greedy_max_coverage(
         if store.num_nodes != num_universe_sets:
             raise ValueError("all stores must share the same universe of sets")
     if backend == "flat":
-        stores = [as_flat(store) for store in stores]
+        stores = [FlatArrays(as_flat(store)) for store in stores]
     if initial_counts is not None:
         if initial_counts.size != num_universe_sets:
             raise ValueError("initial_counts has the wrong length")

@@ -10,9 +10,13 @@ flat arrays:
 * ``sets_containing(u)`` is a CSR slice instead of a dict lookup;
 * the union of the newly covered sets' contents is one multi-row gather
   (:func:`~repro.ris.flat.gather_rows`);
-* the marginal decrements are one ``np.bincount`` subtraction
-  (:func:`mark_and_decrement`) or one ``np.unique`` with counts
-  (:func:`sparse_decrements`, NEWGREEDI's map-stage ``Delta_i``).
+* the gathered members are counted into the sorted sparse
+  ``(node, decrement)`` vector (:func:`sparse_decrements`, NEWGREEDI's
+  map-stage ``Delta_i``) by whichever of a histogram or a sort is
+  shorter, and :func:`mark_and_decrement` subtracts that vector.
+
+A selection reads a store's arrays once per seed; :class:`FlatArrays`
+holds them so the reads are attribute loads.
 
 Both functions perform *exactly* the updates of the reference loops — the
 counts array evolves identically element-for-element, so the bucket-queue
@@ -31,6 +35,7 @@ from ..ris.flat import FlatPrefixView, FlatRRCollection, gather_rows
 
 __all__ = [
     "BACKENDS",
+    "FlatArrays",
     "as_flat",
     "resolve_backend",
     "mark_and_decrement",
@@ -83,6 +88,53 @@ def as_flat(store):
     return FlatRRCollection.from_store(store)
 
 
+class FlatArrays:
+    """A flat store's CSR arrays and prefix length, read once.
+
+    :class:`~repro.ris.flat.FlatRRCollection` checks for pending appends
+    on every array read and :class:`~repro.ris.flat.FlatPrefixView`
+    re-slices its window on each one; a selection reads them per seed per
+    machine.  This holds the forward and inverted arrays of the store's
+    first ``num_sets`` sets as plain attributes for as long as the store
+    is not mutated — one selection.  Both kernels take it in place of the
+    store it was built from.
+    """
+
+    __slots__ = (
+        "store",
+        "num_nodes",
+        "num_sets",
+        "nodes",
+        "offsets",
+        "inv_sets",
+        "inv_offsets",
+        "_windowed",
+    )
+
+    def __init__(self, store) -> None:
+        base = store.base if isinstance(store, FlatPrefixView) else store
+        self.store = store
+        self.num_nodes = store.num_nodes
+        self.num_sets = store.num_sets
+        self.nodes = base.nodes
+        self.offsets = base.offsets
+        self.inv_sets = base.inv_sets
+        self.inv_offsets = base.inv_offsets
+        self._windowed = self.num_sets < base.num_sets
+
+    def sets_containing(self, node: int) -> np.ndarray:
+        """Ascending ids of the first ``num_sets`` sets containing ``node``."""
+        if not 0 <= node < self.num_nodes:
+            return self.inv_sets[:0]
+        row = self.inv_sets[self.inv_offsets[node] : self.inv_offsets[node + 1]]
+        if self._windowed:
+            row = row[: row.searchsorted(self.num_sets)]
+        return row
+
+    def coverage_counts(self, start: int = 0) -> np.ndarray:
+        return self.store.coverage_counts(start)
+
+
 def mark_and_decrement(
     store: FlatRRCollection,
     seed: int,
@@ -91,25 +143,17 @@ def mark_and_decrement(
 ) -> int:
     """Mark ``seed``'s uncovered elements covered; decrement their members.
 
-    The vectorized form of the centralized greedy's inner loop: gathers
-    the contents of every newly covered element in one fancy-indexed
-    slice and applies all marginal decrements as a single bincount
-    subtraction.  Returns the number of newly covered elements (the
-    seed's realised marginal).  ``covered`` and ``counts`` are updated in
-    place, exactly as the reference loop updates them.
+    The vectorized form of the centralized greedy's inner loop:
+    :func:`sparse_decrements` applied to ``counts`` on the spot.  Returns
+    the number of newly covered elements (the seed's realised marginal).
+    ``covered`` and ``counts`` are updated in place, exactly as the
+    reference loop updates them.
     """
     _require_int64_counts(counts)
-    elements = store.sets_containing(seed)
-    if elements.size == 0:
-        return 0
-    fresh = elements[~covered[elements]]
-    if fresh.size == 0:
-        return 0
-    covered[fresh] = True
-    members = gather_rows(store.nodes, store.offsets, fresh)
-    if members.size:
-        counts -= np.bincount(members, minlength=counts.size)
-    return int(fresh.size)
+    nodes, decrements, newly = sparse_decrements(store, seed, covered)
+    if nodes.size:
+        counts[nodes] -= decrements
+    return newly
 
 
 def sparse_decrements(
@@ -121,21 +165,39 @@ def sparse_decrements(
 
     Marks the machine's newly covered elements in place and returns
     ``(nodes, decrements, newly_covered)`` — the exact multiset the
-    reference dict accumulates, as parallel arrays ready to ship.  The
-    response length (and hence the charged tuple bytes) equals the
-    reference ``len(Delta_i)``.
+    reference dict accumulates, as parallel ``int64`` arrays sorted by
+    node, ready to ship.  The response length (and hence the charged
+    tuple bytes) equals the reference ``len(Delta_i)``.
+
+    The gathered members are counted with one histogram over the universe
+    when they outnumber it twice over, and by sorting them and measuring
+    the runs otherwise — the same arrays either way.
     """
-    elements = store.sets_containing(seed)
+    arrays = store if isinstance(store, FlatArrays) else FlatArrays(store)
     empty = np.zeros(0, dtype=np.int64)
+    elements = arrays.sets_containing(seed)
     if elements.size == 0:
         return empty, empty, 0
     fresh = elements[~covered[elements]]
     if fresh.size == 0:
         return empty, empty, 0
     covered[fresh] = True
-    members = gather_rows(store.nodes, store.offsets, fresh)
-    nodes, decrements = np.unique(members, return_counts=True)
-    return nodes.astype(np.int64, copy=False), decrements, int(fresh.size)
+    members = gather_rows(arrays.nodes, arrays.offsets, fresh)
+    if members.size == 0:
+        return empty, empty, int(fresh.size)
+    if members.size >= 2 * arrays.num_nodes:
+        histogram = np.bincount(members, minlength=arrays.num_nodes)
+        nodes = histogram.nonzero()[0]
+        return nodes, histogram[nodes], int(fresh.size)
+    members.sort()  # the gather's own copy
+    is_start = np.empty(members.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(members[1:], members[:-1], out=is_start[1:])
+    starts = is_start.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = members.size
+    return members[starts].astype(np.int64), ends - starts, int(fresh.size)
 
 
 def sparse_coverage_delta(store, start: int = 0) -> Tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import BucketQueue, GreedyResult, _cannot_pass, _pad_with_unselected
-from .kernel import as_flat, resolve_backend, sparse_decrements
+from .kernel import FlatArrays, as_flat, resolve_backend, sparse_decrements
 
 __all__ = ["NewGreeDiResult", "NewGreeDiRounds", "newgreedi", "gather_coverage_counts"]
 
@@ -143,8 +143,10 @@ class NewGreeDiRounds:
     Constructing it runs line 2 of Algorithm 1 — label every RR set
     uncovered, per machine — as the ``{label}/reset`` phase.  With the flat
     backend each machine also materialises its CSR view there (a no-op for
-    stores that are already flat), so any conversion cost is metered as
-    that machine's computation.  ``counts=None`` then gathers the
+    stores that are already flat) and reads its arrays into a
+    :class:`~repro.coverage.kernel.FlatArrays` for the rounds to come, so
+    any conversion or index-build cost is metered as that machine's
+    computation.  ``counts=None`` then gathers the
     marginals from the stores (``{label}/init``); a given array is
     adopted and decremented in place.
 
@@ -177,7 +179,7 @@ class NewGreeDiRounds:
         def reset_covered(machine: Machine) -> int:
             store = self.stores[machine.machine_id]
             if self.backend == "flat":
-                store = self.stores[machine.machine_id] = as_flat(store)
+                store = self.stores[machine.machine_id] = FlatArrays(as_flat(store))
             self._covered[machine.machine_id] = np.zeros(store.num_sets, dtype=bool)
             return store.num_sets
 

@@ -81,12 +81,14 @@ def gather_rows(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np
         return values[:0]
     starts = offsets[rows]
     lengths = offsets[rows + 1] - starts
-    total = int(lengths.sum())
+    ends = lengths.cumsum()
+    total = int(ends[-1])
     if total == 0:
         return values[:0]
-    ends = np.cumsum(lengths)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-    return values[np.repeat(starts, lengths) + ramp]
+    # Output slot p of row r reads values[starts[r] + p - (ends[r] - lengths[r])].
+    index = (starts - ends + lengths).repeat(lengths)
+    index += np.arange(total, dtype=np.int64)
+    return values[index]
 
 
 def _set_id_bits(num_nodes: int, num_sets: int) -> int:

@@ -1,8 +1,11 @@
 """Unit tests for the lazy bucket greedy and its naive oracle."""
 
 import heapq
+from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coverage import (
     BucketQueue,
@@ -60,9 +63,11 @@ class TestBucketQueue:
         assert queue.pop_max() is None
 
 
-class LoopBuiltQueue(BucketQueue):
-    """The per-id Python fill the array construction replaced — the
-    oracle for the pop sequence; ``pop_max`` is inherited unchanged."""
+class LoopBuiltQueue:
+    """Algorithm 1's vector ``D`` as the paper writes it — one min-heap of
+    ids per recorded marginal, filled id by id, outdated records re-filed
+    one at a time on the way down (lines 9-11).  The oracle for the pop
+    sequence; it shares nothing with :class:`BucketQueue`."""
 
     def __init__(self, counts, candidates=None):
         self._counts = counts
@@ -75,6 +80,24 @@ class LoopBuiltQueue(BucketQueue):
                 self._cursor = max(self._cursor, d)
         for heap in self._buckets.values():
             heapq.heapify(heap)
+
+    def pop_max(self):
+        d = self._cursor
+        while d > 0:
+            heap = self._buckets.get(d)
+            if not heap:
+                d -= 1
+                continue
+            set_id = heapq.heappop(heap)
+            current = int(self._counts[set_id])
+            if current < d:
+                if current > 0:
+                    heapq.heappush(self._buckets.setdefault(current, []), set_id)
+                continue
+            self._cursor = d
+            return set_id
+        self._cursor = 0
+        return None
 
 
 class TestArrayBuiltQueueMatchesLoopBuilt:
@@ -114,6 +137,79 @@ class TestArrayBuiltQueueMatchesLoopBuilt:
         counts = np.array([2, 6, 6], dtype=np.int64)
         queue = BucketQueue(counts, candidates=[2, 1, 2, 0])
         assert [queue.pop_max() for __ in range(5)] == [1, 2, 2, 0, None]
+
+
+# The package re-exports the function under the submodule's name.
+greedy_module = import_module("repro.coverage.greedy")
+
+
+class TestPickFromLiveCounts:
+    """The queue keeps a bounded slice of the entries in view; what it
+    returns must not depend on where that slice ends."""
+
+    drain = staticmethod(TestArrayBuiltQueueMatchesLoopBuilt.drain)
+
+    def test_a_popped_id_never_returns_without_decrements(self):
+        counts = np.array([3, 7, 7, 1, 0, 7], dtype=np.int64)
+        queue = BucketQueue(counts)
+        assert [queue.pop_max() for __ in range(7)] == [1, 2, 5, 0, 3, None, None]
+        assert counts.tolist() == [3, 7, 7, 1, 0, 7]
+
+    def test_a_popped_id_never_returns_past_the_active_slice(self, monkeypatch):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", 2)
+        counts = np.array([5, 5, 5, 5, 9, 5], dtype=np.int64)
+        queue = BucketQueue(counts)
+        assert [queue.pop_max() for __ in range(7)] == [4, 0, 1, 2, 3, 5, None]
+
+    def test_candidate_subsets_ignore_everything_else(self, monkeypatch):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", 2)
+        # GREEDI's per-partition runs: non-candidates go negative.
+        counts = np.array([9, 4, -3, 4, 8, 4, 0], dtype=np.int64)
+        queue = BucketQueue(counts, candidates=[5, 1, 3, 6, 2])
+        assert queue.pop_max() == 1
+        counts[3] = 2
+        assert [queue.pop_max() for __ in range(3)] == [5, 3, None]
+
+    def test_a_fallen_leader_does_not_shadow_a_lower_id_left_outside(self, monkeypatch):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", 2)
+        # In view: 3 (count 9) and, first of the sixes, 0; 1 is left out.
+        counts = np.array([6, 6, 1, 9], dtype=np.int64)
+        queue = BucketQueue(counts)
+        counts[3] = 6  # the leader falls level with the tie class
+        counts[0] = 5  # and the tie class's member in view falls below it
+        assert [queue.pop_max() for __ in range(5)] == [1, 3, 0, 2, None]
+
+    @pytest.mark.parametrize("top", [1, 3, 40])
+    def test_large_tie_heavy_pools_match_the_bucket_scan(self, top):
+        rng = np.random.default_rng(top)
+        size = 4 * greedy_module.ACTIVE_ENTRIES + 77
+        counts = rng.integers(0, top + 1, size=size).astype(np.int64)
+        duplicated = rng.integers(0, size, size=size // 2).tolist()
+        for candidates in (None, duplicated):
+            assert self.drain(BucketQueue, counts, candidates, 5) == self.drain(
+                LoopBuiltQueue, counts, candidates, 5
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=24),
+        view=st.integers(1, 6),
+        subset=st.booleans(),
+        schedule=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_any_slice_width_any_schedule(self, counts, view, subset, schedule, data):
+        counts = np.array(counts, dtype=np.int64)
+        candidates = (
+            data.draw(st.lists(st.integers(0, counts.size - 1), max_size=30)) if subset else None
+        )
+        want = self.drain(LoopBuiltQueue, counts, candidates, schedule)
+        original = greedy_module.ACTIVE_ENTRIES
+        greedy_module.ACTIVE_ENTRIES = view
+        try:
+            assert self.drain(BucketQueue, counts, candidates, schedule) == want
+        finally:
+            greedy_module.ACTIVE_ENTRIES = original
 
 
 class TestGreedyExample3:

@@ -104,3 +104,52 @@ def test_greedy_returns_exactly_k_distinct_seeds(instance, k):
     expected = min(k, instance.num_nodes)
     assert len(result.seeds) == expected
     assert len(set(result.seeds)) == expected
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Every element holds exactly two sets of a small universe, so most
+    marginals are equal most of the time and ties decide most picks."""
+    num_sets = draw(st.integers(min_value=3, max_value=10))
+    pairs = st.lists(
+        st.integers(min_value=0, max_value=num_sets - 1), min_size=2, max_size=2, unique=True
+    )
+    elements = draw(st.lists(pairs, min_size=num_sets, max_size=4 * num_sets))
+    return CoverageInstance(num_sets, elements)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    instance=tie_heavy_instances(),
+    k=st.integers(min_value=1, max_value=8),
+    num_machines=st.integers(min_value=1, max_value=4),
+    shuffle_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_newgreedi_equals_the_naive_oracle_under_heavy_ties(
+    instance, k, num_machines, shuffle_seed
+):
+    """Lemma 2 where it is decided by the tie rule: the picks read off the
+    live counts are the naive re-scan's, seed for seed, gain for gain."""
+    naive = naive_greedy_max_coverage([instance], k)
+    parts = instance.split(num_machines, rng=np.random.default_rng(shuffle_seed))
+    result = newgreedi(SimulatedCluster(num_machines, seed=0), k, stores=parts)
+    assert result.seeds == naive.seeds
+    assert result.marginals == naive.marginals
+    assert result.coverage == naive.coverage
+    central = greedy_max_coverage(parts, k)
+    assert (central.seeds, central.marginals) == (naive.seeds, naive.marginals)
+
+
+def test_newgreedi_equals_the_naive_oracle_on_a_ring_wider_than_the_queue_view():
+    """All 2,500 marginals are equal at the start and stay within one of
+    each other: every pick is a tie among more entries than the queue
+    keeps in view."""
+    num_sets = 2500
+    instance = CoverageInstance(
+        num_sets, [[i, (i + 1) % num_sets] for i in range(num_sets)]
+    )
+    naive = naive_greedy_max_coverage([instance], 6)
+    assert naive.seeds == [0, 2, 4, 6, 8, 10]
+    parts = instance.split(3, rng=np.random.default_rng(1))
+    result = newgreedi(SimulatedCluster(3, seed=0), 6, stores=parts)
+    assert (result.seeds, result.marginals) == (naive.seeds, naive.marginals)

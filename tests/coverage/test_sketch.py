@@ -7,8 +7,12 @@ master-side state's ingest-versus-rebuild oracle, and the CELF-style
 lazy greedy over register banks.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import SimulatedCluster, make_executor
 from repro.coverage.sketch import (
@@ -16,6 +20,7 @@ from repro.coverage.sketch import (
     MIN_PRECISION,
     SketchCoverageState,
     SketchRRCollection,
+    _alpha,
     _bit_length,
     estimate_bank_degrees,
     hll_estimate,
@@ -361,3 +366,256 @@ class TestSketchLazyGreedy:
         assert first.seeds == second.seeds
         assert first.coverage == second.coverage
         assert first.marginals == second.marginals
+
+
+def scalar_estimate(row) -> float:
+    """The estimator written out in Python floats, one register at a time."""
+    m = len(row)
+    total = 0.0
+    for r in row:
+        total += 2.0 ** -int(r)  # exact: see TestStoredDegrees
+    raw = _alpha(m) * m * m / total
+    zeros = sum(1 for r in row if r == 0)
+    if raw <= 2.5 * m and zeros > 0:
+        return m * math.log(m / zeros)
+    return raw
+
+
+def mixed_bank(rng, rows, m, top=12):
+    """Rows from nearly empty (linear counting) to saturated (raw)."""
+    bank = rng.integers(1, top, size=(rows, m)).astype(np.uint8)
+    fill = np.linspace(0.0, 1.0, rows)[:, None]
+    bank[rng.random((rows, m)) >= fill] = 0
+    return bank
+
+
+class TestTableEstimator:
+    @pytest.mark.parametrize("m", [16, 64, 256, 2048])
+    def test_batched_equals_single_row_on_both_branches(self, m):
+        bank = mixed_bank(np.random.default_rng(m), 48, m)
+        batched = hll_estimate(bank)
+        singles = [hll_estimate(row) for row in bank]
+        assert all(type(value) is float for value in singles)
+        assert batched.tolist() == singles
+        assert batched.tolist() == [scalar_estimate(row) for row in bank]
+        # Both the linear-counting and the raw branch were taken.
+        zeros = (bank == 0).sum(axis=1)
+        linear = [m * math.log(m / z) if z else None for z in zeros.tolist()]
+        taken = [value == want for value, want in zip(singles, linear)]
+        assert any(taken) and not all(taken)
+
+    def test_every_zero_count_reads_the_scalar_logarithm(self):
+        # A vectorized np.log differs from math.log in the last bit for a
+        # few zero counts (9 of the 2,048 here); a row's estimate must not
+        # depend on whether it was estimated alone, in a batch or in a bank.
+        m = 1 << 11
+        bank = np.zeros((m, m), dtype=np.uint8)
+        bank[np.triu_indices(m, 1)] = 1  # row i has i + 1 zero registers
+        got = estimate_bank_degrees(bank)
+        assert got.tolist() == [m * math.log(m / z) for z in range(1, m + 1)]
+        assert got[::97].tolist() == [hll_estimate(row) for row in bank[::97]]
+
+    def test_other_integer_dtypes_are_widened_when_they_fit(self):
+        row = np.random.default_rng(0).integers(0, 40, size=64)
+        assert row.dtype == np.int64
+        assert hll_estimate(row) == hll_estimate(row.astype(np.uint8))
+        assert hll_estimate(row.astype(np.int16)) == hll_estimate(row.astype(np.uint8))
+
+    def test_values_a_register_cannot_hold_are_refused(self):
+        row = np.zeros(16, dtype=np.int64)
+        row[3] = 256
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            hll_estimate(row)
+        row[3] = -1
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            hll_estimate(row)
+        with pytest.raises(TypeError, match="integers"):
+            hll_estimate(np.zeros(16, dtype=np.float64))
+        with pytest.raises(TypeError, match="integers"):
+            hll_estimate(np.zeros(16, dtype=bool))
+
+    def test_store_and_state_reads_use_the_same_estimator(self):
+        stores = [SketchRRCollection(6, precision=6, machine_id=i) for i in range(2)]
+        rng = np.random.default_rng(8)
+        for store in stores:
+            for _ in range(30):
+                store.append_arrays(rng.integers(0, 6, size=2), np.array([0, 2]))
+        state = SketchCoverageState(6, 2, precision=6)
+        executor = make_executor("simulated", SimulatedCluster(2, seed=0))
+        state.ingest(executor, stores)
+        union = np.maximum(state.bank()[1], state.bank()[4])
+        assert state.estimate([1, 4]) == scalar_estimate(union)
+        own = np.maximum(stores[0].register_bank()[1], stores[0].register_bank()[4])
+        assert stores[0].coverage_of([1, 4]) == min(scalar_estimate(own), 30.0)
+
+
+@st.composite
+def register_deltas(draw, num_nodes, precision, max_rho):
+    """A few sorted-unique ``(keys, rhos)`` deltas, as machines ship them."""
+    size = num_nodes << precision
+    deltas = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys = draw(st.lists(st.integers(0, size - 1), max_size=24, unique=True))
+        keys = np.array(sorted(keys), dtype=np.int64)
+        rhos = draw(
+            st.lists(st.integers(1, max_rho), min_size=keys.size, max_size=keys.size)
+        )
+        deltas.append((keys, np.array(rhos, dtype=np.int64)))
+    return deltas
+
+
+class TestStoredDegrees:
+    """``SketchCoverageState.degrees()`` is the bank pass, bit for bit.
+
+    The state's harmonic sums are updated term by term, the oracle adds a
+    row pairwise; both are *exact* — hence equal — while every partial sum
+    is a multiple of ``2**-r_max`` below ``2**precision``, i.e. while
+    ``precision + r_max <= 53``.  Past that the state answers with the
+    bank pass itself.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(deltas=register_deltas(num_nodes=5, precision=4, max_rho=49))
+    def test_equal_after_any_interleaving_of_deltas(self, deltas):
+        state = SketchCoverageState(5, 3, precision=4)
+        bank = np.zeros(5 << 4, dtype=np.uint8)
+        for keys, rhos in deltas:
+            state._apply(keys, rhos)
+            bank[keys] = np.maximum(bank[keys], rhos.astype(np.uint8))
+            np.testing.assert_array_equal(state.registers, bank)
+            np.testing.assert_array_equal(
+                state.degrees(), estimate_bank_degrees(state.bank())
+            )
+        # 4 + 49 = 53: still inside the exactness condition.
+        assert state.precision + state._largest_register <= 53
+        np.testing.assert_array_equal(
+            state._harmonic, np.ldexp(1.0, -state.bank().astype(np.int64)).sum(axis=1)
+        )
+        np.testing.assert_array_equal(
+            state._zero_registers, (state.bank() == 0).sum(axis=1)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(deltas=register_deltas(num_nodes=4, precision=4, max_rho=61))
+    def test_registers_past_the_exactness_condition_take_the_bank_pass(self, deltas):
+        state = SketchCoverageState(4, 2, precision=4)
+        for keys, rhos in deltas:
+            state._apply(keys, rhos)
+            np.testing.assert_array_equal(
+                state.degrees(), estimate_bank_degrees(state.bank())
+            )
+
+    def test_equal_through_real_ingests_in_any_machine_order(self):
+        rng = np.random.default_rng(31)
+        num_nodes, machines = 30, 3
+        executor = make_executor("simulated", SimulatedCluster(machines, seed=0))
+        stores = [
+            SketchRRCollection(num_nodes, precision=7, machine_id=i)
+            for i in range(machines)
+        ]
+        state = SketchCoverageState(num_nodes, machines, precision=7)
+        for wave in range(6):
+            for store in stores:
+                if rng.random() < 0.7:  # machines grow at different paces
+                    lengths = rng.integers(1, 6, size=int(rng.integers(1, 40)))
+                    nodes = rng.integers(0, num_nodes, size=int(lengths.sum()))
+                    store.append_arrays(
+                        nodes, np.concatenate([[0], np.cumsum(lengths)])
+                    )
+            state.ingest(executor, stores, communicate=bool(wave % 2))
+            np.testing.assert_array_equal(
+                state.degrees(), estimate_bank_degrees(state.bank())
+            )
+        fresh = state.degrees()
+        fresh[:] = -1.0  # a copy: the state's own sums are untouched
+        assert state.degrees().min() >= 0.0
+
+    def test_repeated_or_unsorted_keys_are_refused(self):
+        state = SketchCoverageState(4, 1, precision=4)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            state._apply(np.array([3, 3]), np.array([2, 5]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            state._apply(np.array([9, 3]), np.array([2, 5]))
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            state._apply(np.array([3]), np.array([256]))
+        assert not state.registers.any()
+        state._apply(np.array([3, 9]), np.array([2, 5]))
+        state._apply(np.array([3, 9]), np.array([1, 5]))  # nothing raised: a no-op
+        assert state.registers[[3, 9]].tolist() == [2, 5]
+
+
+def parent_lazy_greedy(bank, k, num_elements, guard=8):
+    """PR 21's loop: one single-row estimate per stale candidate, the
+    masked gains rebuilt per pass, every degree re-estimated up front."""
+    n = bank.shape[0]
+    gains = estimate_bank_degrees(bank)
+    stamps = np.full(n, -1, dtype=np.int64)
+    selected = np.zeros(n, dtype=bool)
+    current = np.zeros(bank.shape[1], dtype=np.uint8)
+    current_est = 0.0
+    seeds, marginals = [], []
+    for step in range(min(k, n)):
+        union_cache = {}
+        while True:
+            masked = np.where(selected, -np.inf, gains)
+            top = np.argpartition(masked, -guard)[-guard:] if n > guard else np.arange(n)
+            top = top[~selected[top]]
+            stale = top[stamps[top] != step]
+            if stale.size == 0:
+                v = int(np.argmax(masked))
+                if stamps[v] == step:
+                    break
+                stale = np.array([v])
+            for u in stale.tolist():
+                union_cache[u] = hll_estimate(np.maximum(current, bank[u]))
+                gains[u] = max(union_cache[u] - current_est, 0.0)
+                stamps[u] = step
+        seeds.append(v)
+        marginals.append(float(gains[v]))
+        selected[v] = True
+        np.maximum(current, bank[v], out=current)
+        current_est = max(current_est, union_cache[v])
+        gains[v] = 0.0
+    return seeds, marginals, float(min(current_est, float(num_elements)))
+
+
+class TestLazyGreedyWithStoredDegrees:
+    @pytest.fixture(scope="class")
+    def ingested(self):
+        rng = np.random.default_rng(12)
+        num_nodes, machines = 60, 3
+        executor = make_executor("simulated", SimulatedCluster(machines, seed=0))
+        stores = [
+            SketchRRCollection(num_nodes, precision=8, machine_id=i)
+            for i in range(machines)
+        ]
+        state = SketchCoverageState(num_nodes, machines, precision=8)
+        for _ in range(3):
+            for store in stores:
+                lengths = rng.integers(1, 9, size=150)
+                # Skewed membership: a few hubs, a long tail of ties.
+                nodes = (rng.pareto(1.0, size=int(lengths.sum())) * 4).astype(np.int64)
+                store.append_arrays(
+                    nodes % num_nodes, np.concatenate([[0], np.cumsum(lengths)])
+                )
+            state.ingest(executor, stores)
+        return state, sum(store.num_sets for store in stores)
+
+    @pytest.mark.parametrize("guard", [1, 2, 8, 60])
+    def test_same_selection_with_and_without_them(self, ingested, guard):
+        state, total = ingested
+        degrees = state.degrees()
+        kept = degrees.copy()
+        plain = sketch_lazy_greedy(state.bank(), 12, total, guard=guard)
+        stored = sketch_lazy_greedy(state.bank(), 12, total, guard=guard, degrees=degrees)
+        assert stored.seeds == plain.seeds
+        assert stored.marginals == plain.marginals
+        assert stored.coverage == plain.coverage
+        np.testing.assert_array_equal(degrees, kept)
+        seeds, marginals, coverage = parent_lazy_greedy(state.bank(), 12, total, guard)
+        assert (plain.seeds, plain.marginals, plain.coverage) == (seeds, marginals, coverage)
+
+    def test_degrees_must_cover_every_node(self, ingested):
+        state, total = ingested
+        with pytest.raises(ValueError, match="one entry per node"):
+            sketch_lazy_greedy(state.bank(), 3, total, degrees=state.degrees()[:-1])
