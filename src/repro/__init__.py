@@ -27,7 +27,7 @@ Quickstart::
 
 :func:`repro.api.run` with a :class:`~repro.core.config.RunConfig` is the
 primary entry point; the per-algorithm functions (``imm``, ``diimm``, ...)
-remain as keyword shims over the same implementations.
+build a ``RunConfig`` from their keywords and call the same assembly.
 """
 
 from .analysis import approximation_ratio_exact, evaluate_seeds

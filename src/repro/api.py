@@ -2,51 +2,36 @@
 
 Every algorithm in the reproduction — single-machine IMM, DIIMM, D-SSA,
 D-SUBSIM and D-OPIM-C — takes the same knobs: a graph, ``k``, the
-cluster shape, the sampler, the executor, checkpointing and (new) the
-fault plan.  This module is the one place those knobs meet the
-algorithms:
+cluster shape, the sampler, the executor, checkpointing and the fault
+plan.  This module is the front door to the one place those knobs meet
+the algorithms:
 
     from repro.api import RunConfig, run
 
     config = RunConfig(graph=g, k=50, machines=16, eps=0.3, seed=7)
     result = run("diimm", config)
 
-``run`` validates the config (uniform ``ValueError`` messages, see
-:meth:`RunConfig.validate <repro.core.config.RunConfig.validate>`) and
-dispatches to the algorithm's ``*_from_config`` implementation.  The
-legacy keyword entry points (:func:`repro.core.imm.imm` and friends)
-remain as thin shims that build a :class:`RunConfig` and call the same
-implementations, so both styles return bit-identical results.
+``run`` normalises the name, looks its row up in the algorithm table
+(:data:`repro.core.diimm.REGISTRY`) and hands both to the one assembly,
+:func:`repro.core.diimm.run`, which validates the config (uniform
+``ValueError`` messages, see :meth:`RunConfig.validate
+<repro.core.config.RunConfig.validate>`) before any work starts.  The
+keyword entry points (:func:`repro.imm` and friends) build a
+:class:`RunConfig` and call the same function, so both styles return
+bit-identical results.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 from .core.config import RunConfig
-from .core.diimm import diimm_from_config
-from .core.dopimc import distributed_opimc_from_config
-from .core.dssa import distributed_ssa_from_config
-from .core.dsubsim import distributed_subsim_from_config
-from .core.imm import imm_from_config
+from .core.diimm import POOLABLE, REGISTRY
+from .core.diimm import run as _run_row
 from .core.result import IMResult
 
 __all__ = ["ALGORITHMS", "POOLABLE", "RunConfig", "run"]
 
-_DISPATCH: Dict[str, Callable[..., IMResult]] = {
-    "imm": imm_from_config,
-    "diimm": diimm_from_config,
-    "dssa": distributed_ssa_from_config,
-    "dsubsim": distributed_subsim_from_config,
-    "dopimc": distributed_opimc_from_config,
-}
-
-#: The registered algorithm names, in dispatch order.
-ALGORITHMS: tuple[str, ...] = tuple(_DISPATCH)
-
-#: Algorithms that can be served warm from a :class:`~repro.core.pool.SamplePool`
-#: (their samplers draw each collection from one uninterleaved stream).
-POOLABLE: tuple[str, ...] = ("imm", "diimm", "dsubsim")
+#: The registered algorithm names, in table order.
+ALGORITHMS: tuple[str, ...] = tuple(REGISTRY)
 
 
 def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMResult:
@@ -56,9 +41,10 @@ def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMRes
     ----------
     algorithm:
         One of :data:`ALGORITHMS`: ``"imm"`` (single-machine baseline),
-        ``"diimm"``, ``"dssa"``, ``"dsubsim"`` or ``"dopimc"``.
+        ``"diimm"``, ``"dssa"``, ``"dsubsim"`` or ``"dopimc"``; case,
+        ``-`` and ``_`` are ignored.
     config:
-        The run's :class:`~repro.core.config.RunConfig`; validated here,
+        The run's :class:`~repro.core.config.RunConfig`; validated first,
         so a bad field fails before any work starts.
     executor:
         Optional pre-built :class:`~repro.cluster.executor.Executor` to
@@ -68,32 +54,14 @@ def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMRes
         ``pool``.
     pool:
         Optional :class:`~repro.core.pool.SamplePool` to serve the query
-        warm from (only for :data:`POOLABLE` algorithms).  The pool's
-        collections are grown as needed and retained; the result is
-        bit-identical to a cold ``run`` with the same config.
-
-    Returns
-    -------
-    IMResult
-        Identical — seeds, spread estimate, metrics — to what the
-        algorithm's legacy keyword entry point returns for the same
-        parameters.
+        warm from (only for :data:`POOLABLE` algorithms — those whose
+        samplers draw each collection from one uninterleaved stream).
+        The pool's collections are grown as needed and retained; the
+        result is bit-identical to a cold ``run`` with the same config.
     """
     key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in _DISPATCH:
+    if key not in REGISTRY:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
-    config.validate(key)
-    if pool is not None:
-        if executor is not None:
-            raise ValueError("pass either executor or pool, not both")
-        if key not in POOLABLE:
-            raise ValueError(
-                f"algorithm {algorithm!r} cannot run from a warm pool; "
-                f"poolable algorithms are {POOLABLE}"
-            )
-        return _DISPATCH[key](config, pool=pool)
-    if executor is not None:
-        return _DISPATCH[key](config, executor=executor)
-    return _DISPATCH[key](config)
+    return _run_row(config, key, executor=executor, pool=pool)

@@ -34,6 +34,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .api import ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Distributed influence maximization (ICDE 2022 reproduction)",
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", default="facebook")
     run.add_argument(
         "--algorithm",
-        choices=("imm", "diimm", "dsubsim", "dopimc", "dssa"),
+        choices=ALGORITHMS,
         default="diimm",
     )
     run.add_argument("--k", type=int, default=50)
@@ -302,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             k=args.k,
             machines=args.machines,
             eps=args.eps,
-            model="ic" if args.algorithm == "dsubsim" else args.model,
+            model=args.model,
             method=args.method,
             seed=args.seed,
             backend=args.backend,

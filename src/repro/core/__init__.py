@@ -1,5 +1,5 @@
-"""Core influence-maximization algorithms: bounds, the round driver, IMM,
-DIIMM, SUBSIM, SSA, OPIM-C."""
+"""Core influence-maximization algorithms: bounds, the round driver and
+the one assembly that runs IMM, DIIMM, SUBSIM, SSA and OPIM-C on it."""
 
 from .bounds import (
     ImmParameters,
@@ -14,8 +14,13 @@ from .bounds import (
 )
 from .checkpoint import CheckpointManager, DriverSnapshot
 from .config import BACKENDS, RunConfig
-from .diimm import diimm, diimm_from_config
-from .dopimc import distributed_opimc, distributed_opimc_from_config
+from .diimm import (
+    diimm,
+    distributed_opimc,
+    distributed_ssa,
+    distributed_subsim,
+    imm,
+)
 from .driver import (
     DriverRun,
     ImmScheduleRule,
@@ -26,9 +31,6 @@ from .driver import (
     StoppingRule,
     SubsimScheduleRule,
 )
-from .dssa import distributed_ssa, distributed_ssa_from_config
-from .dsubsim import distributed_subsim, distributed_subsim_from_config
-from .imm import imm, imm_from_config
 from .result import IMResult
 
 __all__ = [
@@ -54,14 +56,9 @@ __all__ = [
     "RunConfig",
     "BACKENDS",
     "imm",
-    "imm_from_config",
     "diimm",
-    "diimm_from_config",
     "distributed_subsim",
-    "distributed_subsim_from_config",
     "distributed_opimc",
-    "distributed_opimc_from_config",
     "distributed_ssa",
-    "distributed_ssa_from_config",
     "IMResult",
 ]

@@ -1,11 +1,9 @@
 """The shared run configuration behind every algorithm entry point.
 
-Historically each of the five entry points (IMM, DIIMM, D-SSA, D-SUBSIM,
-D-OPIM-C) grew its own near-identical keyword list, and every caller —
-CLI, experiments, tests — re-assembled those kwargs by hand.
-:class:`RunConfig` centralises the knobs once: entry points accept it
-(via :func:`repro.api.run`) and the legacy keyword signatures are thin
-shims that build one.
+:class:`RunConfig` is the one place a run's knobs are described:
+:func:`repro.api.run` takes one, and the keyword entry points
+(:func:`repro.imm`, :func:`repro.diimm`, ...) forward their options to
+its constructor.
 
 Validation lives here too (:meth:`RunConfig.validate`): every argument
 check an entry point used to perform — or forgot to perform — raises a
@@ -37,10 +35,6 @@ METHODS: tuple[str, ...] = ("bfs", "subsim", "vectorized")
 #: relative error satisfies eps (see
 #: :class:`~repro.core.driver.ErrorAdaptiveRule`).
 STOPPINGS: tuple[str, ...] = ("schedule", "error-adaptive")
-
-#: Algorithms whose stopping certificates require exact coverage counts;
-#: ``backend="sketch"`` and ``stopping="error-adaptive"`` are refused.
-_EXACT_ONLY_ALGORITHMS = ("dssa", "dopimc")
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,15 @@ class RunConfig:
     def validate(self, algorithm: str | None = None) -> "RunConfig":
         """Check every field; raise ``ValueError`` naming the bad one.
 
-        ``algorithm`` additionally applies per-algorithm constraints
-        (D-SUBSIM is IC-only).  Returns ``self`` so call sites can chain
-        ``config.validate(...)``.
+        ``algorithm`` additionally applies the constraints of its row in
+        :data:`repro.core.diimm.REGISTRY` (D-SUBSIM is IC-only; D-SSA and
+        D-OPIM-C need exact counts).  Returns ``self`` so call sites can
+        chain ``config.validate(...)``.
         """
+        # Imported here: the table's rule factories take a RunConfig.
+        from .diimm import REGISTRY
+
+        entry = REGISTRY.get(algorithm)
         if self.graph is None:
             raise ValueError("config.graph must be a DirectedGraph, got None")
         if self.k < 1:
@@ -169,9 +168,10 @@ class RunConfig:
             raise ValueError(
                 f"config.stopping must be one of {STOPPINGS}, got {self.stopping!r}"
             )
+        exact_counts = entry is not None and entry.exact_counts
         if self.backend == "sketch":
-            self._validate_sketch(algorithm)
-        if self.stopping == "error-adaptive" and algorithm in _EXACT_ONLY_ALGORITHMS:
+            self._validate_sketch(algorithm, exact_counts)
+        if self.stopping == "error-adaptive" and exact_counts:
             raise ValueError(
                 "config.stopping='error-adaptive' replaces the IMM theta "
                 f"schedule; {algorithm!r} owns its own stopping certificate "
@@ -191,14 +191,14 @@ class RunConfig:
             )
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("config.resume requires config.checkpoint_dir to be set")
-        if algorithm == "dsubsim" and self.model != "ic":
+        if entry is not None and entry.subsim and self.model != "ic":
             raise ValueError(
-                "config.model must be 'ic' for dsubsim: subset sampling is defined "
-                f"for the IC model only, got {self.model!r}"
+                f"config.model must be 'ic' for {algorithm}: subset sampling is "
+                f"defined for the IC model only, got {self.model!r}"
             )
         return self
 
-    def _validate_sketch(self, algorithm: str | None) -> None:
+    def _validate_sketch(self, algorithm: str | None, exact_counts: bool) -> None:
         """The combos ``backend="sketch"`` refuses, caught at config time.
 
         Each restriction is structural, not an implementation gap: the
@@ -223,7 +223,7 @@ class RunConfig:
                 "snapshots cannot be restored; use backend='flat' for "
                 "checkpointed runs"
             )
-        if algorithm in _EXACT_ONLY_ALGORITHMS:
+        if exact_counts:
             raise ValueError(
                 "backend='sketch' supports the IMM-schedule algorithms "
                 f"('imm', 'diimm', 'dsubsim'); {algorithm!r}'s stopping "

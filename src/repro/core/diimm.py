@@ -1,4 +1,4 @@
-"""DIIMM: distributed IMM (paper Algorithm 2).
+"""One assembly for every RIS algorithm (paper Algorithm 2, Section III-C).
 
 DIIMM is IMM with both phases distributed over ``l`` machines:
 
@@ -12,18 +12,27 @@ DIIMM is IMM with both phases distributed over ``l`` machines:
   centralized greedy solution (Lemma 2), so DIIMM inherits IMM's
   ``(1 - 1/e - eps)`` guarantee (Theorem 1) unchanged.
 
-The loop itself — generate, ingest sparse coverage deltas, select, check
-— is the shared :class:`~repro.core.driver.RoundDriver` running the
-:class:`~repro.core.driver.ImmScheduleRule`; this module only assembles
-the pieces and reads the result.
+Section III-C observes that both techniques apply unchanged to any RIS
+framework, and the code agrees: the loop — generate, ingest sparse
+coverage deltas, select, check — is the shared
+:class:`~repro.core.driver.RoundDriver`, and an *algorithm* is a row of
+:data:`REGISTRY`: a :class:`~repro.core.driver.StoppingRule` factory
+(the theta / eps-split arithmetic that genuinely differs) plus a handful
+of facts.  :func:`run` is the one place a cluster, an executor, the
+per-machine stores, the checkpoint manager and the driver are put
+together and an :class:`~repro.core.result.IMResult` is read off; how a
+result is read off a rule is the rule's own
+:meth:`~repro.core.driver.StoppingRule.outcome`.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict
+
 from ..cluster.cluster import SimulatedCluster
 from ..cluster.executor import executor_scope, make_executor
-from ..cluster.faults import FaultPlan, RetryPolicy
-from ..cluster.network import NetworkModel
 from ..coverage.sketch import hll_relative_error
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_collection
@@ -33,21 +42,38 @@ from .config import RunConfig
 from .driver import (
     ErrorAdaptiveRule,
     ImmScheduleRule,
+    OpimStoppingRule,
     RoundDriver,
+    StareStoppingRule,
+    StoppingRule,
     SubsimScheduleRule,
 )
 from .result import IMResult
 
+__all__ = [
+    "REGISTRY",
+    "POOLABLE",
+    "Algorithm",
+    "run",
+    "imm",
+    "diimm",
+    "distributed_subsim",
+    "distributed_ssa",
+    "distributed_opimc",
+]
 
-def make_schedule_rule(config: RunConfig, params: ImmParameters, delta: float):
-    """The stopping rule a :class:`RunConfig` asks for.
 
-    ``stopping="schedule"`` is the IMM/SUBSIM theta schedule;
+def make_schedule_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+    """The stopping rule a :class:`RunConfig` asks of the IMM schedule.
+
+    ``stopping="schedule"`` is the IMM/SUBSIM theta schedule (Chen's
+    corrected ``lambda*``, arXiv:1808.09363);
     ``stopping="error-adaptive"`` doubles from ``theta_initial`` (or the
     schedule's first search round) until the measured error satisfies
     ``eps``, capped at the schedule's own worst-case final theta — so the
     adaptive run can never sample more than the schedule would have.
     """
+    params = ImmParameters.compute(n, config.k, config.eps, delta)
     if config.stopping == "error-adaptive":
         theta_initial = (
             config.theta_initial
@@ -71,212 +97,238 @@ def make_schedule_rule(config: RunConfig, params: ImmParameters, delta: float):
     return rule_type(params)
 
 
-__all__ = ["diimm", "diimm_from_config"]
-
-
-def diimm(
-    graph: DirectedGraph,
-    k: int,
-    num_machines: int,
-    eps: float = 0.5,
-    delta: float | None = None,
-    model: str = "ic",
-    method: str = "bfs",
-    network: NetworkModel | None = None,
-    seed: int = 0,
-    algorithm_label: str = "DIIMM",
-    backend: str = "flat",
-    executor: str = "simulated",
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    faults: FaultPlan | str | None = None,
-    retry: RetryPolicy | None = None,
-) -> IMResult:
-    """Run DIIMM on a simulated cluster of ``num_machines`` machines.
-
-    This keyword signature is a thin shim over
-    :class:`~repro.core.config.RunConfig` /
-    :func:`diimm_from_config`; prefer :func:`repro.api.run` in new code.
-
-    Parameters mirror :func:`repro.core.imm.imm` plus:
-
-    num_machines:
-        Number of worker machines ``l``.
-    network:
-        Cost model for master<->slave traffic; defaults to the
-        shared-memory server profile.
-    algorithm_label:
-        Reported algorithm name (the SUBSIM wrapper overrides it).
-    backend:
-        Coverage backend: ``"flat"`` (default) keeps each machine's
-        ``R_i`` in CSR arrays and selects seeds through the vectorized
-        kernel; ``"reference"`` uses the dict-indexed store and loops
-        (seeds are identical either way — Lemma 2 holds for both);
-        ``"sketch"`` keeps per-node HyperLogLog register banks instead
-        of set contents, trading exactness for ``O(n * 2**precision)``
-        memory (see :mod:`repro.coverage.sketch`).
-    executor:
-        Execution backend for the phase plans: ``"simulated"``
-        (sequential metered execution, the default), or an
-        :class:`~repro.cluster.spec.ExecutorSpec` / shorthand such as
-        ``"multiprocessing:4"`` (generation fanned out over OS processes).
-        Seeds and collections are identical for a fixed random seed.
-    checkpoint_dir:
-        When set, the driver snapshots the loop state there after every
-        non-final round (collections, coverage counts, RNG streams, rule
-        position) — see :mod:`repro.core.checkpoint`.
-    resume:
-        Restore the latest snapshot from ``checkpoint_dir`` and continue
-        the run from there.  The resumed run ends in the identical seed
-        set a fresh run would produce.
-    faults, retry:
-        Fault-injection plan and recovery policy for the executors (see
-        :mod:`repro.cluster.faults`); the selected seeds are identical
-        with or without them.
-
-    Returns
-    -------
-    IMResult
-        ``metrics`` carries the Fig 5-9 breakdown (generation /
-        computation / communication, all simulated-parallel), with every
-        phase annotated by its round index and stopping rule.
-    """
-    config = RunConfig(
-        graph=graph,
-        k=k,
-        machines=num_machines,
-        eps=eps,
-        delta=delta,
-        model=model,
-        method=method,
-        seed=seed,
-        backend=backend,
-        executor=executor,
-        network=network,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        faults=faults,
-        retry=retry,
+def make_stare_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+    """D-SSA's rule: ``eps_1 = eps_2 = eps_3 = eps / 3`` (a feasible
+    assignment for the corrected guarantee), first round
+    ``(2 + 2*eps_1/3) * ln(1/delta) / eps_1^2`` sets (at least 64) unless
+    ``config.theta_initial`` says otherwise, doubling capped at IMM's
+    worst-case ``lambda* / k``."""
+    k, eps = config.k, config.eps
+    eps_1 = eps / 3.0
+    params = ImmParameters.compute(n, k, eps, delta)
+    theta_max = max(int(math.ceil(params.lambda_star / k)), 64)
+    theta_initial = config.theta_initial
+    if theta_initial is None:
+        theta_initial = max(
+            int((2 + 2 * eps_1 / 3) * math.log(1 / delta) / (eps_1 * eps_1)), 64
+        )
+    # Minimum support: a candidate must cover enough RR sets for the
+    # stare comparison to be meaningful.
+    min_coverage = (1 + eps_1) * (2 + 2 * eps_1 / 3) * math.log(3 / delta) / (eps_1**2)
+    return StareStoppingRule(
+        n,
+        eps_1=eps_1,
+        min_coverage=min_coverage,
+        theta_initial=theta_initial,
+        theta_max=theta_max,
     )
-    return diimm_from_config(config, algorithm_label=algorithm_label)
 
 
-def diimm_from_config(
-    config: RunConfig,
-    algorithm_label: str = "DIIMM",
-    *,
-    executor=None,
-    pool=None,
-) -> IMResult:
-    """Run DIIMM from a validated :class:`~repro.core.config.RunConfig`.
+def make_opim_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+    """D-OPIM-C's rule: first round ``theta_max * eps^2 * k / n`` sets (at
+    least 64) unless ``config.theta_initial`` says otherwise, ``i_max``
+    doublings to reach ``theta_max``, union-bound term ``a`` sized for
+    them."""
+    k, eps = config.k, config.eps
+    params = ImmParameters.compute(n, k, eps, delta)
+    # OPT >= k (the seeds activate at least themselves), so theta_max =
+    # lambda*/k RR sets always suffice for IMM's guarantee.
+    theta_max = max(int(math.ceil(params.lambda_star / k)), 64)
+    theta_initial = config.theta_initial
+    if theta_initial is None:
+        theta_initial = max(int(theta_max * eps * eps * k / n), 64)
+    i_max = max(int(math.ceil(math.log2(max(theta_max / theta_initial, 2.0)))), 1)
+    a = math.log(3.0 * i_max / delta)
+    return OpimStoppingRule(n, eps=eps, theta_initial=theta_initial, i_max=i_max, a=a)
 
-    ``executor`` lends a pre-built executor (its worker pool,
-    shared-memory graph, and RNG streams are reused and never closed or
-    reseeded here).  ``pool`` serves the query warm from a
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One row of :data:`REGISTRY`: everything that differs between them."""
+
+    #: Reported name (``IMResult.algorithm``, checkpoint identity).
+    label: str
+    #: ``(config, n, delta) -> StoppingRule``.
+    make_rule: Callable[[RunConfig, int, float], StoppingRule]
+    #: The ``l = 1`` baseline: one machine whatever ``config.machines``
+    #: says, centralized lazy greedy in a single metered compute phase (no
+    #: communication phases at all, so single-machine versus distributed
+    #: comparisons isolate the distribution machinery), and the exact
+    #: backends read as ``"flat"`` (only ``"sketch"`` opts in).
+    single_machine: bool = False
+    #: Draws with SUBSIM's subset sampler: ``method="subsim"`` is forced
+    #: and, as subset sampling exploits shared in-edge probabilities, the
+    #: model must be IC (the LT reverse walk is already linear).
+    subsim: bool = False
+    #: The stopping certificate assumes exact coverage counts and is the
+    #: rule's own: ``backend="sketch"`` and ``stopping="error-adaptive"``
+    #: are refused.
+    exact_counts: bool = False
+    #: Can be served warm from a :class:`~repro.core.pool.SamplePool`.
+    #: The two-collection rules interleave draws across their
+    #: collections, so per-collection prefixes are not stream-deterministic.
+    poolable: bool = True
+
+
+#: The algorithm table, in dispatch order.  ``api.run``, the CLI,
+#: :meth:`RunConfig.validate` and the warm service all read it.
+REGISTRY: Dict[str, Algorithm] = {
+    "imm": Algorithm("IMM", make_schedule_rule, single_machine=True),
+    "diimm": Algorithm("DIIMM", make_schedule_rule),
+    "dssa": Algorithm("DSSA", make_stare_rule, exact_counts=True, poolable=False),
+    "dsubsim": Algorithm("DSUBSIM", make_schedule_rule, subsim=True),
+    "dopimc": Algorithm("DOPIM-C", make_opim_rule, exact_counts=True, poolable=False),
+}
+
+#: The rows that can be served warm, in table order.
+POOLABLE = tuple(name for name, row in REGISTRY.items() if row.poolable)
+
+
+def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMResult:
+    """Run the :data:`REGISTRY` row named ``algorithm`` under ``config``.
+
+    ``executor`` lends a pre-built executor: its worker pool,
+    shared-memory graph and RNG streams are reused and never closed or
+    reseeded here.  ``pool`` serves the query warm from a
     :class:`~repro.core.pool.SamplePool`; the result is bit-identical to
-    a cold run with the same config.
+    a cold run with the same config.  Without either, the run builds —
+    and on every exit path closes — its own executor.
     """
-    config.validate("diimm")
+    entry = REGISTRY[algorithm]
+    config.validate(algorithm)
+    if entry.subsim:
+        config = config.with_overrides(method="subsim")
     graph, k = config.graph, config.k
     n = graph.num_nodes
     delta = 1.0 / n if config.delta is None else config.delta
-    params = ImmParameters.compute(n, k, config.eps, delta)
-    rule = make_schedule_rule(config, params, delta)
-
-    def result(run, driver, metrics, executor_name: str) -> IMResult:
-        return IMResult(
-            seeds=run.selection.seeds,
-            estimated_spread=n * run.selection.fraction,
-            num_rr_sets=driver.total_sets("main"),
-            total_rr_size=driver.total_size("main"),
-            total_edges_examined=driver.total_edges_examined("main"),
-            lower_bound=rule.lower_bound,
-            search_rounds=rule.search_rounds,
-            metrics=metrics,
-            algorithm=algorithm_label,
-            model=config.model,
-            method=config.method,
-            params={
-                "k": k,
-                "eps": config.eps,
-                "delta": delta,
-                "num_machines": config.machines,
-                "executor": executor_name,
-            },
-        )
+    machines = 1 if entry.single_machine else config.machines
+    exact_as_flat = entry.single_machine and config.backend != "sketch"
+    backend = "flat" if exact_as_flat else config.backend
+    rule = entry.make_rule(config, n, delta)
 
     if pool is not None:
         if executor is not None:
             raise ValueError("pass either executor or pool, not both")
-        pool.check_config(config, machines=config.machines)
-        with pool.query_metrics() as metrics:
-            driver = RoundDriver(
-                pool.executor,
-                rule,
-                k,
-                model=config.model,
-                method=config.method,
-                backend="flat",
-                pool=pool,
-            )
-            run = driver.run()
-        return result(run, driver, metrics, pool.executor.name)
-
-    owns_executor = executor is None
-    if owns_executor:
-        cluster = SimulatedCluster(
-            config.machines, network=config.network, seed=config.seed
-        )
-        exec_ = make_executor(
-            config.executor_spec(),
-            cluster,
-            graph=graph,
-            faults=config.faults,
-            retry=config.retry,
-        )
-    else:
-        exec_ = executor
-        cluster = exec_.cluster
-        if cluster.num_machines != config.machines:
+        if not entry.poolable:
             raise ValueError(
-                f"config asks for {config.machines} machines but the lent "
-                f"executor has {cluster.num_machines}"
+                f"algorithm {algorithm!r} cannot run from a warm pool; "
+                f"poolable algorithms are {POOLABLE}"
             )
-    stores = {
-        "main": [
-            make_collection(
-                n,
-                config.backend,
-                machine_id=machine_id,
-                sketch_precision=config.sketch_precision,
+        pool.check_config(config, machines=machines)
+        exec_, stores, checkpoint = pool.executor, None, None
+        scope = pool.query_metrics()
+    else:
+        if executor is not None and executor.cluster.num_machines != machines:
+            raise ValueError(
+                f"config asks for {machines} machines but the lent "
+                f"executor has {executor.cluster.num_machines}"
             )
-            for machine_id in range(config.machines)
-        ]
-    }
-    checkpoint = manager_for(
-        config.checkpoint_dir,
-        algorithm=algorithm_label,
-        n=n,
-        k=k,
-        eps=config.eps,
-        delta=delta,
-        seed=config.seed,
-        num_machines=config.machines,
+        stores = {
+            key: [
+                make_collection(
+                    n,
+                    backend,
+                    machine_id=machine_id,
+                    sketch_precision=config.sketch_precision,
+                )
+                for machine_id in range(machines)
+            ]
+            for key in rule.collection_keys
+        }
+        checkpoint = manager_for(
+            config.checkpoint_dir,
+            algorithm=entry.label,
+            n=n,
+            k=k,
+            eps=config.eps,
+            delta=delta,
+            seed=config.seed,
+            num_machines=machines,
+            model=config.model,
+            method=config.method,
+            backend=backend,
+        )
+        # Built last, entered at once: nothing that can raise sits between
+        # spawning workers and the scope that reaps them.
+        exec_ = executor
+        if exec_ is None:
+            exec_ = make_executor(
+                config.executor_spec(),
+                SimulatedCluster(machines, network=config.network, seed=config.seed),
+                graph=graph,
+                faults=config.faults,
+                retry=config.retry,
+            )
+        scope = executor_scope(exec_, owned=executor is None)
+    with scope as metrics:
+        driver = RoundDriver(
+            exec_,
+            rule,
+            k,
+            stores,
+            model=config.model,
+            method=config.method,
+            backend=backend,
+            selection="central" if entry.single_machine else "newgreedi",
+            checkpoint=checkpoint,
+            resume=config.resume,
+            pool=pool,
+        )
+        selection = driver.run().selection
+
+    params = {"k": k, "eps": config.eps, "delta": delta, "num_machines": machines}
+    if not entry.single_machine:
+        params["executor"] = exec_.name
+    keys = rule.collection_keys
+    return IMResult(
+        seeds=selection.seeds,
+        num_rr_sets=sum(driver.total_sets(key) for key in keys),
+        total_rr_size=sum(driver.total_size(key) for key in keys),
+        total_edges_examined=sum(driver.total_edges_examined(key) for key in keys),
+        **rule.outcome(n, selection),
+        metrics=metrics,
+        algorithm=entry.label,
         model=config.model,
         method=config.method,
-        backend=config.backend,
+        params=params,
     )
-    driver = RoundDriver(
-        exec_,
-        rule,
-        k,
-        stores,
-        model=config.model,
-        method=config.method,
-        backend=config.backend,
-        checkpoint=checkpoint,
-        resume=config.resume,
-    )
-    with executor_scope(exec_, owned=owns_executor) as metrics:
-        run = driver.run()
-    return result(run, driver, metrics, exec_.name)
+
+
+# The keyword entry points: ``options`` are RunConfig fields, documented
+# there; ``num_machines`` is ``RunConfig.machines``.
+
+
+def imm(graph: DirectedGraph, k: int, **options) -> IMResult:
+    """Single-machine IMM (Tang et al., SIGMOD 2015, with Chen's 2018
+    fix): the baseline, the ``l = 1`` reference point of Figs 5-9."""
+    return run(RunConfig(graph=graph, k=k, **options), "imm")
+
+
+def diimm(graph: DirectedGraph, k: int, num_machines: int, **options) -> IMResult:
+    """DIIMM (Algorithm 2) on a cluster of ``num_machines`` machines."""
+    return run(RunConfig(graph=graph, k=k, machines=num_machines, **options), "diimm")
+
+
+def distributed_subsim(
+    graph: DirectedGraph, k: int, num_machines: int, **options
+) -> IMResult:
+    """Distributed SUBSIM under the IC model (paper Fig 7); the
+    single-machine baseline is :func:`imm` with ``method="subsim"``."""
+    return run(RunConfig(graph=graph, k=k, machines=num_machines, **options), "dsubsim")
+
+
+def distributed_ssa(
+    graph: DirectedGraph, k: int, num_machines: int, **options
+) -> IMResult:
+    """Distributed stop-and-stare; ``lower_bound`` carries the final
+    verification estimate of ``sigma(S)``, ``search_rounds`` the number of
+    stare rounds."""
+    return run(RunConfig(graph=graph, k=k, machines=num_machines, **options), "dssa")
+
+
+def distributed_opimc(
+    graph: DirectedGraph, k: int, num_machines: int, **options
+) -> IMResult:
+    """Distributed OPIM-C; ``lower_bound`` carries the certified
+    approximation ratio."""
+    return run(RunConfig(graph=graph, k=k, machines=num_machines, **options), "dopimc")

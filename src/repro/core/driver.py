@@ -115,9 +115,9 @@ class StoppingRule(ABC):
     Contract: the driver alternates ``plan = rule.next_round()`` and
     ``stop = rule.check(driver, selection, plan)`` until ``check``
     returns ``True``.  Rules carry their results (lower bounds, spread
-    estimates, round counts) as attributes the entry points read after
-    the run, and must round-trip through ``state_dict`` /
-    ``load_state_dict`` for checkpointing.
+    estimates, round counts) as attributes, say through :meth:`outcome`
+    which of them a run reports, and must round-trip through
+    ``state_dict`` / ``load_state_dict`` for checkpointing.
     """
 
     #: Rule identifier, stamped on every phase record of the run.
@@ -139,6 +139,21 @@ class StoppingRule(ABC):
         verification-coverage gather via :meth:`RoundDriver.coverage_of`);
         those land inside the same round annotation.
         """
+
+    def outcome(self, n: int, selection: GreedyResult) -> Dict[str, Any]:
+        """What a finished run reports of this rule, as the ``IMResult``
+        fields ``estimated_spread`` / ``lower_bound`` / ``search_rounds``.
+
+        The single-collection rules estimate the spread on the samples
+        that selected the seeds and keep ``lower_bound`` /
+        ``search_rounds`` up to date in ``check``; a rule with a held-out
+        collection reports what it measured there.
+        """
+        return {
+            "estimated_spread": n * selection.fraction,
+            "lower_bound": self.lower_bound,
+            "search_rounds": self.search_rounds,
+        }
 
     @abstractmethod
     def state_dict(self) -> Dict[str, Any]:
@@ -227,9 +242,14 @@ class ImmScheduleRule(StoppingRule):
 class SubsimScheduleRule(ImmScheduleRule):
     """IMM's schedule driven by SUBSIM's subset-sampling generator.
 
-    SUBSIM changes how an RR set is *drawn*, not how many are needed, so
-    the rule is the IMM schedule under a different name — the name is
-    what round annotations and checkpoints record.
+    SUBSIM (Guo et al., SIGMOD 2020) replaces the RR-set generation
+    procedure with subset sampling, cutting the per-set cost from the
+    in-degree volume to roughly the set size.  It changes how an RR set
+    is *drawn*, not how many are needed, so the rule is the IMM schedule
+    under a different name — the name is what round annotations and
+    checkpoints record — and, as Section III-C predicts and Fig 7 shows,
+    the distributed speedup over single-machine SUBSIM matches DIIMM's
+    over IMM.
     """
 
     name = "subsim-schedule"
@@ -238,11 +258,16 @@ class SubsimScheduleRule(ImmScheduleRule):
 class StareStoppingRule(StoppingRule):
     """SSA's stop-and-stare check over selection/verification collections.
 
-    Each round greedy-selects on ``select`` and re-estimates the
-    candidate's spread on the independent ``verify`` collection; the loop
-    stops once the estimates agree within ``(1 + eps_1)`` and the
-    candidate's coverage clears the minimum-support threshold, or the
-    doubling hits IMM's worst-case cap ``theta_max``.
+    SSA (Nguyen et al., SIGMOD 2016; parameters revisited by Huang et
+    al., VLDB 2017) alternates two moves: **stop** — greedy-select a
+    candidate ``S`` on ``select`` — and **stare** — re-estimate
+    ``sigma(S)`` on the independent, equally large ``verify`` collection.
+    The loop stops once the two estimates agree within ``(1 + eps_1)``
+    and the candidate's coverage clears the minimum-support threshold;
+    otherwise both collections double, capped at IMM's worst-case
+    ``theta_max`` so the loop always terminates with the guarantee IMM
+    would give.  Both collections are generated by distributed RIS and
+    every selection runs through NEWGREEDI.
     """
 
     name = "stop-and-stare"
@@ -288,6 +313,15 @@ class StareStoppingRule(StoppingRule):
         self.theta = min(self.theta * 2, self.theta_max)
         return False
 
+    def outcome(self, n: int, selection: GreedyResult) -> Dict[str, Any]:
+        """The stare estimate — unbiased, unlike the selection
+        collection's — is both the spread and the bound reported."""
+        return {
+            "estimated_spread": self.verify_estimate,
+            "lower_bound": self.verify_estimate,
+            "search_rounds": self.rounds,
+        }
+
     def state_dict(self) -> Dict[str, Any]:
         return {
             "theta": self.theta,
@@ -304,11 +338,19 @@ class StareStoppingRule(StoppingRule):
 class OpimStoppingRule(StoppingRule):
     """OPIM-C's certificate check over the ``R1``/``R2`` collections.
 
-    Each round doubles both collections, selects on ``R1``, validates on
-    ``R2``, and stops once the martingale lower bound on ``sigma(S)``
-    over the upper bound on OPT certifies a
-    ``(1 - 1/e - eps)``-approximation — or the round budget ``i_max``
-    (which the union-bound term ``a`` was sized for) is spent.
+    OPIM-C (Tang et al., SIGMOD 2018) is an *online* RIS framework:
+    instead of IMM's precomputed sample budget it doubles two independent
+    collections — ``R1`` for seed selection, ``R2`` for validation — and
+    stops as soon as a data-dependent bound certifies the current
+    solution: a lower bound on ``sigma(S)`` from ``S``'s coverage on
+    ``R2`` over an upper bound on OPT from the greedy coverage on ``R1``
+    divided by ``(1 - 1/e)``, both via martingale concentration
+    (:func:`~repro.core.bounds.opim_spread_lower_bound` /
+    :func:`~repro.core.bounds.opim_opt_upper_bound`).  When the ratio
+    clears ``1 - 1/e - eps`` — typically far short of IMM's worst-case
+    schedule — or the round budget ``i_max`` (which the union-bound term
+    ``a`` was sized for) is spent, the run stops.  Validation coverage is
+    gathered as a single integer per machine.
     """
 
     name = "opim-c"
@@ -356,6 +398,14 @@ class OpimStoppingRule(StoppingRule):
             return True
         self.theta *= 2
         return False
+
+    def outcome(self, n: int, selection: GreedyResult) -> Dict[str, Any]:
+        """The validation estimate, and the certified ratio as the bound."""
+        return {
+            "estimated_spread": self.estimated_spread,
+            "lower_bound": self.certified_ratio,
+            "search_rounds": self.rounds,
+        }
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -427,8 +477,8 @@ class ErrorAdaptiveRule(StoppingRule):
         #: Last measured total relative error (sampling + sketch terms).
         self.measured_error = float("inf")
         self.sampling_error = float("inf")
-        #: Spread lower bound implied by the last selection (entry points
-        #: report it where the IMM schedule reports its LB).
+        #: Spread lower bound implied by the last selection (reported
+        #: where the IMM schedule reports its LB).
         self.lower_bound = 1.0
         self.search_rounds = 0
 

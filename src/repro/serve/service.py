@@ -56,27 +56,18 @@ from ..applications.targeted import TargetedSampler, targeted_influence_maximiza
 from ..cluster.network import NetworkModel
 from ..cluster.spec import as_spec
 from ..core.config import RunConfig
-from ..core.diimm import diimm_from_config
-from ..core.dsubsim import distributed_subsim_from_config
-from ..core.imm import imm_from_config
+from ..core.diimm import POOLABLE, REGISTRY, run
 from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris import make_sampler
 
 __all__ = ["QUERY_KINDS", "InfluenceService", "Query", "default_costs"]
 
-#: Query kinds the service answers.
-QUERY_KINDS: Tuple[str, ...] = (
-    "imm",
-    "diimm",
-    "dsubsim",
-    "budgeted",
-    "profit",
-    "targeted",
-)
-
-_IM_KINDS = ("imm", "diimm", "dsubsim")
 _APP_KINDS = ("budgeted", "profit", "targeted")
+
+#: Query kinds the service answers: ``imm``, ``diimm``, ``dsubsim`` (the
+#: algorithms a warm pool can serve) and the fixed-budget applications.
+QUERY_KINDS: Tuple[str, ...] = POOLABLE + _APP_KINDS
 
 
 def default_costs(graph: DirectedGraph) -> np.ndarray:
@@ -234,12 +225,13 @@ class InfluenceService:
             return pool
 
     def _im_pool(self, kind: str) -> SamplePool:
-        single = kind == "imm"  # the l = 1 run of the same stream: its own pool
-        method = "subsim" if kind == "dsubsim" else self.method
+        entry = REGISTRY[kind]
+        single = entry.single_machine  # the l = 1 run of the same stream: its own pool
+        method = "subsim" if entry.subsim else self.method
         return self._pool(
             ("imm" if single else "cluster", method),
             machines=1 if single else self.machines,
-            model="ic" if kind == "dsubsim" else self.model,
+            model="ic" if entry.subsim else self.model,
             method=method,
             rng_scheme="per-set" if self.dynamic else "cluster",
         )
@@ -298,7 +290,7 @@ class InfluenceService:
         """
         pool = (
             self._im_pool(query.kind)
-            if query.kind in _IM_KINDS
+            if query.kind in POOLABLE
             else self._app_pool(query)
         )
         # The signature covers collection sizes and the pool's update
@@ -310,7 +302,7 @@ class InfluenceService:
                 self._cache.move_to_end(cache_key)
                 self.stats.record(query.kind, hit=True)
                 return cached[1]
-        if query.kind in _IM_KINDS:
+        if query.kind in POOLABLE:
             result = self._run_im(query, pool)
         else:
             result = self._run_app(query, pool)
@@ -334,19 +326,14 @@ class InfluenceService:
         config = RunConfig(
             graph=self.graph,
             k=query.k,
-            machines=1 if query.kind == "imm" else self.machines,
+            machines=pool.num_machines,
             eps=query.eps,
             delta=query.delta,
             model=pool.model,
             method=pool.method,
             seed=self.seed,
         )
-        entry = {
-            "imm": imm_from_config,
-            "diimm": diimm_from_config,
-            "dsubsim": distributed_subsim_from_config,
-        }[query.kind]
-        return entry(config, pool=pool)
+        return run(config, query.kind, pool=pool)
 
     def _run_app(self, query: Query, pool: SamplePool):
         common = dict(

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.core.bounds import ImmParameters
-from repro.core.diimm import make_schedule_rule
+from repro.core.diimm import REGISTRY
 from repro.core.driver import ErrorAdaptiveRule, ImmScheduleRule
 from repro.coverage.greedy import GreedyResult
 from repro.coverage.sketch import hll_relative_error
@@ -116,30 +116,27 @@ class TestFactory:
         kwargs.update(overrides)
         return RunConfig(**kwargs)
 
+    def make_rule(self, graph, **overrides):
+        """The rule DIIMM's row of the table builds for this config."""
+        config = self.make_config(graph, **overrides)
+        return REGISTRY["diimm"].make_rule(config, graph.num_nodes, 0.01)
+
     def test_schedule_is_the_default(self, small_wc_graph):
-        config = self.make_config(small_wc_graph)
-        params = ImmParameters.compute(small_wc_graph.num_nodes, 3, 0.4, 0.01)
-        assert isinstance(make_schedule_rule(config, params, 0.01), ImmScheduleRule)
+        assert isinstance(self.make_rule(small_wc_graph), ImmScheduleRule)
 
     def test_error_adaptive_wiring(self, small_wc_graph):
         params = ImmParameters.compute(small_wc_graph.num_nodes, 3, 0.4, 0.01)
-        rule = make_schedule_rule(
-            self.make_config(small_wc_graph, stopping="error-adaptive"), params, 0.01
-        )
+        rule = self.make_rule(small_wc_graph, stopping="error-adaptive")
         assert isinstance(rule, ErrorAdaptiveRule)
         assert rule.theta == min(params.theta_for_round(1), rule.theta_max)
         assert rule.theta_max == params.theta_final(3.0)
         assert rule.sketch_rel_error == 0.0
         # theta_initial override and the sketch noise floor both thread in.
-        rule = make_schedule_rule(
-            self.make_config(
-                small_wc_graph,
-                stopping="error-adaptive",
-                backend="sketch",
-                theta_initial=64,
-            ),
-            params,
-            0.01,
+        rule = self.make_rule(
+            small_wc_graph,
+            stopping="error-adaptive",
+            backend="sketch",
+            theta_initial=64,
         )
         assert rule.theta == 64
         assert rule.sketch_rel_error == pytest.approx(hll_relative_error(10))

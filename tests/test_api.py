@@ -1,8 +1,9 @@
-"""The ``repro.api.run`` facade: dispatch, validation, shim equivalence.
+"""The ``repro.api.run`` facade: dispatch, validation, registry conformance.
 
-The legacy keyword entry points are now thin shims over the same
-``*_from_config`` implementations the facade dispatches to, so both
-call styles must return bit-identical results for equal parameters.
+The keyword entry points build a ``RunConfig`` and call the same
+``repro.core.diimm.run`` the facade does, so both call styles must
+return bit-identical results for equal parameters, and every row of the
+algorithm table must do what its facts say.
 """
 
 from __future__ import annotations
@@ -10,11 +11,21 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.api import ALGORITHMS, RunConfig, run
+from repro.api import ALGORITHMS, POOLABLE, RunConfig, run
 from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
 from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
+from repro.core.diimm import REGISTRY
+from repro.core.pool import SamplePool
+
+KEYWORD_FUNCTIONS = {
+    "imm": imm,
+    "diimm": diimm,
+    "dssa": distributed_ssa,
+    "dsubsim": distributed_subsim,
+    "dopimc": distributed_opimc,
+}
 
 
 def assert_same_result(a, b):
@@ -46,44 +57,73 @@ class TestDispatch:
         assert repro.ALGORITHMS is ALGORITHMS
 
 
+@pytest.mark.parametrize("name", ALGORITHMS)
+class TestRegistryConformance:
+    """Every row of the algorithm table, through every door."""
+
+    def config(self, graph, name, **overrides):
+        machines = 1 if REGISTRY[name].single_machine else 3
+        return RunConfig(graph=graph, k=3, machines=machines, eps=0.5, seed=7, **overrides)
+
+    def test_keyword_function_equals_run(self, small_wc_graph, name):
+        via_facade = run(name, self.config(small_wc_graph, name))
+        machines = () if REGISTRY[name].single_machine else (3,)
+        via_keywords = KEYWORD_FUNCTIONS[name](small_wc_graph, 3, *machines, eps=0.5, seed=7)
+        assert_same_result(via_facade, via_keywords)
+        assert via_facade.algorithm == REGISTRY[name].label
+
+    def test_lent_executor_accepted(self, small_wc_graph, name):
+        from repro.cluster.cluster import SimulatedCluster
+        from repro.cluster.executor import make_executor
+
+        config = self.config(small_wc_graph, name)
+        cold = run(name, config)
+        for machines in (config.machines, config.machines + 1):
+            cluster = SimulatedCluster(machines, seed=7)
+            executor = make_executor("simulated", cluster, graph=small_wc_graph)
+            try:
+                if machines == config.machines:
+                    assert_same_result(run(name, config, executor=executor), cold)
+                else:
+                    with pytest.raises(ValueError, match="machines"):
+                        run(name, config, executor=executor)
+            finally:
+                executor.close()
+
+    def test_pool_accepted_exactly_when_poolable(self, small_wc_graph, name):
+        config = self.config(small_wc_graph, name)
+        assert REGISTRY[name].poolable == (name in POOLABLE)
+        method = "subsim" if REGISTRY[name].subsim else "bfs"
+        with SamplePool(
+            small_wc_graph, machines=config.machines, seed=7, method=method
+        ) as pool:
+            if name in POOLABLE:
+                assert_same_result(run(name, config, pool=pool), run(name, config))
+            else:
+                with pytest.raises(ValueError, match="cannot run from a warm pool"):
+                    run(name, config, pool=pool)
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            (dict(backend="sketch"), "stopping certificate assumes exact coverage"),
+            (dict(stopping="error-adaptive"), "owns its own stopping certificate"),
+        ],
+    )
+    def test_exact_count_rows_refuse_estimates(
+        self, small_wc_graph, name, overrides, message
+    ):
+        config = self.config(small_wc_graph, name, **overrides)
+        if REGISTRY[name].exact_counts:
+            with pytest.raises(ValueError, match=message):
+                config.validate(name)
+        else:
+            assert config.validate(name) is config
+
+
 class TestShimEquivalence:
-    """facade(config) == legacy keyword shim, for every algorithm."""
-
-    def test_imm(self, small_wc_graph):
-        via_facade = run("imm", RunConfig(graph=small_wc_graph, k=3, eps=0.5, seed=7))
-        via_shim = imm(small_wc_graph, 3, eps=0.5, seed=7)
-        assert_same_result(via_facade, via_shim)
-
-    def test_diimm(self, small_wc_graph):
-        via_facade = run(
-            "diimm", RunConfig(graph=small_wc_graph, k=3, machines=3, eps=0.5, seed=7)
-        )
-        via_shim = diimm(small_wc_graph, 3, 3, eps=0.5, seed=7)
-        assert_same_result(via_facade, via_shim)
-
-    def test_dssa(self, small_wc_graph):
-        via_facade = run(
-            "dssa", RunConfig(graph=small_wc_graph, k=3, machines=3, eps=0.5, seed=7)
-        )
-        via_shim = distributed_ssa(small_wc_graph, 3, 3, eps=0.5, seed=7)
-        assert_same_result(via_facade, via_shim)
-
-    def test_dsubsim(self, small_wc_graph):
-        via_facade = run(
-            "dsubsim", RunConfig(graph=small_wc_graph, k=3, machines=3, eps=0.5, seed=7)
-        )
-        via_shim = distributed_subsim(small_wc_graph, 3, 3, eps=0.5, seed=7)
-        assert_same_result(via_facade, via_shim)
-
-    def test_dopimc(self, small_wc_graph):
-        via_facade = run(
-            "dopimc", RunConfig(graph=small_wc_graph, k=3, machines=3, eps=0.5, seed=7)
-        )
-        via_shim = distributed_opimc(small_wc_graph, 3, 3, eps=0.5, seed=7)
-        assert_same_result(via_facade, via_shim)
-
     def test_shim_forwards_fault_kwargs(self, small_wc_graph):
-        """The legacy shims accept faults/retry and stay invariant."""
+        """The keyword functions forward faults/retry and stay invariant."""
         reference = diimm(small_wc_graph, 3, 3, eps=0.5, seed=7)
         faulty = diimm(
             small_wc_graph, 3, 3, eps=0.5, seed=7,

@@ -35,6 +35,25 @@ class TestParser:
         assert code == 2
         assert "config.executor" in capsys.readouterr().err
 
+    def test_algorithm_choices_are_the_registry(self):
+        from repro.api import ALGORITHMS
+
+        for name in ALGORITHMS:
+            assert build_parser().parse_args(["run", "--algorithm", name]).algorithm == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--algorithm", "greedy"])
+
+    def test_run_dsubsim_refuses_lt(self, capsys):
+        """--model reaches validate() as given: D-SUBSIM is IC-only, and the
+        CLI says so instead of answering a different question."""
+        args = ["run", "--dataset", "facebook", "--k", "2", "--algorithm", "dsubsim"]
+        assert main(args + ["--model", "lt"]) == 2
+        captured = capsys.readouterr()
+        assert "config.model must be 'ic' for dsubsim" in captured.err
+        assert "seeds:" not in captured.out
+        assert main(args + ["--eps", "0.7"]) == 0  # the default --model ic
+        assert "DSUBSIM on facebook" in capsys.readouterr().out
+
     def test_experiment_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
