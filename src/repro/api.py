@@ -48,14 +48,13 @@ def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMRes
         so a bad field fails before any work starts.
     executor:
         Optional pre-built :class:`~repro.cluster.executor.Executor` to
-        lend the run.  Its worker pool, shared-memory graph, and RNG
-        streams are reused; the run never closes or reseeds a lent
+        lend the run.  Its worker pool, shared-memory graph, and cluster
+        seed are reused; the run never closes or reseeds a lent
         executor — the caller keeps ownership.  Mutually exclusive with
         ``pool``.
     pool:
         Optional :class:`~repro.core.pool.SamplePool` to serve the query
-        warm from (only for :data:`POOLABLE` algorithms — those whose
-        samplers draw each collection from one uninterleaved stream).
+        warm from (only for :data:`POOLABLE` algorithms).
         The pool's collections are grown as needed and retained; the
         result is bit-identical to a cold ``run`` with the same config.
     """

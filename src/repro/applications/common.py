@@ -38,10 +38,10 @@ def sampled_stores(
     """Yield ``(executor, stores, metrics)`` over ``num_rr_sets`` RR sets.
 
     With ``pool=None`` a private pool is built on
-    ``SimulatedCluster(num_machines, network, seed)``'s machine streams
-    (drawing with ``sampler`` when given, else the per-set ``(model,
-    "bfs")`` sampler) and closed on exit; a lent pool must draw those same
-    streams (:meth:`SamplePool.check_streams
+    ``SimulatedCluster(num_machines, network, seed)`` (drawing with
+    ``sampler`` when given, else the ``(model, "bfs")`` sampler) and
+    closed on exit; a lent pool must draw the same coordinates
+    (:meth:`SamplePool.check_streams
     <repro.core.pool.SamplePool.check_streams>`) and keeps its own network
     model and sampler.  Either way the pool is topped up to the
     per-machine shares of ``num_rr_sets`` (``{label}/generate``; a pool

@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("bfs", "subsim", "vectorized"),
         default="bfs",
-        help="RR-set generation procedure: per-set reverse BFS/walk, "
-        "SUBSIM subset sampling (ic only; dsubsim always uses it), or "
-        "the blocked vectorized frontier kernels",
+        help="RR-set generation procedure: reverse BFS/walk, SUBSIM subset "
+        "sampling (ic only; dsubsim always uses it), or the blocked "
+        "vectorized frontier kernels (one generator per draw, not per set)",
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
@@ -187,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("bfs", "subsim"),
         default="bfs",
-        help="RR-set generation for the IMM-family pools (warm pools "
-        "need per-set samplers, so 'vectorized' is not offered)",
+        help="RR-set generation for the IMM-family pools (a warm pool "
+        "serves prefixes, so it needs one generator per set: 'vectorized', "
+        "one per draw, is not offered)",
     )
     serve.add_argument(
         "--executor",
@@ -207,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dynamic",
         action="store_true",
-        help="serve a mutable graph: pools use per-set RNG substreams and "
-        "the service accepts 'update' requests (see the update command) "
-        "that repair resident RR sets in place",
+        help="serve a mutable graph: the service accepts 'update' requests "
+        "(see the update command) that repair resident RR sets in place; "
+        "answers on an unchanged graph equal a static service's",
     )
 
     update = sub.add_parser(

@@ -55,8 +55,9 @@ class SimulatedCluster:
         Cost model for master<->slave transfers; defaults to the
         shared-memory server profile.
     seed:
-        Root seed; machine RNGs are spawned from it so results are
-        reproducible for fixed ``(seed, num_machines)``.
+        Root seed; RR-set generators are keyed off it and machine RNGs
+        are spawned from it, so results are reproducible for fixed
+        ``(seed, num_machines)``.
     clock:
         Injectable time source for deterministic tests.
     slowdowns:
@@ -83,6 +84,8 @@ class SimulatedCluster:
             if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed)
         )
+        #: Generation phases key RR sets off its entropy; machine RNGs are its children.
+        self.seed_sequence = seed_seq
         children = seed_seq.spawn(num_machines + 1)
         #: The master's own RNG (used e.g. for tie-breaking decisions).
         self.master_rng = np.random.default_rng(children[0])

@@ -30,23 +30,23 @@ in-process with injected faults interpreted in *simulated* time, or
 shipped to real workers whose failures are detected in *real* time) and
 ``_replay_host`` (whose clock redraws, and pays for, a spent quota).
 
-Every attempt draws on a *copy* of the machine's stream (or on the
-stateless per-set token) and the loop adopts the advanced state only
-with a verified batch, so a failed attempt leaves nothing to undo and
-the retry, or the replay, redraws the identical batch: collections and
-seeds are bit-identical to a failure-free run whatever fired; only
-metered times and the recovery log differ.  ``faults=None`` means the
-empty :class:`~repro.cluster.faults.FaultPlan` — no injection — and the
+Attempts are pure: the loop resolves the plan's seed and first set
+indices once, and every attempt draws ``(seed, key, machine, index)``-keyed
+sets through :func:`~repro.ris.rrset.sample_set_range`, which carries no
+state.  A batch is appended only when it verified and nothing is adopted,
+so the retry, or the replay, redraws the identical batch: collections and
+seeds are bit-identical to a failure-free run whatever fired; only metered
+times and the recovery log differ.  ``faults=None`` means the empty
+:class:`~repro.cluster.faults.FaultPlan`, and the
 :class:`~repro.cluster.faults.RetryPolicy` always applies, so a *real*
 worker loss is retried on a run that never asked for faults.
 """
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..ris import make_sampler
@@ -107,18 +107,15 @@ class GeneratePhase:
         (default) appends to each machine's ``collection``.
     model, method:
         Sampler selection, as in :func:`repro.ris.make_sampler`.
-    rng_scheme:
-        ``"stream"`` (default) draws from each machine's sequential RNG
-        stream; ``"per-set"`` draws RR set ``i`` from its own
-        counter-based substream (:func:`repro.ris.rrset.per_set_rng`),
-        which is what makes sets individually regenerable after a graph
-        update.  Per-set phases require ``seed`` and ``starts``.
+    key:
+        The collection being grown.  Machine ``m`` draws sets
+        ``starts[m] .. starts[m] + counts[m] - 1`` of it, set ``i`` at its
+        coordinates ``(seed, key, m, i)`` (:func:`repro.ris.rrset.sample_set_range`).
     seed:
-        Base entropy for ``rng_scheme="per-set"``.
+        Base entropy; ``None`` (default) is the executor's cluster seed.
     starts:
-        Per-machine index of the first set drawn by this phase
-        (``rng_scheme="per-set"`` only): machine ``m`` draws sets
-        ``starts[m] .. starts[m] + counts[m] - 1``.
+        Per-machine index of the first set drawn; ``None`` (default) is
+        each target's current ``num_sets`` — the phase appends.
     """
 
     label: str
@@ -126,7 +123,7 @@ class GeneratePhase:
     targets: Tuple[Any, ...] | None = None
     model: str = "ic"
     method: str = "bfs"
-    rng_scheme: str = "stream"
+    key: str = "main"
     seed: int | None = None
     starts: Tuple[int, ...] | None = None
 
@@ -136,16 +133,12 @@ class GeneratePhase:
             raise ValueError("generation counts must be >= 0")
         if self.targets is not None:
             object.__setattr__(self, "targets", tuple(self.targets))
-        if self.rng_scheme not in ("stream", "per-set"):
-            raise ValueError(f"unknown rng_scheme {self.rng_scheme!r}")
-        if self.rng_scheme == "per-set":
-            if self.seed is None or self.starts is None:
-                raise ValueError("per-set generation requires seed= and starts=")
+        if self.starts is not None:
             object.__setattr__(self, "starts", tuple(int(s) for s in self.starts))
             if len(self.starts) != len(self.counts):
                 raise ValueError("starts and counts must have one entry per machine")
             if any(s < 0 for s in self.starts):
-                raise ValueError("per-set start indices must be >= 0")
+                raise ValueError("start indices must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,15 +202,14 @@ class GenerationOutcome(NamedTuple):
 
     ``error`` is ``None`` on success, otherwise a one-line description
     (prefixed ``"crash:"``, ``"corruption:"``, ``"disconnect:"`` or
-    ``"timeout:"`` for injected/detected fault kinds) and ``batch`` /
-    ``rng_state`` are ``None``.  ``elapsed`` is the attempt's draw time,
+    ``"timeout:"`` for injected/detected fault kinds) and ``batch`` is
+    ``None``.  ``elapsed`` is the attempt's draw time,
     or the time it wasted when it failed.  ``nbytes`` is the size of the
     framed compressed payload a worker actually shipped (0 when nothing
     arrived, and for in-process attempts).
     """
 
     batch: FlatBatch | None
-    rng_state: Any
     elapsed: float
     error: str | None
     nbytes: int = 0
@@ -238,7 +230,7 @@ class Executor(ABC):
     """Runs phase plans against a :class:`SimulatedCluster`'s state.
 
     The executor owns *how* phases execute; the cluster keeps owning the
-    distributed state (machines, RNGs, collections) and the accounting
+    distributed state (machines, seed, collections) and the accounting
     (metrics, network model).  Communication and master phases are pure
     accounting and the generation loop (:meth:`_run_generate`) is common
     too; a backend only says how one attempt wave runs and where a spent
@@ -352,12 +344,18 @@ class Executor(ABC):
         """Draw ``plan.counts`` RR sets: the one generation loop.
 
         Attempt-major over the machines that still owe their quota.  A
-        batch is appended — and its machine's advanced RNG state adopted —
-        only when the attempt reports success, so a failed attempt leaves
-        nothing to undo; a machine out of attempts has its quota replayed
-        in-process from its own untouched stream (:meth:`_replay_host`).
+        batch is appended only when the attempt reports success, so a
+        failed attempt leaves nothing to undo; a machine out of attempts
+        has its quota replayed in-process (:meth:`_replay_host`).
         """
         targets = self._generation_targets(plan)
+        # Resolved once, before any attempt: every attempt draws the same
+        # coordinates.
+        plan = replace(
+            plan,
+            seed=self.cluster.seed_sequence.entropy if plan.seed is None else plan.seed,
+            starts=plan.starts or tuple(target.num_sets for target in targets),
+        )
         faults, policy, label = self.faults, self.retry, plan.label
         round_index = self.metrics.current_round
         times: List[float] = [0.0] * self.num_machines
@@ -392,8 +390,6 @@ class Executor(ABC):
                         time_lost=outcome.elapsed * (factor - 1.0),
                         detail=f"injected slowdown x{factor:g}",
                     )
-                if outcome.rng_state is not None:
-                    self.machines[mid].set_rng_state(outcome.rng_state)
                 append_batch(targets[mid], outcome.batch)
                 results[mid] = outcome.batch.count
                 times[mid] += outcome.elapsed * factor
@@ -438,8 +434,7 @@ class Executor(ABC):
     ) -> List[GenerationOutcome]:
         """Run attempt ``attempt`` for machines ``ids``; one outcome each.
 
-        The attempt must not advance a machine's own RNG: it draws on a
-        copy and reports the advanced state in the outcome.  ``elapsed``
+        ``plan`` carries its resolved ``seed`` and ``starts``.  ``elapsed``
         is in the machine's metered seconds (``slowdown`` applied);
         injected stragglers are applied by the loop.  Recoverable
         failures are reported per machine, never raised.
@@ -452,19 +447,11 @@ class Executor(ABC):
         survivors = [m for m in self.machines if m.machine_id not in failed]
         return survivors[turn % len(survivors)] if survivors else None
 
-    def _draw(self, plan: GeneratePhase, mid: int, rng=None) -> FlatBatch:
-        """Draw machine ``mid``'s quota in this process.
-
-        ``rng`` defaults to the machine's own stream; per-set phases
-        ignore it (set ``i`` comes from its own counter-based substream).
-        """
+    def _draw(self, plan: GeneratePhase, mid: int) -> FlatBatch:
+        """Draw machine ``mid``'s quota of the resolved ``plan`` in this process."""
         sampler = self.sampler(plan.model, plan.method)
-        if plan.rng_scheme == "per-set":
-            start = plan.starts[mid]
-            return sample_set_range(sampler, plan.seed, mid, range(start, start + plan.counts[mid]))
-        if rng is None:
-            rng = self.machines[mid].rng
-        return sampler.sample_batch(rng, plan.counts[mid])
+        ids = range(plan.starts[mid], plan.starts[mid] + plan.counts[mid])
+        return sample_set_range(sampler, plan.seed, mid, ids, plan.key)
 
     def _wire_totals(self) -> Tuple[int, int, int]:
         """Cumulative ``(sent, received, round trips)`` of the transport."""
@@ -512,12 +499,8 @@ class SimulatedExecutor(Executor):
         round_index = self.metrics.current_round
         outcomes = []
         for mid in ids:
-            machine = self.machines[mid]
-            # A copy of the stream, as a worker would be shipped; per-set
-            # phases have no stream to copy.
-            rng = None if plan.rng_scheme == "per-set" else copy.deepcopy(machine.rng)
             try:
-                batch, elapsed = machine.run(lambda _machine: self._draw(plan, mid, rng))
+                batch, elapsed = self.machines[mid].run(lambda _machine: self._draw(plan, mid))
             except Exception as exc:
                 # No worker to lose in-process: a retry would fail alike.
                 raise MachineFailure(mid, plan.label) from exc
@@ -539,10 +522,9 @@ class SimulatedExecutor(Executor):
                 spoiled = self.cluster.network.retransmission_time(encoded_batch_nbytes(batch))
                 lost, error = metered + spoiled, "corruption: payload failed CRC32"
             else:
-                state = None if rng is None else rng.bit_generator.state
-                outcomes.append(GenerationOutcome(batch, state, elapsed, None))
+                outcomes.append(GenerationOutcome(batch, elapsed, None))
                 continue
-            outcomes.append(GenerationOutcome(None, None, lost, error))
+            outcomes.append(GenerationOutcome(None, lost, error))
         return outcomes
 
 

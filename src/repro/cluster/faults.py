@@ -20,10 +20,10 @@ governs every generation phase of the one loop the executors share, so
 a worker that really dies is retried on a run that asked for no faults.
 
 Determinism argument (also in ``docs/architecture.md``): every RR set's
-content is drawn from the *logical* machine's private RNG stream, and an
-attempt draws on a copy of it; the loop adopts the advanced state only
-together with a verified batch.  A failed attempt therefore leaves the
-stream where it was, and the retry — on the same machine or replayed
+content is a function of its coordinates — seed, collection, *logical*
+machine, index (:func:`repro.ris.rrset.sample_set_range`) — and an
+attempt carries no other state.  A failed attempt therefore leaves
+nothing behind, and the retry — on the same machine or replayed
 elsewhere — redraws the identical batch for the logical machine's
 store.  Faults change only the metered times and the recovery log,
 never the collections or the selected seeds.

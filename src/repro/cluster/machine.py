@@ -29,7 +29,10 @@ class Machine:
         Index ``i`` of this machine (0-based; the master is external).
     rng:
         The machine's private random generator (spawned per machine so a
-        run is reproducible for fixed ``(seed, num_machines)``).
+        run is reproducible for fixed ``(seed, num_machines)``).  Map
+        phases draw on it (Monte-Carlo estimation, the adaptive
+        application); generation phases never do — RR sets are keyed by
+        coordinates (:func:`repro.ris.rrset.sample_set_range`).
     clock:
         Time source used to meter work; injectable for deterministic tests.
     slowdown:
@@ -66,16 +69,6 @@ class Machine:
         """
         self.collection = make_collection(num_nodes, backend)
         return self.collection
-
-    def set_rng_state(self, state: Any) -> None:
-        """Fast-forward this machine's RNG to ``state``.
-
-        A generation attempt draws on a copy of this stream (in-process
-        or in a worker) and reports the advanced state; the executor's
-        loop adopts it here once the batch verified, so later draws
-        continue the same stream.
-        """
-        self.rng.bit_generator.state = state
 
     def run(self, work: Callable[["Machine"], Any]) -> Tuple[Any, float]:
         """Execute ``work(self)`` and return ``(result, elapsed_seconds)``.

@@ -28,20 +28,21 @@ onto one stream and answered in any order:
     under the token; samplers are cached per ``(token, model, method)``.
     Replies ``("enrolled", seq, info)``.
 ``generate``
-    ``{"token", "model", "method", "count", "rng", "directive"}`` — the
-    worker draws the batch with the shipped RNG (or a per-set token)
-    and replies ``("batch", seq, (payload, elapsed))`` where ``payload``
-    is the inner frame — the delta + varint encoded batch
-    (:mod:`repro.ris.wire`) and the advanced RNG state — whose size is
-    the backend-neutral ``num_bytes``; ``wire_sent`` /
-    ``wire_received`` / ``round_trips`` count the real stream traffic.
-    Failures reply ``("error", seq, (message, elapsed))``.
+    ``{"token", "model", "method", "seed", "key", "machine", "start",
+    "count", "directive"}`` — the worker draws sets ``start .. start +
+    count - 1`` of collection ``key`` on ``machine`` through
+    :func:`~repro.ris.rrset.sample_set_range`, exactly as the master
+    would, and replies ``("batch", seq, (payload, elapsed))`` where
+    ``payload`` is the inner frame around the delta + varint encoded
+    batch (:mod:`repro.ris.wire`), whose size is the backend-neutral
+    ``num_bytes``; ``wire_sent`` / ``wire_received`` / ``round_trips``
+    count the real stream traffic.  Failures reply
+    ``("error", seq, (message, elapsed))``.
 ``ping`` / ``shutdown``
     Heartbeat (``pong``) and orderly worker exit (``bye``).
 
-Restoring the returned RNG state keeps master-side generators
-bit-identical to the simulated backend, and the decoded batches are
-bit-identical to locally drawn ones, so none of this changes results.
+No generator or generator state travels either way: a request is integers
+and names, and decoded batches are bit-identical to locally drawn ones.
 
 Failure model
 -------------
@@ -51,8 +52,8 @@ Injected directives exercise every failure the master can see:
 *at once* as ``disconnect`` — ``drop`` swallows the reply so only the
 phase deadline notices (``timeout``), and ``corrupt`` flips a byte of
 the inner payload so its CRC fails on arrival (``corruption``).  A
-machine's RNG only advances when its payload verifies, so every retry
-redraws the identical batch.
+request names its sets by coordinates, so every retry redraws the
+identical batch.
 
 Only generation is parallelised — it dominates the running time in
 every figure of the paper; seed selection runs through NEWGREEDI on the
@@ -173,20 +174,11 @@ class WorkerState:
             if directive == CRASH:
                 raise RuntimeError("injected worker crash")
             sampler = self.sampler(request["token"], request["model"], request["method"])
-            rng, count = request["rng"], request["count"]
-            if isinstance(rng, tuple) and rng and rng[0] == "per-set":
-                # Per-set token ("per-set", seed, machine_id, start): each RR
-                # set comes from its own counter-based substream, so no
-                # sequential rng state travels either way.
-                __, seed, machine_id, start_index = rng
-                batch = sample_set_range(
-                    sampler, seed, machine_id, range(start_index, start_index + count)
-                )
-                rng_state = None
-            else:
-                batch = sampler.sample_batch(rng, count)
-                rng_state = rng.bit_generator.state
-            payload = pack_message((encode_batch(batch), rng_state))
+            ids = range(request["start"], request["start"] + request["count"])
+            batch = sample_set_range(
+                sampler, request["seed"], request["machine"], ids, request["key"]
+            )
+            payload = pack_message(encode_batch(batch))
         except Exception as exc:  # noqa: BLE001 - the executor decides recovery
             prefix = "crash: " if directive == CRASH else ""
             message = f"{prefix}{type(exc).__name__}: {exc}"
@@ -374,15 +366,14 @@ class WorkerBackedExecutor(Executor):
     (the entry points call it through a ``with``-block) reaps the
     workers and then unlinks the block.
 
-    Each machine's private RNG is shipped to its worker, the worker
-    draws the machine's batch with it, and the advanced RNG state comes
-    back with the batch for the generation loop to adopt once the
-    payload verifies — so collections *and* subsequent random decisions
-    are bit-identical to :class:`SimulatedExecutor` for the same seed,
-    whichever faults fired.  Failure *detection* is real: a broken
-    stream is a ``disconnect`` the moment it breaks, an expired
-    ``RetryPolicy.phase_timeout`` is a ``timeout``, and the channel is
-    re-opened (and the worker re-enrolled) before the next attempt.
+    A request carries its sets' coordinates and the worker draws them
+    through the same :func:`~repro.ris.rrset.sample_set_range` the
+    simulated backend calls, so collections are bit-identical to
+    :class:`SimulatedExecutor` for the same seed, whichever faults fired.
+    Failure *detection* is real: a broken stream is a ``disconnect`` the
+    moment it breaks, an expired ``RetryPolicy.phase_timeout`` is a
+    ``timeout``, and the channel is re-opened (and the worker re-enrolled)
+    before the next attempt.
 
     Subclasses say which channels to build (:meth:`_make_channels`);
     worker wall-clock time is scaled by the machine's ``slowdown``,
@@ -481,42 +472,33 @@ class WorkerBackedExecutor(Executor):
     # -- dispatch ------------------------------------------------------------
     def _dispatch(
         self,
-        model: str,
-        method: str,
-        counts: List[int],
-        rngs: List[Any],
-        directives: List[str | None] | None = None,
+        plan: GeneratePhase,
+        ids: Sequence[int],
+        directives: Sequence[str | None] | None = None,
         timeout: float | None = None,
-        machine_ids: Sequence[int] | None = None,
     ) -> List[GenerationOutcome]:
-        """Run one generation wave on the workers.
+        """Run one generation wave of the resolved ``plan`` on the workers.
 
-        ``counts[i]`` / ``rngs[i]`` / ``directives[i]`` describe task
-        ``i`` (a generator is pickled with its state and NOT advanced
-        here — restore the returned state to stay in sync); outcomes
-        come back in the same order.  ``machine_ids[i]`` is the machine
-        task ``i`` belongs to (default: machine ``i``) and fixes its
-        worker, ``machine_id mod W``, so a retry wave over a subset of
-        the machines lands where the first wave did.  ``timeout`` is the
-        wall-clock deadline for the whole wave; ``None`` waits forever,
-        so a silent worker then hangs — the failure mode
+        Task ``i`` is machine ``ids[i]``'s quota (``directives[i]`` its
+        injected fault, if any); outcomes come back in the same order.
+        A machine's worker is ``machine_id mod W``, so a retry wave over
+        a subset of the machines lands where the first wave did.
+        ``timeout`` is the wall-clock deadline for the whole wave;
+        ``None`` waits forever, so a silent worker then hangs — the
+        failure mode
         :class:`~repro.cluster.faults.RetryPolicy.phase_timeout` exists
         to prevent.  Failures are captured per task (``outcome.error``),
         never raised.
         """
-        if len(counts) != len(rngs):
-            raise ValueError("counts and rngs must have the same length")
-        if directives is not None and len(directives) != len(counts):
+        if directives is not None and len(directives) != len(ids):
             raise ValueError("directives must have one entry per machine")
-        if not counts:
+        if not ids:
             return []
-        if machine_ids is None:
-            machine_ids = range(len(counts))
         channels = self._ensure_channels()
-        placement = [channels[mid % len(channels)] for mid in machine_ids]
+        placement = [channels[mid % len(channels)] for mid in ids]
         deadline = time.monotonic() + timeout if timeout is not None else None
         expired = None if timeout is None else f"timeout: no result within {timeout:g}s"
-        outcomes: List[GenerationOutcome | None] = [None] * len(counts)
+        outcomes: List[GenerationOutcome | None] = [None] * len(ids)
         waiting: Dict[WorkerChannel, Dict[int, int]] = {}  # channel -> seq -> task
 
         # Start every missing worker before enrolling any: a spawned
@@ -528,13 +510,16 @@ class WorkerBackedExecutor(Executor):
                 except OSError:
                     pass  # tried again, and reported, per task below
         # Pipeline: write every request before awaiting any reply.
-        for position, (count, rng, channel) in enumerate(zip(counts, rngs, placement)):
+        for position, (mid, channel) in enumerate(zip(ids, placement)):
             request = {
                 "token": self._token,
-                "model": model,
-                "method": method,
-                "count": int(count),
-                "rng": rng,
+                "model": plan.model,
+                "method": plan.method,
+                "seed": plan.seed,
+                "key": plan.key,
+                "machine": mid,
+                "start": plan.starts[mid],
+                "count": plan.counts[mid],
                 "directive": directives[position] if directives else None,
             }
             try:
@@ -545,7 +530,7 @@ class WorkerBackedExecutor(Executor):
                 # it; a later task re-opens the channel with a clean slate.
                 channel.drop()
                 for lost in (position, *waiting.pop(channel, {}).values()):
-                    outcomes[lost] = GenerationOutcome(None, None, 0.0, f"disconnect: {exc}")
+                    outcomes[lost] = GenerationOutcome(None, 0.0, f"disconnect: {exc}")
                 continue
             waiting.setdefault(channel, {})[seq] = position
 
@@ -555,7 +540,7 @@ class WorkerBackedExecutor(Executor):
                 # Late replies could still arrive and desynchronize seq
                 # matching, so the stream goes too; it is re-opened on next use.
                 for position in waiting.pop(channel).values():
-                    outcomes[position] = GenerationOutcome(None, None, elapsed, error)
+                    outcomes[position] = GenerationOutcome(None, elapsed, error)
                 selector.unregister(channel.sock)
                 channel.drop()
 
@@ -588,9 +573,7 @@ class WorkerBackedExecutor(Executor):
                         # still aligned — but the seq is unreadable.  Charge
                         # the oldest outstanding request.
                         position = slots.pop(min(slots))
-                        outcomes[position] = GenerationOutcome(
-                            None, None, 0.0, f"corruption: {exc}"
-                        )
+                        outcomes[position] = GenerationOutcome(None, 0.0, f"corruption: {exc}")
                     else:
                         position = slots.pop(seq, None)
                         if position is None:
@@ -598,17 +581,15 @@ class WorkerBackedExecutor(Executor):
                         channel.round_trips += 1
                         if op == "error":
                             error, elapsed = body
-                            outcomes[position] = GenerationOutcome(None, None, elapsed, error)
+                            outcomes[position] = GenerationOutcome(None, elapsed, error)
                         else:
                             payload, elapsed = body
                             try:
-                                encoded, rng_state = unpack_message(payload)
-                                outcome = GenerationOutcome(
-                                    decode_batch(encoded), rng_state, elapsed, None, len(payload)
-                                )
+                                batch = decode_batch(unpack_message(payload))
+                                outcome = GenerationOutcome(batch, elapsed, None, len(payload))
                             except PayloadCorruptionError as exc:
                                 outcome = GenerationOutcome(
-                                    None, None, elapsed, f"corruption: {exc}", len(payload)
+                                    None, elapsed, f"corruption: {exc}", len(payload)
                                 )
                             outcomes[position] = outcome
                     if not slots:
@@ -637,23 +618,13 @@ class WorkerBackedExecutor(Executor):
         a dead one really is detected by its broken stream.
         """
         time.sleep(self.retry.delay_before(attempt))
-        if plan.rng_scheme == "per-set":
-            # The worker resolves this token into per_set_rng substreams;
-            # the machines' sequential streams are never consumed, so no
-            # rng_state comes back.
-            rngs = [("per-set", plan.seed, mid, plan.starts[mid]) for mid in ids]
-        else:
-            rngs = [self.machines[mid].rng for mid in ids]
         round_index = self.metrics.current_round
         faults = (self.faults.failure_for(mid, round_index, attempt) for mid in ids)
         outcomes = self._dispatch(
-            plan.model,
-            plan.method,
-            [plan.counts[mid] for mid in ids],
-            rngs,
+            plan,
+            ids,
             directives=[None if fault is None else fault.kind for fault in faults],
             timeout=self.retry.phase_timeout,
-            machine_ids=ids,
         )
         return [
             outcome._replace(elapsed=outcome.elapsed * self.machines[mid].slowdown)

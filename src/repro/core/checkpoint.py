@@ -6,7 +6,6 @@ needs to deterministically re-enter the loop after the round:
 * every machine's RR collections (via :func:`repro.ris.serialization.save_collection`,
   which stamps the format magic/version);
 * the master's incremental :class:`~repro.coverage.state.CoverageState`;
-* each machine's RNG state, so the next wave draws the same stream;
 * the stopping rule's internal state and the driver's round position;
 * the run configuration, validated on resume so a checkpoint can never be
   silently continued under different parameters.
@@ -16,8 +15,10 @@ a temporary name and renamed into place, so a run killed mid-write leaves
 either the previous complete snapshot or nothing — never a torn one.  The
 driver only checkpoints rounds it decided to *continue* past; a crash
 during round ``r + 1`` resumes from round ``r``'s snapshot and replays
-the interrupted round bit-for-bit (all randomness lives in the saved RNG
-states), ending in the identical seed set.
+the interrupted round bit-for-bit, ending in the identical seed set.  No
+RNG state is saved: RR set ``i`` of a collection is drawn at its
+coordinates (:func:`repro.ris.rrset.sample_set_range`), so the restored
+collections' sizes say where generation continues.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ __all__ = [
 
 #: Identifies a ``state.json`` as a driver checkpoint.
 DRIVER_CHECKPOINT_MAGIC = "repro-driver-checkpoint"
-#: Layout version of the round-directory schema.
-DRIVER_CHECKPOINT_VERSION = 1
+#: Layout version of the round-directory schema.  2: no per-machine
+#: generator states — a version-1 snapshot continued sequential machine
+#: streams this build no longer draws, so it is refused rather than mixed.
+DRIVER_CHECKPOINT_VERSION = 2
 
 _ROUND_DIR = re.compile(r"^round-(\d{4,})$")
 
@@ -69,7 +72,6 @@ class DriverSnapshot:
 
     round_index: int
     rule_state: Dict[str, Any]
-    rng_states: List[Dict[str, Any]]
     coverage_state: Dict[str, np.ndarray]
     stores: Dict[str, List]
     recovery: List[Dict[str, Any]] = field(default_factory=list)
@@ -102,7 +104,6 @@ class CheckpointManager:
         round_index: int,
         rule_name: str,
         rule_state: Dict[str, Any],
-        rng_states: Sequence[Dict[str, Any]],
         coverage_state: Dict[str, np.ndarray],
         stores: Mapping[str, Sequence],
         recovery: Sequence[Mapping[str, Any]] = (),
@@ -129,9 +130,8 @@ class CheckpointManager:
             "version": DRIVER_CHECKPOINT_VERSION,
             "round_index": int(round_index),
             "rule": {"name": rule_name, "state": rule_state},
-            "rng_states": list(rng_states),
             "collection_keys": list(stores),
-            "num_machines": len(rng_states),
+            "num_machines": len(next(iter(stores.values()))),
             "config": self.config,
             "recovery": [dict(event) for event in recovery],
         }
@@ -245,7 +245,6 @@ class CheckpointManager:
         return DriverSnapshot(
             round_index=int(state["round_index"]),
             rule_state=state["rule"]["state"],
-            rng_states=state["rng_states"],
             coverage_state=coverage_state,
             stores=stores,
             recovery=state.get("recovery", []),

@@ -4,9 +4,11 @@ DIIMM is IMM with both phases distributed over ``l`` machines:
 
 * **Distributed RIS** — every generation wave of ``theta_t - theta_{t-1}``
   RR sets is split evenly; each machine extends its private collection
-  ``R_i`` with its own RNG stream.  Corollary 1 guarantees the per-machine
-  workload concentrates around its mean, so the wave's parallel time is
-  close to ``1/l`` of the sequential time.
+  ``R_i`` with independently drawn sets (set ``i`` of a collection on
+  machine ``m`` has its own generator,
+  :func:`~repro.ris.rrset.sample_set_range`).  Corollary 1 guarantees
+  the per-machine workload concentrates around its mean, so the wave's
+  parallel time is close to ``1/l`` of the sequential time.
 * **NEWGREEDI seed selection** — every greedy call runs the
   element-distributed protocol of Algorithm 1 and returns *exactly* the
   centralized greedy solution (Lemma 2), so DIIMM inherits IMM's
@@ -165,8 +167,9 @@ class Algorithm:
     #: are refused.
     exact_counts: bool = False
     #: Can be served warm from a :class:`~repro.core.pool.SamplePool`.
-    #: The two-collection rules interleave draws across their
-    #: collections, so per-collection prefixes are not stream-deterministic.
+    #: The two-collection rules were refused while their collections
+    #: interleaved draws on one machine stream; each is a separately keyed
+    #: draw now, so the refusal has lost its reason and goes in its own PR.
     poolable: bool = True
 
 
@@ -188,7 +191,7 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
     """Run the :data:`REGISTRY` row named ``algorithm`` under ``config``.
 
     ``executor`` lends a pre-built executor: its worker pool,
-    shared-memory graph and RNG streams are reused and never closed or
+    shared-memory graph and cluster seed are reused and never closed or
     reseeded here.  ``pool`` serves the query warm from a
     :class:`~repro.core.pool.SamplePool`; the result is bit-identical to
     a cold run with the same config.  Without either, the run builds —

@@ -550,8 +550,9 @@ class RoundDriver:
         Seed-set size.
     stores:
         Per-machine RR stores for each of the rule's collection keys,
-        ``{key: [store_machine_0, ...]}``.  The driver owns their growth;
-        machines only contribute RNG streams.
+        ``{key: [store_machine_0, ...]}``.  The driver owns their growth:
+        set ``i`` of collection ``key`` on machine ``m`` is drawn at the
+        coordinates ``(cluster seed, key, m, i)``.
     model, method:
         Sampler selection for the generation phases.
     backend:
@@ -770,6 +771,7 @@ class RoundDriver:
                 targets=tuple(self.stores[key]),
                 model=self.model,
                 method=self.method,
+                key=key,
             )
         )
 
@@ -853,15 +855,11 @@ class RoundDriver:
     # ------------------------------------------------------------------
     # Checkpoint plumbing
     # ------------------------------------------------------------------
-    def _rng_states(self) -> List[Dict[str, Any]]:
-        return [m.rng.bit_generator.state for m in self.executor.machines]
-
     def _save_checkpoint(self, round_index: int) -> None:
         self.checkpoint.save(
             round_index=round_index,
             rule_name=self.rule.name,
             rule_state=self.rule.state_dict(),
-            rng_states=self._rng_states(),
             coverage_state=self.coverage.state_dict(),
             stores=self.stores,
             recovery=self.executor.metrics.recovery_state(),
@@ -875,8 +873,6 @@ class RoundDriver:
             backend=self.backend,
         )
         self.rule.load_state_dict(snapshot.rule_state)
-        for machine, state in zip(self.executor.machines, snapshot.rng_states):
-            machine.set_rng_state(state)
         self.coverage.load_state_dict(snapshot.coverage_state)
         for key, per_machine in snapshot.stores.items():
             for idx, store in enumerate(per_machine):

@@ -9,15 +9,15 @@ typically the lifetime of a :class:`~repro.serve.service.InfluenceService`
 collections:
 
 * each machine's collection is append-only and grown by topping up
-  (:meth:`ensure`), continuing the machine's RNG stream exactly where
-  the previous query left it;
+  (:meth:`ensure`): set ``i`` of collection ``key`` on machine ``m`` is
+  drawn at its coordinates ``(seed, key, m, i)``
+  (:func:`~repro.ris.rrset.sample_set_range`), no state carried over;
 * a query never reads the collections directly — it reads
   :class:`~repro.ris.flat.FlatPrefixView` windows
   (:meth:`view_stores`) whose limits follow the query's own sampling
   schedule, so the sets it sees are bit-identical to the collections a
-  cold run of that schedule would have generated (the per-set samplers'
-  batch contract: machine ``i``'s first ``c`` RR sets depend only on its
-  stream and ``c``, not on wave boundaries);
+  cold run of that schedule would have generated (a set's bytes depend
+  only on its coordinates and the graph, not on wave boundaries);
 * finished queries donate their final
   :class:`~repro.coverage.state.CoverageState` back to the pool
   (:meth:`donate_coverage`); later queries whose first-round prefixes
@@ -30,24 +30,22 @@ every query must wrap its phases in — holds the pool lock, swaps a fresh
 query, and merges it into the pool's lifetime metrics afterwards.
 Queries against *different* pools run concurrently.
 
-Bit-for-bit warm/cold equivalence holds for the per-set generation
-methods (``bfs``, ``subsim``) only; ``method="vectorized"`` feeds a whole
-block of sets from one generator, so pools refuse it rather than
-silently weakening the correctness anchor.  (``rng_scheme="per-set"``
-pools still run IC draws on that blocked kernel — fed one generator per
-set, which moves no byte; see :mod:`repro.ris.vectorized`.)
+Bit-for-bit warm/cold equivalence holds for the methods that draw every
+set from its own generator (``bfs``, ``subsim`` — IC ``bfs`` on the blocked
+kernel, fed one generator per set; see :mod:`repro.ris.vectorized`).
+``method="vectorized"`` feeds a whole block from the generator of the
+draw's first set, so a set's bytes depend on where its draw started; pools
+refuse it rather than silently weakening the correctness anchor.
 
 Dynamic graphs
 --------------
-A pool built with ``rng_scheme="per-set"`` over a
-:class:`~repro.graphs.digraph.VersionedGraph` survives graph updates:
-every RR set is drawn from its own counter-based substream
-(:func:`~repro.ris.rrset.per_set_rng`), so when
-:meth:`apply_update` lands a :class:`~repro.graphs.digraph.GraphDelta`
-the pool regenerates *only* the sets whose traversal consulted a
-changed in-row (:meth:`FlatRRCollection.affected_sets
-<repro.ris.flat.FlatRRCollection.affected_sets>`) and splices them in
-place under stable ids (:meth:`~repro.ris.flat.FlatRRCollection.replace_sets`).
+A pool over a :class:`~repro.graphs.digraph.VersionedGraph` survives
+graph updates: when :meth:`apply_update` lands a
+:class:`~repro.graphs.digraph.GraphDelta` the pool regenerates *only*
+the sets whose traversal consulted a changed in-row
+(:meth:`~repro.ris.flat.FlatRRCollection.affected_sets`) — same
+coordinates, new graph — and splices them in place under stable ids
+(:meth:`~repro.ris.flat.FlatRRCollection.replace_sets`).
 Donated coverage snapshots are repaired by retraction deltas instead of
 being discarded, and the pool's :meth:`signature` carries an update
 epoch so the serving layer's result cache misses exactly the entries a
@@ -74,21 +72,13 @@ from ..graphs.digraph import GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
 from ..ris.rrset import RRSampler, sample_set_range
 
-__all__ = ["SamplePool", "PREFIX_DETERMINISTIC_METHODS", "RNG_SCHEMES"]
+__all__ = ["SamplePool", "PREFIX_DETERMINISTIC_METHODS"]
 
-#: Generation methods whose batches equal sequential per-set draws, the
-#: property warm/cold bit-equality rests on.  A property of the *coin
-#: source*, not of blocking: ``bfs`` under ``rng_scheme="per-set"`` runs
-#: the vectorized wave loop with one generator per set and stays here.
+#: Generation methods that draw every set from its own generator
+#: (``RRSampler.per_set_source``), the property warm/cold bit-equality
+#: and in-place repair rest on.  A property of the *coin source*, not of
+#: blocking: IC ``bfs`` runs the vectorized wave loop and stays here.
 PREFIX_DETERMINISTIC_METHODS: Tuple[str, ...] = ("bfs", "subsim")
-
-#: How the pool seeds its machines: ``"cluster"`` spawns per-machine
-#: streams from the cluster seed sequence (every algorithm, IMM being
-#: the ``l = 1`` case); ``"per-set"`` draws RR set ``i`` of machine ``m``
-#: from its own counter-based substream
-#: (:func:`~repro.ris.rrset.per_set_rng`), which is what makes sets
-#: individually regenerable after a graph update (:meth:`SamplePool.repair`).
-RNG_SCHEMES: Tuple[str, ...] = ("cluster", "per-set")
 
 #: Donated coverage snapshots kept per collection key.
 MAX_CACHED_COVERAGE = 4
@@ -115,7 +105,9 @@ class SamplePool:
         processes, shared-memory graph, socket connections) until
         :meth:`close`.
     rng_scheme:
-        See :data:`RNG_SCHEMES`.
+        Vestige: every pool draws coordinate-keyed sets, what ``"per-set"``
+        used to select.  Accepted with exactly that value because the frozen
+        benchmark harness passes it; the next ``[benchmark]`` PR drops it.
     sampler:
         Optional custom :class:`~repro.ris.rrset.RRSampler` (e.g. a
         :class:`~repro.applications.targeted.TargetedSampler`) used for
@@ -137,7 +129,7 @@ class SamplePool:
         method: str = "bfs",
         executor="simulated",
         network: NetworkModel | None = None,
-        rng_scheme: str = "cluster",
+        rng_scheme: str = "per-set",
         sampler: RRSampler | None = None,
         sampler_factory=None,
     ) -> None:
@@ -147,9 +139,9 @@ class SamplePool:
                 f"{PREFIX_DETERMINISTIC_METHODS} so warm queries stay "
                 f"bit-identical to cold runs; got {method!r}"
             )
-        if rng_scheme not in RNG_SCHEMES:
+        if rng_scheme != "per-set":
             raise ValueError(
-                f"rng_scheme must be one of {RNG_SCHEMES}, got {rng_scheme!r}"
+                f"rng_scheme is a vestige: only 'per-set' is accepted, got {rng_scheme!r}"
             )
         if sampler is not None and sampler_factory is not None:
             raise ValueError("pass either sampler or sampler_factory, not both")
@@ -158,7 +150,6 @@ class SamplePool:
         self.seed = seed
         self.model = model
         self.method = method
-        self.rng_scheme = rng_scheme
         self.cluster = SimulatedCluster(machines, network=network, seed=seed)
         self.executor = make_executor(spec, self.cluster, graph=graph)
         try:
@@ -261,8 +252,8 @@ class SamplePool:
     ) -> int:
         """Top collection ``key`` up to ``needed[i]`` sets on machine ``i``.
 
-        Only the shortfall is generated, continuing each machine's RNG
-        stream; machines already at or past their target draw nothing.
+        Only the shortfall is generated — the next sets of ``key`` by
+        index; machines already at or past their target draw nothing.
         Returns the number of RR sets generated.
         """
         with self._lock:
@@ -278,8 +269,6 @@ class SamplePool:
             total = sum(counts)
             if total == 0:
                 return 0
-            per_set = self.rng_scheme == "per-set"
-            starts = tuple(store.num_sets for store in stores)
             if self._sampler is None:
                 self.executor.run_phase(
                     GeneratePhase(
@@ -288,27 +277,19 @@ class SamplePool:
                         targets=tuple(stores),
                         model=self.model,
                         method=self.method,
-                        rng_scheme="per-set" if per_set else "stream",
-                        seed=self.seed if per_set else None,
-                        starts=starts if per_set else None,
+                        key=key,
                     )
                 )
             else:
-                sampler = self._sampler
-                seed = self.seed
+                sampler, seed = self._sampler, self.seed
 
                 def top_up(machine) -> int:
                     mid = machine.machine_id
-                    count = counts[mid]
-                    if count:
-                        if per_set:
-                            batch = sample_set_range(
-                                sampler, seed, mid, range(starts[mid], starts[mid] + count)
-                            )
-                        else:
-                            batch = sampler.sample_batch(machine.rng, count)
-                        append_batch(stores[mid], batch)
-                    return count
+                    first = stores[mid].num_sets
+                    ids = range(first, first + counts[mid])
+                    if ids:
+                        append_batch(stores[mid], sample_set_range(sampler, seed, mid, ids, key))
+                    return counts[mid]
 
                 self.executor.run_phase(MapPhase(label, top_up, category=GENERATION))
             return total
@@ -340,21 +321,14 @@ class SamplePool:
         <repro.graphs.digraph.VersionedGraph.apply>` returned: the
         ascending node ids whose in-rows changed, or ``None`` for full
         invalidation (node additions).  Only sets containing a touched
-        node are redrawn — from the same per-set substreams a cold pool
-        on the updated graph would use — and spliced in place under
-        stable ids, so repaired collections are bit-identical to cold
-        regeneration.  Donated coverage snapshots are patched by
-        retraction deltas (full invalidation drops them instead).
-        Requires ``rng_scheme="per-set"``; metered as generation phases
+        node are redrawn — at the coordinates a cold pool on the updated
+        graph would draw them — and spliced in place under stable ids,
+        so repaired collections are bit-identical to cold regeneration.
+        Donated coverage snapshots are patched by retraction deltas (full
+        invalidation drops them instead).  Metered as generation phases
         in the pool's lifetime metrics.
         """
         with self._lock:
-            if self.rng_scheme != "per-set":
-                raise ValueError(
-                    "in-place repair requires rng_scheme='per-set' (sequential "
-                    f"machine streams cannot redraw single sets), got "
-                    f"{self.rng_scheme!r}"
-                )
             self.executor.refresh_graph()
             if self._sampler_factory is not None:
                 self._sampler = self._sampler_factory(self.graph)
@@ -406,8 +380,8 @@ class SamplePool:
             old_nodes = gather_rows(store.nodes, store.offsets, ids)
             old_sizes = store.offsets[ids + 1] - store.offsets[ids]
             old_bounds = np.concatenate(([0], np.cumsum(old_sizes)))
-            # One blocked draw: every id redrawn from its own substream.
-            batch = sample_set_range(sampler, seed, mid, ids)
+            # One blocked draw: every id redrawn at its own coordinates.
+            batch = sample_set_range(sampler, seed, mid, ids, key)
             store.replace_sets(ids, batch)
             for state in cache:
                 # Only ids below the snapshot's watermark were ever
@@ -445,7 +419,7 @@ class SamplePool:
             fresh = FlatRRCollection(num_nodes)
             if counts[mid]:
                 append_batch(
-                    fresh, sample_set_range(sampler, seed, mid, range(counts[mid]))
+                    fresh, sample_set_range(sampler, seed, mid, range(counts[mid]), key)
                 )
             stores[mid] = fresh
             return counts[mid]

@@ -361,7 +361,7 @@ def static_vs_dynamic_updates(
         return VersionedGraph(DirectedGraph(base.num_nodes, *base.edge_arrays()))
 
     targets = [sets_per_machine] * machines
-    warm = SamplePool(fresh_graph(), machines=machines, seed=seed, rng_scheme="per-set")
+    warm = SamplePool(fresh_graph(), machines=machines, seed=seed)
     cold_graph = fresh_graph()
     rows = []
     try:
@@ -371,9 +371,7 @@ def static_vs_dynamic_updates(
             repaired = warm.apply_update(delta)
             dynamic_s = time.perf_counter() - start
             cold_graph.apply(delta)
-            cold = SamplePool(
-                cold_graph, machines=machines, seed=seed, rng_scheme="per-set"
-            )
+            cold = SamplePool(cold_graph, machines=machines, seed=seed)
             try:
                 start = time.perf_counter()
                 cold.ensure("main", targets)

@@ -10,7 +10,6 @@ from .rrset import (
     RRSampler,
     concat_batches,
     pack_samples,
-    per_set_rng,
     sample_set_range,
 )
 from .stats import (
@@ -47,7 +46,6 @@ __all__ = [
     "RRSample",
     "RRSampler",
     "pack_samples",
-    "per_set_rng",
     "sample_set_range",
     "concat_batches",
     "append_batch",

@@ -13,7 +13,10 @@ scaled datasets.  :meth:`ICReverseBFSSampler.sample_batch` runs the same
 reverse BFS over many roots per call, writing wave-at-a-time into one
 growing CSR buffer — consuming the RNG stream identically to repeated
 :meth:`~ICReverseBFSSampler.sample` calls (differentially tested) while
-skipping every per-set Python object.
+skipping every per-set Python object.  It is the sequential-stream form
+and the oracle; generation phases, pools and services draw through
+:meth:`ICReverseBFSSampler.sample_sets`, the same sets on the blocked
+kernel, one generator per set.
 """
 
 from __future__ import annotations
@@ -21,17 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler
+from .rrset import PER_SET_BLOCK, FlatBatch, RRSample, RRSampler
 from .vectorized import VectorizedICSampler
 
 __all__ = ["ICReverseBFSSampler"]
-
-#: Sets per blocked draw under the per-set scheme.  Every set there pays
-#: its own generator, root draw and per-wave coin fill (~30 us), so the
-#: wave loop's NumPy overhead is amortised by a far smaller block than the
-#: vectorized method's: 128 sets draw within ~20% of 1024 at an eighth of
-#: the visited scratch, which dynamic services hold per pool.
-PER_SET_BLOCK = 128
 
 
 def _grow(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:

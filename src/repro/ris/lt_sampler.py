@@ -20,7 +20,7 @@ from bisect import bisect_left
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler, uniform_rows
+from .rrset import FlatBatch, RRSample, RRSampler, pack_segments, uniform_rows
 
 __all__ = ["LTReverseWalkSampler"]
 
@@ -158,10 +158,11 @@ class LTReverseWalkSampler(RRSampler):
         nodes = np.unique(np.asarray(path, dtype=np.int32))
         return RRSample(nodes=nodes, root=root, edges_examined=edges_examined)
 
-    def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
-        """Draw ``count`` reverse walks straight into flat CSR arrays.
+    def sample_sets(self, rngs) -> FlatBatch:
+        """One reverse walk per generator, straight into flat CSR arrays.
 
-        Bit-identical to ``pack_samples(sample_many(count, rng))``: the
+        The sampler's one batch loop.  On one repeated generator it is
+        bit-identical to ``pack_samples(sample_many(count, rng))``: the
         walk below consumes the RNG exactly like :meth:`sample` (one
         fresh 64-draw buffer per root, the same per-step draws), but each
         finished path is sorted in place into a shared ``int32`` buffer —
@@ -169,8 +170,6 @@ class LTReverseWalkSampler(RRSampler):
         unique node set — skipping the per-set :class:`RRSample`,
         ``np.unique`` and list plumbing.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
         n = self.graph.num_nodes
         indptr, indices, prefix, uniform, sums, overlay_lists = self._batch_tables()
         if overlay_lists is not None:
@@ -178,13 +177,12 @@ class LTReverseWalkSampler(RRSampler):
         else:
             ov_lookup = None
             ov_indptr = ov_indices = ov_prefix = None
-        random = rng.random
 
         parts: list[np.ndarray] = []
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        roots = np.empty(count, dtype=np.int64)
-        edges = np.empty(count, dtype=np.int64)
-        for j in range(count):
+        roots: list[int] = []
+        edges: list[int] = []
+        for rng in rngs:
+            random = rng.random
             root = int(rng.integers(0, n))
             visited = {root}
             path = [root]
@@ -236,8 +234,6 @@ class LTReverseWalkSampler(RRSampler):
             nodes = np.asarray(path, dtype=np.int32)
             nodes.sort()
             parts.append(nodes)
-            roots[j] = root
-            edges[j] = edges_examined
-            offsets[j + 1] = offsets[j] + nodes.size
-        nodes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-        return FlatBatch(nodes, offsets, roots, edges)
+            roots.append(root)
+            edges.append(edges_examined)
+        return pack_segments(parts, roots, edges)

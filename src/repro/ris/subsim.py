@@ -18,9 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
-from .rrset import RRSample, RRSampler
+from .rrset import FlatBatch, RRSample, RRSampler, pack_segments, uniform_rows
 
 __all__ = ["SubsimSampler"]
+
+
+def _row_tables(indptr: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per CSR row: ``(p_max, uniform)`` — the largest probability (0 for
+    an empty row) and whether the row is non-empty with all equal."""
+    p_max = np.zeros(indptr.size - 1, dtype=np.float64)
+    rows = np.flatnonzero(np.diff(indptr))
+    if rows.size:
+        # Empty rows own no entries: each reduceat segment is one row.
+        p_max[rows] = np.maximum.reduceat(probs, indptr[rows])
+    return p_max, uniform_rows(indptr, probs)
 
 
 class SubsimSampler(RRSampler):
@@ -34,7 +45,6 @@ class SubsimSampler(RRSampler):
 
     def __init__(self, graph: DirectedGraph) -> None:
         super().__init__(graph)
-        n = graph.num_nodes
         self._indptr, self._indices, self._probs, overlay = graph.in_csr()
         if overlay is None:
             self._ov_lookup = None
@@ -46,28 +56,15 @@ class SubsimSampler(RRSampler):
                 self._ov_indices,
                 self._ov_probs,
             ) = overlay
-        self._p_max = np.zeros(n, dtype=np.float64)
-        self._uniform = np.zeros(n, dtype=bool)
-        indptr, probs = self._indptr, self._probs
-        for v in range(n):
-            seg = probs[indptr[v] : indptr[v + 1]]
-            if seg.size:
-                p_max = float(seg.max())
-                self._p_max[v] = p_max
-                self._uniform[v] = bool(np.all(seg == p_max))
+        self._p_max, self._uniform = _row_tables(self._indptr, self._probs)
         if self._ov_lookup is not None:
             # Patched rows override whatever the base said about them.
-            for v in np.flatnonzero(self._ov_lookup >= 0):
-                row = int(self._ov_lookup[v])
-                seg = self._ov_probs[self._ov_indptr[row] : self._ov_indptr[row + 1]]
-                if seg.size:
-                    p_max = float(seg.max())
-                    self._p_max[v] = p_max
-                    self._uniform[v] = bool(np.all(seg == p_max))
-                else:
-                    self._p_max[v] = 0.0
-                    self._uniform[v] = False
-        self._visited = np.zeros(n, dtype=bool)
+            patched = np.flatnonzero(self._ov_lookup >= 0)
+            rows = self._ov_lookup[patched]
+            ov_p_max, ov_uniform = _row_tables(self._ov_indptr, self._ov_probs)
+            self._p_max[patched] = ov_p_max[rows]
+            self._uniform[patched] = ov_uniform[rows]
+        self._visited = np.zeros(graph.num_nodes, dtype=bool)
         # True while a draw is in flight; left set by a draw that raised,
         # which makes the next draw hard-reset the scratch bitmap.
         self._scratch_dirty = False
@@ -122,10 +119,8 @@ class SubsimSampler(RRSampler):
                 accepted.append(int(row_indices[position]))
         return accepted, draws
 
-    def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
-        """Draw one RR set; ``root`` can be pinned for testing."""
-        if root is None:
-            root = self.sample_root(rng)
+    def _explore(self, rng: np.random.Generator, root: int) -> tuple[list[int], int]:
+        """The reverse exploration from ``root``: ``(nodes reached, draws)``."""
         self._reset_scratch()
         visited = self._visited
         collected = [root]
@@ -142,7 +137,36 @@ class SubsimSampler(RRSampler):
                     visited[neighbor] = True
                     collected.append(neighbor)
                     queue.append(neighbor)
-        visited[np.asarray(collected, dtype=np.int64)] = False
+        visited[collected] = False
         self._scratch_dirty = False
+        return collected, edges_examined
+
+    def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
+        """Draw one RR set; ``root`` can be pinned for testing."""
+        if root is None:
+            root = self.sample_root(rng)
+        collected, edges_examined = self._explore(rng, root)
         nodes = np.unique(np.asarray(collected, dtype=np.int32))
         return RRSample(nodes=nodes, root=root, edges_examined=edges_examined)
+
+    def sample_sets(self, rngs) -> FlatBatch:
+        """One RR set per generator, straight into flat CSR arrays.
+
+        The sampler's one batch loop.  On one repeated generator it is
+        bit-identical to ``pack_samples(sample_many(count, rng))``: the
+        same root draw and exploration per set; an exploration never
+        collects a node twice, so the sorted segment is :meth:`sample`'s
+        ``np.unique``.
+        """
+        parts: list[np.ndarray] = []
+        roots: list[int] = []
+        edges: list[int] = []
+        for rng in rngs:
+            root = self.sample_root(rng)
+            collected, edges_examined = self._explore(rng, root)
+            nodes = np.asarray(collected, dtype=np.int32)
+            nodes.sort()
+            parts.append(nodes)
+            roots.append(root)
+            edges.append(edges_examined)
+        return pack_segments(parts, roots, edges)

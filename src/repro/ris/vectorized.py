@@ -25,39 +25,45 @@ target on the livejournal-like stand-in, >= 3x CI floor).
 
 RNG contract
 ------------
-The IC wave loop (:meth:`VectorizedICSampler._advance`) visits nodes and
-maps coins to edges exactly like
-:class:`~repro.ris.ic_sampler.ICReverseBFSSampler`; all that couples a
-block's sets is *where a wave's coins come from*.  It has two sources:
+Every executor, pool and service draws through
+:func:`~repro.ris.rrset.sample_set_range`, which turns the coordinates
+``(seed, collection key, machine, set index)`` into generators.  The IC
+wave loop (:meth:`VectorizedICSampler._advance`) visits nodes and maps
+coins to edges exactly like :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`;
+all that couples a block's sets is *where a wave's coins come from*:
 
-* **one generator for the block** (``sample_batch``,
-  ``method="vectorized"``): one ``rng.random(total)`` covers a wave of
-  many sets, so the draws differ bit-for-bit from the per-set path and
-  are held to it by the *statistical-equivalence* harness
-  (``tests/ris/equivalence.py``); at ``block_size=1`` they coincide
-  (``tests/ris/test_vectorized_equivalence.py::TestBitIdentity``).
 * **one generator per set** (:meth:`~VectorizedICSampler.sample_sets`,
-  every ``rng_scheme="per-set"`` draw): set ``j`` takes its root from
+  ``method="bfs"``): set ``j`` takes its root from
   ``rngs[j].integers(0, n)`` and each wave's coins from ``rngs[j]``
   alone.  The frontier is sorted by ``set * n + node``, so those coins
   are one contiguous run in the scalar sampler's frontier order, and a
   set with nothing to flip draws nothing — the sequence of calls on
-  ``rngs[j]`` *is* the scalar sampler's.  Bit-identical at any block
-  size (``tests/ris/test_batch_samplers.py::TestSampleSets``), which is
-  how pools and repairs draw at block speed without moving a byte.
+  ``rngs[j]`` *is* the scalar sampler's.  Bit-identical to
+  ``ICReverseBFSSampler.sample_batch(rngs[j], 1)`` at any block size
+  (``tests/ris/test_batch_samplers.py::TestSampleSets``), so pools serve
+  prefixes and repairs redraw any subset without moving a byte.
+* **one generator for the block** (``sample_batch``,
+  ``method="vectorized"``): one ``rng.random(total)`` covers a wave of
+  many sets, so the draws differ bit-for-bit from the per-set source and
+  are held to it by the *statistical-equivalence* harness
+  (``tests/ris/equivalence.py``); at ``block_size=1`` they coincide
+  (``tests/ris/test_vectorized_equivalence.py::TestBitIdentity``).  A
+  set's bytes depend on where its draw started: pools refuse the method.
 
-The LT kernel has the first source only.
+The LT kernel has the block source only.
 
 Scratch memory is one byte per visited-mark, ``num_nodes`` per set of
-the largest block drawn so far (at most ``block_size`` sets).  When
-``block_size`` is not given, each sampler picks one automatically from
-the graph size (see :data:`DEFAULT_BLOCK` /
+the largest block drawn so far (at most ``block_size`` sets), in a
+mapping of its own (:func:`_cleared`).  When ``block_size`` is not given,
+each sampler picks one from the graph size (:data:`DEFAULT_BLOCK` /
 :data:`DEFAULT_SCRATCH_BYTES`); pass an explicit value to trade memory
 against per-wave overhead on unusual graphs.
 """
 
 from __future__ import annotations
 
+import mmap
+from contextlib import suppress
 from itertools import islice
 
 import numpy as np
@@ -94,6 +100,20 @@ def _auto_block(num_nodes: int) -> int:
     return max(64, min(DEFAULT_BLOCK, DEFAULT_SCRATCH_BYTES // max(num_nodes, 1)))
 
 
+def _cleared(size: int) -> np.ndarray:
+    """``size`` cleared visited-marks in a private anonymous mapping.
+
+    Always fresh zero pages, given back whole when dropped; ``np.zeros``
+    reuses a freed heap hole when one fits, which made a process's peak
+    memory turn on its allocation history by the whole scratch.
+    """
+    block = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if size >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):  # as NumPy's own arrays
+        with suppress(OSError):
+            block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype=bool)
+
+
 class _BlockedFrontierSampler(RRSampler):
     """Shared plumbing of the vectorized samplers.
 
@@ -103,6 +123,9 @@ class _BlockedFrontierSampler(RRSampler):
     :class:`~repro.ris.rrset.RRSample`/:class:`~repro.ris.rrset.FlatBatch`
     packaging — lives here.
     """
+
+    # One generator feeds a whole block (module docstring, "RNG contract").
+    per_set_source = False
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
         super().__init__(graph)
@@ -124,7 +147,7 @@ class _BlockedFrontierSampler(RRSampler):
     def _scratch(self, num_sets: int) -> np.ndarray:
         size = num_sets * self.graph.num_nodes
         if self._visited is None or self._visited.size < size:
-            self._visited = np.zeros(size, dtype=bool)
+            self._visited = _cleared(size)
         elif self._scratch_dirty:
             self._visited[:] = False
         self._scratch_dirty = True

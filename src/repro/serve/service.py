@@ -1,8 +1,8 @@
 """The warm influence service over shared sample pools.
 
 An :class:`InfluenceService` owns one :class:`~repro.core.pool.SamplePool`
-per distinct sampling stream it has needed so far — the distributed
-cluster-seeded pool serving DIIMM / D-SUBSIM and the fixed-budget
+per distinct sample family it has needed so far — the distributed
+cluster-wide pool serving DIIMM / D-SUBSIM and the fixed-budget
 applications, the one-machine pool serving the IMM baseline (the
 ``l = 1`` run), and one targeted pool per distinct target set — and
 routes each query to the right pool:
@@ -28,10 +28,10 @@ repair the pool are answered without touching the cluster at all.
 Dynamic serving
 ---------------
 A service started with ``dynamic=True`` wraps its graph in a
-:class:`~repro.graphs.digraph.VersionedGraph` and builds every pool on
-the ``"per-set"`` RNG scheme, which is what makes resident RR sets
-individually regenerable.  :meth:`InfluenceService.apply_update` lands a
-:class:`~repro.graphs.digraph.GraphDelta` on the shared graph, repairs
+:class:`~repro.graphs.digraph.VersionedGraph`; every resident RR set is
+keyed by its coordinates (:func:`~repro.ris.rrset.sample_set_range`),
+hence individually regenerable.  :meth:`InfluenceService.apply_update`
+lands a :class:`~repro.graphs.digraph.GraphDelta` on the shared graph, repairs
 every resident pool in place (:meth:`SamplePool.repair
 <repro.core.pool.SamplePool.repair>`), bumps :attr:`graph_version`, and
 evicts exactly the cache entries of pools whose collections were
@@ -158,8 +158,8 @@ class InfluenceService:
         seed.
     model, method:
         Default sampler selection.  ``method`` applies to the IMM-family
-        pools; the applications always sample with the default per-set
-        sampler (``bfs``), matching their cold entry points.
+        pools; the applications always sample with the default ``bfs``
+        sampler, matching their cold entry points.
     executor:
         An :class:`~repro.cluster.spec.ExecutorSpec` or its string
         shorthand, forwarded to each pool's executor.
@@ -169,11 +169,10 @@ class InfluenceService:
         Maximum memoized query results (LRU).
     dynamic:
         Serve a mutable graph: wraps ``graph`` in a
-        :class:`~repro.graphs.digraph.VersionedGraph` and builds every
-        pool on the ``"per-set"`` RNG scheme so :meth:`apply_update`
-        can repair resident RR sets in place.  Static services (the
-        default) keep the historical per-machine stream schemes and
-        refuse updates.
+        :class:`~repro.graphs.digraph.VersionedGraph` so
+        :meth:`apply_update` can repair resident RR sets in place.
+        Static services (the default) draw the same sets and refuse
+        updates.
     """
 
     def __init__(
@@ -226,55 +225,41 @@ class InfluenceService:
 
     def _im_pool(self, kind: str) -> SamplePool:
         entry = REGISTRY[kind]
-        single = entry.single_machine  # the l = 1 run of the same stream: its own pool
+        single = entry.single_machine  # the l = 1 run: its own pool
         method = "subsim" if entry.subsim else self.method
         return self._pool(
             ("imm" if single else "cluster", method),
             machines=1 if single else self.machines,
             model="ic" if entry.subsim else self.model,
             method=method,
-            rng_scheme="per-set" if self.dynamic else "cluster",
         )
 
     def _app_pool(self, query: Query) -> SamplePool:
         if query.kind == "targeted":
-            # One pool per distinct target set: the targeted sampler's
-            # stream draws roots from the targets, so different target
-            # sets are different streams.  Dynamic services pass a
-            # factory instead of an instance so repair can rebuild the
-            # sampler against the mutated graph.
+            # One pool per distinct target set: the targeted sampler draws
+            # roots from the targets, so different target sets are
+            # different samples.  A factory instead of an instance, so
+            # repair can rebuild the sampler against the mutated graph.
             targets = list(query.targets)
             model = self.model
-            if self.dynamic:
-                kwargs = dict(
-                    rng_scheme="per-set",
-                    sampler_factory=lambda graph: TargetedSampler(
-                        make_sampler(graph, model=model), targets
-                    ),
-                )
-            else:
-                kwargs = dict(
-                    sampler=TargetedSampler(
-                        make_sampler(self.graph, model=model), targets
-                    )
-                )
             return self._pool(
                 ("targeted", query.targets),
                 machines=self.machines,
                 model=self.model,
                 method="bfs",
-                **kwargs,
+                sampler_factory=lambda graph: TargetedSampler(
+                    make_sampler(graph, model=model), targets
+                ),
             )
         # budgeted/profit share the cluster bfs pool's samples: their cold
-        # entry points draw with the default per-set sampler on an
-        # identically seeded cluster, so the pool's stream prefixes are
-        # their cold collections.
+        # entry points draw the same coordinates with the default bfs
+        # sampler on an identically seeded cluster, so the pool's prefixes
+        # are their cold collections.
         return self._pool(
             ("cluster", "bfs"),
             machines=self.machines,
             model=self.model,
             method="bfs",
-            rng_scheme="per-set" if self.dynamic else "cluster",
         )
 
     # ------------------------------------------------------------------

@@ -79,14 +79,19 @@ class TestProfitMaximization:
 # total_bytes alone was re-pinned once, when the loop moved onto
 # NewGreeDiRounds and its gathers became priced by tuple_vector_nbytes
 # instead of a flat 8 B/tuple (24596 -> 7334, 26692 -> 7837).
+# Every field was re-pinned once at PR 24, when the pool's RR sets became
+# coordinate-keyed (other samples, same distribution; CHANGES.md has
+# old -> new); what ties the map stage to the dict-accumulating one since
+# is test_shared_round.py's inlined oracles, which do not depend on which
+# samples are drawn.
 PROFIT_GOLDENS = {
     3: (
-        [36, 75, 160, 55, 20, 67, 166, 137, 60, 115, 76, 135, 104],
-        "0x1.859b1824471b0p+5", 86.89, 38.19, 7334,
+        [168, 75, 152, 115, 77, 20, 36, 148, 76, 89, 128, 31],
+        "0x1.6936b148a3278p+5", 83.11, 37.96, 7396,
     ),
     11: (
-        [168, 60, 127, 32, 128, 36, 40, 115, 132, 88, 35, 72],
-        "0x1.a451d05ec91fcp+5", 88.0, 35.46, 7837,
+        [168, 132, 6, 183, 127, 165, 60, 88, 52, 191, 59, 26],
+        "0x1.a8a0358a5e005p+5", 87.11, 34.03, 7588,
     ),
 }
 

@@ -133,9 +133,9 @@ class TestExecutorConformance:
 
     def test_generation_failure_names_the_machine(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
-        executor.machines[1].rng = object()  # draws raise AttributeError
+        # Machine 1's first index overflows the int64 id array: its draws raise.
         with pytest.raises(MachineFailure) as info:
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2)))
+            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2), starts=(0, 2**63, 0)))
         assert info.value.machine_id == 1
         assert info.value.__cause__ is not None
 

@@ -340,7 +340,7 @@ class TestGenerateLevelInvariance:
 
     @pytest.mark.parametrize("fault,logged", PER_SET_FAULTS)
     def test_per_set_phase_invariant_under_every_fault_kind(self, small_wc_graph, fault, logged):
-        """Per-set phases pass through the same loop: their token is
+        """Explicit coordinates pass through the same loop: a request is
         stateless, so a retry or a replay redraws the identical sets."""
 
         def generate(faults):
@@ -348,9 +348,7 @@ class TestGenerateLevelInvariance:
             cluster.init_collections(small_wc_graph.num_nodes)
             executor = SimulatedExecutor(cluster, graph=small_wc_graph, faults=faults, retry=RETRY)
             executor.run_phase(
-                GeneratePhase(
-                    "gen", counts=(14, 9, 21), rng_scheme="per-set", seed=123, starts=(0, 14, 23)
-                )
+                GeneratePhase("gen", counts=(14, 9, 21), key="k", seed=123, starts=(0, 14, 23))
             )
             return [m.collection for m in cluster.machines], cluster.metrics
 

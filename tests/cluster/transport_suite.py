@@ -41,6 +41,7 @@ from repro.cluster.parallel import START_METHOD_ENV
 from repro.core.config import RunConfig
 from repro.graphs.digraph import DirectedGraph
 from repro.ris import make_sampler
+from repro.ris.rrset import sample_set_range
 
 MACHINES = 3
 COUNTS = (14, 9, 21)
@@ -77,8 +78,20 @@ def run_and_snapshot(spec, graph, plan, **kwargs):
         return snapshot(executor), executor.metrics
 
 
-def rngs(*seeds):
-    return [np.random.default_rng(seed) for seed in seeds]
+def wave(executor, counts, model="ic", method="bfs", seed=0, starts=None):
+    """One ``_dispatch`` wave over the first ``len(counts)`` machines of a
+    resolved plan (what ``_run_generate`` hands ``_attempt_wave``)."""
+    ids = list(range(len(counts)))
+    padded = tuple(counts) + (0,) * (executor.num_machines - len(counts))
+    plan = GeneratePhase(
+        "t/wave",
+        counts=padded,
+        model=model,
+        method=method,
+        seed=seed,
+        starts=starts or (0,) * len(padded),
+    )
+    return plan, ids
 
 
 class TransportSuite:
@@ -121,14 +134,17 @@ class ConformanceSuite(TransportSuite):
         assert got == golden
 
     def test_per_set_scheme_bit_identical(self, small_wc_graph):
-        plan = GeneratePhase(
-            "t/perset", counts=COUNTS, rng_scheme="per-set", seed=123, starts=(0, 14, 23)
-        )
+        plan = GeneratePhase("t/perset", counts=COUNTS, key="k", seed=123, starts=(0, 14, 23))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         got, _ = run_and_snapshot(self.spec(), small_wc_graph, plan)
-        # Per-set draws never touch the machine streams, so the RNG states
-        # are unchanged on both sides.
+        # Draws never touch the machine streams, so the RNG states are
+        # unchanged on both sides.
         assert got == golden
+        # Explicit coordinates: the defaults (cluster seed, "main", the
+        # stores' sizes) would have drawn other sets.
+        assert got != run_and_snapshot("simulated", small_wc_graph, replace(plan, key="main"))[0]
+        assert got != run_and_snapshot("simulated", small_wc_graph, replace(plan, seed=None))[0]
+        assert got != run_and_snapshot("simulated", small_wc_graph, replace(plan, starts=None))[0]
 
     @pytest.mark.parametrize(
         "fault,logged",
@@ -142,9 +158,7 @@ class ConformanceSuite(TransportSuite):
         ],
     )
     def test_per_set_scheme_bit_identical_under_faults(self, small_wc_graph, fault, logged):
-        plan = GeneratePhase(
-            "t/perset", counts=COUNTS, rng_scheme="per-set", seed=123, starts=(0, 14, 23)
-        )
+        plan = GeneratePhase("t/perset", counts=COUNTS, key="k", seed=123, starts=(0, 14, 23))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         got, metrics = run_and_snapshot(
             self.spec(2),
@@ -160,7 +174,7 @@ class ConformanceSuite(TransportSuite):
     def test_fault_directives_in_both_broadcast_modes(self, small_wc_graph, zero_copy):
         with self.build(small_wc_graph, workers=1, zero_copy=zero_copy) as executor:
             outcomes = executor._dispatch(
-                "ic", "bfs", [5, 5, 5], rngs(1, 2, 3), directives=[None, CRASH, CORRUPT]
+                *wave(executor, [5, 5, 5]), directives=[None, CRASH, CORRUPT]
             )
         assert outcomes[0].error is None and outcomes[0].batch.count == 5
         assert outcomes[1].error.startswith("crash:")
@@ -168,34 +182,37 @@ class ConformanceSuite(TransportSuite):
         assert outcomes[2].nbytes > 0  # the corrupted payload did arrive
 
     def test_worker_error_captured_per_machine(self, small_wc_graph):
-        # object() is picklable but has no .random, so the draw raises
-        # inside the worker; it is reported per machine instead of
-        # blowing up the whole wave.
+        # A first index of 2**63 passes the plan's checks but not the
+        # int64 id array, so the draw raises inside the worker; it is
+        # reported per machine instead of blowing up the whole wave.
         with self.build(small_wc_graph) as executor:
-            ok, bad = executor._dispatch("ic", "bfs", [3, 3], [np.random.default_rng(0), object()])
-        assert ok.error is None and ok.batch.count == 3 and ok.rng_state is not None
+            ok, bad = executor._dispatch(*wave(executor, [3, 3], starts=(0, 2**63, 0)))
+        assert ok.error is None and ok.batch.count == 3
         assert ok.nbytes > 0
-        assert bad.batch is None and bad.rng_state is None and bad.nbytes == 0
-        assert "AttributeError" in bad.error
+        assert bad.batch is None and bad.nbytes == 0
+        assert "OverflowError" in bad.error
 
     def test_caller_rngs_not_advanced(self, small_wc_graph):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
+        """No generator travels: a wave leaves every machine stream where
+        it was, and a repeat of the wave redraws the same bytes."""
         with self.build(small_wc_graph) as executor:
-            (outcome,) = executor._dispatch("ic", "bfs", [5], [rng])
-        assert rng.bit_generator.state == before
-        assert outcome.rng_state != before
+            before = [m.rng.bit_generator.state for m in executor.machines]
+            (first,) = executor._dispatch(*wave(executor, [5]))
+            (again,) = executor._dispatch(*wave(executor, [5]))
+            assert [m.rng.bit_generator.state for m in executor.machines] == before
+        np.testing.assert_array_equal(first.batch.nodes, again.batch.nodes)
+        np.testing.assert_array_equal(first.batch.offsets, again.batch.offsets)
 
     def test_counts_rngs_length_checked(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            with pytest.raises(ValueError, match="same length"):
-                executor._dispatch("ic", "bfs", [1, 2], rngs(0))
             with pytest.raises(ValueError, match="one entry per machine"):
-                executor._dispatch("ic", "bfs", [1, 2], rngs(0, 1), directives=[None])
+                GeneratePhase("t/gen", counts=(1, 2, 0), starts=(0,))
+            with pytest.raises(ValueError, match="one entry per machine"):
+                executor._dispatch(*wave(executor, [1, 2]), directives=[None])
 
     def test_empty_counts(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            assert executor._dispatch("ic", "bfs", [], []) == []
+            assert executor._dispatch(*wave(executor, [])) == []
             assert executor._channels is None  # nothing was spawned for it
 
     def test_env_var_selects_start_method(self, small_wc_graph, monkeypatch):
@@ -237,9 +254,9 @@ class ConformanceSuite(TransportSuite):
 class LifecycleSuite(TransportSuite):
     def test_workers_survive_across_phases(self, small_wc_graph):
         with self.build(small_wc_graph, workers=2) as executor:
-            first = executor._dispatch("ic", "bfs", [5, 5], rngs(0, 1))
+            first = executor._dispatch(*wave(executor, [5, 5]))
             pids = [channel.process.pid for channel in executor._channels]
-            second = executor._dispatch("lt", "bfs", [5, 5], rngs(2, 3))
+            second = executor._dispatch(*wave(executor, [5, 5], model="lt"))
             # Same processes: no re-spawn, no re-broadcast.
             assert [channel.process.pid for channel in executor._channels] == pids
             assert all(channel.process.is_alive() for channel in executor._channels)
@@ -269,12 +286,12 @@ class LifecycleSuite(TransportSuite):
     def test_timeout_recycles_the_pool_then_recovers(self, small_wc_graph):
         with self.build(small_wc_graph, workers=1) as executor:
             (outcome,) = executor._dispatch(
-                "ic", "bfs", [5], rngs(0), directives=[DROP], timeout=1.0
+                *wave(executor, [5]), directives=[DROP], timeout=1.0
             )
             assert outcome.error.startswith("timeout")
             # Late replies would desynchronize the stream, so it was dropped.
             assert executor._channels[0].sock is None
-            (retry,) = executor._dispatch("ic", "bfs", [5], rngs(0), timeout=10.0)
+            (retry,) = executor._dispatch(*wave(executor, [5]), timeout=10.0)
             assert retry.error is None and retry.batch.count == 5
 
     def test_failed_send_fails_the_replies_still_owed_on_that_stream(
@@ -284,7 +301,7 @@ class LifecycleSuite(TransportSuite):
         the tasks already written to its stream can never be answered, and
         the next task on that channel starts a fresh stream."""
         with self.build(small_wc_graph, workers=1) as executor:
-            executor._dispatch("ic", "bfs", [1], rngs(0))  # connect + enroll
+            executor._dispatch(*wave(executor, [1]))  # connect + enroll
             channel = executor._channels[0]
             real_send, sent = channel.send, []
 
@@ -296,7 +313,7 @@ class LifecycleSuite(TransportSuite):
 
             monkeypatch.setattr(channel, "send", send)
             first, second, third = executor._dispatch(
-                "ic", "bfs", [3, 3, 3], rngs(1, 2, 3), timeout=10.0
+                *wave(executor, [3, 3, 3]), timeout=10.0
             )
             assert sent == ["generate", "generate", "enroll", "generate"]
         assert first.error.startswith("disconnect") and second.error.startswith("disconnect")
@@ -306,7 +323,7 @@ class LifecycleSuite(TransportSuite):
         executor = self.build(small_wc_graph)
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
-            executor._dispatch("ic", "bfs", [1], rngs(0))
+            executor._dispatch(*wave(executor, [1]))
 
     def test_context_manager_and_double_close(self, small_wc_graph):
         executor = self.build(small_wc_graph)
@@ -383,17 +400,17 @@ class FallbackSuite(TransportSuite):
     def test_degrades_to_copy_when_shared_memory_fails(self, small_wc_graph, no_shared_memory):
         with self.build(small_wc_graph) as executor:
             assert executor.zero_copy  # optimistic until the first export
-            outcomes = executor._dispatch("ic", "bfs", [8, 8, 8], rngs(1, 2, 3))
+            outcomes = executor._dispatch(*wave(executor, [8, 8, 8], seed=1))
             assert not executor.zero_copy
             assert all(o.error is None for o in outcomes)
         # Copies or views, the draws are the same bits.
-        expected = make_sampler(small_wc_graph, "ic").sample_batch(np.random.default_rng(1), 8)
+        expected = sample_set_range(make_sampler(small_wc_graph, "ic"), 1, 0, range(8))
         np.testing.assert_array_equal(outcomes[0].batch.nodes, expected.nodes)
 
     def test_required_zero_copy_raises_instead_of_degrading(self, small_wc_graph, no_shared_memory):
         with self.build(small_wc_graph, zero_copy=True) as executor:
             with pytest.raises(OSError, match="no shared memory"):
-                executor._dispatch("ic", "bfs", [1], rngs(0))
+                executor._dispatch(*wave(executor, [1]))
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +449,9 @@ class ShmReclamationSuite(TransportSuite):
     def test_killed_worker_does_not_leak(self, small_wc_graph):
         before = shm_segments()
         with self.build(small_wc_graph, workers=1) as executor:
-            executor._dispatch("ic", "bfs", [5], rngs(0))
+            executor._dispatch(*wave(executor, [5]))
             executor._channels[0].process.kill()  # kill -9 from outside
-            (outcome,) = executor._dispatch("ic", "bfs", [5], rngs(0), timeout=5.0)
+            (outcome,) = executor._dispatch(*wave(executor, [5]), timeout=5.0)
             assert outcome.error.startswith("disconnect")
         assert shm_segments() <= before
 

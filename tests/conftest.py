@@ -55,6 +55,37 @@ def diamond_graph():
     )
 
 
+@pytest.fixture
+def drivers(monkeypatch):
+    """Every ``RoundDriver`` that ``core.diimm.run`` builds during the test,
+    in order — the way to the per-machine stores of a finished run."""
+    from importlib import import_module
+
+    from repro.core.driver import RoundDriver
+
+    built = []
+
+    class Recording(RoundDriver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # ``repro.core.diimm`` the attribute is the function; the module is patched.
+    monkeypatch.setattr(import_module("repro.core.diimm"), "RoundDriver", Recording)
+    return built
+
+
+def coordinate_rng(seed: int, key: str, machine_id: int, set_index: int) -> np.random.Generator:
+    """The generator of RR set ``(seed, key, machine_id, set_index)``,
+    built independently of ``sample_set_range``: a fresh ``PCG64`` on the
+    ``(seed, key, machine)`` base sequence, jumped to the set's slot with
+    numpy's own ``jumped``."""
+    import zlib
+
+    sequence = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(key.encode()), machine_id))
+    return np.random.Generator(np.random.PCG64(sequence).jumped(set_index))
+
+
 def make_random_instance(
     rng: np.random.Generator,
     max_sets: int = 30,

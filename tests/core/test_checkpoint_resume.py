@@ -1,8 +1,10 @@
 """Driver checkpoint/resume: crash mid-run, continue to the same answer.
 
-All randomness lives in the machines' RNG streams, which the snapshots
-capture; a resumed run therefore replays the interrupted round bit-for-bit
-and must finish with the *identical* result an uninterrupted run produces.
+An RR set's randomness is a function of its coordinates (seed,
+collection, machine, index), and a snapshot's collections say how many of
+each were drawn; a resumed run therefore replays the interrupted round
+bit-for-bit — with no RNG state saved — and must finish with the
+*identical* result an uninterrupted run produces.
 """
 
 from __future__ import annotations
@@ -133,7 +135,6 @@ class TestValidation:
             "version": DRIVER_CHECKPOINT_VERSION,
             "round_index": 1,
             "rule": {"name": "imm-schedule", "state": {}},
-            "rng_states": [{}],
             "collection_keys": ["main"],
             "num_machines": 1,
             "config": {},
@@ -152,6 +153,23 @@ class TestValidation:
         manager = CheckpointManager(tmp_path, config={})
         with pytest.raises(CheckpointFormatError, match="driver-checkpoint version"):
             manager.load_latest("imm-schedule", ["main"], 1, "flat")
+
+    def test_parent_written_checkpoint_refused(self, small_wc_graph, tmp_path):
+        """A version-1 snapshot carried sequential machine-stream states
+        this build no longer draws from: resuming it is refused with the
+        "regenerate" message, never silently continued on other streams."""
+        ckpt = tmp_path / "run"
+        diimm(small_wc_graph, 4, 3, eps=0.5, seed=11, checkpoint_dir=str(ckpt))
+        for state_path in ckpt.glob("round-*/state.json"):
+            state = json.loads(state_path.read_text())
+            assert "rng_states" not in state and state["version"] == 2
+            state.update(version=1, rng_states=[{}] * 3)
+            state_path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointFormatError, match="version 1.*regenerate"):
+            diimm(
+                small_wc_graph, 4, 3, eps=0.5, seed=11,
+                checkpoint_dir=str(ckpt), resume=True,
+            )
 
     def test_shape_mismatch_refused(self, tmp_path):
         self._fake_snapshot(tmp_path)

@@ -1,10 +1,14 @@
 """Golden-seed conformance for the RoundDriver port.
 
-Every value below was captured by running the pre-driver implementations
-(each entry point carrying its own private round loop) on the shared
-``small_wc_graph`` fixture.  The driver port must reproduce them *bit for
-bit* — seeds, RR-set accounting, bounds and round counts — on both
-executors; only metered wall-clock times are allowed to differ.
+Recorded runs on the shared ``small_wc_graph`` fixture that every
+executor must reproduce *bit for bit* — seeds, RR-set accounting, bounds
+and round counts; only metered wall-clock times are allowed to differ.
+First captured from the pre-driver implementations (each entry point
+carrying its own private round loop); re-pinned once at PR 24, when RR set
+``i`` of collection ``key`` on machine ``m`` became a function of the
+coordinates ``(seed, key, m, i)`` instead of a position in the machine's
+sequential stream.  CHANGES.md (PR 24) lists old -> new and the 40-seed
+theta / spread distributions of both builds, which agree.
 """
 
 from __future__ import annotations
@@ -23,52 +27,52 @@ from repro.core import (
 #  lower_bound, search_rounds, estimated_spread)
 GOLDEN_A = {
     "diimm": (
-        [75, 168, 36, 118], 2726, 28688, 172480,
-        32.693216045934015, 3, 55.09904622157007,
+        [36, 168, 75, 190], 2836, 28796, 173415,
+        31.42665077538936, 3, 52.89139633286318,
     ),
     "dssa": (
-        [75, 168, 152, 32], 6432, 65919, 396852,
-        50.43532338308458, 4, 50.43532338308458,
+        [75, 168, 36, 102], 6432, 65916, 396140,
+        51.492537313432834, 4, 51.492537313432834,
     ),
     "dopimc": (
-        [26, 32, 79, 62], 222, 2653, 16003,
-        0.14193592041754935, 1, 61.26126126126126,
+        [75, 168, 36, 32], 444, 4048, 24275,
+        0.15552653754313217, 2, 45.04504504504504,
     ),
     "dsubsim": (
-        [36, 75, 132, 118], 2815, 29241, 58507,
-        31.664131763616485, 3, 53.42806394316163,
+        [75, 168, 36, 190], 2700, 27136, 54084,
+        33.009857363570184, 3, 52.74074074074074,
     ),
 }
 
-# IMM draws from the l = 1 cluster stream like every other algorithm
-# (re-pinned once, when its separate directly-seeded stream was deleted).
+# IMM is the l = 1 run of the same coordinates (machine 0 of a one-machine
+# cluster), like every other algorithm.
 GOLDEN_A_IMM = (
-    [75, 168, 36, 152], 2643, 28191, 169730,
-    33.722300328251556, 3, 56.67801740446462,
+    [168, 36, 75, 190], 2924, 29259, 175797,
+    30.47672682248087, 3, 53.077975376196996,
 )
 
 GOLDEN_B = {
     "diimm": (
-        [75, 36, 168, 93, 128, 32], 2706, 27676, 166068,
-        37.19594697325339, 3, 64.15373244641536,
+        [36, 168, 75, 93, 118, 102], 2706, 28386, 170773,
+        37.19594697325339, 3, 64.30155210643017,
     ),
     "dssa": (
-        [75, 36, 168, 132, 93, 160], 6432, 67247, 404163,
-        62.43781094527363, 4, 62.43781094527363,
+        [75, 36, 168, 132, 152, 32], 6432, 67761, 406981,
+        62.06467661691542, 4, 62.06467661691542,
     ),
     "dopimc": (
-        [75, 135, 106, 145, 79, 87], 500, 4744, 28339,
-        0.22143748035919608, 2, 56.0,
+        [131, 136, 144, 150, 36, 132], 250, 2975, 17816,
+        0.13885417528392505, 1, 60.8,
     ),
     "dsubsim": (
-        [75, 36, 118, 152, 168, 93], 2801, 27241, 54248,
-        35.936191193410586, 3, 62.54908961085327,
+        [36, 168, 75, 118, 152, 102], 2755, 27046, 53842,
+        36.532917615441384, 3, 61.99637023593466,
     ),
 }
 
 GOLDEN_B_IMM = (
-    [75, 118, 93, 36, 132, 168], 2535, 25691, 154212,
-    39.715458532938996, 3, 66.50887573964496,
+    [75, 168, 36, 32, 93, 128], 2791, 28267, 169339,
+    36.06879706497298, 3, 64.27803654604085,
 )
 
 ALGORITHMS = {

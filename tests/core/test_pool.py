@@ -9,6 +9,7 @@ from repro.core import diimm, imm
 from repro.core.pool import MAX_CACHED_COVERAGE, SamplePool
 from repro.coverage.state import CoverageState
 from repro.ris import FlatRRCollection, make_sampler
+from tests.conftest import coordinate_rng
 
 
 @pytest.fixture
@@ -23,8 +24,17 @@ class TestConstruction:
             SamplePool(small_wc_graph, machines=2, method="vectorized")
 
     def test_rejects_unknown_rng_scheme(self, small_wc_graph):
-        with pytest.raises(ValueError, match="rng_scheme"):
-            SamplePool(small_wc_graph, rng_scheme="nope")
+        # The argument is a vestige the frozen harness still passes:
+        # exactly "per-set" is accepted, and selects nothing.
+        for scheme in ("nope", "cluster", "stream"):
+            with pytest.raises(ValueError, match="rng_scheme"):
+                SamplePool(small_wc_graph, rng_scheme=scheme)
+        with SamplePool(small_wc_graph, rng_scheme="per-set") as named, SamplePool(
+            small_wc_graph
+        ) as default:
+            named.ensure("main", [9])
+            default.ensure("main", [9])
+            assert np.array_equal(named.stores("main")[0].nodes, default.stores("main")[0].nodes)
 
     def test_close_is_idempotent(self, small_wc_graph):
         pool = SamplePool(small_wc_graph, machines=2)
@@ -50,15 +60,15 @@ class TestGrowth:
             pool.ensure("main", [1, 2])
 
     def test_topped_up_store_equals_cold_stream(self, pool, small_wc_graph):
-        # Two top-ups of machine i's collection must equal one cold draw
-        # of the same total from an identically seeded stream.
+        # Two top-ups of machine m's collection must equal one cold draw
+        # of the same total: set i from the generator of (seed, key, m, i),
+        # built independently here and fed to the scalar sampler.
         pool.ensure("main", [12, 12, 12])
         pool.ensure("main", [40, 40, 40])
         sampler = make_sampler(small_wc_graph, "ic")
-        cold_cluster = SimulatedCluster(3, seed=7)
-        for machine, store in zip(cold_cluster.machines, pool.stores("main")):
+        for mid, store in enumerate(pool.stores("main")):
             cold = FlatRRCollection(small_wc_graph.num_nodes)
-            cold.extend(sampler.sample_many(40, machine.rng))
+            cold.extend(sampler.sample(coordinate_rng(7, "main", mid, i)) for i in range(40))
             assert np.array_equal(store.nodes, cold.nodes)
             assert np.array_equal(store.offsets, cold.offsets)
 

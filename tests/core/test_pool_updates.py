@@ -55,7 +55,6 @@ def pool_on(graph, executor="simulated", **kwargs):
         graph,
         machines=MACHINES,
         seed=SEED,
-        rng_scheme="per-set",
         executor=f"multiprocessing:{MACHINES}" if executor == "multiprocessing" else executor,
         **kwargs,
     )
@@ -216,20 +215,9 @@ class TestSignatureEpoch:
 
 
 class TestRefusals:
-    def test_non_per_set_scheme_refuses_repair(self, small_wc_graph):
-        pool = SamplePool(
-            fresh_versioned(small_wc_graph), machines=2, seed=SEED, rng_scheme="cluster"
-        )
-        try:
-            pool.ensure("main", [10, 10])
-            with pytest.raises(ValueError, match="per-set"):
-                pool.repair(np.array([0], dtype=np.int64))
-        finally:
-            pool.close()
-
     def test_plain_graph_refuses_apply_update(self, small_wc_graph):
         pool = SamplePool(
-            small_wc_graph, machines=2, seed=SEED, rng_scheme="per-set"
+            small_wc_graph, machines=2, seed=SEED
         )
         try:
             with pytest.raises(TypeError, match="VersionedGraph"):
@@ -243,7 +231,6 @@ class TestRefusals:
             graph,
             machines=1,
             seed=SEED,
-            rng_scheme="per-set",
             sampler=make_sampler(graph, model="ic", method="bfs"),
         )
         try:
@@ -257,7 +244,6 @@ class TestRefusals:
             fresh_versioned(small_wc_graph),
             machines=1,
             seed=SEED,
-            rng_scheme="per-set",
             sampler_factory=lambda g: make_sampler(g, model="ic", method="bfs"),
         )
         try:
@@ -270,7 +256,6 @@ class TestRefusals:
                 cold_graph,
                 machines=1,
                 seed=SEED,
-                rng_scheme="per-set",
                 sampler_factory=lambda g: make_sampler(g, model="ic", method="bfs"),
             )
             try:
@@ -307,7 +292,7 @@ class TestBlockedDrawCount:
     def test_update_is_one_blocked_draw_per_machine(self, small_wc_graph, calls):
         machines = 4
         with SamplePool(
-            fresh_versioned(small_wc_graph), machines=machines, seed=SEED, rng_scheme="per-set"
+            fresh_versioned(small_wc_graph), machines=machines, seed=SEED
         ) as pool:
             pool.ensure("main", [40] * machines)
             calls.update(sample_sets=0, blocks=0)
@@ -320,7 +305,7 @@ class TestBlockedDrawCount:
     def test_build_and_rebuild_fill_whole_blocks(self, small_wc_graph, calls):
         machines, per_machine = 4, 300
         with SamplePool(
-            fresh_versioned(small_wc_graph), machines=machines, seed=SEED, rng_scheme="per-set"
+            fresh_versioned(small_wc_graph), machines=machines, seed=SEED
         ) as pool:
             pool.ensure("main", [per_machine] * machines)
             block = pool.executor.sampler("ic", "bfs")._blocked.block_size
@@ -360,9 +345,9 @@ def update_stream(graph, rounds: int):
 
 @pytest.mark.parametrize("executor", ["simulated", "multiprocessing:2", "socket:2"])
 def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
-    """Build, top-up and ten repairs leave the bytes every executor left
-    before per-set draws moved onto the blocked kernel (digests recorded
-    at that parent commit; they pass there too)."""
+    """Build, top-up and ten repairs leave the same recorded bytes on
+    every executor.  Re-pinned once, at PR 24, when a set's generator
+    became the ``(seed, key, machine)`` stream jumped to its index."""
 
     def digest(pool) -> str:
         sha = hashlib.sha256()
@@ -375,13 +360,12 @@ def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
         fresh_versioned(small_wc_graph),
         machines=MACHINES,
         seed=SEED,
-        rng_scheme="per-set",
         executor=executor,
     ) as pool:
         pool.ensure("main", [60, 60])
-        assert digest(pool) == "6967b574a95f6cfc"
+        assert digest(pool) == "3a1971a3cfd15fd6"
         pool.ensure("main", [90, 75])
-        assert digest(pool) == "64f8f8e492b6e943"
+        assert digest(pool) == "e369dc0b922116b9"
         for delta in update_stream(small_wc_graph, 10):
             pool.apply_update(delta)
-        assert digest(pool) == "7fb0c472ed167c61"
+        assert digest(pool) == "18330cd60993495e"

@@ -23,8 +23,10 @@ class TestFrameworkComparison:
     def test_reduced_run(self):
         from repro.experiments import framework_comparison
 
+        # eps=0.4, not looser: D-OPIM-C stops at ~460 RR sets at eps=0.6,
+        # where its seeds' spread swings 0.73-0.94 of the best with the seed.
         rows = framework_comparison(
-            datasets=["facebook"], k=10, eps=0.6, num_machines=2, mc_samples=100
+            datasets=["facebook"], k=10, eps=0.4, num_machines=2, mc_samples=100
         )
         frameworks = {row["framework"] for row in rows}
         assert frameworks == {"DIIMM", "DSSA", "DOPIM-C", "DSUBSIM"}

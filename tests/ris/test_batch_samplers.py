@@ -28,10 +28,10 @@ from repro.ris.rrset import (
     RRSampler,
     concat_batches,
     pack_samples,
-    per_set_rng,
     sample_set_range,
 )
 from repro.ris.stats import RRSetStatistics
+from tests.conftest import coordinate_rng
 
 SAMPLER_SPECS = [
     ("ic", "bfs"),
@@ -235,10 +235,10 @@ class TestScratchStateLeak:
             assert not sampler._visited.any()
 
 
-def per_set_oracle(sampler, seed, machine_id, ids):
-    """The per-set scheme as first written: one scalar draw per set id."""
+def per_set_oracle(sampler, seed, machine_id, ids, key="main"):
+    """One scalar draw per set id, each from an independently built generator."""
     return concat_batches(
-        [sampler.sample_batch(per_set_rng(seed, machine_id, int(i)), 1) for i in ids]
+        [sampler.sample_batch(coordinate_rng(seed, key, machine_id, int(i)), 1) for i in ids]
     )
 
 
@@ -307,17 +307,19 @@ class TestSampleSets:
         expected = per_set_oracle(scalar, 9, 1, range(70))
         for block in (1, 2, 7, 64, 1024):
             kernel = VectorizedICSampler(small_wc_graph, block_size=block)
-            rngs = [per_set_rng(9, 1, i) for i in range(70)]
+            rngs = [coordinate_rng(9, "main", 1, i) for i in range(70)]
             assert_batches_equal(kernel.sample_sets(rngs), expected)
 
     @pytest.mark.parametrize(
         "spec", [s for s in SAMPLER_SPECS if s != ("ic", "bfs")], ids=SPEC_IDS[1:]
     )
     def test_default_is_the_scalar_loop(self, small_wc_graph, spec):
-        # LT, SUBSIM and triggering have no bit-identical blocked form
-        # yet: they keep the base class's one-set-at-a-time loop.
+        # LT and SUBSIM run sample_sets as their own scalar loop (it *is*
+        # their sample_batch); triggering has no such form and keeps the
+        # base class's one-set-at-a-time loop.
         sampler = build(spec, small_wc_graph)
-        assert type(sampler).sample_sets is RRSampler.sample_sets
+        own_loop = spec in (("lt", "bfs"), ("ic", "subsim"))
+        assert (type(sampler).sample_sets is not RRSampler.sample_sets) == own_loop
         ids = [0, 1, 2, 50, 7]
         assert_batches_equal(
             sample_set_range(sampler, 4, 3, ids), per_set_oracle(sampler, 4, 3, ids)
@@ -350,7 +352,7 @@ class TestSampleSets:
         # Fail the longest-lived set: at its root draw, or some waves in,
         # when the rest of the block has already marked the scratch.
         victim = int(np.diff(expected.offsets).argmax())
-        rngs = [per_set_rng(8, 0, i) for i in range(60)]
+        rngs = [coordinate_rng(8, "main", 0, i) for i in range(60)]
         rngs[victim] = _FlakyRNG(rngs[victim], fail_after)
         with pytest.raises(RuntimeError, match="injected"):
             sampler.sample_sets(rngs)

@@ -13,7 +13,8 @@ import pytest
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
 from repro.ris import make_sampler
 from repro.ris.ic_sampler import PER_SET_BLOCK
-from repro.ris.rrset import concat_batches, per_set_rng, sample_set_range
+from repro.ris.rrset import concat_batches, sample_set_range
+from tests.conftest import coordinate_rng
 
 
 def versioned_with_delta(graph, rng, lt_safe=False):
@@ -140,7 +141,7 @@ def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
     for ids in ([], [5], range(30, 80), scattered, shuffled, range(PER_SET_BLOCK + 1)):
         blocked = sample_set_range(overlay_sampler, seed=11, machine_id=1, ids=ids)
         scalar = concat_batches(
-            [overlay_sampler.sample_batch(per_set_rng(11, 1, int(i)), 1) for i in ids]
+            [overlay_sampler.sample_batch(coordinate_rng(11, "main", 1, int(i)), 1) for i in ids]
         )
         compacted = sample_set_range(compact_sampler, seed=11, machine_id=1, ids=ids)
         assert batches_equal(blocked, scalar)

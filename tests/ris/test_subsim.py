@@ -10,12 +10,81 @@ import pytest
 
 from repro.diffusion import exact_spread_ic
 from repro.graphs import (
+    DirectedGraph,
+    GraphDelta,
+    VersionedGraph,
     erdos_renyi,
     star_graph,
     uniform,
     weighted_cascade,
 )
 from repro.ris import ICReverseBFSSampler, SubsimSampler
+
+
+def row_tables_by_loop(graph):
+    """``(p_max, uniform)`` as the constructor's per-node loop computed
+    them before it was vectorised: effective in-row by effective in-row."""
+    indptr, _, probs, overlay = graph.in_csr()
+    p_max = np.zeros(graph.num_nodes)
+    flags = np.zeros(graph.num_nodes, dtype=bool)
+    for v in range(graph.num_nodes):
+        seg = probs[indptr[v] : indptr[v + 1]]
+        if overlay is not None and overlay[0][v] >= 0:
+            row = int(overlay[0][v])
+            seg = overlay[3][overlay[1][row] : overlay[1][row + 1]]
+        if seg.size:
+            p_max[v] = float(seg.max())
+            flags[v] = bool(np.all(seg == seg.max()))
+    return p_max, flags
+
+
+class TestRowTables:
+    """``_p_max`` / ``_uniform`` come from two ``reduceat`` passes; they
+    must equal the per-node loop's on every layout."""
+
+    @pytest.mark.parametrize("probabilities", ["weighted-cascade", "nonuniform"])
+    def test_plain_graph(self, probabilities):
+        rng = np.random.default_rng(4)
+        graph = erdos_renyi(120, 500, rng)  # sparse: some nodes have no in-edge
+        if probabilities == "weighted-cascade":
+            graph = weighted_cascade(graph)
+        else:
+            src, dst, _ = graph.edge_arrays()
+            graph = DirectedGraph(120, src, dst, rng.uniform(0.05, 1.0, size=src.size))
+        assert (graph.in_degrees() == 0).any()
+        sampler = SubsimSampler(graph)
+        p_max, flags = row_tables_by_loop(graph)
+        np.testing.assert_array_equal(sampler._p_max, p_max)
+        np.testing.assert_array_equal(sampler._uniform, flags)
+
+    def test_overlay_with_patched_emptied_and_added_rows(self):
+        rng = np.random.default_rng(4)
+        base = weighted_cascade(erdos_renyi(120, 500, rng))
+        graph = VersionedGraph(DirectedGraph(120, *base.edge_arrays()))
+        edges = list(base.edges())
+        emptied = edges[0][1]
+        bare = int(np.flatnonzero(base.in_degrees() == 0)[0])
+        graph.apply(
+            GraphDelta(
+                # emptied: every in-edge of one node goes
+                remove_edges=[(u, v) for u, v, _ in edges if v == emptied],
+                # patched: one row loses its uniformity, one keeps it
+                reweight_edges=[(*edges[40][:2], 0.9)]
+                + [(u, v, 0.25) for u, v, _ in edges if v == edges[80][1] != emptied],
+                # added: a node with no in-edge gets a row; another row grows
+                add_edges=[(3, bare, 0.5), (7, bare, 0.2), (bare, edges[120][1], 0.6)],
+            )
+        )
+        sampler = SubsimSampler(graph)
+        p_max, flags = row_tables_by_loop(graph)
+        np.testing.assert_array_equal(sampler._p_max, p_max)
+        np.testing.assert_array_equal(sampler._uniform, flags)
+        assert sampler._p_max[emptied] == 0.0 and not sampler._uniform[emptied]
+        assert sampler._p_max[bare] == 0.5 and not sampler._uniform[bare]
+        # ... and the overlay tables are the compacted graph's.
+        compact = SubsimSampler(graph.compact())
+        np.testing.assert_array_equal(sampler._p_max, compact._p_max)
+        np.testing.assert_array_equal(sampler._uniform, compact._uniform)
 
 
 class TestStructure:

@@ -17,6 +17,8 @@ Every test seeds its own generators; see the harness module docstring
 for the suite's false-positive budget.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,18 @@ class TestSamplerContract:
         sampler.sample_batch(np.random.default_rng(0), 150)
         scratch = getattr(sampler, "_kernel", sampler)._visited
         assert not scratch.any()
+
+    def test_scratch_is_private_to_the_process(self, small_wc_graph):
+        # The scratch is an anonymous mapping of its own; a shared one
+        # (mmap's default) would show a forked worker's marks here.
+        sampler = VectorizedICSampler(small_wc_graph)
+        sampler.sample_batch(np.random.default_rng(0), 10)
+        pid = os.fork()
+        if pid == 0:
+            sampler._visited[:] = True
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert not sampler._visited.any()
 
     @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
     def test_failed_draw_does_not_poison_the_next(self, small_wc_graph, pair):

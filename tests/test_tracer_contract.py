@@ -1,0 +1,80 @@
+"""The by-path contract with the frozen benchmark tracer.
+
+``benchmarks/e2e/trace.py`` attributes time to layers by patching ``src``
+names *by path* (ROADMAP, standing rules); a name that still resolves but
+is no longer the one the code calls goes blind silently.  Since every
+draw goes through ``sample_set_range`` the sampling layer's time arrives
+through two of those names, ``cluster.executor.sample_set_range`` and
+``core.pool.sample_set_range``; this pins that they are called.  (The
+harness's own ``test_traced_run_records_layers_and_removes_every_wrapper``
+also asserts ``ris.sampler.sets == num_rr_sets``, a count taken at
+class-level ``sample_batch`` that per-set draws never reach — tracer blind
+spot (i), the next ``[benchmark]`` PR's to close; everything else that
+test checks is checked here.)
+"""
+
+import pytest
+
+from repro import api
+from repro.applications.targeted import TargetedSampler
+from repro.core.pool import SamplePool
+from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
+from repro.ris import make_sampler
+
+# Importable when the suite runs from the repository root (tier-1 does).
+trace = pytest.importorskip("benchmarks.e2e.trace")
+
+
+def span_names(tracer):
+    return [span[0] for span in tracer.spans]
+
+
+def test_every_patched_name_resolves_and_is_restored(small_wc_graph):
+    targets = [(owner, attr) for owner, attr, _ in trace._patches(trace.Tracer())]
+    assert len(targets) > 40
+    assert all(hasattr(owner, attr) for owner, attr in targets)
+
+    def current():
+        return [vars(owner).get(attr) for owner, attr in targets]
+
+    before = current()
+    with trace.tracing():
+        during = current()
+    assert all(d is not b for d, b in zip(during, before))  # installed
+    assert all(a is b for a, b in zip(current(), before))  # and fully removed
+
+
+@pytest.mark.parametrize("method", ["bfs", "vectorized"])
+def test_cold_generation_time_reaches_the_sampler_layer(small_wc_graph, method):
+    config = api.RunConfig(graph=small_wc_graph, k=4, machines=3, eps=0.5, seed=3, method=method)
+    plain = api.run("diimm", config)
+    with trace.tracing() as tracer:
+        with tracer.request("api.run"):
+            traced = api.run("diimm", config)
+    assert list(traced.seeds) == list(plain.seeds)  # observing changes nothing
+    generate_phases = sum(name.startswith("run_phase:GeneratePhase") for name in span_names(tracer))
+    draws = span_names(tracer).count("cluster.executor.sample_set_range")
+    assert generate_phases >= 1 and draws == 3 * generate_phases  # one per machine per phase
+    table = trace.layer_table(tracer)
+    assert table["ris.sampler.self_s"] > 0 and table["coverage.select.calls"] >= 1
+    total = sum(table[f"{layer}.self_s"] for layer in trace.LAYERS)
+    assert total == pytest.approx(tracer.wall())
+    if method == "vectorized":  # block source: still counted at sample_batch
+        assert tracer.counts["ris.sampler.sets"] == traced.num_rr_sets
+
+
+def test_pool_draws_reach_the_sampler_layer(small_wc_graph):
+    graph = VersionedGraph(DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays()))
+    edges = list(small_wc_graph.edges())
+    with SamplePool(
+        graph,
+        machines=2,
+        seed=5,
+        sampler_factory=lambda g: TargetedSampler(make_sampler(g), range(0, 200, 2)),
+    ) as pool, trace.tracing() as tracer:
+        with tracer.request("pool"):
+            pool.ensure("main", [40, 40])  # the in-process top-up
+            pool.apply_update(GraphDelta(remove_edges=[edge[:2] for edge in edges[:6]]))
+            pool.apply_update(GraphDelta(add_nodes=1))  # full rebuild
+    assert span_names(tracer).count("core.pool.sample_set_range") >= 2 + 1 + 2
+    assert trace.layer_table(tracer)["ris.sampler.self_s"] > 0
