@@ -4,11 +4,7 @@ Unlike the figure benchmarks (single metered sweep each), these use
 pytest-benchmark's statistical machinery — multiple rounds over small
 fixed workloads — to track the throughput of the primitives every
 experiment is built from: RR-set generation (three samplers), forward
-cascade simulation, and the lazy bucket greedy under both coverage
-backends.  ``test_micro_kernel_backend_speedup`` additionally records the
-reference-vs-flat comparison to ``results/micro_kernel_backends`` and
-*fails* if the flat CSR kernel is ever slower than the reference loops —
-the CI regression gate for the vectorized backend.
+cascade simulation, and the lazy bucket greedy on the flat CSR kernel.
 """
 
 import time
@@ -17,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import SimulatedCluster
-from repro.coverage import CoverageInstance, greedy_max_coverage, newgreedi
+from repro.coverage import CoverageInstance, greedy_max_coverage
 from repro.coverage.kernel import as_flat
 from repro.diffusion import IndependentCascade, LinearThreshold
 from repro.graphs import load_dataset
@@ -83,12 +79,8 @@ def test_micro_lt_forward_simulation(benchmark, graph):
     benchmark(run)
 
 
-def test_micro_lazy_greedy(benchmark, instance):
-    benchmark(greedy_max_coverage, [instance], 50, backend="reference")
-
-
 def test_micro_lazy_greedy_flat(benchmark, flat_instance):
-    benchmark(greedy_max_coverage, [flat_instance], 50, backend="flat")
+    benchmark(greedy_max_coverage, [flat_instance], 50)
 
 
 def _best_of(callable_, repeats=3):
@@ -198,55 +190,6 @@ def test_micro_vectorized_generation(record_rows):
         )
 
 
-def test_micro_kernel_backend_speedup(record_rows, instance, flat_instance):
-    """Reference vs flat CSR kernel on identical workloads; regression
-    gate: the flat backend must never be slower."""
-    k = 50
-    machines = 4
-
-    ref_greedy_s, ref_greedy = _best_of(
-        lambda: greedy_max_coverage([instance], k, backend="reference")
-    )
-    flat_greedy_s, flat_greedy = _best_of(
-        lambda: greedy_max_coverage([flat_instance], k, backend="flat")
-    )
-    assert flat_greedy.seeds == ref_greedy.seeds
-
-    rng = np.random.default_rng(0)
-    parts = instance.split(machines, rng=rng)
-    flat_parts = [as_flat(part) for part in parts]
-
-    def run_newgreedi(stores, backend):
-        cluster = SimulatedCluster(machines, seed=0)
-        return newgreedi(cluster, k, stores=list(stores), backend=backend)
-
-    ref_new_s, ref_new = _best_of(lambda: run_newgreedi(parts, "reference"))
-    flat_new_s, flat_new = _best_of(lambda: run_newgreedi(flat_parts, "flat"))
-    assert flat_new.seeds == ref_new.seeds
-
-    rows = [
-        {
-            "component": "lazy_greedy(facebook, k=50)",
-            "reference_s": round(ref_greedy_s, 4),
-            "flat_s": round(flat_greedy_s, 4),
-            "speedup": round(ref_greedy_s / flat_greedy_s, 2),
-        },
-        {
-            "component": f"newgreedi(facebook, k=50, m={machines})",
-            "reference_s": round(ref_new_s, 4),
-            "flat_s": round(flat_new_s, 4),
-            "speedup": round(ref_new_s / flat_new_s, 2),
-        },
-    ]
-    record_rows(
-        "micro_kernel_backends",
-        rows,
-        "Coverage kernel: reference dict loops vs flat CSR backend",
-    )
-    for row in rows:
-        assert row["speedup"] >= 1.0, f"flat backend slower on {row['component']}"
-
-
 def test_micro_incremental_coverage_speedup(record_rows, graph):
     """Round-driver coverage maintenance: per-round full re-aggregation
     (what D-SSA/D-OPIM-C did before the driver) vs the incremental
@@ -328,36 +271,35 @@ def test_micro_dataplane(record_rows, graph):
     codec.  CI floors: >= 2x wall-clock on the many-phase generation
     scenario, >= 1.5x payload byte reduction (targets: 3x / 2x)."""
     from repro.cluster import GeneratePhase, MultiprocessingSpec, make_executor
+    from repro.ris import FlatRRCollection
     from repro.ris.serialization import pack_message
     from repro.ris.wire import encode_batch
 
     phases = 16
     count = 10
     workload = f"facebook, {phases} phases x {count} sets, 1 worker"
-    plan = GeneratePhase("bench/gen", counts=(count,))
-
-    def fresh_cluster():
-        cluster = SimulatedCluster(1, seed=0)
-        cluster.init_collections(graph.num_nodes, backend="flat")
-        return cluster
 
     def per_phase_executors():
         # One throwaway executor per phase, shared-memory broadcast
         # disabled — exactly what every generation phase used to pay.
-        cluster = fresh_cluster()
+        cluster = SimulatedCluster(1, seed=0)
+        store = FlatRRCollection(graph.num_nodes)
+        plan = GeneratePhase("bench/gen", counts=(count,), targets=(store,))
         spec = MultiprocessingSpec(processes=1, zero_copy=False)
         for _phase in range(phases):
             with make_executor(spec, cluster, graph=graph) as executor:
                 executor.run_phase(plan)
-        return cluster.machines[0].collection
+        return store
 
     def persistent_zero_copy():
-        cluster = fresh_cluster()
+        cluster = SimulatedCluster(1, seed=0)
+        store = FlatRRCollection(graph.num_nodes)
+        plan = GeneratePhase("bench/gen", counts=(count,), targets=(store,))
         spec = MultiprocessingSpec(processes=1, zero_copy=True)
         with make_executor(spec, cluster, graph=graph) as executor:
             for _phase in range(phases):
                 executor.run_phase(plan)
-        return cluster.machines[0].collection
+        return store
 
     baseline_s, reference = _best_of(per_phase_executors)
     pooled_s, pooled = _best_of(persistent_zero_copy)
@@ -409,6 +351,7 @@ def test_micro_socket_overhead(record_rows, graph):
     CI gates: payload accounting parity, framing overhead <= 2 KiB per
     round trip, and TCP wall-clock within 1.5x of the socketpair's."""
     from repro.cluster import GENERATION, GeneratePhase, make_executor
+    from repro.ris import FlatRRCollection
 
     machines = 4
     count = 1500
@@ -416,12 +359,11 @@ def test_micro_socket_overhead(record_rows, graph):
 
     def generate(name):
         cluster = SimulatedCluster(machines, seed=0)
-        cluster.init_collections(graph.num_nodes, backend="flat")
+        stores = [FlatRRCollection(graph.num_nodes) for __ in range(machines)]
         with make_executor(name, cluster, graph=graph) as executor:
-            executor.run_phase(GeneratePhase("bench/gen", counts=counts))
+            executor.run_phase(GeneratePhase("bench/gen", counts=counts, targets=stores))
             record = executor.metrics.phases_in(GENERATION)[-1]
-            sets = [m.collection.num_sets for m in executor.machines]
-        return record, sets
+        return record, [store.num_sets for store in stores]
 
     mp_s, (mp_record, mp_sets) = _best_of(lambda: generate("multiprocessing"))
     socket_s, (socket_record, socket_sets) = _best_of(lambda: generate("socket"))

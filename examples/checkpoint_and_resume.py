@@ -21,7 +21,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import SimulatedCluster, load_dataset, make_sampler, newgreedi
+from repro import FlatRRCollection, SimulatedCluster, load_dataset, make_sampler, newgreedi
 from repro.cluster import GENERATION
 from repro.experiments import print_table
 from repro.ris import load_collection, save_collection
@@ -41,13 +41,15 @@ def main() -> None:
 
     # Phase 1: generate once, distributed.
     cluster = SimulatedCluster(args.machines, seed=0)
-    cluster.init_collections(graph.num_nodes)
+    collections = [FlatRRCollection(graph.num_nodes) for __ in range(args.machines)]
     shares = cluster.split_count(args.rr_sets)
     start = time.perf_counter()
     cluster.map(
         GENERATION,
         "generate",
-        lambda m: m.collection.extend(sampler.sample_many(shares[m.machine_id], m.rng)),
+        lambda m: collections[m.machine_id].extend(
+            sampler.sample_many(shares[m.machine_id], m.rng)
+        ),
     )
     generation_time = time.perf_counter() - start
     print(
@@ -58,9 +60,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         # Phase 2: checkpoint every machine's collection.
         paths = []
-        for machine in cluster.machines:
-            path = Path(tmp) / f"machine-{machine.machine_id}.npz"
-            save_collection(machine.collection, path)
+        for machine_id, collection in enumerate(collections):
+            path = Path(tmp) / f"machine-{machine_id}.npz"
+            save_collection(collection, path)
             paths.append(path)
         total_bytes = sum(p.stat().st_size for p in paths)
         print(f"checkpointed to {len(paths)} files, {total_bytes / 1e6:.2f} MB total")
@@ -69,7 +71,7 @@ def main() -> None:
         resumed = SimulatedCluster(args.machines, seed=0)
         stores = [load_collection(path) for path in paths]
 
-        reference = newgreedi(cluster, max(args.budgets))
+        reference = newgreedi(cluster, max(args.budgets), stores=collections)
         replayed = newgreedi(resumed, max(args.budgets), stores=stores)
         assert replayed.seeds == reference.seeds, "checkpoint replay diverged!"
         print("replay verified: identical seed sequence after reload\n")

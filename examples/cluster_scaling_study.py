@@ -14,7 +14,7 @@ Run:
 import argparse
 import time
 
-from repro import gigabit_cluster, load_dataset, shared_memory_server
+from repro import FlatRRCollection, gigabit_cluster, load_dataset, shared_memory_server
 from repro.cluster import GeneratePhase, SimulatedCluster, make_executor
 from repro.experiments import print_table
 from repro.experiments.scaling import ScalingConfig, run_scaling
@@ -23,10 +23,11 @@ from repro.experiments.scaling import ScalingConfig, run_scaling
 def timed_generation(graph, counts) -> float:
     """Wall time of one generation phase, one worker process per machine."""
     cluster = SimulatedCluster(len(counts), seed=0)
-    cluster.init_collections(graph.num_nodes, backend="flat")
+    stores = [FlatRRCollection(graph.num_nodes) for __ in counts]
+    plan = GeneratePhase("study/generate", counts=counts, targets=stores)
     with make_executor(f"multiprocessing:{len(counts)}", cluster, graph=graph) as executor:
         start = time.perf_counter()
-        executor.run_phase(GeneratePhase("study/generate", counts=counts))
+        executor.run_phase(plan)
         return time.perf_counter() - start
 
 

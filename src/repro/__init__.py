@@ -31,7 +31,7 @@ build a ``RunConfig`` from their keywords and call the same assembly.
 """
 
 from .analysis import approximation_ratio_exact, evaluate_seeds
-from .api import ALGORITHMS, POOLABLE, run
+from .api import ALGORITHMS, run
 from .applications import (
     budgeted_influence_maximization,
     profit_maximization,
@@ -81,7 +81,7 @@ from .graphs import (
     read_edge_list,
     weighted_cascade,
 )
-from .ris import FlatRRCollection, RRCollection, make_sampler
+from .ris import FlatRRCollection, make_sampler
 
 __version__ = "1.0.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "run",
     "RunConfig",
     "ALGORITHMS",
-    "POOLABLE",
     # graphs
     "DirectedGraph",
     "GraphBuilder",
@@ -106,7 +105,6 @@ __all__ = [
     "estimate_spread",
     # ris
     "make_sampler",
-    "RRCollection",
     "FlatRRCollection",
     # cluster
     "SimulatedCluster",

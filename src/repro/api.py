@@ -24,11 +24,11 @@ bit-identical results.
 from __future__ import annotations
 
 from .core.config import RunConfig
-from .core.diimm import POOLABLE, REGISTRY
+from .core.diimm import REGISTRY
 from .core.diimm import run as _run_row
 from .core.result import IMResult
 
-__all__ = ["ALGORITHMS", "POOLABLE", "RunConfig", "run"]
+__all__ = ["ALGORITHMS", "RunConfig", "run"]
 
 #: The registered algorithm names, in table order.
 ALGORITHMS: tuple[str, ...] = tuple(REGISTRY)
@@ -54,8 +54,7 @@ def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMRes
         ``pool``.
     pool:
         Optional :class:`~repro.core.pool.SamplePool` to serve the query
-        warm from (only for :data:`POOLABLE` algorithms).
-        The pool's collections are grown as needed and retained; the
+        warm from.  The pool's collections are grown as needed and retained; the
         result is bit-identical to a cold ``run`` with the same config.
     """
     key = algorithm.lower().replace("-", "").replace("_", "")

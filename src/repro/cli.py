@@ -35,6 +35,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from .api import ALGORITHMS
+    from .core.config import BACKENDS, METHODS, MODELS, STOPPINGS
+    from .core.pool import PREFIX_DETERMINISTIC_METHODS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -54,10 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, default=50)
     run.add_argument("--machines", type=int, default=16)
     run.add_argument("--eps", type=float, default=0.5)
-    run.add_argument("--model", choices=("ic", "lt"), default="ic")
+    run.add_argument("--model", choices=MODELS, default="ic")
     run.add_argument(
         "--method",
-        choices=("bfs", "subsim", "vectorized"),
+        choices=METHODS,
         default="bfs",
         help="RR-set generation procedure: reverse BFS/walk, SUBSIM subset "
         "sampling (ic only; dsubsim always uses it), or the blocked "
@@ -77,12 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("flat", "reference", "sketch"),
+        choices=BACKENDS,
         default="flat",
-        help="RR-set store / coverage backend: the exact CSR store, the "
-        "dict-indexed reference oracle (seeds identical to flat), or "
-        "per-node HyperLogLog register banks (memory-bounded estimates; "
-        "imm ignores the exact flavours but honours sketch)",
+        help="RR-set store: the exact CSR store, or per-node HyperLogLog "
+        "register banks (memory-bounded estimates)",
     )
     run.add_argument(
         "--sketch-precision",
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--stopping",
-        choices=("schedule", "error-adaptive"),
+        choices=STOPPINGS,
         default="schedule",
         help="stopping policy for imm/diimm/dsubsim: the precomputed "
         "theta schedule, or doubling until the measured relative error "
@@ -182,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dataset", default="facebook")
     serve.add_argument("--machines", type=int, default=8)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--model", choices=("ic", "lt"), default="ic")
+    serve.add_argument("--model", choices=MODELS, default="ic")
     serve.add_argument(
         "--method",
-        choices=("bfs", "subsim"),
+        choices=PREFIX_DETERMINISTIC_METHODS,
         default="bfs",
         help="RR-set generation for the IMM-family pools (a warm pool "
         "serves prefixes, so it needs one generator per set: 'vectorized', "
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="Monte-Carlo validate seeds")
     validate.add_argument("--dataset", default="facebook")
     validate.add_argument("--seeds", required=True, help="comma-separated node ids")
-    validate.add_argument("--model", choices=("ic", "lt"), default="ic")
+    validate.add_argument("--model", choices=MODELS, default="ic")
     validate.add_argument("--samples", type=int, default=1000)
 
     return parser

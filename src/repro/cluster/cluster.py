@@ -162,16 +162,6 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def init_collections(self, num_nodes: int, backend: str = "flat") -> None:
-        """Give every machine a fresh RR collection over ``num_nodes`` nodes.
-
-        ``backend`` selects the store flavour per machine — ``"flat"``
-        (CSR arrays, the default) or ``"reference"`` (dict inverted
-        index); see :func:`repro.ris.flat.make_collection`.
-        """
-        for machine in self.machines:
-            machine.init_collection(num_nodes, backend=backend)
-
     def split_count(self, total: int) -> List[int]:
         """Split ``total`` work items across machines as evenly as possible.
 

@@ -103,8 +103,7 @@ class GeneratePhase:
     counts:
         Per-machine number of RR sets to draw; one entry per machine.
     targets:
-        Per-machine stores the batches are appended to.  ``None``
-        (default) appends to each machine's ``collection``.
+        Per-machine stores the batches are appended to, one per machine.
     model, method:
         Sampler selection, as in :func:`repro.ris.make_sampler`.
     key:
@@ -120,7 +119,7 @@ class GeneratePhase:
 
     label: str
     counts: Tuple[int, ...]
-    targets: Tuple[Any, ...] | None = None
+    targets: Tuple[Any, ...]
     model: str = "ic"
     method: str = "bfs"
     key: str = "main"
@@ -131,8 +130,7 @@ class GeneratePhase:
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("generation counts must be >= 0")
-        if self.targets is not None:
-            object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "targets", tuple(self.targets))
         if self.starts is not None:
             object.__setattr__(self, "starts", tuple(int(s) for s in self.starts))
             if len(self.starts) != len(self.counts):
@@ -230,11 +228,11 @@ class Executor(ABC):
     """Runs phase plans against a :class:`SimulatedCluster`'s state.
 
     The executor owns *how* phases execute; the cluster keeps owning the
-    distributed state (machines, seed, collections) and the accounting
-    (metrics, network model).  Communication and master phases are pure
-    accounting and the generation loop (:meth:`_run_generate`) is common
-    too; a backend only says how one attempt wave runs and where a spent
-    quota is replayed.
+    machines, the seed and the accounting (metrics, network model), and
+    the per-machine RR stores are the caller's, handed over per phase.
+    Communication and master phases are pure accounting and the
+    generation loop (:meth:`_run_generate`) is common too; a backend only
+    says how one attempt wave runs and where a spent quota is replayed.
     """
 
     name: str = "abstract"
@@ -298,7 +296,7 @@ class Executor(ABC):
                 raise ValueError(
                     f"expected {self.num_machines} generation counts, got {len(plan.counts)}"
                 )
-            if plan.targets is not None and len(plan.targets) != self.num_machines:
+            if len(plan.targets) != self.num_machines:
                 raise ValueError(
                     f"expected {self.num_machines} generation targets, got {len(plan.targets)}"
                 )
@@ -328,17 +326,6 @@ class Executor(ABC):
             num_bytes=record.num_bytes,
         )
 
-    def _generation_targets(self, plan: GeneratePhase) -> Tuple[Any, ...]:
-        if plan.targets is not None:
-            return plan.targets
-        targets = tuple(machine.collection for machine in self.machines)
-        if any(target is None for target in targets):
-            raise ValueError(
-                "generation phase has no targets and a machine has no collection; "
-                "call cluster.init_collections() or pass targets="
-            )
-        return targets
-
     # -- generation -------------------------------------------------------
     def _run_generate(self, plan: GeneratePhase) -> PhaseResult:
         """Draw ``plan.counts`` RR sets: the one generation loop.
@@ -348,7 +335,7 @@ class Executor(ABC):
         failed attempt leaves nothing to undo; a machine out of attempts
         has its quota replayed in-process (:meth:`_replay_host`).
         """
-        targets = self._generation_targets(plan)
+        targets = plan.targets
         # Resolved once, before any attempt: every attempt draws the same
         # coordinates.
         plan = replace(

@@ -1,11 +1,13 @@
 """A simulated worker machine.
 
-Each :class:`Machine` owns its slice of the distributed state — its RR
-collection ``R_i`` and an independent random stream spawned from the
-cluster seed — and executes metered work units.  Machines never touch each
-other's state directly; all cross-machine data flow goes through the
-cluster's communication accounting, mirroring the message-passing model of
-the paper's Open MPI implementation.
+Each :class:`Machine` has an id, an independent random stream spawned
+from the cluster seed and a speed, and executes metered work units.  It
+holds no RR store: a machine's collection ``R_i`` is made by
+:func:`~repro.ris.flat.make_collection` and handed to whatever reads it —
+a generation phase's ``targets``, NEWGREEDI's ``stores``.  All
+cross-machine data flow goes through the cluster's communication
+accounting, mirroring the message-passing model of the paper's Open MPI
+implementation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import time
 from typing import Any, Callable, Tuple
 
 import numpy as np
-
-from ..ris.flat import make_collection
 
 __all__ = ["Machine"]
 
@@ -56,19 +56,6 @@ class Machine:
         self.rng = rng
         self._clock = clock
         self.slowdown = float(slowdown)
-        #: The machine's RR store — a :class:`RRCollection` or
-        #: :class:`~repro.ris.flat.FlatRRCollection`, per backend.
-        self.collection = None
-
-    def init_collection(self, num_nodes: int, backend: str = "flat"):
-        """Create (or reset) this machine's RR collection.
-
-        ``backend="flat"`` (default) gives the CSR-backed store the
-        vectorized coverage kernel reads natively; ``"reference"`` gives
-        the dict-indexed :class:`RRCollection` oracle.
-        """
-        self.collection = make_collection(num_nodes, backend)
-        return self.collection
 
     def run(self, work: Callable[["Machine"], Any]) -> Tuple[Any, float]:
         """Execute ``work(self)`` and return ``(result, elapsed_seconds)``.
@@ -81,5 +68,4 @@ class Machine:
         return result, elapsed
 
     def __repr__(self) -> str:
-        sets = self.collection.num_sets if self.collection is not None else 0
-        return f"Machine(id={self.machine_id}, rr_sets={sets})"
+        return f"Machine(id={self.machine_id}, slowdown={self.slowdown:g})"

@@ -33,12 +33,7 @@ from typing import Any, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from ..ris.serialization import (
-    CheckpointFormatError,
-    load_collection,
-    load_flat_collection,
-    save_collection,
-)
+from ..ris.serialization import CheckpointFormatError, load_collection, save_collection
 
 __all__ = [
     "DRIVER_CHECKPOINT_MAGIC",
@@ -162,7 +157,6 @@ class CheckpointManager:
         rule_name: str,
         collection_keys: Sequence[str],
         num_machines: int,
-        backend: str,
     ) -> DriverSnapshot:
         """Load and validate the most recent snapshot.
 
@@ -176,7 +170,7 @@ class CheckpointManager:
             raise FileNotFoundError(
                 f"no driver checkpoint found under {self.directory}"
             )
-        return self.load(round_index, rule_name, collection_keys, num_machines, backend)
+        return self.load(round_index, rule_name, collection_keys, num_machines)
 
     def load(
         self,
@@ -184,7 +178,6 @@ class CheckpointManager:
         rule_name: str,
         collection_keys: Sequence[str],
         num_machines: int,
-        backend: str,
     ) -> DriverSnapshot:
         """Load and validate one round's snapshot."""
         round_dir = self.directory / f"round-{round_index:04d}"
@@ -235,11 +228,10 @@ class CheckpointManager:
 
         with np.load(round_dir / "coverage.npz") as data:
             coverage_state = {name: data[name] for name in data.files}
-        loader = load_flat_collection if backend == "flat" else load_collection
         stores: Dict[str, List] = {}
         for key in state["collection_keys"]:
             stores[key] = [
-                loader(round_dir / f"machine{machine_id}-{key}.npz")
+                load_collection(round_dir / f"machine{machine_id}-{key}.npz")
                 for machine_id in range(num_machines)
             ]
         return DriverSnapshot(

@@ -24,8 +24,9 @@ from ..coverage.sketch import MAX_PRECISION, MIN_PRECISION, hll_relative_error
 
 __all__ = ["RunConfig", "BACKENDS", "MODELS", "METHODS", "STOPPINGS"]
 
-#: Coverage-store flavours, as accepted by :func:`repro.ris.make_collection`.
-BACKENDS: tuple[str, ...] = ("flat", "reference", "sketch")
+#: RR stores, as accepted by :func:`repro.ris.make_collection`: the exact
+#: CSR store and the HyperLogLog register bank.
+BACKENDS: tuple[str, ...] = ("flat", "sketch")
 #: Diffusion models the samplers implement.
 MODELS: tuple[str, ...] = ("ic", "lt")
 #: RR-set generation procedures.
@@ -60,7 +61,8 @@ class RunConfig:
     seed:
         Root RNG seed; fixes the whole run.
     backend:
-        Coverage-store flavour (:data:`BACKENDS`).
+        RR store (:data:`BACKENDS`): ``"flat"``, the exact CSR store, or
+        ``"sketch"``, HyperLogLog register banks.
     executor:
         An :class:`~repro.cluster.spec.ExecutorSpec` or its string
         shorthand (``"simulated"``, ``"multiprocessing:4"``,
@@ -75,7 +77,7 @@ class RunConfig:
         Registers per node for ``backend="sketch"``:
         ``m = 2**sketch_precision`` one-byte HyperLogLog registers, so
         memory is ``n * m`` bytes and the sketch's relative error is
-        ``1.04 / sqrt(m)``.  Ignored by the exact backends.
+        ``1.04 / sqrt(m)``.  Ignored by the exact store.
     stopping:
         Stopping policy for the IMM-schedule algorithms
         (:data:`STOPPINGS`): ``"schedule"`` (default) runs the

@@ -54,7 +54,6 @@ from .result import IMResult
 
 __all__ = [
     "REGISTRY",
-    "POOLABLE",
     "Algorithm",
     "run",
     "imm",
@@ -155,8 +154,7 @@ class Algorithm:
     #: The ``l = 1`` baseline: one machine whatever ``config.machines``
     #: says, centralized lazy greedy in a single metered compute phase (no
     #: communication phases at all, so single-machine versus distributed
-    #: comparisons isolate the distribution machinery), and the exact
-    #: backends read as ``"flat"`` (only ``"sketch"`` opts in).
+    #: comparisons isolate the distribution machinery).
     single_machine: bool = False
     #: Draws with SUBSIM's subset sampler: ``method="subsim"`` is forced
     #: and, as subset sampling exploits shared in-edge probabilities, the
@@ -166,11 +164,6 @@ class Algorithm:
     #: rule's own: ``backend="sketch"`` and ``stopping="error-adaptive"``
     #: are refused.
     exact_counts: bool = False
-    #: Can be served warm from a :class:`~repro.core.pool.SamplePool`.
-    #: The two-collection rules were refused while their collections
-    #: interleaved draws on one machine stream; each is a separately keyed
-    #: draw now, so the refusal has lost its reason and goes in its own PR.
-    poolable: bool = True
 
 
 #: The algorithm table, in dispatch order.  ``api.run``, the CLI,
@@ -178,13 +171,10 @@ class Algorithm:
 REGISTRY: Dict[str, Algorithm] = {
     "imm": Algorithm("IMM", make_schedule_rule, single_machine=True),
     "diimm": Algorithm("DIIMM", make_schedule_rule),
-    "dssa": Algorithm("DSSA", make_stare_rule, exact_counts=True, poolable=False),
+    "dssa": Algorithm("DSSA", make_stare_rule, exact_counts=True),
     "dsubsim": Algorithm("DSUBSIM", make_schedule_rule, subsim=True),
-    "dopimc": Algorithm("DOPIM-C", make_opim_rule, exact_counts=True, poolable=False),
+    "dopimc": Algorithm("DOPIM-C", make_opim_rule, exact_counts=True),
 }
-
-#: The rows that can be served warm, in table order.
-POOLABLE = tuple(name for name, row in REGISTRY.items() if row.poolable)
 
 
 def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMResult:
@@ -205,18 +195,11 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
     n = graph.num_nodes
     delta = 1.0 / n if config.delta is None else config.delta
     machines = 1 if entry.single_machine else config.machines
-    exact_as_flat = entry.single_machine and config.backend != "sketch"
-    backend = "flat" if exact_as_flat else config.backend
     rule = entry.make_rule(config, n, delta)
 
     if pool is not None:
         if executor is not None:
             raise ValueError("pass either executor or pool, not both")
-        if not entry.poolable:
-            raise ValueError(
-                f"algorithm {algorithm!r} cannot run from a warm pool; "
-                f"poolable algorithms are {POOLABLE}"
-            )
         pool.check_config(config, machines=machines)
         exec_, stores, checkpoint = pool.executor, None, None
         scope = pool.query_metrics()
@@ -230,7 +213,7 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
             key: [
                 make_collection(
                     n,
-                    backend,
+                    config.backend,
                     machine_id=machine_id,
                     sketch_precision=config.sketch_precision,
                 )
@@ -249,7 +232,7 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
             num_machines=machines,
             model=config.model,
             method=config.method,
-            backend=backend,
+            backend=config.backend,
         )
         # Built last, entered at once: nothing that can raise sits between
         # spawning workers and the scope that reaps them.
@@ -271,7 +254,7 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
             stores,
             model=config.model,
             method=config.method,
-            backend=backend,
+            backend=config.backend,
             selection="central" if entry.single_machine else "newgreedi",
             checkpoint=checkpoint,
             resume=config.resume,

@@ -556,7 +556,7 @@ class RoundDriver:
     model, method:
         Sampler selection for the generation phases.
     backend:
-        Coverage backend (``"flat"`` / ``"reference"`` / ``"sketch"``).
+        RR store (``"flat"`` / ``"sketch"``).
         With ``"sketch"`` the driver maintains a
         :class:`~repro.coverage.sketch.SketchCoverageState` (register
         deltas through the same wave protocol) and runs selection
@@ -830,7 +830,6 @@ class RoundDriver:
                 self.k,
                 stores=self.stores[key],
                 label=f"{round_label}/newgreedi",
-                backend=self.backend,
                 coverage_state=self.coverage,
                 accepts=plan.accepts,
             )
@@ -842,7 +841,6 @@ class RoundDriver:
             return greedy_max_coverage(
                 stores,
                 self.k,
-                backend=self.backend,
                 initial_counts=counts,
                 accepts=plan.accepts,
             )
@@ -870,7 +868,6 @@ class RoundDriver:
             rule_name=self.rule.name,
             collection_keys=self.rule.collection_keys,
             num_machines=self.executor.num_machines,
-            backend=self.backend,
         )
         self.rule.load_state_dict(snapshot.rule_state)
         self.coverage.load_state_dict(snapshot.coverage_state)

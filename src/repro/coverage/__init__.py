@@ -1,8 +1,9 @@
 """Maximum coverage: problem abstraction, greedy engines, NEWGREEDI, GREEDI.
 
-Every algorithm takes a ``backend`` switch: ``"flat"`` (default) runs the
-vectorized CSR kernel of :mod:`repro.coverage.kernel`; ``"reference"``
-keeps the dict/list-walking loops as the exactness oracle.
+The exact engines run the vectorized CSR kernel of
+:mod:`repro.coverage.kernel` over :class:`~repro.ris.flat.FlatRRCollection`
+stores; the HyperLogLog register banks of :mod:`repro.coverage.sketch`
+are the other store, selected by ``backend="sketch"`` on a run.
 """
 
 from .greedi import greedi, partition_sets, randgreedi
@@ -13,11 +14,9 @@ from .greedy import (
     naive_greedy_max_coverage,
 )
 from .kernel import (
-    BACKENDS,
     apply_sparse_delta,
     as_flat,
     mark_and_decrement,
-    resolve_backend,
     sparse_coverage_delta,
     sparse_decrements,
 )
@@ -46,9 +45,7 @@ __all__ = [
     "greedi",
     "randgreedi",
     "partition_sets",
-    "BACKENDS",
     "as_flat",
-    "resolve_backend",
     "mark_and_decrement",
     "sparse_decrements",
     "sparse_coverage_delta",

@@ -24,7 +24,7 @@ from ..cluster.cluster import SimulatedCluster
 from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION
 from .greedy import BucketQueue, GreedyResult, _pad_with_unselected
-from .kernel import as_flat, candidate_degrees, mark_and_decrement, resolve_backend
+from .kernel import as_flat, candidate_degrees, mark_and_decrement
 from .problem import CoverageInstance
 
 __all__ = ["greedi", "randgreedi", "partition_sets"]
@@ -51,45 +51,27 @@ def partition_sets(
     return [ids[i::num_machines] for i in range(num_machines)]
 
 
-def _restricted_greedy(
-    instance,
-    candidates: Sequence[int],
-    k: int,
-    backend: str = "flat",
-) -> List[int]:
+def _restricted_greedy(store, candidates: Sequence[int], k: int) -> List[int]:
     """Lazy greedy allowed to pick only from ``candidates``.
 
     Shares the bucket-queue engine (and its lowest-id tie-breaking) with
     the centralized greedy so every comparison in the experiments isolates
     the *distribution strategy*, not incidental implementation choices.
-    With ``backend="flat"`` the caller passes a pre-converted
-    :class:`~repro.ris.flat.FlatRRCollection` and the decrement loop runs
-    through the vectorized kernel; results are identical either way.
+    ``store`` is a :class:`~repro.ris.flat.FlatRRCollection`; the
+    decrements run through the vectorized kernel.
     """
-    counts = np.zeros(instance.num_nodes, dtype=np.int64)
-    candidate_list = [int(c) for c in candidates]
-    if backend == "flat":
-        cand = np.asarray(candidate_list, dtype=np.int64)
-        if cand.size:
-            counts[cand] = candidate_degrees(instance, cand)
-    else:
-        for set_id in candidate_list:
-            counts[set_id] = len(instance.sets_containing(set_id))
-    queue = BucketQueue(counts, candidates=candidate_list)
-    covered = np.zeros(instance.num_sets, dtype=bool)
+    counts = np.zeros(store.num_nodes, dtype=np.int64)
+    cand = np.asarray(candidates, dtype=np.int64)
+    if cand.size:
+        counts[cand] = candidate_degrees(store, cand)
+    queue = BucketQueue(counts, candidates=cand)
+    covered = np.zeros(store.num_sets, dtype=bool)
     selected: List[int] = []
     while len(selected) < k:
         set_id = queue.pop_max()
         if set_id is None:
             break
-        if backend == "flat":
-            mark_and_decrement(instance, set_id, covered, counts)
-        else:
-            for element in instance.sets_containing(set_id):
-                if covered[element]:
-                    continue
-                covered[element] = True
-                counts[instance.get(element)] -= 1
+        mark_and_decrement(store, set_id, covered, counts)
         selected.append(set_id)
     return selected
 
@@ -101,7 +83,6 @@ def greedi(
     kappa: int | None = None,
     rng: np.random.Generator | None = None,
     label: str = "greedi",
-    backend: str = "flat",
 ) -> GreedyResult:
     """Run GREEDI on the cluster; returns the merged size-``k`` solution.
 
@@ -119,22 +100,18 @@ def greedi(
         Per-machine core-set size; the paper sets ``kappa = k``.
     rng:
         Optional generator for a random partition (RANDGREEDI).
-    backend:
-        ``"flat"`` (default) converts the instance to CSR arrays once and
-        runs every per-partition greedy through the vectorized kernel;
-        ``"reference"`` keeps the per-element loops.  Identical output.
+
+    The instance is converted to CSR arrays once; every per-partition
+    greedy runs through the vectorized kernel.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    resolve_backend(backend)
     kappa = k if kappa is None else kappa
     partitions = partition_sets(instance.num_nodes, cluster.num_machines, rng)
-    store = as_flat(instance) if backend == "flat" else instance
+    store = as_flat(instance)
 
     def local_stage(machine: Machine) -> List[int]:
-        return _restricted_greedy(
-            store, partitions[machine.machine_id], kappa, backend=backend
-        )
+        return _restricted_greedy(store, partitions[machine.machine_id], kappa)
 
     local_solutions = cluster.map(COMPUTATION, f"{label}/local", local_stage)
 
@@ -151,7 +128,7 @@ def greedi(
 
     def merge_stage() -> GreedyResult:
         union: List[int] = sorted({s for sol in local_solutions for s in sol})
-        seeds = _restricted_greedy(store, union, k, backend=backend)
+        seeds = _restricted_greedy(store, union, k)
         _pad_with_unselected(seeds, k, instance.num_nodes)
         return GreedyResult(
             seeds=seeds,
@@ -168,13 +145,10 @@ def randgreedi(
     k: int,
     rng: np.random.Generator,
     kappa: int | None = None,
-    backend: str = "flat",
 ) -> GreedyResult:
     """RANDGREEDI (Barbosa et al., ICML 2015): GREEDI over a random partition.
 
     Randomizing the partition lifts the expected approximation to
     ``(1 - 1/e) / 2``; the protocol and traffic are GREEDI's.
     """
-    return greedi(
-        cluster, instance, k, kappa=kappa, rng=rng, label="randgreedi", backend=backend
-    )
+    return greedi(cluster, instance, k, kappa=kappa, rng=rng, label="randgreedi")

@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .kernel import FlatArrays, as_flat, mark_and_decrement, resolve_backend
+from .kernel import FlatArrays, as_flat, mark_and_decrement
 
 __all__ = ["BucketQueue", "GreedyResult", "greedy_max_coverage", "naive_greedy_max_coverage"]
 
@@ -167,24 +167,18 @@ def _cannot_pass(accepts, coverage: int, picks_left: int, marginal, num_elements
 def greedy_max_coverage(
     stores: Sequence,
     k: int,
-    backend: str = "flat",
     initial_counts: np.ndarray | None = None,
     accepts: Callable[[int, int], bool] | None = None,
 ) -> GreedyResult:
     """Lazy bucket greedy over one or more element stores.
 
     ``stores`` is any sequence of objects implementing the store protocol
-    (:class:`~repro.coverage.problem.CoverageInstance`,
-    :class:`~repro.ris.collection.RRCollection` or
-    :class:`~repro.ris.flat.FlatRRCollection`); passing several emulates a
-    centralized machine that has gathered all machines' elements.
-
-    ``backend`` selects the inner-loop implementation: ``"flat"`` (the
-    default) converts each store to CSR arrays and runs the vectorized
-    kernel of :mod:`repro.coverage.kernel`; ``"reference"`` walks the
-    store protocol element by element and serves as the oracle the
-    differential tests compare against.  Both produce byte-for-byte the
-    same result.
+    (:class:`~repro.ris.flat.FlatRRCollection`, a
+    :class:`~repro.ris.flat.FlatPrefixView` or a
+    :class:`~repro.coverage.problem.CoverageInstance`, which is copied
+    into CSR arrays once); passing several emulates a centralized machine
+    that has gathered all machines' elements.  The inner loop is the
+    vectorized kernel of :mod:`repro.coverage.kernel`.
 
     ``initial_counts`` supplies pre-aggregated coverage counts (e.g. from
     an incrementally maintained
@@ -208,13 +202,11 @@ def greedy_max_coverage(
         raise ValueError(f"k must be >= 1, got {k}")
     if not stores:
         raise ValueError("need at least one element store")
-    resolve_backend(backend)
     num_universe_sets = stores[0].num_nodes
     for store in stores:
         if store.num_nodes != num_universe_sets:
             raise ValueError("all stores must share the same universe of sets")
-    if backend == "flat":
-        stores = [FlatArrays(as_flat(store)) for store in stores]
+    stores = [FlatArrays(as_flat(store)) for store in stores]
     if initial_counts is not None:
         if initial_counts.size != num_universe_sets:
             raise ValueError("initial_counts has the wrong length")
@@ -241,17 +233,8 @@ def greedy_max_coverage(
             doomed = True
             break
         gained = 0
-        for store_idx, store in enumerate(stores):
-            flags = covered[store_idx]
-            if backend == "flat":
-                gained += mark_and_decrement(store, seed, flags, counts)
-                continue
-            for element in store.sets_containing(seed):
-                if flags[element]:
-                    continue
-                flags[element] = True
-                gained += 1
-                counts[store.get(element)] -= 1
+        for store, flags in zip(stores, covered):
+            gained += mark_and_decrement(store, seed, flags, counts)
         seeds.append(seed)
         marginals.append(gained)
         coverage += gained

@@ -1,11 +1,10 @@
-"""Vectorized coverage kernel over CSR RR-set stores (the flat backend).
+"""Vectorized coverage kernel over CSR RR-set stores.
 
 The greedy hot path — marking the elements newly covered by a chosen seed
 and decrementing every member node's marginal — is what dominates seed
-selection in every figure of the paper.  The reference implementation
-walks Python lists per element; this kernel performs the same updates
-with NumPy fancy indexing over a :class:`~repro.ris.flat.FlatRRCollection`'s
-flat arrays:
+selection in every figure of the paper.  Instead of walking Python lists
+per element, this kernel performs the updates with NumPy fancy indexing
+over a :class:`~repro.ris.flat.FlatRRCollection`'s flat arrays:
 
 * ``sets_containing(u)`` is a CSR slice instead of a dict lookup;
 * the union of the newly covered sets' contents is one multi-row gather
@@ -18,11 +17,11 @@ flat arrays:
 A selection reads a store's arrays once per seed; :class:`FlatArrays`
 holds them so the reads are attribute loads.
 
-Both functions perform *exactly* the updates of the reference loops — the
-counts array evolves identically element-for-element, so the bucket-queue
-selection (largest marginal, lowest id on ties) is byte-for-byte
-unchanged.  ``tests/coverage/test_kernel_differential.py`` holds the two
-backends to that equivalence.
+Both functions perform *exactly* the updates of a per-element loop over a
+dict-indexed store — the counts array evolves identically
+element-for-element, so the bucket-queue selection (largest marginal,
+lowest id on ties) is byte-for-byte that loop's.  The tests hold the
+kernel to that equivalence against such a loop (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -34,20 +33,14 @@ import numpy as np
 from ..ris.flat import FlatPrefixView, FlatRRCollection, gather_rows
 
 __all__ = [
-    "BACKENDS",
     "FlatArrays",
     "as_flat",
-    "resolve_backend",
     "mark_and_decrement",
     "sparse_decrements",
     "sparse_coverage_delta",
     "apply_sparse_delta",
     "candidate_degrees",
 ]
-
-#: Supported coverage backends.
-BACKENDS = ("flat", "reference")
-
 
 def _require_int64_counts(counts: np.ndarray) -> None:
     """Reject narrow marginal-count buffers before they can wrap silently.
@@ -65,13 +58,6 @@ def _require_int64_counts(counts: np.ndarray) -> None:
             "counts must be an int64 array (narrower dtypes overflow "
             f"silently under large collections), got {counts.dtype}"
         )
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a ``backend=`` argument, returning it normalised."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
 
 
 def as_flat(store):
@@ -146,8 +132,8 @@ def mark_and_decrement(
     The vectorized form of the centralized greedy's inner loop:
     :func:`sparse_decrements` applied to ``counts`` on the spot.  Returns
     the number of newly covered elements (the seed's realised marginal).
-    ``covered`` and ``counts`` are updated in place, exactly as the
-    reference loop updates them.
+    ``covered`` and ``counts`` are updated in place, exactly as a
+    per-element loop would update them.
     """
     _require_int64_counts(counts)
     nodes, decrements, newly = sparse_decrements(store, seed, covered)
@@ -164,10 +150,9 @@ def sparse_decrements(
     """NEWGREEDI map stage: the sparse ``Delta_i`` response for one seed.
 
     Marks the machine's newly covered elements in place and returns
-    ``(nodes, decrements, newly_covered)`` — the exact multiset the
-    reference dict accumulates, as parallel ``int64`` arrays sorted by
-    node, ready to ship.  The response length (and hence the charged
-    tuple bytes) equals the reference ``len(Delta_i)``.
+    ``(nodes, decrements, newly_covered)`` — the multiset ``Delta_i`` of
+    Algorithm 1's map stage, as parallel ``int64`` arrays sorted by node,
+    ready to ship; its length is the number of distinct member nodes.
 
     The gathered members are counted with one histogram over the universe
     when they outnumber it twice over, and by sorting them and measuring

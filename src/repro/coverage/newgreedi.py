@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..cluster.machine import Machine
 from ..cluster.metrics import COMPUTATION
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import BucketQueue, GreedyResult, _cannot_pass, _pad_with_unselected
-from .kernel import FlatArrays, as_flat, resolve_backend, sparse_decrements
+from .kernel import FlatArrays, as_flat, sparse_decrements
 
 __all__ = ["NewGreeDiResult", "NewGreeDiRounds", "newgreedi", "gather_coverage_counts"]
 
@@ -53,35 +53,27 @@ class NewGreeDiResult(GreedyResult):
     covered_per_machine: List[int] | None = None
 
 
-def _stores_of(executor: Executor, stores: Sequence | None) -> List:
-    if stores is not None:
-        if len(stores) != executor.num_machines:
-            raise ValueError(
-                f"expected {executor.num_machines} stores, got {len(stores)}"
-            )
-        return list(stores)
-    resolved = []
-    for machine in executor.machines:
-        if machine.collection is None:
-            raise ValueError(f"machine {machine.machine_id} has no RR collection")
-        resolved.append(machine.collection)
-    return resolved
+def _stores_of(executor: Executor, stores: Sequence) -> List:
+    if len(stores) != executor.num_machines:
+        raise ValueError(f"expected {executor.num_machines} stores, got {len(stores)}")
+    return list(stores)
 
 
 def gather_coverage_counts(
     cluster,
-    stores: Sequence | None = None,
+    stores: Sequence,
     start_indices: Sequence[int] | None = None,
     label: str = "coverage-counts",
 ) -> np.ndarray:
     """Aggregate per-node coverage counts from all machines at the master.
 
     ``cluster`` may be a :class:`~repro.cluster.cluster.SimulatedCluster`
-    or any :class:`~repro.cluster.executor.Executor` over one.  Each
-    machine responds with a sparse vector of ``(node, count)`` tuples
-    over its elements with index ``>= start_indices[i]`` — DIIMM passes
-    the previous collection sizes here so only *newly generated* RR sets
-    are communicated (the incremental variant of Section III-C).
+    or any :class:`~repro.cluster.executor.Executor` over one; ``stores``
+    holds one element store per machine.  Each machine responds with a
+    sparse vector of ``(node, count)`` tuples over its elements with
+    index ``>= start_indices[i]`` — DIIMM passes the previous collection
+    sizes here so only *newly generated* RR sets are communicated (the
+    incremental variant of Section III-C).
     """
     executor = as_executor(cluster)
     stores = _stores_of(executor, stores)
@@ -108,25 +100,6 @@ def gather_coverage_counts(
     return executor.run_phase(MasterPhase(f"{label}/reduce", reduce_counts)).results
 
 
-def _reference_decrements(store, seed: int, covered: np.ndarray):
-    """:func:`~repro.coverage.kernel.sparse_decrements` over the store
-    protocol: the original dict-accumulating map stage."""
-    delta: Dict[int, int] = {}
-    newly = 0
-    for element in store.sets_containing(seed):
-        if covered[element]:
-            continue
-        covered[element] = True
-        newly += 1
-        for node in store.get(element).tolist():
-            delta[node] = delta.get(node, 0) + 1
-    # Shipped in sorted-node order, exactly what the flat kernel
-    # produces, so both backends are charged identical bytes.
-    nodes = np.fromiter(sorted(delta), dtype=np.int64, count=len(delta))
-    decrements = np.asarray([delta[node] for node in nodes.tolist()], dtype=np.int64)
-    return nodes, decrements, newly
-
-
 class NewGreeDiRounds:
     """Algorithm 1's per-seed round, factored out of the rule that picks the seed.
 
@@ -141,9 +114,9 @@ class NewGreeDiRounds:
     reads :attr:`counts` and calls :meth:`select` once per chosen node.
 
     Constructing it runs line 2 of Algorithm 1 — label every RR set
-    uncovered, per machine — as the ``{label}/reset`` phase.  With the flat
-    backend each machine also materialises its CSR view there (a no-op for
-    stores that are already flat) and reads its arrays into a
+    uncovered, per machine — as the ``{label}/reset`` phase.  Each machine
+    also materialises its CSR view there (a no-op for stores that are
+    already flat) and reads its arrays into a
     :class:`~repro.coverage.kernel.FlatArrays` for the rounds to come, so
     any conversion or index-build cost is metered as that machine's
     computation.  ``counts=None`` then gathers the
@@ -163,13 +136,11 @@ class NewGreeDiRounds:
         executor: Executor,
         stores: Sequence,
         label: str,
-        backend: str = "flat",
         counts: np.ndarray | None = None,
     ) -> None:
         self.executor = executor
         self.stores = _stores_of(executor, stores)
         self.label = label
-        self.backend = resolve_backend(backend)
         self.covered_per_machine = [0] * executor.num_machines
         self.marginals: List[int] = []
         self._covered: List[np.ndarray | None] = [None] * executor.num_machines
@@ -177,9 +148,8 @@ class NewGreeDiRounds:
         self._books: List[Tuple[List[float], List[int], float]] = []
 
         def reset_covered(machine: Machine) -> int:
-            store = self.stores[machine.machine_id]
-            if self.backend == "flat":
-                store = self.stores[machine.machine_id] = FlatArrays(as_flat(store))
+            mid = machine.machine_id
+            store = self.stores[mid] = FlatArrays(as_flat(self.stores[mid]))
             self._covered[machine.machine_id] = np.zeros(store.num_sets, dtype=bool)
             return store.num_sets
 
@@ -201,17 +171,15 @@ class NewGreeDiRounds:
         Every machine marks the RR sets ``seed`` newly covers and answers
         with its sparse ``(node, decrement)`` vector, timed on its own
         clock; each reply is priced at its compressed size
-        (:func:`repro.ris.wire.tuple_vector_nbytes` — identical bytes
-        whichever backend produced the vector) and the master subtracts
+        (:func:`repro.ris.wire.tuple_vector_nbytes`) and the master subtracts
         the replies from :attr:`counts`.  The round's phase records are
         written by :meth:`close`.
         """
-        decrements = sparse_decrements if self.backend == "flat" else _reference_decrements
         stores, covered, counts = self.stores, self._covered, self.counts
 
         def map_stage(machine: Machine):
             mid = machine.machine_id
-            return decrements(stores[mid], seed, covered[mid])
+            return sparse_decrements(stores[mid], seed, covered[mid])
 
         times: List[float] = []
         sizes: List[int] = []
@@ -263,10 +231,9 @@ class NewGreeDiRounds:
 def newgreedi(
     cluster,
     k: int,
-    stores: Sequence | None = None,
+    stores: Sequence,
     initial_counts: np.ndarray | None = None,
     label: str = "newgreedi",
-    backend: str = "flat",
     coverage_state=None,
     accepts: Callable[[int, int], bool] | None = None,
 ) -> NewGreeDiResult:
@@ -283,8 +250,9 @@ def newgreedi(
     k:
         Seed-set size.
     stores:
-        Per-machine element stores.  Defaults to each machine's RR
-        collection.
+        Per-machine element stores, one per machine; each machine's map
+        stage runs through the vectorized CSR kernel, converting a
+        non-flat store once inside the metered reset phase.
     initial_counts:
         Pre-aggregated coverage counts (DIIMM maintains them incrementally
         across its iterations); when omitted they are gathered here.  The
@@ -297,13 +265,6 @@ def newgreedi(
         ``initial_counts``.
     label:
         Prefix for the recorded phase labels.
-    backend:
-        ``"flat"`` (default) runs each machine's map stage through the
-        vectorized CSR kernel, converting non-flat stores once inside the
-        metered reset phase; ``"reference"`` walks the store protocol
-        with the original dict-accumulating loop.  Seeds, marginals,
-        ``covered_per_machine`` and all charged bytes are identical
-        between the two (regression-tested).
     accepts:
         ``accepts(coverage, num_elements)``, the caller's test on the
         finished selection, non-decreasing in ``coverage``.  When given,
@@ -346,7 +307,7 @@ def newgreedi(
     seeds: List[int] = []
     doomed = False
     master_select_time = 0.0
-    with NewGreeDiRounds(executor, stores, label, backend, counts) as rounds:
+    with NewGreeDiRounds(executor, stores, label, counts) as rounds:
         queue = BucketQueue(rounds.counts)
         while len(seeds) < k:
             start = time.perf_counter()

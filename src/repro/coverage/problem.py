@@ -14,9 +14,11 @@ elements: the set of node ``u`` is its neighborhood ``N_u``.
 * ``set -> covered elements`` (the inverted index ``I(v)``), which the
   greedy's newly-covered pass walks.
 
-:class:`~repro.ris.collection.RRCollection` exposes the same read
-interface (``num_sets``/``get``/``sets_containing``/``coverage_counts``),
-so every algorithm in this package accepts either store type.
+It exposes the RR-set store read interface of
+:class:`~repro.ris.flat.FlatRRCollection` (``num_nodes``/``num_sets``/
+``get``/``sets_containing``/``coverage_counts``), so every algorithm in
+this package accepts it; the engines copy it into CSR arrays once
+(:func:`~repro.coverage.kernel.as_flat`).
 """
 
 from __future__ import annotations
@@ -63,15 +65,15 @@ class CoverageInstance:
                 self._index.setdefault(int(sid), []).append(idx)
             self._total_size += int(arr.size)
 
-    # -- store protocol (mirrors RRCollection) --------------------------
+    # -- store protocol (mirrors FlatRRCollection) ----------------------
     @property
     def num_nodes(self) -> int:
-        """Number of sets; named ``num_nodes`` to match :class:`RRCollection`."""
+        """Number of sets; named ``num_nodes`` to match the RR-set stores."""
         return self._num_universe_sets
 
     @property
     def num_sets(self) -> int:
-        """Number of *elements* stored (RRCollection naming: its RR sets)."""
+        """Number of *elements* stored (RR-store naming: its RR sets)."""
         return len(self._elements)
 
     @property

@@ -377,7 +377,7 @@ class SketchRRCollection:
         self._total_size += int(nodes.size)
 
     def add(self, sample) -> None:
-        """Fold one :class:`~repro.ris.rrset.RRSample` in (reference protocol)."""
+        """Fold one :class:`~repro.ris.rrset.RRSample` in (store protocol)."""
         nodes = np.asarray(sample.nodes, dtype=np.int64)
         self.append_arrays(
             nodes,

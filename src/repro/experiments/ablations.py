@@ -31,7 +31,7 @@ from ..coverage.greedy import greedy_max_coverage, naive_greedy_max_coverage
 from ..coverage.problem import CoverageInstance
 from ..graphs.datasets import load_dataset
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
-from ..ris import make_sampler
+from ..ris import FlatRRCollection, make_sampler
 
 __all__ = [
     "lazy_vs_naive_greedy",
@@ -212,7 +212,7 @@ def heterogeneity(
     rows = []
     for strategy in ("even", "weighted"):
         cluster = SimulatedCluster(num_machines, seed=seed, slowdowns=slowdowns)
-        cluster.init_collections(ds.graph.num_nodes)
+        stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(num_machines)]
         shares = (
             cluster.split_count(num_rr_sets)
             if strategy == "even"
@@ -220,7 +220,7 @@ def heterogeneity(
         )
 
         def generate(machine):
-            machine.collection.extend(
+            stores[machine.machine_id].extend(
                 sampler.sample_many(shares[machine.machine_id], machine.rng)
             )
 
@@ -264,13 +264,12 @@ def workload_balance(
     rows = []
     for machines in machine_counts:
         cluster = SimulatedCluster(machines, seed=seed)
-        cluster.init_collections(ds.graph.num_nodes)
         shares = cluster.split_count(num_rr_sets)
+        sizes = []
         for machine in cluster.machines:
-            machine.collection.extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
-        sizes = [m.collection.total_size for m in cluster.machines]
+            store = FlatRRCollection(ds.graph.num_nodes)
+            store.extend(sampler.sample_many(shares[machine.machine_id], machine.rng))
+            sizes.append(store.total_size)
         balance = empirical_workload_balance(sizes)
         eps_mean = balance.mean / shares[0] if shares[0] else 1.0
         bound = workload_concentration(

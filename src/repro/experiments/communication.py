@@ -18,7 +18,7 @@ from ..cluster.cluster import SimulatedCluster
 from ..cluster.network import gigabit_cluster
 from ..coverage.newgreedi import newgreedi
 from ..graphs.datasets import load_dataset
-from ..ris import RRCollection, make_sampler
+from ..ris import FlatRRCollection, make_sampler
 
 __all__ = ["communication_scaling"]
 
@@ -39,7 +39,7 @@ def communication_scaling(
     rows = []
     for machines in machine_counts:
         cluster = SimulatedCluster(machines, network=gigabit_cluster(), seed=seed)
-        stores = [RRCollection(ds.graph.num_nodes) for __ in range(machines)]
+        stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(machines)]
         for idx, sample in enumerate(pool):
             stores[idx % machines].add(sample)
         result = newgreedi(cluster, k, stores=stores)

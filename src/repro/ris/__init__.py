@@ -1,6 +1,5 @@
-"""Reverse influence sampling: RR-set samplers, collections and statistics."""
+"""Reverse influence sampling: RR-set samplers, the RR-set store and statistics."""
 
-from .collection import RRCollection
 from .flat import FlatPrefixView, FlatRRCollection, append_batch, make_collection
 from .ic_sampler import ICReverseBFSSampler
 from .lt_sampler import LTReverseWalkSampler
@@ -27,7 +26,6 @@ from .serialization import (
     CheckpointFormatError,
     PayloadCorruptionError,
     load_collection,
-    load_flat_collection,
     pack_message,
     save_collection,
     unpack_message,
@@ -52,7 +50,6 @@ __all__ = [
     "ICReverseBFSSampler",
     "LTReverseWalkSampler",
     "SubsimSampler",
-    "RRCollection",
     "FlatRRCollection",
     "FlatPrefixView",
     "make_collection",
@@ -64,7 +61,6 @@ __all__ = [
     "make_sampler",
     "save_collection",
     "load_collection",
-    "load_flat_collection",
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
     "MESSAGE_MAGIC",

@@ -1,14 +1,16 @@
-"""CSR-layout RR-set store: the flat coverage backend's data structure.
+"""CSR-layout RR-set store: the exact per-machine store ``R_i``.
 
 :class:`FlatRRCollection` keeps every RR set of a machine in two flat
 arrays — one ``int32`` ``nodes`` array concatenating all set contents and
 one ``int64`` ``offsets`` array delimiting them — exactly the layout the
 CSR graph and the checkpoint format already use.  The inverted index
-``I_i(v)`` is itself stored in CSR form (``inv_sets`` / ``inv_offsets``),
-built in one shot by :func:`build_inverted_index` — one in-place sort of
-packed ``(node, set id)`` keys plus an ``np.bincount`` prefix sum —
-instead of the reference :class:`~repro.ris.collection.RRCollection`'s
-per-node Python lists.
+``I_i(v) = { j : v in R_{i,j} }`` — the lookup NEWGREEDI's map stage
+makes per chosen seed — is itself stored in CSR form (``inv_sets`` /
+``inv_offsets``), built in one shot by :func:`build_inverted_index`: one
+in-place sort of packed ``(node, set id)`` keys plus an ``np.bincount``
+prefix sum.  It is one of the two stores :func:`make_collection` builds;
+the other is the HyperLogLog register bank of
+:class:`~repro.coverage.sketch.SketchRRCollection`.
 
 The collection grows append-mostly: DIIMM grows ``R_i`` in waves, so
 appends are buffered and folded into the forward arrays on the next
@@ -19,8 +21,8 @@ selection rounds over ``T`` total incidences that is ``W`` sorts of at
 most ``T`` keys, once per round that grew and never per query: a
 :class:`FlatPrefixView` cuts the rows of its store's index instead of
 building its own.  Every read between waves hits pure NumPy arrays,
-which is what lets :mod:`repro.coverage.kernel` replace the per-element
-Python loops of the greedy hot path with fancy indexing.
+which is what lets :mod:`repro.coverage.kernel` run the greedy hot path
+as fancy indexing instead of per-element Python loops.
 
 Since the dynamic-graph work the store also *repairs* in place: when a
 :class:`~repro.graphs.digraph.GraphDelta` lands, :meth:`affected_sets`
@@ -35,11 +37,11 @@ ones — set ids stay stable — and :meth:`invalidate` tombstones sets
 Ordering invariants (relied on by the exactness tests):
 
 * ``get(j)`` returns the ``j``-th RR set's nodes in their stored
-  (sorted) order, identical to the reference store;
-* ``sets_containing(v)`` returns element indices in ascending order,
-  matching the insertion-ordered lists of the reference inverted index —
-  the set id is the low half of the sort key.  Prefix views rely on it:
-  the sets below a limit are a leading slice of every row.
+  (sorted) order;
+* ``sets_containing(v)`` returns element indices in ascending order —
+  insertion order, since the set id is the low half of the sort key.
+  Prefix views rely on it: the sets below a limit are a leading slice of
+  every row.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from typing import Iterable, Iterator, List
 
 import numpy as np
 
-from .collection import RRCollection
 from .rrset import FlatBatch, RRSample
 
 __all__ = [
@@ -126,12 +127,12 @@ def build_inverted_index(
 class FlatRRCollection:
     """An RR-set store over flat CSR arrays: append-mostly, repairable.
 
-    Implements the same read protocol as :class:`RRCollection`
-    (``num_nodes`` / ``num_sets`` / ``total_size`` / ``get`` /
-    ``sets_containing`` / ``coverage_counts`` / ``coverage_of``), so every
-    coverage algorithm accepts either store; the flat kernel additionally
-    reads the raw arrays via :attr:`nodes`, :attr:`offsets`,
-    :attr:`inv_sets` and :attr:`inv_offsets`.
+    Implements the store read protocol (``num_nodes`` / ``num_sets`` /
+    ``total_size`` / ``get`` / ``sets_containing`` / ``coverage_counts`` /
+    ``coverage_of``) that :class:`FlatPrefixView` and
+    :class:`~repro.coverage.problem.CoverageInstance` share; the flat
+    kernel additionally reads the raw arrays via :attr:`nodes`,
+    :attr:`offsets`, :attr:`inv_sets` and :attr:`inv_offsets`.
 
     Mutation is appends (:meth:`add` / :meth:`append_arrays`) plus the
     dynamic-graph repair surface: :meth:`replace_sets` rewrites chosen
@@ -185,9 +186,8 @@ class FlatRRCollection:
         """Per-set edge counts for ``count`` sets.
 
         Accepts a per-set array (exact attribution) or an aggregate int,
-        which is spread evenly — the same policy
-        :meth:`to_collection` and the checkpoint loader already apply
-        when only the aggregate survived.
+        which is spread evenly — the policy the checkpoint loader relies
+        on when only the aggregate survived.
         """
         if np.ndim(edges_examined) > 0:
             per_set = np.asarray(edges_examined, dtype=np.int64)
@@ -454,7 +454,7 @@ class FlatRRCollection:
         return self._inv_offsets
 
     # ------------------------------------------------------------------
-    # Store protocol (mirrors RRCollection)
+    # Store protocol
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -490,7 +490,7 @@ class FlatRRCollection:
 
         Exact where the sets arrived with per-set counts (sampler
         batches); evenly attributed where only a wave aggregate survived
-        (checkpoint round-trips), mirroring :meth:`to_collection`.
+        (checkpoint round-trips).
         """
         self._materialize()
         if not 0 <= limit <= self._num_sets:
@@ -540,7 +540,7 @@ class FlatRRCollection:
     def from_store(cls, store) -> "FlatRRCollection":
         """Build from any object exposing the store read protocol.
 
-        Accepts :class:`RRCollection`, :class:`CoverageInstance
+        Accepts a :class:`CoverageInstance
         <repro.coverage.problem.CoverageInstance>` or another flat
         collection (copied).
         """
@@ -554,31 +554,6 @@ class FlatRRCollection:
             cls._per_set_edges(flat._total_edges_examined, store.num_sets)
         )
         return flat
-
-    # Alias matching the reference store's name in the issue/docs.
-    from_collection = from_store
-
-    def to_collection(self) -> RRCollection:
-        """Rebuild a reference :class:`RRCollection` with identical sets.
-
-        Edges are attributed per set from the stored cumulative counts
-        (exact for sampler-appended sets, evenly spread where only a wave
-        aggregate survived); each sample reports its smallest node as
-        root, since roots are not stored.
-        """
-        self._materialize()
-        collection = RRCollection(self._num_nodes)
-        per_set_edges = np.diff(self._edges_cumsum)
-        for idx in range(self._num_sets):
-            nodes = self._nodes[self._offsets[idx] : self._offsets[idx + 1]].copy()
-            collection.add(
-                RRSample(
-                    nodes=nodes,
-                    root=int(nodes[0]) if nodes.size else 0,
-                    edges_examined=int(per_set_edges[idx]),
-                )
-            )
-        return collection
 
     def __repr__(self) -> str:
         return (
@@ -722,17 +697,16 @@ def make_collection(
     machine_id: int = 0,
     sketch_precision: int = 10,
 ):
-    """Factory for a per-machine RR store of the requested backend.
+    """Factory for a per-machine RR store: ``"flat"`` or ``"sketch"``.
 
-    ``machine_id`` and ``sketch_precision`` only matter to the
-    ``"sketch"`` backend: the id offsets the global set-id hash space so
-    collections on different machines never collide, and the precision
-    sets the per-node register count ``m = 2**sketch_precision``.
+    ``"flat"`` is the exact :class:`FlatRRCollection`; ``"sketch"`` the
+    HyperLogLog register bank.  ``machine_id`` and ``sketch_precision``
+    only matter to the sketch: the id offsets the global set-id hash
+    space so collections on different machines never collide, and the
+    precision sets the per-node register count ``m = 2**sketch_precision``.
     """
     if backend == "flat":
         return FlatRRCollection(num_nodes)
-    if backend == "reference":
-        return RRCollection(num_nodes)
     if backend == "sketch":
         # Imported lazily: repro.coverage imports repro.ris at package
         # init, so a module-level import here would be circular.
@@ -747,18 +721,10 @@ def make_collection(
 def append_batch(collection, batch: FlatBatch) -> None:
     """Append a sampler's :class:`~repro.ris.rrset.FlatBatch` to a store.
 
-    Stores exposing ``append_arrays`` (:class:`FlatRRCollection`, the
-    sketch register bank) take the CSR arrays as-is — no per-set Python
-    objects are ever created; the reference :class:`RRCollection` (or any
-    other store exposing ``extend``) receives re-wrapped
-    :class:`~repro.ris.rrset.RRSample` views, preserving per-set roots
-    and edge counts.
+    Both stores (:class:`FlatRRCollection`, the sketch register bank)
+    take the CSR arrays as-is through ``append_arrays`` — no per-set
+    Python objects are ever created — with per-set edge counts.
     """
-    if hasattr(collection, "append_arrays"):
-        collection.append_arrays(
-            batch.nodes,
-            batch.offsets,
-            edges_examined=batch.edges_examined,
-        )
-    else:
-        collection.extend(batch.to_samples())
+    collection.append_arrays(
+        batch.nodes, batch.offsets, edges_examined=batch.edges_examined
+    )

@@ -11,7 +11,7 @@ EPT drives the paper's generation-time analysis (Section III-D).
 Samplers expose three drawing interfaces:
 
 * :meth:`RRSampler.sample` — one :class:`RRSample` object per call, the
-  reference representation;
+  per-set representation;
 * :meth:`RRSampler.sample_batch` — many RR sets per call from one
   sequential stream, returned as one :class:`FlatBatch` of CSR arrays
   ready for :meth:`~repro.ris.flat.FlatRRCollection.append_arrays`.  The
@@ -176,17 +176,6 @@ class FlatBatch(NamedTuple):
     @property
     def count(self) -> int:
         return int(self.offsets.size - 1)
-
-    def to_samples(self) -> list["RRSample"]:
-        """Re-wrap the batch as reference samples (views into the arrays)."""
-        return [
-            RRSample(
-                nodes=self.nodes[self.offsets[idx] : self.offsets[idx + 1]],
-                root=int(self.roots[idx]),
-                edges_examined=int(self.edges_examined[idx]),
-            )
-            for idx in range(self.count)
-        ]
 
 
 def pack_samples(samples: Sequence["RRSample"]) -> FlatBatch:

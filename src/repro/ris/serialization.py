@@ -5,9 +5,8 @@ checkpointing a machine's collection lets a run resume (or lets seed
 selection be replayed with different ``k``) without regenerating.  The
 format packs all RR sets into two flat arrays (values + offsets) — the
 very layout :class:`~repro.ris.flat.FlatRRCollection` keeps in memory, so
-saving or loading a flat collection is a handful of numpy calls with no
-per-set loop at all; the reference :class:`RRCollection` takes the same
-format through one concatenate/slice pass.
+saving or loading a collection is a handful of numpy calls with no
+per-set loop at all.
 
 Every checkpoint carries a magic marker plus a format version
 (:data:`FORMAT_MAGIC` / :data:`FORMAT_VERSION`).  Loading verifies both
@@ -44,9 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from .collection import RRCollection
 from .flat import FlatRRCollection
-from .rrset import RRSample
 
 __all__ = [
     "FORMAT_MAGIC",
@@ -64,7 +61,6 @@ __all__ = [
     "read_frame",
     "save_collection",
     "load_collection",
-    "load_flat_collection",
 ]
 
 #: Identifies a file as an RR-collection checkpoint.
@@ -235,32 +231,18 @@ def read_frame(
     return unpack_message(header + body)
 
 
-def save_collection(
-    collection: RRCollection | FlatRRCollection, path: str | os.PathLike
-) -> None:
+def save_collection(collection: FlatRRCollection, path: str | os.PathLike) -> None:
     """Write a collection (and its accounting) to a compressed file.
 
-    Accepts either store flavour; a flat collection's CSR arrays are
-    written as-is.
+    The CSR arrays are written as-is.
     """
-    if isinstance(collection, FlatRRCollection):
-        values = collection.nodes.astype(np.int32, copy=False)
-        offsets = collection.offsets.astype(np.int64, copy=False)
-    else:
-        sizes = np.asarray([nodes.size for nodes in collection], dtype=np.int64)
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        if collection.num_sets:
-            values = np.concatenate(list(collection)).astype(np.int32)
-        else:
-            values = np.zeros(0, dtype=np.int32)
     np.savez_compressed(
         path,
         magic=np.asarray(FORMAT_MAGIC),
         version=np.int64(FORMAT_VERSION),
         num_nodes=np.int64(collection.num_nodes),
-        offsets=offsets,
-        values=values,
+        offsets=collection.offsets.astype(np.int64, copy=False),
+        values=collection.nodes.astype(np.int32, copy=False),
         total_edges_examined=np.int64(collection.total_edges_examined),
     )
 
@@ -294,38 +276,14 @@ def _read_arrays(path: str | os.PathLike):
         )
 
 
-def load_collection(path: str | os.PathLike) -> RRCollection:
-    """Load a reference collection written by :func:`save_collection`.
+def load_collection(path: str | os.PathLike) -> FlatRRCollection:
+    """Load a collection written by :func:`save_collection`.
 
-    The per-sample ``edges_examined`` breakdown and the root identities
-    are not stored: coverage-based seed selection only consumes RR-set
-    *membership*, so loaded samples carry an even edge attribution (the
-    aggregate statistics are preserved) and report their smallest node as
-    the root.
-    """
-    num_nodes, offsets, values, total_edges = _read_arrays(path)
-    collection = RRCollection(num_nodes)
-    count = offsets.size - 1
-    base, extra = divmod(total_edges, count) if count else (0, 0)
-    for idx in range(count):
-        nodes = values[offsets[idx] : offsets[idx + 1]]
-        edges = base + (1 if idx < extra else 0)
-        collection.add(
-            RRSample(
-                nodes=nodes.copy(),
-                root=int(nodes[0]) if nodes.size else 0,
-                edges_examined=edges,
-            )
-        )
-    return collection
-
-
-def load_flat_collection(path: str | os.PathLike) -> FlatRRCollection:
-    """Load a checkpoint straight into a :class:`FlatRRCollection`.
-
-    The on-disk values/offsets pair *is* the flat store's CSR layout, so
-    this path performs no per-set work; only the inverted index is
-    rebuilt on first read.
+    The on-disk values/offsets pair *is* the store's CSR layout, so this
+    performs no per-set work; only the inverted index is rebuilt on first
+    read.  The per-set ``edges_examined`` breakdown is not stored:
+    coverage-based seed selection only consumes RR-set *membership*, so
+    the aggregate is spread evenly over the loaded sets.
     """
     num_nodes, offsets, values, total_edges = _read_arrays(path)
     collection = FlatRRCollection(num_nodes)

@@ -90,24 +90,14 @@ class RRSetStatistics:
 
     @classmethod
     def from_collection(cls, collection) -> "RRSetStatistics":
-        """Summarise a stored collection (either backend).
-
-        A :class:`~repro.ris.flat.FlatRRCollection` is summarised from
-        its offsets array without touching individual sets; the reference
-        store is walked once.  Stores keep only the aggregate
+        """Summarise a :class:`~repro.ris.flat.FlatRRCollection` (or a
+        prefix view of one) from its offsets array, without touching
+        individual sets.  Stores keep only the aggregate
         ``total_edges_examined``, so EPT is the stored mean.
         """
         if collection.num_sets == 0:
             raise ValueError("need at least one stored RR set")
-        offsets = getattr(collection, "offsets", None)
-        if offsets is not None:
-            sizes = np.diff(offsets)
-        else:
-            sizes = np.fromiter(
-                (nodes.size for nodes in collection),
-                dtype=np.int64,
-                count=collection.num_sets,
-            )
+        sizes = np.diff(collection.offsets)
         return cls(
             num_sets=collection.num_sets,
             total_size=int(sizes.sum()),

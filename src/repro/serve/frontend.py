@@ -20,6 +20,9 @@ queries never stall the event loop; queries hitting the *same* pool
 serialize on the pool lock while queries against different pools (and
 cache hits) proceed concurrently.  Malformed requests get an
 ``{"ok": false, "error": ...}`` reply instead of killing the connection.
+A request line longer than :data:`MAX_LINE_BYTES` gets such a reply too,
+naming the bound, and then the connection is closed: the line is
+discarded as it arrives, never buffered whole.
 
 :func:`request` is the matching synchronous one-shot client used by the
 CLI, the tests, and the serving benchmark.
@@ -37,7 +40,12 @@ from ..core.result import IMResult
 from ..graphs.digraph import GraphDelta
 from .service import InfluenceService, Query
 
-__all__ = ["ServingFrontend", "request", "result_payload"]
+__all__ = ["MAX_LINE_BYTES", "ServingFrontend", "request", "result_payload"]
+
+#: Longest request line a connection may send.  Read at
+#: :meth:`ServingFrontend.start` as the streams' buffer limit; a graph
+#: update of ~5 * 10^5 edges fits.
+MAX_LINE_BYTES = 16 << 20
 
 
 def result_payload(result) -> Dict:
@@ -87,7 +95,7 @@ class ServingFrontend:
         """Bind and start accepting connections (``port=0`` picks a free
         port, readable from :attr:`port` afterwards)."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -108,7 +116,20 @@ class ServingFrontend:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # the last line may lack its newline
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    error = (
+                        f"request line exceeds the {MAX_LINE_BYTES}-byte limit; "
+                        "closing the connection"
+                    )
+                    reply = {"ok": False, "error": error}
+                    writer.write(json.dumps(reply).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 reply = await self._dispatch(line)
@@ -151,6 +172,22 @@ class ServingFrontend:
             raise ValueError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 — every error becomes a reply
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an overlong line, at most a buffer's worth at a time.
+
+    Consuming it through its newline leaves nothing unread, so closing the
+    connection after the error reply does not reset it under the reply.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 def request(port: int, payload: Dict, host: str = "127.0.0.1", timeout: float = 600.0) -> Dict:

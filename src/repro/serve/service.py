@@ -2,13 +2,14 @@
 
 An :class:`InfluenceService` owns one :class:`~repro.core.pool.SamplePool`
 per distinct sample family it has needed so far — the distributed
-cluster-wide pool serving DIIMM / D-SUBSIM and the fixed-budget
-applications, the one-machine pool serving the IMM baseline (the
+cluster-wide pool serving DIIMM, D-SSA, D-SUBSIM, D-OPIM-C and the
+fixed-budget applications, the one-machine pool serving the IMM baseline (the
 ``l = 1`` run), and one targeted pool per distinct target set — and
 routes each query to the right pool:
 
-* **IMM-family queries** (``imm``, ``diimm``, ``dsubsim``) run the normal
-  :class:`~repro.core.driver.RoundDriver` schedule against prefix views
+* **Algorithm queries** (``imm``, ``diimm``, ``dssa``, ``dsubsim``,
+  ``dopimc``) run the normal :class:`~repro.core.driver.RoundDriver`
+  stopping rule against prefix views
   of the pool's collections, topping the pool up only when the query's
   accuracy parameters push theta past what previous queries generated.
 * **Application queries** (``budgeted``, ``profit``, ``targeted``) are
@@ -56,7 +57,8 @@ from ..applications.targeted import TargetedSampler, targeted_influence_maximiza
 from ..cluster.network import NetworkModel
 from ..cluster.spec import as_spec
 from ..core.config import RunConfig
-from ..core.diimm import POOLABLE, REGISTRY, run
+from ..api import ALGORITHMS
+from ..core.diimm import REGISTRY, run
 from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris import make_sampler
@@ -65,9 +67,9 @@ __all__ = ["QUERY_KINDS", "InfluenceService", "Query", "default_costs"]
 
 _APP_KINDS = ("budgeted", "profit", "targeted")
 
-#: Query kinds the service answers: ``imm``, ``diimm``, ``dsubsim`` (the
-#: algorithms a warm pool can serve) and the fixed-budget applications.
-QUERY_KINDS: Tuple[str, ...] = POOLABLE + _APP_KINDS
+#: Query kinds the service answers: every algorithm
+#: (:data:`repro.api.ALGORITHMS`) and the fixed-budget applications.
+QUERY_KINDS: Tuple[str, ...] = ALGORITHMS + _APP_KINDS
 
 
 def default_costs(graph: DirectedGraph) -> np.ndarray:
@@ -275,7 +277,7 @@ class InfluenceService:
         """
         pool = (
             self._im_pool(query.kind)
-            if query.kind in POOLABLE
+            if query.kind in REGISTRY
             else self._app_pool(query)
         )
         # The signature covers collection sizes and the pool's update
@@ -287,7 +289,7 @@ class InfluenceService:
                 self._cache.move_to_end(cache_key)
                 self.stats.record(query.kind, hit=True)
                 return cached[1]
-        if query.kind in POOLABLE:
+        if query.kind in REGISTRY:
             result = self._run_im(query, pool)
         else:
             result = self._run_app(query, pool)

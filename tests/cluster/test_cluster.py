@@ -22,12 +22,6 @@ class TestMachine:
         assert result == 41
         assert elapsed == 1.0
 
-    def test_init_collection(self):
-        machine = Machine(2, np.random.default_rng(0))
-        coll = machine.init_collection(10)
-        assert machine.collection is coll
-        assert coll.num_nodes == 10
-
     def test_repr(self):
         machine = Machine(1, np.random.default_rng(0))
         assert "id=1" in repr(machine)
@@ -66,11 +60,6 @@ class TestClusterBasics:
     def test_split_count_fewer_items_than_machines(self):
         cluster = SimulatedCluster(4, seed=0)
         assert cluster.split_count(2) == [1, 1, 0, 0]
-
-    def test_init_collections(self):
-        cluster = SimulatedCluster(2, seed=0)
-        cluster.init_collections(7)
-        assert all(m.collection.num_nodes == 7 for m in cluster.machines)
 
 
 class TestMeteredExecution:

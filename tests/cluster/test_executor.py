@@ -25,14 +25,21 @@ from repro.cluster import (
     make_executor,
 )
 from repro.core import diimm
+from repro.ris import FlatRRCollection
+from tests.oracle import STORES
 
 EXECUTOR_NAMES = ("simulated", "multiprocessing", "socket")
 
 
-def build_executor(name, graph, num_machines=3, seed=5, backend="flat", **kwargs):
+def build_executor(name, graph, num_machines=3, seed=5, **kwargs):
     cluster = SimulatedCluster(num_machines, seed=seed)
-    cluster.init_collections(graph.num_nodes, backend=backend)
     return make_executor(name, cluster, graph=graph, **kwargs)
+
+
+def generate(graph, label, counts, backend="flat", **options):
+    """A generation plan growing fresh stores, one per entry of ``counts``."""
+    targets = tuple(STORES[backend](graph.num_nodes) for __ in counts)
+    return GeneratePhase(label, counts=counts, targets=targets, **options)
 
 
 @pytest.fixture(params=EXECUTOR_NAMES)
@@ -44,9 +51,10 @@ class TestExecutorConformance:
     def test_generate_respects_counts(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
         counts = (10, 0, 25)
-        result = executor.run_phase(GeneratePhase("t/gen", counts=counts))
+        plan = generate(small_wc_graph, "t/gen", counts)
+        result = executor.run_phase(plan)
         assert result.results == list(counts)
-        assert [m.collection.num_sets for m in executor.machines] == list(counts)
+        assert [store.num_sets for store in plan.targets] == list(counts)
 
     @pytest.mark.parametrize("backend", ["flat", "reference"])
     @pytest.mark.parametrize(
@@ -63,18 +71,14 @@ class TestExecutorConformance:
         """Same seed => same collections and same machine RNG end states."""
         snapshots = {}
         for name in EXECUTOR_NAMES:
-            executor = build_executor(name, small_wc_graph, backend=backend)
-            executor.run_phase(
-                GeneratePhase(
-                    "t/gen", counts=(20, 13, 7), model=model, method=method
-                )
+            executor = build_executor(name, small_wc_graph)
+            plan = generate(
+                small_wc_graph, "t/gen", (20, 13, 7), backend, model=model, method=method
             )
+            executor.run_phase(plan)
             snapshots[name] = (
-                [
-                    [m.collection.get(j).tolist() for j in range(m.collection.num_sets)]
-                    for m in executor.machines
-                ],
-                [m.collection.total_edges_examined for m in executor.machines],
+                [[s.get(j).tolist() for j in range(s.num_sets)] for s in plan.targets],
+                [store.total_edges_examined for store in plan.targets],
                 [m.rng.bit_generator.state for m in executor.machines],
             )
         sim, mp_ = snapshots["simulated"], snapshots["multiprocessing"]
@@ -84,7 +88,7 @@ class TestExecutorConformance:
 
     def test_generation_phase_recorded(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
-        executor.run_phase(GeneratePhase("t/gen", counts=(5, 5, 5)))
+        executor.run_phase(generate(small_wc_graph, "t/gen", (5, 5, 5)))
         phases = executor.metrics.phases_in(GENERATION)
         assert [p.label for p in phases] == ["t/gen"]
         assert len(phases[0].machine_times) == 3
@@ -93,28 +97,27 @@ class TestExecutorConformance:
 
     def test_slowdown_scales_generation_times(self, executor_name, small_wc_graph):
         cluster = SimulatedCluster(2, seed=5, slowdowns=[1.0, 100.0])
-        cluster.init_collections(small_wc_graph.num_nodes)
         executor = make_executor(executor_name, cluster, graph=small_wc_graph)
-        result = executor.run_phase(GeneratePhase("t/gen", counts=(200, 200)))
+        result = executor.run_phase(generate(small_wc_graph, "t/gen", (200, 200)))
         # Machine 1 draws the same work but is metered 100x slower.
         assert result.machine_times[1] > result.machine_times[0]
 
     def test_generate_into_state_targets(self, executor_name, small_wc_graph):
-        from repro.ris import make_collection
-
+        """A phase appends to the stores it is handed, after what they hold."""
         executor = build_executor(executor_name, small_wc_graph)
-        targets = tuple(
-            make_collection(small_wc_graph.num_nodes, "flat") for __ in executor.machines
-        )
-        executor.run_phase(GeneratePhase("t/gen", counts=(4, 4, 4), targets=targets))
-        assert [t.num_sets for t in targets] == [4, 4, 4]
-        # default collections untouched
-        assert [m.collection.num_sets for m in executor.machines] == [0, 0, 0]
+        first = generate(small_wc_graph, "t/gen", (4, 4, 4))
+        executor.run_phase(first)
+        executor.run_phase(GeneratePhase("t/more", counts=(1, 2, 3), targets=first.targets))
+        assert [t.num_sets for t in first.targets] == [5, 6, 7]
+        fresh = generate(small_wc_graph, "t/all", (5, 6, 7))
+        executor.run_phase(fresh)
+        for grown, whole in zip(first.targets, fresh.targets):
+            assert grown.nodes.tolist() == whole.nodes.tolist()
 
     def test_counts_length_validated(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
         with pytest.raises(ValueError, match="generation counts"):
-            executor.run_phase(GeneratePhase("t/gen", counts=(1, 2)))
+            executor.run_phase(generate(small_wc_graph, "t/gen", (1, 2)))
 
     def test_targets_length_validated(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
@@ -123,19 +126,21 @@ class TestExecutorConformance:
                 GeneratePhase(
                     "t/gen",
                     counts=(1, 1, 1),
-                    targets=(executor.machines[0].collection,),
+                    targets=(FlatRRCollection(small_wc_graph.num_nodes),),
                 )
             )
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            GeneratePhase("t/gen", counts=(3, -1, 2))
+            GeneratePhase("t/gen", counts=(3, -1, 2), targets=())
 
     def test_generation_failure_names_the_machine(self, executor_name, small_wc_graph):
         executor = build_executor(executor_name, small_wc_graph)
         # Machine 1's first index overflows the int64 id array: its draws raise.
         with pytest.raises(MachineFailure) as info:
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2), starts=(0, 2**63, 0)))
+            executor.run_phase(
+                generate(small_wc_graph, "t/gen", (2, 2, 2), starts=(0, 2**63, 0))
+            )
         assert info.value.machine_id == 1
         assert info.value.__cause__ is not None
 
@@ -178,10 +183,9 @@ class TestExecutorConformance:
             executor.run_phase(object())
 
     def test_generate_without_collections(self, executor_name, small_wc_graph):
-        cluster = SimulatedCluster(2, seed=0)
-        executor = make_executor(executor_name, cluster, graph=small_wc_graph)
-        with pytest.raises(ValueError, match="no collection"):
-            executor.run_phase(GeneratePhase("t/gen", counts=(1, 1)))
+        """Machines hold no stores: a plan names the ones it grows."""
+        with pytest.raises(TypeError, match="targets"):
+            GeneratePhase("t/gen", counts=(1, 1))
 
 
 class TestFactories:
@@ -205,10 +209,9 @@ class TestFactories:
 
     def test_simulated_without_graph_rejects_generation(self, small_wc_graph):
         cluster = SimulatedCluster(2, seed=0)
-        cluster.init_collections(small_wc_graph.num_nodes)
         executor = SimulatedExecutor(cluster)
         with pytest.raises(ValueError, match="needs a graph"):
-            executor.run_phase(GeneratePhase("t/gen", counts=(1, 1)))
+            executor.run_phase(generate(small_wc_graph, "t/gen", (1, 1)))
 
     def test_as_executor_wraps_cluster(self):
         cluster = SimulatedCluster(2, seed=0)

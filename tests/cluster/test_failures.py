@@ -39,8 +39,7 @@ class TestMachineFailure:
         """A store that errors during the map stage surfaces as a
         MachineFailure naming the guilty machine, not an anonymous
         traceback."""
-        from repro.coverage import newgreedi
-        from repro.ris import RRCollection
+        from tests.oracle import RRCollection, reference_newgreedi
 
         class PoisonedStore(RRCollection):
             def coverage_counts(self, start: int = 0):
@@ -50,18 +49,18 @@ class TestMachineFailure:
         healthy = RRCollection(small_wc_graph.num_nodes)
         poisoned = PoisonedStore(small_wc_graph.num_nodes)
         with pytest.raises(MachineFailure) as info:
-            newgreedi(cluster, 2, stores=[healthy, poisoned], backend="reference")
+            reference_newgreedi(cluster, 2, [healthy, poisoned])
         assert info.value.machine_id == 1
         assert isinstance(info.value.__cause__, OSError)
 
     def test_flat_conversion_failure_attributes_machine(self, small_wc_graph):
-        """With the flat backend the CSR conversion runs inside the metered
+        """The CSR conversion of a non-flat store runs inside the metered
         reset phase, so a store erroring there is attributed too."""
         import numpy as np
 
         from repro.coverage import newgreedi
-        from repro.ris import RRCollection
         from repro.ris.rrset import RRSample
+        from tests.oracle import RRCollection
 
         class PoisonedStore(RRCollection):
             def get(self, idx: int):
@@ -76,6 +75,6 @@ class TestMachineFailure:
         poisoned = PoisonedStore(small_wc_graph.num_nodes)
         poisoned.add(sample)
         with pytest.raises(MachineFailure) as info:
-            newgreedi(cluster, 2, stores=[healthy, poisoned], backend="flat")
+            newgreedi(cluster, 2, stores=[healthy, poisoned])
         assert info.value.machine_id == 1
         assert isinstance(info.value.__cause__, OSError)

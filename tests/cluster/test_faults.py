@@ -345,12 +345,14 @@ class TestGenerateLevelInvariance:
 
         def generate(faults):
             cluster = SimulatedCluster(3, seed=5)
-            cluster.init_collections(small_wc_graph.num_nodes)
+            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in range(3)]
             executor = SimulatedExecutor(cluster, graph=small_wc_graph, faults=faults, retry=RETRY)
             executor.run_phase(
-                GeneratePhase("gen", counts=(14, 9, 21), key="k", seed=123, starts=(0, 14, 23))
+                GeneratePhase(
+                    "gen", (14, 9, 21), stores, key="k", seed=123, starts=(0, 14, 23)
+                )
             )
-            return [m.collection for m in cluster.machines], cluster.metrics
+            return stores, cluster.metrics
 
         reference, _ = generate(None)
         faulty, metrics = generate(FaultPlan.parse(fault))

@@ -12,6 +12,7 @@ from repro.cluster import (
     SimulatedCluster,
     make_executor,
 )
+from repro.ris import FlatRRCollection
 
 
 class TestSlowdown:
@@ -76,14 +77,14 @@ class TestWeightedSplit:
         times = {}
         for strategy in ("even", "weighted"):
             cluster = SimulatedCluster(4, seed=1, slowdowns=[1, 1, 4, 4])
-            cluster.init_collections(small_wc_graph.num_nodes)
             executor = make_executor("simulated", cluster, graph=small_wc_graph)
             shares = (
                 cluster.split_count(2000)
                 if strategy == "even"
                 else cluster.split_count_weighted(2000)
             )
-            executor.run_phase(GeneratePhase(strategy, counts=tuple(shares)))
+            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in shares]
+            executor.run_phase(GeneratePhase(strategy, counts=tuple(shares), targets=stores))
             times[strategy] = cluster.metrics.generation_time
         assert times["weighted"] < times["even"]
 
@@ -94,12 +95,12 @@ class TestWeightedSplit:
         """Both executors honour the weighted split and the slowdown
         metering on a heterogeneous cluster."""
         cluster = SimulatedCluster(3, seed=4, slowdowns=[1.0, 1.0, 50.0])
-        cluster.init_collections(small_wc_graph.num_nodes)
         executor = make_executor(executor_name, cluster, graph=small_wc_graph)
         shares = cluster.split_count_weighted(505)
         assert shares[2] < shares[0]
-        result = executor.run_phase(GeneratePhase("hetero", counts=tuple(shares)))
-        assert [m.collection.num_sets for m in cluster.machines] == shares
+        stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in shares]
+        result = executor.run_phase(GeneratePhase("hetero", counts=tuple(shares), targets=stores))
+        assert [store.num_sets for store in stores] == shares
         record = cluster.metrics.phases_in(GENERATION)[-1]
         assert record.machine_times == result.machine_times
         # Machine 2 draws ~1/50 of the work but is metered 50x slower, so

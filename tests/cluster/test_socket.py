@@ -17,7 +17,6 @@ import pytest
 
 from repro.cluster import (
     FaultPlan,
-    GeneratePhase,
     RetryPolicy,
     SimulatedCluster,
     SocketExecutor,
@@ -27,7 +26,7 @@ from repro.cluster import (
 from repro.ris.serialization import pack_message, read_frame
 
 from . import transport_suite as suite
-from .transport_suite import COUNTS, MACHINES, run_and_snapshot, snapshot
+from .transport_suite import COUNTS, MACHINES, generate, run_and_snapshot, snapshot
 
 
 class TestLoopbackConformance(suite.ConformanceSuite):
@@ -66,7 +65,7 @@ class TestFaultMatrix:
     def test_recovery_is_bit_identical(
         self, small_wc_graph, plan_text, expected_kind
     ):
-        plan = GeneratePhase("t/gen", counts=COUNTS)
+        plan = generate(small_wc_graph, "t/gen", COUNTS)
         golden, _ = run_and_snapshot(
             "socket", small_wc_graph, plan, faults=FaultPlan.parse(""), retry=RETRY
         )
@@ -83,7 +82,7 @@ class TestFaultMatrix:
 
     def test_drop_detected_by_deadline(self, small_wc_graph):
         retry = RetryPolicy(max_attempts=3, phase_timeout=1.5, backoff=0.0)
-        plan = GeneratePhase("t/gen", counts=(4, 4, 4))
+        plan = generate(small_wc_graph, "t/gen", (4, 4, 4))
         golden, _ = run_and_snapshot(
             "socket", small_wc_graph, plan, faults=FaultPlan.parse(""), retry=retry
         )
@@ -95,7 +94,7 @@ class TestFaultMatrix:
         assert any(e.kind == "timeout" for e in metrics.recovery_events)
 
     def test_matches_simulated_under_faults(self, small_wc_graph):
-        plan = GeneratePhase("t/gen", counts=COUNTS)
+        plan = generate(small_wc_graph, "t/gen", COUNTS)
         faults = "crash@m1;corrupt@m0"
         sim, _ = run_and_snapshot(
             "simulated", small_wc_graph, plan,
@@ -120,16 +119,15 @@ class TestExternalWorkers:
         proc.start()
         port = ready.get(timeout=15)
         try:
-            plan = GeneratePhase("t/gen", counts=COUNTS)
+            plan = generate(small_wc_graph, "t/gen", COUNTS)
             golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
             cluster = SimulatedCluster(MACHINES, seed=5)
-            cluster.init_collections(small_wc_graph.num_nodes, backend="flat")
             spec = SocketSpec(addresses=(("127.0.0.1", port),))
             with SocketExecutor(
                 cluster, graph=small_wc_graph, spec=spec
             ) as executor:
                 executor.run_phase(plan)
-                assert snapshot(executor) == golden
+                assert snapshot(executor, plan.targets) == golden
             # close() must leave externally owned workers running.
             assert proc.is_alive()
             with socket_mod.create_connection(("127.0.0.1", port), timeout=5) as s:

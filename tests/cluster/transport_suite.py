@@ -40,7 +40,7 @@ from repro.cluster.faults import CORRUPT, CRASH, DROP
 from repro.cluster.parallel import START_METHOD_ENV
 from repro.core.config import RunConfig
 from repro.graphs.digraph import DirectedGraph
-from repro.ris import make_sampler
+from repro.ris import FlatRRCollection, make_sampler
 from repro.ris.rrset import sample_set_range
 
 MACHINES = 3
@@ -57,25 +57,33 @@ def shm_segments() -> set:
 
 def build(spec, graph, num_machines=MACHINES, seed=5, **kwargs):
     cluster = SimulatedCluster(num_machines, seed=seed)
-    cluster.init_collections(graph.num_nodes, backend="flat")
     return make_executor(spec, cluster, graph=graph, **kwargs)
 
 
-def snapshot(executor):
+def flat_stores(graph, num_machines=MACHINES):
+    """One empty store per machine: what a generation phase appends to."""
+    return tuple(FlatRRCollection(graph.num_nodes) for __ in range(num_machines))
+
+
+def generate(graph, label, counts, **options):
+    """A generation plan growing fresh stores, one per entry of ``counts``."""
+    return GeneratePhase(label, counts=counts, targets=flat_stores(graph, len(counts)), **options)
+
+
+def snapshot(executor, stores):
     return (
-        [
-            m.collection.nodes[: m.collection.offsets[m.collection.num_sets]].tolist()
-            for m in executor.machines
-        ],
-        [m.collection.num_sets for m in executor.machines],
+        [store.nodes.tolist() for store in stores],
+        [store.num_sets for store in stores],
         [m.rng.bit_generator.state for m in executor.machines],
     )
 
 
 def run_and_snapshot(spec, graph, plan, **kwargs):
+    """Run ``plan`` on a fresh executor into fresh stores."""
+    stores = flat_stores(graph, len(plan.counts))
     with build(spec, graph, **kwargs) as executor:
-        executor.run_phase(plan)
-        return snapshot(executor), executor.metrics
+        executor.run_phase(replace(plan, targets=stores))
+        return snapshot(executor, stores), executor.metrics
 
 
 def wave(executor, counts, model="ic", method="bfs", seed=0, starts=None):
@@ -86,6 +94,7 @@ def wave(executor, counts, model="ic", method="bfs", seed=0, starts=None):
     plan = GeneratePhase(
         "t/wave",
         counts=padded,
+        targets=flat_stores(executor.graph, len(padded)),
         model=model,
         method=method,
         seed=seed,
@@ -118,23 +127,23 @@ class ConformanceSuite(TransportSuite):
     def test_matches_simulated_backend(self, small_wc_graph, zero_copy, start_method):
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable")
-        plan = GeneratePhase("t/gen", counts=(15, 10, 5))
+        plan = generate(small_wc_graph, "t/gen", (15, 10, 5))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         with self.build(small_wc_graph, start_method=start_method, zero_copy=zero_copy) as executor:
             executor.run_phase(plan)
             assert executor.zero_copy == zero_copy
             assert executor.start_method == start_method
-            assert snapshot(executor) == golden
+            assert snapshot(executor, plan.targets) == golden
 
     @pytest.mark.parametrize("model,method", [("ic", "bfs"), ("lt", "bfs"), ("ic", "subsim")])
     def test_bit_identical_to_other_backends(self, small_wc_graph, model, method):
-        plan = GeneratePhase("t/gen", counts=COUNTS, model=model, method=method)
+        plan = generate(small_wc_graph, "t/gen", COUNTS, model=model, method=method)
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         got, _ = run_and_snapshot(self.spec(), small_wc_graph, plan)
         assert got == golden
 
     def test_per_set_scheme_bit_identical(self, small_wc_graph):
-        plan = GeneratePhase("t/perset", counts=COUNTS, key="k", seed=123, starts=(0, 14, 23))
+        plan = generate(small_wc_graph, "t/perset", COUNTS, key="k", seed=123, starts=(0, 14, 23))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         got, _ = run_and_snapshot(self.spec(), small_wc_graph, plan)
         # Draws never touch the machine streams, so the RNG states are
@@ -158,7 +167,7 @@ class ConformanceSuite(TransportSuite):
         ],
     )
     def test_per_set_scheme_bit_identical_under_faults(self, small_wc_graph, fault, logged):
-        plan = GeneratePhase("t/perset", counts=COUNTS, key="k", seed=123, starts=(0, 14, 23))
+        plan = generate(small_wc_graph, "t/perset", COUNTS, key="k", seed=123, starts=(0, 14, 23))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
         got, metrics = run_and_snapshot(
             self.spec(2),
@@ -206,7 +215,7 @@ class ConformanceSuite(TransportSuite):
     def test_counts_rngs_length_checked(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
             with pytest.raises(ValueError, match="one entry per machine"):
-                GeneratePhase("t/gen", counts=(1, 2, 0), starts=(0,))
+                generate(small_wc_graph, "t/gen", (1, 2, 0), starts=(0,))
             with pytest.raises(ValueError, match="one entry per machine"):
                 executor._dispatch(*wave(executor, [1, 2]), directives=[None])
 
@@ -232,17 +241,18 @@ class ConformanceSuite(TransportSuite):
 
     def test_sequential_phases_share_connection(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=COUNTS))
-            executor.run_phase(GeneratePhase("t/two", counts=(5, 5, 5)))
+            one = generate(small_wc_graph, "t/one", COUNTS)
+            executor.run_phase(one)
+            executor.run_phase(GeneratePhase("t/two", counts=(5, 5, 5), targets=one.targets))
             phases = executor.metrics.phases_in(GENERATION)
             assert len(phases) == 2
             # Enrollment happens once, on the first phase.
             assert phases[0].round_trips > phases[1].round_trips
-            assert [m.collection.num_sets for m in executor.machines] == [c + 5 for c in COUNTS]
+            assert [store.num_sets for store in one.targets] == [c + 5 for c in COUNTS]
 
     def test_heartbeat(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2)))
+            executor.run_phase(generate(small_wc_graph, "t/gen", (2, 2, 2)))
             latencies = executor.heartbeat()
             assert len(latencies) == len(executor._channels)
             assert all(lat is not None and lat >= 0.0 for lat in latencies)
@@ -267,18 +277,19 @@ class LifecycleSuite(TransportSuite):
         those two must go back there, not to positions 0 and 1."""
         faults = FaultPlan.parse("crash@m1;crash@m3")
         with self.build(small_wc_graph, workers=2, num_machines=4, faults=faults) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=(3, 3, 3, 3)))
+            plan = generate(small_wc_graph, "t/gen", (3, 3, 3, 3))
+            executor.run_phase(plan)
             zero, one = executor._channels
             # enroll + machines 0, 2 once; enroll + machines 1, 3 twice.
             assert (zero.round_trips, one.round_trips) == (3, 5)
-            assert [m.collection.num_sets for m in executor.machines] == [3, 3, 3, 3]
+            assert [store.num_sets for store in plan.targets] == [3, 3, 3, 3]
 
     def test_executor_owns_one_pool_for_the_run(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=(5, 5, 5)))
+            executor.run_phase(generate(small_wc_graph, "t/one", (5, 5, 5)))
             channels = executor._channels
             streams = [channel.sock for channel in channels]
-            executor.run_phase(GeneratePhase("t/two", counts=(5, 5, 5)))
+            executor.run_phase(generate(small_wc_graph, "t/two", (5, 5, 5)))
             # The same channels on the same streams: nothing was re-opened.
             assert executor._channels is channels
             assert [channel.sock for channel in channels] == streams
@@ -329,13 +340,13 @@ class LifecycleSuite(TransportSuite):
         executor = self.build(small_wc_graph)
         with executor as entered:
             assert entered is executor
-            executor.run_phase(GeneratePhase("t/gen", counts=(2, 2, 2)))
+            executor.run_phase(generate(small_wc_graph, "t/gen", (2, 2, 2)))
         executor.close()  # second close is a no-op
         executor.close()
 
     def test_close_after_abort(self, small_wc_graph):
         executor = self.build(small_wc_graph)
-        boom = GeneratePhase("t/gen", counts=(2, 2))  # wrong machine count
+        boom = generate(small_wc_graph, "t/gen", (2, 2))  # wrong machine count
         with pytest.raises(ValueError):
             with executor:
                 executor.run_phase(boom)
@@ -344,10 +355,11 @@ class LifecycleSuite(TransportSuite):
 
     def test_refresh_graph_reenrolls(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=(2, 2, 2)))
+            one = generate(small_wc_graph, "t/one", (2, 2, 2))
+            executor.run_phase(one)
             executor.refresh_graph()
-            executor.run_phase(GeneratePhase("t/two", counts=(2, 2, 2)))
-            assert [m.collection.num_sets for m in executor.machines] == [4, 4, 4]
+            executor.run_phase(replace(one, label="t/two"))
+            assert [store.num_sets for store in one.targets] == [4, 4, 4]
 
     # Under fork a worker started later inherits the master's end of every
     # earlier stream; a master that merely close()s its descriptor then
@@ -356,16 +368,17 @@ class LifecycleSuite(TransportSuite):
     @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
     def test_refresh_then_phase_is_prompt_under_fork(self, small_wc_graph):
         with self.build(small_wc_graph, workers=2, start_method="fork") as executor:
-            executor.run_phase(GeneratePhase("t/one", counts=(2, 2, 2)))
+            one = generate(small_wc_graph, "t/one", (2, 2, 2))
+            executor.run_phase(one)
             started = time.monotonic()
             executor.refresh_graph()
-            executor.run_phase(GeneratePhase("t/two", counts=(2, 2, 2)))
+            executor.run_phase(replace(one, label="t/two"))
             assert time.monotonic() - started < 3.0
-            assert [m.collection.num_sets for m in executor.machines] == [4, 4, 4]
+            assert [store.num_sets for store in one.targets] == [4, 4, 4]
 
     @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
     def test_redial_after_phase_timeout_is_prompt_under_fork(self, small_wc_graph):
-        plan = GeneratePhase("t/gen", counts=(4, 4))
+        plan = generate(small_wc_graph, "t/gen", (4, 4))
         retry = RetryPolicy(max_attempts=2, phase_timeout=1.0, backoff=0.0)
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan, num_machines=2)
         with self.build(
@@ -381,7 +394,7 @@ class LifecycleSuite(TransportSuite):
             # One expired deadline plus a re-dial and re-enrollment that
             # must not come anywhere near connect_timeout.
             assert time.monotonic() - started < 1.0 + 3.0
-            assert snapshot(executor) == golden
+            assert snapshot(executor, plan.targets) == golden
             kinds = [event.kind for event in executor.metrics.recovery_events]
         assert kinds == ["timeout"]
 
@@ -424,13 +437,14 @@ _TEARDOWN_SCRIPT = textwrap.dedent(
 
     from repro.cluster import GeneratePhase, SimulatedCluster, make_executor
     from repro.graphs import erdos_renyi, weighted_cascade
+    from repro.ris import FlatRRCollection
 
     if __name__ == "__main__":
         graph = weighted_cascade(erdos_renyi(200, 1200, np.random.default_rng(7)))
         cluster = SimulatedCluster(2, seed=5)
-        cluster.init_collections(graph.num_nodes, backend="flat")
+        stores = [FlatRRCollection(graph.num_nodes) for __ in range(2)]
         executor = make_executor(sys.argv[1] + ":2", cluster, graph=graph)
-        executor.run_phase(GeneratePhase("t/gen", counts=(5, 5)))
+        executor.run_phase(GeneratePhase("t/gen", counts=(5, 5), targets=stores))
         assert executor.zero_copy
         executor.close()
     """
@@ -441,7 +455,7 @@ class ShmReclamationSuite(TransportSuite):
     def test_normal_close_reclaims(self, small_wc_graph):
         before = shm_segments()
         executor = self.build(small_wc_graph)
-        executor.run_phase(GeneratePhase("t/gen", counts=(5, 5, 5)))
+        executor.run_phase(generate(small_wc_graph, "t/gen", (5, 5, 5)))
         assert shm_segments() - before  # the graph block is live mid-run
         executor.close()
         assert shm_segments() <= before
@@ -508,18 +522,12 @@ class ShmReclamationSuite(TransportSuite):
 # ----------------------------------------------------------------------
 class WireAccountingSuite(TransportSuite):
     def test_payload_bytes_match_mp_accounting_and_wire_overhead(self, small_wc_graph):
-        plan = GeneratePhase("t/gen", counts=COUNTS)
+        plan = generate(small_wc_graph, "t/gen", COUNTS)
         other = "socket" if self.transport == "multiprocessing" else "multiprocessing"
         _, other_metrics = run_and_snapshot(other, small_wc_graph, plan)
         with self.build(small_wc_graph) as executor:
             executor.run_phase(plan)
-            batches = [
-                (
-                    m.collection.nodes[: m.collection.offsets[m.collection.num_sets]],
-                    m.collection.offsets[: m.collection.num_sets + 1],
-                )
-                for m in executor.machines
-            ]
+            batches = [(store.nodes, store.offsets) for store in plan.targets]
             record = executor.metrics.phases_in(GENERATION)[-1]
 
         # num_bytes is the transport-neutral payload accounting — identical
@@ -547,14 +555,14 @@ class WireAccountingSuite(TransportSuite):
 
     def test_run_metrics_wire_summary(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=COUNTS))
+            executor.run_phase(generate(small_wc_graph, "t/gen", COUNTS))
             summary = executor.metrics.wire_summary()
         assert summary["wire_sent"] > 0
         assert summary["wire_received"] > 0
         assert summary["round_trips"] >= MACHINES
         # Simulated runs stay wire-free.
         with build("simulated", small_wc_graph) as executor:
-            executor.run_phase(GeneratePhase("t/gen", counts=COUNTS))
+            executor.run_phase(generate(small_wc_graph, "t/gen", COUNTS))
             assert executor.metrics.wire_summary() == {
                 "wire_sent": 0,
                 "wire_received": 0,

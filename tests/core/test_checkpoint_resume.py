@@ -146,13 +146,13 @@ class TestValidation:
         self._fake_snapshot(tmp_path, magic="someone-elses-checkpoint")
         manager = CheckpointManager(tmp_path, config={})
         with pytest.raises(CheckpointFormatError, match="not a driver checkpoint"):
-            manager.load_latest("imm-schedule", ["main"], 1, "flat")
+            manager.load_latest("imm-schedule", ["main"], 1)
 
     def test_version_mismatch_refused(self, tmp_path):
         self._fake_snapshot(tmp_path, version=DRIVER_CHECKPOINT_VERSION + 1)
         manager = CheckpointManager(tmp_path, config={})
         with pytest.raises(CheckpointFormatError, match="driver-checkpoint version"):
-            manager.load_latest("imm-schedule", ["main"], 1, "flat")
+            manager.load_latest("imm-schedule", ["main"], 1)
 
     def test_parent_written_checkpoint_refused(self, small_wc_graph, tmp_path):
         """A version-1 snapshot carried sequential machine-stream states
@@ -175,7 +175,7 @@ class TestValidation:
         self._fake_snapshot(tmp_path)
         manager = CheckpointManager(tmp_path, config={})
         with pytest.raises(CheckpointFormatError, match="machines"):
-            manager.load_latest("imm-schedule", ["main"], 2, "flat")
+            manager.load_latest("imm-schedule", ["main"], 2)
 
     def test_torn_write_leaves_previous_snapshot(self, tmp_path):
         """A stray tmp dir (simulating a crash mid-write) is ignored."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import POOLABLE, RunConfig, run
+from repro.api import RunConfig, run
 from repro.cluster.cluster import SimulatedCluster
 from repro.core import diimm, imm
 from repro.core.pool import MAX_CACHED_COVERAGE, SamplePool
@@ -223,15 +223,33 @@ class TestWarmColdEquivalence:
         assert warm.seeds == cold.seeds
         assert warm.estimated_spread == cold.estimated_spread
 
-    def test_unpoolable_algorithms_rejected(self, small_wc_graph):
-        assert "dssa" not in POOLABLE
-        with SamplePool(small_wc_graph, machines=3, seed=7) as pool:
-            with pytest.raises(ValueError, match="warm pool"):
-                run(
-                    "dssa",
-                    RunConfig(graph=small_wc_graph, k=3, machines=3, seed=7),
-                    pool=pool,
-                )
+    @pytest.mark.parametrize("executor", ["simulated", "multiprocessing:2"])
+    @pytest.mark.parametrize("algorithm", ["dssa", "dopimc"])
+    def test_two_collection_rules_warm_equal_cold(self, small_wc_graph, algorithm, executor):
+        """D-SSA's ("select", "verify") and D-OPIM-C's ("R1", "R2") are
+        separately keyed draws, so a pool serves them like any row: the
+        same seeds, theta and certificate, also after a larger query
+        topped the pool up."""
+        queries = [(3, 0.5), (5, 0.3), (3, 0.5)]
+
+        def config(k, eps):
+            return RunConfig(
+                graph=small_wc_graph, k=k, eps=eps, machines=3, seed=7, executor=executor
+            )
+
+        cold = {query: run(algorithm, config(*query)) for query in set(queries)}
+        with SamplePool(small_wc_graph, machines=3, seed=7, executor=executor) as pool:
+            sizes = []
+            for query in queries:
+                warm = run(algorithm, config(*query), pool=pool)
+                want = cold[query]
+                assert warm.seeds == want.seeds
+                assert warm.num_rr_sets == want.num_rr_sets
+                assert warm.lower_bound == want.lower_bound
+                assert warm.search_rounds == want.search_rounds
+                assert warm.estimated_spread == want.estimated_spread
+                sizes.append(sum(sum(per_key) for per_key in pool.sizes().values()))
+        assert sizes[0] < sizes[1] == sizes[2]  # the larger query topped it up
 
     def test_executor_and_pool_are_exclusive(self, small_wc_graph, pool):
         cluster = SimulatedCluster(3, seed=7)

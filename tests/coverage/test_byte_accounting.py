@@ -1,10 +1,10 @@
-"""Backend-independence of the communication accounting.
+"""Kernel-independence of the communication accounting.
 
 The paper's traffic numbers (sparse ``(node, decrement)`` tuples, one
 broadcast seed id per round) are a property of the *protocol*, not of the
 kernel executing the map stage.  These tests pin that down: a NEWGREEDI
 run charges byte-for-byte the same communication whether the map stage is
-the reference dict loop or the flat CSR kernel.
+the oracle's dict loop or the flat CSR kernel.
 """
 
 from importlib import import_module
@@ -23,8 +23,10 @@ from repro.cluster import COMMUNICATION, SimulatedCluster
 from repro.coverage import greedi, newgreedi
 from repro.coverage.newgreedi import SEED_BYTES
 from repro.graphs import erdos_renyi, weighted_cascade
-from repro.ris import RRCollection, make_sampler
+from repro.ris import make_sampler
+from repro.ris.rrset import RRSample
 from repro.ris.wire import tuple_vector_nbytes
+from tests.oracle import RRCollection, reference_greedi, reference_newgreedi
 
 MACHINES = 4
 # The package re-exports the function under the submodule's name.
@@ -52,8 +54,8 @@ class TestNewGreediBytes:
         graph, stores = build_stores(seed)
         ref_cluster = SimulatedCluster(MACHINES, seed=0)
         flat_cluster = SimulatedCluster(MACHINES, seed=0)
-        ref = newgreedi(ref_cluster, 8, stores=list(stores), backend="reference")
-        flat = newgreedi(flat_cluster, 8, stores=list(stores), backend="flat")
+        ref = reference_newgreedi(ref_cluster, 8, list(stores))
+        flat = newgreedi(flat_cluster, 8, stores=list(stores))
         assert flat.seeds == ref.seeds
         # Phase-by-phase: same labels, same payload bytes, same order.
         assert comm_phases(flat_cluster.metrics) == comm_phases(ref_cluster.metrics)
@@ -66,7 +68,7 @@ class TestNewGreediBytes:
         header always ships)."""
         __, stores = build_stores(5)
         cluster = SimulatedCluster(MACHINES, seed=0)
-        result = newgreedi(cluster, 3, stores=list(stores), backend="flat")
+        result = newgreedi(cluster, 3, stores=list(stores))
         gathers = [
             p.num_bytes
             for p in cluster.metrics.phases
@@ -131,8 +133,6 @@ class TestApplicationBytes:
 
 class TestGreediBytes:
     def test_identical_bytes_both_backends(self):
-        from repro.ris.rrset import RRSample
-
         __, stores = build_stores(9)
         # RRCollection iterates bare node arrays; rebuild samples to merge.
         merged = RRCollection(stores[0].num_nodes)
@@ -144,7 +144,7 @@ class TestGreediBytes:
                 )
         ref_cluster = SimulatedCluster(MACHINES, seed=0)
         flat_cluster = SimulatedCluster(MACHINES, seed=0)
-        ref = greedi(ref_cluster, merged, 6, backend="reference")
-        flat = greedi(flat_cluster, merged, 6, backend="flat")
+        ref = reference_greedi(ref_cluster, merged, 6)
+        flat = greedi(flat_cluster, merged, 6)
         assert flat.seeds == ref.seeds
         assert comm_phases(flat_cluster.metrics) == comm_phases(ref_cluster.metrics)

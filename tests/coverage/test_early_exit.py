@@ -20,6 +20,7 @@ from repro.cluster import SimulatedCluster
 from repro.core.bounds import ImmParameters
 from repro.core.driver import ImmScheduleRule
 from repro.coverage import greedy_max_coverage, newgreedi
+from tests.oracle import engine
 
 from .test_property import coverage_instances
 
@@ -93,10 +94,11 @@ def test_newgreedi_early_exit_is_sound(instance, machines, k, data):
     data=st.data(),
 )
 def test_central_greedy_early_exit_is_sound(instance, backend, k, data):
-    full = greedy_max_coverage([instance], k, backend=backend)
-    for accepts in thresholds(data.draw, full, instance.num_nodes):
-        cut = greedy_max_coverage([instance], k, backend=backend, accepts=accepts)
-        assert_sound(full, cut, accepts)
+    with engine(backend):
+        full = greedy_max_coverage([instance], k)
+        for accepts in thresholds(data.draw, full, instance.num_nodes):
+            cut = greedy_max_coverage([instance], k, accepts=accepts)
+            assert_sound(full, cut, accepts)
 
 
 @pytest.mark.parametrize("backend", ["flat", "reference"])
@@ -104,18 +106,18 @@ def test_a_hopeless_round_runs_no_seed_round(paper_instance, backend):
     """A threshold above ``k`` times the largest marginal: the first bound
     already fails, so no seed is broadcast and nothing is padded."""
     cluster = SimulatedCluster(2, seed=0)
-    cut = newgreedi(
-        cluster,
-        3,
-        stores=paper_instance.split(2),
-        backend=backend,
-        accepts=lambda coverage, num_elements: coverage > 3 * num_elements,
-    )
+    with engine(backend):
+        cut = newgreedi(
+            cluster,
+            3,
+            stores=paper_instance.split(2),
+            accepts=lambda coverage, num_elements: coverage > 3 * num_elements,
+        )
+        central = greedy_max_coverage(
+            [paper_instance], 3, accepts=lambda coverage, num_elements: False
+        )
     assert (cut.seeds, cut.coverage, cut.marginals) == ([], 0, [])
     labels = [p.label for p in cluster.metrics.phases]
     assert "newgreedi/seed" not in labels and "newgreedi/map" not in labels
     assert labels[-1] == "newgreedi/select"
-    central = greedy_max_coverage(
-        [paper_instance], 3, backend=backend, accepts=lambda coverage, num_elements: False
-    )
     assert (central.seeds, central.coverage) == ([], 0)

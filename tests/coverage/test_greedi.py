@@ -14,6 +14,7 @@ from repro.coverage import (
     randgreedi,
 )
 from tests.conftest import make_random_instance
+from tests.oracle import reference_greedi
 
 
 class TestPartition:
@@ -153,10 +154,11 @@ class TestEdgeCases:
         assert all(r.seeds == [0, 1] for r in results)
 
     def test_backends_agree_on_edge_cases(self):
+        """The kernel and the oracle's per-element restricted greedy."""
         inst = CoverageInstance(5, [[0, 1], [1, 2], [3], [3], [3]])
         for k in (1, 3, 5):
-            flat = greedi(SimulatedCluster(2, seed=0), inst, k, backend="flat")
-            ref = greedi(SimulatedCluster(2, seed=0), inst, k, backend="reference")
+            flat = greedi(SimulatedCluster(2, seed=0), inst, k)
+            ref = reference_greedi(SimulatedCluster(2, seed=0), inst, k)
             assert flat.seeds == ref.seeds
             assert flat.coverage == ref.coverage
 

@@ -1,8 +1,10 @@
-"""Differential harness: flat CSR kernel vs the reference dict backend.
+"""Differential harness: the flat CSR kernel vs the per-element oracle.
 
-Every test here runs the same coverage problem through ``backend="flat"``
-(the vectorized CSR kernel) and ``backend="reference"`` (the original
-dict-walking loops) and asserts bit-identical results: seed sequences,
+Every test here runs the same coverage problem through the shipped
+engines (the vectorized CSR kernel over flat copies of the stores) and
+through the same engines on the oracle's dict-walking loops over the
+dict-indexed stores (``tests/oracle.py``), and asserts bit-identical
+results: seed sequences,
 per-iteration marginals, ``covered_per_machine`` attribution, and final
 coverage.  Inputs span all three diffusion models (IC, LT, and the
 general triggering sampler) plus adversarial synthetic collections with
@@ -23,9 +25,10 @@ from repro.cluster import SimulatedCluster
 from repro.coverage import greedi, greedy_max_coverage, newgreedi
 from repro.diffusion.triggering import ICTriggering, LTTriggering
 from repro.graphs import erdos_renyi, weighted_cascade
-from repro.ris import RRCollection, make_sampler
+from repro.ris import make_sampler
 from repro.ris.rrset import RRSample
 from repro.ris.triggering_sampler import TriggeringRRSampler
+from tests.oracle import RRCollection, reference_greedi, reference_greedy, reference_newgreedi
 
 MODELS = ("ic", "lt", "trig-ic", "trig-lt")
 MACHINES = 3
@@ -60,23 +63,19 @@ def split_round_robin(samples, num_nodes: int, machines: int = MACHINES):
 
 
 def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
-    """Run all three algorithms under both backends; demand equality."""
+    """Run all three algorithms on the kernel and the oracle; demand equality."""
     stores = split_round_robin(samples, num_nodes)
     merged = RRCollection(num_nodes)
     merged.extend(samples)
 
-    ref = greedy_max_coverage(stores, k, backend="reference")
-    flat = greedy_max_coverage(stores, k, backend="flat")
+    ref = reference_greedy(stores, k)
+    flat = greedy_max_coverage(stores, k)
     assert flat.seeds == ref.seeds
     assert flat.marginals == ref.marginals
     assert flat.coverage == ref.coverage
 
-    ref_new = newgreedi(
-        SimulatedCluster(MACHINES, seed=0), k, stores=list(stores), backend="reference"
-    )
-    flat_new = newgreedi(
-        SimulatedCluster(MACHINES, seed=0), k, stores=list(stores), backend="flat"
-    )
+    ref_new = reference_newgreedi(SimulatedCluster(MACHINES, seed=0), k, list(stores))
+    flat_new = newgreedi(SimulatedCluster(MACHINES, seed=0), k, stores=list(stores))
     assert flat_new.seeds == ref_new.seeds
     assert flat_new.marginals == ref_new.marginals
     assert flat_new.covered_per_machine == ref_new.covered_per_machine
@@ -84,8 +83,8 @@ def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
     # Both match the sequential greedy (Lemma 2's exact equivalence).
     assert flat_new.seeds == ref.seeds
 
-    ref_gre = greedi(SimulatedCluster(MACHINES, seed=0), merged, k, backend="reference")
-    flat_gre = greedi(SimulatedCluster(MACHINES, seed=0), merged, k, backend="flat")
+    ref_gre = reference_greedi(SimulatedCluster(MACHINES, seed=0), merged, k)
+    flat_gre = greedi(SimulatedCluster(MACHINES, seed=0), merged, k)
     assert flat_gre.seeds == ref_gre.seeds
     assert flat_gre.coverage == ref_gre.coverage
 
@@ -161,16 +160,9 @@ class TestEdgeShapes:
         assert_backends_agree(samples, num_nodes=8, k=3)
 
     def test_ties_resolve_to_lowest_id(self):
-        """Symmetric instance: both backends must pin the lowest node id."""
+        """Symmetric instance: kernel and oracle must pin the lowest node id."""
         samples = [sample_of([0, 1], 4), sample_of([2, 3], 4)]
         stores = split_round_robin(samples, 4)
-        ref = greedy_max_coverage(stores, 1, backend="reference")
-        flat = greedy_max_coverage(stores, 1, backend="flat")
+        ref = reference_greedy(stores, 1)
+        flat = greedy_max_coverage(stores, 1)
         assert ref.seeds == flat.seeds == [0]
-
-    def test_invalid_backend_rejected(self):
-        stores = split_round_robin([sample_of([0], 3)], 3)
-        with pytest.raises(ValueError, match="backend"):
-            greedy_max_coverage(stores, 1, backend="dense")
-        with pytest.raises(ValueError, match="backend"):
-            newgreedi(SimulatedCluster(MACHINES, seed=0), 1, stores=stores, backend="x")

@@ -10,7 +10,7 @@ from repro.coverage import (
     greedy_max_coverage,
     newgreedi,
 )
-from repro.ris import make_sampler
+from repro.ris import FlatRRCollection, make_sampler
 from tests.conftest import make_random_instance
 
 
@@ -44,13 +44,11 @@ class TestLemma2Equivalence:
         """End-to-end with real RR collections distributed over machines."""
         sampler = make_sampler(small_wc_graph, "ic")
         cluster = SimulatedCluster(4, seed=3)
-        cluster.init_collections(small_wc_graph.num_nodes)
-        for machine in cluster.machines:
-            machine.collection.extend(sampler.sample_many(100, machine.rng))
-        result = newgreedi(cluster, 5)
-        merged = greedy_max_coverage(
-            [m.collection for m in cluster.machines], 5
-        )
+        stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in cluster.machines]
+        for store, machine in zip(stores, cluster.machines):
+            store.extend(sampler.sample_many(100, machine.rng))
+        result = newgreedi(cluster, 5, stores=stores)
+        merged = greedy_max_coverage(stores, 5)
         assert result.seeds == merged.seeds
         assert result.coverage == merged.coverage
 
@@ -87,10 +85,10 @@ class TestProtocolAccounting:
         totals = {}
         for num_machines in (1, 4):
             cluster = SimulatedCluster(num_machines, seed=0)
-            cluster.init_collections(small_wc_graph.num_nodes)
+            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in range(num_machines)]
             for idx, sample in enumerate(samples):
-                cluster.machines[idx % num_machines].collection.add(sample)
-            newgreedi(cluster, 5)
+                stores[idx % num_machines].add(sample)
+            newgreedi(cluster, 5, stores=stores)
             totals[num_machines] = cluster.metrics.total_bytes
         assert totals[4] >= totals[1]
 
@@ -111,9 +109,12 @@ class TestValidation:
             newgreedi(cluster, 1, stores=paper_instance.split(2))
 
     def test_missing_collections_detected(self):
+        """Machines hold no stores: the caller must hand them over."""
         cluster = SimulatedCluster(2, seed=0)
-        with pytest.raises(ValueError, match="no RR collection"):
+        with pytest.raises(TypeError, match="stores"):
             newgreedi(cluster, 1)
+        with pytest.raises(TypeError, match="stores"):
+            gather_coverage_counts(cluster)
 
     def test_mismatched_universe_rejected(self):
         cluster = SimulatedCluster(2, seed=0)
@@ -143,15 +144,15 @@ class TestGatherCoverageCounts:
     def test_start_indices_limit_scope(self, small_wc_graph):
         sampler = make_sampler(small_wc_graph, "ic")
         cluster = SimulatedCluster(2, seed=1)
-        cluster.init_collections(small_wc_graph.num_nodes)
-        for machine in cluster.machines:
-            machine.collection.extend(sampler.sample_many(50, machine.rng))
-        sizes = [m.collection.num_sets for m in cluster.machines]
-        for machine in cluster.machines:
-            machine.collection.extend(sampler.sample_many(30, machine.rng))
-        partial = gather_coverage_counts(cluster, start_indices=sizes)
+        stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in cluster.machines]
+        for store, machine in zip(stores, cluster.machines):
+            store.extend(sampler.sample_many(50, machine.rng))
+        sizes = [store.num_sets for store in stores]
+        for store, machine in zip(stores, cluster.machines):
+            store.extend(sampler.sample_many(30, machine.rng))
+        partial = gather_coverage_counts(cluster, stores, start_indices=sizes)
         expected = sum(
-            (m.collection.coverage_counts(start=sizes[i]) for i, m in enumerate(cluster.machines)),
+            (store.coverage_counts(start=size) for store, size in zip(stores, sizes)),
             start=np.zeros(small_wc_graph.num_nodes, dtype=np.int64),
         )
         assert np.array_equal(partial, expected)

@@ -3,8 +3,9 @@
 ``NewGreeDiRounds.select`` meters a round and ``close`` writes its four
 phase records.  The oracle below is ``select`` as it stood before: four
 ``Executor.run_phase`` calls per seed, each recording at once.  Whatever
-drives the rounds — ``newgreedi`` on either backend, the budgeted, profit
-and seed-minimisation loops — must leave the identical phase list.
+drives the rounds — ``newgreedi`` on the kernel or on the dict-store
+oracle, the budgeted, profit and seed-minimisation loops — must leave the
+identical phase list.
 """
 
 import itertools
@@ -23,8 +24,9 @@ from repro.cluster.executor import BroadcastPhase, GatherPhase, MapPhase, Master
 from repro.coverage import newgreedi
 from repro.coverage.newgreedi import SEED_BYTES, NewGreeDiRounds
 from repro.graphs import erdos_renyi, weighted_cascade
-from repro.ris import RRCollection, make_sampler
+from repro.ris import make_sampler
 from repro.ris.wire import tuple_vector_nbytes
+from tests.oracle import RRCollection, engine
 
 # The package re-exports the function under the submodule's name.
 newgreedi_module = import_module("repro.coverage.newgreedi")
@@ -37,11 +39,7 @@ class ParentRounds(NewGreeDiRounds):
 
     def select(self, seed):
         executor, label, counts = self.executor, self.label, self.counts
-        decrements = (
-            newgreedi_module.sparse_decrements
-            if self.backend == "flat"
-            else newgreedi_module._reference_decrements
-        )
+        decrements = newgreedi_module.sparse_decrements  # the oracle's, when swapped in
 
         def map_stage(machine):
             mid = machine.machine_id
@@ -98,17 +96,17 @@ def build_stores(seed: int, count: int = 160):
 @pytest.mark.parametrize("backend", ["flat", "reference"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_newgreedi_books_equal_the_per_seed_run_phase_loop(monkeypatch, backend, seed):
+    """``backend="reference"`` runs both sides on the oracle's dict loops."""
     def run():
         cluster = SimulatedCluster(MACHINES, seed=0)
         with cluster.metrics.annotated(round_index=3, rule="imm-schedule"):
-            result = newgreedi(
-                cluster, 7, stores=build_stores(seed), label="search-3/newgreedi", backend=backend
-            )
+            result = newgreedi(cluster, 7, stores=build_stores(seed), label="search-3/newgreedi")
         return result, books(cluster.metrics)
 
-    result, ours = run()
-    monkeypatch.setattr(newgreedi_module, "NewGreeDiRounds", ParentRounds)
-    parent_result, parents = run()
+    with engine(backend):
+        result, ours = run()
+        monkeypatch.setattr(newgreedi_module, "NewGreeDiRounds", ParentRounds)
+        parent_result, parents = run()
     assert (result.seeds, result.marginals) == (parent_result.seeds, parent_result.marginals)
     assert ours == parents
     assert [entry[1] for entry in ours].count("search-3/newgreedi/map") == len(result.marginals)

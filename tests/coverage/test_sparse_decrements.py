@@ -3,7 +3,7 @@
 Members that outnumber the universe twice over are counted with one
 histogram, fewer are sorted and run-length measured.  Either way the reply
 is the sorted ``(nodes, decrements)`` of ``np.unique(members,
-return_counts=True)`` in ``int64`` — what the reference dict loop ships and
+return_counts=True)`` in ``int64`` — what the oracle's dict loop ships and
 what the gather is priced on.
 """
 
@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage.kernel import FlatArrays, mark_and_decrement, sparse_decrements
-from repro.coverage.newgreedi import _reference_decrements
-from repro.ris import RRCollection
 from repro.ris.flat import FlatPrefixView, FlatRRCollection
 from repro.ris.rrset import RRSample
 from repro.ris.wire import tuple_vector_nbytes
+from tests.oracle import RRCollection, reference_decrements
 
 
 def stores_of(sets, num_nodes):
@@ -49,7 +48,7 @@ def assert_same_reply(sets, num_nodes, seed, already_covered=()):
     np.testing.assert_array_equal(flags, want_flags)
 
     ref_flags = covered.copy()
-    ref_nodes, ref_decs, ref_newly = _reference_decrements(reference, seed, ref_flags)
+    ref_nodes, ref_decs, ref_newly = reference_decrements(reference, seed, ref_flags)
     assert (ref_nodes.dtype, ref_decs.dtype) == (nodes.dtype, decs.dtype)
     np.testing.assert_array_equal(ref_nodes, nodes)
     np.testing.assert_array_equal(ref_decs, decs)

@@ -9,12 +9,13 @@ from repro.cluster import SimulatedCluster, SimulatedExecutor
 from repro.coverage import CoverageState
 from repro.coverage.kernel import apply_sparse_delta, sparse_coverage_delta
 from repro.ris import make_collection, make_sampler
+from tests.oracle import STORES
 
 
 def grown_stores(graph, rng, num_machines, backend="flat"):
     """Per-machine stores plus a callable growing them by one wave."""
     sampler = make_sampler(graph, model="ic", method="bfs")
-    stores = [make_collection(graph.num_nodes, backend) for _ in range(num_machines)]
+    stores = [STORES[backend](graph.num_nodes) for _ in range(num_machines)]
 
     def grow(counts):
         for store, count in zip(stores, counts):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    FlatRRCollection,
     SimulatedCluster,
     diimm,
     estimate_spread,
@@ -47,11 +48,11 @@ class TestRISPipeline:
     def test_distributed_collections_cover_like_central(self, pipeline_graph):
         sampler = make_sampler(pipeline_graph, "ic")
         cluster = SimulatedCluster(5, seed=2)
-        cluster.init_collections(pipeline_graph.num_nodes)
-        for machine in cluster.machines:
-            machine.collection.extend(sampler.sample_many(400, machine.rng))
-        distributed = newgreedi(cluster, 8)
-        central = greedy_max_coverage([m.collection for m in cluster.machines], 8)
+        stores = [FlatRRCollection(pipeline_graph.num_nodes) for __ in cluster.machines]
+        for store, machine in zip(stores, cluster.machines):
+            store.extend(sampler.sample_many(400, machine.rng))
+        distributed = newgreedi(cluster, 8, stores=stores)
+        central = greedy_max_coverage(stores, 8)
         assert distributed.seeds == central.seeds
 
 

@@ -32,6 +32,7 @@ from repro.ris.rrset import (
 )
 from repro.ris.stats import RRSetStatistics
 from tests.conftest import coordinate_rng
+from tests.oracle import RRCollection
 
 SAMPLER_SPECS = [
     ("ic", "bfs"),
@@ -150,7 +151,7 @@ class TestCollectionIntegration:
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
 
-        reference = make_collection(small_wc_graph.num_nodes, "reference")
+        reference = RRCollection(small_wc_graph.num_nodes)
         append_batch(reference, sampler.sample_batch(rng_a, 40))
         flat = make_collection(small_wc_graph.num_nodes, "flat")
         append_batch(flat, sampler.sample_batch(rng_b, 40))

@@ -1,10 +1,10 @@
-"""Unit tests for RRCollection."""
+"""Unit tests for the oracle's dict-indexed store, RRCollection."""
 
 import numpy as np
 import pytest
 
-from repro.ris import RRCollection
 from repro.ris.rrset import RRSample
+from tests.oracle import RRCollection
 
 
 def make_sample(nodes, root=None, edges=0):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 import repro.ris.flat as flat_module
-from repro.ris import (
-    FlatPrefixView,
-    FlatRRCollection,
-    RRCollection,
-    make_collection,
-    make_sampler,
-)
+from repro.coverage.sketch import SketchRRCollection
+from repro.ris import FlatPrefixView, FlatRRCollection, make_collection, make_sampler
 from repro.ris.flat import _set_id_bits, build_inverted_index, gather_rows
 from repro.ris.rrset import FlatBatch, RRSample
+from tests.oracle import RRCollection
 
 
 def make_sample(nodes, edges=0):
@@ -41,9 +37,10 @@ class TestGatherRows:
 
 class TestRoundTrip:
     def test_from_collection_preserves_sets(self, small_wc_graph):
+        """``from_store`` copies any store — here the oracle's dict one."""
         reference = RRCollection(small_wc_graph.num_nodes)
         reference.extend(drawn_samples(small_wc_graph, 150))
-        flat = FlatRRCollection.from_collection(reference)
+        flat = FlatRRCollection.from_store(reference)
         assert flat.num_sets == reference.num_sets
         assert flat.total_size == reference.total_size
         assert flat.total_edges_examined == reference.total_edges_examined
@@ -51,15 +48,16 @@ class TestRoundTrip:
             assert np.array_equal(flat.get(idx), reference.get(idx))
 
     def test_to_collection_round_trip(self, small_wc_graph):
+        """Flat -> the oracle's dict store -> flat keeps every array."""
         flat = FlatRRCollection(small_wc_graph.num_nodes)
         flat.extend(drawn_samples(small_wc_graph, 120, seed=3))
-        back = flat.to_collection()
+        back = RRCollection.from_store(flat)
         assert back.num_sets == flat.num_sets
         assert back.total_size == flat.total_size
         assert back.total_edges_examined == flat.total_edges_examined
         for idx in range(flat.num_sets):
             assert np.array_equal(back.get(idx), flat.get(idx))
-        again = FlatRRCollection.from_collection(back)
+        again = FlatRRCollection.from_store(back)
         assert np.array_equal(again.nodes, flat.nodes)
         assert np.array_equal(again.offsets, flat.offsets)
 
@@ -192,9 +190,10 @@ class TestValidationAndProtocol:
 
     def test_make_collection_factory(self):
         assert isinstance(make_collection(4, "flat"), FlatRRCollection)
-        assert isinstance(make_collection(4, "reference"), RRCollection)
-        with pytest.raises(ValueError, match="backend"):
-            make_collection(4, "sparse")
+        assert isinstance(make_collection(4, "sketch"), SketchRRCollection)
+        for retired in ("reference", "sparse"):
+            with pytest.raises(ValueError, match="backend"):
+                make_collection(4, retired)
 
 
 def random_csr(rng, num_nodes, num_sets, max_size=6):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ris import FlatPrefixView, FlatRRCollection, make_sampler
+from tests.oracle import RRCollection
 
 
 def drawn_samples(graph, count, seed=0, model="ic"):
@@ -131,11 +132,11 @@ class TestEdgeAccounting:
         assert all(a <= b for a, b in zip(upto, upto[1:]))
 
     def test_round_trip_preserves_totals(self, store):
-        # RRCollection keeps only the aggregate edge counter, so a round
-        # trip preserves the total and re-splits prefixes by the
-        # deterministic divmod rule.
-        back = store.to_collection()
-        again = FlatRRCollection.from_collection(back)
+        # A copy through the oracle's dict store keeps only the aggregate
+        # edge counter, so the round trip preserves the total and re-splits
+        # prefixes by the deterministic divmod rule.
+        back = RRCollection.from_store(store)
+        again = FlatRRCollection.from_store(back)
         assert again.total_edges_examined == store.total_edges_examined
         assert (
             again.edges_examined_upto(again.num_sets)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import GraphBuilder, weighted_cascade
-from repro.ris import ICReverseBFSSampler, LTReverseWalkSampler, RRCollection, SubsimSampler
+from repro.ris import FlatRRCollection, ICReverseBFSSampler, LTReverseWalkSampler, SubsimSampler
 
 
 @st.composite
@@ -64,9 +64,9 @@ def test_collection_counts_are_partition_invariant(graph, seed, parts):
     sampler = ICReverseBFSSampler(graph)
     samples = sampler.sample_many(20, rng)
 
-    whole = RRCollection(graph.num_nodes)
+    whole = FlatRRCollection(graph.num_nodes)
     whole.extend(samples)
-    pieces = [RRCollection(graph.num_nodes) for __ in range(parts)]
+    pieces = [FlatRRCollection(graph.num_nodes) for __ in range(parts)]
     for idx, sample in enumerate(samples):
         pieces[idx % parts].add(sample)
 
@@ -83,10 +83,10 @@ def test_collection_counts_are_partition_invariant(graph, seed, parts):
 def test_inverted_index_matches_membership(graph, seed):
     rng = np.random.default_rng(seed)
     sampler = ICReverseBFSSampler(graph)
-    collection = RRCollection(graph.num_nodes)
+    collection = FlatRRCollection(graph.num_nodes)
     collection.extend(sampler.sample_many(15, rng))
     for node in range(graph.num_nodes):
-        via_index = set(collection.sets_containing(node))
+        via_index = set(collection.sets_containing(node).tolist())
         via_scan = {
             idx for idx in range(collection.num_sets)
             if node in collection.get(idx)

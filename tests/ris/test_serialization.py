@@ -9,18 +9,17 @@ from repro.ris import (
     FORMAT_VERSION,
     CheckpointFormatError,
     FlatRRCollection,
-    RRCollection,
     load_collection,
-    load_flat_collection,
     make_sampler,
     save_collection,
 )
+from tests.oracle import RRCollection
 
 
 @pytest.fixture
 def populated(small_wc_graph, rng):
     sampler = make_sampler(small_wc_graph, "ic")
-    collection = RRCollection(small_wc_graph.num_nodes)
+    collection = FlatRRCollection(small_wc_graph.num_nodes)
     collection.extend(sampler.sample_many(200, rng))
     return collection
 
@@ -63,7 +62,7 @@ class TestRoundtrip:
 
     def test_empty_collection(self, tmp_path):
         path = tmp_path / "empty.npz"
-        save_collection(RRCollection(10), path)
+        save_collection(FlatRRCollection(10), path)
         loaded = load_collection(path)
         assert loaded.num_sets == 0
         assert loaded.num_nodes == 10
@@ -71,28 +70,34 @@ class TestRoundtrip:
 
 class TestFlatRoundtrip:
     def test_save_flat_load_reference(self, populated, tmp_path):
-        """A flat checkpoint is readable as a reference collection."""
+        """A loaded checkpoint reads like the oracle's dict store of the
+        same sets: set for set, and node for node in the inverted index."""
         path = tmp_path / "flat.npz"
-        save_collection(FlatRRCollection.from_collection(populated), path)
+        save_collection(populated, path)
         loaded = load_collection(path)
-        assert loaded.num_sets == populated.num_sets
-        for idx in range(populated.num_sets):
-            assert np.array_equal(loaded.get(idx), populated.get(idx))
+        reference = RRCollection.from_store(populated)
+        assert loaded.num_sets == reference.num_sets
+        for idx in range(reference.num_sets):
+            assert np.array_equal(loaded.get(idx), reference.get(idx))
+        for node in range(loaded.num_nodes):
+            assert loaded.sets_containing(node).tolist() == reference.sets_containing(node)
 
     def test_save_reference_load_flat(self, populated, tmp_path):
-        """And the reverse: one on-disk format, either store."""
+        """A store copied from the oracle's dict store round-trips with the
+        oracle's accounting and counts."""
+        reference = RRCollection.from_store(populated)
         path = tmp_path / "ref.npz"
-        save_collection(populated, path)
-        loaded = load_flat_collection(path)
+        save_collection(FlatRRCollection.from_store(reference), path)
+        loaded = load_collection(path)
         assert isinstance(loaded, FlatRRCollection)
-        assert loaded.num_sets == populated.num_sets
-        assert loaded.total_edges_examined == populated.total_edges_examined
-        assert np.array_equal(loaded.coverage_counts(), populated.coverage_counts())
+        assert loaded.num_sets == reference.num_sets
+        assert loaded.total_edges_examined == reference.total_edges_examined
+        assert np.array_equal(loaded.coverage_counts(), reference.coverage_counts())
 
     def test_empty_flat_collection(self, tmp_path):
         path = tmp_path / "empty.npz"
         save_collection(FlatRRCollection(10), path)
-        loaded = load_flat_collection(path)
+        loaded = load_collection(path)
         assert loaded.num_sets == 0
         assert loaded.num_nodes == 10
 
@@ -119,11 +124,13 @@ class TestFormatHeader:
             assert int(data["version"]) == FORMAT_VERSION
 
     def test_both_loaders_round_trip_header(self, populated, tmp_path):
-        for store in (populated, FlatRRCollection.from_collection(populated)):
-            path = tmp_path / "rt.npz"
-            save_collection(store, path)
-            assert load_collection(path).num_sets == populated.num_sets
-            assert load_flat_collection(path).num_sets == populated.num_sets
+        """The one loader, on a store and on a reloaded copy of it."""
+        path = tmp_path / "rt.npz"
+        save_collection(populated, path)
+        again = tmp_path / "again.npz"
+        save_collection(load_collection(path), again)
+        for saved in (path, again):
+            assert load_collection(saved).num_sets == populated.num_sets
 
     def test_missing_magic_rejected(self, saved, tmp_path):
         foreign = tmp_path / "foreign.npz"
@@ -135,7 +142,7 @@ class TestFormatHeader:
         foreign = tmp_path / "foreign.npz"
         self._rewrite(saved, foreign, magic=np.asarray("someone-elses-format"))
         with pytest.raises(CheckpointFormatError, match="not an RR-collection checkpoint"):
-            load_flat_collection(foreign)
+            load_collection(foreign)
 
     def test_version_mismatch_rejected(self, saved, tmp_path):
         stale = tmp_path / "stale.npz"
@@ -147,7 +154,7 @@ class TestFormatHeader:
         garbage = tmp_path / "garbage.npz"
         garbage.write_bytes(b"\x00\x01 not a zip archive")
         with pytest.raises(CheckpointFormatError, match="corrupt or truncated"):
-            load_flat_collection(garbage)
+            load_collection(garbage)
 
     def test_error_is_a_value_error(self, tmp_path):
         """Callers catching ValueError keep working."""

@@ -399,22 +399,20 @@ class TestExecutors:
         snapshots = {}
         for name in ("simulated", "multiprocessing"):
             cluster = SimulatedCluster(2, seed=5)
-            cluster.init_collections(small_wc_graph.num_nodes, backend="flat")
+            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in range(2)]
             executor = make_executor(name, cluster, graph=small_wc_graph)
             try:
                 executor.run_phase(
                     GeneratePhase(
-                        "t/gen", counts=(40, 25), model=model, method="vectorized"
+                        "t/gen",
+                        counts=(40, 25),
+                        targets=stores,
+                        model=model,
+                        method="vectorized",
                     )
                 )
                 snapshots[name] = (
-                    [
-                        [
-                            m.collection.get(j).tolist()
-                            for j in range(m.collection.num_sets)
-                        ]
-                        for m in executor.machines
-                    ],
+                    [[store.get(j).tolist() for j in range(store.num_sets)] for store in stores],
                     [m.rng.bit_generator.state for m in executor.machines],
                 )
             finally:

@@ -1,9 +1,12 @@
 """Asyncio JSON-lines front-end: concurrent queries, stats, error replies."""
 
 import asyncio
+import json
+import socket
 
 import pytest
 
+import repro.serve.frontend as frontend_module
 from repro.api import RunConfig, run
 from repro.serve import InfluenceService, ServingFrontend, request
 from repro.serve.frontend import result_payload
@@ -121,9 +124,6 @@ class TestErrors:
         assert "error" in reply
 
     def test_malformed_json(self, service):
-        import json
-        import socket
-
         async def go(port):
             def call():
                 with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
@@ -136,9 +136,6 @@ class TestErrors:
         assert reply["ok"] is False
 
     def test_connection_survives_errors(self, service):
-        import json
-        import socket
-
         async def go(port):
             def call():
                 with socket.create_connection(("127.0.0.1", port), timeout=600) as sock:
@@ -156,6 +153,66 @@ class TestErrors:
         bad, good = run_frontend(service, go)
         assert bad["ok"] is False
         assert good["ok"] is True
+
+
+class TestLineBound:
+    """Lines are bounded by ``MAX_LINE_BYTES``, not by asyncio's 64 KiB."""
+
+    BOUND = 4096
+
+    @pytest.fixture
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(frontend_module, "MAX_LINE_BYTES", self.BOUND)
+
+    @staticmethod
+    def exchange(port, line: bytes):
+        """Send one raw line; return the reply and what follows it."""
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+            sock.sendall(line)
+            stream = sock.makefile("rb")
+            return json.loads(stream.readline()), stream.read()
+
+    def test_oversize_line_gets_an_error_naming_the_bound(self, service, small_bound):
+        line = json.dumps({"op": "ping", "pad": "x" * 70_000}).encode() + b"\n"
+
+        async def go(port):
+            return await asyncio.to_thread(self.exchange, port, line)
+
+        reply, rest = run_frontend(service, go)
+        assert reply["ok"] is False
+        assert f"{self.BOUND}-byte limit" in reply["error"]
+        assert rest == b""  # and the connection was closed
+
+    def test_next_connection_is_still_served(self, service, small_bound):
+        oversize = {"op": "ping", "pad": "x" * 2 * self.BOUND}
+
+        async def go(port):
+            first = await asyncio.to_thread(request, port, oversize)
+            return first, await asyncio.to_thread(request, port, {"op": "ping"})
+
+        first, second = run_frontend(service, go)
+        assert first["ok"] is False
+        assert second == {"ok": True, "op": "ping"}
+
+    def test_lines_under_the_bound_are_unchanged(self, service, small_bound):
+        async def go(port):
+            plain = await asyncio.to_thread(request, port, {"op": "ping"})
+            padded = {"op": "ping", "pad": "x" * (self.BOUND // 2)}
+            return plain, await asyncio.to_thread(request, port, padded)
+
+        assert run_frontend(service, go) == ({"ok": True, "op": "ping"},) * 2
+
+    def test_default_bound_is_past_asyncios(self, service):
+        """A 70 KB line used to overrun asyncio's 64 KiB default and close
+        the connection with no reply at all."""
+        assert frontend_module.MAX_LINE_BYTES > 1 << 16
+
+        async def go(port):
+            return await asyncio.to_thread(
+                request, port, {"op": "ping", "pad": "x" * 70_000}
+            )
+
+        assert run_frontend(service, go) == {"ok": True, "op": "ping"}
 
 
 class TestPayloads:

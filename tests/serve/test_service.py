@@ -61,6 +61,18 @@ class TestWarmColdEquivalence:
             assert warm.estimated_spread == cold.estimated_spread
             assert warm.num_rr_sets == cold.num_rr_sets
 
+    @pytest.mark.parametrize("kind", ["dssa", "dopimc"])
+    def test_two_collection_rules(self, service, small_wc_graph, kind):
+        """Every algorithm is a query kind; D-SSA and D-OPIM-C share the
+        cluster pool with DIIMM under their own collection keys."""
+        service.query(Query(kind="diimm", k=4))
+        for k in (4, 6):
+            warm = service.query(Query(kind=kind, k=k))
+            cold = run(kind, RunConfig(graph=small_wc_graph, k=k, machines=MACHINES, seed=SEED))
+            assert warm.seeds == cold.seeds
+            assert warm.num_rr_sets == cold.num_rr_sets
+            assert warm.lower_bound == cold.lower_bound
+
     def test_imm_baseline(self, service, small_wc_graph):
         warm = service.query(Query(kind="imm", k=4))
         cold = run("imm", RunConfig(graph=small_wc_graph, k=4, seed=SEED))

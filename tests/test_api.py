@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.api import ALGORITHMS, POOLABLE, RunConfig, run
+from repro.api import ALGORITHMS, RunConfig, run
 from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
@@ -91,17 +91,13 @@ class TestRegistryConformance:
                 executor.close()
 
     def test_pool_accepted_exactly_when_poolable(self, small_wc_graph, name):
+        """Every row is poolable: each collection key is its own draw."""
         config = self.config(small_wc_graph, name)
-        assert REGISTRY[name].poolable == (name in POOLABLE)
         method = "subsim" if REGISTRY[name].subsim else "bfs"
         with SamplePool(
             small_wc_graph, machines=config.machines, seed=7, method=method
         ) as pool:
-            if name in POOLABLE:
-                assert_same_result(run(name, config, pool=pool), run(name, config))
-            else:
-                with pytest.raises(ValueError, match="cannot run from a warm pool"):
-                    run(name, config, pool=pool)
+            assert_same_result(run(name, config, pool=pool), run(name, config))
 
     @pytest.mark.parametrize(
         ("overrides", "message"),
@@ -180,6 +176,7 @@ class TestExternalResources:
     def test_lent_executor_works_for_unpoolable_algorithms(
         self, small_wc_graph, algorithm
     ):
+        """The two-collection rules on a lent executor."""
         from repro.cluster.cluster import SimulatedCluster
         from repro.cluster.executor import make_executor
 
@@ -222,6 +219,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             config.validate()
 
+    def test_retired_reference_backend_refused(self, small_wc_graph):
+        config = RunConfig(graph=small_wc_graph, k=2, backend="reference")
+        with pytest.raises(ValueError, match=r"\('flat', 'sketch'\)"):
+            config.validate()
+
     def test_dsubsim_rejects_lt(self, small_wc_graph):
         config = RunConfig(graph=small_wc_graph, k=2, model="lt")
         with pytest.raises(ValueError, match="config.model must be 'ic' for dsubsim"):
@@ -237,7 +239,7 @@ class TestValidation:
         assert config.validate() is config
 
     def test_vocabulary_constants(self):
-        assert BACKENDS == ("flat", "reference", "sketch")
+        assert BACKENDS == ("flat", "sketch")
         assert MODELS == ("ic", "lt")
         assert METHODS == ("bfs", "subsim", "vectorized")
         assert STOPPINGS == ("schedule", "error-adaptive")

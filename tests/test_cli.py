@@ -19,16 +19,40 @@ class TestParser:
 
     def test_run_executor_and_backend_choices(self):
         args = build_parser().parse_args(
-            ["run", "--executor", "multiprocessing", "--backend", "reference"]
+            ["run", "--executor", "multiprocessing", "--backend", "sketch"]
         )
         assert args.executor == "multiprocessing"
-        assert args.backend == "reference"
+        assert args.backend == "sketch"
         # --executor is a free-form ExecutorSpec shorthand now, so the
         # parser accepts any string and validation happens in RunConfig.
         args = build_parser().parse_args(["run", "--executor", "socket:2"])
         assert args.executor == "socket:2"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--backend", "sparse"])
+        for retired in ("sparse", "reference"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--backend", retired])
+
+    def test_choices_are_the_config_constants(self):
+        """Every choice list is read from the module that validates it."""
+        from repro.api import ALGORITHMS
+        from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
+        from repro.core.pool import PREFIX_DETERMINISTIC_METHODS
+
+        subparsers = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        ).choices
+
+        def choices(command, flag):
+            (action,) = (a for a in subparsers[command]._actions if flag in a.option_strings)
+            return tuple(action.choices)
+
+        assert choices("run", "--algorithm") == ALGORITHMS
+        assert choices("run", "--model") == MODELS
+        assert choices("run", "--method") == METHODS
+        assert choices("run", "--backend") == BACKENDS
+        assert choices("run", "--stopping") == STOPPINGS
+        assert choices("serve", "--model") == MODELS
+        assert choices("serve", "--method") == PREFIX_DETERMINISTIC_METHODS
+        assert choices("validate", "--model") == MODELS
 
     def test_run_rejects_bad_executor_spec(self, capsys):
         code = main(["run", "--dataset", "facebook", "--k", "2", "--executor", "mpi"])
@@ -89,15 +113,18 @@ class TestCommands:
         assert "DIIMM on facebook" in capsys.readouterr().out
 
     def test_run_diimm_multiprocessing_reference(self, capsys):
-        """The --executor/--backend flags reach the algorithm and agree
-        with the default flat/simulated run on the seed set."""
-        code = main(
-            [
-                "run", "--dataset", "facebook", "--k", "3", "--eps", "0.7",
-                "--machines", "2", "--executor", "multiprocessing",
-                "--backend", "reference",
-            ]
-        )
+        """The retired dict-store backend is refused (exit 2); the
+        --executor flag reaches the algorithm and agrees with the default
+        simulated run on the seed set."""
+        args = [
+            "run", "--dataset", "facebook", "--k", "3", "--eps", "0.7",
+            "--machines", "2", "--executor", "multiprocessing",
+        ]
+        with pytest.raises(SystemExit) as refused:
+            main(args + ["--backend", "reference"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'reference'" in capsys.readouterr().err
+        code = main(args + ["--backend", "flat"])
         assert code == 0
         mp_out = capsys.readouterr().out
         assert "DIIMM on facebook" in mp_out
