@@ -21,8 +21,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import FlatRRCollection, SimulatedCluster, load_dataset, make_sampler, newgreedi
-from repro.cluster import GENERATION
+from repro import FlatRRCollection, SimulatedCluster, load_dataset, newgreedi
+from repro.cluster import GeneratePhase, SimulatedExecutor, split_count
 from repro.experiments import print_table
 from repro.ris import load_collection, save_collection
 
@@ -37,20 +37,14 @@ def main() -> None:
 
     dataset = load_dataset(args.dataset)
     graph = dataset.graph
-    sampler = make_sampler(graph, "ic")
+    cluster = SimulatedCluster(args.machines, seed=0)
 
     # Phase 1: generate once, distributed.
-    cluster = SimulatedCluster(args.machines, seed=0)
+    executor = SimulatedExecutor(cluster, graph=graph)
     collections = [FlatRRCollection(graph.num_nodes) for __ in range(args.machines)]
-    shares = cluster.split_count(args.rr_sets)
+    shares = split_count(args.rr_sets, args.machines)
     start = time.perf_counter()
-    cluster.map(
-        GENERATION,
-        "generate",
-        lambda m: collections[m.machine_id].extend(
-            sampler.sample_many(shares[m.machine_id], m.rng)
-        ),
-    )
+    executor.run_phase(GeneratePhase("generate", counts=shares, targets=collections))
     generation_time = time.perf_counter() - start
     print(
         f"generated {args.rr_sets:,} RR sets across {args.machines} machines "
@@ -67,11 +61,11 @@ def main() -> None:
         total_bytes = sum(p.stat().st_size for p in paths)
         print(f"checkpointed to {len(paths)} files, {total_bytes / 1e6:.2f} MB total")
 
-        # Phase 3: resume — fresh cluster, collections loaded from disk.
-        resumed = SimulatedCluster(args.machines, seed=0)
+        # Phase 3: resume — fresh executor, collections loaded from disk.
+        resumed = SimulatedExecutor(cluster)
         stores = [load_collection(path) for path in paths]
 
-        reference = newgreedi(cluster, max(args.budgets), stores=collections)
+        reference = newgreedi(executor, max(args.budgets), stores=collections)
         replayed = newgreedi(resumed, max(args.budgets), stores=stores)
         assert replayed.seeds == reference.seeds, "checkpoint replay diverged!"
         print("replay verified: identical seed sequence after reload\n")
@@ -79,7 +73,7 @@ def main() -> None:
         # Phase 4: budget sweep on the loaded collections only.
         rows = []
         for k in args.budgets:
-            fresh = SimulatedCluster(args.machines, seed=0)
+            fresh = SimulatedExecutor(cluster)
             start = time.perf_counter()
             result = newgreedi(fresh, k, stores=stores)
             elapsed = time.perf_counter() - start

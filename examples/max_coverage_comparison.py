@@ -23,6 +23,7 @@ import numpy as np
 from repro import (
     CoverageInstance,
     SimulatedCluster,
+    SimulatedExecutor,
     greedi,
     greedy_max_coverage,
     load_dataset,
@@ -60,40 +61,41 @@ def main() -> None:
         # NEWGREEDI: elements scattered uniformly, as distributed RIS would.
         parts = instance.split(cores, rng=np.random.default_rng(cores))
         cluster = SimulatedCluster(cores, network=shared_memory_server(), seed=0)
-        new_result = newgreedi(cluster, args.k, stores=parts)
+        executor = SimulatedExecutor(cluster)
+        new_result = newgreedi(executor, args.k, stores=parts)
         rows.append(
             {
                 "algorithm": "NEWGREEDI",
                 "cores": cores,
-                "time_s": round(cluster.metrics.total_time, 4),
-                "speedup": round(sequential_time / cluster.metrics.total_time, 2),
+                "time_s": round(executor.metrics.total_time, 4),
+                "speedup": round(sequential_time / executor.metrics.total_time, 2),
                 "coverage": new_result.coverage,
                 "coverage_ratio": round(new_result.coverage / sequential.coverage, 4),
-                "traffic_mb": round(cluster.metrics.total_bytes / 1e6, 3),
+                "traffic_mb": round(executor.metrics.total_bytes / 1e6, 3),
             }
         )
 
         for name, runner in (("GREEDI", greedi), ("RANDGREEDI", randgreedi)):
-            cluster = SimulatedCluster(cores, network=shared_memory_server(), seed=0)
+            executor = SimulatedExecutor(cluster)
             if name == "GREEDI":
-                result = runner(cluster, instance, args.k)
+                result = runner(executor, instance, args.k)
             else:
                 result = runner(
-                    cluster, instance, args.k, rng=np.random.default_rng(cores)
+                    executor, instance, args.k, rng=np.random.default_rng(cores)
                 )
             rows.append(
                 {
                     "algorithm": name,
                     "cores": cores,
-                    "time_s": round(cluster.metrics.total_time, 4),
+                    "time_s": round(executor.metrics.total_time, 4),
                     "speedup": round(
-                        sequential_time / cluster.metrics.total_time, 2
+                        sequential_time / executor.metrics.total_time, 2
                     ),
                     "coverage": result.coverage,
                     "coverage_ratio": round(
                         result.coverage / sequential.coverage, 4
                     ),
-                    "traffic_mb": round(cluster.metrics.total_bytes / 1e6, 3),
+                    "traffic_mb": round(executor.metrics.total_bytes / 1e6, 3),
                 }
             )
 

@@ -46,6 +46,7 @@ from .cluster import (
     NetworkModel,
     RetryPolicy,
     SimulatedCluster,
+    SimulatedExecutor,
     SimulatedSpec,
     SocketSpec,
     gigabit_cluster,
@@ -108,6 +109,7 @@ __all__ = [
     "FlatRRCollection",
     # cluster
     "SimulatedCluster",
+    "SimulatedExecutor",
     "NetworkModel",
     "gigabit_cluster",
     "shared_memory_server",

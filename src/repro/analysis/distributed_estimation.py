@@ -18,9 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import COMPUTATION
+from ..cluster.cluster import SimulatedCluster, split_count
+from ..cluster.executor import GatherPhase, MapPhase, MasterPhase, SimulatedExecutor
 from ..cluster.network import NetworkModel
 from ..diffusion.base import DiffusionModel, get_model
 from ..diffusion.spread import SpreadEstimate
@@ -41,7 +40,8 @@ def distributed_spread_estimate(
     """Estimate ``sigma(seeds)`` with cascades sharded over machines.
 
     Each machine simulates its share of the ``num_samples`` cascades with
-    its private RNG and responds with ``(sum, sum_of_squares, count)``;
+    its own generator — machine ``m``'s is keyed ``(seed, m + 1)`` — and
+    responds with ``(sum, sum_of_squares, count)``;
     the master merges the moments into a mean and standard error.  The
     estimate is statistically identical to
     :func:`repro.diffusion.spread.estimate_spread` with the same total
@@ -52,22 +52,23 @@ def distributed_spread_estimate(
     if isinstance(model, str):
         model = get_model(model)
     seed_list = list(seeds)
-    cluster = SimulatedCluster(num_machines, network=network, seed=seed)
-    shares = cluster.split_count(num_samples)
+    executor = SimulatedExecutor(SimulatedCluster(num_machines, network=network, seed=seed))
+    shares = split_count(num_samples, num_machines)
 
-    def simulate(machine: Machine) -> tuple[float, float, int]:
-        count = shares[machine.machine_id]
+    def simulate(mid: int) -> tuple[float, float, int]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mid + 1,)))
+        count = shares[mid]
         total = 0.0
         total_sq = 0.0
         for __ in range(count):
-            size = float(model.simulate(graph, seed_list, machine.rng).size)
+            size = float(model.simulate(graph, seed_list, rng).size)
             total += size
             total_sq += size * size
         return total, total_sq, count
 
-    moments = cluster.map(COMPUTATION, "estimate/simulate", simulate)
+    moments = executor.run_phase(MapPhase("estimate/simulate", simulate)).results
     # Three 8-byte numbers per machine: the whole response.
-    cluster.gather("estimate/gather", [24] * cluster.num_machines)
+    executor.run_phase(GatherPhase("estimate/gather", (24,) * num_machines))
 
     def reduce_moments() -> SpreadEstimate:
         total = sum(m[0] for m in moments)
@@ -81,4 +82,4 @@ def distributed_spread_estimate(
             stderr = 0.0
         return SpreadEstimate(mean=mean, stderr=stderr, num_samples=count)
 
-    return cluster.run_on_master("estimate/reduce", reduce_moments)
+    return executor.run_phase(MasterPhase("estimate/reduce", reduce_moments)).results

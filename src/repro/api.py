@@ -48,9 +48,10 @@ def run(algorithm: str, config: RunConfig, *, executor=None, pool=None) -> IMRes
         so a bad field fails before any work starts.
     executor:
         Optional pre-built :class:`~repro.cluster.executor.Executor` to
-        lend the run.  Its worker pool, shared-memory graph, and cluster
-        seed are reused; the run never closes or reseeds a lent
-        executor — the caller keeps ownership.  Mutually exclusive with
+        lend the run.  Its worker pool and shared-memory graph are reused;
+        the run never closes a lent executor — the caller keeps
+        ownership.  Its machine count, seed and network must be the
+        config's (``ValueError`` otherwise).  Mutually exclusive with
         ``pool``.
     pool:
         Optional :class:`~repro.core.pool.SamplePool` to serve the query

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
+from ..cluster.cluster import SimulatedCluster, split_count
 from ..cluster.executor import MapPhase, SimulatedExecutor
 from ..cluster.metrics import GENERATION
 from ..cluster.network import NetworkModel
@@ -34,6 +34,7 @@ from ..diffusion.base import get_model
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
 from ..ris.flat import FlatRRCollection, append_batch
+from ..ris.rrset import sample_set_range
 from .result import ApplicationResult
 from .targeted import TargetedSampler
 
@@ -61,8 +62,10 @@ def adaptive_influence_maximization(
         the per-round regeneration cost makes ``"vectorized"`` attractive
         on large residual graphs.
     seed:
-        Drives both the sampling RNGs and the simulated ground-truth
-        cascades, so a run is fully reproducible.
+        Drives both the sampling and the simulated ground-truth cascades,
+        so a run is fully reproducible: round ``r``'s RR set ``i`` on
+        machine ``m`` is drawn at the coordinates
+        ``(seed, "adaptive-r", m, i)``.
 
     Returns
     -------
@@ -81,9 +84,8 @@ def adaptive_influence_maximization(
     activated: set[int] = set()
     seeds: list[int] = []
     residual = graph
-    cluster = SimulatedCluster(num_machines, network=network, seed=seed)
-    executor = SimulatedExecutor(cluster)
-    shares = cluster.split_count(rr_sets_per_round)
+    executor = SimulatedExecutor(SimulatedCluster(num_machines, network=network, seed=seed))
+    shares = split_count(rr_sets_per_round, num_machines)
 
     for round_idx in range(k):
         inactive = [v for v in range(graph.num_nodes) if v not in activated]
@@ -94,11 +96,13 @@ def adaptive_influence_maximization(
         # A new residual graph every round: nothing a pool could keep.
         stores = [FlatRRCollection(graph.num_nodes) for __ in range(num_machines)]
 
-        def generate(machine) -> None:
-            mid = machine.machine_id
-            append_batch(stores[mid], sampler.sample_batch(machine.rng, shares[mid]))
-
         label = f"adaptive-{round_idx}"
+
+        def generate(mid: int) -> None:
+            if shares[mid]:
+                batch = sample_set_range(sampler, seed, mid, range(shares[mid]), label)
+                append_batch(stores[mid], batch)
+
         executor.run_phase(MapPhase(f"{label}/generate", generate, category=GENERATION))
         selection = newgreedi(executor, 1, stores=stores, label=f"{label}/newgreedi")
         chosen = selection.seeds[0]
@@ -115,7 +119,7 @@ def adaptive_influence_maximization(
         seeds=seeds,
         objective=float(len(activated)),
         num_rr_sets=rr_sets_per_round * len(seeds),
-        metrics=cluster.metrics,
+        metrics=executor.metrics,
         params={
             "k": k,
             "num_machines": num_machines,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager
 from typing import Iterator, List, Tuple
 
+from ..cluster.cluster import split_count
 from ..cluster.executor import Executor
 from ..cluster.metrics import RunMetrics
 from ..cluster.network import NetworkModel
@@ -60,7 +61,7 @@ def sampled_stores(
             )
         else:
             pool.check_streams(graph, num_machines, seed, model, "bfs")
-        shares = pool.cluster.split_count(num_rr_sets)
+        shares = split_count(num_rr_sets, pool.num_machines)
         metrics = stack.enter_context(pool.query_metrics())
         pool.ensure("main", shares, label=f"{label}/generate")
         stores = [

@@ -1,6 +1,12 @@
-"""Simulated master-slave cluster: machines, network model, metrics, executors."""
+"""Simulated master-slave cluster: its shape, network model, metrics, executors.
 
-from .cluster import MachineFailure, SimulatedCluster
+:class:`SimulatedCluster` is the run's frozen shape (machine count,
+network, seed, clock, slowdowns); an :class:`Executor` built on it is the
+one object that runs, meters and prices every per-machine step and keeps
+the run's :class:`RunMetrics`.
+"""
+
+from .cluster import SimulatedCluster, split_count
 from .executor import (
     EXECUTORS,
     BroadcastPhase,
@@ -8,13 +14,13 @@ from .executor import (
     GatherPhase,
     GeneratePhase,
     GenerationOutcome,
+    MachineFailure,
     MapPhase,
     MasterPhase,
     MultiprocessingExecutor,
     PhaseResult,
     SimulatedExecutor,
     WorkerBackedExecutor,
-    as_executor,
     executor_scope,
     make_executor,
 )
@@ -29,7 +35,6 @@ from .faults import (
     PhaseTimeoutError,
     RetryPolicy,
 )
-from .machine import Machine
 from .metrics import (
     COMMUNICATION,
     COMPUTATION,
@@ -59,8 +64,8 @@ from .tracing import (
 
 __all__ = [
     "SimulatedCluster",
+    "split_count",
     "MachineFailure",
-    "Machine",
     "NetworkModel",
     "gigabit_cluster",
     "shared_memory_server",
@@ -92,7 +97,6 @@ __all__ = [
     "as_spec",
     "spec_summary",
     "make_executor",
-    "as_executor",
     "executor_scope",
     "GenerationOutcome",
     "FaultPlan",

@@ -1,49 +1,38 @@
-"""The simulated master-slave cluster.
+"""The simulated master-slave cluster's shape.
 
-:class:`SimulatedCluster` executes per-machine work units sequentially
-while metering each machine's wall-clock time; the *simulated parallel
-time* of a phase is the maximum per-machine time (machines would have run
-concurrently), and every master<->slave exchange is charged to the network
-model.  This reproduces the timing structure of the paper's MPI deployment
-without requiring 64 physical cores.
+:class:`SimulatedCluster` is a frozen value: how many machines, the
+network model that prices their traffic, the run's root seed, the time
+source and each machine's speed handicap.  It runs nothing — the
+:class:`~repro.cluster.executor.Executor` built on it runs every phase,
+meters each machine's wall clock (scaled by its slowdown), takes a
+phase's parallel time as the maximum over machines, prices every
+master<->slave exchange with the network model and keeps the run's
+:class:`~repro.cluster.metrics.RunMetrics`.  This reproduces the timing
+structure of the paper's MPI deployment without requiring 64 physical
+cores.
 
-Typical usage by an algorithm::
+Typical usage::
 
     cluster = SimulatedCluster(num_machines=8, network=gigabit_cluster(), seed=1)
-    results = cluster.map(GENERATION, "rr-generation", work)   # metered map
-    cluster.gather("coverage-vectors", payload_sizes)          # slaves -> master
-    cluster.broadcast("new-seed", 8)                           # master -> slaves
-    cluster.metrics.breakdown()
+    executor = make_executor("simulated", cluster, graph=graph)
+    executor.run_phase(GeneratePhase("rr-generation", counts, targets))
+    executor.run_phase(GatherPhase("coverage-vectors", payload_sizes))
+    executor.metrics.breakdown()
 """
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Any, Callable, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
-import numpy as np
-
-from .machine import Machine
-from .metrics import COMPUTATION, RunMetrics
 from .network import NetworkModel, shared_memory_server
 
-__all__ = ["SimulatedCluster", "MachineFailure"]
+__all__ = ["SimulatedCluster", "split_count"]
 
 
-class MachineFailure(RuntimeError):
-    """A worker machine's task raised during a map phase.
-
-    Carries the failing machine id and the phase label so the operator
-    can attribute the failure; the original exception is chained as the
-    ``__cause__``.
-    """
-
-    def __init__(self, machine_id: int, label: str) -> None:
-        super().__init__(f"machine {machine_id} failed during phase {label!r}")
-        self.machine_id = machine_id
-        self.label = label
-
-
+@dataclass(frozen=True, repr=False)
 class SimulatedCluster:
     """A master plus ``num_machines`` simulated slave machines.
 
@@ -52,143 +41,57 @@ class SimulatedCluster:
     num_machines:
         Number of worker machines ``l``.
     network:
-        Cost model for master<->slave transfers; defaults to the
+        Cost model for master<->slave transfers; ``None`` (default) is the
         shared-memory server profile.
     seed:
-        Root seed; RR-set generators are keyed off it and machine RNGs
-        are spawned from it, so results are reproducible for fixed
-        ``(seed, num_machines)``.
+        Root seed, a non-negative int.  RR set ``i`` of collection ``key``
+        on machine ``m`` is drawn at the coordinates ``(seed, key, m, i)``,
+        so results are reproducible for fixed ``(seed, num_machines)``.
     clock:
         Injectable time source for deterministic tests.
     slowdowns:
-        Optional per-machine speed handicaps for heterogeneous clusters
-        (see :class:`~repro.cluster.machine.Machine`); defaults to a
-        homogeneous cluster, the paper's setting.
+        Per-machine speed handicaps for heterogeneous clusters: a machine
+        with ``slowdown = 2.0`` is metered as twice as slow.  ``None``
+        (default) is a homogeneous cluster, the paper's setting.
     """
 
-    def __init__(
-        self,
-        num_machines: int,
-        network: NetworkModel | None = None,
-        seed: int | np.random.SeedSequence = 0,
-        clock: Callable[[], float] = time.perf_counter,
-        slowdowns: Sequence[float] | None = None,
-    ) -> None:
-        if num_machines < 1:
-            raise ValueError(f"num_machines must be >= 1, got {num_machines}")
-        if slowdowns is not None and len(slowdowns) != num_machines:
-            raise ValueError("slowdowns must have one entry per machine")
-        self.network = network if network is not None else shared_memory_server()
-        seed_seq = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        #: Generation phases key RR sets off its entropy; machine RNGs are its children.
-        self.seed_sequence = seed_seq
-        children = seed_seq.spawn(num_machines + 1)
-        #: The master's own RNG (used e.g. for tie-breaking decisions).
-        self.master_rng = np.random.default_rng(children[0])
-        self.machines: List[Machine] = [
-            Machine(
-                i,
-                np.random.default_rng(children[i + 1]),
-                clock=clock,
-                slowdown=1.0 if slowdowns is None else float(slowdowns[i]),
-            )
-            for i in range(num_machines)
-        ]
-        self.metrics = RunMetrics()
-        #: The time source master-side work is metered with (the machines share it).
-        self.clock = clock
+    num_machines: int
+    network: NetworkModel | None = None
+    seed: int = 0
+    clock: Callable[[], float] = time.perf_counter
+    slowdowns: Tuple[float, ...] | None = None
 
-    @property
-    def num_machines(self) -> int:
-        return len(self.machines)
-
-    # ------------------------------------------------------------------
-    # Metered execution
-    # ------------------------------------------------------------------
-    def map(
-        self,
-        category: str,
-        label: str,
-        work: Callable[[Machine], Any],
-    ) -> List[Any]:
-        """Run ``work`` on every machine; meter and record the phase.
-
-        ``category`` must be :data:`~repro.cluster.metrics.GENERATION` or
-        :data:`~repro.cluster.metrics.COMPUTATION`.  Returns the per-machine
-        results in machine order.
-        """
-        results: List[Any] = []
-        times: List[float] = []
-        for machine in self.machines:
-            try:
-                result, elapsed = machine.run(work)
-            except Exception as exc:
-                raise MachineFailure(machine.machine_id, label) from exc
-            results.append(result)
-            times.append(elapsed)
-        self.metrics.record_compute_phase(category, label, times)
-        return results
-
-    def run_on_master(self, label: str, work: Callable[[], Any]) -> Any:
-        """Run master-side work (e.g. the greedy scan) as a computation phase."""
-        start = self.clock()
-        result = work()
-        elapsed = self.clock() - start
-        self.metrics.record_compute_phase(COMPUTATION, label, [elapsed])
-        return result
-
-    # ------------------------------------------------------------------
-    # Communication accounting
-    # ------------------------------------------------------------------
-    def gather(self, label: str, byte_sizes: Sequence[int]) -> None:
-        """Charge a slaves->master gather; one message per slave."""
-        if len(byte_sizes) != self.num_machines:
-            raise ValueError(
-                f"expected {self.num_machines} payload sizes, got {len(byte_sizes)}"
-            )
-        elapsed = self.network.sequential_transfers(list(byte_sizes))
-        self.metrics.record_communication(label, int(sum(byte_sizes)), elapsed)
-
-    def broadcast(self, label: str, num_bytes: int) -> None:
-        """Charge a master->slaves broadcast of ``num_bytes`` per slave."""
-        sizes = [num_bytes] * self.num_machines
-        elapsed = self.network.sequential_transfers(sizes)
-        self.metrics.record_communication(label, num_bytes * self.num_machines, elapsed)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def split_count(self, total: int) -> List[int]:
-        """Split ``total`` work items across machines as evenly as possible.
-
-        The first ``total % l`` machines receive one extra item, so counts
-        differ by at most one (the paper's ``theta / l`` split).
-        """
-        base, extra = divmod(total, self.num_machines)
-        return [base + (1 if i < extra else 0) for i in range(self.num_machines)]
-
-    def split_count_weighted(self, total: int) -> List[int]:
-        """Split work proportionally to machine speed (``1 / slowdown``).
-
-        On a homogeneous cluster this coincides with :meth:`split_count`;
-        on a heterogeneous one it equalises per-machine finish times.
-        Largest-remainder rounding keeps the sum exact.
-        """
-        speeds = np.asarray([1.0 / m.slowdown for m in self.machines])
-        raw = total * speeds / speeds.sum()
-        shares = np.floor(raw).astype(int)
-        remainder = total - int(shares.sum())
-        if remainder:
-            order = np.argsort(-(raw - shares))
-            shares[order[:remainder]] += 1
-        return [int(s) for s in shares]
+    def __post_init__(self) -> None:
+        if self.num_machines < 1:
+            raise ValueError(f"num_machines must be >= 1, got {self.num_machines}")
+        seed = operator.index(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if self.slowdowns is None:
+            slowdowns = (1.0,) * self.num_machines
+        else:
+            slowdowns = tuple(float(s) for s in self.slowdowns)
+            if len(slowdowns) != self.num_machines:
+                raise ValueError("slowdowns must have one entry per machine")
+            if any(s <= 0 for s in slowdowns):
+                raise ValueError(f"slowdowns must be positive, got {list(slowdowns)}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "slowdowns", slowdowns)
+        if self.network is None:
+            object.__setattr__(self, "network", shared_memory_server())
 
     def __repr__(self) -> str:
         return (
             f"SimulatedCluster(num_machines={self.num_machines}, "
             f"network={self.network.name!r})"
         )
+
+
+def split_count(total: int, parts: int) -> List[int]:
+    """Split ``total`` work items over ``parts`` machines as evenly as possible.
+
+    The first ``total % parts`` machines receive one extra item, so counts
+    differ by at most one (the paper's ``theta / l`` split).
+    """
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]

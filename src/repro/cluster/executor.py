@@ -15,9 +15,14 @@ keeping the accounting contract identical:
   :mod:`repro.cluster.parallel`) — reproducibly, and *identically* to
   the simulated backend for a fixed seed, which the conformance tests pin.
 
-Every phase lands in the cluster's :class:`~repro.cluster.metrics.RunMetrics`
-with per-machine times (scaled by each machine's ``slowdown``) and byte
-counts, whichever executor ran it.
+The executor is the one object that runs, meters and prices a
+per-machine step.  The :class:`~repro.cluster.cluster.SimulatedCluster`
+it is built on is only the run's shape (machine count, network model,
+seed, clock, slowdowns); every phase lands in the executor's own
+:class:`~repro.cluster.metrics.RunMetrics` with per-machine times
+(:meth:`Executor.timed`: the machine's wall clock x its ``slowdown``)
+and byte counts priced by the network model
+(:meth:`Executor.record_transfer`), whichever executor ran it.
 
 Generation: one loop, two hooks
 -------------------------------
@@ -28,7 +33,8 @@ recovery events, hand-over of a spent quota, the phase record.  A backend
 supplies ``_attempt_wave`` (one attempt for the given machine ids: drawn
 in-process with injected faults interpreted in *simulated* time, or
 shipped to real workers whose failures are detected in *real* time) and
-``_replay_host`` (whose clock redraws, and pays for, a spent quota).
+``_replay_host`` (the machine whose clock redraws, and pays for, a spent
+quota).
 
 Attempts are pure: the loop resolves the plan's seed and first set
 indices once, and every attempt draws ``(seed, key, machine, index)``-keyed
@@ -53,7 +59,7 @@ from ..ris import make_sampler
 from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, RRSampler, sample_set_range
 from ..ris.wire import encoded_batch_nbytes
-from .cluster import MachineFailure, SimulatedCluster
+from .cluster import SimulatedCluster
 from .faults import (
     CORRUPT,
     CRASH_HARD,
@@ -66,8 +72,8 @@ from .faults import (
     PhaseTimeoutError,
     RetryPolicy,
 )
-from .machine import Machine
 from .metrics import COMPUTATION, GENERATION, RunMetrics
+from .network import NetworkModel
 from .spec import ExecutorSpec, MultiprocessingSpec, SimulatedSpec, SocketSpec, as_spec
 
 __all__ = [
@@ -84,9 +90,23 @@ __all__ = [
     "MultiprocessingExecutor",
     "EXECUTORS",
     "make_executor",
-    "as_executor",
     "executor_scope",
+    "MachineFailure",
 ]
+
+
+class MachineFailure(RuntimeError):
+    """A worker machine's task raised during a phase.
+
+    Carries the failing machine id and the phase label so the operator
+    can attribute the failure; the original exception is chained as the
+    ``__cause__``.
+    """
+
+    def __init__(self, machine_id: int, label: str) -> None:
+        super().__init__(f"machine {machine_id} failed during phase {label!r}")
+        self.machine_id = machine_id
+        self.label = label
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +131,7 @@ class GeneratePhase:
         ``starts[m] .. starts[m] + counts[m] - 1`` of it, set ``i`` at its
         coordinates ``(seed, key, m, i)`` (:func:`repro.ris.rrset.sample_set_range`).
     seed:
-        Base entropy; ``None`` (default) is the executor's cluster seed.
+        Base entropy; ``None`` (default) is the executor's seed.
     starts:
         Per-machine index of the first set drawn; ``None`` (default) is
         each target's current ``num_sets`` — the phase appends.
@@ -141,10 +161,10 @@ class GeneratePhase:
 
 @dataclass(frozen=True)
 class MapPhase:
-    """Run ``work(machine)`` on every machine as a metered compute phase."""
+    """Run ``work(machine_id)`` on every machine as a metered compute phase."""
 
     label: str
-    work: Callable[[Machine], Any]
+    work: Callable[[int], Any]
     category: str = COMPUTATION
 
 
@@ -225,14 +245,16 @@ def _failure_kind(error: str) -> str:
 # Executors
 # ----------------------------------------------------------------------
 class Executor(ABC):
-    """Runs phase plans against a :class:`SimulatedCluster`'s state.
+    """Runs phase plans on a :class:`SimulatedCluster`'s shape.
 
-    The executor owns *how* phases execute; the cluster keeps owning the
-    machines, the seed and the accounting (metrics, network model), and
-    the per-machine RR stores are the caller's, handed over per phase.
-    Communication and master phases are pure accounting and the
-    generation loop (:meth:`_run_generate`) is common too; a backend only
-    says how one attempt wave runs and where a spent quota is replayed.
+    The executor owns everything a run does: how phases execute, the
+    per-machine timer (:meth:`timed`), the network pricing
+    (:meth:`record_transfer`) and the run's :attr:`metrics`.  The cluster
+    only says how many machines there are, their seed, network, clock and
+    slowdowns; the per-machine RR stores are the caller's, handed over per
+    phase.  Map, communication and master phases are common, and so is the
+    generation loop (:meth:`_run_generate`); a backend only says how one
+    attempt wave runs and where a spent quota is replayed.
     """
 
     name: str = "abstract"
@@ -246,24 +268,48 @@ class Executor(ABC):
     ) -> None:
         self.cluster = cluster
         self.graph = graph
+        #: The run's book: every phase this executor runs is recorded here.
+        self.metrics = RunMetrics()
         #: Injected-fault plan; ``None`` is the empty plan (no injection).
         self.faults = faults if faults is not None else FaultPlan()
         #: Recovery policy; it governs real failures as well as injected ones.
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self._samplers: Dict[Tuple[str, str], RRSampler] = {}
 
-    # -- conveniences mirroring the cluster ----------------------------
-    @property
-    def machines(self):
-        return self.cluster.machines
-
+    # -- the cluster's shape ----------------------------------------------
     @property
     def num_machines(self) -> int:
         return self.cluster.num_machines
 
     @property
-    def metrics(self) -> RunMetrics:
-        return self.cluster.metrics
+    def seed(self) -> int:
+        return self.cluster.seed
+
+    @property
+    def network(self) -> NetworkModel:
+        return self.cluster.network
+
+    # -- metering and pricing ------------------------------------------------
+    def timed(self, work: Callable[[], Any], mid: int | None = None) -> Tuple[Any, float]:
+        """Run ``work()`` and return ``(result, metered seconds)``.
+
+        Metered on the cluster's clock, scaled by machine ``mid``'s
+        ``slowdown``; ``mid=None`` meters the master, which has none.
+        """
+        clock = self.cluster.clock
+        start = clock()
+        result = work()
+        elapsed = clock() - start
+        if mid is not None:
+            elapsed *= self.cluster.slowdowns[mid]
+        return result, elapsed
+
+    def record_transfer(self, label: str, byte_sizes: Sequence[int]) -> None:
+        """Record one communication phase: ``byte_sizes`` drained serially
+        through the master's port, priced by the network model."""
+        sizes = list(byte_sizes)
+        elapsed = self.network.sequential_transfers(sizes)
+        self.metrics.record_communication(label, int(sum(sizes)), elapsed)
 
     def sampler(self, model: str, method: str) -> RRSampler:
         """The executor-wide sampler for ``(model, method)``, built once."""
@@ -302,16 +348,30 @@ class Executor(ABC):
                 )
             return self._run_generate(plan)
         if isinstance(plan, MapPhase):
-            results = self.cluster.map(plan.category, plan.label, plan.work)
+            results: List[Any] = []
+            times: List[float] = []
+            for mid in range(self.num_machines):
+                try:
+                    result, elapsed = self.timed(lambda: plan.work(mid), mid)
+                except Exception as exc:
+                    raise MachineFailure(mid, plan.label) from exc
+                results.append(result)
+                times.append(elapsed)
+            self.metrics.record_compute_phase(plan.category, plan.label, times)
             return self._result_from_last_phase(plan.label, results)
         if isinstance(plan, GatherPhase):
-            self.cluster.gather(plan.label, list(plan.byte_sizes))
+            if len(plan.byte_sizes) != self.num_machines:
+                raise ValueError(
+                    f"expected {self.num_machines} payload sizes, got {len(plan.byte_sizes)}"
+                )
+            self.record_transfer(plan.label, plan.byte_sizes)
             return self._result_from_last_phase(plan.label, None)
         if isinstance(plan, BroadcastPhase):
-            self.cluster.broadcast(plan.label, plan.num_bytes)
+            self.record_transfer(plan.label, [plan.num_bytes] * self.num_machines)
             return self._result_from_last_phase(plan.label, None)
         if isinstance(plan, MasterPhase):
-            result = self.cluster.run_on_master(plan.label, plan.work)
+            result, elapsed = self.timed(plan.work)
+            self.metrics.record_compute_phase(COMPUTATION, plan.label, [elapsed])
             return self._result_from_last_phase(plan.label, result)
         raise TypeError(f"unknown phase plan {type(plan).__name__}")
 
@@ -340,7 +400,7 @@ class Executor(ABC):
         # coordinates.
         plan = replace(
             plan,
-            seed=self.cluster.seed_sequence.entropy if plan.seed is None else plan.seed,
+            seed=self.seed if plan.seed is None else plan.seed,
             starts=plan.starts or tuple(target.num_sets for target in targets),
         )
         faults, policy, label = self.faults, self.retry, plan.label
@@ -391,15 +451,15 @@ class Executor(ABC):
                     raise PhaseTimeoutError(label, list(pending), policy.phase_timeout)
                 raise FaultToleranceExceeded(label, list(pending), policy.max_attempts)
             try:
-                batch, elapsed = host.run(lambda _machine: self._draw(plan, mid))
+                batch, elapsed = self.timed(lambda: self._draw(plan, mid), host)
             except Exception as exc:
                 # It outlived every attempt and an in-process redraw: the
                 # error is the machine's input, not its worker.
                 raise MachineFailure(mid, label) from exc
             append_batch(targets[mid], batch)
             results[mid] = batch.count
-            times[host.machine_id] += elapsed
-            where = "the master" if host.machine_id == mid else f"machine {host.machine_id}"
+            times[host] += elapsed
+            where = "the master" if host == mid else f"machine {host}"
             self.metrics.record_recovery(
                 "reassignment",
                 mid,
@@ -427,11 +487,11 @@ class Executor(ABC):
         failures are reported per machine, never raised.
         """
 
-    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> Machine | None:
-        """The machine whose clock redraws lost machine ``mid``'s quota —
-        the ``turn``-th of ``failed`` — and is charged for it: a survivor,
-        round-robin, or ``None`` when nobody is left."""
-        survivors = [m for m in self.machines if m.machine_id not in failed]
+    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> int | None:
+        """The id of the machine whose clock redraws lost machine ``mid``'s
+        quota — the ``turn``-th of ``failed`` — and is charged for it: a
+        survivor, round-robin, or ``None`` when nobody is left."""
+        survivors = [m for m in range(self.num_machines) if m not in failed]
         return survivors[turn % len(survivors)] if survivors else None
 
     def _draw(self, plan: GeneratePhase, mid: int) -> FlatBatch:
@@ -468,12 +528,12 @@ class Executor(ABC):
 class SimulatedExecutor(Executor):
     """Sequential metered execution on the simulated cluster.
 
-    Each machine's attempt is drawn in-process through
-    :meth:`Machine.run <repro.cluster.machine.Machine.run>`, so timing
-    semantics (per-machine wall clock x slowdown, parallel time = max)
-    are the cluster's.  Injected faults are interpreted in *simulated*
-    time: a crashed attempt's wasted work, a deadline wait or a spoiled
-    transfer is charged to the machine's metered time — nothing sleeps.
+    Each machine's attempt is drawn in-process through :meth:`timed`, so
+    timing semantics (per-machine wall clock x slowdown, parallel time =
+    max) are every other phase's.  Injected faults are interpreted in
+    *simulated* time: a crashed attempt's wasted work, a deadline wait or a
+    spoiled transfer is charged to the machine's metered time — nothing
+    sleeps.
     """
 
     name = "simulated"
@@ -487,7 +547,7 @@ class SimulatedExecutor(Executor):
         outcomes = []
         for mid in ids:
             try:
-                batch, elapsed = self.machines[mid].run(lambda _machine: self._draw(plan, mid))
+                batch, elapsed = self.timed(lambda: self._draw(plan, mid), mid)
             except Exception as exc:
                 # No worker to lose in-process: a retry would fail alike.
                 raise MachineFailure(mid, plan.label) from exc
@@ -506,7 +566,7 @@ class SimulatedExecutor(Executor):
                 lost = timeout
                 error = f"timeout: attempt ran {metered:g}s against a {timeout:g}s deadline"
             elif kind == CORRUPT:
-                spoiled = self.cluster.network.retransmission_time(encoded_batch_nbytes(batch))
+                spoiled = self.network.retransmission_time(encoded_batch_nbytes(batch))
                 lost, error = metered + spoiled, "corruption: payload failed CRC32"
             else:
                 outcomes.append(GenerationOutcome(batch, elapsed, None))
@@ -567,37 +627,21 @@ def executor_scope(exec_: Executor, *, owned: bool) -> Iterator[RunMetrics]:
     reclaimed on every exit path — fault-recovery aborts and checkpoint
     crashes included.  A *lent* executor is metered in isolation
     instead: a fresh :class:`~repro.cluster.metrics.RunMetrics` replaces
-    the cluster's for the duration and is folded back into the caller's
+    the executor's for the duration and is folded back into the caller's
     accumulated metrics on exit.  Yields the metrics the scoped run
     records into.
     """
-    cluster = exec_.cluster
     if owned:
         with exec_:
-            yield cluster.metrics
+            yield exec_.metrics
     else:
-        previous, metrics = cluster.metrics, RunMetrics()
-        cluster.metrics = metrics
+        previous, metrics = exec_.metrics, RunMetrics()
+        exec_.metrics = metrics
         try:
             yield metrics
         finally:
-            cluster.metrics = previous
+            exec_.metrics = previous
             previous.merge(metrics)
-
-
-def as_executor(obj) -> Executor:
-    """Coerce a cluster (or executor) to an executor.
-
-    Lets phase-plan algorithms such as NEWGREEDI accept either: an
-    :class:`Executor` passes through; a bare :class:`SimulatedCluster`
-    is wrapped in a :class:`SimulatedExecutor` (no graph — generation
-    phases would need one, coordination phases do not).
-    """
-    if isinstance(obj, Executor):
-        return obj
-    if isinstance(obj, SimulatedCluster):
-        return SimulatedExecutor(obj)
-    raise TypeError(f"cannot build an executor from {type(obj).__name__}")
 
 
 # The worker-backed executors subclass Executor, so their module can only

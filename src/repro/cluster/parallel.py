@@ -87,7 +87,6 @@ from ..ris.wire import decode_batch, encode_batch
 from .cluster import SimulatedCluster
 from .executor import Executor, GeneratePhase, GenerationOutcome
 from .faults import CORRUPT, CRASH, CRASH_HARD, DISCONNECT, DROP, FaultPlan, RetryPolicy
-from .machine import Machine
 from .spec import ExecutorSpec, MultiprocessingSpec
 
 __all__ = [
@@ -627,14 +626,14 @@ class WorkerBackedExecutor(Executor):
             timeout=self.retry.phase_timeout,
         )
         return [
-            outcome._replace(elapsed=outcome.elapsed * self.machines[mid].slowdown)
+            outcome._replace(elapsed=outcome.elapsed * self.cluster.slowdowns[mid])
             for mid, outcome in zip(ids, outcomes)
         ]
 
-    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> Machine:
+    def _replay_host(self, mid: int, turn: int, failed: Dict[int, str]) -> int:
         """Reassignment of last resort: the master redraws the quota
         inline, on the lost machine's own clock and slot."""
-        return self.machines[mid]
+        return mid
 
     # -- lifecycle -----------------------------------------------------------
     def heartbeat(self) -> List[float | None]:

@@ -35,6 +35,7 @@ from typing import Callable, Dict
 
 from ..cluster.cluster import SimulatedCluster
 from ..cluster.executor import executor_scope, make_executor
+from ..cluster.network import shared_memory_server
 from ..coverage.sketch import hll_relative_error
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_collection
@@ -177,14 +178,29 @@ REGISTRY: Dict[str, Algorithm] = {
 }
 
 
+def _check_lent(executor, config: RunConfig, machines: int) -> None:
+    """Refuse a lent executor whose shape is not the config's."""
+    network = config.network if config.network is not None else shared_memory_server()
+    for field, lent, asked in (
+        ("machines", executor.num_machines, machines),
+        ("seed", executor.seed, config.seed),
+        ("network", executor.network, network),
+    ):
+        if lent != asked:
+            raise ValueError(
+                f"config asks for {field}={asked!r} but the lent executor has {lent!r}"
+            )
+
+
 def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMResult:
     """Run the :data:`REGISTRY` row named ``algorithm`` under ``config``.
 
-    ``executor`` lends a pre-built executor: its worker pool,
-    shared-memory graph and cluster seed are reused and never closed or
-    reseeded here.  ``pool`` serves the query warm from a
-    :class:`~repro.core.pool.SamplePool`; the result is bit-identical to
-    a cold run with the same config.  Without either, the run builds —
+    ``executor`` lends a pre-built executor: its worker pool and
+    shared-memory graph are reused and never closed here.  Its machine
+    count, seed and network must be the config's, or the run would draw
+    (and price) other streams than a cold run.  ``pool`` serves the query
+    warm from a :class:`~repro.core.pool.SamplePool`; the result is
+    bit-identical to a cold run with the same config.  Without either, the run builds —
     and on every exit path closes — its own executor.
     """
     entry = REGISTRY[algorithm]
@@ -204,11 +220,8 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
         exec_, stores, checkpoint = pool.executor, None, None
         scope = pool.query_metrics()
     else:
-        if executor is not None and executor.cluster.num_machines != machines:
-            raise ValueError(
-                f"config asks for {machines} machines but the lent "
-                f"executor has {executor.cluster.num_machines}"
-            )
+        if executor is not None:
+            _check_lent(executor, config, machines)
         stores = {
             key: [
                 make_collection(

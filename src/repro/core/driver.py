@@ -49,6 +49,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
+from ..cluster.cluster import split_count
 from ..cluster.executor import (
     Executor,
     GatherPhase,
@@ -56,7 +57,6 @@ from ..cluster.executor import (
     MapPhase,
     MasterPhase,
 )
-from ..cluster.machine import Machine
 from ..coverage.greedy import GreedyResult, greedy_max_coverage
 from ..coverage.newgreedi import newgreedi
 from ..coverage.sketch import SketchCoverageState, sketch_lazy_greedy
@@ -552,7 +552,7 @@ class RoundDriver:
         Per-machine RR stores for each of the rule's collection keys,
         ``{key: [store_machine_0, ...]}``.  The driver owns their growth:
         set ``i`` of collection ``key`` on machine ``m`` is drawn at the
-        coordinates ``(cluster seed, key, m, i)``.
+        coordinates ``(executor seed, key, m, i)``.
     model, method:
         Sampler selection for the generation phases.
     backend:
@@ -653,7 +653,6 @@ class RoundDriver:
                     "round snapshots cannot be restored"
                 )
         self.executor = executor
-        self.cluster = executor.cluster
         self.rule = rule
         self.k = k
         self.stores = stores
@@ -713,8 +712,8 @@ class RoundDriver:
         """
         stores = self.stores[key]
 
-        def scan(machine: Machine) -> int:
-            return stores[machine.machine_id].coverage_of(seeds)
+        def scan(mid: int) -> int:
+            return stores[mid].coverage_of(seeds)
 
         per_machine = self.executor.run_phase(MapPhase(label, scan)).results
         self.executor.run_phase(
@@ -738,18 +737,19 @@ class RoundDriver:
     def _grow(self, key: str, target: int, round_label: str) -> None:
         """Raise collection ``key`` to ``target`` total RR sets.
 
-        The round's increment is split over machines with the cluster's
-        ``split_count`` and folded into the per-machine cumulative quotas
-        ``self._needed[key]``.  Cold mode then generates each machine's
-        shortfall — identical, machine for machine, to the historical
-        per-wave ``split_count(missing)`` — while pool mode tops the
-        shared collections up to the quotas and advances this query's
-        prefix views to them.
+        The round's increment is split over machines with
+        :func:`~repro.cluster.cluster.split_count` and folded into the
+        per-machine cumulative quotas ``self._needed[key]``.  Cold mode
+        then generates each machine's shortfall — identical, machine for
+        machine, to the historical per-wave ``split_count(missing)`` —
+        while pool mode tops the shared collections up to the quotas and
+        advances this query's prefix views to them.
         """
         needed = self._needed[key]
         total_needed = sum(needed)
         if target > total_needed:
-            for idx, extra in enumerate(self.cluster.split_count(target - total_needed)):
+            shares = split_count(target - total_needed, self.executor.num_machines)
+            for idx, extra in enumerate(shares):
                 needed[idx] += extra
         if self.pool is not None:
             self.pool.ensure(
@@ -837,7 +837,7 @@ class RoundDriver:
         stores = self.stores[key]
         counts = self.coverage.selection_counts()
 
-        def central_greedy(machine: Machine) -> GreedyResult:
+        def central_greedy(mid: int) -> GreedyResult:
             return greedy_max_coverage(
                 stores,
                 self.k,

@@ -26,7 +26,7 @@ collections:
 
 The pool is thread-safe by serialization: :meth:`query_metrics` — which
 every query must wrap its phases in — holds the pool lock, swaps a fresh
-:class:`~repro.cluster.metrics.RunMetrics` onto the cluster for the
+:class:`~repro.cluster.metrics.RunMetrics` onto the executor for the
 query, and merges it into the pool's lifetime metrics afterwards.
 Queries against *different* pools run concurrently.
 
@@ -63,7 +63,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
-from ..cluster.executor import GeneratePhase, MapPhase, make_executor
+from ..cluster.executor import GeneratePhase, MapPhase, executor_scope, make_executor
 from ..cluster.spec import as_spec
 from ..cluster.metrics import GENERATION, RunMetrics
 from ..cluster.network import NetworkModel
@@ -150,8 +150,9 @@ class SamplePool:
         self.seed = seed
         self.model = model
         self.method = method
-        self.cluster = SimulatedCluster(machines, network=network, seed=seed)
-        self.executor = make_executor(spec, self.cluster, graph=graph)
+        self.executor = make_executor(
+            spec, SimulatedCluster(machines, network=network, seed=seed), graph=graph
+        )
         try:
             self._sampler_factory = sampler_factory
             self._sampler = (
@@ -176,7 +177,7 @@ class SamplePool:
     # ------------------------------------------------------------------
     @property
     def num_machines(self) -> int:
-        return self.cluster.num_machines
+        return self.executor.num_machines
 
     @property
     def num_nodes(self) -> int:
@@ -191,7 +192,7 @@ class SamplePool:
     @property
     def lifetime_metrics(self) -> RunMetrics:
         """Phases accumulated across every query served so far."""
-        return self.cluster.metrics
+        return self.executor.metrics
 
     def sizes(self) -> Dict[str, List[int]]:
         """Per-machine collection sizes for each key."""
@@ -283,8 +284,7 @@ class SamplePool:
             else:
                 sampler, seed = self._sampler, self.seed
 
-                def top_up(machine) -> int:
-                    mid = machine.machine_id
+                def top_up(mid: int) -> int:
                     first = stores[mid].num_sets
                     ids = range(first, first + counts[mid])
                     if ids:
@@ -370,8 +370,7 @@ class SamplePool:
         seed = self.seed
         cache = tuple(self._coverage_cache.get(key, ()))
 
-        def regen(machine) -> int:
-            mid = machine.machine_id
+        def regen(mid: int) -> int:
             store = stores[mid]
             ids = store.affected_sets(touched)
             if ids.size == 0:
@@ -414,8 +413,7 @@ class SamplePool:
         num_nodes = self.num_nodes
         counts = [store.num_sets for store in stores]
 
-        def rebuild(machine) -> int:
-            mid = machine.machine_id
+        def rebuild(mid: int) -> int:
             fresh = FlatRRCollection(num_nodes)
             if counts[mid]:
                 append_batch(
@@ -472,20 +470,16 @@ class SamplePool:
     def query_metrics(self) -> Iterator[RunMetrics]:
         """Serialize one query and meter it in isolation.
 
-        Holds the pool lock for the duration, swaps a fresh
-        :class:`RunMetrics` onto the cluster (so the query's phases are
-        its own), and on exit merges them into the pool's lifetime
-        metrics and restores the previous sink.
+        Holds the pool lock for the duration and meters the query as a
+        lent-executor run (:func:`~repro.cluster.executor.executor_scope`):
+        its phases are its own, merged into the pool's lifetime metrics
+        on exit.
         """
         with self._lock:
-            previous = self.cluster.metrics
-            metrics = RunMetrics()
-            self.cluster.metrics = metrics
             try:
-                yield metrics
+                with executor_scope(self.executor, owned=False) as metrics:
+                    yield metrics
             finally:
-                self.cluster.metrics = previous
-                previous.merge(metrics)
                 self.queries_served += 1
 
     # ------------------------------------------------------------------

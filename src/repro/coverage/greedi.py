@@ -20,9 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..cluster.cluster import SimulatedCluster
-from ..cluster.machine import Machine
-from ..cluster.metrics import COMPUTATION
+from ..cluster.executor import Executor, GatherPhase, MapPhase, MasterPhase
 from .greedy import BucketQueue, GreedyResult, _pad_with_unselected
 from .kernel import as_flat, candidate_degrees, mark_and_decrement
 from .problem import CoverageInstance
@@ -77,19 +75,20 @@ def _restricted_greedy(store, candidates: Sequence[int], k: int) -> List[int]:
 
 
 def greedi(
-    cluster: SimulatedCluster,
+    executor: Executor,
     instance: CoverageInstance,
     k: int,
     kappa: int | None = None,
     rng: np.random.Generator | None = None,
     label: str = "greedi",
 ) -> GreedyResult:
-    """Run GREEDI on the cluster; returns the merged size-``k`` solution.
+    """Run GREEDI on the executor's machines; returns the merged size-``k`` solution.
 
     Parameters
     ----------
-    cluster:
-        Simulated cluster (timing recorded into ``cluster.metrics``).
+    executor:
+        The :class:`~repro.cluster.executor.Executor` the local, gather
+        and merge phases run on (timing recorded into ``executor.metrics``).
     instance:
         The *global* coverage instance; set-distributed partitioning is
         performed here, in GREEDI's favour (paper Section IV-A: each
@@ -107,13 +106,13 @@ def greedi(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kappa = k if kappa is None else kappa
-    partitions = partition_sets(instance.num_nodes, cluster.num_machines, rng)
+    partitions = partition_sets(instance.num_nodes, executor.num_machines, rng)
     store = as_flat(instance)
 
-    def local_stage(machine: Machine) -> List[int]:
-        return _restricted_greedy(store, partitions[machine.machine_id], kappa)
+    def local_stage(mid: int) -> List[int]:
+        return _restricted_greedy(store, partitions[mid], kappa)
 
-    local_solutions = cluster.map(COMPUTATION, f"{label}/local", local_stage)
+    local_solutions = executor.run_phase(MapPhase(f"{label}/local", local_stage)).results
 
     # Each machine ships its kappa candidates together with their full
     # incidence lists; the master cannot evaluate coverage without them.
@@ -124,7 +123,7 @@ def greedi(
             size += SET_ID_BYTES
             size += ELEMENT_ID_BYTES * len(store.sets_containing(set_id))
         payload_sizes.append(size)
-    cluster.gather(f"{label}/candidates", payload_sizes)
+    executor.run_phase(GatherPhase(f"{label}/candidates", payload_sizes))
 
     def merge_stage() -> GreedyResult:
         union: List[int] = sorted({s for sol in local_solutions for s in sol})
@@ -136,11 +135,11 @@ def greedi(
             num_elements=instance.num_sets,
         )
 
-    return cluster.run_on_master(f"{label}/merge", merge_stage)
+    return executor.run_phase(MasterPhase(f"{label}/merge", merge_stage)).results
 
 
 def randgreedi(
-    cluster: SimulatedCluster,
+    executor: Executor,
     instance: CoverageInstance,
     k: int,
     rng: np.random.Generator,
@@ -151,4 +150,4 @@ def randgreedi(
     Randomizing the partition lifts the expected approximation to
     ``(1 - 1/e) / 2``; the protocol and traffic are GREEDI's.
     """
-    return greedi(cluster, instance, k, kappa=kappa, rng=rng, label="randgreedi")
+    return greedi(executor, instance, k, kappa=kappa, rng=rng, label="randgreedi")

@@ -32,9 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.cluster import MachineFailure
-from ..cluster.executor import Executor, GatherPhase, MapPhase, MasterPhase, as_executor
-from ..cluster.machine import Machine
+from ..cluster.executor import Executor, GatherPhase, MachineFailure, MapPhase, MasterPhase
 from ..cluster.metrics import COMPUTATION
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import BucketQueue, GreedyResult, _cannot_pass, _pad_with_unselected
@@ -60,29 +58,27 @@ def _stores_of(executor: Executor, stores: Sequence) -> List:
 
 
 def gather_coverage_counts(
-    cluster,
+    executor: Executor,
     stores: Sequence,
     start_indices: Sequence[int] | None = None,
     label: str = "coverage-counts",
 ) -> np.ndarray:
     """Aggregate per-node coverage counts from all machines at the master.
 
-    ``cluster`` may be a :class:`~repro.cluster.cluster.SimulatedCluster`
-    or any :class:`~repro.cluster.executor.Executor` over one; ``stores``
+    ``executor`` runs the map, gather and reduce phases; ``stores``
     holds one element store per machine.  Each machine responds with a
     sparse vector of ``(node, count)`` tuples over its elements with
     index ``>= start_indices[i]`` — DIIMM passes the previous collection
     sizes here so only *newly generated* RR sets are communicated (the
     incremental variant of Section III-C).
     """
-    executor = as_executor(cluster)
     stores = _stores_of(executor, stores)
     starts = list(start_indices) if start_indices is not None else [0] * len(stores)
     if len(starts) != len(stores):
         raise ValueError("start_indices must have one entry per machine")
 
-    def compute_counts(machine: Machine) -> np.ndarray:
-        return stores[machine.machine_id].coverage_counts(start=starts[machine.machine_id])
+    def compute_counts(mid: int) -> np.ndarray:
+        return stores[mid].coverage_counts(start=starts[mid])
 
     per_machine = executor.run_phase(MapPhase(f"{label}/map", compute_counts)).results
     payload_sizes = tuple(
@@ -147,10 +143,9 @@ class NewGreeDiRounds:
         #: Per completed round: (machine map times, reply bytes, reduce time).
         self._books: List[Tuple[List[float], List[int], float]] = []
 
-        def reset_covered(machine: Machine) -> int:
-            mid = machine.machine_id
+        def reset_covered(mid: int) -> int:
             store = self.stores[mid] = FlatArrays(as_flat(self.stores[mid]))
-            self._covered[machine.machine_id] = np.zeros(store.num_sets, dtype=bool)
+            self._covered[mid] = np.zeros(store.num_sets, dtype=bool)
             return store.num_sets
 
         self.num_elements = sum(
@@ -170,38 +165,38 @@ class NewGreeDiRounds:
 
         Every machine marks the RR sets ``seed`` newly covers and answers
         with its sparse ``(node, decrement)`` vector, timed on its own
-        clock; each reply is priced at its compressed size
+        clock (:meth:`Executor.timed <repro.cluster.executor.Executor.timed>`);
+        each reply is priced at its compressed size
         (:func:`repro.ris.wire.tuple_vector_nbytes`) and the master subtracts
         the replies from :attr:`counts`.  The round's phase records are
         written by :meth:`close`.
         """
-        stores, covered, counts = self.stores, self._covered, self.counts
-
-        def map_stage(machine: Machine):
-            mid = machine.machine_id
-            return sparse_decrements(stores[mid], seed, covered[mid])
-
+        executor, stores, covered, counts = self.executor, self.stores, self._covered, self.counts
         times: List[float] = []
         sizes: List[int] = []
         replies = []
-        for machine in self.executor.machines:
+        for mid in range(executor.num_machines):
             try:
-                reply, elapsed = machine.run(map_stage)
+                reply, elapsed = executor.timed(
+                    lambda: sparse_decrements(stores[mid], seed, covered[mid]), mid
+                )
             except Exception as exc:
-                raise MachineFailure(machine.machine_id, f"{self.label}/map") from exc
+                raise MachineFailure(mid, f"{self.label}/map") from exc
             times.append(elapsed)
             sizes.append(tuple_vector_nbytes(reply[0], reply[1]))
             replies.append(reply)
 
-        clock = self.executor.cluster.clock
-        start = clock()
-        gained = 0
-        for machine_idx, (nodes, decs, newly) in enumerate(replies):
-            self.covered_per_machine[machine_idx] += newly
-            gained += newly
-            if nodes.size:
-                counts[nodes] -= decs
-        self._books.append((times, sizes, clock() - start))
+        def reduce() -> int:
+            gained = 0
+            for mid, (nodes, decs, newly) in enumerate(replies):
+                self.covered_per_machine[mid] += newly
+                gained += newly
+                if nodes.size:
+                    counts[nodes] -= decs
+            return gained
+
+        gained, reduce_time = executor.timed(reduce)
+        self._books.append((times, sizes, reduce_time))
         self.marginals.append(gained)
         return gained
 
@@ -213,13 +208,14 @@ class NewGreeDiRounds:
         whatever round annotation the metrics carry now, so close inside
         the scope the rounds ran in.
         """
-        cluster, label = self.executor.cluster, self.label
+        executor, label = self.executor, self.label
+        metrics = executor.metrics
         books, self._books = self._books, []
         for times, sizes, reduce_time in books:
-            cluster.broadcast(f"{label}/seed", SEED_BYTES)
-            cluster.metrics.record_compute_phase(COMPUTATION, f"{label}/map", times)
-            cluster.gather(f"{label}/gather", sizes)
-            cluster.metrics.record_compute_phase(COMPUTATION, f"{label}/reduce", [reduce_time])
+            executor.record_transfer(f"{label}/seed", [SEED_BYTES] * executor.num_machines)
+            metrics.record_compute_phase(COMPUTATION, f"{label}/map", times)
+            executor.record_transfer(f"{label}/gather", sizes)
+            metrics.record_compute_phase(COMPUTATION, f"{label}/reduce", [reduce_time])
 
     def __enter__(self) -> "NewGreeDiRounds":
         return self
@@ -229,7 +225,7 @@ class NewGreeDiRounds:
 
 
 def newgreedi(
-    cluster,
+    executor: Executor,
     k: int,
     stores: Sequence,
     initial_counts: np.ndarray | None = None,
@@ -237,16 +233,15 @@ def newgreedi(
     coverage_state=None,
     accepts: Callable[[int, int], bool] | None = None,
 ) -> NewGreeDiResult:
-    """Run Algorithm 1 on the cluster and return the size-``k`` solution.
+    """Run Algorithm 1 on the executor's machines; return the size-``k`` solution.
 
     Parameters
     ----------
-    cluster:
-        The simulated cluster — or an
-        :class:`~repro.cluster.executor.Executor` over one — whose
-        metrics record the timing/traffic.  Every round lands there as
-        the same four phase records (broadcast / map / gather / master),
-        whichever executor the cluster sits under.
+    executor:
+        The :class:`~repro.cluster.executor.Executor` whose metrics record
+        the timing/traffic.  Every round lands there as the same four
+        phase records (broadcast / map / gather / master), whichever
+        backend it is.
     k:
         Seed-set size.
     stores:
@@ -283,7 +278,6 @@ def newgreedi(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    executor = as_executor(cluster)
     stores = _stores_of(executor, stores)
     num_universe_sets = stores[0].num_nodes
     for store in stores:

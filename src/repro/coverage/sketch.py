@@ -41,7 +41,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.executor import GatherPhase, MapPhase, MasterPhase
-from ..cluster.machine import Machine
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import GreedyResult, _pad_with_unselected
 
@@ -553,10 +552,8 @@ class SketchCoverageState:
             return
         starts = list(self.watermarks)
 
-        def wave_delta(machine: Machine):
-            return stores[machine.machine_id].register_delta(
-                start=starts[machine.machine_id]
-            )
+        def wave_delta(mid: int):
+            return stores[mid].register_delta(start=starts[mid])
 
         deltas = executor.run_phase(MapPhase(f"{label}/map", wave_delta)).results
         if communicate:

@@ -32,7 +32,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..cluster.executor import GatherPhase, MapPhase, MasterPhase
-from ..cluster.machine import Machine
 from ..ris.wire import tuple_vector_nbytes
 from .kernel import apply_sparse_delta, sparse_coverage_delta
 
@@ -122,10 +121,8 @@ class CoverageState:
         self._ensure_owned()
         starts = list(self.watermarks)
 
-        def wave_delta(machine: Machine):
-            return sparse_coverage_delta(
-                stores[machine.machine_id], start=starts[machine.machine_id]
-            )
+        def wave_delta(mid: int):
+            return sparse_coverage_delta(stores[mid], start=starts[mid])
 
         deltas = executor.run_phase(MapPhase(f"{label}/map", wave_delta)).results
         if communicate:

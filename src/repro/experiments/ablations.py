@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.martingale import empirical_workload_balance, workload_concentration
-from ..cluster.cluster import SimulatedCluster
 from ..api import run
+from ..cluster.cluster import SimulatedCluster, split_count
+from ..cluster.executor import GeneratePhase, SimulatedExecutor
 from ..cluster.metrics import COMMUNICATION
 from ..core.config import RunConfig
 from ..core.pool import SamplePool
@@ -188,6 +189,24 @@ def epsilon_sweep(
     return rows
 
 
+def split_count_weighted(total: int, slowdowns: Sequence[float]) -> list[int]:
+    """Split ``total`` work items proportionally to machine speed (``1 / slowdown``).
+
+    On a homogeneous cluster this coincides with
+    :func:`~repro.cluster.cluster.split_count`; on a heterogeneous one it
+    equalises per-machine finish times.  Largest-remainder rounding keeps
+    the sum exact.
+    """
+    speeds = 1.0 / np.asarray(slowdowns, dtype=float)
+    raw = total * speeds / speeds.sum()
+    shares = np.floor(raw).astype(int)
+    remainder = total - int(shares.sum())
+    if remainder:
+        order = np.argsort(-(raw - shares))
+        shares[order[:remainder]] += 1
+    return [int(s) for s in shares]
+
+
 def heterogeneity(
     dataset: str = "facebook",
     num_machines: int = 8,
@@ -205,28 +224,23 @@ def heterogeneity(
     quantifying how much the assumption matters.
     """
     ds = load_dataset(dataset, seed=seed)
-    sampler = make_sampler(ds.graph, model=model)
     slowdowns = [
         max_slowdown if i % 2 else 1.0 for i in range(num_machines)
     ]
     rows = []
     for strategy in ("even", "weighted"):
-        cluster = SimulatedCluster(num_machines, seed=seed, slowdowns=slowdowns)
+        executor = SimulatedExecutor(
+            SimulatedCluster(num_machines, seed=seed, slowdowns=slowdowns), graph=ds.graph
+        )
         stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(num_machines)]
         shares = (
-            cluster.split_count(num_rr_sets)
+            split_count(num_rr_sets, num_machines)
             if strategy == "even"
-            else cluster.split_count_weighted(num_rr_sets)
+            else split_count_weighted(num_rr_sets, slowdowns)
         )
-
-        def generate(machine):
-            stores[machine.machine_id].extend(
-                sampler.sample_many(shares[machine.machine_id], machine.rng)
-            )
-
-        from ..cluster.metrics import GENERATION
-
-        cluster.map(GENERATION, f"hetero/{strategy}", generate)
+        executor.run_phase(
+            GeneratePhase(f"hetero/{strategy}", counts=shares, targets=stores, model=model)
+        )
         rows.append(
             {
                 "ablation": "heterogeneity",
@@ -234,7 +248,7 @@ def heterogeneity(
                 "strategy": strategy,
                 "machines": num_machines,
                 "max_slowdown": max_slowdown,
-                "parallel_gen_s": round(cluster.metrics.generation_time, 4),
+                "parallel_gen_s": round(executor.metrics.generation_time, 4),
                 "shares_min_max": f"{min(shares)}/{max(shares)}",
             }
         )
@@ -260,17 +274,13 @@ def workload_balance(
     together with the theoretical deviation probability at ``eps = 0.1``.
     """
     ds = load_dataset(dataset, seed=seed)
-    sampler = make_sampler(ds.graph, model=model)
     rows = []
     for machines in machine_counts:
-        cluster = SimulatedCluster(machines, seed=seed)
-        shares = cluster.split_count(num_rr_sets)
-        sizes = []
-        for machine in cluster.machines:
-            store = FlatRRCollection(ds.graph.num_nodes)
-            store.extend(sampler.sample_many(shares[machine.machine_id], machine.rng))
-            sizes.append(store.total_size)
-        balance = empirical_workload_balance(sizes)
+        executor = SimulatedExecutor(SimulatedCluster(machines, seed=seed), graph=ds.graph)
+        shares = split_count(num_rr_sets, machines)
+        stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(machines)]
+        executor.run_phase(GeneratePhase("workload", counts=shares, targets=stores, model=model))
+        balance = empirical_workload_balance([store.total_size for store in stores])
         eps_mean = balance.mean / shares[0] if shares[0] else 1.0
         bound = workload_concentration(
             shares[0], 0.1, ds.graph.num_nodes, max(eps_mean, 1e-9)

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
+from ..cluster.executor import SimulatedExecutor
 from ..cluster.network import gigabit_cluster
 from ..coverage.newgreedi import newgreedi
 from ..graphs.datasets import load_dataset
@@ -38,12 +39,14 @@ def communication_scaling(
 
     rows = []
     for machines in machine_counts:
-        cluster = SimulatedCluster(machines, network=gigabit_cluster(), seed=seed)
+        executor = SimulatedExecutor(
+            SimulatedCluster(machines, network=gigabit_cluster(), seed=seed)
+        )
         stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(machines)]
         for idx, sample in enumerate(pool):
             stores[idx % machines].add(sample)
-        result = newgreedi(cluster, k, stores=stores)
-        breakdown = cluster.metrics.breakdown()
+        result = newgreedi(executor, k, stores=stores)
+        breakdown = executor.metrics.breakdown()
         comm = breakdown["communication"]
         comp = breakdown["computation"]
         rows.append(
@@ -54,7 +57,7 @@ def communication_scaling(
                 "coverage": result.coverage,
                 "computation_s": round(comp, 4),
                 "communication_s": round(comm, 5),
-                "comm_mb": round(cluster.metrics.total_bytes / 1e6, 3),
+                "comm_mb": round(executor.metrics.total_bytes / 1e6, 3),
                 "comm_over_comp": round(comm / comp, 4) if comp else 0.0,
             }
         )

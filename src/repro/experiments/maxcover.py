@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.cluster import SimulatedCluster
+from ..cluster.executor import SimulatedExecutor
 from ..cluster.network import shared_memory_server
 from ..coverage.greedi import greedi
 from ..coverage.greedy import greedy_max_coverage
@@ -62,20 +63,19 @@ def fig10_maxcover(
             rng = np.random.default_rng(seed + cores)
             parts = [as_flat(part) for part in instance.split(cores, rng=rng)]
             cluster = SimulatedCluster(cores, network=shared_memory_server(), seed=seed)
-            new_result = newgreedi(cluster, k, stores=parts)
+            new_exec = SimulatedExecutor(cluster)
+            new_result = newgreedi(new_exec, k, stores=parts)
             if new_result.coverage != sequential.coverage:
                 raise AssertionError(
                     "NEWGREEDI diverged from the sequential greedy: "
                     f"{new_result.coverage} != {sequential.coverage} "
                     f"({dataset}, cores={cores})"
                 )
-            new_time = cluster.metrics.total_time
+            new_time = new_exec.metrics.total_time
 
-            greedi_cluster = SimulatedCluster(
-                cores, network=shared_memory_server(), seed=seed
-            )
-            greedi_result = greedi(greedi_cluster, instance, k)
-            greedi_time = greedi_cluster.metrics.total_time
+            greedi_exec = SimulatedExecutor(cluster)
+            greedi_result = greedi(greedi_exec, instance, k)
+            greedi_time = greedi_exec.metrics.total_time
 
             rows.append(
                 {

@@ -9,6 +9,11 @@ mixed graph updates, on the simulated and the ``multiprocessing:2``
 executor — must keep its seeds, objective (bit for bit), ``num_rr_sets``
 and ``params``.  The cases only use the surface both commits share: the
 cold entry points' common parameters and ``InfluenceService.query``.
+
+The two adaptive cases were re-pinned once, when adaptive IM moved from
+per-machine sequential generators to coordinate-keyed draws
+(``sample_set_range`` with the key ``adaptive-{round}``): every other
+digest is unchanged since ``d7458f2``.
 """
 
 import json

@@ -22,12 +22,13 @@ from repro.applications import (
     seed_minimization,
     targeted_influence_maximization,
 )
-from repro.cluster import GENERATION, SimulatedCluster
+from repro.cluster import GENERATION, split_count
 from repro.core.pool import SamplePool
 from repro.coverage import newgreedi
 from repro.coverage.greedy import BucketQueue
 from repro.coverage.newgreedi import NewGreeDiRounds
 from repro.graphs import erdos_renyi, weighted_cascade
+from tests.conftest import simulated
 
 THETA = 700
 
@@ -168,7 +169,7 @@ def random_graph(seed):
 def cold_stores(graph, machines, seed):
     """The stores a cold fixed-budget call draws: ``SamplePool`` streams."""
     with SamplePool(graph, machines, seed=seed) as pool:
-        pool.ensure("main", pool.cluster.split_count(THETA))
+        pool.ensure("main", split_count(THETA, machines))
         return pool.stores("main")
 
 
@@ -198,7 +199,7 @@ def shared_outcome(result, rounds, coverage=None):
 class TestSharedRoundEqualsParentLoops:
     def test_newgreedi_rule(self, machines, seed):
         stores = cold_stores(random_graph(seed), machines, seed)
-        result = newgreedi(SimulatedCluster(machines, seed=0), 6, stores=stores)
+        result = newgreedi(simulated(machines, seed=0), 6, stores=stores)
         seeds, coverage, marginals, per_machine = oracle_newgreedi(stores, 6)
         assert result.seeds[: len(seeds)] == seeds  # the rest is zero-gain padding
         assert (result.coverage, result.marginals) == (coverage, marginals)

@@ -2,37 +2,37 @@
 
 import pytest
 
-from repro.cluster import COMPUTATION, MachineFailure, SimulatedCluster
+from repro.cluster import MachineFailure, MapPhase, SimulatedCluster, SimulatedExecutor
 
 
 class TestMachineFailure:
     def test_failure_carries_machine_id_and_label(self):
-        cluster = SimulatedCluster(3, seed=0)
+        executor = SimulatedExecutor(SimulatedCluster(3, seed=0))
 
-        def work(machine):
-            if machine.machine_id == 1:
+        def work(mid):
+            if mid == 1:
                 raise ValueError("disk on fire")
-            return machine.machine_id
+            return mid
 
         with pytest.raises(MachineFailure) as info:
-            cluster.map(COMPUTATION, "risky-phase", work)
+            executor.run_phase(MapPhase("risky-phase", work))
         assert info.value.machine_id == 1
         assert info.value.label == "risky-phase"
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_no_phase_recorded_on_failure(self):
-        cluster = SimulatedCluster(2, seed=0)
+        executor = SimulatedExecutor(SimulatedCluster(2, seed=0))
 
-        def work(machine):
+        def work(mid):
             raise RuntimeError("boom")
 
         with pytest.raises(MachineFailure):
-            cluster.map(COMPUTATION, "phase", work)
-        assert cluster.metrics.phases == []
+            executor.run_phase(MapPhase("phase", work))
+        assert executor.metrics.phases == []
 
     def test_successful_map_unaffected(self):
-        cluster = SimulatedCluster(2, seed=0)
-        results = cluster.map(COMPUTATION, "fine", lambda m: m.machine_id)
+        executor = SimulatedExecutor(SimulatedCluster(2, seed=0))
+        results = executor.run_phase(MapPhase("fine", lambda mid: mid)).results
         assert results == [0, 1]
 
     def test_failure_mid_algorithm_attributes_machine(self, small_wc_graph):
@@ -45,11 +45,11 @@ class TestMachineFailure:
             def coverage_counts(self, start: int = 0):
                 raise OSError("simulated storage failure")
 
-        cluster = SimulatedCluster(2, seed=0)
+        executor = SimulatedExecutor(SimulatedCluster(2, seed=0))
         healthy = RRCollection(small_wc_graph.num_nodes)
         poisoned = PoisonedStore(small_wc_graph.num_nodes)
         with pytest.raises(MachineFailure) as info:
-            reference_newgreedi(cluster, 2, [healthy, poisoned])
+            reference_newgreedi(executor, 2, [healthy, poisoned])
         assert info.value.machine_id == 1
         assert isinstance(info.value.__cause__, OSError)
 
@@ -66,7 +66,7 @@ class TestMachineFailure:
             def get(self, idx: int):
                 raise OSError("simulated storage failure")
 
-        cluster = SimulatedCluster(2, seed=0)
+        executor = SimulatedExecutor(SimulatedCluster(2, seed=0))
         sample = RRSample(
             nodes=np.asarray([0], dtype=np.int32), root=0, edges_examined=0
         )
@@ -75,6 +75,6 @@ class TestMachineFailure:
         poisoned = PoisonedStore(small_wc_graph.num_nodes)
         poisoned.add(sample)
         with pytest.raises(MachineFailure) as info:
-            newgreedi(cluster, 2, stores=[healthy, poisoned])
+            newgreedi(executor, 2, stores=[healthy, poisoned])
         assert info.value.machine_id == 1
         assert isinstance(info.value.__cause__, OSError)

@@ -318,8 +318,11 @@ class TestGenerateLevelInvariance:
         executor.run_phase(
             GeneratePhase(label="gen", counts=(count,) * machines, targets=targets)
         )
-        follow_up = [m.rng.integers(1 << 30) for m in executor.machines]
-        return targets, follow_up, executor.metrics
+        # The next phase on the same executor, with no faults armed for it.
+        executor.faults = FaultPlan()
+        follow_up = tuple(FlatRRCollection(graph.num_nodes) for _ in range(machines))
+        executor.run_phase(GeneratePhase("next", counts=(3,) * machines, targets=follow_up))
+        return targets, [store.nodes.tolist() for store in follow_up], executor.metrics
 
     @pytest.mark.parametrize("plan", MATRIX_PLANS)
     def test_collections_and_rng_streams_invariant(self, small_wc_graph, plan):
@@ -331,8 +334,8 @@ class TestGenerateLevelInvariance:
             np.testing.assert_array_equal(ref.nodes, got.nodes)
             np.testing.assert_array_equal(ref.offsets, got.offsets)
             assert ref.total_edges_examined == got.total_edges_examined
-        # The machines' RNG streams stay in lockstep, so later rounds
-        # (driven outside this phase) also draw identically.
+        # The machines' coordinate streams stay in lockstep, so later
+        # phases (driven outside this one) also draw identically.
         assert faulty_rng_after == rng_after
         # Round-targeted specs never fire outside a driver round.
         fires = any(spec.round_index is None for spec in FaultPlan.parse(plan).specs)
@@ -352,7 +355,7 @@ class TestGenerateLevelInvariance:
                     "gen", (14, 9, 21), stores, key="k", seed=123, starts=(0, 14, 23)
                 )
             )
-            return stores, cluster.metrics
+            return stores, executor.metrics
 
         reference, _ = generate(None)
         faulty, metrics = generate(FaultPlan.parse(fault))

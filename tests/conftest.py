@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import SimulatedCluster, SimulatedExecutor
 from repro.coverage import CoverageInstance
 from repro.graphs import (
     GraphBuilder,
@@ -84,6 +85,12 @@ def coordinate_rng(seed: int, key: str, machine_id: int, set_index: int) -> np.r
 
     sequence = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(key.encode()), machine_id))
     return np.random.Generator(np.random.PCG64(sequence).jumped(set_index))
+
+
+def simulated(num_machines: int, **shape) -> SimulatedExecutor:
+    """A graph-less simulated executor on ``SimulatedCluster(num_machines, **shape)``:
+    enough for every phase but generation."""
+    return SimulatedExecutor(SimulatedCluster(num_machines, **shape))
 
 
 def make_random_instance(

@@ -14,10 +14,10 @@ import pytest
 
 from repro import api
 from repro.api import RunConfig
-from repro.cluster import SimulatedCluster
 from repro.core.driver import RoundDriver
 from repro.coverage import newgreedi
 from repro.graphs.datasets import load_dataset
+from tests.conftest import simulated
 
 # The package re-exports the function under the submodule's name.
 driver_module = import_module("repro.core.driver")
@@ -64,7 +64,7 @@ def test_an_ungrown_final_round_reuses_the_passing_selection(traced):
     assert maps["search-1"] < 64 and maps["search-2"] < 64  # doomed, cut short
     assert result.num_rr_sets == driver.total_sets("main") == last_selection.num_elements
     # What a second selection on the final collection would have returned.
-    again = newgreedi(SimulatedCluster(4, seed=0), 64, stores=driver.stores["main"])
+    again = newgreedi(simulated(4, seed=0), 64, stores=driver.stores["main"])
     assert (again.seeds, again.coverage) == (result.seeds, run.selection.coverage)
 
 

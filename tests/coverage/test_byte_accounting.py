@@ -19,13 +19,14 @@ from repro.applications import (
     seed_minimization,
     targeted_influence_maximization,
 )
-from repro.cluster import COMMUNICATION, SimulatedCluster
+from repro.cluster import COMMUNICATION
 from repro.coverage import greedi, newgreedi
 from repro.coverage.newgreedi import SEED_BYTES
 from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import make_sampler
 from repro.ris.rrset import RRSample
 from repro.ris.wire import tuple_vector_nbytes
+from tests.conftest import simulated
 from tests.oracle import RRCollection, reference_greedi, reference_newgreedi
 
 MACHINES = 4
@@ -52,14 +53,14 @@ class TestNewGreediBytes:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_bytes_both_backends(self, seed):
         graph, stores = build_stores(seed)
-        ref_cluster = SimulatedCluster(MACHINES, seed=0)
-        flat_cluster = SimulatedCluster(MACHINES, seed=0)
-        ref = reference_newgreedi(ref_cluster, 8, list(stores))
-        flat = newgreedi(flat_cluster, 8, stores=list(stores))
+        ref_executor = simulated(MACHINES, seed=0)
+        flat_executor = simulated(MACHINES, seed=0)
+        ref = reference_newgreedi(ref_executor, 8, list(stores))
+        flat = newgreedi(flat_executor, 8, stores=list(stores))
         assert flat.seeds == ref.seeds
         # Phase-by-phase: same labels, same payload bytes, same order.
-        assert comm_phases(flat_cluster.metrics) == comm_phases(ref_cluster.metrics)
-        assert flat_cluster.metrics.total_bytes == ref_cluster.metrics.total_bytes
+        assert comm_phases(flat_executor.metrics) == comm_phases(ref_executor.metrics)
+        assert flat_executor.metrics.total_bytes == ref_executor.metrics.total_bytes
 
     def test_gather_bytes_are_compressed_sparse_vectors(self):
         """Round r's gather charges the delta + varint size of each
@@ -67,11 +68,11 @@ class TestNewGreediBytes:
         distinct node it used to charge, and never zero (the length
         header always ships)."""
         __, stores = build_stores(5)
-        cluster = SimulatedCluster(MACHINES, seed=0)
-        result = newgreedi(cluster, 3, stores=list(stores))
+        executor = simulated(MACHINES, seed=0)
+        result = newgreedi(executor, 3, stores=list(stores))
         gathers = [
             p.num_bytes
-            for p in cluster.metrics.phases
+            for p in executor.metrics.phases
             if p.category == COMMUNICATION and p.label == "newgreedi/gather"
         ]
         assert len(gathers) == len(result.marginals)
@@ -82,7 +83,7 @@ class TestNewGreediBytes:
             assert size < 8 * stores[0].num_nodes * MACHINES
         broadcasts = [
             p.num_bytes
-            for p in cluster.metrics.phases
+            for p in executor.metrics.phases
             if p.category == COMMUNICATION and p.label == "newgreedi/seed"
         ]
         assert broadcasts == [SEED_BYTES * MACHINES] * len(result.marginals)
@@ -142,9 +143,9 @@ class TestGreediBytes:
                 merged.add(
                     RRSample(nodes=nodes, root=int(nodes[0]), edges_examined=0)
                 )
-        ref_cluster = SimulatedCluster(MACHINES, seed=0)
-        flat_cluster = SimulatedCluster(MACHINES, seed=0)
-        ref = reference_greedi(ref_cluster, merged, 6)
-        flat = greedi(flat_cluster, merged, 6)
+        ref_executor = simulated(MACHINES, seed=0)
+        flat_executor = simulated(MACHINES, seed=0)
+        ref = reference_greedi(ref_executor, merged, 6)
+        flat = greedi(flat_executor, merged, 6)
         assert flat.seeds == ref.seeds
-        assert comm_phases(flat_cluster.metrics) == comm_phases(ref_cluster.metrics)
+        assert comm_phases(flat_executor.metrics) == comm_phases(ref_executor.metrics)

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import SimulatedCluster
 from repro.core.bounds import ImmParameters
 from repro.core.driver import ImmScheduleRule
 from repro.coverage import greedy_max_coverage, newgreedi
+from tests.conftest import simulated
 from tests.oracle import engine
 
 from .test_property import coverage_instances
@@ -78,9 +78,9 @@ def assert_sound(full, cut, accepts):
 )
 def test_newgreedi_early_exit_is_sound(instance, machines, k, data):
     stores = instance.split(machines)
-    full = newgreedi(SimulatedCluster(machines, seed=0), k, stores=stores)
+    full = newgreedi(simulated(machines, seed=0), k, stores=stores)
     for accepts in thresholds(data.draw, full, instance.num_nodes):
-        cut = newgreedi(SimulatedCluster(machines, seed=0), k, stores=stores, accepts=accepts)
+        cut = newgreedi(simulated(machines, seed=0), k, stores=stores, accepts=accepts)
         assert_sound(full, cut, accepts)
         assert cut.covered_per_machine is not None
         assert sum(cut.covered_per_machine) == cut.coverage
@@ -105,10 +105,10 @@ def test_central_greedy_early_exit_is_sound(instance, backend, k, data):
 def test_a_hopeless_round_runs_no_seed_round(paper_instance, backend):
     """A threshold above ``k`` times the largest marginal: the first bound
     already fails, so no seed is broadcast and nothing is padded."""
-    cluster = SimulatedCluster(2, seed=0)
+    executor = simulated(2, seed=0)
     with engine(backend):
         cut = newgreedi(
-            cluster,
+            executor,
             3,
             stores=paper_instance.split(2),
             accepts=lambda coverage, num_elements: coverage > 3 * num_elements,
@@ -117,7 +117,7 @@ def test_a_hopeless_round_runs_no_seed_round(paper_instance, backend):
             [paper_instance], 3, accepts=lambda coverage, num_elements: False
         )
     assert (cut.seeds, cut.coverage, cut.marginals) == ([], 0, [])
-    labels = [p.label for p in cluster.metrics.phases]
+    labels = [p.label for p in executor.metrics.phases]
     assert "newgreedi/seed" not in labels and "newgreedi/map" not in labels
     assert labels[-1] == "newgreedi/select"
     assert (central.seeds, central.coverage) == ([], 0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import COMMUNICATION, SimulatedCluster
+from repro.cluster import COMMUNICATION
 from repro.coverage import (
     CoverageInstance,
     greedi,
@@ -13,7 +13,7 @@ from repro.coverage import (
     partition_sets,
     randgreedi,
 )
-from tests.conftest import make_random_instance
+from tests.conftest import make_random_instance, simulated
 from tests.oracle import reference_greedi
 
 
@@ -36,8 +36,8 @@ class TestPartition:
 
 class TestGreedi:
     def test_paper_example(self, paper_instance):
-        cluster = SimulatedCluster(2, seed=0)
-        result = greedi(cluster, paper_instance, 2)
+        executor = simulated(2, seed=0)
+        result = greedi(executor, paper_instance, 2)
         assert len(result.seeds) == 2
         assert result.coverage <= 6
 
@@ -56,31 +56,31 @@ class TestGreedi:
                     range(inst.num_nodes), min(k, inst.num_nodes)
                 )
             )
-            cluster = SimulatedCluster(3, seed=trial)
-            result = greedi(cluster, inst, k)
+            executor = simulated(3, seed=trial)
+            result = greedi(executor, inst, k)
             assert result.coverage <= best
 
     def test_single_machine_equals_centralized(self, paper_instance):
-        cluster = SimulatedCluster(1, seed=0)
-        result = greedi(cluster, paper_instance, 2)
+        executor = simulated(1, seed=0)
+        result = greedi(executor, paper_instance, 2)
         central = greedy_max_coverage([paper_instance], 2)
         assert result.coverage == central.coverage
 
     def test_candidate_traffic_charged(self, paper_instance):
-        cluster = SimulatedCluster(2, seed=0)
-        greedi(cluster, paper_instance, 2)
-        comm = [p for p in cluster.metrics.phases if p.category == COMMUNICATION]
+        executor = simulated(2, seed=0)
+        greedi(executor, paper_instance, 2)
+        comm = [p for p in executor.metrics.phases if p.category == COMMUNICATION]
         assert sum(p.num_bytes for p in comm) > 0
 
     def test_kappa_defaults_to_k(self, paper_instance):
-        cluster = SimulatedCluster(2, seed=0)
-        result = greedi(cluster, paper_instance, 3)
+        executor = simulated(2, seed=0)
+        result = greedi(executor, paper_instance, 3)
         assert len(result.seeds) == 3
 
     def test_invalid_k(self, paper_instance):
-        cluster = SimulatedCluster(2, seed=0)
+        executor = simulated(2, seed=0)
         with pytest.raises(ValueError):
-            greedi(cluster, paper_instance, 0)
+            greedi(executor, paper_instance, 0)
 
     def test_worst_case_guarantee_holds(self):
         """GREEDI coverage >= (1-1/e)^2 / min(l, k) of the optimum."""
@@ -97,16 +97,16 @@ class TestGreedi:
                     range(inst.num_nodes), min(k, inst.num_nodes)
                 )
             )
-            cluster = SimulatedCluster(num_machines, seed=trial)
-            result = greedi(cluster, inst, k)
+            executor = simulated(num_machines, seed=trial)
+            result = greedi(executor, inst, k)
             bound = (1 - 1 / math.e) ** 2 / min(num_machines, k)
             assert result.coverage >= bound * best - 1e-9
 
 
 class TestRandGreedi:
     def test_runs_and_respects_k(self, paper_instance):
-        cluster = SimulatedCluster(2, seed=0)
-        result = randgreedi(cluster, paper_instance, 2, rng=np.random.default_rng(0))
+        executor = simulated(2, seed=0)
+        result = randgreedi(executor, paper_instance, 2, rng=np.random.default_rng(0))
         assert len(result.seeds) == 2
 
     def test_shuffle_changes_partition_outcome_possible(self):
@@ -121,8 +121,8 @@ class TestRandGreedi:
             inst.coverage_of(combo)
             for combo in itertools.combinations(range(6), 2)
         )
-        cluster = SimulatedCluster(3, seed=0)
-        result = randgreedi(cluster, inst, 2, rng=np.random.default_rng(8))
+        executor = simulated(3, seed=0)
+        result = randgreedi(executor, inst, 2, rng=np.random.default_rng(8))
         assert result.coverage <= best
 
 
@@ -130,17 +130,17 @@ class TestEdgeCases:
     """Coverage gaps: empty instances, k > set count, tie-breaking."""
 
     def test_empty_instance_pads_seeds(self):
-        cluster = SimulatedCluster(2, seed=0)
+        executor = simulated(2, seed=0)
         empty = CoverageInstance(5, [])
-        result = greedi(cluster, empty, 3)
+        result = greedi(executor, empty, 3)
         assert len(result.seeds) == len(set(result.seeds)) == 3
         assert result.coverage == 0
         assert result.num_elements == 0
 
     def test_k_exceeding_set_count_pads_deterministically(self, paper_instance):
         # k = num sets: every set is selected (or padded in), no repeats.
-        cluster = SimulatedCluster(2, seed=0)
-        result = greedi(cluster, paper_instance, paper_instance.num_nodes)
+        executor = simulated(2, seed=0)
+        result = greedi(executor, paper_instance, paper_instance.num_nodes)
         assert sorted(result.seeds) == list(range(paper_instance.num_nodes))
 
     def test_tie_breaking_is_lowest_id_and_deterministic(self):
@@ -149,7 +149,7 @@ class TestEdgeCases:
         # per-partition and the merge stage.
         inst = CoverageInstance(4, [[0], [1], [2], [3]])
         results = [
-            greedi(SimulatedCluster(2, seed=0), inst, 2) for _ in range(3)
+            greedi(simulated(2, seed=0), inst, 2) for _ in range(3)
         ]
         assert all(r.seeds == [0, 1] for r in results)
 
@@ -157,8 +157,8 @@ class TestEdgeCases:
         """The kernel and the oracle's per-element restricted greedy."""
         inst = CoverageInstance(5, [[0, 1], [1, 2], [3], [3], [3]])
         for k in (1, 3, 5):
-            flat = greedi(SimulatedCluster(2, seed=0), inst, k)
-            ref = reference_greedi(SimulatedCluster(2, seed=0), inst, k)
+            flat = greedi(simulated(2, seed=0), inst, k)
+            ref = reference_greedi(simulated(2, seed=0), inst, k)
             assert flat.seeds == ref.seeds
             assert flat.coverage == ref.coverage
 

@@ -21,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import SimulatedCluster
 from repro.coverage import greedi, greedy_max_coverage, newgreedi
 from repro.diffusion.triggering import ICTriggering, LTTriggering
 from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import make_sampler
 from repro.ris.rrset import RRSample
 from repro.ris.triggering_sampler import TriggeringRRSampler
+from tests.conftest import simulated
 from tests.oracle import RRCollection, reference_greedi, reference_greedy, reference_newgreedi
 
 MODELS = ("ic", "lt", "trig-ic", "trig-lt")
@@ -74,8 +74,8 @@ def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
     assert flat.marginals == ref.marginals
     assert flat.coverage == ref.coverage
 
-    ref_new = reference_newgreedi(SimulatedCluster(MACHINES, seed=0), k, list(stores))
-    flat_new = newgreedi(SimulatedCluster(MACHINES, seed=0), k, stores=list(stores))
+    ref_new = reference_newgreedi(simulated(MACHINES, seed=0), k, list(stores))
+    flat_new = newgreedi(simulated(MACHINES, seed=0), k, stores=list(stores))
     assert flat_new.seeds == ref_new.seeds
     assert flat_new.marginals == ref_new.marginals
     assert flat_new.covered_per_machine == ref_new.covered_per_machine
@@ -83,8 +83,8 @@ def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
     # Both match the sequential greedy (Lemma 2's exact equivalence).
     assert flat_new.seeds == ref.seeds
 
-    ref_gre = reference_greedi(SimulatedCluster(MACHINES, seed=0), merged, k)
-    flat_gre = greedi(SimulatedCluster(MACHINES, seed=0), merged, k)
+    ref_gre = reference_greedi(simulated(MACHINES, seed=0), merged, k)
+    flat_gre = greedi(simulated(MACHINES, seed=0), merged, k)
     assert flat_gre.seeds == ref_gre.seeds
     assert flat_gre.coverage == ref_gre.coverage
 

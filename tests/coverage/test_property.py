@@ -12,13 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import SimulatedCluster
 from repro.coverage import (
     CoverageInstance,
     greedy_max_coverage,
     naive_greedy_max_coverage,
     newgreedi,
 )
+from tests.conftest import simulated
 
 
 @st.composite
@@ -82,9 +82,9 @@ def test_lazy_greedy_equals_naive_oracle(instance, k):
 def test_newgreedi_equals_centralized_greedy(instance, k, num_machines, shuffle_seed):
     """Lemma 2, property-based: any distribution of elements, any l."""
     central = greedy_max_coverage([instance], k)
-    cluster = SimulatedCluster(num_machines, seed=0)
+    executor = simulated(num_machines, seed=0)
     parts = instance.split(num_machines, rng=np.random.default_rng(shuffle_seed))
-    result = newgreedi(cluster, k, stores=parts)
+    result = newgreedi(executor, k, stores=parts)
     assert result.seeds == central.seeds
     assert result.coverage == central.coverage
 
@@ -132,7 +132,7 @@ def test_newgreedi_equals_the_naive_oracle_under_heavy_ties(
     live counts are the naive re-scan's, seed for seed, gain for gain."""
     naive = naive_greedy_max_coverage([instance], k)
     parts = instance.split(num_machines, rng=np.random.default_rng(shuffle_seed))
-    result = newgreedi(SimulatedCluster(num_machines, seed=0), k, stores=parts)
+    result = newgreedi(simulated(num_machines, seed=0), k, stores=parts)
     assert result.seeds == naive.seeds
     assert result.marginals == naive.marginals
     assert result.coverage == naive.coverage
@@ -151,5 +151,5 @@ def test_newgreedi_equals_the_naive_oracle_on_a_ring_wider_than_the_queue_view()
     naive = naive_greedy_max_coverage([instance], 6)
     assert naive.seeds == [0, 2, 4, 6, 8, 10]
     parts = instance.split(3, rng=np.random.default_rng(1))
-    result = newgreedi(SimulatedCluster(3, seed=0), 6, stores=parts)
+    result = newgreedi(simulated(3, seed=0), 6, stores=parts)
     assert (result.seeds, result.marginals) == (naive.seeds, naive.marginals)

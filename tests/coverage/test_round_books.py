@@ -19,13 +19,14 @@ from repro.applications import (
     profit_maximization,
     seed_minimization,
 )
-from repro.cluster import COMMUNICATION, MachineFailure, SimulatedCluster
+from repro.cluster import COMMUNICATION, MachineFailure
 from repro.cluster.executor import BroadcastPhase, GatherPhase, MapPhase, MasterPhase
 from repro.coverage import newgreedi
 from repro.coverage.newgreedi import SEED_BYTES, NewGreeDiRounds
 from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import make_sampler
 from repro.ris.wire import tuple_vector_nbytes
+from tests.conftest import simulated
 from tests.oracle import RRCollection, engine
 
 # The package re-exports the function under the submodule's name.
@@ -41,8 +42,7 @@ class ParentRounds(NewGreeDiRounds):
         executor, label, counts = self.executor, self.label, self.counts
         decrements = newgreedi_module.sparse_decrements  # the oracle's, when swapped in
 
-        def map_stage(machine):
-            mid = machine.machine_id
+        def map_stage(mid):
             return decrements(self.stores[mid], seed, self._covered[mid])
 
         executor.run_phase(BroadcastPhase(f"{label}/seed", SEED_BYTES))
@@ -98,10 +98,10 @@ def build_stores(seed: int, count: int = 160):
 def test_newgreedi_books_equal_the_per_seed_run_phase_loop(monkeypatch, backend, seed):
     """``backend="reference"`` runs both sides on the oracle's dict loops."""
     def run():
-        cluster = SimulatedCluster(MACHINES, seed=0)
-        with cluster.metrics.annotated(round_index=3, rule="imm-schedule"):
-            result = newgreedi(cluster, 7, stores=build_stores(seed), label="search-3/newgreedi")
-        return result, books(cluster.metrics)
+        executor = simulated(MACHINES, seed=0)
+        with executor.metrics.annotated(round_index=3, rule="imm-schedule"):
+            result = newgreedi(executor, 7, stores=build_stores(seed), label="search-3/newgreedi")
+        return result, books(executor.metrics)
 
     with engine(backend):
         result, ours = run()
@@ -147,8 +147,7 @@ def test_map_failure_names_the_machine_and_keeps_finished_rounds(monkeypatch):
         return real(store, seed, covered)
 
     monkeypatch.setattr(newgreedi_module, "sparse_decrements", failing)
-    cluster = SimulatedCluster(MACHINES, seed=0)
-    executor = newgreedi_module.as_executor(cluster)
+    executor = simulated(MACHINES, seed=0)
     with pytest.raises(MachineFailure) as info:
         with NewGreeDiRounds(executor, stores, "newgreedi") as rounds:
             flat_stores = rounds.stores
@@ -158,7 +157,7 @@ def test_map_failure_names_the_machine_and_keeps_finished_rounds(monkeypatch):
     assert (info.value.machine_id, info.value.label) == (2, "newgreedi/map")
     assert isinstance(info.value.__cause__, OSError)
     assert len(rounds.marginals) == 2
-    labels = [p.label for p in cluster.metrics.phases if "/init/" not in p.label]
+    labels = [p.label for p in executor.metrics.phases if "/init/" not in p.label]
     assert labels == ["newgreedi/reset"] + [
         f"newgreedi/{stage}" for __ in range(2) for stage in ("seed", "map", "gather", "reduce")
     ]
@@ -175,25 +174,25 @@ def test_newgreedi_closes_the_books_when_a_round_fails(monkeypatch):
         return real(store, seed, covered)
 
     monkeypatch.setattr(newgreedi_module, "sparse_decrements", failing)
-    cluster = SimulatedCluster(MACHINES, seed=0)
+    executor = simulated(MACHINES, seed=0)
     with pytest.raises(MachineFailure) as info:
-        newgreedi(cluster, 6, stores=stores)
+        newgreedi(executor, 6, stores=stores)
     assert info.value.machine_id == 2
-    labels = [p.label for p in cluster.metrics.phases]
+    labels = [p.label for p in executor.metrics.phases]
     assert labels.count("newgreedi/map") == labels.count("newgreedi/reduce") == 2
     assert "newgreedi/select" not in labels
 
 
 def test_rounds_are_metered_on_the_cluster_clock_times_slowdown():
     ticks = itertools.count()
-    cluster = SimulatedCluster(2, seed=0, clock=lambda: float(next(ticks)), slowdowns=[1.0, 3.0])
+    executor = simulated(2, seed=0, clock=lambda: float(next(ticks)), slowdowns=[1.0, 3.0])
     stores = build_stores(6)[:2]
-    with NewGreeDiRounds(newgreedi_module.as_executor(cluster), stores, "rounds") as rounds:
+    with NewGreeDiRounds(executor, stores, "rounds") as rounds:
         rounds.select(int(np.argmax(rounds.counts)))
-        assert [p.label for p in cluster.metrics.phases if p.label.startswith("rounds/map")] == []
-    by_label = {p.label: p for p in cluster.metrics.phases}
+        assert [p.label for p in executor.metrics.phases if p.label.startswith("rounds/map")] == []
+    by_label = {p.label: p for p in executor.metrics.phases}
     assert by_label["rounds/map"].machine_times == (1.0, 3.0)
     assert by_label["rounds/reduce"].machine_times == (1.0,)
     assert by_label["rounds/seed"].num_bytes == 2 * SEED_BYTES
     rounds.close()  # nothing left to write
-    assert [p.label for p in cluster.metrics.phases].count("rounds/map") == 1
+    assert [p.label for p in executor.metrics.phases].count("rounds/map") == 1

@@ -51,14 +51,14 @@ def test_ingest_phases_and_bytes(small_wc_graph, rng):
     state = CoverageState(small_wc_graph.num_nodes, 2)
     state.ingest(executor, stores, label="wave")
 
-    labels = [p.label for p in cluster.metrics.phases]
+    labels = [p.label for p in executor.metrics.phases]
     assert labels == ["wave/map", "wave/gather", "wave/reduce"]
     expected_bytes = 0
     for store in stores:
         counts = store.coverage_counts()
         nodes = np.flatnonzero(counts)
         expected_bytes += tuple_vector_nbytes(nodes, counts[nodes])
-    assert cluster.metrics.total_bytes == expected_bytes
+    assert executor.metrics.total_bytes == expected_bytes
     # The compressed vector must beat the raw 8-bytes-per-tuple format.
     raw_bytes = sum(
         8 * int(np.count_nonzero(store.coverage_counts())) for store in stores
@@ -73,9 +73,9 @@ def test_ingest_without_new_sets_is_free(small_wc_graph, rng):
     grow((10, 10))
     state = CoverageState(small_wc_graph.num_nodes, 2)
     state.ingest(executor, stores)
-    phases_before = len(cluster.metrics.phases)
+    phases_before = len(executor.metrics.phases)
     state.ingest(executor, stores)
-    assert len(cluster.metrics.phases) == phases_before
+    assert len(executor.metrics.phases) == phases_before
 
 
 def test_local_ingest_moves_no_bytes(small_wc_graph, rng):
@@ -86,8 +86,8 @@ def test_local_ingest_moves_no_bytes(small_wc_graph, rng):
     state = CoverageState(small_wc_graph.num_nodes, 1)
     state.ingest(executor, stores, communicate=False)
     np.testing.assert_array_equal(state.counts, state.rebuild_from(stores))
-    assert cluster.metrics.total_bytes == 0
-    assert cluster.metrics.communication_time == 0.0
+    assert executor.metrics.total_bytes == 0
+    assert executor.metrics.communication_time == 0.0
 
 
 def test_selection_counts_is_reusable_scratch(small_wc_graph, rng):

@@ -13,7 +13,6 @@ import pytest
 
 from repro import (
     FlatRRCollection,
-    SimulatedCluster,
     diimm,
     estimate_spread,
     evaluate_seeds,
@@ -26,6 +25,7 @@ from repro import (
     weighted_cascade,
 )
 from repro.graphs import erdos_renyi
+from repro.cluster import GeneratePhase, SimulatedCluster, SimulatedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +46,10 @@ class TestRISPipeline:
         assert ris_estimate == pytest.approx(mc.mean, rel=0.1)
 
     def test_distributed_collections_cover_like_central(self, pipeline_graph):
-        sampler = make_sampler(pipeline_graph, "ic")
-        cluster = SimulatedCluster(5, seed=2)
-        stores = [FlatRRCollection(pipeline_graph.num_nodes) for __ in cluster.machines]
-        for store, machine in zip(stores, cluster.machines):
-            store.extend(sampler.sample_many(400, machine.rng))
-        distributed = newgreedi(cluster, 8, stores=stores)
+        executor = SimulatedExecutor(SimulatedCluster(5, seed=2), graph=pipeline_graph)
+        stores = [FlatRRCollection(pipeline_graph.num_nodes) for __ in range(5)]
+        executor.run_phase(GeneratePhase("gen", counts=(400,) * 5, targets=stores))
+        distributed = newgreedi(executor, 8, stores=stores)
         central = greedy_max_coverage(stores, 8)
         assert distributed.seeds == central.seeds
 

@@ -12,7 +12,12 @@ slow, obvious way:
   loop, one element at a time;
 * :func:`reference_decrements` — NEWGREEDI's map stage, accumulating
   ``Delta_i`` in a dict;
-* :func:`reference_restricted_greedy` — GREEDI's per-partition greedy.
+* :func:`reference_restricted_greedy` — GREEDI's per-partition greedy;
+* :func:`reference_exact_spread_ic` / :func:`reference_exact_spread_lt` /
+  :func:`reference_exact_optimum` — the exact spread, one live-edge world
+  at a time (a Python loop over edge masks or triggering choices, a BFS
+  per world), and the brute-force optimum calling it once per candidate
+  set: what :mod:`repro.diffusion.exact` enumerates once, vectorized.
 
 None of it shares code with :mod:`repro.coverage.kernel` or
 :func:`repro.ris.flat.build_inverted_index`.  :func:`reference_engine`
@@ -24,6 +29,7 @@ priced replies — runs unchanged over the oracle's per-element work; the
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager, nullcontext
 from importlib import import_module
 from typing import Dict, Iterable, Iterator, List, Sequence
@@ -33,6 +39,9 @@ import pytest
 
 from repro.coverage import greedi, greedy_max_coverage, newgreedi
 from repro.coverage.greedy import BucketQueue
+from repro.diffusion.base import seeds_to_array
+from repro.diffusion.lt import check_lt_feasible
+from repro.diffusion.triggering import reachable_from
 from repro.ris.flat import FlatRRCollection
 from repro.ris.rrset import RRSample
 
@@ -42,6 +51,9 @@ __all__ = [
     "engine",
     "reference_decrements",
     "reference_engine",
+    "reference_exact_optimum",
+    "reference_exact_spread_ic",
+    "reference_exact_spread_lt",
     "reference_greedi",
     "reference_greedy",
     "reference_mark_and_decrement",
@@ -252,17 +264,81 @@ def reference_greedy(stores, k: int, **options):
         return greedy_max_coverage(stores, k, **options)
 
 
-def reference_newgreedi(cluster, k: int, stores, **options):
+def reference_newgreedi(executor, k: int, stores, **options):
     """``newgreedi`` with the dict map stage on every machine."""
     with reference_engine():
-        return newgreedi(cluster, k, stores=stores, **options)
+        return newgreedi(executor, k, stores=stores, **options)
 
 
-def reference_greedi(cluster, instance, k: int, **options):
+def reference_greedi(executor, instance, k: int, **options):
     """``greedi`` with the per-element restricted greedy."""
     with reference_engine():
-        return greedi(cluster, instance, k, **options)
+        return greedi(executor, instance, k, **options)
 
 
 #: The shipped store and the oracle's, for tests parametrized over both.
 STORES = {"flat": FlatRRCollection, "reference": RRCollection}
+
+
+# ----------------------------------------------------------------------
+# Exact spread, one world at a time
+# ----------------------------------------------------------------------
+def reference_exact_spread_ic(graph, seeds: Iterable[int]) -> float:
+    """Exact IC ``sigma(seeds)``: every edge subset, one BFS each."""
+    m = graph.num_edges
+    seed_arr = seeds_to_array(seeds, graph.num_nodes)
+    sources, targets, probs = graph.edge_arrays()
+    total = 0.0
+    for mask in range(1 << m):
+        live = np.array([(mask >> e) & 1 for e in range(m)], dtype=bool)
+        prob = float(np.prod(np.where(live, probs, 1.0 - probs)))
+        if prob == 0.0:
+            continue
+        reach = reachable_from(graph.num_nodes, sources[live], targets[live], seed_arr)
+        total += prob * reach.size
+    return total
+
+
+def reference_exact_spread_lt(graph, seeds: Iterable[int]) -> float:
+    """Exact LT ``sigma(seeds)``: every combination of per-node in-edge
+    choices (one live in-edge or none), one BFS each."""
+    check_lt_feasible(graph)
+    seed_arr = seeds_to_array(seeds, graph.num_nodes)
+    n = graph.num_nodes
+    per_node_options = []
+    for v in range(n):
+        in_probs = graph.in_probabilities(v)
+        options = [(int(u), float(p)) for u, p in zip(graph.in_neighbors(v), in_probs)]
+        slack = 1.0 - float(in_probs.sum())
+        if slack > 1e-12 or not options:
+            options.append((None, max(slack, 0.0) if options else 1.0))
+        per_node_options.append(options)
+    total = 0.0
+    for combo in itertools.product(*per_node_options):
+        prob = 1.0
+        sources: List[int] = []
+        targets: List[int] = []
+        for v, (u, p) in enumerate(combo):
+            prob *= p
+            if u is not None:
+                sources.append(u)
+                targets.append(v)
+        if prob == 0.0:
+            continue
+        reach = reachable_from(
+            n, np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64), seed_arr
+        )
+        total += prob * reach.size
+    return total
+
+
+def reference_exact_optimum(graph, k: int, model: str = "ic", candidates=None):
+    """Brute force: the reference spread of every size-``k`` candidate set."""
+    pool = list(candidates) if candidates is not None else list(range(graph.num_nodes))
+    spread = reference_exact_spread_ic if model == "ic" else reference_exact_spread_lt
+    best_set, best_value = (), -1.0
+    for combo in itertools.combinations(pool, min(k, len(pool))):
+        value = spread(graph, combo)
+        if value > best_value:
+            best_set, best_value = combo, value
+    return best_set, best_value

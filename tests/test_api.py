@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.api import ALGORITHMS, RunConfig, run
 from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.cluster.network import gigabit_cluster
 from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
 from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
@@ -143,14 +144,13 @@ class TestExternalResources:
         try:
             first = run("diimm", config, executor=executor)
             assert_same_result(first, cold)
-            # Still open: the same executor serves further runs.  The lent
-            # RNG streams are never rewound (warm pools depend on them
-            # continuing), so the repeat draws fresh samples — it must
-            # succeed, not repeat bit-for-bit.
+            # Still open: the same executor serves further runs.  Sets are
+            # keyed by coordinates and the executor carries no RNG state,
+            # so the repeat redraws the first run exactly.
             again = run("diimm", config, executor=executor)
-            assert len(again.seeds) == 3
+            assert_same_result(again, cold)
             # Per-run metrics fold into the lender's lifetime metrics.
-            assert len(cluster.metrics.phases) == (
+            assert len(executor.metrics.phases) == (
                 len(first.metrics.phases) + len(again.metrics.phases)
             )
         finally:
@@ -171,6 +171,40 @@ class TestExternalResources:
                 )
         finally:
             executor.close()
+
+    @pytest.mark.parametrize(
+        ("shape", "message"),
+        [
+            (dict(seed=1), "seed=7 but the lent executor has 1"),
+            (dict(seed=7, network=gigabit_cluster()), "network="),
+        ],
+    )
+    def test_lent_executor_seed_and_network_must_match(self, small_wc_graph, shape, message):
+        """A lent executor draws at its own seed and prices with its own
+        network: one that differs from the config's would silently answer
+        another run than the cold one, so it is refused."""
+        from repro.cluster.cluster import SimulatedCluster
+        from repro.cluster.executor import make_executor
+
+        config = RunConfig(graph=small_wc_graph, k=3, machines=2, eps=0.5, seed=7)
+        executor = make_executor("simulated", SimulatedCluster(2, **shape), graph=small_wc_graph)
+        try:
+            with pytest.raises(ValueError, match=message):
+                run("diimm", config, executor=executor)
+            assert executor.metrics.phases == []
+        finally:
+            executor.close()
+
+    def test_lent_executor_with_the_configs_network_accepted(self, small_wc_graph):
+        from repro.cluster.cluster import SimulatedCluster
+        from repro.cluster.executor import make_executor
+
+        config = RunConfig(
+            graph=small_wc_graph, k=3, machines=2, eps=0.5, seed=7, network=gigabit_cluster()
+        )
+        shape = SimulatedCluster(2, network=gigabit_cluster(), seed=7)
+        with make_executor("simulated", shape, graph=small_wc_graph) as executor:
+            assert_same_result(run("diimm", config, executor=executor), run("diimm", config))
 
     @pytest.mark.parametrize("algorithm", ["dssa", "dopimc"])
     def test_lent_executor_works_for_unpoolable_algorithms(
