@@ -141,22 +141,27 @@ def test_micro_batch_generation_speedup(record_rows, graph):
 
 
 def test_micro_vectorized_generation(record_rows):
-    """Batched scalar generation (``sample_batch`` on the reference
-    samplers) vs the blocked frontier kernels on the livejournal
-    stand-in — the graph large enough that per-node Python overhead,
-    not cache traffic, dominates the scalar path.  CI floor: >= 3x on
-    every model (local target: 5x on IC)."""
+    """Batched scalar generation (``sample_batch`` on the scalar
+    ``ICReverseBFSSampler`` / ``LTReverseWalkSampler``, generator coins)
+    vs the keyed blocked kernels ``make_sampler`` returns for both
+    ``"bfs"`` and ``"vectorized"``, on the livejournal stand-in — the
+    graph large enough that per-node Python overhead, not cache traffic,
+    dominates the scalar path.  CI floor: >= 3x on every model (local
+    target: 5x on IC)."""
     import os
 
     from repro.graphs import load_dataset
-    from repro.ris import FlatRRCollection, append_batch
+    from repro.ris import FlatRRCollection, ICReverseBFSSampler, LTReverseWalkSampler, append_batch
 
     graph = load_dataset("livejournal").graph
     count = 1500 if os.environ.get("REPRO_QUICK", "") not in ("", "0") else 4000
 
     rows = []
-    for label, model in [("ic", "ic"), ("lt", "lt")]:
-        scalar = make_sampler(graph, model, "bfs")
+    for label, model, scalar_cls in [
+        ("ic", "ic", ICReverseBFSSampler),
+        ("lt", "lt", LTReverseWalkSampler),
+    ]:
+        scalar = scalar_cls(graph)
         vectorized = make_sampler(graph, model, "vectorized")
 
         def run(sampler):
@@ -167,7 +172,7 @@ def test_micro_vectorized_generation(record_rows):
         scalar_s, reference = _best_of(lambda: run(scalar))
         vectorized_s, result = _best_of(lambda: run(vectorized))
         assert result.num_sets == reference.num_sets == count
-        # Different RNG consumption order => statistically equivalent, not
+        # Generator coins vs keyed coins => statistically equivalent, not
         # bit-identical; sanity-check the workloads are the same scale.
         assert 0.5 < result.nodes.size / max(reference.nodes.size, 1) < 2.0
         rows.append(

@@ -58,9 +58,8 @@ def adaptive_influence_maximization(
     rr_sets_per_round:
         RR sets regenerated (across machines) for each seed decision.
     method:
-        RR-set generation procedure, as in :func:`repro.ris.make_sampler`;
-        the per-round regeneration cost makes ``"vectorized"`` attractive
-        on large residual graphs.
+        RR-set generation procedure, as in :func:`repro.ris.make_sampler`
+        (``"bfs"`` and ``"vectorized"`` are the same keyed kernel).
     seed:
         Drives both the sampling and the simulated ground-truth cascades,
         so a run is fully reproducible: round ``r``'s RR set ``i`` on

@@ -36,7 +36,6 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     from .api import ALGORITHMS
     from .core.config import BACKENDS, METHODS, MODELS, STOPPINGS
-    from .core.pool import PREFIX_DETERMINISTIC_METHODS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -61,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=METHODS,
         default="bfs",
-        help="RR-set generation procedure: reverse BFS/walk, SUBSIM subset "
-        "sampling (ic only; dsubsim always uses it), or the blocked "
-        "vectorized frontier kernels (one generator per draw, not per set)",
+        help="RR-set generation procedure: reverse BFS/walk on the keyed "
+        "block kernel ('vectorized' is the same sampler), or SUBSIM subset "
+        "sampling (ic only; dsubsim always uses it)",
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
@@ -185,11 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--model", choices=MODELS, default="ic")
     serve.add_argument(
         "--method",
-        choices=PREFIX_DETERMINISTIC_METHODS,
+        choices=METHODS,
         default="bfs",
-        help="RR-set generation for the IMM-family pools (a warm pool "
-        "serves prefixes, so it needs one generator per set: 'vectorized', "
-        "one per draw, is not offered)",
+        help="RR-set generation for the IMM-family pools ('bfs' and "
+        "'vectorized' are the same keyed kernel)",
     )
     serve.add_argument(
         "--executor",

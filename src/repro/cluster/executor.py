@@ -50,6 +50,7 @@ worker loss is retried on a run that never asked for faults.
 
 from __future__ import annotations
 
+import gc
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -295,11 +296,23 @@ class Executor(ABC):
 
         Metered on the cluster's clock, scaled by machine ``mid``'s
         ``slowdown``; ``mid=None`` meters the master, which has none.
+
+        The cyclic garbage collector is paused while ``work`` runs, as
+        :mod:`timeit` does: a collection walks the heap of the whole
+        simulating process — every machine's state and the caller's
+        objects — which is no modelled machine's work, and one pass can
+        outlast a small phase several times over.
         """
         clock = self.cluster.clock
-        start = clock()
-        result = work()
-        elapsed = clock() - start
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = clock()
+            result = work()
+            elapsed = clock() - start
+        finally:
+            if collecting:
+                gc.enable()
         if mid is not None:
             elapsed *= self.cluster.slowdowns[mid]
         return result, elapsed

@@ -30,12 +30,10 @@ every query must wrap its phases in — holds the pool lock, swaps a fresh
 query, and merges it into the pool's lifetime metrics afterwards.
 Queries against *different* pools run concurrently.
 
-Bit-for-bit warm/cold equivalence holds for the methods that draw every
-set from its own generator (``bfs``, ``subsim`` — IC ``bfs`` on the blocked
-kernel, fed one generator per set; see :mod:`repro.ris.vectorized`).
-``method="vectorized"`` feeds a whole block from the generator of the
-draw's first set, so a set's bytes depend on where its draw started; pools
-refuse it rather than silently weakening the correctness anchor.
+Bit-for-bit warm/cold equivalence holds for every method: a set's bytes
+are a function of its coordinates (the keyed IC/LT kernel behind both
+``bfs`` and ``vectorized``, see :mod:`repro.ris.vectorized`; one seated
+generator per set for ``subsim`` and custom samplers).
 
 Dynamic graphs
 --------------
@@ -68,17 +66,12 @@ from ..cluster.spec import as_spec
 from ..cluster.metrics import GENERATION, RunMetrics
 from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
+from .config import METHODS
 from ..graphs.digraph import GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
 from ..ris.rrset import RRSampler, sample_set_range
 
-__all__ = ["SamplePool", "PREFIX_DETERMINISTIC_METHODS"]
-
-#: Generation methods that draw every set from its own generator
-#: (``RRSampler.per_set_source``), the property warm/cold bit-equality
-#: and in-place repair rest on.  A property of the *coin source*, not of
-#: blocking: IC ``bfs`` runs the vectorized wave loop and stays here.
-PREFIX_DETERMINISTIC_METHODS: Tuple[str, ...] = ("bfs", "subsim")
+__all__ = ["SamplePool"]
 
 #: Donated coverage snapshots kept per collection key.
 MAX_CACHED_COVERAGE = 4
@@ -96,8 +89,7 @@ class SamplePool:
     seed:
         Root RNG seed.  Warm results equal cold runs with this seed.
     model, method:
-        Sampler selection; ``method`` must be prefix-deterministic
-        (:data:`PREFIX_DETERMINISTIC_METHODS`).
+        Sampler selection (``make_sampler``'s arguments).
     executor:
         An :class:`~repro.cluster.spec.ExecutorSpec` or its string
         shorthand (``"simulated"``, ``"multiprocessing:4"``,
@@ -133,12 +125,8 @@ class SamplePool:
         sampler: RRSampler | None = None,
         sampler_factory=None,
     ) -> None:
-        if method not in PREFIX_DETERMINISTIC_METHODS:
-            raise ValueError(
-                f"SamplePool requires a prefix-deterministic method "
-                f"{PREFIX_DETERMINISTIC_METHODS} so warm queries stay "
-                f"bit-identical to cold runs; got {method!r}"
-            )
+        if method not in METHODS:
+            raise ValueError(f"unknown sampling method {method!r}; expected one of {METHODS}")
         if rng_scheme != "per-set":
             raise ValueError(
                 f"rng_scheme is a vestige: only 'per-set' is accepted, got {rng_scheme!r}"

@@ -41,6 +41,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.executor import GatherPhase, MapPhase, MasterPhase
+from ..ris.rrset import splitmix64
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import GreedyResult, _pad_with_unselected
 
@@ -74,19 +75,6 @@ _MACHINE_SHIFT = 44
 # ----------------------------------------------------------------------
 # Hashing and register arithmetic (vectorized, no per-set Python objects)
 # ----------------------------------------------------------------------
-def splitmix64(values: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over a ``uint64`` array.
-
-    A full-period bijection on 64-bit integers whose output passes
-    BigCrush — the standard cheap stand-in for a random hash of
-    sequential ids, which is exactly what global RR-set ids are.
-    """
-    z = np.asarray(values, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _bit_length(values: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` for ``uint64`` (exact at all widths).
 

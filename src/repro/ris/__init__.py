@@ -83,38 +83,22 @@ def make_sampler(graph, model: str = "ic", method: str = "bfs") -> RRSampler:
     Parameters
     ----------
     graph:
-        The weighted :class:`~repro.graphs.digraph.DirectedGraph`.
+        The weighted :class:`~repro.graphs.digraph.DirectedGraph` or a
+        :class:`~repro.graphs.digraph.VersionedGraph`.
     model:
         ``"ic"`` or ``"lt"``.
     method:
-        ``"bfs"`` (plain reverse BFS / walk), ``"subsim"`` (IC only), or
-        ``"vectorized"`` (blocked frontier kernels advancing many RR
-        sets per NumPy call; see :mod:`repro.ris.vectorized`).
+        ``"bfs"`` or ``"vectorized"`` — the same keyed block kernel
+        (reverse BFS for IC, reverse walk for LT; see
+        :mod:`repro.ris.vectorized`) — or ``"subsim"`` (IC only).
     """
     model_key, method_key = model.lower(), method.lower()
-    if method_key == "vectorized":
-        from ..graphs.digraph import VersionedGraph
-
-        if isinstance(graph, VersionedGraph):
-            raise ValueError(
-                "method='vectorized' is not offered on a VersionedGraph overlay "
-                "(its LT kernel reads base CSR arrays only); call graph.compact() "
-                "(or rebase()) and sample the compacted graph instead"
-            )
-    if model_key == "lt":
-        if method_key == "subsim":
+    if model_key not in ("ic", "lt"):
+        raise ValueError(f"unknown diffusion model {model!r}")
+    if method_key == "subsim":
+        if model_key == "lt":
             raise ValueError("SUBSIM subset sampling applies to the IC model only")
-        if method_key == "vectorized":
-            return VectorizedLTSampler(graph)
-        if method_key == "bfs":
-            return LTReverseWalkSampler(graph)
+        return SubsimSampler(graph)
+    if method_key not in ("bfs", "vectorized"):
         raise ValueError(f"unknown sampling method {method!r}")
-    if model_key == "ic":
-        if method_key == "subsim":
-            return SubsimSampler(graph)
-        if method_key == "vectorized":
-            return VectorizedICSampler(graph)
-        if method_key == "bfs":
-            return ICReverseBFSSampler(graph)
-        raise ValueError(f"unknown sampling method {method!r}")
-    raise ValueError(f"unknown diffusion model {model!r}")
+    return VectorizedICSampler(graph) if model_key == "ic" else VectorizedLTSampler(graph)

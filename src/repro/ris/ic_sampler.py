@@ -13,10 +13,9 @@ scaled datasets.  :meth:`ICReverseBFSSampler.sample_batch` runs the same
 reverse BFS over many roots per call, writing wave-at-a-time into one
 growing CSR buffer — consuming the RNG stream identically to repeated
 :meth:`~ICReverseBFSSampler.sample` calls (differentially tested) while
-skipping every per-set Python object.  It is the sequential-stream form
-and the oracle; generation phases, pools and services draw through
-:meth:`ICReverseBFSSampler.sample_sets`, the same sets on the blocked
-kernel, one generator per set.
+skipping every per-set Python object.  It is the generator-coin oracle
+the keyed kernel (:class:`~repro.ris.vectorized.VectorizedICSampler`,
+what ``make_sampler`` returns for IC) is held to in distribution.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
-from .rrset import PER_SET_BLOCK, FlatBatch, RRSample, RRSampler
-from .vectorized import VectorizedICSampler
+from .rrset import FlatBatch, RRSample, RRSampler
 
 __all__ = ["ICReverseBFSSampler"]
 
@@ -75,8 +73,6 @@ class ICReverseBFSSampler(RRSampler):
         # frontier fast path (list scalar reads beat numpy scalar reads).
         self._indptr_list: list[int] | None = None
         self._ov_lists: tuple | None = None
-        # Lazy blocked kernel behind sample_sets.
-        self._blocked: VectorizedICSampler | None = None
 
     def _reset_scratch(self) -> None:
         if self._scratch_dirty:
@@ -117,17 +113,6 @@ class ICReverseBFSSampler(RRSampler):
                 prob_parts.append(self._probs[start:stop])
                 idx_parts.append(self._indices[start:stop])
         return np.concatenate(prob_parts), np.concatenate(idx_parts)
-
-    def sample_sets(self, rngs) -> FlatBatch:
-        """One RR set per generator, advanced a block at a time.
-
-        Bit-identical to ``sample_batch(rng, 1)`` per generator: the
-        blocked wave loop fills each set's coins from that set's own
-        generator (see :mod:`repro.ris.vectorized`, "RNG contract").
-        """
-        if self._blocked is None:
-            self._blocked = VectorizedICSampler(self.graph, block_size=PER_SET_BLOCK)
-        return self._blocked.sample_sets(rngs)
 
     def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
         """Draw one RR set; ``root`` can be pinned for testing."""

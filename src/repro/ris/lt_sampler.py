@@ -158,11 +158,10 @@ class LTReverseWalkSampler(RRSampler):
         nodes = np.unique(np.asarray(path, dtype=np.int32))
         return RRSample(nodes=nodes, root=root, edges_examined=edges_examined)
 
-    def sample_sets(self, rngs) -> FlatBatch:
-        """One reverse walk per generator, straight into flat CSR arrays.
+    def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
+        """Draw ``count`` reverse walks from one stream into flat CSR arrays.
 
-        The sampler's one batch loop.  On one repeated generator it is
-        bit-identical to ``pack_samples(sample_many(count, rng))``: the
+        Bit-identical to ``pack_samples(sample_many(count, rng))``: the
         walk below consumes the RNG exactly like :meth:`sample` (one
         fresh 64-draw buffer per root, the same per-step draws), but each
         finished path is sorted in place into a shared ``int32`` buffer —
@@ -170,6 +169,8 @@ class LTReverseWalkSampler(RRSampler):
         unique node set — skipping the per-set :class:`RRSample`,
         ``np.unique`` and list plumbing.
         """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         n = self.graph.num_nodes
         indptr, indices, prefix, uniform, sums, overlay_lists = self._batch_tables()
         if overlay_lists is not None:
@@ -181,8 +182,8 @@ class LTReverseWalkSampler(RRSampler):
         parts: list[np.ndarray] = []
         roots: list[int] = []
         edges: list[int] = []
-        for rng in rngs:
-            random = rng.random
+        random = rng.random
+        for _ in range(count):
             root = int(rng.integers(0, n))
             visited = {root}
             path = [root]

@@ -10,61 +10,70 @@ dominates generation time (the cost every phase plan is built around).
 This module ports gIM's batched frontier expansion to the CSR arrays:
 a *block* of RR sets advances together, one wave per step, with
 
-* one masked gather over ``in_indptr``/``in_indices`` building the
+* one masked gather over the per-node in-row tables building the
   in-edge index of the whole block's frontier at once,
-* one vectorised Bernoulli batch (IC) or one threshold/categorical draw
-  per frontier node (LT / triggering) for every trial of the wave,
+* one vectorised batch of keyed coins (IC) or one keyed stop/pick pair
+  per walking set (LT / triggering) for every trial of the wave,
 * visited-marks kept in a single flat block-scratch bitmap addressed by
-  ``set * n + node`` keys, so per-set dedup is one ``np.unique`` over
-  integer keys.
+  ``set * n + node`` keys, so per-set dedup is one sort over integer keys.
 
 The amortised Python overhead per set drops by roughly the block size;
 ``benchmarks/results/micro_vectorized_generation`` tracks the measured
-speedup over :meth:`~repro.ris.rrset.RRSampler.sample_batch` (>= 5x
-target on the livejournal-like stand-in, >= 3x CI floor).
+speedup over the scalar :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`
+and :class:`~repro.ris.lt_sampler.LTReverseWalkSampler` (>= 5x target on
+the livejournal-like stand-in, >= 3x CI floor).  These kernels are what
+``make_sampler`` returns for both ``method="bfs"`` and ``"vectorized"``.
 
 RNG contract
 ------------
-Every executor, pool and service draws through
-:func:`~repro.ris.rrset.sample_set_range`, which turns the coordinates
-``(seed, collection key, machine, set index)`` into generators.  The IC
-wave loop (:meth:`VectorizedICSampler._advance`) visits nodes and maps
-coins to edges exactly like :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`;
-all that couples a block's sets is *where a wave's coins come from*:
+Every choice is a hash of coordinates; no generator feeds the draw.  Each
+RR set has a 64-bit *set key* ``K`` — from
+:func:`~repro.ris.rrset.set_keys` (a hash of ``(seed, collection key,
+machine, set index)``) under :func:`~repro.ris.rrset.sample_set_range`,
+or the next 64-bit word of ``rng`` under :meth:`~_BlockedFrontierSampler.sample`
+and :meth:`~_BlockedFrontierSampler.sample_batch` — and
 
-* **one generator per set** (:meth:`~VectorizedICSampler.sample_sets`,
-  ``method="bfs"``): set ``j`` takes its root from
-  ``rngs[j].integers(0, n)`` and each wave's coins from ``rngs[j]``
-  alone.  The frontier is sorted by ``set * n + node``, so those coins
-  are one contiguous run in the scalar sampler's frontier order, and a
-  set with nothing to flip draws nothing — the sequence of calls on
-  ``rngs[j]`` *is* the scalar sampler's.  Bit-identical to
-  ``ICReverseBFSSampler.sample_batch(rngs[j], 1)`` at any block size
-  (``tests/ris/test_batch_samplers.py::TestSampleSets``), so pools serve
-  prefixes and repairs redraw any subset without moving a byte.
-* **one generator for the block** (``sample_batch``,
-  ``method="vectorized"``): one ``rng.random(total)`` covers a wave of
-  many sets, so the draws differ bit-for-bit from the per-set source and
-  are held to it by the *statistical-equivalence* harness
-  (``tests/ris/equivalence.py``); at ``block_size=1`` they coincide
-  (``tests/ris/test_vectorized_equivalence.py::TestBitIdentity``).  A
-  set's bytes depend on where its draw started: pools refuse the method.
+* its root is the multiply-high of ``K`` by ``n`` (no modulo bias);
+* node ``v``'s *row key* is ``_mix(K + v * GOLDEN)``;
+* IC: the in-edge of rank ``r`` in ``v``'s in-row is live iff the top 63
+  bits of ``_mix(row key + r)`` fall below ``ceil(p * 2**63)``, a pure
+  function of ``p`` (:func:`_thresholds`: ``p >= 1`` always live,
+  ``p <= 0`` never).  A node enters a set's frontier at most once, so
+  ``(set, v, r)`` names each coin once;
+* LT: a walk at ``v`` goes on iff the row key's high word is below
+  ``ceil(mass * 2**32)``, and picks the in-edge its low word selects
+  (uniform rows: the word's multiply-high by the degree; others: the
+  word as a uniform against the row's running sums).  A walk visits
+  ``v`` at most once.
 
-The LT kernel has the block source only.
+So a set's bytes are a pure function of its key and the graph's
+effective in-rows: independent of the block width, of which other sets
+share its block, and of the row layout — coins are keyed by an edge's
+*rank* in its row, never its storage offset, so a
+:class:`~repro.graphs.digraph.VersionedGraph`'s overlay rows draw what
+``compact()`` draws.  Pools serve prefixes and repairs redraw any subset
+without moving a byte.  ``sample_batch(rng, count) ==
+pack_samples(sample_many(count, rng))``: set ``j`` is keyed by the
+``j``-th 64-bit word of ``rng`` either way.
 
-Scratch memory is one byte per visited-mark, ``num_nodes`` per set of
-the largest block drawn so far (at most ``block_size`` sets), in a
-mapping of its own (:func:`_cleared`).  When ``block_size`` is not given,
-each sampler picks one from the graph size (:data:`DEFAULT_BLOCK` /
-:data:`DEFAULT_SCRATCH_BYTES`); pass an explicit value to trade memory
-against per-wave overhead on unusual graphs.
+``_mix`` is two multiplies around one xorshift; the chi-square gates in
+``tests/ris/test_coordinates.py`` hold it (and the set keys) to
+uniformity within a row, across two nodes of one set, across
+consecutive set ids and across LT's stop and pick draws.
+
+Scratch memory is one byte per visited-mark, in a mapping of its own
+(:func:`_cleared`) a full block long but backed only where draws touched
+it: at most ``num_nodes`` per set of the largest block drawn so far.
+When ``block_size`` is not given, each sampler picks one from the graph
+size (:data:`DEFAULT_BLOCK` / :data:`DEFAULT_SCRATCH_BYTES`); pass an
+explicit value to trade memory against per-wave overhead on unusual
+graphs.
 """
 
 from __future__ import annotations
 
 import mmap
 from contextlib import suppress
-from itertools import islice
 
 import numpy as np
 
@@ -74,7 +83,14 @@ from ..diffusion.triggering import (
     TriggeringDistribution,
 )
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler, concat_batches, uniform_rows
+from .rrset import (
+    GOLDEN,
+    FlatBatch,
+    RRSample,
+    RRSampler,
+    concat_batches,
+    uniform_rows,
+)
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -96,6 +112,11 @@ DEFAULT_BLOCK = 1024
 DEFAULT_SCRATCH_BYTES = 64 << 20
 
 
+#: Entries per 2-D gather when the LT sampler builds its rows' running
+#: sums (bounds the construction's temporaries).
+_RUNNING_SUM_CHUNK = 1 << 20
+
+
 def _auto_block(num_nodes: int) -> int:
     return max(64, min(DEFAULT_BLOCK, DEFAULT_SCRATCH_BYTES // max(num_nodes, 1)))
 
@@ -108,24 +129,123 @@ def _cleared(size: int) -> np.ndarray:
     memory turn on its allocation history by the whole scratch.
     """
     block = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if size >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):  # as NumPy's own arrays
-        with suppress(OSError):
-            block.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(block, dtype=bool)
+
+
+def _huge_pages(marks: np.ndarray, size: int) -> None:
+    """Ask for huge pages under ``marks[:size]`` once it spans 4 MiB, as
+    NumPy does for its own arrays; a smaller draw keeps small pages and
+    backs only the ones it touches."""
+    if size >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        with suppress(OSError):
+            # marks.base is the memoryview NumPy took of the mmap.
+            marks.base.obj.madvise(mmap.MADV_HUGEPAGE, 0, size)
+
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+
+
+def _mulhi(keys: np.ndarray, bound) -> np.ndarray:
+    """``floor(keys * bound / 2**64)`` as ``int64``: uniform in ``[0, bound)``.
+
+    Exact for ``bound < 2**32`` (node ids and degrees are ``int32``):
+    with ``keys = a * 2**32 + b`` the product's high word is
+    ``(a * bound + (b * bound >> 32)) >> 32``, and no partial overflows.
+    """
+    bound = np.asarray(bound).astype(_U64)
+    high = (keys >> _U64(32)) * bound
+    high += ((keys & _LOW32) * bound) >> _U64(32)
+    return (high >> _U64(32)).astype(np.int64)
+
+
+# The hash constants as 0-d arrays: a NumPy scalar operand costs more per
+# call than the small frontier arrays' arithmetic.
+#: The coin hash's two multipliers (splitmix64's), and their product.
+_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=_U64)
+_MIX2 = np.array(0x94D049BB133111EB, dtype=_U64)
+_MIX21 = np.array(0x94D049BB133111EB * 0xBF58476D1CE4E5B9 % 2**64, dtype=_U64)
+_GOLDEN = np.array(GOLDEN, dtype=_U64)
+_SHIFT32 = np.array(32, dtype=_U64)
+_ONE = np.array(1, dtype=_U64)
+
+
+def _mix(values: np.ndarray) -> np.ndarray:
+    """Two multiplies around one xorshift, in place (returned).
+
+    Cheap, and uniform enough on its two inputs here — a set key plus a
+    node's multiple of ``GOLDEN``, a row key plus a rank — by the
+    chi-square gates in ``tests/ris/test_coordinates.py``.  The IC wave
+    applies it with the first multiply distributed over ``row key + rank``
+    (:meth:`VectorizedICSampler._run_block`).
+    """
+    values *= _MIX1
+    return _mix_tail(values)
+
+
+def _mix_tail(values: np.ndarray) -> np.ndarray:
+    """:func:`_mix` after its first multiply, in place (returned)."""
+    values ^= values >> _SHIFT32
+    values *= _MIX2
+    return values
+
+
+def _row_keys(set_keys: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Node ``v``'s row key in each set: ``_mix(K + v * GOLDEN)``."""
+    keys = nodes.view(_U64) * _GOLDEN
+    keys += set_keys
+    return _mix(keys)
+
+
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """``ceil(p * 2**63)`` per probability: a 63-bit coin ``c`` is live iff
+    ``c < threshold``, i.e. ``c / 2**63 < p`` exactly.
+
+    ``p`` is clipped to ``[0, 1]`` first, so ``p >= 1`` gives ``2**63``
+    (always live, and still a ``uint64``) and ``p <= 0`` gives 0.
+    """
+    return np.ceil(np.clip(probs, 0.0, 1.0) * 2.0**63).astype(_U64)
+
+
+def _row_tables(graph: DirectedGraph):
+    """Per-node in-row tables over the in-edge arrays.
+
+    Returns ``(starts, counts, indices, probs, uniform)``: node ``v``'s
+    effective in-row is ``indices[starts[v] : starts[v] + counts[v]]``.
+    A plain CSR's starts are its indptr; a VersionedGraph's point patched
+    nodes at their overlay rows, appended after the base arrays.
+    ``uniform[v]`` is whether the row is non-empty with one probability.
+    """
+    indptr, indices, probs, overlay = graph.in_csr()
+    # int64 whatever the CSR's dtype: the waves view offsets as uint64.
+    starts = indptr[:-1].astype(np.int64, copy=False)
+    counts = np.diff(indptr).astype(np.int64, copy=False)
+    uniform = uniform_rows(indptr, probs)
+    if overlay is not None:
+        lookup, ov_indptr, ov_indices, ov_probs = overlay
+        patched = np.flatnonzero(lookup >= 0)
+        rows = lookup[patched]
+        starts = starts.copy()
+        starts[patched] = indices.size + ov_indptr[rows]
+        counts[patched] = np.diff(ov_indptr)[rows]
+        uniform[patched] = uniform_rows(ov_indptr, ov_probs)[rows]
+        indices = np.concatenate((indices, ov_indices))
+        probs = np.concatenate((probs, ov_probs))
+    return starts, counts, indices, probs, uniform
 
 
 class _BlockedFrontierSampler(RRSampler):
     """Shared plumbing of the vectorized samplers.
 
     Subclasses implement :meth:`_run_block`, which advances one block of
-    pinned roots to completion and returns the block's flat results.
-    Everything else — block scheduling, scratch lifetime, the
-    :class:`~repro.ris.rrset.RRSample`/:class:`~repro.ris.rrset.FlatBatch`
-    packaging — lives here.
+    keyed, rooted sets to completion and returns the block's flat
+    results.  Everything else — where keys come from, block scheduling,
+    scratch lifetime, the :class:`~repro.ris.rrset.RRSample` /
+    :class:`~repro.ris.rrset.FlatBatch` packaging — lives here.
     """
 
-    # One generator feeds a whole block (module docstring, "RNG contract").
-    per_set_source = False
+    # Sets are drawn from set keys (module docstring, "RNG contract").
+    keyed = True
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
         super().__init__(graph)
@@ -135,28 +255,34 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = int(block_size)
         # One flat visited bitmap for the whole block, addressed by
-        # ``set * n + node``; allocated by the first draw for the sets it
-        # advances (a 20-set repair never pays for a full block) and
-        # regrown only when a later draw advances more.
+        # ``set * n + node``: a view, as long as the largest draw so far,
+        # of one mapping a full block long.  Only touched pages are ever
+        # backed, so a 20-set repair never pays for a full block, and a
+        # larger draw later widens the view without re-faulting the pages
+        # the earlier draws touched.
+        self._marks: np.ndarray | None = None
         self._visited: np.ndarray | None = None
         # True while a draw is in flight; a draw that raised mid-wave
-        # leaves it set and the next draw hard-resets the bitmap instead
+        # leaves it set and the next draw takes a fresh mapping instead
         # of trusting the (possibly partial) incremental reset.
         self._scratch_dirty = False
 
     def _scratch(self, num_sets: int) -> np.ndarray:
-        size = num_sets * self.graph.num_nodes
+        n = self.graph.num_nodes
+        size = num_sets * n
+        if self._marks is None or self._marks.size < size or self._scratch_dirty:
+            self._marks = _cleared(max(num_sets, self.block_size) * n)
+            self._visited = None
         if self._visited is None or self._visited.size < size:
-            self._visited = _cleared(size)
-        elif self._scratch_dirty:
-            self._visited[:] = False
+            _huge_pages(self._marks, size)
+            self._visited = self._marks[:size]
         self._scratch_dirty = True
         return self._visited
 
     def _run_block(
-        self, rng: np.random.Generator, roots: np.ndarray
+        self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance ``roots.size <= block_size`` RR sets to completion.
+        """Advance ``roots.size <= block_size`` keyed RR sets to completion.
 
         Returns ``(nodes, sizes, edges_examined)`` where ``nodes`` is the
         int32 concatenation of the block's sets (each sorted ascending)
@@ -165,31 +291,33 @@ class _BlockedFrontierSampler(RRSampler):
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
-        """Draw one RR set; ``root`` can be pinned for testing."""
-        if root is None:
-            root = self.sample_root(rng)
-        nodes, sizes, edges = self._run_block(rng, np.asarray([root], dtype=np.int64))
-        return RRSample(nodes=nodes, root=int(root), edges_examined=int(edges[0]))
+        """Draw one RR set keyed by ``rng``'s next 64-bit word; ``root``
+        can be pinned (the key still draws the coins)."""
+        keys = rng.bit_generator.random_raw(1)
+        roots = _mulhi(keys, self.graph.num_nodes) if root is None else np.asarray([root])
+        nodes, sizes, edges = self._run_block(keys, roots.astype(np.int64))
+        return RRSample(nodes=nodes, root=int(roots[0]), edges_examined=int(edges[0]))
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
-        """Draw ``count`` RR sets, ``block_size`` at a time."""
+        """Draw ``count`` RR sets keyed by ``rng``'s next ``count`` words."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        n = self.graph.num_nodes
+        return self.sample_keys(rng.bit_generator.random_raw(count))
 
-        def blocks():
-            for done in range(0, count, self.block_size):
-                size = min(self.block_size, count - done)
-                roots = rng.integers(0, n, size=size).astype(np.int64, copy=False)
-                yield roots, self._run_block(rng, roots)
+    def sample_keys(self, keys) -> FlatBatch:
+        """Draw one RR set per 64-bit set key, ``block_size`` at a time.
 
-        return self._pack(blocks())
+        What :func:`~repro.ris.rrset.sample_set_range` calls; set ``j``'s
+        bytes depend on ``keys[j]`` and the graph alone.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        return self._draw(keys, _mulhi(keys, self.graph.num_nodes))
 
     def sample_batch_rooted(self, rng: np.random.Generator, roots) -> FlatBatch:
         """Draw one RR set per pinned root (the property-test entry point).
 
-        Identical to :meth:`sample_batch` except the uniform root draws
-        are replaced by the given roots; the equivalence and property
+        Identical to :meth:`sample_batch` except the roots the keys would
+        pick are replaced by the given ones; the equivalence and property
         suites use it to condition size/membership distributions on a
         root without burning samples on rejection.
         """
@@ -198,14 +326,15 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError("roots must be a 1-D array of node ids")
         if roots.size and (int(roots.min()) < 0 or int(roots.max()) >= self.graph.num_nodes):
             raise ValueError(f"roots must lie in [0, {self.graph.num_nodes})")
-        starts = range(0, roots.size, self.block_size)
-        blocks = (roots[start : start + self.block_size] for start in starts)
-        return self._pack((block, self._run_block(rng, block)) for block in blocks)
+        return self._draw(rng.bit_generator.random_raw(roots.size), roots)
 
-    @staticmethod
-    def _pack(blocks) -> FlatBatch:
-        """Concatenate ``(roots, _run_block result)`` pairs, drawn in order."""
-        blocks = [(roots, *result) for roots, result in blocks]
+    def _draw(self, keys: np.ndarray, roots: np.ndarray) -> FlatBatch:
+        """Run ``(keys, roots)`` a block at a time into one flat batch."""
+        size = self.block_size
+        blocks = [
+            (roots[at : at + size], *self._run_block(keys[at : at + size], roots[at : at + size]))
+            for at in range(0, keys.size, size)
+        ]
         if not blocks:
             return concat_batches([])
         roots, nodes, sizes, edges = (np.concatenate(part) for part in zip(*blocks))
@@ -222,209 +351,175 @@ class _BlockedFrontierSampler(RRSampler):
 def _finish_block(
     visited: np.ndarray,
     num_sets: int,
-    num_nodes: int,
+    row_counts: np.ndarray,
     set_parts: list[np.ndarray],
     node_parts: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort a block's collected (set, node) pairs into per-set segments.
 
+    ``row_counts`` is the per-node in-degree table (one entry per node).
+
     Clears the touched visited-marks (the incremental scratch reset) and
-    returns ``(nodes, sizes)``: the int32 concatenation with every set's
-    nodes ascending, plus per-set sizes.
+    returns ``(nodes, sizes, edges_examined)``: the int32 concatenation
+    with every set's nodes ascending, per-set sizes, and per-set in-edge
+    counts — both kernels examine every in-edge of every collected node
+    exactly once, so ``w(R)`` is the sum of their in-degrees.
     """
+    n = row_counts.size
     all_sets = np.concatenate(set_parts)
     all_nodes = np.concatenate(node_parts)
-    keys = all_sets * num_nodes + all_nodes
+    keys = all_sets * n + all_nodes
     visited[keys] = False
-    order = np.argsort(keys, kind="stable")
     sizes = np.bincount(all_sets, minlength=num_sets).astype(np.int64, copy=False)
-    return all_nodes[order].astype(np.int32), sizes
-
-
-def _per_set_coins(rngs: list):
-    """The coin source filling set ``j``'s run of every wave from ``rngs[j]``."""
-
-    def coins(total: int, wave_edges: np.ndarray) -> np.ndarray:
-        out = np.empty(total)
-        active = np.flatnonzero(wave_edges)
-        stop = 0
-        # The frontier is sorted by set: runs are contiguous, sets ascending.
-        for j, need in zip(active.tolist(), wave_edges[active].tolist()):
-            start, stop = stop, stop + need
-            rngs[j].random(out=out[start:stop])
-        return out
-
-    return coins
+    # bincount's float accumulator is exact for edge totals < 2^53.
+    edges = np.bincount(all_sets, weights=row_counts[all_nodes], minlength=num_sets)
+    # Sorted keys are (set, node) order: each set's nodes ascending.
+    keys.sort()
+    keys %= n
+    return keys.astype(np.int32), sizes, edges.astype(np.int64)
 
 
 class VectorizedICSampler(_BlockedFrontierSampler):
     """Blocked reverse-BFS frontier kernel for the IC model.
 
     Each wave gathers the in-edges of every (set, node) frontier pair in
-    the block, draws one Bernoulli batch over all of them, and folds the
-    successful sources back through the visited bitmap.  The wave
-    structure and edge ordering are exactly
-    :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`'s; which generator
-    a wave's coins come from decides bit-identity (module docstring,
+    the block, hashes one keyed coin per edge, and folds the live
+    edges' sources back through the visited bitmap (module docstring,
     "RNG contract").
     """
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
         super().__init__(graph, block_size=block_size)
-        # Per-node ``(row start, row count)`` tables over the in-edge
-        # arrays: a plain CSR's are its indptr; a VersionedGraph's point
-        # patched nodes at their overlay rows, appended after the base.
-        indptr, indices, probs, overlay = graph.in_csr()
-        starts, counts = indptr[:-1], np.diff(indptr)
-        uniform = uniform_rows(indptr, probs)
-        if overlay is not None:
-            lookup, ov_indptr, ov_indices, ov_probs = overlay
-            patched = np.flatnonzero(lookup >= 0)
-            rows = lookup[patched]
-            starts = starts.copy()
-            starts[patched] = indices.size + ov_indptr[rows]
-            counts[patched] = np.diff(ov_indptr)[rows]
-            uniform[patched] = uniform_rows(ov_indptr, ov_probs)[rows]
-            indices = np.concatenate((indices, ov_indices))
-            probs = np.concatenate((probs, ov_probs))
-        self._row_starts, self._row_counts = starts, counts
-        self._indices, self._probs = indices, probs
+        starts, counts, indices, probs, uniform = _row_tables(graph)
+        self._row_starts, self._row_counts, self._indices = starts, counts, indices
         # Per-node uniform-probability fast path (weighted-cascade and
         # uniform graphs): when every in-edge of every node carries its
-        # node's single probability, the wave's trial probabilities are a
+        # node's single probability, the wave's thresholds are a
         # frontier-sized repeat instead of an edge-index gather, and the
-        # edge index itself only needs materialising at the successes.
-        # The trial values and draw order are unchanged, so bit-identity
-        # to the per-set path holds on both paths.
-        self._node_prob: np.ndarray | None = None
+        # edge index itself only needs materialising at the live edges.
+        # A threshold is a function of ``p`` alone, so both paths flip
+        # the same coins the same way.
+        self._node_threshold: np.ndarray | None = None
+        self._edge_threshold: np.ndarray | None = None
         nonzero = counts > 0
         if uniform[nonzero].all():
-            self._node_prob = np.zeros(graph.num_nodes, dtype=probs.dtype)
-            self._node_prob[nonzero] = probs[starts[nonzero]]
+            node_prob = np.zeros(graph.num_nodes, dtype=np.float64)
+            node_prob[nonzero] = probs[starts[nonzero]]
+            self._node_threshold = _thresholds(node_prob)
+        else:
+            self._edge_threshold = _thresholds(probs)
+        # v * GOLDEN per node: the row key's hash input is K + salt[v].
+        self._salt = np.arange(graph.num_nodes, dtype=np.uint64)
+        self._salt *= _GOLDEN
+        # r * _MIX1 for the wave positions r = 0, 1, 2, ...: the coin
+        # hash's first multiply, distributed over row key + rank; grown on
+        # demand.
+        self._steps = np.arange(0, dtype=np.uint64)
+
+    def _wave_steps(self, total: int) -> np.ndarray:
+        if self._steps.size < total:
+            self._steps = np.arange(max(total, 2 * self._steps.size), dtype=np.uint64)
+            self._steps *= _MIX1
+        return self._steps[:total]
 
     def _run_block(
-        self, rng: np.random.Generator, roots: np.ndarray
+        self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._advance(roots, lambda total, wave_edges: rng.random(total))
-
-    def sample_sets(self, rngs) -> FlatBatch:
-        """One RR set per generator, ``block_size`` sets per wave loop.
-
-        The per-set coin source: set ``j`` draws its root and then every
-        wave's coins from ``rngs[j]`` alone, in the order
-        :class:`~repro.ris.ic_sampler.ICReverseBFSSampler` would, so the
-        batch is bit-identical to one scalar draw per generator.
-        """
         n = self.graph.num_nodes
-        rngs = iter(rngs)
-
-        def blocks():
-            while block := list(islice(rngs, self.block_size)):
-                roots = np.fromiter(
-                    (rng.integers(0, n) for rng in block), dtype=np.int64, count=len(block)
-                )
-                yield roots, self._advance(roots, _per_set_coins(block))
-
-        return self._pack(blocks())
-
-    def _advance(self, roots: np.ndarray, coins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The IC wave loop: advance one block of rooted sets to completion.
-
-        ``coins(total, wave_edges)`` supplies a wave's ``total`` uniforms
-        in frontier order — ``wave_edges[j]`` of them belong to set ``j``,
-        contiguously, sets ascending.  One generator for the whole block
-        (:meth:`_run_block`) or one per set (:meth:`sample_sets`): the
-        loop itself does not know which.
-        """
-        n = self.graph.num_nodes
-        row_starts, row_counts = self._row_starts, self._row_counts
-        indices, probs = self._indices, self._probs
+        row_starts, row_counts, indices = self._row_starts, self._row_counts, self._indices
         num_sets = roots.size
         visited = self._scratch(num_sets)
 
+        stride = np.array(n, dtype=np.int64)  # 0-d, as the hash constants
         front_sets = np.arange(num_sets, dtype=np.int64)
         front_nodes = roots
         visited[front_sets * n + front_nodes] = True
         set_parts = [front_sets]
         node_parts = [front_nodes]
-        edges = np.zeros(num_sets, dtype=np.int64)
 
+        # The wave calls the ndarray methods (``.repeat``, ``.nonzero()``,
+        # ``.searchsorted``) rather than their ``np.*`` wrappers: on
+        # frontier-sized arrays the wrappers' dispatch costs a microsecond
+        # or more per call, and a small block's draw is mostly calls.
         while front_nodes.size:
             starts = row_starts[front_nodes]
             counts = row_counts[front_nodes]
-            ends = counts.cumsum()
+            ends = np.add.accumulate(counts)
             total = int(ends[-1])
-            # bincount's float accumulator is exact for edge totals < 2^53.
-            wave_edges = np.bincount(front_sets, weights=counts, minlength=num_sets).astype(
-                np.int64
-            )
-            edges += wave_edges
             if total == 0:
                 break
-            if self._node_prob is not None:
-                # Uniform-per-node probabilities: repeat them over each
-                # node's edge run — same values the coins are compared
-                # against, no per-edge gather, no full edge index.
-                trial_probs = np.repeat(self._node_prob[front_nodes], counts)
-                hit = np.flatnonzero(coins(total, wave_edges) < trial_probs)
+            # Edges of frontier entry j occupy wave positions
+            # [ends[j]-counts[j], ends[j]).  Each coin is
+            # _mix(row key + rank) with the first multiply distributed:
+            # row key * _MIX1 (folded into _row_keys' last multiply), less
+            # the entry's offset * _MIX1, plus position * _MIX1.
+            offsets = ends - counts
+            steps = self._wave_steps(total + 1)  # an empty last row's offset is total
+            row_keys = keys[front_sets] + self._salt[front_nodes]
+            row_keys *= _MIX1
+            row_keys ^= row_keys >> _SHIFT32
+            row_keys *= _MIX21
+            row_keys -= steps[offsets]
+            coins = row_keys.repeat(counts)
+            coins += steps[:total]
+            coins = _mix_tail(coins)
+            coins >>= _ONE  # 63-bit coins (_thresholds)
+            # Edge id of a wave position: its entry's row start, shifted
+            # back by the entry's wave offset, plus the position.
+            base = starts - offsets
+            if self._node_threshold is not None:
+                live = coins < self._node_threshold[front_nodes].repeat(counts)
+                hit = live.nonzero()[0]
                 if hit.size == 0:
                     break
-                # Edges of frontier entry j occupy
-                # [ends[j]-counts[j], ends[j]), so the owning entry of a
-                # hit position is one searchsorted, and its edge id is
-                # the position shifted by the entry's wave offset.
-                owner_idx = np.searchsorted(ends, hit, side="right")
-                reached = indices[starts[owner_idx] + counts[owner_idx] - ends[owner_idx] + hit]
+                # The owning entry of a live position is one searchsorted.
+                owner_idx = ends.searchsorted(hit, "right")
+                reached = indices[base[owner_idx] + hit]
                 owners = front_sets[owner_idx]
             else:
-                # starts[j] - wave offset of node j, repeated over its
-                # edges, plus a running arange == the edge id of every
-                # edge in the wave (identical values to per-node slices,
-                # one pass each).  Edge ids fit int32 on every graph
-                # the int32-id layout admits unless the edge count itself
-                # overflows; halve the bandwidth of the widest arrays
-                # when they do.
+                # Every edge id of the wave.  Edge ids fit int32 on every
+                # graph the int32-id layout admits unless the edge count
+                # itself overflows; halve the bandwidth of the widest
+                # arrays when they do.
                 dt = np.int64 if (total >> 31) or (indices.size >> 31) else np.int32
-                edge_idx = np.repeat((starts + counts - ends).astype(dt), counts) + np.arange(
-                    total, dtype=dt
-                )
-                hit = np.flatnonzero(coins(total, wave_edges) < probs[edge_idx])
+                edge_idx = base.astype(dt).repeat(counts)
+                edge_idx += np.arange(total, dtype=dt)
+                hit = (coins < self._edge_threshold[edge_idx]).nonzero()[0]
                 if hit.size == 0:
                     break
                 reached = indices[edge_idx[hit]]
-                owners = front_sets[np.searchsorted(ends, hit, side="right")]
-            cand_keys = owners * n + reached
-            cand_keys = cand_keys[~visited[cand_keys]]
-            if cand_keys.size == 0:
-                break
-            # Sorted dedup by hand: same result as np.unique with a
-            # fraction of its per-call overhead (this runs every wave).
-            cand_keys.sort()
-            keep = np.empty(cand_keys.size, dtype=bool)
+                owners = front_sets[ends.searchsorted(hit, "right")]
+            new_keys = owners * stride
+            new_keys += reached
+            # Keep each key's first copy, when unvisited: a sorted dedup by
+            # hand, with a fraction of np.unique's per-call overhead (this
+            # runs every wave).
+            new_keys.sort()
+            keep = np.empty(new_keys.size, dtype=bool)
             keep[0] = True
-            np.not_equal(cand_keys[1:], cand_keys[:-1], out=keep[1:])
-            new_keys = cand_keys[keep]
+            np.not_equal(new_keys[1:], new_keys[:-1], out=keep[1:])
+            new_keys = new_keys[np.greater(keep, visited[new_keys], out=keep)]
+            if new_keys.size == 0:
+                break
             visited[new_keys] = True
-            front_sets = new_keys // n
-            front_nodes = new_keys - front_sets * n
+            front_sets, front_nodes = np.divmod(new_keys, stride)
             set_parts.append(front_sets)
             node_parts.append(front_nodes)
 
-        nodes, sizes = _finish_block(visited, num_sets, n, set_parts, node_parts)
+        result = _finish_block(visited, num_sets, row_counts, set_parts, node_parts)
         self._scratch_dirty = False
-        return nodes, sizes, edges
+        return result
 
 
 class VectorizedLTSampler(_BlockedFrontierSampler):
     """Lockstep reverse random walks for the LT model.
 
-    All walks of a block advance one step per iteration: in-degree
-    gathers, stop/step decisions and revisit checks are single array
-    operations over the still-active walks.  Each step draws two
-    uniforms per active walk (stop trial + neighbor pick) where the
-    scalar walk draws one or two depending on the node — the extra
-    independent draw changes the consumed stream, never the
-    distribution, so this path is certified by the statistical harness.
+    All walks of a block advance one step per iteration: in-row gathers,
+    keyed stop/pick decisions and revisit checks are single array
+    operations over the still-active walks (module docstring, "RNG
+    contract").  Rows resolve through the per-node tables, so a
+    :class:`~repro.graphs.digraph.VersionedGraph`'s overlay is read in
+    place.
     """
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
@@ -438,21 +533,43 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         sums = graph.in_probability_sums()
         if sums.size and float(sums.max()) > 1.0 + 1e-9:
             raise ValueError("LT sampler requires incoming probabilities to sum to <= 1")
-        self._sums = sums
-        # Global prefix sums of in-probabilities: one vectorised
-        # searchsorted resolves every non-uniform walk step of a wave.
-        self._prefix = np.concatenate(([0.0], np.cumsum(graph.in_probs)))
-        # Weighted-cascade fast path, per node: equal in-probabilities
-        # mean "stop w.p. 1 - sum, else uniform neighbor".
-        self._uniform = uniform_rows(graph.in_indptr, graph.in_probs)
+        starts, counts, indices, probs, uniform = _row_tables(graph)
+        self._row_starts, self._row_counts, self._indices = starts, counts, indices
+        self._uniform = uniform
+        # Uniform (weighted-cascade) rows: "stop w.p. 1 - mass, else a
+        # uniform neighbour", the mass being the row's probability times
+        # its degree, at 32-bit resolution: a walk goes on iff its stop
+        # draw is below ``ceil(mass * 2**32)``.  Other rows never stop at
+        # the stop draw (2**32 passes every draw): their pick decides.
+        mass = np.ones(graph.num_nodes, dtype=np.float64)
+        mass[uniform] = probs[starts[uniform]] * counts[uniform]
+        self._stop_threshold = np.ceil(np.clip(mass, 0.0, 1.0) * 2.0**32).astype(_U64)
+        self._may_stop = bool((self._stop_threshold < _U64(1 << 32)).any())
+        # Non-uniform rows: each row's own running sum of probabilities,
+        # accumulated along the row (``cumsum`` along an axis adds in
+        # order) — the same bits whatever the row's storage offset, unlike
+        # a prefix sum over the whole array.  Rows of one length share a
+        # 2-D gather of at most ~_RUNNING_SUM_CHUNK entries, so the work is
+        # linear in the rows' entries and the temporaries stay small.
+        self._cumulative: np.ndarray | None = None
+        rows = np.flatnonzero(~uniform & (counts > 0))
+        if rows.size:
+            rows = rows[np.argsort(counts[rows], kind="stable")]
+            cumulative = probs.astype(np.float64, copy=True)
+            for group in np.split(rows, np.flatnonzero(np.diff(counts[rows])) + 1):
+                degree = int(counts[group[0]])
+                step = max(1, _RUNNING_SUM_CHUNK // degree)
+                for first in range(0, group.size, step):
+                    at = starts[group[first : first + step], None] + np.arange(degree)
+                    cumulative[at] = cumulative[at].cumsum(axis=1)
+            self._cumulative = cumulative
 
     def _run_block(
-        self, rng: np.random.Generator, roots: np.ndarray
+        self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        graph = self.graph
-        n = graph.num_nodes
-        indptr, indices = graph.in_indptr, graph.in_indices
-        prefix, uniform, sums = self._prefix, self._uniform, self._sums
+        n = self.graph.num_nodes
+        row_starts, row_counts, indices = self._row_starts, self._row_counts, self._indices
+        uniform, stop_threshold = self._uniform, self._stop_threshold
         num_sets = roots.size
         visited = self._scratch(num_sets)
 
@@ -461,55 +578,57 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         visited[walk_sets * n + current] = True
         set_parts = [walk_sets]
         node_parts = [roots]
-        edges = np.zeros(num_sets, dtype=np.int64)
 
         while current.size:
-            starts = indptr[current]
-            degrees = indptr[current + 1] - starts
-            # One walk per set: no duplicate indices, plain fancy add.
-            edges[walk_sets] += degrees
+            starts = row_starts[current]
+            degrees = row_counts[current]
             alive = degrees > 0
             if not alive.any():
                 break
             walk_sets, current = walk_sets[alive], current[alive]
             starts, degrees = starts[alive], degrees[alive]
 
-            stop_draw = rng.random(current.size)
-            pick_draw = rng.random(current.size)
-            is_uniform = uniform[current]
-            totals = sums[current]
-            # Uniform nodes: stop when the stop trial exceeds the
-            # incoming mass, else pick a neighbor uniformly.
-            survive = ~is_uniform | (totals >= 1.0) | (stop_draw < totals)
-            edge = starts + (pick_draw * degrees).astype(np.int64)
-            # Non-uniform nodes: one threshold draw into the global
-            # prefix; a draw beyond the node's incoming mass means stop.
-            nonuni = ~is_uniform
-            if nonuni.any():
-                thresholds = prefix[starts[nonuni]] + pick_draw[nonuni]
-                found = np.searchsorted(prefix, thresholds, side="left") - 1
-                edge[nonuni] = found
-                in_range = (found >= starts[nonuni]) & (found < starts[nonuni] + degrees[nonuni])
-                survive_nonuni = survive[nonuni] & in_range
-                survive = survive.copy()
-                survive[nonuni] = survive_nonuni
+            # One row key per step: its high word is the stop draw, its
+            # low word the pick draw.
+            draws = _row_keys(keys[walk_sets], current)
+            if self._may_stop:
+                survive = (draws >> _SHIFT32) < stop_threshold[current]
+            else:
+                survive = np.ones(current.size, dtype=bool)
+            draws &= _LOW32
+            picks = draws * degrees.astype(_U64)
+            picks >>= _SHIFT32
+            edge = starts + picks.astype(np.int64)
+            nonuni = () if self._cumulative is None else (~uniform[current]).nonzero()[0]
+            if len(nonuni):
+                # The pick draw as a uniform in [0, 1), against each row's
+                # running sums: the edge is the number of running sums at
+                # or below it; a draw beyond the row's mass means stop.
+                row_starts_nu, degrees_nu = starts[nonuni], degrees[nonuni]
+                ends = degrees_nu.cumsum()
+                at = (row_starts_nu - (ends - degrees_nu)).repeat(degrees_nu)
+                at += np.arange(int(ends[-1]))
+                below = self._cumulative[at] <= (draws[nonuni] * 2.0**-32).repeat(degrees_nu)
+                taken = np.add.reduceat(below, ends - degrees_nu, dtype=np.int64)
+                edge[nonuni] = row_starts_nu + taken
+                survive[nonuni] = taken < degrees_nu
             if not survive.any():
                 break
             walk_sets, edge = walk_sets[survive], edge[survive]
             nxt = indices[edge].astype(np.int64)
-            keys = walk_sets * n + nxt
-            fresh = ~visited[keys]
+            marks = walk_sets * n + nxt
+            fresh = ~visited[marks]
             if not fresh.any():
                 break
-            walk_sets, nxt, keys = walk_sets[fresh], nxt[fresh], keys[fresh]
-            visited[keys] = True
+            walk_sets, nxt, marks = walk_sets[fresh], nxt[fresh], marks[fresh]
+            visited[marks] = True
             set_parts.append(walk_sets)
             node_parts.append(nxt)
             current = nxt
 
-        nodes, sizes = _finish_block(visited, num_sets, n, set_parts, node_parts)
+        result = _finish_block(visited, num_sets, row_counts, set_parts, node_parts)
         self._scratch_dirty = False
-        return nodes, sizes, edges
+        return result
 
 
 class VectorizedTriggeringSampler(_BlockedFrontierSampler):
@@ -547,9 +666,9 @@ class VectorizedTriggeringSampler(_BlockedFrontierSampler):
         self.block_size = self._kernel.block_size
 
     def _run_block(
-        self, rng: np.random.Generator, roots: np.ndarray
+        self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._kernel._run_block(rng, roots)
+        return self._kernel._run_block(keys, roots)
 
     def __repr__(self) -> str:
         return (

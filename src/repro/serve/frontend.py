@@ -22,7 +22,10 @@ cache hits) proceed concurrently.  Malformed requests get an
 ``{"ok": false, "error": ...}`` reply instead of killing the connection.
 A request line longer than :data:`MAX_LINE_BYTES` gets such a reply too,
 naming the bound, and then the connection is closed: the line is
-discarded as it arrives, never buffered whole.
+discarded as it arrives, never buffered whole.  A connection that takes
+longer than :data:`IO_TIMEOUT_S` to finish sending a line, or to take a
+reply off the server's hands, is dropped; other connections never wait
+on it.
 
 :func:`request` is the matching synchronous one-shot client used by the
 CLI, the tests, and the serving benchmark.
@@ -40,12 +43,18 @@ from ..core.result import IMResult
 from ..graphs.digraph import GraphDelta
 from .service import InfluenceService, Query
 
-__all__ = ["MAX_LINE_BYTES", "ServingFrontend", "request", "result_payload"]
+__all__ = ["IO_TIMEOUT_S", "MAX_LINE_BYTES", "ServingFrontend", "request", "result_payload"]
 
 #: Longest request line a connection may send.  Read at
 #: :meth:`ServingFrontend.start` as the streams' buffer limit; a graph
 #: update of ~5 * 10^5 edges fits.
 MAX_LINE_BYTES = 16 << 20
+
+#: Longest one request-line read or one reply drain may wait, in seconds;
+#: past it the connection is dropped.  Generous on purpose: a closed-loop
+#: client holds one connection for its whole session, idle between
+#: requests while it does its own work.
+IO_TIMEOUT_S = 600.0
 
 
 def result_payload(result) -> Dict:
@@ -114,27 +123,49 @@ class ServingFrontend:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
+        expired = False
+
+        def expire() -> None:
+            # Drop it now: a plain close would first wait to flush the
+            # replies a non-reading client never takes.
+            nonlocal expired
+            expired = True
+            writer.transport.abort()
+
+        async def bounded(awaitable):
+            # A timer, not asyncio.wait_for: no task per read, so a cache
+            # hit's round trip does not pay for the bound.
+            timer = loop.call_later(IO_TIMEOUT_S, expire)
+            try:
+                return await awaitable
+            finally:
+                timer.cancel()
+
         try:
             while True:
                 try:
-                    line = await reader.readuntil(b"\n")
+                    line = await bounded(reader.readuntil(b"\n"))
                 except asyncio.IncompleteReadError as exc:
                     line = exc.partial  # the last line may lack its newline
                 except asyncio.LimitOverrunError:
-                    await _discard_line(reader)
+                    await bounded(_discard_line(reader))
                     error = (
                         f"request line exceeds the {MAX_LINE_BYTES}-byte limit; "
                         "closing the connection"
                     )
                     reply = {"ok": False, "error": error}
                     writer.write(json.dumps(reply).encode() + b"\n")
-                    await writer.drain()
+                    await bounded(writer.drain())
                     break
-                if not line:
+                if expired or not line:
                     break
                 reply = await self._dispatch(line)
                 writer.write(json.dumps(reply).encode() + b"\n")
-                await writer.drain()
+                await bounded(writer.drain())
+        except ConnectionError:
+            if not expired:  # the aborted drain of a stalled client
+                raise
         finally:
             # Fire-and-forget close: awaiting wait_closed() here would
             # raise if the server is being cancelled mid-handler.

@@ -109,14 +109,14 @@ class TestBudgetedIM:
 # NewGreeDiRounds: gathers are priced by tuple_vector_nbytes instead of a
 # flat 8 B/tuple (23688 -> 5959, 22376 -> 5630) and the singleton
 # safeguard's 1204 B re-gather is gone (26288 -> 7355, 25000 -> 7050).
-# Every field was re-pinned once at PR 24, when the pool's RR sets became
-# coordinate-keyed (other samples, same distribution; CHANGES.md has
-# old -> new); what ties the map stage to the dict-accumulating one since
-# is test_shared_round.py's inlined oracles, which do not depend on which
-# samples are drawn.
+# Every field was re-pinned when the pool's RR sets became coordinate-keyed,
+# and again when the IC/LT coins became hashes of those coordinates
+# (other samples, same distribution; CHANGES.md has old -> new); what ties
+# the map stage to the dict-accumulating one since is test_shared_round.py's
+# inlined oracles, which do not depend on which samples are drawn.
 BUDGETED_GOLDENS = {
-    3: ([76, 89, 166, 115, 20, 36, 39, 55], "0x1.0aaaaaaaaaaaap+6", 5.5492, 7282),
-    11: ([168, 132, 6, 60, 183, 88, 127, 52, 191], "0x1.29c71c71c71c7p+6", 5.6187, 7055),
+    3: ([166, 36, 20, 152, 75, 168, 60], "0x1.2000000000000p+6", 5.5999, 6586),
+    11: ([168, 132, 60, 58, 171, 53, 32, 158, 115], "0x1.0000000000000p+6", 5.9384, 6617),
 }
 
 

@@ -12,8 +12,10 @@ cold entry points' common parameters and ``InfluenceService.query``.
 
 The two adaptive cases were re-pinned once, when adaptive IM moved from
 per-machine sequential generators to coordinate-keyed draws
-(``sample_set_range`` with the key ``adaptive-{round}``): every other
-digest is unchanged since ``d7458f2``.
+(``sample_set_range`` with the key ``adaptive-{round}``).  Every digest
+was re-recorded once more when the IC/LT coins became hashes of the
+coordinates (other samples, same distribution; CHANGES.md has old ->
+new).
 """
 
 import json

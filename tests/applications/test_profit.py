@@ -79,19 +79,19 @@ class TestProfitMaximization:
 # total_bytes alone was re-pinned once, when the loop moved onto
 # NewGreeDiRounds and its gathers became priced by tuple_vector_nbytes
 # instead of a flat 8 B/tuple (24596 -> 7334, 26692 -> 7837).
-# Every field was re-pinned once at PR 24, when the pool's RR sets became
-# coordinate-keyed (other samples, same distribution; CHANGES.md has
-# old -> new); what ties the map stage to the dict-accumulating one since
-# is test_shared_round.py's inlined oracles, which do not depend on which
-# samples are drawn.
+# Every field was re-pinned when the pool's RR sets became coordinate-keyed,
+# and again when the IC/LT coins became hashes of those coordinates
+# (other samples, same distribution; CHANGES.md has old -> new); what ties
+# the map stage to the dict-accumulating one since is test_shared_round.py's
+# inlined oracles, which do not depend on which samples are drawn.
 PROFIT_GOLDENS = {
     3: (
-        [168, 75, 152, 115, 77, 20, 36, 148, 76, 89, 128, 31],
-        "0x1.6936b148a3278p+5", 83.11, 37.96, 7396,
+        [36, 168, 75, 152, 20, 166, 60, 39],
+        "0x1.941563b17a585p+5", 76.22, 25.71, 6377,
     ),
     11: (
-        [168, 132, 6, 183, 127, 165, 60, 88, 52, 191, 59, 26],
-        "0x1.a8a0358a5e005p+5", 87.11, 34.03, 7588,
+        [168, 132, 36, 127, 32, 115, 26, 53, 171, 100, 191, 121, 142],
+        "0x1.3dca1ec663f7cp+5", 77.11, 37.39, 7115,
     ),
 }
 

@@ -67,14 +67,14 @@ class TestSeedMinimization:
 # total_bytes alone was re-pinned once, when the loop moved onto
 # NewGreeDiRounds and its gathers became priced by tuple_vector_nbytes
 # instead of a flat 8 B/tuple (18476 -> 5635, 18852 -> 5731).
-# Every field was re-pinned once at PR 24, when the pool's RR sets became
-# coordinate-keyed (other samples, same distribution; CHANGES.md has
-# old -> new); what ties the map stage to the dict-accumulating one since
-# is test_shared_round.py's inlined oracles, which do not depend on which
-# samples are drawn.
+# Every field was re-pinned when the pool's RR sets became coordinate-keyed,
+# and again when the IC/LT coins became hashes of those coordinates
+# (other samples, same distribution; CHANGES.md has old -> new); what ties
+# the map stage to the dict-accumulating one since is test_shared_round.py's
+# inlined oracles, which do not depend on which samples are drawn.
 SEEDMIN_GOLDENS = {
-    3: ([93, 118, 168, 75, 144, 141], "0x1.0471c71c71c72p+6", 65.11, 5868),
-    11: ([168, 49, 163, 132, 190], "0x1.00e38e38e38e4p+6", 64.22, 5714),
+    3: ([36, 168, 75, 152, 32], "0x1.071c71c71c71dp+6", 65.78, 5584),
+    11: ([93, 36, 168, 151, 144, 102, 50], "0x1.0000000000000p+6", 64.0, 6166),
 }
 
 

@@ -218,18 +218,22 @@ class TestSharedRoundEqualsParentLoops:
         assert shared_outcome(result, rounds_made[0], coverage) == expected
 
     def test_budgeted_singleton_guard(self, machines, seed, rounds_made):
-        """The best node costs the whole budget, every other node a bit
-        more than half of it at a better ratio: the loop buys one cheap
-        node and the guard must answer with the best singleton — read from
-        the initial counts, where the parent re-gathered and scanned."""
+        """The best node (and any tied with it) costs the whole budget,
+        every other node a bit more than half of it at a better ratio: the
+        loop buys one cheap node and the guard must answer with the best
+        singleton — read from the initial counts, where the parent
+        re-gathered and scanned."""
         graph = random_graph(seed)
         stores = cold_stores(graph, machines, seed)
         counts = sum(store.coverage_counts() for store in stores)
-        best, runner_up = np.argsort(-counts, kind="stable")[:2].tolist()
+        order = np.argsort(-counts, kind="stable")
+        best = int(order[0])
+        top = counts == counts[best]
+        runner_up = int(order[np.count_nonzero(top)])
         ratio = counts[runner_up] / counts[best]
         assert 0.5 < ratio < 1.0
         costs = np.full(graph.num_nodes, (0.5 + ratio) / 2)
-        costs[best] = 1.0
+        costs[top] = 1.0
         result = budgeted_influence_maximization(graph, costs, 1.0, machines, THETA, seed=seed)
         assert result.seeds == [best]
         assert rounds_made[0].marginals == [counts[runner_up]]

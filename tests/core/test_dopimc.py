@@ -7,6 +7,7 @@ import numpy as np
 from repro.core import diimm, distributed_opimc
 from repro.diffusion import estimate_spread, exact_optimum, get_model
 from repro.graphs import erdos_renyi, weighted_cascade
+from repro.ris import FlatRRCollection, append_batch, make_sampler
 
 
 class TestDistributedOpimc:
@@ -28,13 +29,25 @@ class TestDistributedOpimc:
         assert opim.num_rr_sets < imm_result.num_rr_sets
 
     def test_quality_comparable_to_diimm(self, medium_wc_graph):
-        opim = distributed_opimc(medium_wc_graph, 10, 4, eps=0.5, seed=1)
-        imm_result = diimm(medium_wc_graph, 10, 4, eps=0.5, seed=1)
-        rng = np.random.default_rng(2)
-        model = get_model("ic")
-        opim_mc = estimate_spread(medium_wc_graph, opim.seeds, model, 1500, rng)
-        imm_mc = estimate_spread(medium_wc_graph, imm_result.seeds, model, 1500, rng)
-        assert opim_mc.mean >= 0.85 * imm_mc.mean
+        """The mean spread ratio over seeds 1-36 is at least 0.85.
+
+        One seed's ratio spreads over ~0.78-0.95 (sd ~0.045: eps=0.5 lets
+        OPIM-C stop at a few hundred sets), so one seed says little about a
+        bound near the distribution's middle.  Spreads are read off one
+        held-out collection of 50,000 RR sets (``n * coverage / sets``:
+        unbiased, like a Monte-Carlo estimate, at a small fraction of its
+        cost); the ratio of two needs only the coverages.
+        """
+        heldout = FlatRRCollection(medium_wc_graph.num_nodes)
+        sampler = make_sampler(medium_wc_graph, model="ic", method="vectorized")
+        append_batch(heldout, sampler.sample_batch(np.random.default_rng(2), 50_000))
+        ratios = []
+        for seed in range(1, 37):
+            opim = distributed_opimc(medium_wc_graph, 10, 4, eps=0.5, seed=seed)
+            imm_result = diimm(medium_wc_graph, 10, 4, eps=0.5, seed=seed)
+            opim_cover = heldout.coverage_of(list(opim.seeds))
+            ratios.append(opim_cover / heldout.coverage_of(list(imm_result.seeds)))
+        assert np.mean(ratios) >= 0.85, ratios
 
     def test_lt_model(self, medium_wc_graph):
         result = distributed_opimc(medium_wc_graph, 5, 4, eps=0.5, model="lt", seed=0)

@@ -4,11 +4,13 @@ Recorded runs on the shared ``small_wc_graph`` fixture that every
 executor must reproduce *bit for bit* — seeds, RR-set accounting, bounds
 and round counts; only metered wall-clock times are allowed to differ.
 First captured from the pre-driver implementations (each entry point
-carrying its own private round loop); re-pinned once at PR 24, when RR set
-``i`` of collection ``key`` on machine ``m`` became a function of the
+carrying its own private round loop); re-pinned twice: when RR set ``i``
+of collection ``key`` on machine ``m`` became a function of the
 coordinates ``(seed, key, m, i)`` instead of a position in the machine's
-sequential stream.  CHANGES.md (PR 24) lists old -> new and the 40-seed
-theta / spread distributions of both builds, which agree.
+sequential stream, and when the IC/LT coins became hashes of those
+coordinates (D-SUBSIM, still on seated generators, did not move).
+CHANGES.md lists old -> new and the 40-seed theta / spread distributions
+of both builds, which agree.
 """
 
 from __future__ import annotations
@@ -27,16 +29,16 @@ from repro.core import (
 #  lower_bound, search_rounds, estimated_spread)
 GOLDEN_A = {
     "diimm": (
-        [36, 168, 75, 190], 2836, 28796, 173415,
-        31.42665077538936, 3, 52.89139633286318,
+        [36, 93, 168, 75], 3068, 29724, 178289,
+        29.051840893118126, 3, 49.34810951760104,
     ),
     "dssa": (
-        [75, 168, 36, 102], 6432, 65916, 396140,
-        51.492537313432834, 4, 51.492537313432834,
+        [75, 168, 36, 68], 6432, 66332, 398437,
+        52.7363184079602, 4, 52.7363184079602,
     ),
     "dopimc": (
-        [75, 168, 36, 32], 444, 4048, 24275,
-        0.15552653754313217, 2, 45.04504504504504,
+        [36, 75, 183, 39], 444, 4120, 24848,
+        0.17230217315257024, 2, 47.747747747747745,
     ),
     "dsubsim": (
         [75, 168, 36, 190], 2700, 27136, 54084,
@@ -47,22 +49,22 @@ GOLDEN_A = {
 # IMM is the l = 1 run of the same coordinates (machine 0 of a one-machine
 # cluster), like every other algorithm.
 GOLDEN_A_IMM = (
-    [168, 36, 75, 190], 2924, 29259, 175797,
-    30.47672682248087, 3, 53.077975376196996,
+    [75, 36, 168, 190], 2947, 29629, 177733,
+    30.23924583425374, 3, 51.03495079742111,
 )
 
 GOLDEN_B = {
     "diimm": (
-        [36, 168, 75, 93, 118, 102], 2706, 28386, 170773,
-        37.19594697325339, 3, 64.30155210643017,
+        [36, 168, 75, 32, 62, 20], 2469, 25746, 154874,
+        40.77630550543821, 3, 68.28675577156743,
     ),
     "dssa": (
-        [75, 36, 168, 132, 152, 32], 6432, 67761, 406981,
-        62.06467661691542, 4, 62.06467661691542,
+        [75, 168, 36, 62, 190, 39], 6432, 67904, 408297,
+        59.88805970149254, 4, 59.88805970149254,
     ),
     "dopimc": (
-        [131, 136, 144, 150, 36, 132], 250, 2975, 17816,
-        0.13885417528392505, 1, 60.8,
+        [36, 39, 133, 88, 89, 159], 250, 2241, 13441,
+        0.14031415017234597, 1, 56.0,
     ),
     "dsubsim": (
         [36, 168, 75, 118, 152, 102], 2755, 27046, 53842,
@@ -71,8 +73,8 @@ GOLDEN_B = {
 }
 
 GOLDEN_B_IMM = (
-    [75, 168, 36, 32, 93, 128], 2791, 28267, 169339,
-    36.06879706497298, 3, 64.27803654604085,
+    [36, 168, 75, 39, 26, 132], 2636, 27803, 167149,
+    38.190491009971396, 3, 65.47799696509864,
 )
 
 ALGORITHMS = {

@@ -8,8 +8,8 @@ from repro.cluster.cluster import SimulatedCluster
 from repro.core import diimm, imm
 from repro.core.pool import MAX_CACHED_COVERAGE, SamplePool
 from repro.coverage.state import CoverageState
-from repro.ris import FlatRRCollection, make_sampler
-from tests.conftest import coordinate_rng
+from repro.ris import FlatRRCollection, append_batch, make_sampler
+from repro.ris.rrset import set_keys
 
 
 @pytest.fixture
@@ -19,9 +19,22 @@ def pool(small_wc_graph):
 
 
 class TestConstruction:
-    def test_rejects_vectorized(self, small_wc_graph):
-        with pytest.raises(ValueError, match="prefix-deterministic"):
-            SamplePool(small_wc_graph, machines=2, method="vectorized")
+    def test_accepts_vectorized_as_bfs(self, small_wc_graph):
+        # One keyed kernel behind both names: a grown "vectorized" pool
+        # holds the bytes a one-shot "bfs" pool does.
+        with SamplePool(small_wc_graph, machines=2, method="vectorized") as vec, SamplePool(
+            small_wc_graph, machines=2, method="bfs"
+        ) as bfs:
+            vec.ensure("main", [30, 12])
+            vec.ensure("main", [70, 90])
+            bfs.ensure("main", [70, 90])
+            for a, b in zip(vec.stores("main"), bfs.stores("main")):
+                np.testing.assert_array_equal(a.nodes, b.nodes)
+                np.testing.assert_array_equal(a.offsets, b.offsets)
+
+    def test_rejects_unknown_method(self, small_wc_graph):
+        with pytest.raises(ValueError, match="unknown sampling method"):
+            SamplePool(small_wc_graph, method="quantum")
 
     def test_rejects_unknown_rng_scheme(self, small_wc_graph):
         # The argument is a vestige the frozen harness still passes:
@@ -61,14 +74,15 @@ class TestGrowth:
 
     def test_topped_up_store_equals_cold_stream(self, pool, small_wc_graph):
         # Two top-ups of machine m's collection must equal one cold draw
-        # of the same total: set i from the generator of (seed, key, m, i),
-        # built independently here and fed to the scalar sampler.
+        # of the same total: set i from the key of (seed, key, m, i),
+        # drawn alone on a fresh kernel.
         pool.ensure("main", [12, 12, 12])
         pool.ensure("main", [40, 40, 40])
         sampler = make_sampler(small_wc_graph, "ic")
         for mid, store in enumerate(pool.stores("main")):
             cold = FlatRRCollection(small_wc_graph.num_nodes)
-            cold.extend(sampler.sample(coordinate_rng(7, "main", mid, i)) for i in range(40))
+            for i in range(40):
+                append_batch(cold, sampler.sample_keys(set_keys(7, mid, [i])))
             assert np.array_equal(store.nodes, cold.nodes)
             assert np.array_equal(store.offsets, cold.offsets)
 

@@ -23,7 +23,7 @@ from repro.cluster.executor import make_executor
 from repro.core.pool import SamplePool
 from repro.coverage import CoverageState
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
-from repro.ris import ICReverseBFSSampler, VectorizedICSampler, make_sampler
+from repro.ris import VectorizedICSampler, make_sampler
 
 SEED = 41
 MACHINES = 2
@@ -268,12 +268,12 @@ class TestRefusals:
 
 
 class TestBlockedDrawCount:
-    """A count, not a timing gate: per-set generation reaches the blocked
-    kernel in as few draws as the id sets allow, never the scalar loop."""
+    """A count, not a timing gate: per-set generation reaches the keyed
+    kernel in as few draws as the id sets allow, never a generator loop."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"sample_sets": 0, "blocks": 0, "sample_batch": 0}
+        calls = {"sample_keys": 0, "blocks": 0, "sample_batch": 0, "sample_sets": 0}
 
         def counting(cls, attr, key):
             real = getattr(cls, attr)
@@ -284,9 +284,10 @@ class TestBlockedDrawCount:
 
             monkeypatch.setattr(cls, attr, wrapper)
 
-        counting(ICReverseBFSSampler, "sample_sets", "sample_sets")
-        counting(ICReverseBFSSampler, "sample_batch", "sample_batch")
-        counting(VectorizedICSampler, "_advance", "blocks")
+        counting(VectorizedICSampler, "sample_keys", "sample_keys")
+        counting(VectorizedICSampler, "sample_batch", "sample_batch")
+        counting(VectorizedICSampler, "sample_sets", "sample_sets")
+        counting(VectorizedICSampler, "_run_block", "blocks")
         return calls
 
     def test_update_is_one_blocked_draw_per_machine(self, small_wc_graph, calls):
@@ -295,12 +296,12 @@ class TestBlockedDrawCount:
             fresh_versioned(small_wc_graph), machines=machines, seed=SEED
         ) as pool:
             pool.ensure("main", [40] * machines)
-            calls.update(sample_sets=0, blocks=0)
+            calls.update(sample_keys=0, blocks=0)
             repaired = pool.apply_update(make_delta(small_wc_graph, "mixed"))
             assert repaired["main"] > machines  # scattered ids, several per machine
-            assert 1 <= calls["sample_sets"] <= machines
-            assert calls["blocks"] == calls["sample_sets"]
-            assert calls["sample_batch"] == 0
+            assert 1 <= calls["sample_keys"] <= machines
+            assert calls["blocks"] == calls["sample_keys"]
+            assert calls["sample_batch"] == calls["sample_sets"] == 0
 
     def test_build_and_rebuild_fill_whole_blocks(self, small_wc_graph, calls):
         machines, per_machine = 4, 300
@@ -308,13 +309,13 @@ class TestBlockedDrawCount:
             fresh_versioned(small_wc_graph), machines=machines, seed=SEED
         ) as pool:
             pool.ensure("main", [per_machine] * machines)
-            block = pool.executor.sampler("ic", "bfs")._blocked.block_size
+            block = pool.executor.sampler("ic", "bfs").block_size
             budget = machines * math.ceil(per_machine / block)
             assert machines <= calls["blocks"] <= budget
             calls.update(blocks=0)
             pool.apply_update(GraphDelta(add_nodes=1))  # full invalidation
             assert machines <= calls["blocks"] <= budget
-            assert calls["sample_batch"] == 0
+            assert calls["sample_batch"] == calls["sample_sets"] == 0
 
 
 def update_stream(graph, rounds: int):
@@ -346,8 +347,9 @@ def update_stream(graph, rounds: int):
 @pytest.mark.parametrize("executor", ["simulated", "multiprocessing:2", "socket:2"])
 def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
     """Build, top-up and ten repairs leave the same recorded bytes on
-    every executor.  Re-pinned once, at PR 24, when a set's generator
-    became the ``(seed, key, machine)`` stream jumped to its index."""
+    every executor.  Re-pinned when a set's generator became the
+    ``(seed, key, machine)`` stream jumped to its index, and again when
+    the IC/LT coins became hashes of those coordinates."""
 
     def digest(pool) -> str:
         sha = hashlib.sha256()
@@ -363,9 +365,9 @@ def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
         executor=executor,
     ) as pool:
         pool.ensure("main", [60, 60])
-        assert digest(pool) == "3a1971a3cfd15fd6"
+        assert digest(pool) == "426056364b3f8838"
         pool.ensure("main", [90, 75])
-        assert digest(pool) == "e369dc0b922116b9"
+        assert digest(pool) == "608c10618392d106"
         for delta in update_stream(small_wc_graph, 10):
             pool.apply_update(delta)
-        assert digest(pool) == "18330cd60993495e"
+        assert digest(pool) == "79646c6f51ce18b6"

@@ -23,14 +23,16 @@ from repro.ris import (
     make_collection,
     make_sampler,
 )
-from repro.ris.ic_sampler import PER_SET_BLOCK
 from repro.ris.rrset import (
     RRSampler,
     concat_batches,
     pack_samples,
     sample_set_range,
+    set_keys,
 )
+from repro.ris import vectorized
 from repro.ris.stats import RRSetStatistics
+from repro.ris.vectorized import _mix_tail
 from tests.conftest import coordinate_rng
 from tests.oracle import RRCollection
 
@@ -43,10 +45,10 @@ SAMPLER_SPECS = [
 ]
 SPEC_IDS = [spec[0] if spec[1] in (None, "bfs") else "ic-subsim" for spec in SAMPLER_SPECS]
 
-# Samplers that share a _visited scratch array across draws (the LT walk
-# needs none: a reverse walk tracks its own path).
-SCRATCH_SPECS = [spec for spec in SAMPLER_SPECS if spec != ("lt", "bfs")]
-SCRATCH_IDS = [i for spec, i in zip(SAMPLER_SPECS, SPEC_IDS) if spec != ("lt", "bfs")]
+# Samplers that share a _visited scratch array across draws (all of them:
+# LT "bfs" is the keyed walk kernel).
+SCRATCH_SPECS = SAMPLER_SPECS
+SCRATCH_IDS = SPEC_IDS
 
 
 def build(spec, graph):
@@ -176,21 +178,25 @@ class _FlakyRNG:
 
     def __init__(self, inner, fail_after):
         self._inner = inner
-        self._calls = 0
         self._fail_after = fail_after
+        self._calls = [0]
 
     def __getattr__(self, name):
         target = getattr(self._inner, name)
-        if not callable(target):
-            return target
+        return _failing(target, self._fail_after, self._calls) if callable(target) else target
 
-        def wrapped(*args, **kwargs):
-            self._calls += 1
-            if self._calls > self._fail_after:
-                raise RuntimeError("injected RNG failure")
-            return target(*args, **kwargs)
 
-        return wrapped
+def _failing(target, fail_after, calls=None):
+    """``target``, raising once it has been called ``fail_after`` times."""
+    calls = [0] if calls is None else calls
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > fail_after:
+            raise RuntimeError("injected RNG failure")
+        return target(*args, **kwargs)
+
+    return wrapped
 
 
 class TestScratchStateLeak:
@@ -199,26 +205,35 @@ class TestScratchStateLeak:
     The samplers share one ``_visited`` scratch array across draws and
     normally reset only the touched entries; after an exception the
     touched set is unknown, so the next draw must fall back to a full
-    reset (the ``_scratch_dirty`` flag).
+    reset (the ``_scratch_dirty`` flag).  A keyed kernel calls its RNG
+    once per draw, before any wave: it is failed in its hash
+    (``_mix_tail``, called every wave).
     """
 
     @pytest.mark.parametrize("spec", SCRATCH_SPECS, ids=SCRATCH_IDS)
     @pytest.mark.parametrize("api", ["sample", "sample_batch"])
-    def test_draws_after_midway_failure_are_clean(self, small_wc_graph, spec, api):
+    def test_draws_after_midway_failure_are_clean(self, small_wc_graph, spec, api, monkeypatch):
         sampler = build(spec, small_wc_graph)
         # Warm up, then kill a draw partway through its RNG usage.
         sampler.sample_many(5, np.random.default_rng(1))
-        for fail_after in (1, 2, 3):
-            flaky = _FlakyRNG(np.random.default_rng(2), fail_after)
+        failed = 0
+        for fail_after in (0, 1, 2, 3):
+            flaky = np.random.default_rng(2)
+            if sampler.keyed:
+                monkeypatch.setattr(vectorized, "_mix_tail", _failing(_mix_tail, fail_after))
+            else:
+                flaky = _FlakyRNG(flaky, fail_after)
             try:
                 if api == "sample":
                     sampler.sample(flaky)
                 else:
                     sampler.sample_batch(flaky, 10)
             except RuntimeError:
-                pass
+                failed += 1
             else:
                 continue  # draw finished before the injected failure
+            finally:
+                monkeypatch.undo()
             # Every subsequent draw must match a pristine sampler's.
             fresh = build(spec, small_wc_graph)
             rng_dirty = np.random.default_rng(40 + fail_after)
@@ -228,6 +243,7 @@ class TestScratchStateLeak:
                 fresh.sample_batch(rng_fresh, 25),
             )
             assert rng_dirty.bit_generator.state == rng_fresh.bit_generator.state
+        assert failed
 
     def test_scratch_clean_after_successful_draws(self, small_wc_graph):
         for spec in SCRATCH_SPECS:
@@ -237,7 +253,12 @@ class TestScratchStateLeak:
 
 
 def per_set_oracle(sampler, seed, machine_id, ids, key="main"):
-    """One scalar draw per set id, each from an independently built generator."""
+    """One draw per set id, each alone: from an independently built
+    generator, or from the set's own key on a keyed kernel."""
+    if sampler.keyed:
+        return concat_batches(
+            [sampler.sample_keys(set_keys(seed, machine_id, [int(i)], key)) for i in ids]
+        )
     return concat_batches(
         [sampler.sample_batch(coordinate_rng(seed, key, machine_id, int(i)), 1) for i in ids]
     )
@@ -271,19 +292,20 @@ def id_sets(block, rng):
 
 
 class TestSampleSets:
-    """``sample_sets`` — every per-set draw's entry point — equals one
-    scalar ``sample_batch(rng, 1)`` per generator on all four arrays.
-    The scalar loop stays here as the oracle."""
+    """``sample_set_range`` — every per-set draw's entry point — equals one
+    draw per set on all four arrays: one key at a time on the keyed
+    kernels, one scalar ``sample_batch(rng, 1)`` per generator on the rest.
+    """
 
     @pytest.mark.parametrize("probabilities", ["weighted-cascade", "nonuniform", "dense"])
     @pytest.mark.parametrize("graph_seed", [0, 1, 2])
     def test_blocked_ic_equals_scalar_loop(self, graph_seed, probabilities):
         graph = random_ic_graph(graph_seed, probabilities)
         sampler = make_sampler(graph, model="ic", method="bfs")
-        empty = sampler.sample_sets([])  # builds the blocked kernel
+        empty = sampler.sample_keys([])
         assert empty.count == 0 and empty.offsets.tolist() == [0]
-        assert (sampler._blocked._node_prob is None) == (probabilities == "nonuniform")
-        for name, ids in id_sets(PER_SET_BLOCK, np.random.default_rng(graph_seed)).items():
+        assert (sampler._node_threshold is None) == (probabilities == "nonuniform")
+        for name, ids in id_sets(sampler.block_size, np.random.default_rng(graph_seed)).items():
             batch = sample_set_range(sampler, 5, graph_seed, ids)
             assert_batches_equal(batch, per_set_oracle(sampler, 5, graph_seed, ids))
             assert batch.count == len(ids), name
@@ -304,22 +326,24 @@ class TestSampleSets:
         assert (sizes > 3).any()
 
     def test_kernel_matches_at_any_block_size(self, small_wc_graph):
-        scalar = make_sampler(small_wc_graph, model="ic", method="bfs")
-        expected = per_set_oracle(scalar, 9, 1, range(70))
+        default = make_sampler(small_wc_graph, model="ic", method="bfs")
+        expected = per_set_oracle(default, 9, 1, range(70))
+        keys = set_keys(9, 1, range(70))
         for block in (1, 2, 7, 64, 1024):
             kernel = VectorizedICSampler(small_wc_graph, block_size=block)
-            rngs = [coordinate_rng(9, "main", 1, i) for i in range(70)]
-            assert_batches_equal(kernel.sample_sets(rngs), expected)
+            assert_batches_equal(kernel.sample_keys(keys), expected)
 
     @pytest.mark.parametrize(
         "spec", [s for s in SAMPLER_SPECS if s != ("ic", "bfs")], ids=SPEC_IDS[1:]
     )
     def test_default_is_the_scalar_loop(self, small_wc_graph, spec):
-        # LT and SUBSIM run sample_sets as their own scalar loop (it *is*
-        # their sample_batch); triggering has no such form and keeps the
-        # base class's one-set-at-a-time loop.
+        # SUBSIM runs sample_sets as its own scalar loop (it *is* its
+        # sample_batch); triggering has no such form and keeps the base
+        # class's one-set-at-a-time loop; LT "bfs" is keyed and never
+        # sees a generator from sample_set_range.
         sampler = build(spec, small_wc_graph)
-        own_loop = spec in (("lt", "bfs"), ("ic", "subsim"))
+        assert sampler.keyed == (spec == ("lt", "bfs"))
+        own_loop = spec == ("ic", "subsim")
         assert (type(sampler).sample_sets is not RRSampler.sample_sets) == own_loop
         ids = [0, 1, 2, 50, 7]
         assert_batches_equal(
@@ -334,45 +358,46 @@ class TestSampleSets:
 
     def test_scratch_sized_by_the_draw_and_reused(self, small_wc_graph):
         n = small_wc_graph.num_nodes
-        sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
-        sample_set_range(sampler, 1, 0, range(5))
-        kernel = sampler._blocked
+        kernel = make_sampler(small_wc_graph, model="ic", method="bfs")
+        sample_set_range(kernel, 1, 0, range(5))
         assert kernel._visited.size == 5 * n  # not a full block
-        sample_set_range(sampler, 1, 0, range(3 * PER_SET_BLOCK))
+        sample_set_range(kernel, 1, 0, range(3 * kernel.block_size))
         scratch = kernel._visited
-        assert scratch.size == PER_SET_BLOCK * n and not scratch.any()
-        sample_set_range(sampler, 1, 0, range(9))
+        assert scratch.size == kernel.block_size * n and not scratch.any()
+        sample_set_range(kernel, 1, 0, range(9))
         assert kernel._visited is scratch and not scratch.any()
 
     @pytest.mark.parametrize("fail_after", [0, 1, 3])
     def test_generator_raising_mid_block_does_not_poison_the_next_draw(
-        self, small_wc_graph, fail_after
+        self, small_wc_graph, fail_after, monkeypatch
     ):
+        """A draw that raises some waves into a block (here: in the hash,
+        the keyed kernel's only per-wave draw) leaves the next draw the
+        bytes it would have had."""
         sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
         expected = sample_set_range(sampler, 8, 0, range(60))  # warms the scratch
-        # Fail the longest-lived set: at its root draw, or some waves in,
-        # when the rest of the block has already marked the scratch.
-        victim = int(np.diff(expected.offsets).argmax())
-        rngs = [coordinate_rng(8, "main", 0, i) for i in range(60)]
-        rngs[victim] = _FlakyRNG(rngs[victim], fail_after)
+        monkeypatch.setattr(vectorized, "_mix_tail", _failing(_mix_tail, fail_after))
         with pytest.raises(RuntimeError, match="injected"):
-            sampler.sample_sets(rngs)
+            sample_set_range(sampler, 8, 0, range(60))
+        monkeypatch.undo()
         assert_batches_equal(sample_set_range(sampler, 8, 0, range(60)), expected)
-        assert not sampler._blocked._visited.any()
+        assert not sampler._visited.any()
 
 
 def test_vectorized_method_draws_the_bytes_it_always_did(small_wc_graph):
-    """``method="vectorized"`` shares its wave loop with the per-set
-    coin source; its own coin source did not change.  Digests recorded
-    at the commit before the loop was shared."""
+    """The keyed kernel's stream form, ``sample_batch(rng, 300)``, pinned
+    on both coin paths (per-node and per-edge thresholds) and two block
+    widths — equal, as a keyed set's bytes ignore the block.  Digests
+    recorded when the coins became keyed (every draw's bytes moved then).
+    """
     src, dst, _ = small_wc_graph.edge_arrays()
     probs = np.random.default_rng(3).uniform(0.05, 0.6, size=src.size)
     nonuniform = DirectedGraph(small_wc_graph.num_nodes, src, dst, probs)
     recorded = {
-        ("wc", None): "e5416fa6dc076faa",
-        ("wc", 7): "b3d8f859f8298beb",
-        ("nonuniform", None): "c923c6ce64834b24",
-        ("nonuniform", 7): "b553c407bc8a6c07",
+        ("wc", None): "6449842d81fcb46c",
+        ("wc", 7): "6449842d81fcb46c",
+        ("nonuniform", None): "3dc3447450924b6d",
+        ("nonuniform", 7): "3dc3447450924b6d",
     }
     for (name, block), expected in recorded.items():
         graph = small_wc_graph if name == "wc" else nonuniform

@@ -14,7 +14,7 @@ from repro.graphs import (
     uniform,
     weighted_cascade,
 )
-from repro.ris import LTReverseWalkSampler, VectorizedLTSampler
+from repro.ris import LTReverseWalkSampler, VectorizedLTSampler, vectorized
 from repro.ris.rrset import uniform_rows
 
 
@@ -175,3 +175,58 @@ class TestUniformRowFlags:
         expected = loop_uniform(graph)
         assert not expected[emptied]
         np.testing.assert_array_equal(LTReverseWalkSampler(graph)._uniform, expected)
+
+
+def loop_running_sums(graph) -> np.ndarray:
+    """Each non-uniform in-row's running sum, one row at a time: the
+    reference for the LT kernel's grouped construction."""
+    starts, counts, _, probs, uniform = vectorized._row_tables(graph)
+    expected = probs.astype(np.float64, copy=True)
+    for v in np.flatnonzero(~uniform & (counts > 0)):
+        row = slice(starts[v], starts[v] + counts[v])
+        expected[row] = np.cumsum(probs[row])
+    return expected
+
+
+class TestRunningSums:
+    """The kernel's running sums are each row's own, summed in row order:
+    the same bits as a per-row loop, whatever the row's length group or
+    storage offset."""
+
+    @staticmethod
+    def mixed_graph(small_wc_graph, seed):
+        rng = np.random.default_rng(seed)
+        src, dst, probs = small_wc_graph.edge_arrays()
+        probs = np.where(rng.random(probs.size) < 0.33, probs * 0.5, probs)
+        # A hub: node 0 takes an in-edge from a third of the nodes, with
+        # unequal weights summing below one.
+        hub_src = np.arange(1, small_wc_graph.num_nodes, 3)
+        hub_p = rng.random(hub_src.size) / hub_src.size
+        keep = dst != 0
+        return DirectedGraph(
+            small_wc_graph.num_nodes,
+            np.concatenate((src[keep], hub_src)),
+            np.concatenate((dst[keep], np.zeros_like(hub_src))),
+            np.concatenate((probs[keep], hub_p)),
+        )
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_the_per_row_loop(self, small_wc_graph, seed, chunk, monkeypatch):
+        # chunk=7 splits every length group into several gathers.
+        monkeypatch.setattr(vectorized, "_RUNNING_SUM_CHUNK", chunk)
+        graph = self.mixed_graph(small_wc_graph, seed)
+        sums = VectorizedLTSampler(graph)._cumulative
+        assert sums is not None
+        assert sums.tobytes() == loop_running_sums(graph).tobytes()
+
+    def test_overlay_rows_equal_the_per_row_loop(self, small_wc_graph, rng):
+        graph = VersionedGraph(
+            DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
+        )
+        triples = list(small_wc_graph.edges())
+        picks = [triples[int(i)] for i in rng.choice(len(triples), size=8, replace=False)]
+        graph.apply(GraphDelta(reweight_edges=[(u, v, p * 0.5) for u, v, p in picks]))
+        sums = VectorizedLTSampler(graph)._cumulative
+        assert sums is not None
+        assert sums.tobytes() == loop_running_sums(graph).tobytes()

@@ -2,19 +2,20 @@
 
 The repair contract rests on one equivalence: a sampler walking a
 VersionedGraph (base CSR + overlay rows) must produce *exactly* the RR
-set that the same per-set stream produces on the compacted graph.  The
+set that the same coordinates produce on the compacted graph.  The
 compaction order invariant (effective in-rows keep per-target order)
-makes this exact, not just statistical.
+and keying every coin by an edge's rank in its row, never its storage
+offset, make this exact, not just statistical.
 """
 
 import numpy as np
 import pytest
 
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
-from repro.ris import make_sampler
-from repro.ris.ic_sampler import PER_SET_BLOCK
-from repro.ris.rrset import concat_batches, sample_set_range
-from tests.conftest import coordinate_rng
+from repro.core.pool import SamplePool
+from repro.ris import VectorizedICSampler, VectorizedLTSampler, make_sampler
+from repro.ris.rrset import concat_batches, sample_set_range, set_keys
+from repro.ris.vectorized import _row_tables, _thresholds
 
 
 def versioned_with_delta(graph, rng, lt_safe=False):
@@ -121,13 +122,33 @@ def overlay_after(graph, rng, kind):
     return wrapped
 
 
+def id_shapes(rng, block):
+    """Every id shape a build or a repair hands the kernel."""
+    scattered = np.sort(rng.choice(3000, size=41, replace=False))
+    shuffled = rng.permutation(scattered)
+    return ([], [5], range(30, 80), scattered, shuffled, range(7, 7 + block + 1))
+
+
+def assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng):
+    """One blocked draw over base + overlay row tables == one key at a
+    time on the same overlay == the blocked draw on the compacted graph."""
+    for ids in id_shapes(rng, overlay_sampler.block_size):
+        blocked = sample_set_range(overlay_sampler, seed=11, machine_id=1, ids=ids)
+        one_key = concat_batches(
+            [overlay_sampler.sample_keys(set_keys(11, 1, [int(i)])) for i in ids]
+        )
+        compacted = sample_set_range(compact_sampler, seed=11, machine_id=1, ids=ids)
+        assert blocked.count == len(ids)
+        assert batches_equal(blocked, one_key)
+        assert batches_equal(blocked, compacted)
+
+
 @pytest.mark.parametrize("kind", ["insert", "delete", "reweight", "all-three"])
 def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
     small_wc_graph, rng, kind
 ):
-    """One blocked ``sample_sets`` draw over base + overlay row tables ==
-    the scalar per-set loop on the same overlay == either on the
-    compacted graph, for every id shape a build or a repair produces."""
+    """The IC kernel on overlays, for every id shape (the "scalar loop"
+    is one key per call)."""
     if kind == "all-three":
         graph = versioned_with_delta(small_wc_graph, rng)
         graph.apply(GraphDelta(add_edges=[(3, 4, 0.5)], remove_nodes=[10]))  # stacked
@@ -136,21 +157,75 @@ def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
     assert graph.in_overlay is not None
     overlay_sampler = make_sampler(graph, model="ic", method="bfs")
     compact_sampler = make_sampler(graph.compact(), model="ic", method="bfs")
-    scattered = np.sort(rng.choice(3000, size=41, replace=False))
-    shuffled = rng.permutation(scattered)
-    for ids in ([], [5], range(30, 80), scattered, shuffled, range(PER_SET_BLOCK + 1)):
-        blocked = sample_set_range(overlay_sampler, seed=11, machine_id=1, ids=ids)
-        scalar = concat_batches(
-            [overlay_sampler.sample_batch(coordinate_rng(11, "main", 1, int(i)), 1) for i in ids]
-        )
-        compacted = sample_set_range(compact_sampler, seed=11, machine_id=1, ids=ids)
-        assert batches_equal(blocked, scalar)
-        assert batches_equal(blocked, compacted)
+    assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng)
+    if overlay_sampler._node_threshold is not None:
+        # A threshold is a function of p alone: the per-edge path, forced
+        # onto a graph the per-node path serves, flips the same coins.
+        per_edge = make_sampler(graph, model="ic", method="bfs")
+        per_edge._edge_threshold = _thresholds(_row_tables(graph)[3])
+        per_edge._node_threshold = None
+        assert_keyed_draws_agree(per_edge, compact_sampler, rng)
 
 
-def test_vectorized_refuses_overlay(small_wc_graph):
+@pytest.mark.parametrize("kind", ["delete", "downweight", "stacked"])
+def test_blocked_lt_draw_on_overlay_equals_one_key_loop_and_compacted(small_wc_graph, rng, kind):
+    """The LT kernel reads overlay rows through its per-node tables:
+    deleted rows, rows reweighted off the uniform path (running sums) and
+    rows whose mass fell below one (the stop draw)."""
+    if kind == "delete":
+        graph = overlay_after(small_wc_graph, rng, "delete")
+    else:
+        graph = versioned_with_delta(small_wc_graph, rng, lt_safe=True)
+        if kind == "stacked":
+            graph.apply(GraphDelta(remove_nodes=[10]))
+    assert graph.in_overlay is not None
+    overlay_sampler = make_sampler(graph, model="lt", method="bfs")
+    compact_sampler = make_sampler(graph.compact(), model="lt", method="bfs")
+    if kind != "delete":
+        assert overlay_sampler._cumulative is not None and overlay_sampler._may_stop
+    assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng)
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_vectorized_on_overlay_is_the_bfs_kernel(small_wc_graph, rng, model):
+    """``method="vectorized"`` is the same keyed kernel as ``"bfs"``, on
+    overlays too: same class, same bytes, same as the compacted graph."""
+    graph = versioned_with_delta(small_wc_graph, rng, lt_safe=model == "lt")
+    vectorized = make_sampler(graph, model=model, method="vectorized")
+    bfs = make_sampler(graph, model=model, method="bfs")
+    kernel = VectorizedICSampler if model == "ic" else VectorizedLTSampler
+    assert type(vectorized) is type(bfs) is kernel
+    assert vectorized.block_size == bfs.block_size
+    ids = [*range(40), 901, 77]
+    draw = sample_set_range(vectorized, seed=3, machine_id=2, ids=ids)
+    assert batches_equal(draw, sample_set_range(bfs, seed=3, machine_id=2, ids=ids))
+    compacted = make_sampler(graph.compact(), model=model, method="vectorized")
+    assert batches_equal(draw, sample_set_range(compacted, seed=3, machine_id=2, ids=ids))
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_vectorized_pool_warm_equals_cold(small_wc_graph, model):
+    """Pools accept ``method="vectorized"``: a prefix-then-top-up pool,
+    repaired after an update, holds the bytes of a pool built cold on the
+    updated graph with ``method="bfs"``."""
     graph = VersionedGraph(
         DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
     )
-    with pytest.raises(ValueError, match="compact"):
-        make_sampler(graph, model="ic", method="vectorized")
+    with SamplePool(graph, machines=3, seed=4, model=model, method="vectorized") as warm:
+        warm.ensure("main", [20, 35, 10])
+        warm.ensure("main", [90, 60, 75])
+        edges = list(small_wc_graph.edges())
+        repaired = warm.apply_update(
+            GraphDelta(
+                remove_edges=[(u, v) for u, v, _ in edges[:6]],
+                reweight_edges=[(u, v, p * 0.5) for u, v, p in edges[40:44]],
+            )
+        )
+        assert sum(repaired.values()) > 0
+        with SamplePool(
+            warm.graph.compact(), machines=3, seed=4, model=model, method="bfs"
+        ) as cold:
+            cold.ensure("main", [90, 60, 75])
+            for a, b in zip(warm.stores("main"), cold.stores("main")):
+                np.testing.assert_array_equal(a.nodes, b.nodes)
+                np.testing.assert_array_equal(a.offsets, b.offsets)

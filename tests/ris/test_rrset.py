@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ris import (
-    ICReverseBFSSampler,
-    LTReverseWalkSampler,
     SubsimSampler,
+    VectorizedICSampler,
+    VectorizedLTSampler,
     make_sampler,
 )
 from repro.ris.rrset import RRSample
@@ -28,13 +28,16 @@ class TestRRSample:
 
 class TestFactory:
     def test_ic_bfs(self, small_wc_graph):
-        assert isinstance(make_sampler(small_wc_graph, "ic", "bfs"), ICReverseBFSSampler)
+        # "bfs" and "vectorized" are the one keyed kernel.
+        for method in ("bfs", "vectorized"):
+            assert type(make_sampler(small_wc_graph, "ic", method)) is VectorizedICSampler
 
     def test_ic_subsim(self, small_wc_graph):
         assert isinstance(make_sampler(small_wc_graph, "ic", "subsim"), SubsimSampler)
 
     def test_lt(self, small_wc_graph):
-        assert isinstance(make_sampler(small_wc_graph, "lt"), LTReverseWalkSampler)
+        for method in ("bfs", "vectorized"):
+            assert type(make_sampler(small_wc_graph, "lt", method)) is VectorizedLTSampler
 
     def test_lt_subsim_rejected(self, small_wc_graph):
         with pytest.raises(ValueError, match="IC model only"):

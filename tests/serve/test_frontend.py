@@ -215,6 +215,61 @@ class TestLineBound:
         assert run_frontend(service, go) == {"ok": True, "op": "ping"}
 
 
+class TestStalledClients:
+    """Each read and drain is bounded by ``IO_TIMEOUT_S``: a client that
+    stalls is dropped, and the server keeps answering everyone else."""
+
+    TIMEOUT = 0.3
+
+    @pytest.fixture
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(frontend_module, "IO_TIMEOUT_S", self.TIMEOUT)
+
+    def test_half_a_line_then_silence_is_disconnected(self, service, short_timeout):
+        def stall(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b'{"op": "pi')
+                return sock.recv(4096)  # b"" once the server hangs up
+
+        async def go(port):
+            stalled = asyncio.create_task(asyncio.to_thread(stall, port))
+            await asyncio.sleep(0)
+            served = await asyncio.to_thread(request, port, {"op": "ping"})
+            return await stalled, served, await asyncio.to_thread(request, port, {"op": "ping"})
+
+        dropped, during, after = run_frontend(service, go)
+        assert dropped == b""
+        assert during == after == {"ok": True, "op": "ping"}
+
+    def test_client_that_never_reads_is_disconnected(self, service, short_timeout):
+        # Each request draws a ~64 KB error reply; the client only writes,
+        # so the server's send buffers fill and its drain stalls.
+        line = json.dumps({"op": "x" * (1 << 16)}).encode() + b"\n"
+
+        def flood(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                try:
+                    for _ in range(2000):  # ~130 MB of replies, never read
+                        sock.sendall(line)
+                except (ConnectionResetError, BrokenPipeError):
+                    return True  # the server dropped us
+                except TimeoutError:
+                    return False  # the server stopped reading, and kept us
+                return False
+
+        async def go(port):
+            dropped = await asyncio.to_thread(flood, port)
+            return dropped, await asyncio.to_thread(request, port, {"op": "ping"})
+
+        dropped, after = run_frontend(service, go)
+        assert dropped
+        assert after == {"ok": True, "op": "ping"}
+
+    def test_default_timeout_is_generous(self):
+        assert frontend_module.IO_TIMEOUT_S >= 60
+
+
 class TestPayloads:
     def test_unknown_result_type_rejected(self):
         with pytest.raises(TypeError):

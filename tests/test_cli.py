@@ -35,7 +35,6 @@ class TestParser:
         """Every choice list is read from the module that validates it."""
         from repro.api import ALGORITHMS
         from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
-        from repro.core.pool import PREFIX_DETERMINISTIC_METHODS
 
         subparsers = next(
             action for action in build_parser()._actions if action.dest == "command"
@@ -51,7 +50,7 @@ class TestParser:
         assert choices("run", "--backend") == BACKENDS
         assert choices("run", "--stopping") == STOPPINGS
         assert choices("serve", "--model") == MODELS
-        assert choices("serve", "--method") == PREFIX_DETERMINISTIC_METHODS
+        assert choices("serve", "--method") == METHODS
         assert choices("validate", "--model") == MODELS
 
     def test_run_rejects_bad_executor_spec(self, capsys):
