@@ -8,8 +8,8 @@ registry.  Adding an ablation is adding a row, not a function.
 The sweep covers the classic single-axis ablations (lazy greedy, tuple
 traffic, SUBSIM generation, heterogeneity, seed quality, communication
 and workload scaling, the eps law, dynamic repair) plus the full
-``{flat, sketch} x {bfs, vectorized} x executor`` matrix with
-per-component speedup and memory columns.
+``{flat, sketch} x executor`` matrix with per-component speedup and
+memory columns.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ import pytest
 from conftest import QUICK
 
 from repro.experiments import (
-    backend_method_matrix,
+    backend_matrix,
     communication_scaling,
     epsilon_sweep,
     heterogeneity,
@@ -92,22 +92,17 @@ def _check_dynamic(rows):
 
 def _check_backend_matrix(rows):
     # Every cell of the matrix ran, and every run answered the query.
-    assert {(r["backend"], r["method"]) for r in rows} >= {
-        ("flat", "bfs"),
-        ("flat", "vectorized"),
-        ("sketch", "bfs"),
-        ("sketch", "vectorized"),
-    }
+    assert {r["backend"] for r in rows} >= {"flat", "sketch"}
     assert all(r["spread"] > 0 for r in rows)
     # The lossy backend must not lose answer quality: every sketch cell's
     # spread stays within 10% of its flat counterpart.  (The memory win
     # is a scale effect — bench_sketch gates it on the livejournal
     # stand-in; the facebook matrix here is too small for banks to pay.)
-    by_key = {(r["backend"], r["method"], r["executor"]): r for r in rows}
-    for (backend, method, executor), row in by_key.items():
+    by_key = {(r["backend"], r["executor"]): r for r in rows}
+    for (backend, executor), row in by_key.items():
         if backend != "sketch":
             continue
-        flat_row = by_key[("flat", method, executor)]
+        flat_row = by_key[("flat", executor)]
         assert row["spread"] >= 0.9 * flat_row["spread"]
         assert row["store_mb"] > 0 and row["coverage_mb"] > 0
 
@@ -130,7 +125,7 @@ REGISTRY: Sequence[Ablation] = (
     ),
     Ablation(
         name="ablation_subsim",
-        title="Ablation — SUBSIM vs reverse-BFS generation",
+        title="Ablation — SUBSIM vs reverse-BFS generation (scalar), keyed IC kernel",
         runner=subsim_vs_bfs_generation,
         kwargs={"num_rr_sets": 3000},
         quick_kwargs={"num_rr_sets": 1000},
@@ -212,12 +207,11 @@ REGISTRY: Sequence[Ablation] = (
     ),
     Ablation(
         name="ablation_backend_matrix",
-        title="Ablation — backend x method x executor matrix",
-        runner=backend_method_matrix,
+        title="Ablation — backend x executor matrix",
+        runner=backend_matrix,
         kwargs={
             "dataset": "facebook",
             "backends": ("flat", "sketch"),
-            "methods": ("bfs", "vectorized"),
             "executors": ("simulated", "multiprocessing"),
             "k": 20,
             "eps": 0.5,

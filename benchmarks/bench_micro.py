@@ -17,7 +17,7 @@ from repro.coverage import CoverageInstance, greedy_max_coverage
 from repro.coverage.kernel import as_flat
 from repro.diffusion import IndependentCascade, LinearThreshold
 from repro.graphs import load_dataset
-from repro.ris import make_sampler
+from repro.ris import SubsimSampler, make_sampler
 
 BATCH = 200
 
@@ -44,7 +44,7 @@ def test_micro_ic_bfs_sampler(benchmark, graph):
 
 
 def test_micro_ic_subsim_sampler(benchmark, graph):
-    sampler = make_sampler(graph, "ic", "subsim")
+    sampler = SubsimSampler(graph)
     rng = np.random.default_rng(0)
     benchmark(sampler.sample_many, BATCH, rng)
 
@@ -102,12 +102,11 @@ def test_micro_batch_generation_speedup(record_rows, graph):
 
     count = 2000
     rows = []
-    for label, model, method in [
-        ("ic-bfs", "ic", "bfs"),
-        ("lt-walk", "lt", "bfs"),
-        ("ic-subsim", "ic", "subsim"),
+    for label, sampler in [
+        ("ic-bfs", make_sampler(graph, "ic")),
+        ("lt-walk", make_sampler(graph, "lt")),
+        ("ic-subsim", SubsimSampler(graph)),
     ]:
-        sampler = make_sampler(graph, model, method)
 
         def per_set():
             collection = FlatRRCollection(graph.num_nodes)

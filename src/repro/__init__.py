@@ -4,9 +4,10 @@ Large-Scale Online Social Networks" (Tang, Tang, Zhu, Han; ICDE 2022).
 The library implements the paper's two building blocks and everything they
 stand on:
 
-* **Distributed reverse influence sampling** — RR-set samplers for the IC
-  and LT models (plus SUBSIM subset sampling), generated independently per
-  simulated machine (:mod:`repro.ris`, :mod:`repro.cluster`).
+* **Distributed reverse influence sampling** — one keyed RR-set kernel
+  each for the IC and LT models (SUBSIM's subset sampler and the scalar
+  samplers kept as references), drawn independently per simulated
+  machine (:mod:`repro.ris`, :mod:`repro.cluster`).
 * **NEWGREEDI** — element-distributed maximum coverage with the exact
   ``(1 - 1/e)`` guarantee (:mod:`repro.coverage`).
 * **DIIMM** — the IMM framework on top of both, returning

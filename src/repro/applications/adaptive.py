@@ -47,7 +47,6 @@ def adaptive_influence_maximization(
     num_machines: int,
     rr_sets_per_round: int,
     model: str = "ic",
-    method: str = "bfs",
     network: NetworkModel | None = None,
     seed: int = 0,
 ) -> ApplicationResult:
@@ -57,9 +56,6 @@ def adaptive_influence_maximization(
     ----------
     rr_sets_per_round:
         RR sets regenerated (across machines) for each seed decision.
-    method:
-        RR-set generation procedure, as in :func:`repro.ris.make_sampler`
-        (``"bfs"`` and ``"vectorized"`` are the same keyed kernel).
     seed:
         Drives both the sampling and the simulated ground-truth cascades,
         so a run is fully reproducible: round ``r``'s RR set ``i`` on
@@ -90,8 +86,7 @@ def adaptive_influence_maximization(
         inactive = [v for v in range(graph.num_nodes) if v not in activated]
         if not inactive:
             break
-        base = make_sampler(residual, model=model, method=method)
-        sampler = TargetedSampler(base, inactive)
+        sampler = TargetedSampler(make_sampler(residual, model=model), inactive)
         # A new residual graph every round: nothing a pool could keep.
         stores = [FlatRRCollection(graph.num_nodes) for __ in range(num_machines)]
 
@@ -124,6 +119,5 @@ def adaptive_influence_maximization(
             "num_machines": num_machines,
             "rr_sets_per_round": rr_sets_per_round,
             "model": model,
-            "method": method,
         },
     )

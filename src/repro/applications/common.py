@@ -40,7 +40,7 @@ def sampled_stores(
 
     With ``pool=None`` a private pool is built on
     ``SimulatedCluster(num_machines, network, seed)`` (drawing with
-    ``sampler`` when given, else the ``(model, "bfs")`` sampler) and
+    ``sampler`` when given, else ``model``'s keyed kernel) and
     closed on exit; a lent pool must draw the same coordinates
     (:meth:`SamplePool.check_streams
     <repro.core.pool.SamplePool.check_streams>`) and keeps its own network
@@ -60,7 +60,7 @@ def sampled_stores(
                 )
             )
         else:
-            pool.check_streams(graph, num_machines, seed, model, "bfs")
+            pool.check_streams(graph, num_machines, seed, model)
         shares = split_count(num_rr_sets, pool.num_machines)
         metrics = stack.enter_context(pool.query_metrics())
         pool.ensure("main", shares, label=f"{label}/generate")

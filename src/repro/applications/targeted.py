@@ -23,7 +23,8 @@ from ..core.pool import SamplePool
 from ..coverage.newgreedi import newgreedi
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_sampler
-from ..ris.rrset import RRSampler
+from ..ris.rrset import FlatBatch, RRSample, RRSampler
+from ..ris.vectorized import _mulhi
 from .common import sampled_stores
 from .result import ApplicationResult
 
@@ -31,7 +32,13 @@ __all__ = ["TargetedSampler", "targeted_influence_maximization"]
 
 
 class TargetedSampler(RRSampler):
-    """Wraps a base sampler, drawing roots uniformly from the target set."""
+    """Wraps a keyed kernel, drawing roots uniformly from the target set.
+
+    Set key ``K``'s root is ``targets[mulhi(K, |T|)]`` and its coins are
+    the base kernel's for ``K`` (:mod:`repro.ris.vectorized`, "RNG
+    contract"), so targeted sets are coordinate-keyed like every other
+    draw of :func:`~repro.ris.rrset.sample_set_range`.
+    """
 
     def __init__(self, base: RRSampler, targets: Sequence[int]) -> None:
         super().__init__(base.graph)
@@ -46,9 +53,22 @@ class TargetedSampler(RRSampler):
     def num_targets(self) -> int:
         return int(self._targets.size)
 
-    def sample(self, rng: np.random.Generator):
-        root = int(self._targets[rng.integers(0, self._targets.size)])
-        return self._base.sample(rng, root=root)
+    def sample_keys(self, keys) -> FlatBatch:
+        """One RR set per 64-bit set key, rooted in the target set."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        return self._base._draw(keys, self._targets[_mulhi(keys, self._targets.size)])
+
+    def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
+        """Draw ``count`` sets keyed by ``rng``'s next ``count`` words."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        return self.sample_keys(rng.bit_generator.random_raw(count))
+
+    def sample(self, rng: np.random.Generator) -> RRSample:
+        batch = self.sample_batch(rng, 1)
+        return RRSample(
+            nodes=batch.nodes, root=int(batch.roots[0]), edges_examined=int(batch.edges_examined[0])
+        )
 
 
 def targeted_influence_maximization(

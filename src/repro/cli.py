@@ -35,7 +35,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from .api import ALGORITHMS
-    from .core.config import BACKENDS, METHODS, MODELS, STOPPINGS
+    from .core.config import BACKENDS, MODELS, STOPPINGS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -56,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--machines", type=int, default=16)
     run.add_argument("--eps", type=float, default=0.5)
     run.add_argument("--model", choices=MODELS, default="ic")
-    run.add_argument(
-        "--method",
-        choices=METHODS,
-        default="bfs",
-        help="RR-set generation procedure: reverse BFS/walk on the keyed "
-        "block kernel ('vectorized' is the same sampler), or SUBSIM subset "
-        "sampling (ic only; dsubsim always uses it)",
-    )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--network", choices=("cluster", "server"), default="server"
@@ -183,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--model", choices=MODELS, default="ic")
     serve.add_argument(
-        "--method",
-        choices=METHODS,
-        default="bfs",
-        help="RR-set generation for the IMM-family pools ('bfs' and "
-        "'vectorized' are the same keyed kernel)",
-    )
-    serve.add_argument(
         "--executor",
         default="simulated",
         metavar="SPEC",
@@ -304,7 +289,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             machines=args.machines,
             eps=args.eps,
             model=args.model,
-            method=args.method,
             seed=args.seed,
             backend=args.backend,
             sketch_precision=args.sketch_precision,
@@ -461,7 +445,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             machines=args.machines,
             seed=args.seed,
             model=args.model,
-            method=args.method,
             executor=args.executor,
             cache_size=args.cache_size,
             dynamic=args.dynamic,

@@ -53,10 +53,10 @@ from __future__ import annotations
 import gc
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from ..ris import make_sampler
+from ..ris import check_method_vestige, make_sampler
 from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, RRSampler, sample_set_range
 from ..ris.wire import encoded_batch_nbytes
@@ -125,8 +125,11 @@ class GeneratePhase:
         Per-machine number of RR sets to draw; one entry per machine.
     targets:
         Per-machine stores the batches are appended to, one per machine.
-    model, method:
-        Sampler selection, as in :func:`repro.ris.make_sampler`.
+    model:
+        Diffusion model of the keyed kernel the sets are drawn with
+        (:func:`repro.ris.make_sampler`).
+    method:
+        Vestige (:data:`repro.ris.METHOD_VESTIGES`): accepted, not stored.
     key:
         The collection being grown.  Machine ``m`` draws sets
         ``starts[m] .. starts[m] + counts[m] - 1`` of it, set ``i`` at its
@@ -142,12 +145,13 @@ class GeneratePhase:
     counts: Tuple[int, ...]
     targets: Tuple[Any, ...]
     model: str = "ic"
-    method: str = "bfs"
+    method: InitVar[str] = "bfs"
     key: str = "main"
     seed: int | None = None
     starts: Tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, method: str) -> None:
+        check_method_vestige(method)
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("generation counts must be >= 0")
@@ -275,7 +279,7 @@ class Executor(ABC):
         self.faults = faults if faults is not None else FaultPlan()
         #: Recovery policy; it governs real failures as well as injected ones.
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self._samplers: Dict[Tuple[str, str], RRSampler] = {}
+        self._samplers: Dict[str, RRSampler] = {}
 
     # -- the cluster's shape ----------------------------------------------
     @property
@@ -324,17 +328,16 @@ class Executor(ABC):
         elapsed = self.network.sequential_transfers(sizes)
         self.metrics.record_communication(label, int(sum(sizes)), elapsed)
 
-    def sampler(self, model: str, method: str) -> RRSampler:
-        """The executor-wide sampler for ``(model, method)``, built once."""
+    def sampler(self, model: str) -> RRSampler:
+        """The executor-wide keyed kernel for ``model``, built once."""
         if self.graph is None:
             raise ValueError(
                 f"{type(self).__name__} needs a graph to run generation phases; "
                 "pass graph= when constructing the executor"
             )
-        key = (model, method)
-        if key not in self._samplers:
-            self._samplers[key] = make_sampler(self.graph, model=model, method=method)
-        return self._samplers[key]
+        if model not in self._samplers:
+            self._samplers[model] = make_sampler(self.graph, model=model)
+        return self._samplers[model]
 
     def refresh_graph(self) -> None:
         """Drop per-graph caches after the graph mutated in place.
@@ -509,7 +512,7 @@ class Executor(ABC):
 
     def _draw(self, plan: GeneratePhase, mid: int) -> FlatBatch:
         """Draw machine ``mid``'s quota of the resolved ``plan`` in this process."""
-        sampler = self.sampler(plan.model, plan.method)
+        sampler = self.sampler(plan.model)
         ids = range(plan.starts[mid], plan.starts[mid] + plan.counts[mid])
         return sample_set_range(sampler, plan.seed, mid, ids, plan.key)
 
@@ -554,7 +557,7 @@ class SimulatedExecutor(Executor):
     def _attempt_wave(
         self, plan: GeneratePhase, ids: Sequence[int], attempt: int
     ) -> List[GenerationOutcome]:
-        self.sampler(plan.model, plan.method)  # a bad plan raises here, not per machine
+        self.sampler(plan.model)  # a bad plan raises here, not per machine
         faults, timeout = self.faults, self.retry.phase_timeout
         round_index = self.metrics.current_round
         outcomes = []

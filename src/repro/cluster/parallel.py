@@ -25,10 +25,10 @@ onto one stream and answered in any order:
     graph shipped inline, attaches a shared-memory export
     (:meth:`DirectedGraph.to_shared <repro.graphs.digraph.DirectedGraph.to_shared>`,
     no copy) or loads an ``.npz`` from its local disk, and caches it
-    under the token; samplers are cached per ``(token, model, method)``.
+    under the token; keyed kernels are cached per ``(token, model)``.
     Replies ``("enrolled", seq, info)``.
 ``generate``
-    ``{"token", "model", "method", "seed", "key", "machine", "start",
+    ``{"token", "model", "seed", "key", "machine", "start",
     "count", "directive"}`` — the worker draws sets ``start .. start +
     count - 1`` of collection ``key`` on ``machine`` through
     :func:`~repro.ris.rrset.sample_set_range`, exactly as the master
@@ -156,13 +156,13 @@ class WorkerState:
         except Exception as exc:  # noqa: BLE001 - shipped back to the master
             return "error", (f"enroll failed: {type(exc).__name__}: {exc}", 0.0)
 
-    def sampler(self, token: str, model: str, method: str):
-        key = (token, model, method)
+    def sampler(self, token: str, model: str):
+        key = (token, model)
         if key not in self.samplers:
             graph = self.graphs.get(token)
             if graph is None:
                 raise KeyError(f"unknown enrollment token {token!r}")
-            self.samplers[key] = make_sampler(graph, model=model, method=method)
+            self.samplers[key] = make_sampler(graph, model=model)
         return self.samplers[key]
 
     def generate(self, request: Dict[str, Any]) -> Tuple[str, Any]:
@@ -172,7 +172,7 @@ class WorkerState:
         try:
             if directive == CRASH:
                 raise RuntimeError("injected worker crash")
-            sampler = self.sampler(request["token"], request["model"], request["method"])
+            sampler = self.sampler(request["token"], request["model"])
             ids = range(request["start"], request["start"] + request["count"])
             batch = sample_set_range(
                 sampler, request["seed"], request["machine"], ids, request["key"]
@@ -513,7 +513,6 @@ class WorkerBackedExecutor(Executor):
             request = {
                 "token": self._token,
                 "model": plan.model,
-                "method": plan.method,
                 "seed": plan.seed,
                 "key": plan.key,
                 "machine": mid,

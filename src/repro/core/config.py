@@ -13,7 +13,7 @@ facade and direct library use all fail identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import Any
 
 from ..cluster.executor import EXECUTORS
@@ -21,16 +21,15 @@ from ..cluster.faults import FaultPlan, RetryPolicy
 from ..cluster.network import NetworkModel
 from ..cluster.spec import ExecutorSpec, as_spec
 from ..coverage.sketch import MAX_PRECISION, MIN_PRECISION, hll_relative_error
+from ..ris import check_method_vestige
 
-__all__ = ["RunConfig", "BACKENDS", "MODELS", "METHODS", "STOPPINGS"]
+__all__ = ["RunConfig", "BACKENDS", "MODELS", "STOPPINGS"]
 
 #: RR stores, as accepted by :func:`repro.ris.make_collection`: the exact
 #: CSR store and the HyperLogLog register bank.
 BACKENDS: tuple[str, ...] = ("flat", "sketch")
 #: Diffusion models the samplers implement.
 MODELS: tuple[str, ...] = ("ic", "lt")
-#: RR-set generation procedures.
-METHODS: tuple[str, ...] = ("bfs", "subsim", "vectorized")
 #: Stopping policies for the IMM-schedule algorithms: the precomputed
 #: theta schedule, or error-adaptive doubling until the measured
 #: relative error satisfies eps (see
@@ -55,9 +54,11 @@ class RunConfig:
         Approximation slack; the guarantee is ``(1 - 1/e - eps)``.
     delta:
         Failure probability; ``None`` means the paper's ``1/n``.
-    model, method:
-        Diffusion model (``"ic"``/``"lt"``) and RR-set generation
-        procedure (``"bfs"``/``"subsim"``/``"vectorized"``).
+    model:
+        Diffusion model (``"ic"``/``"lt"``); every RR set is drawn by its
+        keyed kernel (:mod:`repro.ris.vectorized`).
+    method:
+        Vestige (:data:`repro.ris.METHOD_VESTIGES`): accepted, not stored.
     seed:
         Root RNG seed; fixes the whole run.
     backend:
@@ -105,7 +106,7 @@ class RunConfig:
     eps: float = 0.5
     delta: float | None = None
     model: str = "ic"
-    method: str = "bfs"
+    method: InitVar[str] = "bfs"
     seed: int = 0
     backend: str = "flat"
     sketch_precision: int = 10
@@ -118,7 +119,8 @@ class RunConfig:
     faults: FaultPlan | None = field(default=None)
     retry: RetryPolicy | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, method: str) -> None:
+        check_method_vestige(method, "config.method")
         if isinstance(self.faults, str):
             object.__setattr__(self, "faults", FaultPlan.parse(self.faults))
         if not isinstance(self.executor, ExecutorSpec):
@@ -153,8 +155,6 @@ class RunConfig:
             raise ValueError(f"config.delta must be in (0, 1) or None, got {self.delta}")
         if self.model not in MODELS:
             raise ValueError(f"config.model must be one of {MODELS}, got {self.model!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"config.method must be one of {METHODS}, got {self.method!r}")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"config.backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -193,7 +193,7 @@ class RunConfig:
             )
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("config.resume requires config.checkpoint_dir to be set")
-        if entry is not None and entry.subsim and self.model != "ic":
+        if entry is not None and entry.ic_only and self.model != "ic":
             raise ValueError(
                 f"config.model must be 'ic' for {algorithm}: subset sampling is "
                 f"defined for the IC model only, got {self.model!r}"

@@ -5,7 +5,7 @@ DIIMM is IMM with both phases distributed over ``l`` machines:
 * **Distributed RIS** — every generation wave of ``theta_t - theta_{t-1}``
   RR sets is split evenly; each machine extends its private collection
   ``R_i`` with independently drawn sets (set ``i`` of a collection on
-  machine ``m`` has its own generator,
+  machine ``m`` is keyed by its coordinates,
   :func:`~repro.ris.rrset.sample_set_range`).  Corollary 1 guarantees
   the per-machine workload concentrates around its mean, so the wave's
   parallel time is close to ``1/l`` of the sequential time.
@@ -65,7 +65,9 @@ __all__ = [
 ]
 
 
-def make_schedule_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+def make_schedule_rule(
+    config: RunConfig, n: int, delta: float, rule_type=ImmScheduleRule
+) -> StoppingRule:
     """The stopping rule a :class:`RunConfig` asks of the IMM schedule.
 
     ``stopping="schedule"`` is the IMM/SUBSIM theta schedule (Chen's
@@ -74,6 +76,8 @@ def make_schedule_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
     schedule's first search round) until the measured error satisfies
     ``eps``, capped at the schedule's own worst-case final theta — so the
     adaptive run can never sample more than the schedule would have.
+    ``rule_type`` names the schedule (:class:`SubsimScheduleRule` for
+    D-SUBSIM).
     """
     params = ImmParameters.compute(n, config.k, config.eps, delta)
     if config.stopping == "error-adaptive":
@@ -95,8 +99,12 @@ def make_schedule_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
             theta_max=params.theta_final(float(config.k)),
             sketch_rel_error=sketch_error,
         )
-    rule_type = SubsimScheduleRule if config.method == "subsim" else ImmScheduleRule
     return rule_type(params)
+
+
+def make_subsim_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+    """D-SUBSIM's rule: the IMM schedule under SUBSIM's name."""
+    return make_schedule_rule(config, n, delta, SubsimScheduleRule)
 
 
 def make_stare_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
@@ -157,10 +165,11 @@ class Algorithm:
     #: communication phases at all, so single-machine versus distributed
     #: comparisons isolate the distribution machinery).
     single_machine: bool = False
-    #: Draws with SUBSIM's subset sampler: ``method="subsim"`` is forced
-    #: and, as subset sampling exploits shared in-edge probabilities, the
-    #: model must be IC (the LT reverse walk is already linear).
-    subsim: bool = False
+    #: SUBSIM's subset sampling exploits shared in-edge probabilities, so
+    #: the row is defined for the IC model only (the LT reverse walk is
+    #: already linear); its sets are drawn by the keyed IC kernel, the
+    #: same distribution and faster (DESIGN.md).
+    ic_only: bool = False
     #: The stopping certificate assumes exact coverage counts and is the
     #: rule's own: ``backend="sketch"`` and ``stopping="error-adaptive"``
     #: are refused.
@@ -173,7 +182,7 @@ REGISTRY: Dict[str, Algorithm] = {
     "imm": Algorithm("IMM", make_schedule_rule, single_machine=True),
     "diimm": Algorithm("DIIMM", make_schedule_rule),
     "dssa": Algorithm("DSSA", make_stare_rule, exact_counts=True),
-    "dsubsim": Algorithm("DSUBSIM", make_schedule_rule, subsim=True),
+    "dsubsim": Algorithm("DSUBSIM", make_subsim_rule, ic_only=True),
     "dopimc": Algorithm("DOPIM-C", make_opim_rule, exact_counts=True),
 }
 
@@ -205,8 +214,6 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
     """
     entry = REGISTRY[algorithm]
     config.validate(algorithm)
-    if entry.subsim:
-        config = config.with_overrides(method="subsim")
     graph, k = config.graph, config.k
     n = graph.num_nodes
     delta = 1.0 / n if config.delta is None else config.delta
@@ -244,7 +251,6 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
             seed=config.seed,
             num_machines=machines,
             model=config.model,
-            method=config.method,
             backend=config.backend,
         )
         # Built last, entered at once: nothing that can raise sits between
@@ -266,7 +272,6 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
             k,
             stores,
             model=config.model,
-            method=config.method,
             backend=config.backend,
             selection="central" if entry.single_machine else "newgreedi",
             checkpoint=checkpoint,
@@ -288,7 +293,6 @@ def run(config: RunConfig, algorithm: str, *, executor=None, pool=None) -> IMRes
         metrics=metrics,
         algorithm=entry.label,
         model=config.model,
-        method=config.method,
         params=params,
     )
 
@@ -312,7 +316,7 @@ def distributed_subsim(
     graph: DirectedGraph, k: int, num_machines: int, **options
 ) -> IMResult:
     """Distributed SUBSIM under the IC model (paper Fig 7); the
-    single-machine baseline is :func:`imm` with ``method="subsim"``."""
+    single-machine baseline is :func:`imm`."""
     return run(RunConfig(graph=graph, k=k, machines=num_machines, **options), "dsubsim")
 
 

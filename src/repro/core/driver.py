@@ -553,8 +553,8 @@ class RoundDriver:
         ``{key: [store_machine_0, ...]}``.  The driver owns their growth:
         set ``i`` of collection ``key`` on machine ``m`` is drawn at the
         coordinates ``(executor seed, key, m, i)``.
-    model, method:
-        Sampler selection for the generation phases.
+    model:
+        Diffusion model of the generation phases' keyed kernel.
     backend:
         RR store (``"flat"`` / ``"sketch"``).
         With ``"sketch"`` the driver maintains a
@@ -595,7 +595,6 @@ class RoundDriver:
         k: int,
         stores: Dict[str, List] | None = None,
         model: str = "ic",
-        method: str = "bfs",
         backend: str = "flat",
         selection: str = "newgreedi",
         checkpoint=None,
@@ -657,7 +656,6 @@ class RoundDriver:
         self.k = k
         self.stores = stores
         self.model = model
-        self.method = method
         self.backend = backend
         self.selection_mode = selection
         self.checkpoint = checkpoint
@@ -770,7 +768,6 @@ class RoundDriver:
                 counts=tuple(counts),
                 targets=tuple(self.stores[key]),
                 model=self.model,
-                method=self.method,
                 key=key,
             )
         )

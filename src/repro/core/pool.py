@@ -30,10 +30,10 @@ every query must wrap its phases in — holds the pool lock, swaps a fresh
 query, and merges it into the pool's lifetime metrics afterwards.
 Queries against *different* pools run concurrently.
 
-Bit-for-bit warm/cold equivalence holds for every method: a set's bytes
-are a function of its coordinates (the keyed IC/LT kernel behind both
-``bfs`` and ``vectorized``, see :mod:`repro.ris.vectorized`; one seated
-generator per set for ``subsim`` and custom samplers).
+Bit-for-bit warm/cold equivalence holds for every pool: a set's bytes
+are a function of its coordinates and the graph (the model's keyed
+kernel, :mod:`repro.ris.vectorized`, or a custom sampler that takes set
+keys, such as the targeted wrapper over it).
 
 Dynamic graphs
 --------------
@@ -66,9 +66,9 @@ from ..cluster.spec import as_spec
 from ..cluster.metrics import GENERATION, RunMetrics
 from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
-from .config import METHODS
 from ..graphs.digraph import GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
+from ..ris import check_method_vestige
 from ..ris.rrset import RRSampler, sample_set_range
 
 __all__ = ["SamplePool"]
@@ -88,8 +88,11 @@ class SamplePool:
         Cluster width ``l``; fixed for the pool's lifetime.
     seed:
         Root RNG seed.  Warm results equal cold runs with this seed.
-    model, method:
-        Sampler selection (``make_sampler``'s arguments).
+    model:
+        Diffusion model of the pool's keyed kernel (``make_sampler``'s).
+    method:
+        Vestige (:data:`repro.ris.METHOD_VESTIGES`): accepted and echoed
+        by :attr:`method`, which the frozen benchmark harness reads back.
     executor:
         An :class:`~repro.cluster.spec.ExecutorSpec` or its string
         shorthand (``"simulated"``, ``"multiprocessing:4"``,
@@ -103,7 +106,9 @@ class SamplePool:
     sampler:
         Optional custom :class:`~repro.ris.rrset.RRSampler` (e.g. a
         :class:`~repro.applications.targeted.TargetedSampler`) used for
-        generation instead of the executor's ``(model, method)`` one.
+        generation instead of the executor's kernel for ``model``.  It
+        must take set keys (``sample_keys``): pools draw every set at its
+        coordinates, and a generator-driven scalar sampler cannot.
     sampler_factory:
         Optional ``graph -> RRSampler`` callable building the custom
         sampler; required instead of ``sampler`` when the pool must
@@ -125,8 +130,7 @@ class SamplePool:
         sampler: RRSampler | None = None,
         sampler_factory=None,
     ) -> None:
-        if method not in METHODS:
-            raise ValueError(f"unknown sampling method {method!r}; expected one of {METHODS}")
+        check_method_vestige(method)
         if rng_scheme != "per-set":
             raise ValueError(
                 f"rng_scheme is a vestige: only 'per-set' is accepted, got {rng_scheme!r}"
@@ -146,6 +150,12 @@ class SamplePool:
             self._sampler = (
                 sampler_factory(graph) if sampler_factory is not None else sampler
             )
+            if self._sampler is not None and not hasattr(self._sampler, "sample_keys"):
+                raise TypeError(
+                    f"{type(self._sampler).__name__} cannot take set keys (no "
+                    "sample_keys), and a pool draws every RR set at its coordinates: "
+                    "pass a keyed kernel (make_sampler) or a TargetedSampler over one"
+                )
         except BaseException:
             # A raising sampler factory must not leak the worker pool /
             # shared-memory graph the executor just acquired.
@@ -265,7 +275,6 @@ class SamplePool:
                         counts=tuple(counts),
                         targets=tuple(stores),
                         model=self.model,
-                        method=self.method,
                         key=key,
                     )
                 )
@@ -332,7 +341,7 @@ class SamplePool:
                 sampler = (
                     self._sampler
                     if self._sampler is not None
-                    else self.executor.sampler(self.model, self.method)
+                    else self.executor.sampler(self.model)
                 )
                 if touched is None:
                     repaired[key] = self._regenerate_all(key, stores, sampler)
@@ -473,9 +482,7 @@ class SamplePool:
     # ------------------------------------------------------------------
     # Config compatibility
     # ------------------------------------------------------------------
-    def check_streams(
-        self, graph, machines: int | None, seed: int, model: str, method: str
-    ) -> None:
+    def check_streams(self, graph, machines: int | None, seed: int, model: str) -> None:
         """Reject a query whose cold run would not draw this pool's streams
         (``machines=None`` skips the width check)."""
         if machines is not None and self.num_machines != machines:
@@ -489,18 +496,13 @@ class SamplePool:
                 f"seed={seed} differs from the pool seed {self.seed}; "
                 "warm results would not match a cold run"
             )
-        if (model, method) != (self.model, self.method):
-            raise ValueError(
-                f"pool samples ({self.model!r}, {self.method!r}); query wants "
-                f"({model!r}, {method!r})"
-            )
+        if model != self.model:
+            raise ValueError(f"pool samples model {self.model!r}; query wants {model!r}")
 
     def check_config(self, config, machines: int | None = None) -> None:
         """Reject a :class:`~repro.core.config.RunConfig` whose results
         could not equal a cold run over this pool's streams."""
-        self.check_streams(
-            config.graph, machines, config.seed, config.model, config.method
-        )
+        self.check_streams(config.graph, machines, config.seed, config.model)
         if config.backend != "flat":
             hint = (
                 "; sketch register banks cannot be windowed to a query's "
@@ -538,6 +540,6 @@ class SamplePool:
         sizes = {key: sum(s.num_sets for s in stores) for key, stores in self._stores.items()}
         return (
             f"SamplePool(machines={self.num_machines}, model={self.model!r}, "
-            f"method={self.method!r}, executor={self.executor.name!r}, "
+            f"executor={self.executor.name!r}, "
             f"sets={sizes})"
         )

@@ -32,7 +32,7 @@ class IMResult:
         Number of lower-bound search iterations executed.
     metrics:
         Timing/traffic breakdown (generation / computation / communication).
-    algorithm, model, method:
+    algorithm, model:
         Labels for reporting.
     params:
         Free-form scalar parameters (k, eps, delta, num_machines, ...).
@@ -48,7 +48,6 @@ class IMResult:
     metrics: RunMetrics
     algorithm: str
     model: str
-    method: str = "bfs"
     params: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -61,7 +60,6 @@ class IMResult:
         row: Dict[str, object] = {
             "algorithm": self.algorithm,
             "model": self.model,
-            "method": self.method,
             "num_rr_sets": self.num_rr_sets,
             "total_rr_size": self.total_rr_size,
             "estimated_spread": round(self.estimated_spread, 2),

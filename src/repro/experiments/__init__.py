@@ -16,7 +16,7 @@ Ablations (ours)    :mod:`ablations`
 """
 
 from .ablations import (
-    backend_method_matrix,
+    backend_matrix,
     epsilon_sweep,
     heterogeneity,
     lazy_vs_naive_greedy,
@@ -59,7 +59,7 @@ __all__ = [
     "heterogeneity",
     "epsilon_sweep",
     "static_vs_dynamic_updates",
-    "backend_method_matrix",
+    "backend_matrix",
     "seed_quality_comparison",
     "framework_comparison",
     "communication_scaling",

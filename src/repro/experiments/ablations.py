@@ -9,7 +9,8 @@ decisions:
   versus shipping full length-``n`` vectors each round (the Section III-C
   traffic optimisation).
 * ``subsim_vs_bfs_generation`` — SUBSIM subset sampling versus plain
-  reverse BFS, per-dataset generation throughput (the Fig 7 mechanism).
+  reverse BFS, per-dataset generation throughput (the Fig 7 mechanism),
+  beside the keyed IC kernel every run draws with.
 * ``workload_balance`` — empirical per-machine workload spread against
   the Corollary 1 concentration bound.
 """
@@ -32,7 +33,8 @@ from ..coverage.greedy import greedy_max_coverage, naive_greedy_max_coverage
 from ..coverage.problem import CoverageInstance
 from ..graphs.datasets import load_dataset
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
-from ..ris import FlatRRCollection, make_sampler
+from ..ris import FlatRRCollection, ICReverseBFSSampler, SubsimSampler, make_sampler
+from ..ris.rrset import sample_set_range
 
 __all__ = [
     "lazy_vs_naive_greedy",
@@ -42,7 +44,7 @@ __all__ = [
     "heterogeneity",
     "epsilon_sweep",
     "static_vs_dynamic_updates",
-    "backend_method_matrix",
+    "backend_matrix",
 ]
 
 
@@ -125,24 +127,36 @@ def subsim_vs_bfs_generation(
     num_rr_sets: int = 3000,
     seed: int = 2022,
 ) -> list[dict]:
-    """Generation throughput of SUBSIM vs plain reverse BFS (IC model)."""
+    """Generation time of SUBSIM vs plain reverse BFS (IC model).
+
+    Both are the scalar references (``sample_many`` on one generator);
+    ``keyed_s`` draws the same number of sets with the keyed IC kernel
+    through :func:`~repro.ris.rrset.sample_set_range`, the way DIIMM and
+    D-SUBSIM do.
+    """
     rows = []
     for dataset in datasets:
-        ds = load_dataset(dataset, seed=seed)
+        graph = load_dataset(dataset, seed=seed).graph
         timings = {}
-        for method in ("bfs", "subsim"):
-            sampler = make_sampler(ds.graph, model="ic", method=method)
+        scalar = {"bfs": ICReverseBFSSampler(graph), "subsim": SubsimSampler(graph)}
+        for name, sampler in scalar.items():
             rng = np.random.default_rng(seed)
             start = time.perf_counter()
             sampler.sample_many(num_rr_sets, rng)
-            timings[method] = time.perf_counter() - start
+            timings[name] = time.perf_counter() - start
+        keyed = make_sampler(graph, model="ic")
+        start = time.perf_counter()
+        sample_set_range(keyed, seed, 0, range(num_rr_sets))
+        timings["keyed"] = time.perf_counter() - start
         rows.append(
             {
                 "ablation": "subsim-vs-bfs",
                 "dataset": dataset,
                 "bfs_s": round(timings["bfs"], 4),
                 "subsim_s": round(timings["subsim"], 4),
+                "keyed_s": round(timings["keyed"], 4),
                 "speedup": round(timings["bfs"] / timings["subsim"], 2),
+                "keyed_vs_subsim": round(timings["subsim"] / timings["keyed"], 2),
             }
         )
     return rows
@@ -413,71 +427,67 @@ def static_vs_dynamic_updates(
     return rows
 
 
-def backend_method_matrix(
+def backend_matrix(
     dataset: str = "facebook",
     backends: Sequence[str] = ("flat", "sketch"),
-    methods: Sequence[str] = ("bfs", "vectorized"),
     executors: Sequence[str] = ("simulated",),
     k: int = 20,
     eps: float = 0.5,
     machines: int = 4,
     seed: int = 2022,
 ) -> list[dict]:
-    """Full DIIMM sweep over {backend} x {generation method} x {executor}.
+    """Full DIIMM sweep over {backend} x {executor}.
 
     Every combination runs the same query; each row carries the
     per-component times (generation / selection / communication), the
     peak store + coverage memory, and ratios against the
-    (first backend, first method, first executor) baseline row — the
-    declarative matrix the registry-driven ablation bench renders.
+    (first backend, first executor) baseline row — the declarative
+    matrix the registry-driven ablation bench renders.
     """
     ds = load_dataset(dataset, seed=seed)
     rows: list[dict] = []
     baseline: dict | None = None
     for backend in backends:
-        for method in methods:
-            for executor in executors:
-                result = run(
-                    "diimm",
-                    RunConfig(
-                        graph=ds.graph,
-                        k=k,
-                        machines=machines,
-                        eps=eps,
-                        seed=seed,
-                        backend=backend,
-                        method=method,
-                        executor=executor,
-                    ),
-                )
-                metrics = result.metrics
-                memory = metrics.memory_summary()
-                row = {
-                    "ablation": "backend-method-matrix",
-                    "dataset": dataset,
-                    "backend": backend,
-                    "method": method,
-                    "executor": executor,
-                    "spread": round(result.estimated_spread, 1),
-                    "num_rr_sets": result.num_rr_sets,
-                    "generation_s": round(metrics.generation_time, 4),
-                    "selection_s": round(metrics.computation_time, 4),
-                    "communication_s": round(metrics.communication_time, 4),
-                    "store_mb": round(memory["rr_store_nbytes"] / 1e6, 2),
-                    "coverage_mb": round(memory["coverage_nbytes"] / 1e6, 2),
-                }
-                if baseline is None:
-                    baseline = row
-                row["generation_speedup"] = round(
-                    baseline["generation_s"] / max(row["generation_s"], 1e-9), 2
-                )
-                row["selection_speedup"] = round(
-                    baseline["selection_s"] / max(row["selection_s"], 1e-9), 2
-                )
-                row["memory_factor"] = round(
-                    (baseline["store_mb"] + baseline["coverage_mb"])
-                    / max(row["store_mb"] + row["coverage_mb"], 1e-9),
-                    2,
-                )
-                rows.append(row)
+        for executor in executors:
+            result = run(
+                "diimm",
+                RunConfig(
+                    graph=ds.graph,
+                    k=k,
+                    machines=machines,
+                    eps=eps,
+                    seed=seed,
+                    backend=backend,
+                    executor=executor,
+                ),
+            )
+            metrics = result.metrics
+            memory = metrics.memory_summary()
+            row = {
+                "ablation": "backend-matrix",
+                "dataset": dataset,
+                "backend": backend,
+                "executor": executor,
+                "spread": round(result.estimated_spread, 1),
+                "num_rr_sets": result.num_rr_sets,
+                "generation_s": round(metrics.generation_time, 4),
+                "selection_s": round(metrics.computation_time, 4),
+                "communication_s": round(metrics.communication_time, 4),
+                "store_mb": round(memory["rr_store_nbytes"] / 1e6, 2),
+                "coverage_mb": round(memory["coverage_nbytes"] / 1e6, 2),
+            }
+            if baseline is None:
+                baseline = row
+            row["generation_speedup"] = round(
+                baseline["generation_s"] / max(row["generation_s"], 1e-9), 2
+            )
+            row["selection_speedup"] = round(
+                baseline["selection_s"] / max(row["selection_s"], 1e-9), 2
+            )
+            row["memory_factor"] = round(
+                (baseline["store_mb"] + baseline["coverage_mb"])
+                / max(row["store_mb"] + row["coverage_mb"], 1e-9),
+                2,
+            )
+            rows.append(row)
     return rows

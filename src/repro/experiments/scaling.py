@@ -47,7 +47,9 @@ class ScalingConfig:
     datasets: Sequence[str] = DATASET_NAMES
     machine_counts: Sequence[int] = CLUSTER_MACHINE_COUNTS
     model: str = "ic"
-    method: str = "bfs"
+    #: The distributed algorithm (a :data:`repro.core.diimm.REGISTRY` row)
+    #: run at machine counts above 1.
+    algorithm: str = "diimm"
     network_factory: Callable[[], NetworkModel] = gigabit_cluster
     k: int = 50
     eps: float = 0.5
@@ -89,12 +91,11 @@ def run_scaling(config: ScalingConfig) -> list[dict]:
                 machines=num_machines,
                 eps=config.eps,
                 model=config.model,
-                method=config.method,
                 network=None if num_machines == 1 else config.network_factory(),
                 seed=config.seed,
                 executor=config.executor,
             )
-            result = run("imm" if num_machines == 1 else "diimm", run_config)
+            result = run("imm" if num_machines == 1 else config.algorithm, run_config)
             row = _result_row(config, dataset, num_machines, result)
             if baseline_total is None:
                 baseline_total = row["total_s"]
@@ -107,7 +108,7 @@ def _make_figure(
     label: str,
     machine_counts: Sequence[int],
     model: str,
-    method: str,
+    algorithm: str,
     network_factory: Callable[[], NetworkModel],
 ):
     def runner(
@@ -122,7 +123,7 @@ def _make_figure(
             datasets=datasets,
             machine_counts=machine_counts,
             model=model,
-            method=method,
+            algorithm=algorithm,
             network_factory=network_factory,
             k=k,
             eps=eps,
@@ -136,17 +137,17 @@ def _make_figure(
 
 
 fig5_cluster_ic = _make_figure(
-    "fig5-cluster-ic", CLUSTER_MACHINE_COUNTS, "ic", "bfs", gigabit_cluster
+    "fig5-cluster-ic", CLUSTER_MACHINE_COUNTS, "ic", "diimm", gigabit_cluster
 )
 fig6_server_ic = _make_figure(
-    "fig6-server-ic", SERVER_CORE_COUNTS, "ic", "bfs", shared_memory_server
+    "fig6-server-ic", SERVER_CORE_COUNTS, "ic", "diimm", shared_memory_server
 )
 fig7_server_subsim = _make_figure(
-    "fig7-server-subsim", SERVER_CORE_COUNTS, "ic", "subsim", shared_memory_server
+    "fig7-server-subsim", SERVER_CORE_COUNTS, "ic", "dsubsim", shared_memory_server
 )
 fig8_cluster_lt = _make_figure(
-    "fig8-cluster-lt", CLUSTER_MACHINE_COUNTS, "lt", "bfs", gigabit_cluster
+    "fig8-cluster-lt", CLUSTER_MACHINE_COUNTS, "lt", "diimm", gigabit_cluster
 )
 fig9_server_lt = _make_figure(
-    "fig9-server-lt", SERVER_CORE_COUNTS, "lt", "bfs", shared_memory_server
+    "fig9-server-lt", SERVER_CORE_COUNTS, "lt", "diimm", shared_memory_server
 )

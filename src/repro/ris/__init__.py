@@ -36,7 +36,6 @@ from .vectorized import (
     DEFAULT_BLOCK,
     VectorizedICSampler,
     VectorizedLTSampler,
-    VectorizedTriggeringSampler,
 )
 
 __all__ = [
@@ -73,12 +72,28 @@ __all__ = [
     "DEFAULT_BLOCK",
     "VectorizedICSampler",
     "VectorizedLTSampler",
-    "VectorizedTriggeringSampler",
 ]
 
 
+#: What a ``method=`` vestige accepts.  ``method`` once chose the RR-set
+#: generation procedure and now selects nothing: every set is drawn by its
+#: model's keyed kernel.  ``RunConfig``, ``SamplePool``, ``GeneratePhase``
+#: and :func:`make_sampler` accept it because the frozen benchmark harness
+#: passes it; the next ``[benchmark]`` PR drops it.
+METHOD_VESTIGES: tuple[str, ...] = ("bfs", "subsim", "vectorized")
+
+
+def check_method_vestige(method: str, name: str = "method") -> None:
+    """Refuse a ``method=`` vestige other than :data:`METHOD_VESTIGES`."""
+    if method not in METHOD_VESTIGES:
+        raise ValueError(
+            f"{name} must be one of {METHOD_VESTIGES}, got {method!r} (a vestige: "
+            "every RR set is drawn by its model's keyed kernel)"
+        )
+
+
 def make_sampler(graph, model: str = "ic", method: str = "bfs") -> RRSampler:
-    """Factory resolving ``(model, method)`` to a concrete sampler.
+    """The keyed block kernel of ``model`` over ``graph``.
 
     Parameters
     ----------
@@ -86,19 +101,13 @@ def make_sampler(graph, model: str = "ic", method: str = "bfs") -> RRSampler:
         The weighted :class:`~repro.graphs.digraph.DirectedGraph` or a
         :class:`~repro.graphs.digraph.VersionedGraph`.
     model:
-        ``"ic"`` or ``"lt"``.
+        ``"ic"`` (reverse BFS) or ``"lt"`` (reverse walk); see
+        :mod:`repro.ris.vectorized`.
     method:
-        ``"bfs"`` or ``"vectorized"`` — the same keyed block kernel
-        (reverse BFS for IC, reverse walk for LT; see
-        :mod:`repro.ris.vectorized`) — or ``"subsim"`` (IC only).
+        Vestige (:data:`METHOD_VESTIGES`): accepted, changes nothing.
     """
-    model_key, method_key = model.lower(), method.lower()
+    check_method_vestige(method.lower())
+    model_key = model.lower()
     if model_key not in ("ic", "lt"):
         raise ValueError(f"unknown diffusion model {model!r}")
-    if method_key == "subsim":
-        if model_key == "lt":
-            raise ValueError("SUBSIM subset sampling applies to the IC model only")
-        return SubsimSampler(graph)
-    if method_key not in ("bfs", "vectorized"):
-        raise ValueError(f"unknown sampling method {method!r}")
     return VectorizedICSampler(graph) if model_key == "ic" else VectorizedLTSampler(graph)

@@ -10,17 +10,11 @@ EPT drives the paper's generation-time analysis (Section III-D).
 
 Every executor, pool and service draws through :func:`sample_set_range`:
 set ``i`` of collection ``key`` on machine ``m`` is a pure function of
-``(seed, key, m, i)`` and the graph.  How the coordinates reach the sampler
-depends on the sampler:
-
-* **keyed samplers** (the IC and LT kernels of
-  :mod:`repro.ris.vectorized`, what ``make_sampler`` returns for both
-  ``method="bfs"`` and ``"vectorized"``) take one 64-bit *set key* per set,
-  :func:`set_keys`, and derive the root and every coin from it by hashing
-  (the module's "RNG contract"); no generator is made;
-* **generator samplers** (SUBSIM, the arbitrary-distribution triggering
-  sampler, the targeted wrapper) take one ``PCG64`` per set through
-  :meth:`RRSampler.sample_sets`, seated from the same coordinates.
+``(seed, key, m, i)`` and the graph.  The coordinates reach the sampler as
+one 64-bit *set key* per set (:func:`set_keys`), from which the keyed
+kernels of :mod:`repro.ris.vectorized` (and the targeted wrapper over
+them) derive the root and every coin by hashing — the kernels' "RNG
+contract".  No generator is made on that path.
 
 Samplers also expose the sequential-stream interfaces
 :meth:`RRSampler.sample` (one :class:`RRSample`) and
@@ -28,7 +22,10 @@ Samplers also expose the sequential-stream interfaces
 :class:`FlatBatch`).  A batch is *bit-identical* to the corresponding
 sequence of :meth:`sample` calls under the same RNG stream
 (``tests/ris/test_batch_samplers.py``): batching is a representation and
-speed change, never a distribution change.
+speed change, never a distribution change.  The scalar references —
+SUBSIM's subset sampler, the arbitrary-distribution triggering sampler
+and the per-set IC/LT loops — draw only that way, from a generator, never
+through :func:`sample_set_range`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,21 +52,8 @@ __all__ = [
 ]
 
 
-#: Generators on a generator sampler's ring, hence the sets per
-#: :meth:`RRSampler.sample_sets` call under :func:`sample_set_range`.
-_RING = 128
-
 #: splitmix64's state increment, ``2**64`` over the golden ratio (odd).
 GOLDEN = 0x9E3779B97F4A7C15
-
-
-#: The stride of ``numpy.random.PCG64.jumped`` (``2**128`` over the golden
-#: ratio, odd): set ``i``'s generator sits ``i`` strides into its base
-#: stream.  Not ``i << 64``: LCG states a power of two apart share their
-#: low bits, and consecutive sets' roots come out far from uniform (chi-square
-#: ~60x its degrees of freedom over 2*10**5 sets, ``tests/ris/test_coordinates.py``).
-PCG64_JUMP = 210306068529402873165736369884012333109
-_MASK128 = (1 << 128) - 1
 
 
 def concat_batches(batches: Sequence[FlatBatch]) -> FlatBatch:
@@ -143,37 +126,15 @@ def sample_set_range(
     the scattered ``affected_sets`` when it is repaired.  Set ``i``'s bytes
     depend only on ``(seed, key, machine_id, i)`` and the graph, so a
     retry, a resume, a top-up or a repair of set ``i`` reads the same coins
-    with no state carried.
-
-    A keyed sampler (``sampler.keyed``) gets every set's :func:`set_keys`
-    key in one :meth:`~repro.ris.vectorized._BlockedFrontierSampler.sample_keys`
-    call and draws them at its own block width.  Any other sampler gets one
-    generator per set (:meth:`RRSampler.sample_sets`): set ``i``'s is the
-    ``PCG64`` over the same ``SeedSequence``, jumped ``i`` times
-    (``PCG64.jumped(i)``, in place).  The generators are a ring of
-    :data:`_RING` objects kept on the sampler and re-seated as pulled;
-    ``ids`` is drawn a ring at a time, so none is re-seated before the
-    ``sample_sets`` call holding it returned.
+    with no state carried.  The sampler gets every set's :func:`set_keys`
+    key in one ``sample_keys`` call and draws them at its own block width;
+    it must be keyed (the kernels ``make_sampler`` returns, or a
+    :class:`~repro.applications.targeted.TargetedSampler` over one).
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and int(ids.min()) < 0:
         raise ValueError(f"set ids must be >= 0, got {int(ids.min())}")
-    if sampler.keyed:
-        return sampler.sample_keys(set_keys(seed, machine_id, ids, key))
-    sequence = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(key.encode()), machine_id))
-    base = np.random.PCG64(sequence).state
-    ring = sampler._ring
-    while len(ring) < min(ids.size, _RING):
-        ring.append(np.random.Generator(np.random.PCG64(0)))
-
-    def seat(rng: np.random.Generator, set_id: int) -> np.random.Generator:
-        rng.bit_generator.state = base
-        rng.bit_generator.advance(set_id * PCG64_JUMP & _MASK128)
-        return rng
-
-    ids = ids.tolist()
-    chunks = (ids[at : at + _RING] for at in range(0, len(ids), _RING))
-    return concat_batches([sampler.sample_sets(map(seat, ring, chunk)) for chunk in chunks])
+    return sampler.sample_keys(set_keys(seed, machine_id, ids, key))
 
 
 def uniform_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -274,17 +235,10 @@ class RRSampler(ABC):
     then called once per RR set with an explicit ``rng``.
     """
 
-    #: Whether the sampler draws sets from 64-bit set keys
-    #: (``sample_keys``) instead of generators; decides what
-    #: :func:`sample_set_range` hands it.
-    keyed = False
-
     def __init__(self, graph: DirectedGraph) -> None:
         if graph.num_nodes == 0:
             raise ValueError("cannot sample RR sets from an empty graph")
         self.graph = graph
-        # sample_set_range's reused generators: scratch, read nowhere else.
-        self._ring: list[np.random.Generator] = []
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> RRSample:
@@ -301,25 +255,14 @@ class RRSampler(ABC):
     def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
         """Draw ``count`` RR sets from one stream into flat CSR arrays.
 
-        Bit-identical to ``pack_samples(sample_many(count, rng))``: it is
-        :meth:`sample_sets` pulling the same generator ``count`` times.
+        Bit-identical to ``pack_samples(sample_many(count, rng))``, which
+        is what this base implementation runs; a sampler may override it
+        with a loop that draws the same without the :class:`RRSample`
+        objects.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return self.sample_sets(repeat(rng, count))
-
-    def sample_sets(self, rngs) -> FlatBatch:
-        """Draw one RR set from each generator of the iterable ``rngs``.
-
-        What :func:`sample_set_range` calls on a generator sampler: set
-        ``j`` of the batch is exactly ``sample_batch(rngs[j], 1)``, and each
-        generator is pulled only when its set is drawn and dropped when the
-        call returns.  This base implementation packs one :meth:`sample`
-        per generator; SUBSIM overrides it with its one scalar loop,
-        consuming every generator identically without the
-        :class:`RRSample` objects.
-        """
-        return pack_samples([self.sample(rng) for rng in rngs])
+        return pack_samples(self.sample_many(count, rng))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(graph={self.graph!r})"

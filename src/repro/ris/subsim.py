@@ -11,6 +11,12 @@ Under the paper's weighted-cascade setting all in-edges of a node share the
 probability ``1/indeg``, so no rejection is ever needed and generating an
 RR set costs time proportional to its *size* rather than its in-degree
 volume — the source of SUBSIM's speedup in Fig. 7.
+
+Here it is a scalar reference: one Python loop per set, drawing from a
+generator through :meth:`SubsimSampler.sample` / ``sample_batch``.
+D-SUBSIM draws with the keyed IC kernel (:mod:`repro.ris.vectorized`),
+which samples the same distribution and measured faster on every
+stand-in (DESIGN.md).
 """
 
 from __future__ import annotations
@@ -119,8 +125,10 @@ class SubsimSampler(RRSampler):
                 accepted.append(int(row_indices[position]))
         return accepted, draws
 
-    def _explore(self, rng: np.random.Generator, root: int) -> tuple[list[int], int]:
-        """The reverse exploration from ``root``: ``(nodes reached, draws)``."""
+    def _explore(self, rng: np.random.Generator, root: int) -> tuple[np.ndarray, int]:
+        """The reverse exploration from ``root``: ``(sorted int32 nodes,
+        draws)``.  It never collects a node twice, so sorting is
+        ``np.unique``."""
         self._reset_scratch()
         visited = self._visited
         collected = [root]
@@ -137,36 +145,29 @@ class SubsimSampler(RRSampler):
                     visited[neighbor] = True
                     collected.append(neighbor)
                     queue.append(neighbor)
-        visited[collected] = False
+        nodes = np.asarray(collected, dtype=np.int32)
+        visited[nodes] = False
         self._scratch_dirty = False
-        return collected, edges_examined
+        nodes.sort()
+        return nodes, edges_examined
 
     def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
         """Draw one RR set; ``root`` can be pinned for testing."""
         if root is None:
             root = self.sample_root(rng)
-        collected, edges_examined = self._explore(rng, root)
-        nodes = np.unique(np.asarray(collected, dtype=np.int32))
+        nodes, edges_examined = self._explore(rng, root)
         return RRSample(nodes=nodes, root=root, edges_examined=edges_examined)
 
-    def sample_sets(self, rngs) -> FlatBatch:
-        """One RR set per generator, straight into flat CSR arrays.
-
-        The sampler's one batch loop.  On one repeated generator it is
-        bit-identical to ``pack_samples(sample_many(count, rng))``: the
-        same root draw and exploration per set; an exploration never
-        collects a node twice, so the sorted segment is :meth:`sample`'s
-        ``np.unique``.
-        """
-        parts: list[np.ndarray] = []
-        roots: list[int] = []
-        edges: list[int] = []
-        for rng in rngs:
-            root = self.sample_root(rng)
-            collected, edges_examined = self._explore(rng, root)
-            nodes = np.asarray(collected, dtype=np.int32)
-            nodes.sort()
+    def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
+        """Draw ``count`` RR sets straight into flat CSR arrays, bit-identical
+        to ``pack_samples(sample_many(count, rng))``: the same root draw
+        and exploration per set, without the :class:`RRSample` objects."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        roots, parts, edges = [], [], []
+        for _ in range(count):
+            roots.append(self.sample_root(rng))
+            nodes, edges_examined = self._explore(rng, roots[-1])
             parts.append(nodes)
-            roots.append(root)
             edges.append(edges_examined)
         return pack_segments(parts, roots, edges)

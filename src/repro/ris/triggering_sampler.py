@@ -10,7 +10,9 @@ Sampling lazily (only for visited nodes) is distributionally identical
 to sampling the whole live-edge graph up front, because triggering sets
 are independent across nodes — the specialised IC and LT samplers are
 just optimised versions of this one, and the tests hold all three to the
-same empirical distribution.
+same empirical distribution.  A scalar reference: it draws from a
+generator, one :meth:`TriggeringRRSampler.sample` at a time (the base
+class's ``sample_batch``), never through ``sample_set_range``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..diffusion.triggering import (
     TriggeringDistribution,
 )
 from ..graphs.digraph import DirectedGraph
-from .rrset import FlatBatch, RRSample, RRSampler
+from .rrset import RRSample, RRSampler
 
 __all__ = ["TriggeringRRSampler"]
 
@@ -105,49 +107,3 @@ class TriggeringRRSampler(RRSampler):
         self._scratch_dirty = False
         nodes = np.unique(np.asarray(collected, dtype=np.int32))
         return RRSample(nodes=nodes, root=root, edges_examined=edges_examined)
-
-    def sample_batch(self, rng: np.random.Generator, count: int) -> FlatBatch:
-        """Draw ``count`` RR sets straight into flat CSR arrays.
-
-        Bit-identical to ``pack_samples(sample_many(count, rng))``: the
-        backward exploration visits nodes in the same LIFO order and
-        calls the triggering distribution with the same RNG stream; only
-        the per-set packaging (sorting the collected segment in place
-        instead of ``np.unique`` + :class:`RRSample`) differs.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        graph = self.graph
-        n = graph.num_nodes
-        self._reset_scratch()
-        visited = self._visited
-
-        parts: list[np.ndarray] = []
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        roots = np.empty(count, dtype=np.int64)
-        edges = np.empty(count, dtype=np.int64)
-        for j in range(count):
-            root = int(rng.integers(0, n))
-            collected = [root]
-            visited[root] = True
-            queue = [root]
-            edges_examined = 0
-            while queue:
-                node = queue.pop()
-                edges_examined += graph.in_degree(node)
-                for source in self._live_in_edges(node, rng):
-                    source = int(source)
-                    if not visited[source]:
-                        visited[source] = True
-                        collected.append(source)
-                        queue.append(source)
-            nodes = np.asarray(collected, dtype=np.int32)
-            visited[nodes] = False
-            nodes.sort()
-            parts.append(nodes)
-            roots[j] = root
-            edges[j] = edges_examined
-            offsets[j + 1] = offsets[j] + nodes.size
-        self._scratch_dirty = False
-        nodes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-        return FlatBatch(nodes, offsets, roots, edges)

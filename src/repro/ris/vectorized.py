@@ -13,7 +13,7 @@ a *block* of RR sets advances together, one wave per step, with
 * one masked gather over the per-node in-row tables building the
   in-edge index of the whole block's frontier at once,
 * one vectorised batch of keyed coins (IC) or one keyed stop/pick pair
-  per walking set (LT / triggering) for every trial of the wave,
+  per walking set (LT) for every trial of the wave,
 * visited-marks kept in a single flat block-scratch bitmap addressed by
   ``set * n + node`` keys, so per-set dedup is one sort over integer keys.
 
@@ -22,7 +22,12 @@ The amortised Python overhead per set drops by roughly the block size;
 speedup over the scalar :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`
 and :class:`~repro.ris.lt_sampler.LTReverseWalkSampler` (>= 5x target on
 the livejournal-like stand-in, >= 3x CI floor).  These kernels are what
-``make_sampler`` returns for both ``method="bfs"`` and ``"vectorized"``.
+``make_sampler`` returns, and the only samplers
+:func:`~repro.ris.rrset.sample_set_range` draws with (directly, or under
+the targeted wrapper's roots).  The triggering model's IC and LT
+distributions are these two kernels; an arbitrary triggering
+distribution has no batched trial form and stays with the scalar
+:class:`~repro.ris.triggering_sampler.TriggeringRRSampler`.
 
 RNG contract
 ------------
@@ -77,11 +82,6 @@ from contextlib import suppress
 
 import numpy as np
 
-from ..diffusion.triggering import (
-    ICTriggering,
-    LTTriggering,
-    TriggeringDistribution,
-)
 from ..graphs.digraph import DirectedGraph
 from .rrset import (
     GOLDEN,
@@ -96,7 +96,6 @@ __all__ = [
     "DEFAULT_BLOCK",
     "VectorizedICSampler",
     "VectorizedLTSampler",
-    "VectorizedTriggeringSampler",
 ]
 
 #: Largest auto-chosen number of RR sets advanced per frontier block.
@@ -243,9 +242,6 @@ class _BlockedFrontierSampler(RRSampler):
     scratch lifetime, the :class:`~repro.ris.rrset.RRSample` /
     :class:`~repro.ris.rrset.FlatBatch` packaging — lives here.
     """
-
-    # Sets are drawn from set keys (module docstring, "RNG contract").
-    keyed = True
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
         super().__init__(graph)
@@ -629,50 +625,3 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         result = _finish_block(visited, num_sets, row_counts, set_parts, node_parts)
         self._scratch_dirty = False
         return result
-
-
-class VectorizedTriggeringSampler(_BlockedFrontierSampler):
-    """Blocked frontier kernel for the triggering model.
-
-    Dispatches on the distribution: :class:`ICTriggering` runs the IC
-    Bernoulli wave kernel, :class:`LTTriggering` the categorical walk
-    kernel (an LT triggering set has at most one in-neighbor, so the
-    reverse BFS degenerates to the reverse walk — the distributions
-    coincide, as the per-set samplers' tests already establish).
-    Arbitrary distributions have no batched trial form and must use
-    :class:`~repro.ris.triggering_sampler.TriggeringRRSampler`.
-    """
-
-    def __init__(
-        self,
-        graph: DirectedGraph,
-        distribution: TriggeringDistribution,
-        block_size: int | None = None,
-    ) -> None:
-        super().__init__(graph, block_size=block_size)
-        self.distribution = distribution
-        if isinstance(distribution, ICTriggering):
-            self._kernel = VectorizedICSampler(graph, block_size=block_size)
-        elif isinstance(distribution, LTTriggering):
-            self._kernel = VectorizedLTSampler(graph, block_size=block_size)
-        else:
-            raise ValueError(
-                "vectorized triggering supports ICTriggering and LTTriggering "
-                f"distributions only, got {type(distribution).__name__}; use "
-                "TriggeringRRSampler for arbitrary distributions"
-            )
-        # The kernel owns the scratch; keep the outer blocking in step
-        # with whatever block size it auto-selected.
-        self.block_size = self._kernel.block_size
-
-    def _run_block(
-        self, keys: np.ndarray, roots: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._kernel._run_block(keys, roots)
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorizedTriggeringSampler(graph={self.graph!r}, "
-            f"distribution={type(self.distribution).__name__}, "
-            f"block_size={self.block_size})"
-        )

@@ -158,10 +158,11 @@ class InfluenceService:
     seed:
         Root RNG seed; every warm answer equals the cold run with this
         seed.
-    model, method:
-        Default sampler selection.  ``method`` applies to the IMM-family
-        pools; the applications always sample with the default ``bfs``
-        sampler, matching their cold entry points.
+    model:
+        Diffusion model of the pools' keyed kernel (D-SUBSIM's pool is
+        always IC).  The IMM family and the budgeted / profit
+        applications share one pool per ``("imm" | "cluster", model)``:
+        their cold runs draw the same coordinates with the same kernel.
     executor:
         An :class:`~repro.cluster.spec.ExecutorSpec` or its string
         shorthand, forwarded to each pool's executor.
@@ -184,7 +185,6 @@ class InfluenceService:
         *,
         seed: int = 0,
         model: str = "ic",
-        method: str = "bfs",
         executor="simulated",
         network: NetworkModel | None = None,
         cache_size: int = 128,
@@ -196,7 +196,6 @@ class InfluenceService:
         self.machines = machines
         self.seed = seed
         self.model = model
-        self.method = method
         self.dynamic = dynamic
         #: Number of graph mutations served so far: bumped by every
         #: :meth:`apply_update` and :meth:`compact`, exposed over
@@ -228,12 +227,11 @@ class InfluenceService:
     def _im_pool(self, kind: str) -> SamplePool:
         entry = REGISTRY[kind]
         single = entry.single_machine  # the l = 1 run: its own pool
-        method = "subsim" if entry.subsim else self.method
+        model = "ic" if entry.ic_only else self.model
         return self._pool(
-            ("imm" if single else "cluster", method),
+            ("imm" if single else "cluster", model),
             machines=1 if single else self.machines,
-            model="ic" if entry.subsim else self.model,
-            method=method,
+            model=model,
         )
 
     def _app_pool(self, query: Query) -> SamplePool:
@@ -248,21 +246,15 @@ class InfluenceService:
                 ("targeted", query.targets),
                 machines=self.machines,
                 model=self.model,
-                method="bfs",
                 sampler_factory=lambda graph: TargetedSampler(
                     make_sampler(graph, model=model), targets
                 ),
             )
-        # budgeted/profit share the cluster bfs pool's samples: their cold
-        # entry points draw the same coordinates with the default bfs
-        # sampler on an identically seeded cluster, so the pool's prefixes
-        # are their cold collections.
-        return self._pool(
-            ("cluster", "bfs"),
-            machines=self.machines,
-            model=self.model,
-            method="bfs",
-        )
+        # budgeted/profit share the IMM family's cluster pool: their cold
+        # entry points draw the same coordinates with the same kernel on an
+        # identically seeded cluster, so the pool's prefixes are their cold
+        # collections.
+        return self._pool(("cluster", self.model), machines=self.machines, model=self.model)
 
     # ------------------------------------------------------------------
     # Query dispatch
@@ -317,7 +309,6 @@ class InfluenceService:
             eps=query.eps,
             delta=query.delta,
             model=pool.model,
-            method=pool.method,
             seed=self.seed,
         )
         return run(config, query.kind, pool=pool)

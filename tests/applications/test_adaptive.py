@@ -78,9 +78,9 @@ class TestAdaptiveIM:
             adaptive_influence_maximization(
                 small_wc_graph, k=1, num_machines=1, rr_sets_per_round=0
             )
-        with pytest.raises(ValueError, match="unknown sampling method"):
+        with pytest.raises(KeyError, match="unknown diffusion model"):
             adaptive_influence_maximization(
-                small_wc_graph, k=1, num_machines=1, rr_sets_per_round=10, method="nope"
+                small_wc_graph, k=1, num_machines=1, rr_sets_per_round=10, model="sir"
             )
 
     def test_lt_model(self, small_wc_graph):
@@ -95,52 +95,6 @@ class TestAdaptiveIM:
         assert len(result.seeds) == 3
         assert result.objective >= 3
         assert result.params["model"] == "lt"
-
-    @pytest.mark.parametrize("model", ["ic", "lt"])
-    def test_vectorized_method(self, small_wc_graph, model):
-        result = adaptive_influence_maximization(
-            small_wc_graph,
-            k=3,
-            num_machines=2,
-            rr_sets_per_round=300,
-            model=model,
-            method="vectorized",
-            seed=4,
-        )
-        assert len(result.seeds) == 3
-        assert len(set(result.seeds)) == 3
-        assert result.params["method"] == "vectorized"
-
-    def test_vectorized_deterministic(self, small_wc_graph):
-        runs = [
-            adaptive_influence_maximization(
-                small_wc_graph,
-                k=3,
-                num_machines=2,
-                rr_sets_per_round=300,
-                method="vectorized",
-                seed=9,
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].seeds == runs[1].seeds
-        assert runs[0].objective == runs[1].objective
-
-    def test_vectorized_matches_bfs_on_deterministic_instance(self):
-        # On the two-star instance the right answer is seed-stream
-        # independent, so both generation methods must find it.
-        builder = GraphBuilder(num_nodes=12)
-        for leaf in range(1, 6):
-            builder.add_edge(0, leaf, 1.0)
-        for leaf in range(7, 12):
-            builder.add_edge(6, leaf, 1.0)
-        graph = builder.build()
-        for method in ("bfs", "vectorized"):
-            result = adaptive_influence_maximization(
-                graph, k=2, num_machines=2, rr_sets_per_round=300, method=method, seed=0
-            )
-            assert set(result.seeds) == {0, 6}
-            assert result.objective == 12
 
     def test_network_model_accrues_communication(self, small_wc_graph):
         from repro.cluster import NetworkModel

@@ -15,7 +15,9 @@ per-machine sequential generators to coordinate-keyed draws
 (``sample_set_range`` with the key ``adaptive-{round}``).  Every digest
 was re-recorded once more when the IC/LT coins became hashes of the
 coordinates (other samples, same distribution; CHANGES.md has old ->
-new).
+new), and the targeted and adaptive ones once more when targeted roots
+became keyed (``targets[mulhi(K, |T|)]``) and ``method`` left adaptive
+IM's params.
 """
 
 import json
@@ -76,8 +78,10 @@ def cold_cases(graph):
         "adaptive": lambda: adaptive_influence_maximization(
             graph, 3, rr_sets_per_round=300, **common
         ),
+        # Recorded with method="vectorized"; method is gone (LT draws its
+        # one keyed kernel), the case name stayed.
         "adaptive-vectorized-lt": lambda: adaptive_influence_maximization(
-            graph, 3, rr_sets_per_round=250, model="lt", method="vectorized", **common
+            graph, 3, rr_sets_per_round=250, model="lt", **common
         ),
     }
 

@@ -369,8 +369,11 @@ class TestSharedValidation:
             with pytest.raises(ValueError, match="pool samples"):
                 call(model="lt")
             assert pool.queries_served == 1  # refused before touching the pool
+        # ``method`` is a vestige: a pool built with "subsim" draws the
+        # same keyed kernel and serves the call exactly as a cold run.
         with SamplePool(small_wc_graph, 2, seed=4, method="subsim") as subsim_pool:
-            with pytest.raises(ValueError, match="pool samples"):
-                budgeted_influence_maximization(
-                    small_wc_graph, costs, 3.0, 2, 100, seed=4, pool=subsim_pool
-                )
+            warm = budgeted_influence_maximization(
+                small_wc_graph, costs, 3.0, 2, 100, seed=4, pool=subsim_pool
+            )
+        cold = budgeted_influence_maximization(small_wc_graph, costs, 3.0, 2, 100, seed=4)
+        assert warm.seeds == cold.seeds and warm.objective == cold.objective

@@ -231,8 +231,8 @@ class TestFactories:
     def test_sampler_cache_reused(self, small_wc_graph):
         cluster = SimulatedCluster(2, seed=0)
         executor = SimulatedExecutor(cluster, graph=small_wc_graph)
-        assert executor.sampler("ic", "bfs") is executor.sampler("ic", "bfs")
-        assert executor.sampler("ic", "bfs") is not executor.sampler("lt", "bfs")
+        assert executor.sampler("ic") is executor.sampler("ic")
+        assert executor.sampler("ic") is not executor.sampler("lt")
 
 
 class TestEndToEnd:

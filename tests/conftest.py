@@ -76,17 +76,6 @@ def drivers(monkeypatch):
     return built
 
 
-def coordinate_rng(seed: int, key: str, machine_id: int, set_index: int) -> np.random.Generator:
-    """The generator of RR set ``(seed, key, machine_id, set_index)``,
-    built independently of ``sample_set_range``: a fresh ``PCG64`` on the
-    ``(seed, key, machine)`` base sequence, jumped to the set's slot with
-    numpy's own ``jumped``."""
-    import zlib
-
-    sequence = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(key.encode()), machine_id))
-    return np.random.Generator(np.random.PCG64(sequence).jumped(set_index))
-
-
 def simulated(num_machines: int, **shape) -> SimulatedExecutor:
     """A graph-less simulated executor on ``SimulatedCluster(num_machines, **shape)``:
     enough for every phase but generation."""

@@ -171,6 +171,23 @@ class TestValidation:
                 checkpoint_dir=str(ckpt), resume=True,
             )
 
+    def test_identity_carrying_method_refused(self, small_wc_graph, tmp_path):
+        """A snapshot whose run identity still names a sampling ``method``
+        (every checkpoint written before it stopped being an option) is
+        refused by name, never resumed under another identity."""
+        ckpt = tmp_path / "run"
+        diimm(small_wc_graph, 4, 3, eps=0.5, seed=11, checkpoint_dir=str(ckpt))
+        for state_path in ckpt.glob("round-*/state.json"):
+            state = json.loads(state_path.read_text())
+            assert "method" not in state["config"]
+            state["config"]["method"] = "bfs"
+            state_path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointFormatError, match=r"differing keys: \['method'\]"):
+            diimm(
+                small_wc_graph, 4, 3, eps=0.5, seed=11,
+                checkpoint_dir=str(ckpt), resume=True,
+            )
+
     def test_shape_mismatch_refused(self, tmp_path):
         self._fake_snapshot(tmp_path)
         manager = CheckpointManager(tmp_path, config={})

@@ -8,9 +8,10 @@ carrying its own private round loop); re-pinned twice: when RR set ``i``
 of collection ``key`` on machine ``m`` became a function of the
 coordinates ``(seed, key, m, i)`` instead of a position in the machine's
 sequential stream, and when the IC/LT coins became hashes of those
-coordinates (D-SUBSIM, still on seated generators, did not move).
-CHANGES.md lists old -> new and the 40-seed theta / spread distributions
-of both builds, which agree.
+coordinates.  D-SUBSIM moved once more, when it left SUBSIM's subset
+sampler for the keyed IC kernel: it is now DIIMM's run under SUBSIM's
+rule name, so its goldens are DIIMM's.  CHANGES.md lists old -> new and
+the 40-seed theta / spread distributions of both builds.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ GOLDEN_A = {
         [36, 75, 183, 39], 444, 4120, 24848,
         0.17230217315257024, 2, 47.747747747747745,
     ),
-    "dsubsim": (
-        [75, 168, 36, 190], 2700, 27136, 54084,
-        33.009857363570184, 3, 52.74074074074074,
-    ),
 }
+# D-SUBSIM draws with the keyed IC kernel: DIIMM's sets, DIIMM's schedule.
+GOLDEN_A["dsubsim"] = GOLDEN_A["diimm"]
 
 # IMM is the l = 1 run of the same coordinates (machine 0 of a one-machine
 # cluster), like every other algorithm.
@@ -66,11 +65,8 @@ GOLDEN_B = {
         [36, 39, 133, 88, 89, 159], 250, 2241, 13441,
         0.14031415017234597, 1, 56.0,
     ),
-    "dsubsim": (
-        [36, 168, 75, 118, 152, 102], 2755, 27046, 53842,
-        36.532917615441384, 3, 61.99637023593466,
-    ),
 }
+GOLDEN_B["dsubsim"] = GOLDEN_B["diimm"]
 
 GOLDEN_B_IMM = (
     [36, 168, 75, 39, 26, 132], 2636, 27803, 167149,
@@ -147,3 +143,23 @@ class TestSocketConformance:
         assert result.metrics.wire_sent_bytes > 0
         assert result.metrics.wire_received_bytes > 0
         assert result.metrics.total_round_trips > 0
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        "simulated",
+        pytest.param("multiprocessing:2", marks=pytest.mark.slow),
+        pytest.param("socket:2", marks=pytest.mark.slow),
+    ],
+)
+def test_dsubsim_is_diimm_on_ic(small_wc_graph, executor):
+    """D-SUBSIM's row picks the SUBSIM rule name, not another sampler: on
+    IC it draws DIIMM's sets and returns DIIMM's answer on every executor."""
+    subsim = distributed_subsim(small_wc_graph, 4, 3, eps=0.5, seed=11, executor=executor)
+    reference = diimm(small_wc_graph, 4, 3, eps=0.5, seed=11, executor=executor)
+    assert subsim.algorithm == "DSUBSIM"
+    assert subsim.seeds == reference.seeds
+    assert subsim.num_rr_sets == reference.num_rr_sets
+    assert subsim.total_rr_size == reference.total_rr_size
+    assert subsim.estimated_spread == reference.estimated_spread

@@ -7,10 +7,15 @@ from repro.core import distributed_subsim, imm
 
 class TestDistributedSubsim:
     def test_label_and_method(self, medium_wc_graph):
+        # D-SUBSIM draws with the keyed IC kernel, DIIMM's: the same sets.
+        from repro.core import diimm
+
         result = distributed_subsim(medium_wc_graph, 5, 4, eps=0.5, seed=0)
         assert result.algorithm == "DSUBSIM"
-        assert result.method == "subsim"
         assert result.model == "ic"
+        reference = diimm(medium_wc_graph, 5, 4, eps=0.5, seed=0)
+        assert result.num_rr_sets == reference.num_rr_sets
+        assert result.total_rr_size == reference.total_rr_size
 
     def test_returns_k_seeds(self, medium_wc_graph):
         result = distributed_subsim(medium_wc_graph, 5, 4, eps=0.5, seed=0)

@@ -51,9 +51,12 @@ class TestBasicBehaviour:
         assert len(result.seeds) == 5
 
     def test_subsim_method(self, medium_wc_graph):
+        # ``method`` is a vestige: "subsim" is accepted and changes nothing.
         result = imm(medium_wc_graph, 5, eps=0.5, method="subsim", seed=0)
-        assert result.method == "subsim"
+        plain = imm(medium_wc_graph, 5, eps=0.5, seed=0)
         assert len(result.seeds) == 5
+        assert result.seeds == plain.seeds
+        assert result.num_rr_sets == plain.num_rr_sets
 
 
 class TestSolutionQuality:

@@ -273,7 +273,7 @@ class TestBlockedDrawCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"sample_keys": 0, "blocks": 0, "sample_batch": 0, "sample_sets": 0}
+        calls = {"sample_keys": 0, "blocks": 0, "sample_batch": 0}
 
         def counting(cls, attr, key):
             real = getattr(cls, attr)
@@ -286,7 +286,6 @@ class TestBlockedDrawCount:
 
         counting(VectorizedICSampler, "sample_keys", "sample_keys")
         counting(VectorizedICSampler, "sample_batch", "sample_batch")
-        counting(VectorizedICSampler, "sample_sets", "sample_sets")
         counting(VectorizedICSampler, "_run_block", "blocks")
         return calls
 
@@ -301,7 +300,7 @@ class TestBlockedDrawCount:
             assert repaired["main"] > machines  # scattered ids, several per machine
             assert 1 <= calls["sample_keys"] <= machines
             assert calls["blocks"] == calls["sample_keys"]
-            assert calls["sample_batch"] == calls["sample_sets"] == 0
+            assert calls["sample_batch"] == 0
 
     def test_build_and_rebuild_fill_whole_blocks(self, small_wc_graph, calls):
         machines, per_machine = 4, 300
@@ -309,13 +308,13 @@ class TestBlockedDrawCount:
             fresh_versioned(small_wc_graph), machines=machines, seed=SEED
         ) as pool:
             pool.ensure("main", [per_machine] * machines)
-            block = pool.executor.sampler("ic", "bfs").block_size
+            block = pool.executor.sampler("ic").block_size
             budget = machines * math.ceil(per_machine / block)
             assert machines <= calls["blocks"] <= budget
             calls.update(blocks=0)
             pool.apply_update(GraphDelta(add_nodes=1))  # full invalidation
             assert machines <= calls["blocks"] <= budget
-            assert calls["sample_batch"] == calls["sample_sets"] == 0
+            assert calls["sample_batch"] == 0
 
 
 def update_stream(graph, rounds: int):

@@ -17,6 +17,7 @@ from repro.diffusion import ICTriggering, LTTriggering
 from repro.graphs import DirectedGraph, GraphBuilder, erdos_renyi, weighted_cascade
 from repro.ris import (
     FlatRRCollection,
+    SubsimSampler,
     TriggeringRRSampler,
     VectorizedICSampler,
     append_batch,
@@ -24,7 +25,6 @@ from repro.ris import (
     make_sampler,
 )
 from repro.ris.rrset import (
-    RRSampler,
     concat_batches,
     pack_samples,
     sample_set_range,
@@ -33,7 +33,6 @@ from repro.ris.rrset import (
 from repro.ris import vectorized
 from repro.ris.stats import RRSetStatistics
 from repro.ris.vectorized import _mix_tail
-from tests.conftest import coordinate_rng
 from tests.oracle import RRCollection
 
 SAMPLER_SPECS = [
@@ -57,7 +56,13 @@ def build(spec, graph):
         return TriggeringRRSampler(graph, ICTriggering())
     if model == "triggering-lt":
         return TriggeringRRSampler(graph, LTTriggering())
+    if method == "subsim":  # the scalar reference: make_sampler's is the kernel
+        return SubsimSampler(graph)
     return make_sampler(graph, model=model, method=method)
+
+
+def is_keyed(sampler):
+    return hasattr(sampler, "sample_keys")
 
 
 def assert_batches_equal(batch, reference):
@@ -219,7 +224,7 @@ class TestScratchStateLeak:
         failed = 0
         for fail_after in (0, 1, 2, 3):
             flaky = np.random.default_rng(2)
-            if sampler.keyed:
+            if is_keyed(sampler):
                 monkeypatch.setattr(vectorized, "_mix_tail", _failing(_mix_tail, fail_after))
             else:
                 flaky = _FlakyRNG(flaky, fail_after)
@@ -253,14 +258,9 @@ class TestScratchStateLeak:
 
 
 def per_set_oracle(sampler, seed, machine_id, ids, key="main"):
-    """One draw per set id, each alone: from an independently built
-    generator, or from the set's own key on a keyed kernel."""
-    if sampler.keyed:
-        return concat_batches(
-            [sampler.sample_keys(set_keys(seed, machine_id, [int(i)], key)) for i in ids]
-        )
+    """One draw per set id, each alone, from the set's own key."""
     return concat_batches(
-        [sampler.sample_batch(coordinate_rng(seed, key, machine_id, int(i)), 1) for i in ids]
+        [sampler.sample_keys(set_keys(seed, machine_id, [int(i)], key)) for i in ids]
     )
 
 
@@ -293,8 +293,8 @@ def id_sets(block, rng):
 
 class TestSampleSets:
     """``sample_set_range`` — every per-set draw's entry point — equals one
-    draw per set on all four arrays: one key at a time on the keyed
-    kernels, one scalar ``sample_batch(rng, 1)`` per generator on the rest.
+    draw per set on all four arrays, one key at a time; the scalar
+    references take no keys and are drawn only through their own loop.
     """
 
     @pytest.mark.parametrize("probabilities", ["weighted-cascade", "nonuniform", "dense"])
@@ -337,15 +337,20 @@ class TestSampleSets:
         "spec", [s for s in SAMPLER_SPECS if s != ("ic", "bfs")], ids=SPEC_IDS[1:]
     )
     def test_default_is_the_scalar_loop(self, small_wc_graph, spec):
-        # SUBSIM runs sample_sets as its own scalar loop (it *is* its
-        # sample_batch); triggering has no such form and keeps the base
-        # class's one-set-at-a-time loop; LT "bfs" is keyed and never
-        # sees a generator from sample_set_range.
+        # SUBSIM and triggering are scalar references: their one batch
+        # form is their own loop on a generator, and sample_set_range,
+        # which hands out set keys, cannot draw them.  LT "bfs" is keyed.
         sampler = build(spec, small_wc_graph)
-        assert sampler.keyed == (spec == ("lt", "bfs"))
-        own_loop = spec == ("ic", "subsim")
-        assert (type(sampler).sample_sets is not RRSampler.sample_sets) == own_loop
+        assert is_keyed(sampler) == (spec == ("lt", "bfs"))
         ids = [0, 1, 2, 50, 7]
+        if not is_keyed(sampler):
+            assert_batches_equal(
+                sampler.sample_batch(np.random.default_rng(4), 5),
+                pack_samples(sampler.sample_many(5, np.random.default_rng(4))),
+            )
+            with pytest.raises(AttributeError, match="sample_keys"):
+                sample_set_range(sampler, 4, 3, ids)
+            return
         assert_batches_equal(
             sample_set_range(sampler, 4, 3, ids), per_set_oracle(sampler, 4, 3, ids)
         )

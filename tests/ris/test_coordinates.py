@@ -2,21 +2,18 @@
 
 ``sample_set_range(sampler, seed, machine, ids, key)`` is the one place
 ``(seed, key, machine, index)`` reaches a sampler: as a 64-bit set key
-(``set_keys``) for the keyed IC/LT kernels, as the ``(seed, key,
-machine)`` base stream jumped ``index`` times for the generator samplers.
-Pinned here, each test failing if its property is lost:
+(``set_keys``) handed to a keyed kernel (or the targeted wrapper over
+one).  Pinned here, each test failing if its property is lost:
 
 * every sampler draws set ``j`` exactly as an independently built oracle
-  would — a key computed in plain Python integers, or a fresh ``PCG64``
-  + numpy's own ``jumped`` (``tests.conftest.coordinate_rng``) — on plain
-  and overlaid graphs;
-* a keyed set's bytes do not depend on the block it is drawn in;
-  chunking and the reused generator ring never show;
-* distinct coordinates are distinct, uniform streams — including the
-  defect a power-of-two spacing (``advance(index << 64)``) would bring —
-  and the keyed roots and coins pass chi-square gates;
-* the scalar LT and SUBSIM samplers' sequential-stream ``sample_batch``
-  did not move a byte.
+  would — a key computed in plain Python integers — on plain and
+  overlaid graphs;
+* a keyed set's bytes do not depend on the block it is drawn in, nor on
+  how a draw is chunked;
+* distinct coordinates are distinct keys, and the keyed roots (targeted
+  ones too) and coins pass chi-square gates;
+* the scalar references (LT walk, SUBSIM) take generators only, and
+  their sequential-stream ``sample_batch`` did not move a byte.
 """
 
 import hashlib
@@ -31,29 +28,33 @@ from repro.core.pool import SamplePool
 from repro.diffusion import ICTriggering, LTTriggering
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph, erdos_renyi, weighted_cascade
 from repro.ris import (
+    ICReverseBFSSampler,
     LTReverseWalkSampler,
+    SubsimSampler,
     TriggeringRRSampler,
-    VectorizedTriggeringSampler,
     make_sampler,
 )
-from repro.ris.rrset import GOLDEN, _RING, RRSampler, concat_batches, sample_set_range, set_keys
+from repro.ris.rrset import GOLDEN, concat_batches, sample_set_range, set_keys
 from repro.ris.vectorized import _mix, _mulhi, _row_keys, _thresholds
-from tests.conftest import coordinate_rng
 
-# name -> (graph -> sampler, works on a VersionedGraph overlay)
+# name -> graph -> sampler.  "ic-subsim" is make_sampler's ``method``
+# vestige: the keyed IC kernel, like every other method.
 SAMPLERS = {
-    "ic-bfs": (lambda g: make_sampler(g, "ic", "bfs"), True),
-    "ic-subsim": (lambda g: make_sampler(g, "ic", "subsim"), True),
-    "ic-vectorized": (lambda g: make_sampler(g, "ic", "vectorized"), True),
-    "lt-bfs": (lambda g: make_sampler(g, "lt", "bfs"), True),
-    "lt-vectorized": (lambda g: make_sampler(g, "lt", "vectorized"), True),
-    "triggering-ic": (lambda g: TriggeringRRSampler(g, ICTriggering()), False),
-    "triggering-lt": (lambda g: TriggeringRRSampler(g, LTTriggering()), False),
-    "vectorized-triggering": (lambda g: VectorizedTriggeringSampler(g, ICTriggering()), True),
-    "targeted": (lambda g: TargetedSampler(make_sampler(g, "ic"), range(0, 200, 3)), True),
+    "ic-bfs": lambda g: make_sampler(g, "ic", "bfs"),
+    "ic-subsim": lambda g: make_sampler(g, "ic", "subsim"),
+    "ic-vectorized": lambda g: make_sampler(g, "ic", "vectorized"),
+    "lt-bfs": lambda g: make_sampler(g, "lt", "bfs"),
+    "lt-vectorized": lambda g: make_sampler(g, "lt", "vectorized"),
+    "targeted": lambda g: TargetedSampler(make_sampler(g, "ic"), range(0, 200, 3)),
 }
-# The samplers that take one generator per set; the rest draw from keys.
-PER_SET = ["ic-subsim", "triggering-ic", "triggering-lt", "targeted"]
+# The scalar references: they draw from a generator, never from set keys.
+SCALAR = {
+    "ic-reverse-bfs": ICReverseBFSSampler,
+    "lt-reverse-walk": LTReverseWalkSampler,
+    "subsim": SubsimSampler,
+    "triggering-ic": lambda g: TriggeringRRSampler(g, ICTriggering()),
+    "triggering-lt": lambda g: TriggeringRRSampler(g, LTTriggering()),
+}
 
 # Scattered, unsorted, no two consecutive.
 SCATTERED = [912, 3, 77, 40_000_000_000, 5, 640, 131, 0, 258]
@@ -72,14 +73,20 @@ def python_set_key(seed, key, machine, index):
     return z ^ (z >> 31)
 
 
+def python_root(sampler, set_key):
+    """The root a set key picks: ``mulhi(K, n)``, or ``targets[mulhi(K, |T|)]``."""
+    if isinstance(sampler, TargetedSampler):
+        targets = sampler._targets
+        return int(targets[(set_key * targets.size) >> 64])
+    return (set_key * sampler.graph.num_nodes) >> 64
+
+
 def oracle_draw(oracle, seed, key, machine, index):
     """Set ``(seed, key, machine, index)`` drawn alone from its coordinates."""
-    if oracle.keyed:
-        set_key = python_set_key(seed, key, machine, index)
-        batch = oracle.sample_keys([set_key])
-        assert int(batch.roots[0]) == (set_key * oracle.graph.num_nodes) >> 64
-        return batch
-    return oracle.sample_batch(coordinate_rng(seed, key, machine, index), 1)
+    set_key = python_set_key(seed, key, machine, index)
+    batch = oracle.sample_keys([set_key])
+    assert int(batch.roots[0]) == python_root(oracle, set_key)
+    return batch
 
 
 def overlaid(graph):
@@ -112,15 +119,12 @@ def digest(batch) -> str:
 
 
 # ----------------------------------------------------------------------
-# (i) set j == its draw from an independently built key or generator
+# (i) set j == its draw from an independently built key
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 @pytest.mark.parametrize("layout", ["plain", "overlay"])
 def test_set_equals_scalar_draw_from_its_coordinates(small_wc_graph, name, layout):
-    build, on_overlay = SAMPLERS[name]
-    if layout == "overlay" and not on_overlay:
-        pytest.skip("sampler reads base CSR arrays only")
-    assert build(small_wc_graph).keyed == (name not in PER_SET)
+    build = SAMPLERS[name]
     graph = overlaid(small_wc_graph) if layout == "overlay" else small_wc_graph
     sampler, oracle = build(graph), build(graph)
     for key, machine in (("main", 0), ("verify", 3)):
@@ -138,11 +142,12 @@ def test_set_equals_scalar_draw_from_its_coordinates(small_wc_graph, name, layou
     assert base != digest(sample_set_range(sampler, 21, 0, [i + 1 for i in SCATTERED], "main"))
 
 
-@pytest.mark.parametrize("name", ["ic-vectorized", "lt-vectorized", "vectorized-triggering"])
+@pytest.mark.parametrize("name", ["ic-vectorized", "lt-vectorized", "targeted"])
 def test_keyed_draw_is_position_free(small_wc_graph, name):
     """A keyed set's bytes are its key's: not where its call started, not
     the block width, not which sets share its block."""
-    sampler = SAMPLERS[name][0](small_wc_graph)
+    sampler = SAMPLERS[name](small_wc_graph)
+    kernel = sampler._base if name == "targeted" else sampler
     run = sample_set_range(sampler, 4, 2, range(70, 370), "main")
     tail = sample_set_range(sampler, 4, 2, range(170, 370), "main")
     alone = [oracle_draw(sampler, 4, "main", 2, i) for i in range(170, 370)]
@@ -150,9 +155,7 @@ def test_keyed_draw_is_position_free(small_wc_graph, name):
     assert digest(tail) == digest(_slice(run, 100, 300))
     keys = set_keys(4, 2, range(70, 370))
     for block in (1, 7, 64):
-        sampler.block_size = block
-        if name == "vectorized-triggering":
-            sampler._kernel.block_size = block
+        kernel.block_size = block
         assert_equal(sampler.sample_keys(keys), run)
 
 
@@ -168,106 +171,93 @@ def _slice(batch, start, stop):
 
 
 def test_which_samplers_take_one_generator_per_set(small_wc_graph):
-    flags = {name: not build(small_wc_graph).keyed for name, (build, _) in SAMPLERS.items()}
-    assert {name for name, flag in flags.items() if flag} == set(PER_SET)
+    """None on the coordinate path: every sampler ``sample_set_range`` or a
+    pool draws with takes set keys.  The scalar references take a
+    generator, through ``sample`` / ``sample_batch`` only, and a pool
+    refuses them."""
+    for build in SAMPLERS.values():
+        assert hasattr(build(small_wc_graph), "sample_keys")
+    for name, build in SCALAR.items():
+        sampler = build(small_wc_graph)
+        assert not hasattr(sampler, "sample_keys"), name
+        assert sampler.sample_batch(np.random.default_rng(1), 3).count == 3
+        with pytest.raises(TypeError, match="cannot take set keys"):
+            SamplePool(small_wc_graph, machines=1, sampler=sampler)
+        with pytest.raises(TypeError, match="cannot take set keys"):
+            SamplePool(small_wc_graph, machines=1, sampler_factory=build)
 
 
 # ----------------------------------------------------------------------
-# (ii) chunking and ring reuse never show
+# (ii) chunking never shows
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["ic-bfs", "ic-subsim", "lt-bfs", "targeted", "triggering-lt"])
+@pytest.mark.parametrize("name", ["ic-bfs", "ic-subsim", "lt-bfs", "targeted"])
 def test_one_call_equals_any_split(small_wc_graph, name):
-    sampler = SAMPLERS[name][0](small_wc_graph)
-    assert 2 * _RING < 300  # the single call crosses ring boundaries
+    sampler = SAMPLERS[name](small_wc_graph)
     whole = sample_set_range(sampler, 9, 1, range(300), "main")
     thirds = [sample_set_range(sampler, 9, 1, range(a, a + 100), "main") for a in (0, 100, 200)]
     assert_equal(concat_batches(thirds), whole)
     singles = [sample_set_range(sampler, 9, 1, [i], "main") for i in range(300)]
     assert_equal(concat_batches(singles), whole)
-    # Grown once, to one ring; keyed samplers make no generator at all.
-    assert len(sampler._ring) == (0 if sampler.keyed else _RING)
 
 
 @pytest.mark.parametrize("name", ["ic-bfs", "lt-bfs", "ic-subsim"])
 def test_draws_on_another_sampler_between_pulls_do_not_show(small_wc_graph, name):
-    """Each generator is pulled just before its set is drawn, and a keyed
-    sampler draws block by block; a whole draw on a sampler sharing
-    nothing may run between any two pulls or blocks."""
-    build = SAMPLERS[name][0]
+    """A keyed sampler draws block by block; a whole draw on a sampler
+    sharing nothing may run between any two blocks."""
+    build = SAMPLERS[name]
     sampler, other = build(small_wc_graph), build(small_wc_graph)
     expected = sample_set_range(build(small_wc_graph), 6, 0, range(150), "main")
     expected_other = sample_set_range(build(small_wc_graph), 6, 1, range(40), "main")
-    if sampler.keyed:
-        sampler.block_size = 16
-        real = sampler._run_block
+    sampler.block_size = 16
+    real = sampler._run_block
 
-        def between_blocks(keys, roots):
-            assert_equal(sample_set_range(other, 6, 1, range(40), "main"), expected_other)
-            return real(keys, roots)
+    def between_blocks(keys, roots):
+        assert_equal(sample_set_range(other, 6, 1, range(40), "main"), expected_other)
+        return real(keys, roots)
 
-        sampler._run_block = between_blocks
-        assert_equal(sample_set_range(sampler, 6, 0, range(150), "main"), expected)
-        return
-    real = sampler.sample_sets
-
-    def interleaved(rngs):
-        def pulling():
-            for rng in rngs:
-                assert_equal(sample_set_range(other, 6, 1, range(40), "main"), expected_other)
-                yield rng
-
-        return real(pulling())
-
-    sampler.sample_sets = interleaved
+    sampler._run_block = between_blocks
     assert_equal(sample_set_range(sampler, 6, 0, range(150), "main"), expected)
 
 
 # ----------------------------------------------------------------------
 # (iii) distinct coordinates, distinct uniform streams
 # ----------------------------------------------------------------------
-class _Probe(RRSampler):
-    """Records what each handed generator yields first."""
+class _Probe:
+    """Records the set keys ``sample_set_range`` hands a sampler."""
 
-    def __init__(self, graph):
-        super().__init__(graph)
+    def __init__(self):
         self.seen = []
 
-    def sample(self, rng):
-        raise NotImplementedError
-
-    def sample_sets(self, rngs):
-        self.seen.extend(tuple(rng.random(4).tolist()) for rng in rngs)
+    def sample_keys(self, keys):
+        self.seen.extend(np.asarray(keys, dtype=np.uint64).tolist())
         return concat_batches([])
 
 
-def test_no_two_coordinates_share_their_first_outputs(small_wc_graph):
-    probe = _Probe(small_wc_graph)
+def test_no_two_coordinates_share_their_first_outputs():
+    """A set's first output is its key: distinct coordinates, distinct keys."""
+    probe = _Probe()
     for key in ("R1", "R2"):
         for machine in range(4):
             sample_set_range(probe, 1, machine, range(1250), key)
     assert len(probe.seen) == 10_000
     assert len(set(probe.seen)) == 10_000
-    assert len({value for firsts in probe.seen for value in firsts}) == 40_000
 
 
-def test_roots_of_consecutive_sets_are_uniform(small_wc_graph):
-    """The first output of sets 0..N-1 of one collection is the root draw.
-    Spaced a power of two apart (``advance(i << 64)``) an LCG's states
-    share their low bits and this statistic reads ~60x its degrees of
-    freedom; numpy's odd ``jumped`` stride keeps it a chi-square."""
-    probe = _Probe(small_wc_graph)
+def test_roots_of_consecutive_sets_are_uniform():
+    """Sets 0..N-1 of one collection, as ``sample_set_range`` keys them:
+    their roots (the keys' multiply-high by n) and the keys' low words are
+    uniform, and neighbouring sets' keys are uncorrelated."""
+    probe = _Probe()
     sample_set_range(probe, 5, 2, range(40_000), "main")
-    firsts = np.asarray(probe.seen)
-    for column, bins in ((0, 200), (0, 1999), (1, 200), (3, 200)):
-        counts = np.bincount((firsts[:, column] * bins).astype(int), minlength=bins)
-        expected = firsts.shape[0] / bins
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        df = bins - 1
-        assert abs(chi2 - df) < 5 * np.sqrt(2 * df), (column, bins, chi2)
-    # Neighbouring sets are uncorrelated, position by position.
-    for column in range(4):
-        corr = np.corrcoef(firsts[:-1, column], firsts[1:, column])[0, 1]
-        assert abs(corr) < 5 / np.sqrt(firsts.shape[0])
+    keys = np.asarray(probe.seen, dtype=np.uint64)
+    for n in (200, 1999):
+        ok, chi2 = chi_square_ok(np.bincount(_mulhi(keys, n), minlength=n))
+        assert ok, (n, chi2)
+    low = _mulhi(keys << np.uint64(32), 200)
+    assert chi_square_ok(np.bincount(low, minlength=200))[0]
+    uniforms = keys.astype(np.float64) * 2.0**-64
+    corr = np.corrcoef(uniforms[:-1], uniforms[1:])[0, 1]
+    assert abs(corr) < 5 / np.sqrt(keys.size)
 
 
 def chi_square_ok(counts):
@@ -301,6 +291,22 @@ def test_keyed_roots_of_consecutive_sets_are_uniform():
         assert ok, (n, chi2)
     roots = _mulhi(keys, 1 << 20) / (1 << 20)
     assert chi_square_ok(joint(roots[:-1], roots[1:]))[0]
+
+
+def test_keyed_targeted_roots_are_uniform_over_the_targets(small_wc_graph):
+    """A targeted set's root is ``targets[mulhi(K, |T|)]``: uniform over a
+    67-node target set, and independent across consecutive set ids."""
+    targets = np.arange(0, 200, 3)
+    assert targets.size == 67
+    sampler = TargetedSampler(make_sampler(small_wc_graph, "ic"), targets)
+    roots = sample_set_range(sampler, 5, 2, range(KEYED_N), "main").roots
+    assert np.isin(roots, targets).all()
+    ranks = np.searchsorted(targets, roots)
+    ok, chi2 = chi_square_ok(np.bincount(ranks, minlength=targets.size))
+    assert ok, chi2
+    pairs = ranks[:-1] * targets.size + ranks[1:]
+    ok, chi2 = chi_square_ok(np.bincount(pairs, minlength=targets.size**2))
+    assert ok, chi2
 
 
 @pytest.mark.parametrize("rank", [0, 1, 5])
@@ -381,7 +387,8 @@ def nonuniform_graph():
 # sha256[:16] of sample_batch(default_rng(3), 400) over all four arrays,
 # recorded at the parent commit (b2c84c7), where LT had its own batch loop
 # and SUBSIM ran pack_samples(sample_many(...)).  ("lt", "bfs") is the
-# scalar LTReverseWalkSampler: make_sampler's LT "bfs" is the keyed kernel.
+# scalar LTReverseWalkSampler and ("ic", "subsim") the scalar
+# SubsimSampler: make_sampler returns the keyed kernels.
 PARENT_STREAM_DIGESTS = {
     ("lt", "bfs", "wc"): "ab7671df140cf7d6",
     ("lt", "bfs", "nonuniform"): "c51957b66ce44b68",
@@ -401,14 +408,10 @@ def stream_graph(layout):
 def test_stream_sample_batch_is_the_parents(case):
     model, method, layout = case
     graph = stream_graph(layout)
-    sampler = LTReverseWalkSampler(graph) if model == "lt" else make_sampler(graph, model, method)
+    sampler = LTReverseWalkSampler(graph) if model == "lt" else SubsimSampler(graph)
     rng = np.random.default_rng(3)
     batch = sampler.sample_batch(rng, 400)
     assert digest(batch) == PARENT_STREAM_DIGESTS[case]
-    # ... and it is the one loop: the same generator pulled 400 times.
-    again = sampler.sample_sets([rng_ := np.random.default_rng(3)] * 400)
-    assert digest(again) == PARENT_STREAM_DIGESTS[case]
-    assert rng.bit_generator.state == rng_.bit_generator.state
     assert sampler.sample_batch(rng, 0).offsets.tolist() == [0]
     with pytest.raises(ValueError, match=">= 0"):
         sampler.sample_batch(rng, -1)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ris import (
-    SubsimSampler,
     VectorizedICSampler,
     VectorizedLTSampler,
     make_sampler,
@@ -33,23 +32,20 @@ class TestFactory:
             assert type(make_sampler(small_wc_graph, "ic", method)) is VectorizedICSampler
 
     def test_ic_subsim(self, small_wc_graph):
-        assert isinstance(make_sampler(small_wc_graph, "ic", "subsim"), SubsimSampler)
+        # ``method`` is a vestige: "subsim" is the keyed kernel too.
+        assert type(make_sampler(small_wc_graph, "ic", "subsim")) is VectorizedICSampler
 
     def test_lt(self, small_wc_graph):
-        for method in ("bfs", "vectorized"):
+        for method in ("bfs", "subsim", "vectorized"):
             assert type(make_sampler(small_wc_graph, "lt", method)) is VectorizedLTSampler
-
-    def test_lt_subsim_rejected(self, small_wc_graph):
-        with pytest.raises(ValueError, match="IC model only"):
-            make_sampler(small_wc_graph, "lt", "subsim")
 
     def test_unknown_model(self, small_wc_graph):
         with pytest.raises(ValueError, match="unknown diffusion model"):
             make_sampler(small_wc_graph, "sir")
 
     def test_unknown_method(self, small_wc_graph):
-        with pytest.raises(ValueError, match="unknown sampling method"):
+        with pytest.raises(ValueError, match="method must be one of"):
             make_sampler(small_wc_graph, "ic", "quantum")
 
     def test_case_insensitive(self, small_wc_graph):
-        assert isinstance(make_sampler(small_wc_graph, "IC", "SUBSIM"), SubsimSampler)
+        assert type(make_sampler(small_wc_graph, "IC", "SUBSIM")) is VectorizedICSampler

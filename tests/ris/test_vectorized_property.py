@@ -7,7 +7,7 @@ closed form:
 * **IC** — sum over all ``2^m`` live-edge subgraphs (each edge live
   independently) of the subgraph's probability times the indicator that
   ``u`` reaches the root;
-* **LT / triggering** — each node independently picks one in-edge (with
+* **LT** — each node independently picks one in-edge (with
   its probability) or none (the residual mass); sum over the product
   space of choices.
 
@@ -30,13 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion import ICTriggering, LTTriggering
 from repro.graphs import GraphBuilder, weighted_cascade
-from repro.ris import (
-    VectorizedICSampler,
-    VectorizedLTSampler,
-    VectorizedTriggeringSampler,
-)
+from repro.ris import VectorizedICSampler, VectorizedLTSampler
 
 from .equivalence import DEFAULT_ALPHA, hoeffding_epsilon
 
@@ -178,8 +173,10 @@ class TestExactInclusionIC:
 
     @pytest.mark.parametrize("graph_seed", [0, 1])
     def test_vectorized_triggering_ic_matches_enumeration(self, graph_seed):
+        # The triggering model's IC distribution is the IC kernel's: the
+        # same certificate on fresh draws.
         graph = random_tiny_graph(graph_seed)
-        sampler = VectorizedTriggeringSampler(graph, ICTriggering(), block_size=128)
+        sampler = VectorizedICSampler(graph, block_size=128)
         root = int(np.diff(graph.in_indptr).argmax())
         exact = exact_ic_inclusion(graph, root)
         empirical = empirical_inclusion(sampler, root, graph.num_nodes, 200 + graph_seed)
@@ -198,8 +195,9 @@ class TestExactInclusionLT:
 
     @pytest.mark.parametrize("graph_seed", [0, 1])
     def test_vectorized_triggering_lt_matches_enumeration(self, graph_seed):
+        # The triggering model's LT distribution is the LT kernel's.
         graph = random_tiny_graph(graph_seed, lt_safe=True)
-        sampler = VectorizedTriggeringSampler(graph, LTTriggering(), block_size=128)
+        sampler = VectorizedLTSampler(graph, block_size=128)
         root = int(np.diff(graph.in_indptr).argmax())
         exact = exact_lt_inclusion(graph, root)
         empirical = empirical_inclusion(sampler, root, graph.num_nodes, 400 + graph_seed)
@@ -225,8 +223,6 @@ class TestEdgeCases:
         return [
             VectorizedICSampler(graph, block_size=32),
             VectorizedLTSampler(graph, block_size=32),
-            VectorizedTriggeringSampler(graph, ICTriggering(), block_size=32),
-            VectorizedTriggeringSampler(graph, LTTriggering(), block_size=32),
         ]
 
     def test_single_node_graph(self):
@@ -306,7 +302,6 @@ def test_blocked_rr_sets_contain_root_and_stay_in_range(graph, seed, block):
     for sampler in (
         VectorizedICSampler(graph, block_size=block),
         VectorizedLTSampler(graph, block_size=block),
-        VectorizedTriggeringSampler(graph, ICTriggering(), block_size=block),
     ):
         batch = sampler.sample_batch(rng, 11)
         assert batch.count == 11

@@ -128,7 +128,24 @@ class TestWarmColdEquivalence:
         )
         assert warm.seeds == cold.seeds
         assert warm.objective == cold.objective
-        assert service.describe()["num_pools"] == 1  # same ('cluster','bfs') pool
+        assert service.describe()["num_pools"] == 1  # same ('cluster', 'ic') pool
+
+    def test_imm_family_and_applications_share_one_pool_per_model(self, service, small_wc_graph):
+        """Pools are keyed by ("imm" | "cluster", model): diimm, dsubsim,
+        budgeted and profit on an IC service read one pool, and dsubsim —
+        the keyed IC kernel under SUBSIM's rule name — answers with
+        diimm's seeds and theta."""
+        diimm_answer = service.query(Query(kind="diimm", k=5))
+        dsubsim_answer = service.query(Query(kind="dsubsim", k=5))
+        service.query(Query(kind="budgeted", budget=15.0, num_rr_sets=1000))
+        service.query(Query(kind="profit", num_rr_sets=1000))
+        assert list(service.pool_sizes()) == [repr(("cluster", "ic"))]
+        assert dsubsim_answer.algorithm == "DSUBSIM"
+        assert dsubsim_answer.seeds == diimm_answer.seeds
+        assert dsubsim_answer.num_rr_sets == diimm_answer.num_rr_sets
+        cold = run("dsubsim", RunConfig(graph=small_wc_graph, k=5, machines=MACHINES, seed=SEED))
+        assert dsubsim_answer.seeds == cold.seeds
+        assert dsubsim_answer.estimated_spread == cold.estimated_spread
 
 
 class TestCaching:

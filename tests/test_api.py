@@ -16,7 +16,8 @@ from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.cluster.network import gigabit_cluster
 from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
-from repro.core.config import BACKENDS, METHODS, MODELS, STOPPINGS
+from repro.core.config import BACKENDS, MODELS, STOPPINGS
+from repro.ris import METHOD_VESTIGES
 from repro.core.diimm import REGISTRY
 from repro.core.pool import SamplePool
 
@@ -94,10 +95,7 @@ class TestRegistryConformance:
     def test_pool_accepted_exactly_when_poolable(self, small_wc_graph, name):
         """Every row is poolable: each collection key is its own draw."""
         config = self.config(small_wc_graph, name)
-        method = "subsim" if REGISTRY[name].subsim else "bfs"
-        with SamplePool(
-            small_wc_graph, machines=config.machines, seed=7, method=method
-        ) as pool:
+        with SamplePool(small_wc_graph, machines=config.machines, seed=7) as pool:
             assert_same_result(run(name, config, pool=pool), run(name, config))
 
     @pytest.mark.parametrize(
@@ -249,9 +247,10 @@ class TestValidation:
     def test_each_branch(self, small_wc_graph, overrides, message):
         base = dict(graph=small_wc_graph, k=2)
         base.update(overrides)
-        config = RunConfig(**base)
+        # The ``method`` vestige is not stored, so it is checked on
+        # construction; every other field by validate().
         with pytest.raises(ValueError, match=message):
-            config.validate()
+            RunConfig(**base).validate()
 
     def test_retired_reference_backend_refused(self, small_wc_graph):
         config = RunConfig(graph=small_wc_graph, k=2, backend="reference")
@@ -275,7 +274,7 @@ class TestValidation:
     def test_vocabulary_constants(self):
         assert BACKENDS == ("flat", "sketch")
         assert MODELS == ("ic", "lt")
-        assert METHODS == ("bfs", "subsim", "vectorized")
+        assert METHOD_VESTIGES == ("bfs", "subsim", "vectorized")
         assert STOPPINGS == ("schedule", "error-adaptive")
 
 
