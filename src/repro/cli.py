@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     update = sub.add_parser(
         "update",
         help="send graph updates to a running dynamic service "
-        "(started with serve --dynamic)",
+        "(started with serve --dynamic); each lands whole, repairing the "
+        "resident RR sets, or is refused unapplied",
     )
     update.add_argument("--host", default="127.0.0.1")
     update.add_argument(
@@ -231,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     update.add_argument(
         "--add-nodes", type=int, default=0, help="append this many fresh nodes"
-    )
-    update.add_argument(
-        "--compact",
-        action="store_true",
-        help="fold the service's overlay into a fresh base CSR afterwards",
     )
 
     worker = sub.add_parser(
@@ -532,7 +528,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not payloads and not args.compact:
+    if not payloads:
         print("error: no updates given (see --updates / --add-edge ...)", file=sys.stderr)
         return 2
     for payload in payloads:
@@ -543,15 +539,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         print(
             f"graph v{reply['graph_version']}: {reply['num_changes']} changes, "
             f"repaired {reply['repaired']}, evicted {reply['evicted']} cached results"
-        )
-    if args.compact:
-        reply = request(args.port, {"op": "compact"}, host=args.host)
-        if not reply.get("ok"):
-            print(f"error: {reply.get('error')}", file=sys.stderr)
-            return 1
-        print(
-            f"graph v{reply['graph_version']}: compacted to "
-            f"{reply['num_edges']} edges"
         )
     return 0
 

@@ -342,11 +342,11 @@ class Executor(ABC):
     def refresh_graph(self) -> None:
         """Drop per-graph caches after the graph mutated in place.
 
-        Samplers precompute traversal tables (overlay arrays, prefix
-        sums, ``p_max``) at construction, so every cached sampler is
-        stale once a :class:`~repro.graphs.digraph.GraphDelta` lands or
-        the graph is rebased.  Worker-backed executors additionally
-        re-broadcast the graph to their workers.
+        Samplers precompute traversal tables (row starts, prefix sums,
+        thresholds) over the graph's arrays at construction, and an
+        applied :class:`~repro.graphs.digraph.GraphDelta` swaps those
+        arrays, so every cached sampler is stale.  Worker-backed
+        executors additionally re-broadcast the graph to their workers.
         """
         self._samplers = {}
 

@@ -71,7 +71,7 @@ import uuid
 from collections import OrderedDict
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ..graphs.digraph import DirectedGraph, SharedGraphHandle, attach_shared
+from ..graphs.digraph import DirectedGraph, SharedGraphHandle
 from ..graphs.io import load_npz
 from ..ris import make_sampler
 from ..ris.rrset import sample_set_range
@@ -138,9 +138,7 @@ class WorkerState:
                 if request.get("graph") is not None:
                     graph = request["graph"]
                 elif request.get("shm_spec") is not None:
-                    # The spec's "kind" says plain CSR block or versioned
-                    # base+overlay export.
-                    graph = attach_shared(request["shm_spec"])
+                    graph = DirectedGraph.from_shared(request["shm_spec"])
                 elif request.get("path"):
                     graph = load_npz(request["path"])
                 else:

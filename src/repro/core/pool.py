@@ -66,7 +66,8 @@ from ..cluster.spec import as_spec
 from ..cluster.metrics import GENERATION, RunMetrics
 from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
-from ..graphs.digraph import GraphDelta, VersionedGraph
+from ..diffusion.lt import check_lt_feasible
+from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
 from ..ris import check_method_vestige
 from ..ris.rrset import RRSampler, sample_set_range
@@ -299,8 +300,9 @@ class SamplePool:
 
         The graph must be a :class:`~repro.graphs.digraph.VersionedGraph`
         (it mutates in place, preserving the identity
-        :meth:`check_config` pins).  Returns, per collection key, how
-        many RR sets were regenerated.
+        :meth:`check_config` pins).  A delta :meth:`check_graph` refuses
+        changes nothing.  Returns, per collection key, how many RR sets
+        were regenerated.
         """
         with self._lock:
             if not isinstance(self.graph, VersionedGraph):
@@ -308,8 +310,14 @@ class SamplePool:
                     "apply_update needs a VersionedGraph; wrap the base graph "
                     "in VersionedGraph(graph) when building the pool"
                 )
-            touched = self.graph.apply(delta)
+            touched = self.graph.apply(delta, validate=self.check_graph)
             return self.repair(touched)
+
+    def check_graph(self, graph: DirectedGraph) -> None:
+        """Raise ``ValueError`` if the pool's model cannot sample ``graph``:
+        LT needs every node's incoming probabilities to sum to <= 1."""
+        if self.model.lower() == "lt":
+            check_lt_feasible(graph)
 
     def repair(self, touched=None) -> Dict[str, int]:
         """Regenerate the RR sets invalidated by a graph mutation.

@@ -7,7 +7,6 @@ from .digraph import (
     GraphDelta,
     SharedGraphHandle,
     VersionedGraph,
-    attach_shared,
 )
 from .generators import (
     barabasi_albert,
@@ -39,7 +38,6 @@ __all__ = [
     "GraphDelta",
     "VersionedGraph",
     "SharedGraphHandle",
-    "attach_shared",
     "GraphBuilder",
     "Dataset",
     "DATASET_NAMES",

@@ -4,7 +4,9 @@ The whole library operates on :class:`DirectedGraph`: an immutable directed
 graph whose out-adjacency and in-adjacency are both stored as CSR arrays.
 Influence propagation needs the out-adjacency (forward simulation), while
 reverse influence sampling walks the in-adjacency, so both directions are
-materialised once at construction time.
+materialised once at construction time.  :class:`VersionedGraph` is the
+one mutable kind: a :class:`GraphDelta` replaces its arrays whole, and no
+array is ever written in place.
 
 Each edge ``<u, v>`` carries a propagation probability ``p_{u,v}`` stored in
 parallel to the adjacency arrays.  Probabilities default to zero until a
@@ -13,7 +15,7 @@ weighting scheme from :mod:`repro.graphs.weights` assigns them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +24,6 @@ __all__ = [
     "GraphDelta",
     "SharedGraphHandle",
     "VersionedGraph",
-    "attach_shared",
 ]
 
 #: The six CSR arrays that fully describe a graph, in block layout order.
@@ -268,16 +269,6 @@ class DirectedGraph:
             self._in_prob_sums = sums
         return self._in_prob_sums
 
-    def in_csr(self):
-        """The in-adjacency as ``(indptr, indices, probs, overlay)``.
-
-        ``overlay`` is always ``None`` for a plain CSR graph; a
-        :class:`VersionedGraph` returns its patched-row overlay instead.
-        Samplers resolve their traversal arrays through this one hook so
-        the same code runs on both graph kinds.
-        """
-        return self.in_indptr, self.in_indices, self.in_probs, None
-
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over ``(u, v, p)`` triples in out-CSR order."""
         for u in range(self._n):
@@ -326,8 +317,8 @@ class DirectedGraph:
         }
         return SharedGraphHandle(shm, spec)
 
-    @classmethod
-    def from_shared(cls, spec: Dict[str, Any]) -> "DirectedGraph":
+    @staticmethod
+    def from_shared(spec: Dict[str, Any]) -> "DirectedGraph":
         """Attach to a block exported by :meth:`to_shared` (read-only).
 
         The returned graph's CSR arrays are immutable views into the
@@ -342,13 +333,19 @@ class DirectedGraph:
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=spec["name"], create=False)
-        graph = object.__new__(cls)
-        graph._n = int(spec["num_nodes"])
-        graph._m = int(spec["num_edges"])
-        for field, view in _attach_views(shm.buf, spec["arrays"]).items():
-            setattr(graph, field, view)
+        # The graph keeps the mapping alive as long as its views.
+        return DirectedGraph._over(_attach_views(shm.buf, spec["arrays"]), shm)
+
+    @staticmethod
+    def _over(arrays: Dict[str, np.ndarray], shm: Any = None) -> "DirectedGraph":
+        """A plain graph over existing CSR arrays: no copy, no sort."""
+        graph = object.__new__(DirectedGraph)
+        for field in _CSR_FIELDS:
+            setattr(graph, field, arrays[field])
+        graph._n = int(graph.in_indptr.size - 1)
+        graph._m = int(graph.in_indptr[-1])
         graph._in_prob_sums = None
-        graph._shm = shm  # keep the mapping alive as long as the graph
+        graph._shm = shm
         return graph
 
     # ------------------------------------------------------------------
@@ -400,7 +397,7 @@ class DirectedGraph:
 
 
 # ----------------------------------------------------------------------
-# Dynamic graphs: mutation batches, overlays and versioning
+# Dynamic graphs: mutation batches and versioning
 # ----------------------------------------------------------------------
 def _edge_arrays(edges, with_probs: bool):
     """Normalize an iterable of ``(u, v[, p])`` into parallel arrays."""
@@ -546,213 +543,153 @@ class GraphDelta:
         )
 
 
-class VersionedGraph:
-    """A mutable graph: an immutable base CSR plus a compact row overlay.
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, counts)``: the array positions of ``rows``' entries,
+    row after row, and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total), counts
 
-    The base :class:`DirectedGraph` is never modified (it may be a
-    read-only shared-memory view).  :meth:`apply` folds a
-    :class:`GraphDelta` into *patched rows*: every node whose adjacency
-    changed gets a fully materialised replacement row kept in small
-    sorted overlay arrays; all other rows keep reading the base CSR.
-    Samplers resolve rows through :meth:`in_csr` — base arrays plus an
-    ``(lookup, indptr, indices, probs)`` overlay — so traversal consults
-    base + overlay without ever copying the full graph.
 
-    Row-order invariant: a patched row preserves the surviving entries'
-    original order, with inserted edges appended at the end.
-    :meth:`compact` emits the effective edge list target-major, and the
-    :class:`DirectedGraph` constructor's stable sort then reproduces
-    every in-row element-for-element — so a sampler traversing base +
-    overlay consumes its RNG stream exactly like one traversing the
-    compacted CSR (the equivalence ``tests/ris`` pins for the per-set
-    methods; the LT sampler's non-uniform path accumulates a global
-    prefix sum whose float rounding may differ across compaction, so the
-    guarantee there is distributional, not bitwise).
+def _lookup(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(hit, at)``: which ``keys`` are in the sorted unique ``table``,
+    and where (meaningful where hit)."""
+    if table.size == 0:
+        return np.zeros(keys.size, dtype=bool), np.zeros(keys.size, dtype=np.int64)
+    at = np.searchsorted(table, keys).clip(max=table.size - 1)
+    return table[at] == keys, at
+
+
+def _splice(indptr, indices, probs, rows, owner, other, prob):
+    """Fresh copies of one CSR direction in which ``rows`` (ascending) hold
+    ``other`` / ``prob``, grouped by ``owner`` in row order.
+
+    Every span of unchanged rows is copied in one slice; nothing is sorted
+    and no input array is written.
+    """
+    if rows.size == 0:
+        return indptr, indices, probs
+    n = indptr.size - 1
+    counts = np.diff(indptr)
+    counts[rows] = np.searchsorted(owner, rows, "right") - np.searchsorted(owner, rows)
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    new_indices = np.empty(int(new_indptr[-1]), dtype=indices.dtype)
+    new_probs = np.empty(new_indices.size, dtype=probs.dtype)
+    firsts = [0, *(rows + 1).tolist()]
+    lasts = [*rows.tolist(), n]
+    for first, last in zip(firsts, lasts):
+        lo, hi, at = int(indptr[first]), int(indptr[last]), int(new_indptr[first])
+        new_indices[at : at + hi - lo] = indices[lo:hi]
+        new_probs[at : at + hi - lo] = probs[lo:hi]
+    at = _row_positions(new_indptr, rows)[0]
+    new_indices[at] = other
+    new_probs[at] = prob
+    return new_indptr, new_indices, new_probs
+
+
+def _patch(csr, rows, by_target, edits, adds):
+    """One direction of :meth:`VersionedGraph.apply`: ``rows``' surviving
+    entries in order, reweighted, then the added ones, spliced into fresh
+    arrays.  Returns ``(arrays, dropped keys found, reweighted keys
+    found)``, the last two as distinct keys.
+
+    ``by_target`` says whether a row's owner is its edges' target;
+    ``edits`` is ``(n, removed-node mask, dropped keys, (reweighted keys,
+    their probabilities))`` and ``adds`` is ``(owners, others, probs)``.
+    """
+    indptr, indices, probs = csr
+    n, removed, dropped, reweights = edits
+    at, counts = _row_positions(indptr, rows)
+    owner = np.repeat(rows, counts)
+    other = indices[at].astype(np.int64)
+    prob = probs[at]
+    keys = other * n + owner if by_target else owner * n + other
+    gone = _lookup(dropped, keys)[0]
+    keep = ~(removed[owner] | removed[other] | gone)
+    kept, prob = keys[keep], prob[keep]
+    found, at = _lookup(reweights[0], kept)
+    prob[found] = reweights[1][at[found]]
+    owner = np.concatenate((owner[keep], adds[0]))
+    order = np.argsort(owner, kind="stable")
+    spliced = _splice(
+        indptr,
+        indices,
+        probs,
+        rows,
+        owner[order],
+        np.concatenate((other[keep], adds[1]))[order],
+        np.concatenate((prob, adds[2]))[order],
+    )
+    return spliced, np.unique(keys[gone]), np.unique(kept[found])
+
+
+class VersionedGraph(DirectedGraph):
+    """A :class:`DirectedGraph` that takes :class:`GraphDelta` updates.
+
+    It holds one current CSR pair, like any graph.  :meth:`apply` builds
+    the changed rows, splices them into fresh ``in_*`` / ``out_*`` arrays
+    and swaps those in.  No array is ever written in place, so shared-
+    memory exports and samplers built before an update stay valid (and
+    stale: rebuild them, as the executors' ``refresh_graph`` does).
+
+    Row-order invariant: an updated row keeps its surviving entries in
+    order and appends inserted edges in delta order.  Coins are keyed by
+    an edge's rank in its in-row, so the samplers draw on an updated
+    graph exactly what they draw on a :class:`DirectedGraph` built from
+    the same edges listed in that in-row order.
 
     Node additions change the root-draw range of every RR set, so
-    :meth:`apply` handles them by immediate rebase (fold + grow) and
-    reports *all* sets as touched (returns ``None``).
+    :meth:`apply` reports *all* sets as touched (returns ``None``) for
+    them.
     """
 
-    __slots__ = (
-        "_base",
-        "_n",
-        "_num_edges",
-        "version",
-        "_patched_in",
-        "_patched_out",
-        "_in_overlay",
-        "_out_overlay",
-        "_in_prob_sums",
-        "_shm",
-    )
+    __slots__ = ("version",)
 
-    def __init__(self, base: DirectedGraph) -> None:
-        if not isinstance(base, DirectedGraph):
+    def __init__(self, graph: DirectedGraph) -> None:
+        if not isinstance(graph, DirectedGraph) or isinstance(graph, VersionedGraph):
             raise TypeError(
-                f"VersionedGraph wraps a DirectedGraph base, got {type(base).__name__}"
+                f"VersionedGraph wraps a plain DirectedGraph, got {type(graph).__name__}"
             )
-        self._base = base
-        self._n = base.num_nodes
-        self._num_edges = base.num_edges
+        self._adopt(graph)
+        self._shm = graph._shm  # an attached graph's mapping outlives its views
         #: Bumped by every applied :class:`GraphDelta`.
         self.version = 0
-        self._patched_in: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._patched_out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._in_overlay = None
-        self._out_overlay = None
-        self._in_prob_sums: np.ndarray | None = None
-        self._shm = None
 
-    # ------------------------------------------------------------------
-    # Row resolution (base + overlay)
-    # ------------------------------------------------------------------
-    def _eff_in(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
-        row = self._patched_in.get(v)
-        if row is not None:
-            return row
-        base = self._base
-        start, stop = base.in_indptr[v], base.in_indptr[v + 1]
-        return base.in_indices[start:stop], base.in_probs[start:stop]
+    def _adopt(self, graph: DirectedGraph) -> None:
+        for field in _CSR_FIELDS:
+            setattr(self, field, getattr(graph, field))
+        self._n, self._m = graph._n, graph._m
+        self._in_prob_sums = graph._in_prob_sums
 
-    def _eff_out(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
-        row = self._patched_out.get(u)
-        if row is not None:
-            return row
-        base = self._base
-        start, stop = base.out_indptr[u], base.out_indptr[u + 1]
-        return base.out_indices[start:stop], base.out_probs[start:stop]
+    def apply(
+        self, delta: GraphDelta, validate: Callable[[DirectedGraph], None] | None = None
+    ) -> np.ndarray | None:
+        """Land one mutation batch: splice fresh CSR arrays and swap them in.
 
-    @property
-    def base(self) -> DirectedGraph:
-        """The immutable base CSR snapshot."""
-        return self._base
-
-    @property
-    def in_overlay(self):
-        """``(lookup, indptr, indices, probs)`` of patched in-rows, or
-        ``None`` when no row is patched.  ``lookup[v]`` is the overlay
-        row of node ``v`` or ``-1``."""
-        return self._in_overlay
-
-    @property
-    def out_overlay(self):
-        """Patched out-rows in the same layout as :attr:`in_overlay`."""
-        return self._out_overlay
-
-    def in_csr(self):
-        """Base in-CSR arrays plus the overlay, the samplers' traversal view."""
-        base = self._base
-        return base.in_indptr, base.in_indices, base.in_probs, self._in_overlay
-
-    # ------------------------------------------------------------------
-    # DirectedGraph-compatible accessors (effective view)
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    @property
-    def num_patched_rows(self) -> int:
-        """Overlay size: patched rows across both directions."""
-        return len(self._patched_in) + len(self._patched_out)
-
-    def nodes(self) -> range:
-        return range(self._n)
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self._eff_in(v)[0]
-
-    def in_probabilities(self, v: int) -> np.ndarray:
-        return self._eff_in(v)[1]
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        return self._eff_out(u)[0]
-
-    def out_probabilities(self, u: int) -> np.ndarray:
-        return self._eff_out(u)[1]
-
-    def in_degree(self, v: int) -> int:
-        return int(self._eff_in(v)[0].size)
-
-    def out_degree(self, u: int) -> int:
-        return int(self._eff_out(u)[0].size)
-
-    def in_degrees(self) -> np.ndarray:
-        degrees = np.diff(self._base.in_indptr)
-        if self._patched_in:
-            degrees = degrees.copy()
-            for v, (indices, __) in self._patched_in.items():
-                degrees[v] = indices.size
-        return degrees
-
-    def out_degrees(self) -> np.ndarray:
-        degrees = np.diff(self._base.out_indptr)
-        if self._patched_out:
-            degrees = degrees.copy()
-            for u, (indices, __) in self._patched_out.items():
-                degrees[u] = indices.size
-        return degrees
-
-    def in_probability_sums(self) -> np.ndarray:
-        if self._in_prob_sums is None:
-            sums = np.array(self._base.in_probability_sums(), dtype=np.float64)
-            for v, (__, probs) in self._patched_in.items():
-                sums[v] = float(probs.sum())
-            self._in_prob_sums = sums
-        return self._in_prob_sums
-
-    def in_probability_sum(self, v: int) -> float:
-        return float(self.in_probability_sums()[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(np.any(self._eff_out(u)[0] == v))
-
-    def edge_probability(self, u: int, v: int) -> float:
-        indices, probs = self._eff_out(u)
-        hits = np.flatnonzero(indices == v)
-        if hits.size == 0:
-            raise KeyError(f"edge <{u}, {v}> not in graph")
-        return float(probs[hits[0]])
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate effective ``(u, v, p)`` triples source-major."""
-        for u in range(self._n):
-            indices, probs = self._eff_out(u)
-            for idx in range(indices.size):
-                yield u, int(indices[idx]), float(probs[idx])
-
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Effective ``(sources, targets, probs)`` in target-major order
-        (the canonical compaction order; see :meth:`compact`)."""
-        return self._effective_edge_list()
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def apply(self, delta: GraphDelta) -> np.ndarray | None:
-        """Fold one mutation batch into the overlay, in place.
+        Each edge's fate is decided once and both directions follow it:
+        an edge incident to a removed node is dropped (ones the same
+        delta adds included), ``remove_edges`` drops every parallel
+        ``<u, v>`` entry, ``reweight_edges`` sets the probability of the
+        surviving ones, and the other added edges are appended.
+        ``validate``, when given, receives the candidate graph before it
+        is committed; whatever it raises refuses the delta and leaves
+        this graph unchanged.
 
         Returns the ascending array of nodes whose *in-rows* changed —
         exactly the RR-set invalidation keys (a reverse traversal
         examines the in-row of every node it collects, so the RR sets
         that consulted a changed edge are the sets containing its
         target) — or ``None`` when every RR set must be considered
-        touched (node additions change the root-draw range).
-
-        Bumps :attr:`version`; the graph object's identity is preserved
-        so resident pools and configs keep referring to the same graph.
+        touched (node additions change the root-draw range).  Bumps
+        :attr:`version`; the object's identity is preserved so resident
+        pools and configs keep referring to the same graph.
         """
         if not isinstance(delta, GraphDelta):
             raise TypeError(f"apply takes a GraphDelta, got {type(delta).__name__}")
-        full_invalidation = delta.add_nodes > 0
-        if delta.add_nodes:
-            self._grow(delta.add_nodes)
-        n = self._n
+        n = self._n + delta.add_nodes
         for ids, what in (
             (delta.add_sources, "add_edges sources"),
             (delta.add_targets, "add_edges targets"),
@@ -764,311 +701,65 @@ class VersionedGraph:
         ):
             if ids.size and int(ids.max()) >= n:
                 raise ValueError(f"{what} contain node ids >= num_nodes ({n})")
+        removed = np.zeros(n, dtype=bool)
+        removed[delta.remove_nodes] = True
+        # An edge is named by its pair key u * n + v in both directions.
+        dropped = np.unique(delta.remove_sources * n + delta.remove_targets)
+        last = np.unique(
+            (delta.reweight_sources * n + delta.reweight_targets)[::-1], return_index=True
+        )
+        reweights = (last[0], delta.reweight_probs[::-1][last[1]])
+        live = ~(removed[delta.add_sources] | removed[delta.add_targets])
+        adds = (delta.add_sources[live], delta.add_targets[live], delta.add_probs[live])
 
-        removed_nodes = set(int(w) for w in delta.remove_nodes)
-
-        # Group the edge ops by row owner, per direction.
-        removals_in: Dict[int, set] = {}
-        removals_out: Dict[int, set] = {}
-        for u, v in zip(delta.remove_sources, delta.remove_targets):
-            removals_in.setdefault(int(v), set()).add(int(u))
-            removals_out.setdefault(int(u), set()).add(int(v))
-        reweights_in: Dict[int, Dict[int, float]] = {}
-        reweights_out: Dict[int, Dict[int, float]] = {}
-        for u, v, p in zip(
-            delta.reweight_sources, delta.reweight_targets, delta.reweight_probs
-        ):
-            reweights_in.setdefault(int(v), {})[int(u)] = float(p)
-            reweights_out.setdefault(int(u), {})[int(v)] = float(p)
-        adds_in: Dict[int, list] = {}
-        adds_out: Dict[int, list] = {}
-        for u, v, p in zip(delta.add_sources, delta.add_targets, delta.add_probs):
-            adds_in.setdefault(int(v), []).append((int(u), float(p)))
-            adds_out.setdefault(int(u), []).append((int(v), float(p)))
-
-        in_owners = set(removals_in) | set(reweights_in) | set(adds_in) | removed_nodes
-        out_owners = set(removals_out) | set(reweights_out) | set(adds_out) | removed_nodes
-        for w in removed_nodes:
-            in_owners.update(int(x) for x in self._eff_out(w)[0])
-            out_owners.update(int(y) for y in self._eff_in(w)[0])
-        touched = np.asarray(sorted(in_owners), dtype=np.int64)
-
-        edges_removed = 0
-        edges_added = delta.add_sources.size
-        for direction, owners in (("in", in_owners), ("out", out_owners)):
-            patched = self._patched_in if direction == "in" else self._patched_out
-            removals = removals_in if direction == "in" else removals_out
-            reweights = reweights_in if direction == "in" else reweights_out
-            adds = adds_in if direction == "in" else adds_out
-            for owner in sorted(owners):
-                indices, probs = self._eff_in(owner) if direction == "in" else self._eff_out(owner)
-                indices = np.array(indices, dtype=np.int32)
-                probs = np.array(probs, dtype=np.float64)
-                before = indices.size
-                if owner in removed_nodes:
-                    indices = indices[:0]
-                    probs = probs[:0]
-                else:
-                    keep = np.ones(indices.size, dtype=bool)
-                    if removed_nodes:
-                        keep &= ~np.isin(
-                            indices, np.fromiter(removed_nodes, dtype=np.int64)
-                        )
-                    explicit = removals.get(owner)
-                    if explicit:
-                        wanted = np.fromiter(explicit, dtype=np.int64)
-                        present = np.isin(wanted, indices)
-                        if not present.all():
-                            missing = int(wanted[~present][0])
-                            pair = (missing, owner) if direction == "in" else (owner, missing)
-                            raise ValueError(f"edge <{pair[0]}, {pair[1]}> not in graph")
-                        keep &= ~np.isin(indices, wanted)
-                    indices = indices[keep]
-                    probs = probs[keep]
-                    new_probs = reweights.get(owner)
-                    if new_probs:
-                        for other, p in new_probs.items():
-                            hits = indices == other
-                            if not hits.any():
-                                pair = (other, owner) if direction == "in" else (owner, other)
-                                raise ValueError(
-                                    f"edge <{pair[0]}, {pair[1]}> not in graph"
-                                )
-                            probs[hits] = p
-                    appended = adds.get(owner)
-                    if appended:
-                        indices = np.concatenate(
-                            [indices, np.asarray([a for a, __ in appended], dtype=np.int32)]
-                        )
-                        probs = np.concatenate(
-                            [probs, np.asarray([p for __, p in appended], dtype=np.float64)]
-                        )
-                if direction == "in":
-                    # Count each edge once, from its in-row.
-                    added_here = len(adds.get(owner, ())) if owner not in removed_nodes else 0
-                    edges_removed += before - (indices.size - added_here)
-                patched[owner] = (indices, probs)
-
-        self._num_edges += int(edges_added - edges_removed)
-        self._rebuild_overlays()
-        self._in_prob_sums = None
-        self.version += 1
-        return None if full_invalidation else touched
-
-    def _rebuild_overlays(self) -> None:
-        self._in_overlay = self._build_overlay(self._patched_in)
-        self._out_overlay = self._build_overlay(self._patched_out)
-
-    def _build_overlay(self, patched: Dict[int, Tuple[np.ndarray, np.ndarray]]):
-        if not patched:
-            return None
-        nodes = np.asarray(sorted(patched), dtype=np.int64)
-        lookup = np.full(self._n, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size, dtype=np.int64)
-        sizes = np.asarray([patched[int(v)][0].size for v in nodes], dtype=np.int64)
-        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        if int(indptr[-1]):
-            indices = np.concatenate([patched[int(v)][0] for v in nodes]).astype(
-                np.int32, copy=False
-            )
-            probs = np.concatenate([patched[int(v)][1] for v in nodes])
-        else:
-            indices = np.zeros(0, dtype=np.int32)
-            probs = np.zeros(0, dtype=np.float64)
-        return lookup, indptr, indices, probs
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def _effective_edge_list(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Effective edges target-major, each in-row's order preserved."""
-        n = self._n
-        base = self._base
-        indptr, indices, probs = base.in_indptr, base.in_indices, base.in_probs
-        if not self._patched_in:
-            sources = indices.astype(np.int64, copy=True)
-            targets = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            return sources, targets, probs.copy()
-        src_parts, tgt_parts, prob_parts = [], [], []
-
-        def base_span(lo_node: int, hi_node: int) -> None:
-            if lo_node >= hi_node:
-                return
-            lo, hi = indptr[lo_node], indptr[hi_node]
-            src_parts.append(indices[lo:hi].astype(np.int64))
-            tgt_parts.append(
-                np.repeat(
-                    np.arange(lo_node, hi_node, dtype=np.int64),
-                    np.diff(indptr[lo_node : hi_node + 1]),
+        grown = np.full(delta.add_nodes, self._m, dtype=np.int64)
+        in_indptr = np.concatenate((self.in_indptr, grown))
+        out_indptr = np.concatenate((self.out_indptr, grown))
+        gone = delta.remove_nodes
+        in_rows = np.unique(
+            np.concatenate(
+                (
+                    delta.remove_targets,
+                    delta.reweight_targets,
+                    adds[1],
+                    gone,
+                    self.out_indices[_row_positions(out_indptr, gone)[0]],
                 )
             )
-            prob_parts.append(probs[lo:hi])
-
-        prev = 0
-        for v in sorted(self._patched_in):
-            base_span(prev, v)
-            row_indices, row_probs = self._patched_in[v]
-            src_parts.append(row_indices.astype(np.int64))
-            tgt_parts.append(np.full(row_indices.size, v, dtype=np.int64))
-            prob_parts.append(row_probs)
-            prev = v + 1
-        base_span(prev, n)
-        if not src_parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), np.zeros(0, dtype=np.float64)
-        return (
-            np.concatenate(src_parts),
-            np.concatenate(tgt_parts),
-            np.concatenate(prob_parts),
         )
+        out_rows = np.unique(
+            np.concatenate(
+                (
+                    delta.remove_sources,
+                    delta.reweight_sources,
+                    adds[0],
+                    gone,
+                    self.in_indices[_row_positions(in_indptr, gone)[0]],
+                )
+            )
+        )
+        edits = (n, removed, dropped, reweights)
+        in_adds = (adds[1], adds[0], adds[2])
+        in_arrays, *found = _patch(
+            (in_indptr, self.in_indices, self.in_probs), in_rows, True, edits, in_adds
+        )
+        for wanted, got in zip((dropped, reweights[0]), found):
+            if got.size < wanted.size:
+                u, v = divmod(int(np.setdiff1d(wanted, got)[0]), n)
+                raise ValueError(f"edge <{u}, {v}> not in graph")
+        out_arrays = _patch(
+            (out_indptr, self.out_indices, self.out_probs), out_rows, False, edits, adds
+        )[0]
+        candidate = DirectedGraph._over(dict(zip(_CSR_FIELDS, (*out_arrays, *in_arrays))))
+        if validate is not None:
+            validate(candidate)
+        self._adopt(candidate)
+        self.version += 1
+        return None if delta.add_nodes else in_rows
 
     def compact(self) -> DirectedGraph:
-        """Fold base + overlay into a fresh immutable CSR graph.
-
-        The effective edge list is emitted target-major with per-row
-        order preserved, so the new graph's in-rows equal the effective
-        rows element-for-element — traversal over the compacted graph
-        consumes RNG draws exactly like traversal over base + overlay
-        (modulo the LT non-uniform float caveat in the class docstring).
-        """
-        sources, targets, probs = self._effective_edge_list()
-        return DirectedGraph(self._n, sources, targets, probs)
-
-    def rebase(self) -> None:
-        """Replace the base with the compacted CSR and clear the overlay.
-
-        Content-preserving (same effective rows, same row order), so
-        resident RR sets stay valid; callers holding worker pools must
-        still re-broadcast the graph since the backing arrays changed.
-        """
-        if self._patched_in or self._patched_out:
-            self._base = self.compact()
-        self._patched_in = {}
-        self._patched_out = {}
-        self._in_overlay = None
-        self._out_overlay = None
-        self._in_prob_sums = None
-
-    def _grow(self, count: int) -> None:
-        """Rebase onto a CSR with ``count`` extra (isolated) node ids."""
-        sources, targets, probs = self._effective_edge_list()
-        self._base = DirectedGraph(self._n + count, sources, targets, probs)
-        self._n += count
-        self._patched_in = {}
-        self._patched_out = {}
-        self._in_overlay = None
-        self._out_overlay = None
-        self._in_prob_sums = None
-
-    # ------------------------------------------------------------------
-    # Shared-memory export / attach
-    # ------------------------------------------------------------------
-    def to_shared(self) -> SharedGraphHandle:
-        """Export base + overlay into one shared-memory block.
-
-        The spec carries ``kind: "versioned"`` so :func:`attach_shared`
-        (and the worker pool's initializer) rebuilds a
-        :class:`VersionedGraph` view instead of a plain CSR graph.
-        Exports a snapshot: later :meth:`apply` calls on this graph do
-        not propagate — re-export (the executors' ``refresh_graph``)
-        after every update batch.
-        """
-        base = self._base
-        arrays = {f"base_{field}": getattr(base, field) for field in _CSR_FIELDS}
-        for prefix, overlay in (("in", self._in_overlay), ("out", self._out_overlay)):
-            if overlay is None:
-                lookup = np.full(self._n, -1, dtype=np.int64)
-                indptr = np.zeros(1, dtype=np.int64)
-                indices = np.zeros(0, dtype=np.int32)
-                probs = np.zeros(0, dtype=np.float64)
-            else:
-                lookup, indptr, indices, probs = overlay
-            arrays[f"ov_{prefix}_lookup"] = lookup
-            arrays[f"ov_{prefix}_indptr"] = indptr
-            arrays[f"ov_{prefix}_indices"] = indices
-            arrays[f"ov_{prefix}_probs"] = probs
-        shm, layout = _export_block(arrays)
-        spec = {
-            "kind": "versioned",
-            "name": shm.name,
-            "num_nodes": self._n,
-            "num_edges": self._num_edges,
-            "base_num_edges": base.num_edges,
-            "version": self.version,
-            "arrays": layout,
-        }
-        return SharedGraphHandle(shm, spec)
-
-    @classmethod
-    def from_shared(cls, spec: Dict[str, Any]) -> "VersionedGraph":
-        """Attach to a block exported by :meth:`to_shared` (read-only)."""
-        from multiprocessing import shared_memory
-
-        if spec.get("kind") != "versioned":
-            raise ValueError("spec does not describe a versioned graph block")
-        shm = shared_memory.SharedMemory(name=spec["name"], create=False)
-        views = _attach_views(shm.buf, spec["arrays"])
-        base = object.__new__(DirectedGraph)
-        base._n = int(spec["num_nodes"])
-        base._m = int(spec["base_num_edges"])
-        for field in _CSR_FIELDS:
-            setattr(base, field, views[f"base_{field}"])
-        base._in_prob_sums = None
-        base._shm = None  # the VersionedGraph owns the mapping
-
-        graph = object.__new__(cls)
-        graph._base = base
-        graph._n = int(spec["num_nodes"])
-        graph._num_edges = int(spec["num_edges"])
-        graph.version = int(spec["version"])
-        graph._patched_in = {}
-        graph._patched_out = {}
-        graph._in_overlay = None
-        graph._out_overlay = None
-        for prefix in ("in", "out"):
-            lookup = views[f"ov_{prefix}_lookup"]
-            rows = np.flatnonzero(lookup >= 0)
-            if rows.size == 0:
-                continue
-            overlay = (
-                lookup,
-                views[f"ov_{prefix}_indptr"],
-                views[f"ov_{prefix}_indices"],
-                views[f"ov_{prefix}_probs"],
-            )
-            patched = {}
-            indptr = overlay[1]
-            for v in rows:
-                row = int(lookup[v])
-                start, stop = indptr[row], indptr[row + 1]
-                patched[int(v)] = (overlay[2][start:stop], overlay[3][start:stop])
-            if prefix == "in":
-                graph._in_overlay = overlay
-                graph._patched_in = patched
-            else:
-                graph._out_overlay = overlay
-                graph._patched_out = patched
-        graph._in_prob_sums = None
-        graph._shm = shm
-        return graph
+        """A plain :class:`DirectedGraph` over the current arrays (no copy)."""
+        return DirectedGraph._over({field: getattr(self, field) for field in _CSR_FIELDS})
 
     def __repr__(self) -> str:
-        return (
-            f"VersionedGraph(n={self._n}, m={self._num_edges}, "
-            f"version={self.version}, patched_rows={self.num_patched_rows})"
-        )
-
-    def __hash__(self) -> int:
-        return id(self)
-
-
-def attach_shared(spec: Dict[str, Any]):
-    """Attach to any exported graph block, plain CSR or versioned.
-
-    Dispatches on ``spec["kind"]`` so worker initializers need not know
-    which graph flavor the master broadcast.
-    """
-    if spec.get("kind") == "versioned":
-        return VersionedGraph.from_shared(spec)
-    return DirectedGraph.from_shared(spec)
+        return f"VersionedGraph(n={self._n}, m={self._m}, version={self.version})"

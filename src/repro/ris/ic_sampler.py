@@ -44,26 +44,14 @@ def _grow(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
 class ICReverseBFSSampler(RRSampler):
     """Stochastic reverse BFS sampler for the IC model.
 
-    Works on plain CSR graphs and on versioned graphs: traversal arrays
-    come from ``graph.in_csr()``, and when an overlay is present each
-    wave resolves patched in-rows through it.  The coins of a wave are
-    mapped to edges in frontier order with each row's order preserved,
-    so the RNG stream matches a plain sampler on the compacted graph.
+    The coins of a wave are mapped to in-edges in frontier order, each
+    row's order preserved.
     """
 
     def __init__(self, graph: DirectedGraph) -> None:
         super().__init__(graph)
-        self._indptr, self._indices, self._probs, overlay = graph.in_csr()
-        if overlay is None:
-            self._ov_lookup = None
-            self._ov_indptr = self._ov_indices = self._ov_probs = None
-        else:
-            (
-                self._ov_lookup,
-                self._ov_indptr,
-                self._ov_indices,
-                self._ov_probs,
-            ) = overlay
+        self._indptr, self._indices = graph.in_indptr, graph.in_indices
+        self._probs = graph.in_probs
         self._visited = np.zeros(graph.num_nodes, dtype=bool)
         # True while a draw is in flight; a draw that raised mid-BFS leaves
         # it set, and the next draw hard-resets the scratch bitmap instead
@@ -72,7 +60,6 @@ class ICReverseBFSSampler(RRSampler):
         # Lazy plain-Python indptr copy for sample_batch's single-node
         # frontier fast path (list scalar reads beat numpy scalar reads).
         self._indptr_list: list[int] | None = None
-        self._ov_lists: tuple | None = None
 
     def _reset_scratch(self) -> None:
         if self._scratch_dirty:
@@ -80,39 +67,16 @@ class ICReverseBFSSampler(RRSampler):
         self._scratch_dirty = True
 
     def _frontier_rows(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(probs, indices)`` of the frontier's in-edges, frontier order.
-
-        Clean frontiers (no patched row) keep the one-shot vectorised
-        gather over the base CSR; a frontier containing patched rows is
-        assembled row-by-row so overlay rows substitute their base rows
-        in place, preserving the coin-to-edge order.
-        """
-        lookup = self._ov_lookup
-        if lookup is None or not np.any(lookup[frontier] >= 0):
-            indptr = self._indptr
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            ends = counts.cumsum()
-            total = int(ends[-1])
-            if total == 0:
-                return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int32)
-            edge_idx = starts.repeat(counts) + (
-                np.arange(total) - (ends - counts).repeat(counts)
-            )
-            return self._probs[edge_idx], self._indices[edge_idx]
-        prob_parts = []
-        idx_parts = []
-        for node in frontier:
-            row = int(lookup[node])
-            if row >= 0:
-                start, stop = self._ov_indptr[row], self._ov_indptr[row + 1]
-                prob_parts.append(self._ov_probs[start:stop])
-                idx_parts.append(self._ov_indices[start:stop])
-            else:
-                start, stop = self._indptr[node], self._indptr[node + 1]
-                prob_parts.append(self._probs[start:stop])
-                idx_parts.append(self._indices[start:stop])
-        return np.concatenate(prob_parts), np.concatenate(idx_parts)
+        """``(probs, indices)`` of the frontier's in-edges, frontier order."""
+        indptr = self._indptr
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        if total == 0:
+            return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int32)
+        edge_idx = starts.repeat(counts) + (np.arange(total) - (ends - counts).repeat(counts))
+        return self._probs[edge_idx], self._indices[edge_idx]
 
     def sample(self, rng: np.random.Generator, root: int | None = None) -> RRSample:
         """Draw one RR set; ``root`` can be pinned for testing."""
@@ -165,14 +129,6 @@ class ICReverseBFSSampler(RRSampler):
         if self._indptr_list is None:
             self._indptr_list = self._indptr.tolist()
         indptr_l = self._indptr_list
-        if self._ov_lookup is not None and self._ov_lists is None:
-            self._ov_lists = (self._ov_lookup.tolist(), self._ov_indptr.tolist())
-        if self._ov_lists is not None:
-            ov_lookup_l, ov_indptr_l = self._ov_lists
-            ov_indices, ov_probs = self._ov_indices, self._ov_probs
-        else:
-            ov_lookup_l = None
-            ov_indptr_l = ov_indices = ov_probs = None
         self._reset_scratch()
         visited = self._visited
         random = rng.random
@@ -200,17 +156,10 @@ class ICReverseBFSSampler(RRSampler):
             edges_examined = 0
             while True:
                 if single >= 0:
-                    if ov_lookup_l is not None and ov_lookup_l[single] >= 0:
-                        row = ov_lookup_l[single]
-                        start = ov_indptr_l[row]
-                        total = ov_indptr_l[row + 1] - start
-                        seg_probs = ov_probs[start : start + total]
-                        seg_indices = ov_indices[start : start + total]
-                    else:
-                        start = indptr_l[single]
-                        total = indptr_l[single + 1] - start
-                        seg_probs = probs[start : start + total]
-                        seg_indices = indices[start : start + total]
+                    start = indptr_l[single]
+                    total = indptr_l[single + 1] - start
+                    seg_probs = probs[start : start + total]
+                    seg_indices = indices[start : start + total]
                     edges_examined += total
                     if total == 0:
                         break

@@ -26,34 +26,12 @@ __all__ = ["LTReverseWalkSampler"]
 
 
 class LTReverseWalkSampler(RRSampler):
-    """Reverse random-walk sampler for the LT model.
-
-    Traversal arrays come from ``graph.in_csr()``; when an overlay is
-    present (a :class:`~repro.graphs.digraph.VersionedGraph`) each step
-    resolves the current node's row through it, with a second prefix-sum
-    table over the overlay's probabilities for the non-uniform branch.
-    Note the compaction caveat: the uniform (weighted-cascade) branch
-    draws from the row's *degree* alone and matches the compacted graph
-    bit-for-bit, while the non-uniform branch accumulates a global float
-    prefix sum whose rounding can differ between overlay and compacted
-    layouts — equivalence there is distributional, not bitwise.
-    """
+    """Reverse random-walk sampler for the LT model."""
 
     def __init__(self, graph: DirectedGraph) -> None:
         super().__init__(graph)
-        self._indptr, self._indices, self._in_probs, overlay = graph.in_csr()
-        if overlay is None:
-            self._ov_lookup = None
-            self._ov_indptr = self._ov_indices = self._ov_probs = None
-            self._ov_prefix = None
-        else:
-            (
-                self._ov_lookup,
-                self._ov_indptr,
-                self._ov_indices,
-                self._ov_probs,
-            ) = overlay
-            self._ov_prefix = np.concatenate(([0.0], np.cumsum(self._ov_probs)))
+        self._indptr, self._indices = graph.in_indptr, graph.in_indices
+        self._in_probs = graph.in_probs
         # Prefix sums of in-probabilities let each walk step pick its
         # in-edge with a single binary search instead of a per-edge scan.
         self._prefix = np.concatenate(([0.0], np.cumsum(self._in_probs)))
@@ -65,11 +43,6 @@ class LTReverseWalkSampler(RRSampler):
         # same probability, the step distribution is "stop with 1 - sum,
         # else uniform neighbor", which avoids the binary search.
         self._uniform = uniform_rows(self._indptr, self._in_probs)
-        if self._ov_lookup is not None:
-            patched = np.flatnonzero(self._ov_lookup >= 0)
-            self._uniform[patched] = uniform_rows(self._ov_indptr, self._ov_probs)[
-                self._ov_lookup[patched]
-            ]
         # Plain-Python copies of the walk's lookup tables, built lazily by
         # sample_batch: scalar indexing into lists is several times faster
         # than numpy scalar indexing, and the walk is all scalar reads.
@@ -77,22 +50,12 @@ class LTReverseWalkSampler(RRSampler):
 
     def _batch_tables(self) -> tuple:
         if self._list_tables is None:
-            if self._ov_lookup is None:
-                overlay_lists = None
-            else:
-                overlay_lists = (
-                    self._ov_lookup.tolist(),
-                    self._ov_indptr.tolist(),
-                    self._ov_indices.tolist(),
-                    self._ov_prefix.tolist(),
-                )
             self._list_tables = (
                 self._indptr.tolist(),
                 self._indices.tolist(),
                 self._prefix.tolist(),
                 self._uniform.tolist(),
                 self._sums.tolist(),
-                overlay_lists,
             )
         return self._list_tables
 
@@ -100,7 +63,6 @@ class LTReverseWalkSampler(RRSampler):
         """Draw one RR set; ``root`` can be pinned for testing."""
         indptr, indices = self._indptr, self._indices
         prefix = self._prefix
-        ov_lookup = self._ov_lookup
         if root is None:
             root = self.sample_root(rng)
 
@@ -115,14 +77,7 @@ class LTReverseWalkSampler(RRSampler):
         buffer = rng.random(64)
         cursor = 0
         while True:
-            row = int(ov_lookup[current]) if ov_lookup is not None else -1
-            if row >= 0:
-                start = int(self._ov_indptr[row])
-                stop = int(self._ov_indptr[row + 1])
-                step_prefix, step_indices = self._ov_prefix, self._ov_indices
-            else:
-                start, stop = int(indptr[current]), int(indptr[current + 1])
-                step_prefix, step_indices = prefix, indices
+            start, stop = int(indptr[current]), int(indptr[current + 1])
             degree = stop - start
             edges_examined += degree
             if degree == 0:
@@ -141,14 +96,14 @@ class LTReverseWalkSampler(RRSampler):
                 edge = start + int(buffer[cursor] * degree)
                 cursor += 1
             else:
-                threshold = step_prefix[start] + buffer[cursor]
+                threshold = prefix[start] + buffer[cursor]
                 cursor += 1
                 # First in-edge whose cumulative probability reaches the
                 # draw; a draw beyond the node's incoming mass means stop.
-                edge = int(np.searchsorted(step_prefix, threshold, side="left")) - 1
+                edge = int(np.searchsorted(prefix, threshold, side="left")) - 1
                 if edge >= stop or edge < start:
                     break
-            nxt = int(step_indices[edge])
+            nxt = int(indices[edge])
             if nxt in visited:
                 break
             visited.add(nxt)
@@ -172,12 +127,7 @@ class LTReverseWalkSampler(RRSampler):
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         n = self.graph.num_nodes
-        indptr, indices, prefix, uniform, sums, overlay_lists = self._batch_tables()
-        if overlay_lists is not None:
-            ov_lookup, ov_indptr, ov_indices, ov_prefix = overlay_lists
-        else:
-            ov_lookup = None
-            ov_indptr = ov_indices = ov_prefix = None
+        indptr, indices, prefix, uniform, sums = self._batch_tables()
 
         parts: list[np.ndarray] = []
         roots: list[int] = []
@@ -195,15 +145,8 @@ class LTReverseWalkSampler(RRSampler):
             buffer = random(64).tolist()
             cursor = 0
             while True:
-                row = ov_lookup[current] if ov_lookup is not None else -1
-                if row >= 0:
-                    start = ov_indptr[row]
-                    stop = ov_indptr[row + 1]
-                    step_prefix, step_indices = ov_prefix, ov_indices
-                else:
-                    start = indptr[current]
-                    stop = indptr[current + 1]
-                    step_prefix, step_indices = prefix, indices
+                start = indptr[current]
+                stop = indptr[current + 1]
                 degree = stop - start
                 edges_examined += degree
                 if degree == 0:
@@ -221,12 +164,12 @@ class LTReverseWalkSampler(RRSampler):
                     edge = start + int(buffer[cursor] * degree)
                     cursor += 1
                 else:
-                    threshold = step_prefix[start] + buffer[cursor]
+                    threshold = prefix[start] + buffer[cursor]
                     cursor += 1
-                    edge = bisect_left(step_prefix, threshold) - 1
+                    edge = bisect_left(prefix, threshold) - 1
                     if edge >= stop or edge < start:
                         break
-                nxt = step_indices[edge]
+                nxt = indices[edge]
                 if nxt in visited:
                     break
                 visited.add(nxt)

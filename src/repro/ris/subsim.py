@@ -41,35 +41,13 @@ def _row_tables(indptr: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 class SubsimSampler(RRSampler):
-    """Geometric-jump (subset sampling) RR sampler for the IC model.
-
-    Traversal arrays come from ``graph.in_csr()``; when an overlay is
-    present (a :class:`~repro.graphs.digraph.VersionedGraph`) the
-    geometric jumps walk the *effective* row of each node, so the draw
-    sequence matches a plain sampler on the compacted graph.
-    """
+    """Geometric-jump (subset sampling) RR sampler for the IC model."""
 
     def __init__(self, graph: DirectedGraph) -> None:
         super().__init__(graph)
-        self._indptr, self._indices, self._probs, overlay = graph.in_csr()
-        if overlay is None:
-            self._ov_lookup = None
-            self._ov_indptr = self._ov_indices = self._ov_probs = None
-        else:
-            (
-                self._ov_lookup,
-                self._ov_indptr,
-                self._ov_indices,
-                self._ov_probs,
-            ) = overlay
+        self._indptr, self._indices = graph.in_indptr, graph.in_indices
+        self._probs = graph.in_probs
         self._p_max, self._uniform = _row_tables(self._indptr, self._probs)
-        if self._ov_lookup is not None:
-            # Patched rows override whatever the base said about them.
-            patched = np.flatnonzero(self._ov_lookup >= 0)
-            rows = self._ov_lookup[patched]
-            ov_p_max, ov_uniform = _row_tables(self._ov_indptr, self._ov_probs)
-            self._p_max[patched] = ov_p_max[rows]
-            self._uniform[patched] = ov_uniform[rows]
         self._visited = np.zeros(graph.num_nodes, dtype=bool)
         # True while a draw is in flight; left set by a draw that raised,
         # which makes the next draw hard-reset the scratch bitmap.
@@ -81,13 +59,7 @@ class SubsimSampler(RRSampler):
         self._scratch_dirty = True
 
     def _row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Effective in-row ``(indices, probs)`` of ``node``."""
-        lookup = self._ov_lookup
-        if lookup is not None:
-            row = int(lookup[node])
-            if row >= 0:
-                start, stop = self._ov_indptr[row], self._ov_indptr[row + 1]
-                return self._ov_indices[start:stop], self._ov_probs[start:stop]
+        """In-row ``(indices, probs)`` of ``node``."""
         start, stop = self._indptr[node], self._indptr[node + 1]
         return self._indices[start:stop], self._probs[start:stop]
 

@@ -52,14 +52,12 @@ and :meth:`~_BlockedFrontierSampler.sample_batch` — and
   ``v`` at most once.
 
 So a set's bytes are a pure function of its key and the graph's
-effective in-rows: independent of the block width, of which other sets
-share its block, and of the row layout — coins are keyed by an edge's
-*rank* in its row, never its storage offset, so a
-:class:`~repro.graphs.digraph.VersionedGraph`'s overlay rows draw what
-``compact()`` draws.  Pools serve prefixes and repairs redraw any subset
-without moving a byte.  ``sample_batch(rng, count) ==
-pack_samples(sample_many(count, rng))``: set ``j`` is keyed by the
-``j``-th 64-bit word of ``rng`` either way.
+in-rows: independent of the block width, of which other sets share its
+block, and of where a row is stored — coins are keyed by an edge's
+*rank* in its row, never its storage offset.  Pools serve prefixes and
+repairs redraw any subset without moving a byte.  ``sample_batch(rng,
+count) == pack_samples(sample_many(count, rng))``: set ``j`` is keyed by
+the ``j``-th 64-bit word of ``rng`` either way.
 
 ``_mix`` is two multiplies around one xorshift; the chi-square gates in
 ``tests/ris/test_coordinates.py`` hold it (and the set keys) to
@@ -210,27 +208,14 @@ def _row_tables(graph: DirectedGraph):
     """Per-node in-row tables over the in-edge arrays.
 
     Returns ``(starts, counts, indices, probs, uniform)``: node ``v``'s
-    effective in-row is ``indices[starts[v] : starts[v] + counts[v]]``.
-    A plain CSR's starts are its indptr; a VersionedGraph's point patched
-    nodes at their overlay rows, appended after the base arrays.
+    in-row is ``indices[starts[v] : starts[v] + counts[v]]``, and
     ``uniform[v]`` is whether the row is non-empty with one probability.
     """
-    indptr, indices, probs, overlay = graph.in_csr()
+    indptr, indices, probs = graph.in_indptr, graph.in_indices, graph.in_probs
     # int64 whatever the CSR's dtype: the waves view offsets as uint64.
     starts = indptr[:-1].astype(np.int64, copy=False)
     counts = np.diff(indptr).astype(np.int64, copy=False)
-    uniform = uniform_rows(indptr, probs)
-    if overlay is not None:
-        lookup, ov_indptr, ov_indices, ov_probs = overlay
-        patched = np.flatnonzero(lookup >= 0)
-        rows = lookup[patched]
-        starts = starts.copy()
-        starts[patched] = indices.size + ov_indptr[rows]
-        counts[patched] = np.diff(ov_indptr)[rows]
-        uniform[patched] = uniform_rows(ov_indptr, ov_probs)[rows]
-        indices = np.concatenate((indices, ov_indices))
-        probs = np.concatenate((probs, ov_probs))
-    return starts, counts, indices, probs, uniform
+    return starts, counts, indices, probs, uniform_rows(indptr, probs)
 
 
 class _BlockedFrontierSampler(RRSampler):
@@ -513,9 +498,7 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
     All walks of a block advance one step per iteration: in-row gathers,
     keyed stop/pick decisions and revisit checks are single array
     operations over the still-active walks (module docstring, "RNG
-    contract").  Rows resolve through the per-node tables, so a
-    :class:`~repro.graphs.digraph.VersionedGraph`'s overlay is read in
-    place.
+    contract").
     """
 
     def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:

@@ -10,9 +10,8 @@ One request per line, one JSON reply per line:
   [[u, v], ...], ...}`` — any :meth:`GraphDelta.from_json
   <repro.graphs.digraph.GraphDelta.from_json>` field; lands the delta on
   a ``dynamic=True`` service's graph, repairs the resident pools in
-  place, and replies with the new graph version and repair counts.
-* ``{"op": "compact"}`` — fold the dynamic graph's overlay into a fresh
-  base CSR.
+  place, and replies with the new graph version and repair counts.  A
+  delta a resident pool's model cannot sample is refused unapplied.
 * ``{"op": "ping"}`` — liveness check.
 
 Queries run in worker threads (``asyncio.to_thread``), so slow cold
@@ -197,9 +196,6 @@ class ServingFrontend:
                 delta = GraphDelta.from_json(req)
                 summary = await asyncio.to_thread(self.service.apply_update, delta)
                 return {"ok": True, "op": "update", **summary}
-            if op == "compact":
-                summary = await asyncio.to_thread(self.service.compact)
-                return {"ok": True, "op": "compact", **summary}
             raise ValueError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 — every error becomes a reply
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}

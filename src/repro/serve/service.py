@@ -197,9 +197,9 @@ class InfluenceService:
         self.seed = seed
         self.model = model
         self.dynamic = dynamic
-        #: Number of graph mutations served so far: bumped by every
-        #: :meth:`apply_update` and :meth:`compact`, exposed over
-        #: ``stats`` and in update replies.
+        #: Number of graph updates served so far: bumped by every
+        #: :meth:`apply_update`, exposed over ``stats`` and in update
+        #: replies.
         self.graph_version = 0
         self._executor_kwargs = dict(executor=as_spec(executor), network=network)
         self._pools: Dict[Tuple, SamplePool] = {}
@@ -343,7 +343,10 @@ class InfluenceService:
         to the shared :class:`~repro.graphs.digraph.VersionedGraph`
         once, repairs each pool's collections in place, evicts the cache
         entries of pools whose contents were rewritten, and bumps
-        :attr:`graph_version`.  Returns a JSON-safe summary: the new
+        :attr:`graph_version`.  A delta some resident pool's model cannot
+        sample (:meth:`SamplePool.check_graph
+        <repro.core.pool.SamplePool.check_graph>`) is refused before
+        anything changes.  Returns a JSON-safe summary: the new
         graph version, how many RR sets each pool regenerated, and how
         many cache entries were evicted.
         """
@@ -356,10 +359,15 @@ class InfluenceService:
             if self._closed:
                 raise RuntimeError("service is closed")
             pools = dict(self._pools)
+
+        def validate(candidate: DirectedGraph) -> None:
+            for pool in pools.values():
+                pool.check_graph(candidate)
+
         with ExitStack() as stack:
             for key in sorted(pools, key=repr):
                 stack.enter_context(pools[key].lock)
-            touched = self.graph.apply(delta)
+            touched = self.graph.apply(delta, validate=validate)
             repaired = {
                 key: pool.repair(touched) for key, pool in pools.items()
             }
@@ -384,30 +392,6 @@ class InfluenceService:
             },
             "evicted": len(evicted),
         }
-
-    def compact(self) -> Dict:
-        """Fold the overlay into a fresh base CSR and refresh every pool.
-
-        Rebasing preserves every in-row element-for-element, so resident
-        collections — and cached results — stay valid; only the pools'
-        traversal tables and worker broadcasts are rebuilt.
-        """
-        if not self.dynamic:
-            raise RuntimeError("this service is static; nothing to compact")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            pools = dict(self._pools)
-        with ExitStack() as stack:
-            for key in sorted(pools, key=repr):
-                stack.enter_context(pools[key].lock)
-            self.graph.rebase()
-            for pool in pools.values():
-                pool.executor.refresh_graph()
-            with self._lock:
-                self.graph_version += 1
-                version = self.graph_version
-        return {"graph_version": version, "num_edges": self.graph.num_edges}
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle

@@ -1,4 +1,4 @@
-"""VersionedGraph / GraphDelta: overlay semantics, compaction, sharing."""
+"""VersionedGraph / GraphDelta: update semantics, compaction, sharing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.graphs import (
     DirectedGraph,
     GraphDelta,
     VersionedGraph,
-    attach_shared,
     erdos_renyi,
     weighted_cascade,
 )
@@ -15,6 +14,13 @@ from repro.graphs import (
 
 def versioned(graph) -> VersionedGraph:
     return VersionedGraph(DirectedGraph(graph.num_nodes, *graph.edge_arrays()))
+
+
+def rebuilt(graph) -> DirectedGraph:
+    """``graph`` through the DirectedGraph constructor, its edges listed in
+    in-row order: the constructor's stable sort reproduces every in-row."""
+    targets = np.repeat(np.arange(graph.num_nodes), graph.in_degrees())
+    return DirectedGraph(graph.num_nodes, graph.in_indices, targets, graph.in_probs)
 
 
 def in_rows_equal(a, b) -> bool:
@@ -27,6 +33,9 @@ def in_rows_equal(a, b) -> bool:
         if not np.array_equal(a.in_probabilities(v), b.in_probabilities(v)):
             return False
     return True
+
+
+FIELDS = ("out_indptr", "out_indices", "out_probs", "in_indptr", "in_indices", "in_probs")
 
 
 def edge_triples(graph):
@@ -84,10 +93,13 @@ class TestApply:
         assert np.all(np.diff(touched) > 0)
         owners = {1, 11, edges[5][1]} | {v for _, v in edges[:3]}
         assert set(int(t) for t in touched) == owners
-        # The effective structure equals a graph built from the new edges.
-        direct = DirectedGraph(graph.num_nodes, *graph.edge_arrays())
-        assert in_rows_equal(graph.compact(), direct)
+        # The updated structure equals a graph built from the new edges.
+        direct = rebuilt(graph)
+        assert in_rows_equal(graph, direct)
         assert edge_triples(graph) == edge_triples(direct)
+        assert edge_triples(DirectedGraph(graph.num_nodes, *graph.edge_arrays())) == (
+            edge_triples(direct)
+        )
 
     def test_remove_node_isolates(self, small_wc_graph):
         graph = versioned(small_wc_graph)
@@ -139,7 +151,7 @@ class TestApply:
                 remove_nodes=[7],
             )
         )
-        compacted = graph.compact()
+        compacted = rebuilt(graph)
         assert graph.num_edges == compacted.num_edges
         assert np.array_equal(graph.in_degrees(), compacted.in_degrees())
         assert np.array_equal(graph.out_degrees(), compacted.out_degrees())
@@ -166,34 +178,61 @@ class TestApply:
         assert not graph.has_edge(0, 1)
         assert graph.num_edges == 1
 
+    def test_node_removal_drops_edges_the_same_delta_adds(self):
+        graph = VersionedGraph(DirectedGraph(4, [0, 1, 2], [1, 2, 3], [0.5] * 3))
+        touched = graph.apply(
+            GraphDelta(remove_nodes=[0], add_edges=[(0, 3, 0.4), (2, 0, 0.3)])
+        )
+        direct = DirectedGraph(4, [1, 2], [2, 3], [0.5, 0.5])
+        assert graph.num_edges == direct.num_edges == 2
+        assert graph.in_degrees().sum() == graph.out_degrees().sum() == 2
+        assert in_rows_equal(graph, direct)
+        for u in range(4):
+            assert sorted(graph.out_neighbors(u)) == sorted(direct.out_neighbors(u))
+        assert graph.out_neighbors(0).size == graph.in_neighbors(0).size == 0
+        assert list(touched) == [0, 1]
+
+    def test_refused_candidate_changes_nothing(self, small_wc_graph):
+        graph = versioned(small_wc_graph)
+        held = [getattr(graph, field) for field in FIELDS]
+
+        def refuse(candidate):
+            assert candidate.num_edges == graph.num_edges + 1
+            raise ValueError("refused")
+
+        with pytest.raises(ValueError, match="refused"):
+            graph.apply(GraphDelta(add_edges=[(0, 1, 0.5)]), validate=refuse)
+        assert graph.version == 0
+        assert all(getattr(graph, field) is a for field, a in zip(FIELDS, held))
+
+    def test_update_never_writes_an_existing_array(self, small_wc_graph):
+        graph = versioned(small_wc_graph)
+        before = {field: getattr(graph, field).copy() for field in FIELDS}
+        held = {field: getattr(graph, field) for field in FIELDS}
+        edges = [(u, v) for u, v, _ in small_wc_graph.edges()]
+        graph.apply(GraphDelta(remove_edges=edges[:5], add_edges=[(3, 9, 0.2)], add_nodes=2))
+        for field in FIELDS:
+            assert np.array_equal(held[field], before[field])
+        assert graph.in_indptr.size == small_wc_graph.num_nodes + 3
+
 
 class TestCompactAndRebase:
     def test_identity_compaction(self, small_wc_graph):
         graph = versioned(small_wc_graph)
         assert in_rows_equal(graph.compact(), small_wc_graph)
 
-    def test_rebase_clears_overlay(self, small_wc_graph):
-        graph = versioned(small_wc_graph)
-        edges = [(u, v) for u, v, _ in small_wc_graph.edges()]
-        graph.apply(GraphDelta(remove_edges=edges[:2], add_edges=[(1, 3, 0.6)]))
-        assert graph.num_patched_rows > 0
-        triples = edge_triples(graph)
-        graph.rebase()
-        assert graph.num_patched_rows == 0
-        assert edge_triples(graph) == triples
-        # in_csr now reports no overlay.
-        assert graph.in_csr()[3] is None
-
 
 class TestSharedMemory:
     def test_round_trip_preserves_overlay(self, small_wc_graph):
+        # An updated graph exports its current arrays; workers attach a
+        # plain graph holding the update.
         graph = versioned(small_wc_graph)
         edges = [(u, v) for u, v, _ in small_wc_graph.edges()]
         graph.apply(GraphDelta(remove_edges=edges[:3], add_edges=[(0, 2, 0.7)]))
         handle = graph.to_shared()
         try:
-            attached = attach_shared(handle.spec)
-            assert attached.version == graph.version
+            attached = DirectedGraph.from_shared(handle.spec)
+            assert type(attached) is DirectedGraph
             assert attached.num_edges == graph.num_edges
             assert in_rows_equal(attached, graph)
             del attached
@@ -203,7 +242,7 @@ class TestSharedMemory:
     def test_plain_graph_spec_still_attaches(self, small_wc_graph):
         handle = small_wc_graph.to_shared()
         try:
-            attached = attach_shared(handle.spec)
+            attached = DirectedGraph.from_shared(handle.spec)
             assert attached.num_edges == small_wc_graph.num_edges
             del attached
         finally:
@@ -214,6 +253,8 @@ class TestPerSetStreams:
     def test_wrapping_preserves_base_identity(self):
         base = weighted_cascade(erdos_renyi(50, 200, np.random.default_rng(0)))
         graph = VersionedGraph(base)
-        assert graph.base is base
+        # Wrapping copies nothing: the first update splices fresh arrays.
+        assert graph.in_indices is base.in_indices and graph.out_probs is base.out_probs
+        assert isinstance(graph, DirectedGraph) and graph == base
         with pytest.raises(TypeError):
             VersionedGraph(graph)

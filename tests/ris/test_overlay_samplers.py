@@ -1,11 +1,13 @@
-"""Overlay traversal == compacted-graph traversal, bit for bit.
+"""Updated-graph traversal == rebuilt-graph traversal, bit for bit.
 
-The repair contract rests on one equivalence: a sampler walking a
-VersionedGraph (base CSR + overlay rows) must produce *exactly* the RR
-set that the same coordinates produce on the compacted graph.  The
-compaction order invariant (effective in-rows keep per-target order)
-and keying every coin by an edge's rank in its row, never its storage
-offset, make this exact, not just statistical.
+The repair contract rests on one equivalence: a sampler walking an
+updated VersionedGraph (its spliced CSR) must produce *exactly* the RR
+set that the same coordinates produce on the graph the DirectedGraph
+constructor builds from the same edges.  The row-order invariant
+(updated in-rows keep surviving entries in order, inserts appended) and
+keying every coin by an edge's rank in its row make this exact, not
+just statistical.  ``tests/graphs/test_versioned_property.py`` checks the
+same over random delta sequences.
 """
 
 import numpy as np
@@ -16,6 +18,12 @@ from repro.core.pool import SamplePool
 from repro.ris import SubsimSampler, VectorizedICSampler, VectorizedLTSampler, make_sampler
 from repro.ris.rrset import concat_batches, sample_set_range, set_keys
 from repro.ris.vectorized import _row_tables, _thresholds
+
+
+def rebuilt(graph):
+    """``graph`` through the constructor, edges listed in in-row order."""
+    targets = np.repeat(np.arange(graph.num_nodes), graph.in_degrees())
+    return DirectedGraph(graph.num_nodes, graph.in_indices, targets, graph.in_probs)
 
 
 def versioned_with_delta(graph, rng, lt_safe=False):
@@ -56,27 +64,27 @@ def batches_equal(a, b):
 )
 def test_overlay_matches_compacted(small_wc_graph, rng, model, method):
     graph = versioned_with_delta(small_wc_graph, rng, lt_safe=model == "lt")
-    compacted = graph.compact()
+    compacted = rebuilt(graph)
     if method == "subsim":
-        # The scalar SUBSIM reference walks effective rows too; it draws
+        # The scalar SUBSIM reference walks the updated rows too; it draws
         # from a generator, so the two streams start from equal ones.
-        overlay_sampler, compact_sampler = SubsimSampler(graph), SubsimSampler(compacted)
+        updated_sampler, compact_sampler = SubsimSampler(graph), SubsimSampler(compacted)
         for seed in (0, 2):
-            a = overlay_sampler.sample_batch(np.random.default_rng(seed), 60)
+            a = updated_sampler.sample_batch(np.random.default_rng(seed), 60)
             b = compact_sampler.sample_batch(np.random.default_rng(seed), 60)
             assert batches_equal(a, b)
         return
-    overlay_sampler = make_sampler(graph, model=model, method=method)
+    updated_sampler = make_sampler(graph, model=model, method=method)
     compact_sampler = make_sampler(compacted, model=model, method=method)
     for machine_id in (0, 2):
-        a = sample_set_range(overlay_sampler, seed=11, machine_id=machine_id, ids=range(60))
+        a = sample_set_range(updated_sampler, seed=11, machine_id=machine_id, ids=range(60))
         b = sample_set_range(compact_sampler, seed=11, machine_id=machine_id, ids=range(60))
         assert batches_equal(a, b)
 
 
 @pytest.mark.parametrize("model,method", [("ic", "bfs"), ("lt", "bfs")])
 def test_clean_wrapper_matches_plain_graph(small_wc_graph, model, method):
-    # An overlay-free VersionedGraph is transparent: same bytes as the base.
+    # A VersionedGraph no delta touched is transparent: same bytes as the base.
     graph = VersionedGraph(
         DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
     )
@@ -108,7 +116,7 @@ def test_removed_node_never_sampled(small_wc_graph, rng):
             assert int(batch.roots[i]) == victim and row.size == 1
 
 
-def overlay_after(graph, rng, kind):
+def updated_after(graph, rng, kind):
     wrapped = VersionedGraph(DirectedGraph(graph.num_nodes, *graph.edge_arrays()))
     triples = list(graph.edges())
     picks = [triples[int(i)] for i in rng.choice(len(triples), size=12, replace=False)]
@@ -138,13 +146,13 @@ def id_shapes(rng, block):
     return ([], [5], range(30, 80), scattered, shuffled, range(7, 7 + block + 1))
 
 
-def assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng):
-    """One blocked draw over base + overlay row tables == one key at a
-    time on the same overlay == the blocked draw on the compacted graph."""
-    for ids in id_shapes(rng, overlay_sampler.block_size):
-        blocked = sample_set_range(overlay_sampler, seed=11, machine_id=1, ids=ids)
+def assert_keyed_draws_agree(updated_sampler, compact_sampler, rng):
+    """One blocked draw over the updated graph's row tables == one key at
+    a time on the same graph == the blocked draw on the rebuilt graph."""
+    for ids in id_shapes(rng, updated_sampler.block_size):
+        blocked = sample_set_range(updated_sampler, seed=11, machine_id=1, ids=ids)
         one_key = concat_batches(
-            [overlay_sampler.sample_keys(set_keys(11, 1, [int(i)])) for i in ids]
+            [updated_sampler.sample_keys(set_keys(11, 1, [int(i)])) for i in ids]
         )
         compacted = sample_set_range(compact_sampler, seed=11, machine_id=1, ids=ids)
         assert blocked.count == len(ids)
@@ -156,18 +164,18 @@ def assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng):
 def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
     small_wc_graph, rng, kind
 ):
-    """The IC kernel on overlays, for every id shape (the "scalar loop"
+    """The IC kernel on updated graphs, for every id shape (the "scalar loop"
     is one key per call)."""
     if kind == "all-three":
         graph = versioned_with_delta(small_wc_graph, rng)
         graph.apply(GraphDelta(add_edges=[(3, 4, 0.5)], remove_nodes=[10]))  # stacked
     else:
-        graph = overlay_after(small_wc_graph, rng, kind)
-    assert graph.in_overlay is not None
-    overlay_sampler = make_sampler(graph, model="ic", method="bfs")
-    compact_sampler = make_sampler(graph.compact(), model="ic", method="bfs")
-    assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng)
-    if overlay_sampler._node_threshold is not None:
+        graph = updated_after(small_wc_graph, rng, kind)
+    assert graph.version > 0
+    updated_sampler = make_sampler(graph, model="ic", method="bfs")
+    compact_sampler = make_sampler(rebuilt(graph), model="ic", method="bfs")
+    assert_keyed_draws_agree(updated_sampler, compact_sampler, rng)
+    if updated_sampler._node_threshold is not None:
         # A threshold is a function of p alone: the per-edge path, forced
         # onto a graph the per-node path serves, flips the same coins.
         per_edge = make_sampler(graph, model="ic", method="bfs")
@@ -178,27 +186,27 @@ def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
 
 @pytest.mark.parametrize("kind", ["delete", "downweight", "stacked"])
 def test_blocked_lt_draw_on_overlay_equals_one_key_loop_and_compacted(small_wc_graph, rng, kind):
-    """The LT kernel reads overlay rows through its per-node tables:
+    """The LT kernel reads updated rows through its per-node tables:
     deleted rows, rows reweighted off the uniform path (running sums) and
     rows whose mass fell below one (the stop draw)."""
     if kind == "delete":
-        graph = overlay_after(small_wc_graph, rng, "delete")
+        graph = updated_after(small_wc_graph, rng, "delete")
     else:
         graph = versioned_with_delta(small_wc_graph, rng, lt_safe=True)
         if kind == "stacked":
             graph.apply(GraphDelta(remove_nodes=[10]))
-    assert graph.in_overlay is not None
-    overlay_sampler = make_sampler(graph, model="lt", method="bfs")
-    compact_sampler = make_sampler(graph.compact(), model="lt", method="bfs")
+    assert graph.version > 0
+    updated_sampler = make_sampler(graph, model="lt", method="bfs")
+    compact_sampler = make_sampler(rebuilt(graph), model="lt", method="bfs")
     if kind != "delete":
-        assert overlay_sampler._cumulative is not None and overlay_sampler._may_stop
-    assert_keyed_draws_agree(overlay_sampler, compact_sampler, rng)
+        assert updated_sampler._cumulative is not None and updated_sampler._may_stop
+    assert_keyed_draws_agree(updated_sampler, compact_sampler, rng)
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])
 def test_vectorized_on_overlay_is_the_bfs_kernel(small_wc_graph, rng, model):
     """``method="vectorized"`` is the same keyed kernel as ``"bfs"``, on
-    overlays too: same class, same bytes, same as the compacted graph."""
+    updated graphs too: same class, same bytes, same as the rebuilt graph."""
     graph = versioned_with_delta(small_wc_graph, rng, lt_safe=model == "lt")
     vectorized = make_sampler(graph, model=model, method="vectorized")
     bfs = make_sampler(graph, model=model, method="bfs")
@@ -208,7 +216,7 @@ def test_vectorized_on_overlay_is_the_bfs_kernel(small_wc_graph, rng, model):
     ids = [*range(40), 901, 77]
     draw = sample_set_range(vectorized, seed=3, machine_id=2, ids=ids)
     assert batches_equal(draw, sample_set_range(bfs, seed=3, machine_id=2, ids=ids))
-    compacted = make_sampler(graph.compact(), model=model, method="vectorized")
+    compacted = make_sampler(rebuilt(graph), model=model, method="vectorized")
     assert batches_equal(draw, sample_set_range(compacted, seed=3, machine_id=2, ids=ids))
 
 
@@ -232,7 +240,7 @@ def test_vectorized_pool_warm_equals_cold(small_wc_graph, model):
         )
         assert sum(repaired.values()) > 0
         with SamplePool(
-            warm.graph.compact(), machines=3, seed=4, model=model, method="bfs"
+            rebuilt(warm.graph), machines=3, seed=4, model=model, method="bfs"
         ) as cold:
             cold.ensure("main", [90, 60, 75])
             for a, b in zip(warm.stores("main"), cold.stores("main")):

@@ -23,15 +23,11 @@ from repro.ris import ICReverseBFSSampler, SubsimSampler
 
 def row_tables_by_loop(graph):
     """``(p_max, uniform)`` as the constructor's per-node loop computed
-    them before it was vectorised: effective in-row by effective in-row."""
-    indptr, _, probs, overlay = graph.in_csr()
+    them before it was vectorised: in-row by in-row."""
     p_max = np.zeros(graph.num_nodes)
     flags = np.zeros(graph.num_nodes, dtype=bool)
     for v in range(graph.num_nodes):
-        seg = probs[indptr[v] : indptr[v + 1]]
-        if overlay is not None and overlay[0][v] >= 0:
-            row = int(overlay[0][v])
-            seg = overlay[3][overlay[1][row] : overlay[1][row + 1]]
+        seg = graph.in_probabilities(v)
         if seg.size:
             p_max[v] = float(seg.max())
             flags[v] = bool(np.all(seg == seg.max()))
@@ -81,8 +77,9 @@ class TestRowTables:
         np.testing.assert_array_equal(sampler._uniform, flags)
         assert sampler._p_max[emptied] == 0.0 and not sampler._uniform[emptied]
         assert sampler._p_max[bare] == 0.5 and not sampler._uniform[bare]
-        # ... and the overlay tables are the compacted graph's.
-        compact = SubsimSampler(graph.compact())
+        # ... and the tables are those of the graph the constructor builds.
+        targets = np.repeat(np.arange(graph.num_nodes), graph.in_degrees())
+        compact = SubsimSampler(DirectedGraph(120, graph.in_indices, targets, graph.in_probs))
         np.testing.assert_array_equal(sampler._p_max, compact._p_max)
         np.testing.assert_array_equal(sampler._uniform, compact._uniform)
 

@@ -1,8 +1,9 @@
-"""Dynamic serving: apply_update / compact end to end, graph_version,
-selective cache eviction, and the frontend update ops."""
+"""Dynamic serving: apply_update end to end, refused updates,
+graph_version, selective cache eviction, and the frontend update op."""
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
@@ -57,11 +58,11 @@ class TestGraphVersion:
         assert dynamic_service.describe()["graph_version"] == 0
         assert dynamic_service.describe()["dynamic"] is True
 
-    def test_increments_on_update_and_compact(self, dynamic_service, small_wc_graph):
+    def test_increments_on_every_update(self, dynamic_service, small_wc_graph):
         summary = dynamic_service.apply_update(make_delta(small_wc_graph))
         assert summary["graph_version"] == 1
         assert dynamic_service.describe()["graph_version"] == 1
-        summary = dynamic_service.compact()
+        summary = dynamic_service.apply_update(GraphDelta(add_edges=[(5, 6, 0.1)]))
         assert summary["graph_version"] == 2
         assert dynamic_service.describe()["graph_version"] == 2
 
@@ -114,14 +115,6 @@ class TestDifferential:
             assert w.seeds == c.seeds
             assert w.objective == pytest.approx(c.objective)
 
-    def test_compact_preserves_answers(self, dynamic_service, small_wc_graph):
-        dynamic_service.apply_update(make_delta(small_wc_graph))
-        before = dynamic_service.query(Query(kind="diimm", k=4))
-        dynamic_service.compact()
-        after = dynamic_service.query(Query(kind="diimm", k=4))
-        assert before.seeds == after.seeds
-        assert before.num_rr_sets == after.num_rr_sets
-
 
 class TestCacheEviction:
     def test_update_evicts_only_rewritten_pools(self, dynamic_service, small_wc_graph):
@@ -156,8 +149,50 @@ class TestRefusals:
         with InfluenceService(small_wc_graph, machines=MACHINES, seed=SEED) as svc:
             with pytest.raises(RuntimeError, match="dynamic=True"):
                 svc.apply_update(GraphDelta(add_edges=[(0, 1, 0.5)]))
-            with pytest.raises(RuntimeError, match="static"):
-                svc.compact()
+
+    def test_unsamplable_update_changes_nothing(self, small_wc_graph):
+        """An LT service on weighted-cascade weights (every in-row sums to
+        one) refuses an edge insert before the graph, pools, cache or
+        graph_version move."""
+        with InfluenceService(
+            fresh_graph(small_wc_graph), machines=MACHINES, seed=SEED, model="lt",
+            dynamic=True,
+        ) as svc:
+            query = Query(kind="diimm", k=3)
+            first = svc.query(query)
+            graph = svc.graph
+            arrays = (graph.in_indices, graph.in_probs, graph.out_indices)
+            pools = dict(svc._pools)
+            contents = {
+                (name, key): [(s.nodes.copy(), s.offsets.copy()) for s in pool.stores(key)]
+                for name, pool in pools.items()
+                for key in pool.sizes()
+            }
+            assert contents
+            u, v = next(
+                (u, v)
+                for u in range(graph.num_nodes)
+                for v in range(graph.num_nodes)
+                if u != v and graph.in_degree(v) and not graph.has_edge(u, v)
+            )
+            with pytest.raises(ValueError, match="LT model requires"):
+                svc.apply_update(GraphDelta(add_edges=[(u, v, 0.5)]))
+            assert graph.version == 0 and svc.graph_version == 0
+            now = (graph.in_indices, graph.in_probs, graph.out_indices)
+            assert all(a is b for a, b in zip(now, arrays))
+            assert not graph.has_edge(u, v)
+            assert svc._pools == pools and all(pool.updates == 0 for pool in pools.values())
+            for (name, key), before in contents.items():
+                for store, (nodes, offsets) in zip(pools[name].stores(key), before):
+                    assert np.array_equal(store.nodes, nodes)
+                    assert np.array_equal(store.offsets, offsets)
+            hits = svc.stats.cache_hits
+            assert svc.query(query).seeds == first.seeds
+            assert svc.stats.cache_hits == hits + 1
+            # A feasible update still lands afterwards.
+            x = int(graph.in_neighbors(v)[0])
+            dimmed = GraphDelta(reweight_edges=[(x, v, graph.edge_probability(x, v) / 2)])
+            assert svc.apply_update(dimmed)["graph_version"] == 1
 
     def test_closed_service_refuses_updates(self, small_wc_graph):
         svc = InfluenceService(
@@ -201,7 +236,8 @@ class TestFrontendOps:
             cold = fresh.query(Query(kind="diimm", k=4))
         assert second["seeds"] == cold.seeds
 
-    def test_compact_op(self, dynamic_service, small_wc_graph):
+    def test_folding_op_compact_is_unknown(self, dynamic_service, small_wc_graph):
+        # An update already leaves one current CSR; there is nothing to fold.
         async def go(port):
             await asyncio.to_thread(
                 request, port, {"op": "update", **make_delta(small_wc_graph).to_json()}
@@ -209,9 +245,8 @@ class TestFrontendOps:
             return await asyncio.to_thread(request, port, {"op": "compact"})
 
         reply = run_frontend(dynamic_service, go)
-        assert reply["ok"] and reply["op"] == "compact"
-        assert reply["graph_version"] == 2
-        assert reply["num_edges"] == dynamic_service.graph.num_edges
+        assert not reply["ok"] and "unknown op" in reply["error"]
+        assert dynamic_service.graph_version == 1
 
     def test_update_on_static_service_is_error_reply(self, small_wc_graph):
         with InfluenceService(small_wc_graph, machines=MACHINES, seed=SEED) as svc:
