@@ -1,12 +1,16 @@
 """Graph-update throughput: incremental RR-set repair vs full recompute.
 
 A warm per-set :class:`~repro.core.pool.SamplePool` over the
-LiveJournal stand-in absorbs a stream of mixed edge batches
-(insert + delete + reweight).  Each update is answered two ways:
+LiveJournal stand-in (the facebook one under ``REPRO_QUICK``) absorbs a
+stream of mixed edge batches (insert + delete + reweight).  Each update
+is answered two ways:
 
 ``dynamic``
-    :meth:`SamplePool.apply_update` — redraw only the RR sets whose
-    reverse traversal consulted a changed in-row, splice them in place.
+    :meth:`SamplePool.apply_update` — re-examine the RR sets whose
+    reverse traversal consulted a changed in-row, replay each one's
+    touched rows on the samplers before and after the update, and
+    redraw and splice in place only the sets where a row's outcome
+    changed; the rest keep their bytes.
 
 ``static``
     Full recompute — regenerate every resident RR set on the updated
@@ -14,10 +18,12 @@ LiveJournal stand-in absorbs a stream of mixed edge batches
 
 The runner differentially checks both paths produce bit-identical
 collections before timing is trusted, so the speedup measures identical
-work.  Affected sets are size-biased (a big RR set is more likely to
-contain any touched node), so per-update speedups vary with which rows
-an update lands on; the CI regression gate is therefore on the
-**median** over the stream, which must stay at least **3x**.
+work.  ``sets_repaired`` counts the re-examined sets.  Re-examined sets
+are size-biased (a big RR set is more likely to contain any touched
+node), and the few that are redrawn take a wave per level of their
+reverse BFS, so per-update speedups vary with which rows an update
+lands on; the CI regression gate is therefore on the **median** over the
+stream, which must stay at least **3x**.
 """
 
 import statistics

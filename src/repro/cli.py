@@ -538,7 +538,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
             return 1
         print(
             f"graph v{reply['graph_version']}: {reply['num_changes']} changes, "
-            f"repaired {reply['repaired']}, evicted {reply['evicted']} cached results"
+            f"repaired {reply['repaired']}, redrawn {reply['redrawn']}, "
+            f"evicted {reply['evicted']} cached results"
         )
     return 0
 

@@ -116,6 +116,9 @@ class RunMetrics:
     #: Peak resident bytes of the master coverage state (counts vector or
     #: sketch register bank), sampled alongside :attr:`rr_store_nbytes`.
     coverage_nbytes: int = 0
+    #: RR sets a dynamic pool's repairs redrew; the other sets they
+    #: re-examined kept their bytes (:meth:`~repro.core.pool.SamplePool.repair`).
+    sets_redrawn: int = 0
     _round_index: int | None = field(default=None, init=False, repr=False, compare=False)
     _rule: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -366,3 +369,4 @@ class RunMetrics:
         self.phases.extend(other.phases)
         self.recovery_events.extend(other.recovery_events)
         self.record_memory(other.rr_store_nbytes, other.coverage_nbytes)
+        self.sets_redrawn += other.sets_redrawn

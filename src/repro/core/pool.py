@@ -39,17 +39,20 @@ Dynamic graphs
 --------------
 A pool over a :class:`~repro.graphs.digraph.VersionedGraph` survives
 graph updates: when :meth:`apply_update` lands a
-:class:`~repro.graphs.digraph.GraphDelta` the pool regenerates *only*
-the sets whose traversal consulted a changed in-row
-(:meth:`~repro.ris.flat.FlatRRCollection.affected_sets`) — same
-coordinates, new graph — and splices them in place under stable ids
-(:meth:`~repro.ris.flat.FlatRRCollection.replace_sets`).
-Donated coverage snapshots are repaired by retraction deltas instead of
-being discarded, and the pool's :meth:`signature` carries an update
-epoch so the serving layer's result cache misses exactly the entries a
-repair invalidated.  The differential anchor: a repaired warm pool is
-bit-identical to a pool built cold on the already-updated graph with
-the same seed and schedule.
+:class:`~repro.graphs.digraph.GraphDelta` the pool re-examines the sets
+whose traversal consulted a changed in-row
+(:meth:`~repro.ris.flat.FlatRRCollection.affected_sets`).  It replays
+each one's touched rows on the sampler of the graph before the update
+and on the new one, and redraws — same coordinates, new graph — only
+the sets where some row's outcome changed, splicing them in place under
+stable ids (:meth:`~repro.ris.flat.FlatRRCollection.replace_sets`); a
+kept set's bytes stand.  Donated coverage snapshots are repaired by
+retraction deltas instead of being discarded, and the pool's
+:meth:`signature` carries an update epoch so the serving layer's result
+cache misses the entries of every pool with re-examined sets.  The
+differential anchor: a repaired warm pool is bit-identical to a pool
+built cold on the already-updated graph with the same seed and
+schedule.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from ..diffusion.lt import check_lt_feasible
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
 from ..ris import check_method_vestige
-from ..ris.rrset import RRSampler, sample_set_range
+from ..ris.rrset import RRSampler, sample_set_range, set_keys
 
 __all__ = ["SamplePool"]
 
@@ -157,6 +160,10 @@ class SamplePool:
                     "sample_keys), and a pool draws every RR set at its coordinates: "
                     "pass a keyed kernel (make_sampler) or a TargetedSampler over one"
                 )
+            if isinstance(graph, VersionedGraph):
+                # A repair replays touched rows on the sampler of the graph
+                # before the update, so it must exist before the graph moves.
+                self._kernel()
         except BaseException:
             # A raising sampler factory must not leak the worker pool /
             # shared-memory graph the executor just acquired.
@@ -301,8 +308,10 @@ class SamplePool:
         The graph must be a :class:`~repro.graphs.digraph.VersionedGraph`
         (it mutates in place, preserving the identity
         :meth:`check_config` pins).  A delta :meth:`check_graph` refuses
-        changes nothing.  Returns, per collection key, how many RR sets
-        were regenerated.
+        changes nothing.  Returns what :meth:`repair` returns: per
+        collection key, how many RR sets were re-examined (those
+        containing a touched node); the ones redrawn among them add up
+        in ``lifetime_metrics.sets_redrawn``.
         """
         with self._lock:
             if not isinstance(self.graph, VersionedGraph):
@@ -320,20 +329,34 @@ class SamplePool:
             check_lt_feasible(graph)
 
     def repair(self, touched=None) -> Dict[str, int]:
-        """Regenerate the RR sets invalidated by a graph mutation.
+        """Re-examine the RR sets a graph mutation may have changed, and
+        redraw the ones it did change.
 
         ``touched`` is what :meth:`VersionedGraph.apply
         <repro.graphs.digraph.VersionedGraph.apply>` returned: the
         ascending node ids whose in-rows changed, or ``None`` for full
-        invalidation (node additions).  Only sets containing a touched
-        node are redrawn — at the coordinates a cold pool on the updated
-        graph would draw them — and spliced in place under stable ids,
-        so repaired collections are bit-identical to cold regeneration.
-        Donated coverage snapshots are patched by retraction deltas (full
-        invalidation drops them instead).  Metered as generation phases
-        in the pool's lifetime metrics.
+        invalidation (node additions).  The sets containing a touched node
+        are re-examined: a keyed set is the reverse reach of its root in a
+        world that is a function of its key, so it is unchanged iff each
+        touched row it contains keeps its outcome, replayed on the sampler
+        of the graph before the update and on the new one
+        (:meth:`~repro.ris.rrset.RRSampler.rows_changed`; the rank-stable
+        splice keeps most outcomes).  Only a set where some outcome
+        differs is redrawn — at its coordinates, spliced in place under
+        its id; the others keep their bytes and only their
+        ``edges_examined`` becomes the new in-degree sum.  So repaired
+        collections are bit-identical to cold regeneration.  A custom
+        sampler that cannot replay redraws every re-examined set.
+
+        Donated coverage snapshots are patched by retraction deltas for
+        the redrawn sets (full invalidation drops them instead).  Returns
+        the number of *re-examined* sets per collection key; the redrawn
+        ones are counted in :attr:`lifetime_metrics`
+        (``sets_redrawn``).  Metered as generation phases in the pool's
+        lifetime metrics.
         """
         with self._lock:
+            before = self._kernel()
             self.executor.refresh_graph()
             if self._sampler_factory is not None:
                 self._sampler = self._sampler_factory(self.graph)
@@ -343,48 +366,72 @@ class SamplePool:
                     "the updated graph; construct the pool with "
                     "sampler_factory= instead of sampler="
                 )
+            sampler = self._kernel()
             repaired: Dict[str, int] = {}
             for key in list(self._stores):
                 stores = self._stores[key]
-                sampler = (
-                    self._sampler
-                    if self._sampler is not None
-                    else self.executor.sampler(self.model)
-                )
                 if touched is None:
                     repaired[key] = self._regenerate_all(key, stores, sampler)
                 else:
-                    repaired[key] = self._repair_touched(key, stores, sampler, touched)
+                    repaired[key] = self._repair_touched(key, stores, before, sampler, touched)
             if touched is None:
                 self._coverage_cache.clear()
-            # A repair that rewrote nothing left every collection — and
+            # A repair that re-examined nothing left every collection — and
             # therefore every cached result — bit-identical, so the epoch
-            # (and with it the serving cache) only moves on real rewrites.
+            # (and with it the serving cache) only moves when sets were
+            # re-examined.
             if touched is None or any(repaired.values()):
                 self.updates += 1
             return repaired
+
+    def _kernel(self) -> RRSampler:
+        """The sampler the pool draws with on the graph as it is now."""
+        return self._sampler if self._sampler is not None else self.executor.sampler(self.model)
 
     def _repair_touched(
         self,
         key: str,
         stores: List[FlatRRCollection],
+        before: RRSampler,
         sampler: RRSampler,
         touched: np.ndarray,
     ) -> int:
-        """Redraw and splice the sets containing a touched node."""
+        """Re-examine the sets containing a touched node; redraw and
+        splice the ones whose touched rows changed outcome."""
         seed = self.seed
         cache = tuple(self._coverage_cache.get(key, ()))
+        in_indptr = self.graph.in_indptr
+        redrawn = [0] * len(stores)
 
         def regen(mid: int) -> int:
             store = stores[mid]
             ids = store.affected_sets(touched)
-            if ids.size == 0:
+            examined = int(ids.size)
+            if examined == 0:
                 return 0
+            nodes = gather_rows(store.nodes, store.offsets, ids)
+            sizes = store.offsets[ids + 1] - store.offsets[ids]
+            owner = np.repeat(np.arange(ids.size), sizes)
+            # Each re-examined set's touched rows, replayed before and after.
+            at = np.searchsorted(touched, nodes).clip(max=touched.size - 1)
+            rows = (touched[at] == nodes).nonzero()[0]
+            changed = sampler.rows_changed(
+                before, set_keys(seed, mid, ids, key)[owner[rows]], nodes[rows]
+            )
+            redraw = np.zeros(ids.size, dtype=bool)
+            redraw[owner[rows[changed]]] = True
+            # A kept set's bytes stand; its w(R) is its new in-degree sum.
+            kept = ~redraw[owner]
+            degrees = in_indptr[nodes[kept] + 1] - in_indptr[nodes[kept]]
+            edges = np.bincount(owner[kept], weights=degrees, minlength=ids.size)
+            store.set_edges_examined(ids[~redraw], edges[~redraw].astype(np.int64))
+            if not redraw.any():
+                return examined
             # Old contents (id order) for the coverage retraction deltas.
-            old_nodes = gather_rows(store.nodes, store.offsets, ids)
-            old_sizes = store.offsets[ids + 1] - store.offsets[ids]
-            old_bounds = np.concatenate(([0], np.cumsum(old_sizes)))
-            # One blocked draw: every id redrawn at its own coordinates.
+            old_nodes = nodes[~kept]
+            old_bounds = np.concatenate(([0], np.cumsum(sizes[redraw])))
+            ids = ids[redraw]
+            # One blocked draw: every changed id redrawn at its own coordinates.
             batch = sample_set_range(sampler, seed, mid, ids, key)
             store.replace_sets(ids, batch)
             for state in cache:
@@ -397,11 +444,13 @@ class SamplePool:
                         old_nodes[: old_bounds[below]],
                         batch.nodes[: batch.offsets[below]],
                     )
-            return int(ids.size)
+            redrawn[mid] = int(ids.size)
+            return examined
 
         results = self.executor.run_phase(
             MapPhase(f"pool/repair/{key}", regen, category=GENERATION)
         ).results
+        self.executor.metrics.sets_redrawn += sum(redrawn)
         return int(sum(results))
 
     def _regenerate_all(

@@ -590,11 +590,50 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
     return new_indptr, new_indices, new_probs
 
 
+def _stable_slots(rows, counts, keep, add_owners):
+    """Each kept entry's and each added edge's slot in its updated row,
+    under the rank-stable rule (:class:`VersionedGraph`).
+
+    ``rows`` (ascending) own ``counts`` entries each, laid out row after
+    row in rank order; ``keep`` marks the survivors and ``add_owners``
+    (each one of ``rows``) the added edges in delta order.  A removed
+    entry's slot takes the row's next insert, or else its last survivor;
+    leftover inserts go after the old end.  Returns ``(kept slots, added
+    slots)``, each row's slots a permutation of ``0 .. length - 1``.
+    """
+    row = np.repeat(np.arange(rows.size), counts)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    holes = np.bincount(row[~keep], minlength=rows.size)
+    hole_rank = rank[~keep]  # row after row, ascending within a row
+    first_hole = np.cumsum(holes) - holes
+    add_row = np.searchsorted(rows, add_owners)
+    inserts = np.bincount(add_row, minlength=rows.size)
+    # An insert's ordinal among its row's inserts, in delta order.
+    by_row = np.argsort(add_row, kind="stable")
+    nth = np.empty(add_row.size, dtype=np.int64)
+    nth[by_row] = np.arange(add_row.size) - np.repeat(np.cumsum(inserts) - inserts, inserts)
+    add_slot = counts[add_row] + nth - holes[add_row]
+    filling = nth < holes[add_row]
+    add_slot[filling] = hole_rank[first_hole[add_row[filling]] + nth[filling]]
+    # Survivors past the new length move, the last one into the first
+    # hole no insert filled.
+    length = counts - holes + inserts
+    row, slot = row[keep], rank[keep]
+    tail = slot >= length[row]
+    tail_row = row[tail]
+    tails = np.bincount(tail_row, minlength=rows.size)
+    from_end = np.cumsum(tails)[tail_row] - 1 - np.arange(tail_row.size)
+    slot[tail] = hole_rank[first_hole[tail_row] + inserts[tail_row] + from_end]
+    return slot, add_slot
+
+
 def _patch(csr, rows, by_target, edits, adds):
     """One direction of :meth:`VersionedGraph.apply`: ``rows``' surviving
-    entries in order, reweighted, then the added ones, spliced into fresh
-    arrays.  Returns ``(arrays, dropped keys found, reweighted keys
-    found)``, the last two as distinct keys.
+    entries, reweighted, and the added ones, spliced into fresh arrays —
+    in-rows in the rank-stable order of :func:`_stable_slots`, out-rows
+    with the survivors in order and the adds appended.  Returns
+    ``(arrays, dropped keys found, reweighted keys found)``, the last two
+    as distinct keys.
 
     ``by_target`` says whether a row's owner is its edges' target;
     ``edits`` is ``(n, removed-node mask, dropped keys, (reweighted keys,
@@ -613,7 +652,10 @@ def _patch(csr, rows, by_target, edits, adds):
     found, at = _lookup(reweights[0], kept)
     prob[found] = reweights[1][at[found]]
     owner = np.concatenate((owner[keep], adds[0]))
-    order = np.argsort(owner, kind="stable")
+    if by_target:
+        order = np.lexsort((np.concatenate(_stable_slots(rows, counts, keep, adds[0])), owner))
+    else:
+        order = np.argsort(owner, kind="stable")
     spliced = _splice(
         indptr,
         indices,
@@ -635,11 +677,18 @@ class VersionedGraph(DirectedGraph):
     memory exports and samplers built before an update stay valid (and
     stale: rebuild them, as the executors' ``refresh_graph`` does).
 
-    Row-order invariant: an updated row keeps its surviving entries in
-    order and appends inserted edges in delta order.  Coins are keyed by
-    an edge's rank in its in-row, so the samplers draw on an updated
-    graph exactly what they draw on a :class:`DirectedGraph` built from
-    the same edges listed in that in-row order.
+    Row-order invariant (rank-stable in-rows): coins are keyed by an
+    edge's rank in its in-row, so an updated in-row keeps every surviving
+    entry at its rank.  A removed entry's slot takes the row's first
+    insert (in delta order), or else the row's last survivor; the inserts
+    left over are appended.  A removal therefore moves at most one
+    surviving edge and a reweight or an insert moves none, which is what
+    lets a repair keep every RR set whose touched rows draw the same
+    outcome (:meth:`SamplePool.repair <repro.core.pool.SamplePool.repair>`).
+    Out-rows keep their survivors in order and append the inserts.  The
+    samplers draw on an updated graph exactly what they draw on a
+    :class:`DirectedGraph` built from the same edges listed in that
+    in-row order.
 
     Node additions change the root-draw range of every RR set, so
     :meth:`apply` reports *all* sets as touched (returns ``None``) for

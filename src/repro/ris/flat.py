@@ -348,13 +348,23 @@ class FlatRRCollection:
         self._offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=self._offsets[1:])
         self._total_size = int(self._offsets[-1])
+        self.set_edges_examined(ids, batch.edges_examined)
+        self._num_tombstones += tombstone_delta
+        self._rebuild_index()
+
+    def set_edges_examined(self, set_ids, edges_examined) -> None:
+        """Overwrite the per-set ``edges_examined`` of ``set_ids``.
+
+        Contents and the inverted index are untouched: what a repair does
+        to a set it keeps, whose traversal is unchanged but whose rows'
+        in-degrees may have moved.
+        """
+        self._materialize()
         per_set_edges = np.diff(self._edges_cumsum)
-        per_set_edges[ids] = batch.edges_examined
+        per_set_edges[np.asarray(set_ids, dtype=np.int64)] = edges_examined
         self._edges_cumsum = np.zeros(per_set_edges.size + 1, dtype=np.int64)
         np.cumsum(per_set_edges, out=self._edges_cumsum[1:])
         self._total_edges_examined = int(self._edges_cumsum[-1])
-        self._num_tombstones += tombstone_delta
-        self._rebuild_index()
 
     def invalidate(self, set_ids) -> int:
         """Tombstone the given sets: contents cleared, ids kept.

@@ -17,12 +17,8 @@ a *block* of RR sets advances together, one wave per step, with
 * visited-marks kept in a single flat block-scratch bitmap addressed by
   ``set * n + node`` keys, so per-set dedup is one sort over integer keys.
 
-The amortised Python overhead per set drops by roughly the block size;
-``benchmarks/results/micro_vectorized_generation`` tracks the measured
-speedup over the scalar :class:`~repro.ris.ic_sampler.ICReverseBFSSampler`
-and :class:`~repro.ris.lt_sampler.LTReverseWalkSampler` (>= 5x target on
-the livejournal-like stand-in, >= 3x CI floor).  These kernels are what
-``make_sampler`` returns, and the only samplers
+The amortised Python overhead per set drops by roughly the block size.
+These kernels are what ``make_sampler`` returns, and the only samplers
 :func:`~repro.ris.rrset.sample_set_range` draws with (directly, or under
 the targeted wrapper's roots).  The triggering model's IC and LT
 distributions are these two kernels; an arbitrary triggering
@@ -54,10 +50,23 @@ and :meth:`~_BlockedFrontierSampler.sample_batch` — and
 So a set's bytes are a pure function of its key and the graph's
 in-rows: independent of the block width, of which other sets share its
 block, and of where a row is stored — coins are keyed by an edge's
-*rank* in its row, never its storage offset.  Pools serve prefixes and
-repairs redraw any subset without moving a byte.  ``sample_batch(rng,
-count) == pack_samples(sample_many(count, rng))``: set ``j`` is keyed by
-the ``j``-th 64-bit word of ``rng`` either way.
+*rank* in its row, never its storage offset.  Pools serve prefixes
+without moving a byte.  ``sample_batch(rng, count) ==
+pack_samples(sample_many(count, rng))``: set ``j`` is keyed by the
+``j``-th 64-bit word of ``rng`` either way.
+
+A set is thus the reverse reach of its root in a live-edge world that is
+a function of its key, and a row's *outcome* in that world — the live
+sources of ``(K, v)`` (IC), or the source the walk at ``(K, v)`` picks,
+or its stop (LT) — can be replayed alone.  ``row_outcomes`` does that
+with the wave's own draw code (:meth:`VectorizedICSampler._live_edges`,
+:meth:`VectorizedLTSampler._picks`), and ``rows_changed`` compares a
+row's outcome on the sampler of a graph before an update with this one.
+A :class:`~repro.graphs.digraph.VersionedGraph` update keeps every
+surviving in-edge at its rank (its row-order invariant), so a set whose
+touched rows all keep their outcomes comes back byte-identical: a
+repair redraws only the others and keeps the rest
+(:meth:`~repro.core.pool.SamplePool.repair`).
 
 ``_mix`` is two multiplies around one xorshift; the chi-square gates in
 ``tests/ris/test_coordinates.py`` hold it (and the set keys) to
@@ -309,6 +318,28 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError(f"roots must lie in [0, {self.graph.num_nodes})")
         return self._draw(rng.bit_generator.random_raw(roots.size), roots)
 
+    def row_outcomes(self, set_keys, nodes) -> np.ndarray:
+        """The outcome of each row ``(set_keys[j], nodes[j])``, replayed
+        from the kernel's own draw code: the ascending codes ``j * n +
+        source`` of the in-edges the row takes."""
+        raise NotImplementedError
+
+    def rows_changed(self, before, set_keys, nodes) -> np.ndarray:
+        """Replay each row on ``before`` and here; a row changed iff its
+        outcome differs.  ``before`` must be the same kernel over the
+        pre-update graph with as many nodes; anything else falls back to
+        "changed".  Only the samplers' own tables are read, never
+        ``self.graph``, so a sampler of a graph that has since moved on
+        (:class:`~repro.graphs.digraph.VersionedGraph`) still replays it.
+        """
+        n = self._row_counts.size
+        if type(before) is not type(self) or before._row_counts.size != n:
+            return super().rows_changed(before, set_keys, nodes)
+        changed = np.zeros(np.shape(nodes)[0], dtype=bool)
+        old, new = before.row_outcomes(set_keys, nodes), self.row_outcomes(set_keys, nodes)
+        changed[np.setxor1d(old, new, assume_unique=True) // n] = True
+        return changed
+
     def _draw(self, keys: np.ndarray, roots: np.ndarray) -> FlatBatch:
         """Run ``(keys, roots)`` a block at a time into one flat batch."""
         size = self.block_size
@@ -403,11 +434,75 @@ class VectorizedICSampler(_BlockedFrontierSampler):
             self._steps *= _MIX1
         return self._steps[:total]
 
+    def _live_edges(
+        self, set_keys: np.ndarray, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The live in-edges of the rows ``(set_keys[j], nodes[j])``.
+
+        Returns ``(row, source)`` per live edge: ``row`` indexes the
+        pairs (ascending), and each row's sources come in rank order.  The
+        one place the IC coins are drawn — a wave of :meth:`_run_block`
+        and a replay (:meth:`row_outcomes`) alike.
+        """
+        # The ndarray methods (``.repeat``, ``.nonzero()``,
+        # ``.searchsorted``) rather than their ``np.*`` wrappers: on
+        # frontier-sized arrays the wrappers' dispatch costs a microsecond
+        # or more per call, and a small block's draw is mostly calls.
+        indices = self._indices
+        starts = self._row_starts[nodes]
+        counts = self._row_counts[nodes]
+        ends = np.add.accumulate(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        if total == 0:
+            return np.zeros(0, dtype=np.int64), indices[:0]
+        # Edges of row j occupy wave positions [ends[j]-counts[j],
+        # ends[j]).  Each coin is _mix(row key + rank) with the first
+        # multiply distributed: row key * _MIX1 (folded into _row_keys'
+        # last multiply), less the row's offset * _MIX1, plus position *
+        # _MIX1.
+        offsets = ends - counts
+        steps = self._wave_steps(total + 1)  # an empty last row's offset is total
+        row_keys = set_keys + self._salt[nodes]
+        row_keys *= _MIX1
+        row_keys ^= row_keys >> _SHIFT32
+        row_keys *= _MIX21
+        row_keys -= steps[offsets]
+        coins = row_keys.repeat(counts)
+        coins += steps[:total]
+        coins = _mix_tail(coins)
+        coins >>= _ONE  # 63-bit coins (_thresholds)
+        # Edge id of a wave position: its row's start, shifted back by the
+        # row's wave offset, plus the position.
+        base = starts - offsets
+        node_threshold = self._node_threshold
+        if node_threshold is not None:
+            hit = (coins < node_threshold[nodes].repeat(counts)).nonzero()[0]
+            if hit.size == 0:
+                return hit, indices[:0]
+            # The owning row of a live position is one searchsorted.
+            row = ends.searchsorted(hit, "right")
+            return row, indices[base[row] + hit]
+        # Every edge id of the wave.  Edge ids fit int32 on every graph the
+        # int32-id layout admits unless the edge count itself overflows;
+        # halve the bandwidth of the widest arrays when they do.
+        dt = np.int64 if (total >> 31) or (indices.size >> 31) else np.int32
+        edge_idx = base.astype(dt).repeat(counts)
+        edge_idx += np.arange(total, dtype=dt)
+        hit = (coins < self._edge_threshold[edge_idx]).nonzero()[0]
+        return ends.searchsorted(hit, "right"), indices[edge_idx[hit]]
+
+    def row_outcomes(self, set_keys, nodes) -> np.ndarray:
+        """The row ``(set_keys[j], nodes[j])``'s outcome, for every ``j``:
+        its live sources, as the ascending codes ``j * n + source``."""
+        row, sources = self._live_edges(
+            np.asarray(set_keys, dtype=_U64), np.asarray(nodes, dtype=np.int64)
+        )
+        return np.unique(row * self._row_counts.size + sources)
+
     def _run_block(
         self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.graph.num_nodes
-        row_starts, row_counts, indices = self._row_starts, self._row_counts, self._indices
         num_sets = roots.size
         visited = self._scratch(num_sets)
 
@@ -418,58 +513,11 @@ class VectorizedICSampler(_BlockedFrontierSampler):
         set_parts = [front_sets]
         node_parts = [front_nodes]
 
-        # The wave calls the ndarray methods (``.repeat``, ``.nonzero()``,
-        # ``.searchsorted``) rather than their ``np.*`` wrappers: on
-        # frontier-sized arrays the wrappers' dispatch costs a microsecond
-        # or more per call, and a small block's draw is mostly calls.
         while front_nodes.size:
-            starts = row_starts[front_nodes]
-            counts = row_counts[front_nodes]
-            ends = np.add.accumulate(counts)
-            total = int(ends[-1])
-            if total == 0:
+            owner_idx, reached = self._live_edges(keys[front_sets], front_nodes)
+            if reached.size == 0:
                 break
-            # Edges of frontier entry j occupy wave positions
-            # [ends[j]-counts[j], ends[j]).  Each coin is
-            # _mix(row key + rank) with the first multiply distributed:
-            # row key * _MIX1 (folded into _row_keys' last multiply), less
-            # the entry's offset * _MIX1, plus position * _MIX1.
-            offsets = ends - counts
-            steps = self._wave_steps(total + 1)  # an empty last row's offset is total
-            row_keys = keys[front_sets] + self._salt[front_nodes]
-            row_keys *= _MIX1
-            row_keys ^= row_keys >> _SHIFT32
-            row_keys *= _MIX21
-            row_keys -= steps[offsets]
-            coins = row_keys.repeat(counts)
-            coins += steps[:total]
-            coins = _mix_tail(coins)
-            coins >>= _ONE  # 63-bit coins (_thresholds)
-            # Edge id of a wave position: its entry's row start, shifted
-            # back by the entry's wave offset, plus the position.
-            base = starts - offsets
-            if self._node_threshold is not None:
-                live = coins < self._node_threshold[front_nodes].repeat(counts)
-                hit = live.nonzero()[0]
-                if hit.size == 0:
-                    break
-                # The owning entry of a live position is one searchsorted.
-                owner_idx = ends.searchsorted(hit, "right")
-                reached = indices[base[owner_idx] + hit]
-                owners = front_sets[owner_idx]
-            else:
-                # Every edge id of the wave.  Edge ids fit int32 on every
-                # graph the int32-id layout admits unless the edge count
-                # itself overflows; halve the bandwidth of the widest
-                # arrays when they do.
-                dt = np.int64 if (total >> 31) or (indices.size >> 31) else np.int32
-                edge_idx = base.astype(dt).repeat(counts)
-                edge_idx += np.arange(total, dtype=dt)
-                hit = (coins < self._edge_threshold[edge_idx]).nonzero()[0]
-                if hit.size == 0:
-                    break
-                reached = indices[edge_idx[hit]]
-                owners = front_sets[ends.searchsorted(hit, "right")]
+            owners = front_sets[owner_idx]
             new_keys = owners * stride
             new_keys += reached
             # Keep each key's first copy, when unvisited: a sorted dedup by
@@ -487,7 +535,7 @@ class VectorizedICSampler(_BlockedFrontierSampler):
             set_parts.append(front_sets)
             node_parts.append(front_nodes)
 
-        result = _finish_block(visited, num_sets, row_counts, set_parts, node_parts)
+        result = _finish_block(visited, num_sets, self._row_counts, set_parts, node_parts)
         self._scratch_dirty = False
         return result
 
@@ -543,12 +591,60 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
                     cumulative[at] = cumulative[at].cumsum(axis=1)
             self._cumulative = cumulative
 
+    def _picks(self, set_keys: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the walks at the rows ``(set_keys[j], nodes[j])`` go.
+
+        Returns ``(row, source)`` per walk that goes on (``row``
+        ascending); a walk at an empty row, or whose stop draw says so,
+        stops.  The one place the LT draws are made — a step of
+        :meth:`_run_block` and a replay (:meth:`row_outcomes`) alike.
+        """
+        degrees = self._row_counts[nodes]
+        row = degrees.nonzero()[0]
+        if row.size == 0:
+            return row, self._indices[:0]
+        nodes, degrees = nodes[row], degrees[row]
+        starts = self._row_starts[nodes]
+
+        # One row key per step: its high word is the stop draw, its low
+        # word the pick draw.
+        draws = _row_keys(set_keys[row], nodes)
+        if self._may_stop:
+            survive = (draws >> _SHIFT32) < self._stop_threshold[nodes]
+        else:
+            survive = np.ones(nodes.size, dtype=bool)
+        draws &= _LOW32
+        picks = draws * degrees.astype(_U64)
+        picks >>= _SHIFT32
+        edge = starts + picks.astype(np.int64)
+        nonuni = () if self._cumulative is None else (~self._uniform[nodes]).nonzero()[0]
+        if len(nonuni):
+            # The pick draw as a uniform in [0, 1), against each row's
+            # running sums: the edge is the number of running sums at or
+            # below it; a draw beyond the row's mass means stop.
+            row_starts_nu, degrees_nu = starts[nonuni], degrees[nonuni]
+            ends = degrees_nu.cumsum()
+            at = (row_starts_nu - (ends - degrees_nu)).repeat(degrees_nu)
+            at += np.arange(int(ends[-1]))
+            below = self._cumulative[at] <= (draws[nonuni] * 2.0**-32).repeat(degrees_nu)
+            taken = np.add.reduceat(below, ends - degrees_nu, dtype=np.int64)
+            edge[nonuni] = row_starts_nu + taken
+            survive[nonuni] = taken < degrees_nu
+        return row[survive], self._indices[edge[survive]]
+
+    def row_outcomes(self, set_keys, nodes) -> np.ndarray:
+        """The row ``(set_keys[j], nodes[j])``'s outcome, for every ``j``:
+        the source its walk picks, as the ascending codes ``j * n +
+        source`` (none where the walk stops)."""
+        row, sources = self._picks(
+            np.asarray(set_keys, dtype=_U64), np.asarray(nodes, dtype=np.int64)
+        )
+        return row * self._row_counts.size + sources
+
     def _run_block(
         self, keys: np.ndarray, roots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.graph.num_nodes
-        row_starts, row_counts, indices = self._row_starts, self._row_counts, self._indices
-        uniform, stop_threshold = self._uniform, self._stop_threshold
         num_sets = roots.size
         visited = self._scratch(num_sets)
 
@@ -559,42 +655,10 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
         node_parts = [roots]
 
         while current.size:
-            starts = row_starts[current]
-            degrees = row_counts[current]
-            alive = degrees > 0
-            if not alive.any():
+            row, nxt = self._picks(keys[walk_sets], current)
+            if nxt.size == 0:
                 break
-            walk_sets, current = walk_sets[alive], current[alive]
-            starts, degrees = starts[alive], degrees[alive]
-
-            # One row key per step: its high word is the stop draw, its
-            # low word the pick draw.
-            draws = _row_keys(keys[walk_sets], current)
-            if self._may_stop:
-                survive = (draws >> _SHIFT32) < stop_threshold[current]
-            else:
-                survive = np.ones(current.size, dtype=bool)
-            draws &= _LOW32
-            picks = draws * degrees.astype(_U64)
-            picks >>= _SHIFT32
-            edge = starts + picks.astype(np.int64)
-            nonuni = () if self._cumulative is None else (~uniform[current]).nonzero()[0]
-            if len(nonuni):
-                # The pick draw as a uniform in [0, 1), against each row's
-                # running sums: the edge is the number of running sums at
-                # or below it; a draw beyond the row's mass means stop.
-                row_starts_nu, degrees_nu = starts[nonuni], degrees[nonuni]
-                ends = degrees_nu.cumsum()
-                at = (row_starts_nu - (ends - degrees_nu)).repeat(degrees_nu)
-                at += np.arange(int(ends[-1]))
-                below = self._cumulative[at] <= (draws[nonuni] * 2.0**-32).repeat(degrees_nu)
-                taken = np.add.reduceat(below, ends - degrees_nu, dtype=np.int64)
-                edge[nonuni] = row_starts_nu + taken
-                survive[nonuni] = taken < degrees_nu
-            if not survive.any():
-                break
-            walk_sets, edge = walk_sets[survive], edge[survive]
-            nxt = indices[edge].astype(np.int64)
+            walk_sets, nxt = walk_sets[row], nxt.astype(np.int64)
             marks = walk_sets * n + nxt
             fresh = ~visited[marks]
             if not fresh.any():
@@ -605,6 +669,6 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
             node_parts.append(nxt)
             current = nxt
 
-        result = _finish_block(visited, num_sets, row_counts, set_parts, node_parts)
+        result = _finish_block(visited, num_sets, self._row_counts, set_parts, node_parts)
         self._scratch_dirty = False
         return result

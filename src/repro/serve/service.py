@@ -347,7 +347,10 @@ class InfluenceService:
         sample (:meth:`SamplePool.check_graph
         <repro.core.pool.SamplePool.check_graph>`) is refused before
         anything changes.  Returns a JSON-safe summary: the new
-        graph version, how many RR sets each pool regenerated, and how
+        graph version, the number of changes, how many RR sets each pool
+        re-examined (``repaired``: the sets containing a touched node)
+        and how many of those it redrew (``redrawn``: the ones whose
+        touched rows changed outcome; the rest kept their bytes), and how
         many cache entries were evicted.
         """
         if not self.dynamic:
@@ -368,6 +371,9 @@ class InfluenceService:
             for key in sorted(pools, key=repr):
                 stack.enter_context(pools[key].lock)
             touched = self.graph.apply(delta, validate=validate)
+            redrawn_before = {
+                key: pool.lifetime_metrics.sets_redrawn for key, pool in pools.items()
+            }
             repaired = {
                 key: pool.repair(touched) for key, pool in pools.items()
             }
@@ -389,6 +395,10 @@ class InfluenceService:
             "num_changes": delta.num_changes,
             "repaired": {
                 repr(key): sum(counts.values()) for key, counts in repaired.items()
+            },
+            "redrawn": {
+                repr(key): pool.lifetime_metrics.sets_redrawn - redrawn_before[key]
+                for key, pool in pools.items()
             },
             "evicted": len(evicted),
         }

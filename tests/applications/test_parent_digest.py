@@ -17,7 +17,10 @@ was re-recorded once more when the IC/LT coins became hashes of the
 coordinates (other samples, same distribution; CHANGES.md has old ->
 new), and the targeted and adaptive ones once more when targeted roots
 became keyed (``targets[mulhi(K, |T|)]``) and ``method`` left adaptive
-IM's params.
+IM's params.  The six warm-dynamic answers were re-pinned once more when
+an updated graph's in-rows became rank-stable (a removed slot takes the
+row's last survivor, so the post-update graph lists other in-row
+orders); no cold or warm-static digest moved.
 """
 
 import json

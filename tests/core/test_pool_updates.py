@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executor import make_executor
@@ -347,8 +349,10 @@ def update_stream(graph, rounds: int):
 def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
     """Build, top-up and ten repairs leave the same recorded bytes on
     every executor.  Re-pinned when a set's generator became the
-    ``(seed, key, machine)`` stream jumped to its index, and again when
-    the IC/LT coins became hashes of those coordinates."""
+    ``(seed, key, machine)`` stream jumped to its index, again when
+    the IC/LT coins became hashes of those coordinates, and the
+    post-update digest once more when updated in-rows became rank-stable
+    (the two pre-update digests did not move)."""
 
     def digest(pool) -> str:
         sha = hashlib.sha256()
@@ -369,4 +373,107 @@ def test_per_set_pool_bytes_are_the_recorded_ones(small_wc_graph, executor):
         assert digest(pool) == "608c10618392d106"
         for delta in update_stream(small_wc_graph, 10):
             pool.apply_update(delta)
-        assert digest(pool) == "79646c6f51ce18b6"
+        assert digest(pool) == "f0723691243b32a8"
+
+
+# ----------------------------------------------------------------------
+# Replay, then redraw: a repair keeps the sets whose world did not change
+# ----------------------------------------------------------------------
+def per_set_edges(store) -> np.ndarray:
+    return np.diff([store.edges_examined_upto(i) for i in range(store.num_sets + 1)])
+
+
+def fresh_coverage(pool, stores) -> CoverageState:
+    state = CoverageState(pool.num_nodes, MACHINES)
+    cluster = SimulatedCluster(MACHINES, seed=SEED)
+    state.ingest(make_executor("simulated", cluster, graph=pool.graph), stores)
+    return state
+
+
+@st.composite
+def repair_deltas(draw, graph):
+    """One delta mixing the shapes a replay must get right: a parallel
+    copy, the removal of a row's last entry, a removal plus an insert in
+    one row, reweights up and down, and a node removal."""
+    src, dst, probs = graph.edge_arrays()
+    n = graph.num_nodes
+    add, remove, reweight, nodes = [], [], [], []
+    for kind in draw(
+        st.lists(
+            st.sampled_from(["parallel", "last", "swap", "up", "down", "node"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    ):
+        i = draw(st.integers(0, src.size - 1))
+        u, v, p = int(src[i]), int(dst[i]), float(probs[i])
+        if kind == "parallel":
+            add.append((u, v, p * 0.5))
+        elif kind == "last":
+            remove.append((int(graph.in_neighbors(v)[-1]), v))
+        elif kind == "swap":
+            remove.append((u, v))
+            add.append((draw(st.integers(0, n - 1)), v, p * 0.5))
+        elif kind == "node":
+            nodes.append(draw(st.integers(0, n - 1)))
+        else:
+            reweight.append((u, v, min(1.0, p * 2.0) if kind == "up" else p * 0.5))
+    return GraphDelta(
+        add_edges=add, remove_edges=list(set(remove)), reweight_edges=reweight, remove_nodes=nodes
+    )
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_replayed_repair_equals_cold_pool(small_wc_graph, model, data):
+    """After every delta: stores, per-set ``edges_examined`` and the
+    donated coverage snapshot equal a cold pool's on the final graph."""
+    warm = pool_on(fresh_versioned(small_wc_graph), model=model)
+    cold_graph = fresh_versioned(small_wc_graph)
+    try:
+        warm.ensure("main", [60] * MACHINES)
+        warm.donate_coverage("main", fresh_coverage(warm, warm.stores("main")))
+        for step in range(data.draw(st.integers(1, 3), label="steps")):
+            delta = data.draw(repair_deltas(warm.graph), label=f"delta {step}")
+            try:
+                warm.apply_update(delta)
+            except ValueError:
+                continue  # refused (LT mass above one, or a reweight of a removed edge)
+            cold_graph.apply(delta)
+            with pool_on(cold_graph, model=model) as cold:
+                cold.ensure("main", [60] * MACHINES)
+                assert_stores_equal(warm, cold)
+                for ws, cs in zip(warm.stores("main"), cold.stores("main")):
+                    np.testing.assert_array_equal(per_set_edges(ws), per_set_edges(cs))
+                forked = warm.fork_coverage("main", [60] * MACHINES)
+                np.testing.assert_array_equal(
+                    forked.counts, fresh_coverage(cold, cold.stores("main")).counts
+                )
+    finally:
+        warm.close()
+
+
+def test_repair_redraws_only_changed_worlds(small_wc_graph):
+    """A seeded IC stream (one removal plus an insert in the same row, one
+    halving per delta): at most a fifth of the re-examined sets are
+    redrawn, and the returned counts are the re-examined ones."""
+    rng = np.random.default_rng(3)
+    examined = redrawn = 0
+    with pool_on(fresh_versioned(small_wc_graph)) as pool:
+        pool.ensure("main", [300] * MACHINES)
+        for _ in range(20):
+            src, dst, probs = pool.graph.edge_arrays()
+            i, j = rng.choice(src.size, 2, replace=False)
+            before = pool.lifetime_metrics.sets_redrawn
+            repaired = pool.apply_update(
+                GraphDelta(
+                    remove_edges=[(int(src[i]), int(dst[i]))],
+                    add_edges=[(int(rng.integers(pool.num_nodes)), int(dst[i]), probs[i] * 0.5)],
+                    reweight_edges=[(int(src[j]), int(dst[j]), probs[j] * 0.5)],
+                )
+            )
+            examined += repaired["main"]
+            redrawn += pool.lifetime_metrics.sets_redrawn - before
+    assert 0 < redrawn <= examined / 5

@@ -1,11 +1,14 @@
 """Property test (hypothesis): a VersionedGraph after any delta sequence is
 the DirectedGraph built from the same edges.
 
-The reference keeps every in-row as a Python list — surviving entries in
-order, added edges appended — and rebuilds a graph through the
-constructor after every delta.  The spliced CSR must match it: in-rows
-exactly and in order, out-rows as multisets, one edge count, the same
-in-probability sums, and byte-equal keyed IC/LT draws.
+The reference keeps every in-row as a Python list under the rank-stable
+rule — a removed entry's slot takes the row's next insert, or else its
+last survivor, and leftover inserts are appended — and rebuilds a graph
+through the constructor after every delta.  The spliced CSR must match
+it: in-rows exactly and in order, out-rows as multisets, one edge count,
+the same in-probability sums, and byte-equal keyed IC/LT draws.  A second
+property reads the invariant off the spliced graph alone: every surviving
+in-edge keeps its rank unless the row shrank past it.
 """
 
 import numpy as np
@@ -24,20 +27,29 @@ def reference_apply(rows, n, delta_kwargs):
     gone = set(delta_kwargs["remove_nodes"])
     dropped = {(u, v) for u, v in delta_kwargs["remove_edges"]}
     reweights = {(u, v): p for u, v, p in delta_kwargs["reweight_edges"]}
-    out = []
-    for v, row in enumerate(rows):
-        kept = [
-            (u, reweights.get((u, v), p))
-            for u, p in row
-            if u not in gone and v not in gone and (u, v) not in dropped
-        ]
-        out.append(kept)
+    inserts = [[] for _ in rows]
     for u, v, p in delta_kwargs["add_edges"]:
         if u not in gone and v not in gone:
-            out[v].append((u, p))
+            inserts[v].append((u, p))
+    out = []
+    for v, row in enumerate(rows):
+        slots = [
+            None if u in gone or v in gone or (u, v) in dropped else (u, reweights.get((u, v), p))
+            for u, p in row
+        ]
+        pending = list(inserts[v])
+        for hole in [r for r, entry in enumerate(slots) if entry is None]:
+            if pending:
+                slots[hole] = pending.pop(0)
+                continue
+            while slots and slots[-1] is None:
+                slots.pop()
+            if len(slots) > hole:
+                slots[hole] = slots.pop()
+        while slots and slots[-1] is None:
+            slots.pop()
+        out.append(slots + pending)
     return out, n
-
-
 def reference_graph(rows, n):
     sources = [u for row in rows for u, _ in row]
     targets = [v for v, row in enumerate(rows) for _ in row]
@@ -89,9 +101,7 @@ def keyed_draws(graph, model):
     return batch.nodes.tobytes(), batch.offsets.tobytes(), batch.roots.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_delta_sequences_equal_a_directly_built_graph(data):
+def base_graph(data):
     n = data.draw(st.integers(2, 12), label="n")
     m = data.draw(st.integers(0, 30), label="m")
     edges = [
@@ -103,10 +113,16 @@ def test_delta_sequences_equal_a_directly_built_graph(data):
         for _ in range(m)
     ]
     base = DirectedGraph(n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
-    graph = VersionedGraph(base)
     rows = [[] for _ in range(n)]
     for u, v, p in edges:
         rows[v].append((u, p))
+    return VersionedGraph(base), rows, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_delta_sequences_equal_a_directly_built_graph(data):
+    graph, rows, n = base_graph(data)
     for step in range(data.draw(st.integers(1, 4), label="steps")):
         kwargs = data.draw(deltas(rows, n), label=f"delta {step}")
         graph.apply(GraphDelta(**kwargs))
@@ -127,3 +143,31 @@ def test_delta_sequences_equal_a_directly_built_graph(data):
         for model in ("ic", "lt"):
             assert keyed_draws(graph, model) == keyed_draws(direct, model)
 
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_surviving_in_edges_keep_their_rank(data):
+    """Read off the spliced graph: a surviving in-edge keeps its rank
+    unless its row shrank past it, and then it fills a removed slot.  So
+    a removal moves at most one survivor, and a row with no removal
+    (reweights and inserts only) moves none."""
+    graph, rows, n = base_graph(data)
+    for step in range(data.draw(st.integers(1, 4), label="steps")):
+        kwargs = data.draw(deltas(rows, n), label=f"delta {step}")
+        before = [graph.in_neighbors(v).tolist() for v in range(graph.num_nodes)]
+        graph.apply(GraphDelta(**kwargs))
+        rows, n = reference_apply(rows, n, kwargs)
+        gone = set(kwargs["remove_nodes"])
+        dropped = {tuple(e) for e in kwargs["remove_edges"]}
+        for v, old in enumerate(before):
+            new = graph.in_neighbors(v).tolist()
+            survives = [u not in gone and v not in gone and (u, v) not in dropped for u in old]
+            removed = [r for r, alive in enumerate(survives) if not alive]
+            moved = [r for r, alive in enumerate(survives) if alive and r >= len(new)]
+            assert len(moved) <= len(removed)
+            for r, alive in enumerate(survives):
+                if alive and r < len(new):
+                    assert new[r] == old[r], (v, old, new)
+            # A moved survivor fills a removed slot.
+            for r in moved:
+                assert any(new[h] == old[r] for h in removed if h < len(new)), (v, old, new)
