@@ -339,16 +339,28 @@ class Executor(ABC):
             self._samplers[model] = make_sampler(self.graph, model=model)
         return self._samplers[model]
 
-    def refresh_graph(self) -> None:
-        """Drop per-graph caches after the graph mutated in place.
+    def refresh_graph(self, touched=None) -> None:
+        """Bring per-graph caches up to the graph after it mutated in place.
 
         Samplers precompute traversal tables (row starts, prefix sums,
         thresholds) over the graph's arrays at construction, and an
         applied :class:`~repro.graphs.digraph.GraphDelta` swaps those
-        arrays, so every cached sampler is stale.  Worker-backed
-        executors additionally re-broadcast the graph to their workers.
+        arrays, so every cached sampler is stale.  ``touched`` is what
+        :meth:`VersionedGraph.apply
+        <repro.graphs.digraph.VersionedGraph.apply>` returned: each cached
+        sampler is rebased on those rows
+        (:meth:`~repro.ris.rrset.RRSampler.rebased`), and one that cannot
+        be — or every one, when ``touched`` is ``None`` — is dropped and
+        built afresh on next use.  Worker-backed executors additionally
+        re-broadcast the graph to their workers.
         """
-        self._samplers = {}
+        stale, self._samplers = self._samplers, {}
+        if touched is None:
+            return
+        for model, sampler in stale.items():
+            rebased = sampler.rebased(self.graph, touched)
+            if rebased is not None:
+                self._samplers[model] = rebased
 
     # -- phase dispatch -------------------------------------------------
     def run_phase(self, plan: PhasePlan) -> PhaseResult:

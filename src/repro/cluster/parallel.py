@@ -647,17 +647,19 @@ class WorkerBackedExecutor(Executor):
                 latencies.append(None)
         return latencies
 
-    def refresh_graph(self) -> None:
+    def refresh_graph(self, touched=None) -> None:
         """Re-broadcast the graph after it mutated in place.
 
         The shared-memory export is a snapshot, so workers attached to
         it would keep sampling the old graph after a
         :class:`~repro.graphs.digraph.GraphDelta` lands.  A new token
         makes every worker enroll the graph's current state — over its
-        live stream — on next use; the stale export is unlinked now
-        that no new enrollment can reference it.
+        live stream — on next use, and builds its kernels afresh; the
+        stale export is unlinked now that no new enrollment can
+        reference it.  The master's own samplers are rebased on
+        ``touched`` (:meth:`Executor.refresh_graph`).
         """
-        super().refresh_graph()
+        super().refresh_graph(touched)
         self._token = uuid.uuid4().hex
         handle, self._handle = self._handle, None
         if handle is not None:

@@ -43,8 +43,10 @@ graph updates: when :meth:`apply_update` lands a
 whose traversal consulted a changed in-row
 (:meth:`~repro.ris.flat.FlatRRCollection.affected_sets`).  It replays
 each one's touched rows on the sampler of the graph before the update
-and on the new one, and redraws — same coordinates, new graph — only
-the sets where some row's outcome changed, splicing them in place under
+and on the new one (the executor's kernel rebased on the touched rows,
+:meth:`~repro.cluster.executor.Executor.refresh_graph`), and redraws —
+same coordinates, new graph — only the sets where some row's outcome
+changed, splicing them in place under
 stable ids (:meth:`~repro.ris.flat.FlatRRCollection.replace_sets`); a
 kept set's bytes stand.  Donated coverage snapshots are repaired by
 retraction deltas instead of being discarded, and the pool's
@@ -357,7 +359,7 @@ class SamplePool:
         """
         with self._lock:
             before = self._kernel()
-            self.executor.refresh_graph()
+            self.executor.refresh_graph(touched)
             if self._sampler_factory is not None:
                 self._sampler = self._sampler_factory(self.graph)
             elif self._sampler is not None:

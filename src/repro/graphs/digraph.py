@@ -563,17 +563,30 @@ def _lookup(table: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 
 def _splice(indptr, indices, probs, rows, owner, other, prob):
-    """Fresh copies of one CSR direction in which ``rows`` (ascending) hold
-    ``other`` / ``prob``, grouped by ``owner`` in row order.
+    """One CSR direction in which ``rows`` (ascending) hold ``other`` /
+    ``prob``, grouped by ``owner`` in row order.
 
-    Every span of unchanged rows is copied in one slice; nothing is sorted
-    and no input array is written.
+    When no row changes length the layout stands: ``indptr`` is shared,
+    and so is each value array whose rows kept their entries (a
+    reweight-only delta copies only ``probs``).  Otherwise fresh arrays
+    are laid out, every span of unchanged rows copied in one slice.
+    Nothing is sorted and no input array is written.
     """
     if rows.size == 0:
         return indptr, indices, probs
-    n = indptr.size - 1
     counts = np.diff(indptr)
-    counts[rows] = np.searchsorted(owner, rows, "right") - np.searchsorted(owner, rows)
+    lengths = np.searchsorted(owner, rows, "right") - np.searchsorted(owner, rows)
+    if np.array_equal(counts[rows], lengths):
+        at = _row_positions(indptr, rows)[0]
+        spliced = []
+        for value, fill in ((indices, other), (probs, prob)):
+            if not np.array_equal(value[at], fill):
+                value = value.copy()
+                value[at] = fill
+            spliced.append(value)
+        return indptr, *spliced
+    n = indptr.size - 1
+    counts[rows] = lengths
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
     new_indices = np.empty(int(new_indptr[-1]), dtype=indices.dtype)
@@ -673,9 +686,11 @@ class VersionedGraph(DirectedGraph):
 
     It holds one current CSR pair, like any graph.  :meth:`apply` builds
     the changed rows, splices them into fresh ``in_*`` / ``out_*`` arrays
-    and swaps those in.  No array is ever written in place, so shared-
-    memory exports and samplers built before an update stay valid (and
-    stale: rebuild them, as the executors' ``refresh_graph`` does).
+    and swaps those in (sharing ``indptr`` and every unchanged value
+    array when no row changes length).  No array is ever written in
+    place, so shared-memory exports and samplers built before an update
+    stay valid (and stale: the executors' ``refresh_graph`` rebases their
+    samplers on the touched rows, or rebuilds the ones that cannot be).
 
     Row-order invariant (rank-stable in-rows): coins are keyed by an
     edge's rank in its in-row, so an updated in-row keeps every surviving
@@ -761,9 +776,11 @@ class VersionedGraph(DirectedGraph):
         live = ~(removed[delta.add_sources] | removed[delta.add_targets])
         adds = (delta.add_sources[live], delta.add_targets[live], delta.add_probs[live])
 
-        grown = np.full(delta.add_nodes, self._m, dtype=np.int64)
-        in_indptr = np.concatenate((self.in_indptr, grown))
-        out_indptr = np.concatenate((self.out_indptr, grown))
+        in_indptr, out_indptr = self.in_indptr, self.out_indptr
+        if delta.add_nodes:
+            grown = np.full(delta.add_nodes, self._m, dtype=np.int64)
+            in_indptr = np.concatenate((in_indptr, grown))
+            out_indptr = np.concatenate((out_indptr, grown))
         gone = delta.remove_nodes
         in_rows = np.unique(
             np.concatenate(

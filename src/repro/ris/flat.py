@@ -30,8 +30,9 @@ resolves which RR sets consulted a changed in-row (the node-keyed
 inverted index doubles as the edge→RR-set index, because a reverse
 traversal examines the in-rows of exactly the nodes it collects),
 :meth:`replace_sets` splices their regenerated contents over the old
-ones — set ids stay stable — and :meth:`invalidate` tombstones sets
-(contents cleared, id kept) when regeneration is deferred.
+ones — set ids stay stable — and patches a built index for them rather
+than re-sorting it, and :meth:`invalidate` tombstones sets (contents
+cleared, id kept) when regeneration is deferred.
 :meth:`compact` drops accumulated tombstones and renumbers.
 
 Ordering invariants (relied on by the exactness tests):
@@ -124,6 +125,14 @@ def build_inverted_index(
     return inv_sets, inv_offsets
 
 
+def _sorted_minus(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The ``keys`` not in ``other``; both ascending and duplicate-free."""
+    if other.size == 0:
+        return keys
+    at = other.searchsorted(keys).clip(max=other.size - 1)
+    return keys[other[at] != keys]
+
+
 class FlatRRCollection:
     """An RR-set store over flat CSR arrays: append-mostly, repairable.
 
@@ -162,9 +171,12 @@ class FlatRRCollection:
         # Appends land here until the next read folds them in.
         self._pending: List[np.ndarray] = []
         self._pending_edges: List[np.ndarray] = []
-        # Cumulative per-set edges-examined: entry j is the total over the
-        # first j sets, so any prefix's generation work is one lookup.
-        self._edges_cumsum = np.zeros(1, dtype=np.int64)
+        # Per-set edges-examined, and its prefix sum (entry j is the total
+        # over the first j sets, so any prefix's generation work is one
+        # lookup), derived from it by the first read after a write: a
+        # repair's several writes pay for one.
+        self._edges = np.zeros(0, dtype=np.int64)
+        self._edges_cumsum: np.ndarray | None = None
         self._num_sets = 0
         self._total_size = 0
         self._total_edges_examined = 0
@@ -266,10 +278,8 @@ class FlatRRCollection:
         new_offsets = self._offsets[-1] + np.cumsum(sizes)
         self._offsets = np.concatenate([self._offsets, new_offsets])
         self._pending = []
-        per_set_edges = np.concatenate(self._pending_edges)
-        self._edges_cumsum = np.concatenate(
-            [self._edges_cumsum, self._edges_cumsum[-1] + np.cumsum(per_set_edges)]
-        )
+        self._edges = np.concatenate([self._edges, *self._pending_edges])
+        self._edges_cumsum = None
         self._pending_edges = []
         self._inv_sets = None
 
@@ -311,9 +321,10 @@ class FlatRRCollection:
 
         The ``pos``-th set of ``batch`` becomes the new content of
         ``set_ids[pos]``; ids and set count are unchanged, so seed sets
-        and coverage element ids stay comparable across the repair.
-        Outstanding prefix views over this store become stale — rebuild
-        them afterwards.
+        and coverage element ids stay comparable across the repair.  A
+        built inverted index is patched for the replaced ids
+        (:meth:`_patch_index`), not rebuilt.  Outstanding prefix views
+        over this store become stale — rebuild them afterwards.
         """
         self._materialize()
         ids = np.asarray(set_ids, dtype=np.int64)
@@ -328,10 +339,11 @@ class FlatRRCollection:
         if batch.count != ids.size:
             raise ValueError(f"batch has {batch.count} sets for {ids.size} ids")
         new_nodes = self._validate(batch.nodes)
-        old_sizes = np.diff(self._offsets)
-        new_sizes = np.diff(batch.offsets)
+        sizes = np.diff(self._offsets)
+        old_sizes, new_sizes = sizes[ids], np.diff(batch.offsets)
+        old_nodes = gather_rows(self._nodes, self._offsets, ids)
         tombstone_delta = int(
-            np.count_nonzero(new_sizes == 0) - np.count_nonzero(old_sizes[ids] == 0)
+            np.count_nonzero(new_sizes == 0) - np.count_nonzero(old_sizes == 0)
         )
         # Splice: alternate unchanged spans with the replacement rows.
         parts = []
@@ -343,28 +355,83 @@ class FlatRRCollection:
             prev = sid + 1
         parts.append(self._nodes[self._offsets[prev] :])
         self._nodes = np.concatenate(parts)
-        sizes = old_sizes
         sizes[ids] = new_sizes
         self._offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=self._offsets[1:])
         self._total_size = int(self._offsets[-1])
         self.set_edges_examined(ids, batch.edges_examined)
         self._num_tombstones += tombstone_delta
-        self._rebuild_index()
+        if self._inv_sets is not None:
+            self._patch_index(ids, old_nodes, old_sizes, new_nodes, new_sizes)
+
+    def _patch_index(
+        self,
+        ids: np.ndarray,
+        old_nodes: np.ndarray,
+        old_sizes: np.ndarray,
+        new_nodes: np.ndarray,
+        new_sizes: np.ndarray,
+    ) -> None:
+        """Patch ``I_i(v)`` for the sets ``ids`` (ascending), whose contents
+        went from ``old_nodes`` to ``new_nodes`` (id-major, ``old_sizes`` /
+        ``new_sizes`` per id): what :func:`build_inverted_index` of the new
+        forward arrays returns, without its sort.
+
+        Only the entries of a node a set lost or gained move — a redrawn
+        set mostly keeps its nodes.  The index lists its entries in
+        ascending ``node << bits | set id`` order (rows by node, each
+        ascending in set id), so the rows those nodes own, gathered with
+        their keys, place every such entry by one ``searchsorted``; they
+        leave and enter in one ``np.delete`` / ``np.insert`` pass over the
+        index, and each node's row bound moves by the count differences
+        of the rows before it.
+        """
+        n = self._num_nodes
+        bits = _set_id_bits(n, self._num_sets)
+        old_keys = np.left_shift(old_nodes, bits, dtype=np.int64)
+        old_keys |= ids.repeat(old_sizes)
+        new_keys = np.left_shift(new_nodes, bits, dtype=np.int64)
+        new_keys |= ids.repeat(new_sizes)
+        old_keys.sort()
+        new_keys.sort()
+        gone, added = _sorted_minus(old_keys, new_keys), _sorted_minus(new_keys, old_keys)
+        if gone.size == added.size == 0:
+            return
+        inv_sets, inv_offsets = self._inv_sets, self._inv_offsets
+        rows = np.union1d(gone >> bits, added >> bits)
+        lengths = inv_offsets[rows + 1] - inv_offsets[rows]
+        keys = (rows << bits).repeat(lengths)
+        keys |= gather_rows(inv_sets, inv_offsets, rows)
+        # A key's place in the whole index: its place among the gathered
+        # keys, moved from its row's gathered start to the row's start.
+        shift = inv_offsets[rows] - lengths.cumsum() + lengths
+        gone_at = keys.searchsorted(gone)
+        gone_at += shift[rows.searchsorted(gone >> bits)]
+        added_at = keys.searchsorted(added)
+        added_at += shift[rows.searchsorted(added >> bits)]
+        # A new entry goes before the old entries its key sorts below; the
+        # insert positions count the entries deleted ahead of them.
+        added_at -= gone_at.searchsorted(added_at)
+        kept = np.delete(inv_sets, gone_at)
+        self._inv_sets = np.insert(kept, added_at, added & ((1 << bits) - 1))
+        # Each row bound moves by the entries gained less those lost
+        # before it.
+        moved = np.bincount(added >> bits, minlength=n) - np.bincount(gone >> bits, minlength=n)
+        self._inv_offsets = inv_offsets.copy()
+        self._inv_offsets[1:] += np.cumsum(moved)
 
     def set_edges_examined(self, set_ids, edges_examined) -> None:
         """Overwrite the per-set ``edges_examined`` of ``set_ids``.
 
         Contents and the inverted index are untouched: what a repair does
         to a set it keeps, whose traversal is unchanged but whose rows'
-        in-degrees may have moved.
+        in-degrees may have moved.  The prefix sums are re-derived by the
+        next read that needs them, once however many writes came first.
         """
         self._materialize()
-        per_set_edges = np.diff(self._edges_cumsum)
-        per_set_edges[np.asarray(set_ids, dtype=np.int64)] = edges_examined
-        self._edges_cumsum = np.zeros(per_set_edges.size + 1, dtype=np.int64)
-        np.cumsum(per_set_edges, out=self._edges_cumsum[1:])
-        self._total_edges_examined = int(self._edges_cumsum[-1])
+        self._edges[np.asarray(set_ids, dtype=np.int64)] = edges_examined
+        self._edges_cumsum = None
+        self._total_edges_examined = int(self._edges.sum())
 
     def invalidate(self, set_ids) -> int:
         """Tombstone the given sets: contents cleared, ids kept.
@@ -404,14 +471,13 @@ class FlatRRCollection:
             self._num_tombstones = 0
             return mapping
         bytes_before = self.nbytes()
-        per_set_edges = np.diff(self._edges_cumsum)
         self._offsets = np.zeros(keep.size + 1, dtype=np.int64)
         np.cumsum(sizes[keep], out=self._offsets[1:])
-        self._edges_cumsum = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(per_set_edges[keep], out=self._edges_cumsum[1:])
+        self._edges = self._edges[keep]
+        self._edges_cumsum = None
         self._num_sets = int(keep.size)
         self._total_size = int(self._offsets[-1])
-        self._total_edges_examined = int(self._edges_cumsum[-1])
+        self._total_edges_examined = int(self._edges.sum())
         self._num_tombstones = 0
         self._rebuild_index()
         # Byte accounting: all node content was live (tombstones are
@@ -433,7 +499,7 @@ class FlatRRCollection:
             self._nodes.nbytes
             + self._offsets.nbytes
             + 8 * (self._nodes.size + self._num_nodes + 1)
-            + self._edges_cumsum.nbytes
+            + 8 * (self._num_sets + 1)  # the edges-examined prefix sums
         )
 
     # ------------------------------------------------------------------
@@ -505,6 +571,9 @@ class FlatRRCollection:
         self._materialize()
         if not 0 <= limit <= self._num_sets:
             raise ValueError(f"limit {limit} out of range [0, {self._num_sets}]")
+        if self._edges_cumsum is None:
+            self._edges_cumsum = np.zeros(self._num_sets + 1, dtype=np.int64)
+            np.cumsum(self._edges, out=self._edges_cumsum[1:])
         return int(self._edges_cumsum[limit])
 
     def get(self, idx: int) -> np.ndarray:

@@ -66,7 +66,10 @@ A :class:`~repro.graphs.digraph.VersionedGraph` update keeps every
 surviving in-edge at its rank (its row-order invariant), so a set whose
 touched rows all keep their outcomes comes back byte-identical: a
 repair redraws only the others and keeps the rest
-(:meth:`~repro.core.pool.SamplePool.repair`).
+(:meth:`~repro.core.pool.SamplePool.repair`).  The IC kernel of the
+updated graph takes the row flags of the one before, recomputed on the
+touched rows only (:meth:`VectorizedICSampler.rebased`), and leaves the
+one before intact for the replay.
 
 ``_mix`` is two multiplies around one xorshift; the chi-square gates in
 ``tests/ris/test_coordinates.py`` hold it (and the set keys) to
@@ -90,6 +93,7 @@ from contextlib import suppress
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
+from .flat import gather_rows
 from .rrset import (
     GOLDEN,
     FlatBatch,
@@ -213,18 +217,25 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
     return np.ceil(np.clip(probs, 0.0, 1.0) * 2.0**63).astype(_U64)
 
 
-def _row_tables(graph: DirectedGraph):
+def _row_tables(graph: DirectedGraph, uniform: np.ndarray | None = None):
     """Per-node in-row tables over the in-edge arrays.
 
     Returns ``(starts, counts, indices, probs, uniform)``: node ``v``'s
     in-row is ``indices[starts[v] : starts[v] + counts[v]]``, and
-    ``uniform[v]`` is whether the row is non-empty with one probability.
+    ``uniform[v]`` is whether the row is non-empty with one probability —
+    what decides, row by row, whether the IC kernel keeps one threshold
+    for the row or one per in-edge (:class:`VectorizedICSampler`), and
+    whether an LT walk picks by degree or by running sums.  A ``uniform``
+    passed in is taken as is (:meth:`VectorizedICSampler.rebased` patches
+    the flags of the graph before an update).
     """
     indptr, indices, probs = graph.in_indptr, graph.in_indices, graph.in_probs
     # int64 whatever the CSR's dtype: the waves view offsets as uint64.
     starts = indptr[:-1].astype(np.int64, copy=False)
     counts = np.diff(indptr).astype(np.int64, copy=False)
-    return starts, counts, indices, probs, uniform_rows(indptr, probs)
+    if uniform is None:
+        uniform = uniform_rows(indptr, probs)
+    return starts, counts, indices, probs, uniform
 
 
 class _BlockedFrontierSampler(RRSampler):
@@ -398,28 +409,31 @@ class VectorizedICSampler(_BlockedFrontierSampler):
     the block, hashes one keyed coin per edge, and folds the live
     edges' sources back through the visited bitmap (module docstring,
     "RNG contract").
+
+    A coin is live iff it falls below its edge's threshold, a function of
+    ``p`` alone, kept per row: a row whose in-edges share one probability
+    (every row of a weighted-cascade or uniform graph) keeps one
+    threshold per node, and the wave repeats it over the row instead of
+    gathering per edge; the other, *tabled* rows keep one threshold per
+    in-edge, row after row in ``_edge_threshold`` (bounds ``_edge_ptr``),
+    and the wave overwrites their stretch of its repeat with a gather.
+    Once the tabled rows hold most of the in-edges every non-empty row is
+    tabled, so the table lines up with the in-edge arrays and the wave
+    gathers by edge id alone.  Either way every coin meets the threshold
+    of its own ``p``: the layout moves no byte.
     """
 
-    def __init__(self, graph: DirectedGraph, block_size: int | None = None) -> None:
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        block_size: int | None = None,
+        uniform: np.ndarray | None = None,
+    ) -> None:
         super().__init__(graph, block_size=block_size)
-        starts, counts, indices, probs, uniform = _row_tables(graph)
+        starts, counts, indices, probs, uniform = _row_tables(graph, uniform)
         self._row_starts, self._row_counts, self._indices = starts, counts, indices
-        # Per-node uniform-probability fast path (weighted-cascade and
-        # uniform graphs): when every in-edge of every node carries its
-        # node's single probability, the wave's thresholds are a
-        # frontier-sized repeat instead of an edge-index gather, and the
-        # edge index itself only needs materialising at the live edges.
-        # A threshold is a function of ``p`` alone, so both paths flip
-        # the same coins the same way.
-        self._node_threshold: np.ndarray | None = None
-        self._edge_threshold: np.ndarray | None = None
-        nonzero = counts > 0
-        if uniform[nonzero].all():
-            node_prob = np.zeros(graph.num_nodes, dtype=np.float64)
-            node_prob[nonzero] = probs[starts[nonzero]]
-            self._node_threshold = _thresholds(node_prob)
-        else:
-            self._edge_threshold = _thresholds(probs)
+        self._uniform = uniform
+        self._set_thresholds(graph.in_indptr, probs)
         # v * GOLDEN per node: the row key's hash input is K + salt[v].
         self._salt = np.arange(graph.num_nodes, dtype=np.uint64)
         self._salt *= _GOLDEN
@@ -427,6 +441,58 @@ class VectorizedICSampler(_BlockedFrontierSampler):
         # hash's first multiply, distributed over row key + rank; grown on
         # demand.
         self._steps = np.arange(0, dtype=np.uint64)
+
+    def _set_thresholds(self, indptr: np.ndarray, probs: np.ndarray) -> None:
+        """Lay the thresholds out over the row tables (class docstring)."""
+        counts, uniform = self._row_counts, self._uniform
+        nonempty = counts > 0
+        tabled = nonempty & ~uniform
+        # Past half the in-edges every row is tabled, and the wave gathers
+        # per edge.  Measured (facebook stand-in, 2-core x86 box; rows
+        # pushed off weighted cascade until tabled rows held 10-90% of the
+        # in-edges), the mixed wave against the per-edge one at 10 / 30 /
+        # 45 / 55 / 70 / 90%: 0.70x / 0.86x / 0.90x / 0.99x / 1.08x / 1.19x
+        # for a 2,000-set draw, crossing near 30% for 64 sets; a 2-set
+        # draw is ~10% slower on the mixed wave at every share.
+        every = 2 * int(counts[tabled].sum()) > int(counts.sum())
+        if every:
+            tabled = nonempty
+        self._node_threshold = self._edge_threshold = self._edge_ptr = self._tabled = None
+        if not every:
+            # One probability per untabled row; 0 for tabled and empty rows.
+            single = uniform & ~tabled
+            node_prob = np.zeros(counts.size, dtype=np.float64)
+            node_prob[single] = probs[self._row_starts[single]]
+            self._node_threshold = _thresholds(node_prob)
+            if not tabled.any():
+                return
+            self._tabled = tabled
+        self._edge_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts * tabled, out=self._edge_ptr[1:])
+        tabled_probs = probs if every else gather_rows(probs, indptr, np.flatnonzero(tabled))
+        self._edge_threshold = _thresholds(tabled_probs)
+
+    def rebased(self, graph: DirectedGraph, touched) -> "VectorizedICSampler | None":
+        """This kernel over ``graph``, which differs from the graph it was
+        built on only in the in-rows ``touched`` (what
+        :meth:`VersionedGraph.apply <repro.graphs.digraph.VersionedGraph.apply>`
+        returned): ``make_sampler(graph)``, without its pass over every
+        in-edge.  The row flags are copied and recomputed on the touched
+        rows only; the rest is built from them as a fresh kernel's is.
+
+        This kernel is not written — a repair still replays rows on it
+        (:meth:`rows_changed`).  Returns ``None`` (build afresh) when
+        ``touched`` is ``None`` or the node count moved.
+        """
+        if touched is None or graph.num_nodes != self._uniform.size:
+            return None
+        rows = np.asarray(touched, dtype=np.int64)
+        indptr = graph.in_indptr
+        bounds = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(indptr[rows + 1] - indptr[rows], out=bounds[1:])
+        uniform = self._uniform.copy()
+        uniform[rows] = uniform_rows(bounds, gather_rows(graph.in_probs, indptr, rows))
+        return type(self)(graph, block_size=self.block_size, uniform=uniform)
 
     def _wave_steps(self, total: int) -> np.ndarray:
         if self._steps.size < total:
@@ -476,20 +542,42 @@ class VectorizedICSampler(_BlockedFrontierSampler):
         base = starts - offsets
         node_threshold = self._node_threshold
         if node_threshold is not None:
-            hit = (coins < node_threshold[nodes].repeat(counts)).nonzero()[0]
+            thresholds = node_threshold[nodes].repeat(counts)
+            if self._tabled is not None:
+                self._table_thresholds(thresholds, nodes, counts, offsets)
+            hit = (coins < thresholds).nonzero()[0]
             if hit.size == 0:
                 return hit, indices[:0]
             # The owning row of a live position is one searchsorted.
             row = ends.searchsorted(hit, "right")
             return row, indices[base[row] + hit]
-        # Every edge id of the wave.  Edge ids fit int32 on every graph the
-        # int32-id layout admits unless the edge count itself overflows;
-        # halve the bandwidth of the widest arrays when they do.
+        # Every row is tabled, so the table lines up with the in-edges:
+        # gather it by every edge id of the wave.  Edge ids fit int32 on
+        # every graph the int32-id layout admits unless the edge count
+        # itself overflows; halve the bandwidth of the widest arrays when
+        # they do.
         dt = np.int64 if (total >> 31) or (indices.size >> 31) else np.int32
         edge_idx = base.astype(dt).repeat(counts)
         edge_idx += np.arange(total, dtype=dt)
         hit = (coins < self._edge_threshold[edge_idx]).nonzero()[0]
         return ends.searchsorted(hit, "right"), indices[edge_idx[hit]]
+
+    def _table_thresholds(
+        self, thresholds: np.ndarray, nodes: np.ndarray, counts: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        """Overwrite the tabled rows' stretches of a wave's repeated node
+        thresholds with their per-edge ones (``counts`` / ``offsets``: each
+        row's length and wave position)."""
+        row = self._tabled[nodes].nonzero()[0]
+        if row.size == 0:
+            return
+        counts, offsets = counts[row], offsets[row]
+        ends = np.add.accumulate(counts)
+        at = (offsets - ends + counts).repeat(counts)
+        at += np.arange(int(ends[-1]))
+        table_at = (self._edge_ptr[nodes[row]] - offsets).repeat(counts)
+        table_at += at
+        thresholds[at] = self._edge_threshold[table_at]
 
     def row_outcomes(self, set_keys, nodes) -> np.ndarray:
         """The row ``(set_keys[j], nodes[j])``'s outcome, for every ``j``:

@@ -73,10 +73,16 @@ class TestScalability:
     """The headline: generation time shrinks ~1/l; communication stays low."""
 
     def test_generation_time_scales_down(self, medium_wc_graph):
-        single = diimm(medium_wc_graph, 5, 1, eps=0.5, seed=1)
-        distributed = diimm(medium_wc_graph, 5, 8, eps=0.5, seed=1)
-        gen_1 = single.breakdown["generation"]
-        gen_8 = distributed.breakdown["generation"]
+        # Each side is the best of three runs of identical work (one graph,
+        # seed and size): a run's sets are a pure function of their
+        # coordinates, so only the box's noise differs between the three.
+        # The sides alternate, so a slow spell of the box reaches both.
+        runs = {1: [], 8: []}
+        for _ in range(3):
+            for machines, times in runs.items():
+                result = diimm(medium_wc_graph, 5, machines, eps=0.5, seed=1)
+                times.append(result.breakdown["generation"])
+        gen_1, gen_8 = min(runs[1]), min(runs[8])
         assert gen_8 < gen_1 / 3  # at least ~3x from 8 machines
 
     def test_total_time_scales_down(self, medium_wc_graph):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ris.flat as flat_module
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executor import make_executor
 from repro.core.pool import SamplePool
@@ -477,3 +478,37 @@ def test_repair_redraws_only_changed_worlds(small_wc_graph):
             examined += repaired["main"]
             redrawn += pool.lifetime_metrics.sets_redrawn - before
     assert 0 < redrawn <= examined / 5
+
+
+def test_warm_update_patches_the_indexes(small_wc_graph, monkeypatch):
+    """A count, not a timing gate: a warm pool whose stores are indexed
+    lands a stream of updates without re-sorting any store's inverted
+    index — it is patched for the redrawn ids — and still ends
+    bit-identical to a cold pool on the final graph, indexes included."""
+    real_build = flat_module.build_inverted_index
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(flat_module, "build_inverted_index", counting_build)
+    deltas = update_stream(small_wc_graph, 8)  # the seventh removes a node
+    with pool_on(fresh_versioned(small_wc_graph)) as warm:
+        warm.ensure("main", [120] * MACHINES)
+        for store in warm.stores("main"):
+            store.inv_sets  # what a warm query's selection builds
+        calls.clear()
+        for delta in deltas:
+            warm.apply_update(delta)
+        assert warm.lifetime_metrics.sets_redrawn > 0
+        assert calls == []
+        cold_graph = fresh_versioned(small_wc_graph)
+        for delta in deltas:
+            cold_graph.apply(delta)
+        with pool_on(cold_graph) as cold:
+            cold.ensure("main", [120] * MACHINES)
+            assert_stores_equal(warm, cold)
+            for sw, sc in zip(warm.stores("main"), cold.stores("main")):
+                assert np.array_equal(sw.inv_sets, sc.inv_sets)
+                assert np.array_equal(sw.inv_offsets, sc.inv_offsets)

@@ -269,7 +269,11 @@ def random_ic_graph(seed, probabilities):
     graph = erdos_renyi(int(rng.integers(40, 160)), int(rng.integers(100, 900)), rng)
     if probabilities == "weighted-cascade":
         return weighted_cascade(graph)
-    src, dst, _ = graph.edge_arrays()
+    src, dst, probs = weighted_cascade(graph).edge_arrays()
+    if probabilities == "mixed":  # a few rows off weighted cascade
+        probs = probs.copy()
+        probs[rng.choice(probs.size, size=6, replace=False)] *= 0.5
+        return DirectedGraph(graph.num_nodes, src, dst, probs)
     if probabilities == "dense":  # most coins succeed: long, wide waves
         probs = np.full(src.size, 0.9)
     else:  # per-edge probabilities, off the uniform-per-node fast path
@@ -297,14 +301,26 @@ class TestSampleSets:
     references take no keys and are drawn only through their own loop.
     """
 
-    @pytest.mark.parametrize("probabilities", ["weighted-cascade", "nonuniform", "dense"])
+    @pytest.mark.parametrize(
+        "probabilities", ["weighted-cascade", "mixed", "nonuniform", "dense"]
+    )
     @pytest.mark.parametrize("graph_seed", [0, 1, 2])
     def test_blocked_ic_equals_scalar_loop(self, graph_seed, probabilities):
         graph = random_ic_graph(graph_seed, probabilities)
         sampler = make_sampler(graph, model="ic", method="bfs")
         empty = sampler.sample_keys([])
         assert empty.count == 0 and empty.offsets.tolist() == [0]
-        assert (sampler._node_threshold is None) == (probabilities == "nonuniform")
+        # Per-row thresholds: rows of one probability keep a node threshold
+        # and the others are tabled per edge — all of them once the
+        # multi-probability rows hold most in-edges (per-edge probabilities).
+        if probabilities == "nonuniform":
+            assert sampler._node_threshold is None and sampler._tabled is None
+            assert np.array_equal(sampler._edge_ptr, graph.in_indptr)
+        elif probabilities == "mixed":
+            assert sampler._node_threshold is not None and sampler._tabled.any()
+            assert np.array_equal(np.diff(sampler._edge_ptr) > 0, sampler._tabled)
+        else:
+            assert sampler._edge_threshold is None and sampler._tabled is None
         for name, ids in id_sets(sampler.block_size, np.random.default_rng(graph_seed)).items():
             batch = sample_set_range(sampler, 5, graph_seed, ids)
             assert_batches_equal(batch, per_set_oracle(sampler, 5, graph_seed, ids))

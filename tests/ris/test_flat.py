@@ -1,7 +1,11 @@
 """Determinism tests for the CSR-backed FlatRRCollection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.ris.flat as flat_module
 from repro.coverage.sketch import SketchRRCollection
@@ -282,6 +286,87 @@ class TestBuildInvertedIndex:
         assert len(calls) == 1
         assert store.inv_sets.size == store.total_size
         assert len(calls) == 2
+
+
+def replacement(rng, store, ids, mode, num_nodes):
+    """New contents for ``ids``: empty, a subset of each old set, a
+    superset of it, fresh random sets, or a mix of the four per id."""
+    sets = []
+    for sid in ids:
+        old = store.get(int(sid))
+        pick = mode
+        if mode == "mixed":
+            pick = ("empty", "smaller", "larger", "fresh")[int(rng.integers(4))]
+        if pick == "empty":
+            new = old[:0]
+        elif pick == "smaller":
+            new = old[rng.random(old.size) < 0.6]
+        elif pick == "larger":
+            new = np.union1d(old, rng.choice(num_nodes, size=min(3, num_nodes), replace=False))
+        else:
+            size = int(rng.integers(0, num_nodes + 1))
+            new = np.sort(rng.choice(num_nodes, size=size, replace=False))
+        sets.append(np.asarray(new, dtype=np.int32))
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=offsets[1:])
+    nodes = np.concatenate(sets) if sets else np.zeros(0, np.int32)
+    edges = rng.integers(0, 50, size=len(sets)).astype(np.int64)
+    return FlatBatch(nodes, offsets, np.full(len(sets), -1, dtype=np.int64), edges)
+
+
+STEP = st.tuples(
+    st.sampled_from(["replace", "invalidate", "append"]),
+    st.sampled_from(["empty", "smaller", "larger", "fresh", "mixed"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestPatchedIndexEqualsRebuild:
+    """``replace_sets`` / ``invalidate`` patch ``I_i(v)`` for the ids they
+    rewrite instead of re-sorting the store: after every step the patched
+    index must be what :func:`build_inverted_index` builds from the new
+    forward arrays, and no step may call it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 40),
+        num_sets=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(STEP, min_size=1, max_size=6),
+    )
+    def test_patched_index_equals_a_rebuild(self, num_nodes, num_sets, seed, steps):
+        rng = np.random.default_rng(seed)
+        store = FlatRRCollection(num_nodes)
+        store.append_arrays(*random_csr(rng, num_nodes, num_sets, max_size=num_nodes))
+        edges = list(np.diff([store.edges_examined_upto(i) for i in range(num_sets + 1)]))
+        for kind, mode, step_seed in steps:
+            step_rng = np.random.default_rng(step_seed)
+            store.inv_sets  # built before the step, so the step patches it
+            if kind == "append":
+                nodes, offsets = random_csr(step_rng, num_nodes, int(step_rng.integers(1, 9)))
+                store.append_arrays(nodes, offsets)
+                edges += [0] * (offsets.size - 1)
+                continue
+            ids = np.flatnonzero(step_rng.random(store.num_sets) < step_rng.random())
+            with mock.patch.object(
+                flat_module, "build_inverted_index", side_effect=AssertionError("rebuilt")
+            ):
+                if kind == "invalidate":
+                    store.invalidate(ids)
+                    for sid in ids:
+                        edges[sid] = 0
+                else:
+                    batch = replacement(step_rng, store, ids, mode, num_nodes)
+                    store.replace_sets(ids, batch)
+                    for sid, count in zip(ids, batch.edges_examined):
+                        edges[sid] = int(count)
+            want_sets, want_offsets = build_inverted_index(store.nodes, store.offsets, num_nodes)
+            assert store.inv_sets.dtype == store.inv_offsets.dtype == np.int64
+            assert np.array_equal(store.inv_sets, want_sets)
+            assert np.array_equal(store.inv_offsets, want_offsets)
+            upto = [store.edges_examined_upto(i) for i in range(store.num_sets + 1)]
+            assert np.array_equal(np.diff(upto), edges)
+            assert store.total_edges_examined == sum(edges)
 
 
 class TestPrefixViewCutsTheStoreIndex:

@@ -176,12 +176,20 @@ def test_blocked_ic_draw_on_overlay_equals_scalar_loop_and_compacted(
     compact_sampler = make_sampler(rebuilt(graph), model="ic", method="bfs")
     assert_keyed_draws_agree(updated_sampler, compact_sampler, rng)
     if updated_sampler._node_threshold is not None:
-        # A threshold is a function of p alone: the per-edge path, forced
-        # onto a graph the per-node path serves, flips the same coins.
+        # A threshold is a function of p alone: every non-empty row forced
+        # onto the per-edge table — read through the all-rows-tabled path,
+        # and through the per-row patch of the node thresholds' repeat —
+        # flips the same coins as the per-row layout this graph gets.
+        indptr = graph.in_indptr.astype(np.int64)
+        table = _thresholds(_row_tables(graph)[3])
         per_edge = make_sampler(graph, model="ic", method="bfs")
-        per_edge._edge_threshold = _thresholds(_row_tables(graph)[3])
-        per_edge._node_threshold = None
+        per_edge._edge_threshold, per_edge._edge_ptr = table, indptr
+        per_edge._node_threshold = per_edge._tabled = None
         assert_keyed_draws_agree(per_edge, compact_sampler, rng)
+        per_row = make_sampler(graph, model="ic", method="bfs")
+        per_row._edge_threshold, per_row._edge_ptr = table, indptr
+        per_row._tabled = np.diff(indptr) > 0
+        assert_keyed_draws_agree(per_row, compact_sampler, rng)
 
 
 @pytest.mark.parametrize("kind", ["delete", "downweight", "stacked"])
@@ -246,3 +254,108 @@ def test_vectorized_pool_warm_equals_cold(small_wc_graph, model):
             for a, b in zip(warm.stores("main"), cold.stores("main")):
                 np.testing.assert_array_equal(a.nodes, b.nodes)
                 np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
+#: The IC kernel's per-graph tables: what a rebase must derive exactly.
+IC_TABLES = (
+    "_row_starts",
+    "_row_counts",
+    "_indices",
+    "_uniform",
+    "_node_threshold",
+    "_edge_threshold",
+    "_edge_ptr",
+    "_tabled",
+)
+
+
+def ic_tables(sampler):
+    return {
+        name: None if getattr(sampler, name) is None else getattr(sampler, name).copy()
+        for name in IC_TABLES
+    }
+
+
+def assert_tables_equal(got, want):
+    for name in IC_TABLES:
+        a, b = got[name], want[name]
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def with_probabilities(graph, layout, rng):
+    """``graph``'s edges under weighted-cascade ("uniform"), a few rows
+    reweighted off it ("mixed"), or per-edge probabilities everywhere."""
+    src, dst, probs = graph.edge_arrays()
+    if layout == "mixed":
+        probs = probs.copy()
+        probs[rng.choice(probs.size, size=15, replace=False)] *= 0.5
+    elif layout == "nonuniform":
+        probs = rng.uniform(0.02, 0.7, size=probs.size)
+    return VersionedGraph(DirectedGraph(graph.num_nodes, src, dst, probs))
+
+
+def layout_stream(graph, rng):
+    """Deltas that walk a row off the uniform path and back, empty a row,
+    insert into the empty row, remove a node, and push most rows off the
+    uniform path and back (across the all-rows-tabled line both ways)."""
+    n = graph.num_nodes
+    degrees = graph.in_degrees()
+    row = int(np.flatnonzero(degrees >= 3)[0])
+    sources = [int(u) for u in graph.in_neighbors(row)]
+    wc = 1.0 / len(sources)
+    yield GraphDelta(reweight_edges=[(sources[0], row, wc / 2)])
+    yield GraphDelta(reweight_edges=[(u, row, wc) for u in sources])
+    yield GraphDelta(remove_edges=[(u, row) for u in sources])
+    yield GraphDelta(add_edges=[(sources[0], row, 0.3), (sources[1], row, 0.05)])
+    yield GraphDelta(remove_nodes=[int(np.argmax(graph.out_degrees()))])
+    src, dst, probs = graph.edge_arrays()
+    picks = rng.choice(src.size, size=src.size // 2, replace=False)
+    yield GraphDelta(
+        reweight_edges=[(int(src[i]), int(dst[i]), float(rng.uniform(0.01, 0.3))) for i in picks]
+    )
+    src, dst, __ = graph.edge_arrays()
+    indeg = np.bincount(dst, minlength=n)
+    yield GraphDelta(
+        reweight_edges=[(int(u), int(v), 1.0 / indeg[v]) for u, v in zip(src, dst)]
+    )
+
+
+@pytest.mark.parametrize("layout", ["uniform", "mixed", "nonuniform"])
+def test_rebased_ic_kernel_equals_a_fresh_one(small_wc_graph, layout):
+    """``rebased`` derives the IC kernel of the updated graph from the one
+    before and the touched rows: its tables and its draws equal
+    ``make_sampler`` on the same graph after every delta, and the kernel
+    it started from keeps its tables (a repair still replays on it)."""
+    rng = np.random.default_rng(17)
+    graph = with_probabilities(small_wc_graph, layout, rng)
+    kernel = make_sampler(graph, model="ic")
+    keys = set_keys(7, 1, np.arange(400))
+    layouts = set()
+    for delta in layout_stream(graph, rng):
+        before = ic_tables(kernel)
+        touched = graph.apply(delta)
+        rebased = kernel.rebased(graph, touched)
+        assert_tables_equal(ic_tables(kernel), before)
+        fresh = make_sampler(graph, model="ic")
+        assert_tables_equal(ic_tables(rebased), ic_tables(fresh))
+        assert batches_equal(rebased.sample_keys(keys), fresh.sample_keys(keys))
+        layouts.add((fresh._node_threshold is None, fresh._tabled is None))
+        kernel = rebased
+    # The stream crosses the all-rows-tabled line (its last delta puts
+    # every row back on weighted cascade: no row tabled).
+    assert (True, True) in layouts and (False, True) in layouts
+    if layout != "nonuniform":
+        assert (False, False) in layouts  # some rows tabled, the rest not
+
+
+def test_rebase_falls_back_where_it_cannot_derive(small_wc_graph):
+    graph = VersionedGraph(DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays()))
+    ic, lt = make_sampler(graph, model="ic"), make_sampler(graph, model="lt")
+    touched = graph.apply(GraphDelta(add_nodes=1))
+    assert touched is None and ic.rebased(graph, touched) is None
+    touched = graph.apply(GraphDelta(remove_edges=[next(iter(graph.edges()))[:2]]))
+    assert lt.rebased(graph, touched) is None
+    # The node count moved since the IC kernel was built.
+    assert ic.rebased(graph, touched) is None
