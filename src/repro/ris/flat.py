@@ -33,7 +33,9 @@ traversal examines the in-rows of exactly the nodes it collects),
 ones — set ids stay stable — and patches a built index for them rather
 than re-sorting it, and :meth:`invalidate` tombstones sets (contents
 cleared, id kept) when regeneration is deferred.
-:meth:`compact` drops accumulated tombstones and renumbers.
+:meth:`compact` drops accumulated tombstones and renumbers.  A
+tombstone is any empty set, however it came to be empty, and
+:attr:`num_tombstones` counts them off the offsets.
 
 Ordering invariants (relied on by the exactness tests):
 
@@ -180,7 +182,6 @@ class FlatRRCollection:
         self._num_sets = 0
         self._total_size = 0
         self._total_edges_examined = 0
-        self._num_tombstones = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -342,9 +343,6 @@ class FlatRRCollection:
         sizes = np.diff(self._offsets)
         old_sizes, new_sizes = sizes[ids], np.diff(batch.offsets)
         old_nodes = gather_rows(self._nodes, self._offsets, ids)
-        tombstone_delta = int(
-            np.count_nonzero(new_sizes == 0) - np.count_nonzero(old_sizes == 0)
-        )
         # Splice: alternate unchanged spans with the replacement rows.
         parts = []
         prev = 0
@@ -360,7 +358,6 @@ class FlatRRCollection:
         np.cumsum(sizes, out=self._offsets[1:])
         self._total_size = int(self._offsets[-1])
         self.set_edges_examined(ids, batch.edges_examined)
-        self._num_tombstones += tombstone_delta
         if self._inv_sets is not None:
             self._patch_index(ids, old_nodes, old_sizes, new_nodes, new_sizes)
 
@@ -438,14 +435,14 @@ class FlatRRCollection:
 
         A tombstone is a logically empty set (real RR sets always contain
         their root, so emptiness is unambiguous); its edge accounting is
-        zeroed.  Returns how many sets were *newly* tombstoned.  Used
+        zeroed.  Returns how many of ``set_ids`` were newly emptied.  Used
         when regeneration is deferred; the pool's repair path instead
         regenerates and calls :meth:`replace_sets` directly.
         """
         ids = np.unique(np.asarray(set_ids, dtype=np.int64))
         if ids.size == 0:
             return 0
-        before = self._num_tombstones
+        before = self.num_tombstones
         empty = FlatBatch(
             np.zeros(0, dtype=np.int32),
             np.zeros(ids.size + 1, dtype=np.int64),
@@ -453,7 +450,7 @@ class FlatRRCollection:
             np.zeros(ids.size, dtype=np.int64),
         )
         self.replace_sets(ids, empty)
-        return self._num_tombstones - before
+        return self.num_tombstones - before
 
     def compact(self) -> np.ndarray:
         """Drop tombstoned sets, re-packing the CSR arrays.
@@ -468,7 +465,6 @@ class FlatRRCollection:
         mapping = np.full(self._num_sets, -1, dtype=np.int64)
         mapping[keep] = np.arange(keep.size, dtype=np.int64)
         if keep.size == self._num_sets:
-            self._num_tombstones = 0
             return mapping
         bytes_before = self.nbytes()
         self._offsets = np.zeros(keep.size + 1, dtype=np.int64)
@@ -478,7 +474,6 @@ class FlatRRCollection:
         self._num_sets = int(keep.size)
         self._total_size = int(self._offsets[-1])
         self._total_edges_examined = int(self._edges.sum())
-        self._num_tombstones = 0
         self._rebuild_index()
         # Byte accounting: all node content was live (tombstones are
         # empty), so the nodes array is untouched and every index array
@@ -543,13 +538,14 @@ class FlatRRCollection:
 
     @property
     def num_tombstones(self) -> int:
-        """Number of tombstoned (logically empty) sets awaiting compaction."""
-        return self._num_tombstones
+        """Number of tombstones: the empty sets :meth:`compact` would drop."""
+        return self._num_sets - self.num_live_sets
 
     @property
     def num_live_sets(self) -> int:
-        """Stored sets minus tombstones."""
-        return self._num_sets - self._num_tombstones
+        """Number of stored sets that hold at least one node."""
+        self._materialize()
+        return int(np.count_nonzero(self._offsets[1:] > self._offsets[:-1]))
 
     @property
     def total_size(self) -> int:

@@ -27,7 +27,8 @@ Robustness: :func:`decode_varints` refuses streams whose final byte has
 the continuation bit set (truncation) or that contain a varint longer
 than :data:`MAX_VARINT_BYTES` (corruption), and :func:`decode_batch`
 additionally validates that the stream holds exactly the number of
-values its own header promises — all surfaced as the
+values its own header promises, that no set is longer than the stream
+and that every node id lies in ``[0, 2**31)`` — all surfaced as the
 :class:`~repro.ris.serialization.PayloadCorruptionError` the executor's
 retry machinery already understands.  The encoded body normally travels
 behind :func:`~repro.ris.serialization.pack_message`'s magic/version/
@@ -35,9 +36,18 @@ CRC32 frame, so random corruption is caught by the checksum first and
 these checks are the defence for the (checksum-colliding or framing-
 bypassing) remainder.
 
-Everything here is vectorised: encoding loops over the at most
-:data:`MAX_VARINT_BYTES` byte *positions*, never over values, and
-decoding reconstructs all values with one ``np.add.reduceat``.
+Everything here is vectorised, and the work is per value, not per byte:
+
+* sizing makes one compare-and-add pass per 7-bit threshold at or below
+  the stream's largest value (two or three for node deltas);
+* encoding writes byte 0 of every value in one scatter, then each later
+  byte position only for the values that still have bits left;
+* decoding reads every value's last, most significant group off the
+  terminating bytes, then folds in the earlier groups by Horner steps
+  (``v = v << 7 | low7``) over the shrinking set of multi-byte values;
+* a batch's per-set deltas are written straight into the value stream,
+  and undone by one running sum after each set's first delta is rebased
+  on the previous set's last id.
 """
 
 from __future__ import annotations
@@ -71,33 +81,73 @@ _U7F = np.uint64(0x7F)
 _SEVEN = np.uint64(7)
 
 
+def _byte_counts(values: np.ndarray) -> np.ndarray:
+    """Encoded byte length of each ``uint64`` value, as ``uint8``.
+
+    One compare-and-add per 7-bit threshold at or below the largest value:
+    two or three passes for node deltas.
+    """
+    counts = np.ones(values.shape, dtype=np.uint8)
+    if values.size:
+        top = values.max()
+        for threshold in _SIZE_THRESHOLDS:
+            if threshold > top:
+                break
+            counts += values >= threshold
+    return counts
+
+
 def varint_sizes(values: np.ndarray) -> np.ndarray:
     """Encoded byte length of each value (vectorised, no encoding)."""
-    values = np.asarray(values, dtype=np.uint64)
-    return np.searchsorted(_SIZE_THRESHOLDS, values, side="right").astype(np.int64) + 1
+    return _byte_counts(np.asarray(values, dtype=np.uint64)).astype(np.int64)
+
+
+def _low_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's low 7 bits as a byte with the continuation bit set
+    where more bits remain, and the mask of those values."""
+    more = values > _U7F
+    groups = values.astype(np.uint8)
+    groups &= 0x7F
+    groups |= more.view(np.uint8) << 7
+    return groups, more
 
 
 def encode_varints(values: np.ndarray) -> bytes:
-    """Encode non-negative integers as one contiguous LEB128 stream."""
+    """Encode non-negative integers as one contiguous LEB128 stream.
+
+    Byte 0 of every value lands in one scatter; each later byte position
+    is written only for the values that still have bits left, a set that
+    shrinks with every position.
+    """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     if values.size == 0:
         return b""
-    sizes = varint_sizes(values)
-    starts = np.zeros(values.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    out = np.empty(starts[-1] + sizes[-1], dtype=np.uint8)
-    for position in range(MAX_VARINT_BYTES):
-        mask = sizes > position
-        if not mask.any():
-            break
-        chunk = (values[mask] >> (_SEVEN * np.uint64(position))) & _U7F
-        continuation = (sizes[mask] > position + 1).astype(np.uint8) << 7
-        out[starts[mask] + position] = chunk.astype(np.uint8) | continuation
+    counts = _byte_counts(values)
+    starts = counts.astype(np.int64)
+    np.cumsum(starts, out=starts)
+    out = np.empty(int(starts[-1]), dtype=np.uint8)
+    starts -= counts
+    groups, more = _low_groups(values)
+    out[starts] = groups
+    rest = np.compress(more, values)
+    positions = np.compress(more, starts)
+    while rest.size:
+        rest >>= _SEVEN
+        positions += 1
+        groups, more = _low_groups(rest)
+        out[positions] = groups
+        rest = np.compress(more, rest)
+        positions = np.compress(more, positions)
     return out.tobytes()
 
 
 def decode_varints(data: bytes | np.ndarray) -> np.ndarray:
     """Decode a LEB128 stream produced by :func:`encode_varints`.
+
+    Each value starts as its last, most significant group (the byte
+    without a continuation bit); the earlier groups are folded in by
+    Horner steps, ``v = v << 7 | low7``, over the shrinking set of values
+    that still have a byte before the one just folded.
 
     Raises :class:`PayloadCorruptionError` when the stream ends
     mid-value or contains a varint longer than :data:`MAX_VARINT_BYTES`.
@@ -110,55 +160,64 @@ def decode_varints(data: bytes | np.ndarray) -> np.ndarray:
         raise PayloadCorruptionError(
             "varint stream truncated: final byte still has its continuation bit set"
         )
-    ends = np.nonzero(terminators)[0]
-    starts = np.empty(ends.size, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > MAX_VARINT_BYTES:
-        raise PayloadCorruptionError(
-            f"varint stream corrupt: value spans {int(lengths.max())} bytes "
-            f"(maximum is {MAX_VARINT_BYTES})"
-        )
-    positions = (np.arange(raw.size, dtype=np.int64) - np.repeat(starts, lengths)).astype(
-        np.uint64
-    )
-    contributions = (raw & np.uint8(0x7F)).astype(np.uint64) << (_SEVEN * positions)
-    return np.add.reduceat(contributions, starts)
+    values = np.compress(terminators, raw).astype(np.uint64)
+    # A multi-byte value's last continuation byte is one followed by a
+    # terminator.  If it sits at position p behind r other continuation
+    # bytes, its value is number p - r: of the p + 2 bytes up to its
+    # terminator, r + 1 continue and the rest each end a value.  (The
+    # final byte is a terminator, so ``terminators[1:]`` reaches past
+    # every continuation byte.)
+    continued = np.flatnonzero(~terminators)
+    ranks = np.flatnonzero(terminators[1:][continued])
+    positions = continued[ranks]
+    index = np.subtract(positions, ranks, out=ranks)
+    folded = values[index]
+    spanned = 1
+    while index.size:
+        spanned += 1
+        if spanned > MAX_VARINT_BYTES:
+            lengths = np.diff(np.flatnonzero(terminators), prepend=-1)
+            raise PayloadCorruptionError(
+                f"varint stream corrupt: value spans {int(lengths.max())} bytes "
+                f"(maximum is {MAX_VARINT_BYTES})"
+            )
+        folded <<= _SEVEN
+        folded |= raw[positions] & 0x7F
+        values[index] = folded
+        # Position -1 wraps to the final byte, a terminator, so a value
+        # that starts the stream stops there like every other.
+        positions -= 1
+        more = raw[positions] >= 0x80
+        index = np.compress(more, index)
+        positions = np.compress(more, positions)
+        folded = np.compress(more, folded)
+    return values
 
 
-def _delta_stream(nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-set delta coding: first id raw, later ids as differences."""
-    deltas = nodes.astype(np.int64, copy=True)
-    if deltas.size:
-        deltas[1:] -= nodes[:-1]
-        set_starts = offsets[:-1][np.diff(offsets) > 0]
-        deltas[set_starts] = nodes[set_starts]
-    return deltas
-
-
-def _undelta_stream(deltas: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Invert :func:`_delta_stream` given the per-set lengths."""
-    if deltas.size == 0:
-        return deltas
-    running = np.cumsum(deltas)
-    nonempty = lengths[lengths > 0]
-    set_starts = np.zeros(nonempty.size, dtype=np.int64)
-    np.cumsum(nonempty[:-1], out=set_starts[1:])
-    bases = running[set_starts] - deltas[set_starts]
-    return running - np.repeat(bases, nonempty)
+#: Node ids travel as int32 on the master: a decoded id or delta at or past
+#: this bound can only come from a corrupt stream.
+_NODE_ID_LIMIT = 2**31
 
 
 def _batch_stream(batch: FlatBatch) -> np.ndarray:
-    """The batch's value stream in wire order (see module docstring)."""
-    lengths = np.diff(batch.offsets)
-    deltas = _delta_stream(batch.nodes, batch.offsets)
-    stream = np.empty(1 + lengths.size * 3 + deltas.size, dtype=np.uint64)
-    stream[0] = lengths.size
-    cursor = 1
-    for part in (lengths, deltas, batch.roots, batch.edges_examined):
-        stream[cursor : cursor + part.size] = part.astype(np.uint64, copy=False)
-        cursor += part.size
+    """The batch's value stream in wire order (see module docstring).
+
+    Within each set the first node id is stored raw and every later id as
+    the difference from its predecessor; the differences are written
+    straight into the stream.
+    """
+    nodes, offsets = batch.nodes, batch.offsets
+    count, total = offsets.size - 1, nodes.size
+    stream = np.empty(1 + 3 * count + total, dtype=np.uint64)
+    stream[0] = count
+    np.subtract(offsets[1:], offsets[:-1], out=stream[1 : 1 + count], casting="unsafe")
+    if total:
+        deltas = stream[1 + count : 1 + count + total].view(np.int64)
+        np.subtract(nodes[1:], nodes[:-1], out=deltas[1:], dtype=np.int64)
+        set_starts = offsets[:-1][offsets[:-1] < offsets[1:]]
+        deltas[set_starts] = nodes[set_starts]
+    stream[1 + count + total : 1 + 2 * count + total] = batch.roots.astype(np.uint64, copy=False)
+    stream[1 + 2 * count + total :] = batch.edges_examined.astype(np.uint64, copy=False)
     return stream
 
 
@@ -172,8 +231,32 @@ def encoded_batch_nbytes(batch: FlatBatch) -> int:
     return int(varint_sizes(_batch_stream(batch)).sum())
 
 
+def _undelta(deltas: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Invert the per-set delta coding in place and return the node ids.
+
+    Each set's first delta is rebased on the previous set's last id (the
+    sum of that set's deltas), so one running sum over the whole stream
+    yields every id.  ``deltas`` must hold values below
+    :data:`_NODE_ID_LIMIT`, so no sum wraps.
+    """
+    if deltas.size:
+        nonempty = lengths[lengths > 0]
+        set_starts = np.zeros(nonempty.size, dtype=np.int64)
+        np.cumsum(nonempty[:-1], out=set_starts[1:])
+        lasts = np.add.reduceat(deltas, set_starts)
+        deltas[set_starts[1:]] -= lasts[:-1]
+        np.cumsum(deltas, out=deltas)
+    return deltas
+
+
 def decode_batch(body: bytes) -> FlatBatch:
-    """Invert :func:`encode_batch`, validating the stream's structure."""
+    """Invert :func:`encode_batch`, validating the stream's structure.
+
+    Besides the value count its header implies, a set length past the
+    stream's size and a node id outside ``[0, 2**31)`` are refused: both
+    can only come from corruption, and both would otherwise wrap into
+    negative offsets or wrong ids.
+    """
     stream = decode_varints(body)
     if stream.size == 0:
         raise PayloadCorruptionError("batch body is empty: missing set-count header")
@@ -183,22 +266,26 @@ def decode_batch(body: bytes) -> FlatBatch:
             f"batch body declares {count} sets but only holds "
             f"{stream.size - 1} values"
         )
-    lengths = stream[1 : 1 + count].astype(np.int64)
-    if lengths.size and int(lengths.max(initial=0)) > stream.size:
+    if count and int(stream[1 : 1 + count].max()) > stream.size:
         raise PayloadCorruptionError("batch body declares a set longer than the stream")
+    lengths = stream[1 : 1 + count].astype(np.int64)
     total = int(lengths.sum())
     expected = 1 + 3 * count + total
     if stream.size != expected:
         raise PayloadCorruptionError(
             f"batch body holds {stream.size} values but its header implies {expected}"
         )
-    deltas = stream[1 + count : 1 + count + total].astype(np.int64)
+    deltas = stream[1 + count : 1 + count + total]
+    if total and int(deltas.max()) >= _NODE_ID_LIMIT:
+        raise PayloadCorruptionError("batch body holds a node delta past the int32 id range")
+    ids = _undelta(deltas.view(np.int64), lengths)
+    if total and int(ids.max()) >= _NODE_ID_LIMIT:
+        raise PayloadCorruptionError("batch body decodes to a node id past the int32 id range")
     roots = stream[1 + count + total : 1 + 2 * count + total].astype(np.int64)
     edges = stream[1 + 2 * count + total :].astype(np.int64)
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    nodes = _undelta_stream(deltas, lengths).astype(np.int32)
-    return FlatBatch(nodes, offsets, roots, edges)
+    return FlatBatch(ids.astype(np.int32), offsets, roots, edges)
 
 
 def tuple_vector_nbytes(nodes: np.ndarray, counts: np.ndarray) -> int:

@@ -18,9 +18,15 @@ slow, obvious way:
   at a time (a Python loop over edge masks or triggering choices, a BFS
   per world), and the brute-force optimum calling it once per candidate
   set: what :mod:`repro.diffusion.exact` enumerates once, vectorized.
+* :func:`reference_varint_sizes` / :func:`reference_encode_varints` /
+  :func:`reference_decode_varints` — the LEB128 wire codec byte by byte:
+  a ``searchsorted`` size per value, one masked pass over every value per
+  byte position, and per-byte contributions summed by ``np.add.reduceat``
+  (what :mod:`repro.ris.wire` does per value instead).
 
-None of it shares code with :mod:`repro.coverage.kernel` or
-:func:`repro.ris.flat.build_inverted_index`.  :func:`reference_engine`
+None of it shares code with :mod:`repro.coverage.kernel`,
+:func:`repro.ris.flat.build_inverted_index` or the codec's size, encode
+and decode loops.  :func:`reference_engine`
 swaps these loops into the engines' modules in place of the kernel, so the
 protocol code around them — the bucket queue, the phase records, the
 priced replies — runs unchanged over the oracle's per-element work; the
@@ -44,6 +50,8 @@ from repro.diffusion.lt import check_lt_feasible
 from repro.diffusion.triggering import reachable_from
 from repro.ris.flat import FlatRRCollection
 from repro.ris.rrset import RRSample
+from repro.ris.serialization import PayloadCorruptionError
+from repro.ris.wire import MAX_VARINT_BYTES
 
 __all__ = [
     "STORES",
@@ -59,6 +67,9 @@ __all__ = [
     "reference_mark_and_decrement",
     "reference_newgreedi",
     "reference_restricted_greedy",
+    "reference_decode_varints",
+    "reference_encode_varints",
+    "reference_varint_sizes",
 ]
 
 
@@ -342,3 +353,65 @@ def reference_exact_optimum(graph, k: int, model: str = "ic", candidates=None):
         if value > best_value:
             best_set, best_value = combo, value
     return best_set, best_value
+
+
+# ---------------------------------------------------------------------------
+# The LEB128 wire codec, per byte
+# ---------------------------------------------------------------------------
+#: A value needs ``k+1`` bytes when it is >= 2**(7k).
+_SIZE_THRESHOLDS = np.power(
+    np.uint64(2), np.uint64(7) * np.arange(1, MAX_VARINT_BYTES, dtype=np.uint64)
+)
+
+
+def reference_varint_sizes(values) -> np.ndarray:
+    """Encoded byte length of each value, by binary search."""
+    values = np.asarray(values, dtype=np.uint64)
+    return np.searchsorted(_SIZE_THRESHOLDS, values, side="right").astype(np.int64) + 1
+
+
+def reference_encode_varints(values) -> bytes:
+    """LEB128 stream: one masked pass over every value per byte position."""
+    values = np.ascontiguousarray(values, dtype=np.uint64)
+    if values.size == 0:
+        return b""
+    sizes = reference_varint_sizes(values)
+    starts = np.zeros(values.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    out = np.empty(starts[-1] + sizes[-1], dtype=np.uint8)
+    for position in range(MAX_VARINT_BYTES):
+        mask = sizes > position
+        if not mask.any():
+            break
+        chunk = (values[mask] >> (np.uint64(7) * np.uint64(position))) & np.uint64(0x7F)
+        continuation = (sizes[mask] > position + 1).astype(np.uint8) << 7
+        out[starts[mask] + position] = chunk.astype(np.uint8) | continuation
+    return out.tobytes()
+
+
+def reference_decode_varints(data) -> np.ndarray:
+    """Invert :func:`reference_encode_varints`: every byte's 7 bits shifted
+    to its place in its value, summed per value."""
+    raw = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else data
+    if raw.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    terminators = raw < 0x80
+    if not terminators[-1]:
+        raise PayloadCorruptionError(
+            "varint stream truncated: final byte still has its continuation bit set"
+        )
+    ends = np.nonzero(terminators)[0]
+    starts = np.empty(ends.size, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    if int(lengths.max()) > MAX_VARINT_BYTES:
+        raise PayloadCorruptionError(
+            f"varint stream corrupt: value spans {int(lengths.max())} bytes "
+            f"(maximum is {MAX_VARINT_BYTES})"
+        )
+    positions = (np.arange(raw.size, dtype=np.int64) - np.repeat(starts, lengths)).astype(
+        np.uint64
+    )
+    contributions = (raw & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * positions)
+    return np.add.reduceat(contributions, starts)

@@ -3,6 +3,8 @@ invalidate / compact byte accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ris import make_sampler
 from repro.ris.flat import FlatRRCollection, append_batch, gather_rows
@@ -175,6 +177,64 @@ class TestInvalidateAndCompact:
         assert view.get(2).tolist() == [8, 9]
         assert 2 in view.sets_containing(8).tolist()
 
+
+
+def empty_sets(store):
+    """Ids of the stored sets that hold no node, one ``get`` at a time."""
+    return [i for i in range(store.num_sets) if store.get(i).size == 0]
+
+
+class TestTombstoneCount:
+    """A tombstone is an empty set, however it came to be empty: appended
+    so, replaced by nothing or invalidated."""
+
+    def test_replacing_a_set_appended_empty(self):
+        store = FlatRRCollection(8)
+        store.append_arrays(np.array([3], dtype=np.int32), np.array([0, 0, 1]))
+        assert store.num_tombstones == 1
+        store.replace_sets(np.array([0]), make_batch([[5]]))
+        assert store.num_tombstones == 0
+        assert store.num_live_sets == store.num_sets == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.sampled_from(["append", "replace", "invalidate", "compact"]),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_tombstones_are_the_empty_sets(self, seed, steps):
+        rng = np.random.default_rng(seed)
+        num_nodes = 12
+
+        def random_sets(count):
+            return [
+                np.sort(rng.choice(num_nodes, size=int(rng.integers(0, 4)), replace=False))
+                for __ in range(count)
+            ]
+
+        store = FlatRRCollection(num_nodes)
+        for kind in steps:
+            if kind == "append":
+                batch = make_batch(random_sets(int(rng.integers(1, 6))))
+                store.append_arrays(batch.nodes, batch.offsets, batch.edges_examined)
+            elif kind == "replace" and store.num_sets:
+                ids = np.flatnonzero(rng.random(store.num_sets) < 0.5)
+                store.replace_sets(ids, make_batch(random_sets(ids.size)))
+            elif kind == "invalidate" and store.num_sets:
+                ids = rng.integers(0, store.num_sets, size=int(rng.integers(0, 4)))
+                nonempty = {int(i) for i in ids if store.get(int(i)).size}
+                assert store.invalidate(ids) == len(nonempty)
+            elif kind == "compact":
+                before, dropped = store.num_sets, len(empty_sets(store))
+                assert store.num_tombstones == dropped
+                mapping = store.compact()
+                assert store.num_sets == before - dropped
+                assert np.count_nonzero(mapping < 0) == dropped
+            assert store.num_tombstones == len(empty_sets(store))
+            assert store.num_live_sets == store.num_sets - store.num_tombstones
 
 class TestConcatBatches:
     def test_rebases_offsets(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ris import make_sampler
 from repro.ris.rrset import FlatBatch, pack_samples
@@ -15,6 +17,22 @@ from repro.ris.wire import (
     encoded_batch_nbytes,
     tuple_vector_nbytes,
     varint_sizes,
+)
+from tests.oracle import (
+    reference_decode_varints,
+    reference_encode_varints,
+    reference_varint_sizes,
+)
+
+#: Every 7-bit boundary, one either side of it, and the top of uint64.
+BOUNDARIES = sorted(
+    {max(0, 2 ** (7 * k) + d) for k in range(1, 10) for d in (-1, 0, 1)} | {0, 2**64 - 1}
+)
+
+UINT64 = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**21),
+    st.sampled_from(BOUNDARIES),
 )
 
 
@@ -83,6 +101,61 @@ class TestVarints:
             decode_varints(stream)
 
 
+
+def decode_outcome(decode, data):
+    """What ``decode`` makes of ``data``: its values, or its error message."""
+    try:
+        return decode(data).tolist()
+    except PayloadCorruptionError as error:
+        return f"error: {error}"
+
+
+class TestAgainstPerByteReference:
+    """The per-value codec against the per-byte one it replaced
+    (``tests/oracle.py``): same bytes, same values, same sizes, and the
+    same refusals with the same messages."""
+
+    def test_every_boundary(self):
+        values = np.asarray(BOUNDARIES, dtype=np.uint64)
+        encoded = encode_varints(values)
+        assert encoded == reference_encode_varints(values)
+        assert np.array_equal(varint_sizes(values), reference_varint_sizes(values))
+        assert varint_sizes(values).dtype == np.int64
+        assert np.array_equal(decode_varints(encoded), values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(UINT64, max_size=300))
+    def test_random_streams(self, values):
+        values = np.asarray(values, dtype=np.uint64)
+        encoded = encode_varints(values)
+        assert encoded == reference_encode_varints(values)
+        assert np.array_equal(varint_sizes(values), reference_varint_sizes(values))
+        decoded = decode_varints(encoded)
+        assert decoded.dtype == np.uint64
+        assert np.array_equal(decoded, reference_decode_varints(encoded))
+        assert np.array_equal(decoded, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(UINT64, min_size=1, max_size=50), data=st.data())
+    def test_truncated_and_overlong_streams(self, values, data):
+        encoded = encode_varints(np.asarray(values, dtype=np.uint64))
+        cut = data.draw(st.integers(1, len(encoded)))
+        at = data.draw(st.integers(0, len(encoded)))
+        for broken in (
+            encoded[:cut] + b"\x80",
+            encoded[:at] + b"\x80" * MAX_VARINT_BYTES + b"\x01" + encoded[at:],
+        ):
+            outcome = decode_outcome(decode_varints, broken)
+            assert outcome.startswith("error: ")
+            assert outcome == decode_outcome(reference_decode_varints, broken)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_arbitrary_bytes(self, data):
+        assert decode_outcome(decode_varints, data) == decode_outcome(
+            reference_decode_varints, data
+        )
+
 class TestBatchCodec:
     def test_empty_batch(self):
         batch = batch_from_sets([])
@@ -149,6 +222,41 @@ class TestBatchCodec:
         with pytest.raises(PayloadCorruptionError, match="implies"):
             decode_batch(encode_varints(stream))
 
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_nbytes_equals_encoding_on_sampler_batches(self, small_wc_graph, model):
+        sampler = make_sampler(small_wc_graph, model)
+        drawn = sampler.sample_batch(np.random.default_rng(5), 150)
+        sets = [drawn.nodes[drawn.offsets[i] : drawn.offsets[i + 1]] for i in range(drawn.count)]
+        # Interleave empty sets and single-node sets with the drawn ones.
+        mixed = [s.tolist() for s in sets[:60]] + [[], [3], []] + [s.tolist() for s in sets[60:]]
+        for batch in (drawn, batch_from_sets(mixed), batch_from_sets([[], [0]])):
+            encoded = encode_batch(batch)
+            assert encoded_batch_nbytes(batch) == len(encoded)
+            assert_batches_equal(decode_batch(encoded), batch)
+
+    def test_tombstone_roots_round_trip(self):
+        batch = batch_from_sets([[4, 6], [], [1]])
+        batch = FlatBatch(batch.nodes, batch.offsets, np.array([4, -1, 1]), batch.edges_examined)
+        assert_batches_equal(decode_batch(encode_batch(batch)), batch)
+
+    def test_set_length_past_int64_raises(self):
+        # 2**64 - 1 read as an int64 length would be -1: offsets [0, -1, 1].
+        stream = np.asarray([2, 2**64 - 1, 2, 5, 1, 1, 7, 7], dtype=np.uint64)
+        with pytest.raises(PayloadCorruptionError, match="longer than the stream"):
+            decode_batch(encode_varints(stream))
+
+    def test_node_delta_that_wraps_raises(self):
+        # 5 + (2**63 + 3) wraps to 8 in int32 arithmetic.
+        stream = np.asarray([1, 2, 5, 2**63 + 3, 1, 1], dtype=np.uint64)
+        with pytest.raises(PayloadCorruptionError, match="int32 id range"):
+            decode_batch(encode_varints(stream))
+
+    def test_node_id_past_int32_raises(self):
+        # Each delta fits, but their running sum leaves the int32 range.
+        stream = np.asarray([1, 2, 2**31 - 1, 1, 0, 0], dtype=np.uint64)
+        with pytest.raises(PayloadCorruptionError, match="int32 id range"):
+            decode_batch(encode_varints(stream))
 
 class TestTupleVectorSize:
     def test_empty_vector_costs_header_only(self):
