@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Mapping, Sequence
 
 __all__ = [
     "PhaseRecord",
     "RecoveryEvent",
     "RunMetrics",
+    "RunningTotals",
     "GENERATION",
     "COMPUTATION",
     "COMMUNICATION",
@@ -367,6 +369,51 @@ class RunMetrics:
     def merge(self, other: "RunMetrics") -> None:
         """Append the phases of another run (e.g. nested algorithm calls)."""
         self.phases.extend(other.phases)
+        self.recovery_events.extend(other.recovery_events)
+        self.record_memory(other.rr_store_nbytes, other.coverage_nbytes)
+        self.sets_redrawn += other.sets_redrawn
+
+
+#: The :class:`PhaseRecord` fields :class:`RunningTotals` adds up.
+_SUMMED = ("parallel_time", "num_bytes", "wire_sent", "wire_received", "round_trips")
+
+
+class RunningTotals(RunMetrics):
+    """The merged metrics of any number of runs, in bounded memory.
+
+    :meth:`merge` folds each incoming phase into one record per category
+    (label ``"total"``), so the record count is at most one per category
+    however many runs were merged.  Byte, wire and round-trip counters and
+    ``sets_redrawn`` read exactly what the concatenated phase lists would
+    have summed to; times (:meth:`breakdown`) read the same sums up to
+    float rounding, added in another order.  What the fold drops is
+    per-phase detail: labels, rounds, per-machine times (a folded
+    record's ``machine_times`` is its summed machine time).
+    """
+
+    def merge(self, other: RunMetrics) -> None:
+        # Group, then sum each field of a group in C (a record built per
+        # incoming phase would cost a run's merge milliseconds).
+        groups: Dict[str, List[PhaseRecord]] = {}
+        for phase in other.phases:
+            groups.setdefault(phase.category, []).append(phase)
+        slots = {p.category: i for i, p in enumerate(self.phases)}
+        for category, group in groups.items():
+            at = slots.get(category, len(self.phases))
+            if at == len(self.phases):
+                self.phases.append(PhaseRecord(category, "total", 0.0, (0.0,)))
+            folded = self.phases[at]
+            total = {
+                name: getattr(folded, name) + sum(map(attrgetter(name), group))
+                for name in _SUMMED
+            }
+            machine = sum(map(sum, map(attrgetter("machine_times"), group)))
+            self.phases[at] = PhaseRecord(
+                category=category,
+                label="total",
+                machine_times=(folded.total_machine_time + machine,),
+                **total,
+            )
         self.recovery_events.extend(other.recovery_events)
         self.record_memory(other.rr_store_nbytes, other.coverage_nbytes)
         self.sets_redrawn += other.sets_redrawn

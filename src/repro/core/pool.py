@@ -27,8 +27,12 @@ collections:
 The pool is thread-safe by serialization: :meth:`query_metrics` — which
 every query must wrap its phases in — holds the pool lock, swaps a fresh
 :class:`~repro.cluster.metrics.RunMetrics` onto the executor for the
-query, and merges it into the pool's lifetime metrics afterwards.
-Queries against *different* pools run concurrently.
+query, and folds it into the pool's lifetime totals afterwards
+(:class:`~repro.cluster.metrics.RunningTotals`: one record per category,
+however many queries ran).  Queries against *different* pools run
+concurrently.  :meth:`signature` is the one read that never waits on
+the lock: the pool publishes it, rebuilt under the lock, whenever sizes
+or the update epoch change.
 
 Bit-for-bit warm/cold equivalence holds for every pool: a set's bytes
 are a function of its coordinates and the graph (the model's keyed
@@ -68,7 +72,7 @@ import numpy as np
 from ..cluster.cluster import SimulatedCluster
 from ..cluster.executor import GeneratePhase, MapPhase, executor_scope, make_executor
 from ..cluster.spec import as_spec
-from ..cluster.metrics import GENERATION, RunMetrics
+from ..cluster.metrics import GENERATION, RunMetrics, RunningTotals
 from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
 from ..diffusion.lt import check_lt_feasible
@@ -178,6 +182,8 @@ class SamplePool:
         #: Number of graph updates repaired into the pool; part of
         #: :meth:`signature` so repaired contents miss stale cache entries.
         self.updates = 0
+        self._signature: Tuple = (0, ())
+        self._lifetime = self.executor.metrics = RunningTotals()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -198,17 +204,21 @@ class SamplePool:
         return self._lock
 
     @property
-    def lifetime_metrics(self) -> RunMetrics:
-        """Phases accumulated across every query served so far."""
-        return self.executor.metrics
+    def lifetime_metrics(self) -> RunningTotals:
+        """Running totals of every phase the pool ran: each query's, each
+        top-up's and each repair's.
+
+        One record per category however much traffic the pool served, so
+        per-phase detail (labels, rounds) is gone; ``total_bytes``, the
+        wire counters and ``sets_redrawn`` read what the per-phase records
+        would have summed to, and ``breakdown()`` too, to float rounding.
+        """
+        return self._lifetime
 
     def sizes(self) -> Dict[str, List[int]]:
-        """Per-machine collection sizes for each key."""
-        with self._lock:
-            return {
-                key: [store.num_sets for store in stores]
-                for key, stores in self._stores.items()
-            }
+        """Per-machine collection sizes for each key, from the published
+        :meth:`signature` (no lock taken)."""
+        return {key: list(counts) for key, counts in self._signature[1]}
 
     def signature(self) -> Tuple:
         """A hashable snapshot of the pool's contents — the pool-state
@@ -217,17 +227,27 @@ class SamplePool:
         Covers per-key collection sizes *and* the update epoch: an
         in-place repair keeps every size but rewrites contents, so the
         epoch is what makes pre-update cache entries miss.
+
+        Lock-free: returns the tuple last published by :meth:`ensure`,
+        :meth:`repair` or a key's first store, each rebuilding it under the
+        pool lock once its change is complete.  A reader racing a top-up
+        sees the sizes from before it — whose cached answers are still
+        right, since growth appends and never rewrites — and a reader
+        racing a repair sees the old epoch until the repair is done.
         """
-        with self._lock:
-            return (
-                self.updates,
-                tuple(
-                    sorted(
-                        (key, tuple(store.num_sets for store in stores))
-                        for key, stores in self._stores.items()
-                    )
-                ),
-            )
+        return self._signature
+
+    def _publish(self) -> None:
+        """Rebuild :meth:`signature` (caller holds the pool lock)."""
+        self._signature = (
+            self.updates,
+            tuple(
+                sorted(
+                    (key, tuple(store.num_sets for store in stores))
+                    for key, stores in self._stores.items()
+                )
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Growth and views
@@ -243,6 +263,7 @@ class SamplePool:
                     for _ in range(self.num_machines)
                 ]
                 self._stores[key] = stores
+                self._publish()
             return stores
 
     def view_stores(self, keys: Sequence[str]) -> Dict[str, List[FlatPrefixView]]:
@@ -278,27 +299,32 @@ class SamplePool:
             total = sum(counts)
             if total == 0:
                 return 0
-            if self._sampler is None:
-                self.executor.run_phase(
-                    GeneratePhase(
-                        label,
-                        counts=tuple(counts),
-                        targets=tuple(stores),
-                        model=self.model,
-                        key=key,
-                    )
-                )
-            else:
-                sampler, seed = self._sampler, self.seed
+            try:
+                with self._metered():
+                    if self._sampler is None:
+                        self.executor.run_phase(
+                            GeneratePhase(
+                                label,
+                                counts=tuple(counts),
+                                targets=tuple(stores),
+                                model=self.model,
+                                key=key,
+                            )
+                        )
+                    else:
+                        sampler, seed = self._sampler, self.seed
 
-                def top_up(mid: int) -> int:
-                    first = stores[mid].num_sets
-                    ids = range(first, first + counts[mid])
-                    if ids:
-                        append_batch(stores[mid], sample_set_range(sampler, seed, mid, ids, key))
-                    return counts[mid]
+                        def top_up(mid: int) -> int:
+                            first = stores[mid].num_sets
+                            ids = range(first, first + counts[mid])
+                            if ids:
+                                batch = sample_set_range(sampler, seed, mid, ids, key)
+                                append_batch(stores[mid], batch)
+                            return counts[mid]
 
-                self.executor.run_phase(MapPhase(label, top_up, category=GENERATION))
+                        self.executor.run_phase(MapPhase(label, top_up, category=GENERATION))
+            finally:
+                self._publish()
             return total
 
     # ------------------------------------------------------------------
@@ -370,12 +396,13 @@ class SamplePool:
                 )
             sampler = self._kernel()
             repaired: Dict[str, int] = {}
-            for key in list(self._stores):
-                stores = self._stores[key]
-                if touched is None:
-                    repaired[key] = self._regenerate_all(key, stores, sampler)
-                else:
-                    repaired[key] = self._repair_touched(key, stores, before, sampler, touched)
+            with self._metered():
+                for key in list(self._stores):
+                    stores = self._stores[key]
+                    if touched is None:
+                        repaired[key] = self._regenerate_all(key, stores, sampler)
+                    else:
+                        repaired[key] = self._repair_touched(key, stores, before, sampler, touched)
             if touched is None:
                 self._coverage_cache.clear()
             # A repair that re-examined nothing left every collection — and
@@ -384,6 +411,7 @@ class SamplePool:
             # re-examined.
             if touched is None or any(repaired.values()):
                 self.updates += 1
+                self._publish()
             return repaired
 
     def _kernel(self) -> RRSampler:
@@ -528,7 +556,7 @@ class SamplePool:
 
         Holds the pool lock for the duration and meters the query as a
         lent-executor run (:func:`~repro.cluster.executor.executor_scope`):
-        its phases are its own, merged into the pool's lifetime metrics
+        its phases are its own, folded into the pool's lifetime totals
         on exit.
         """
         with self._lock:
@@ -537,6 +565,19 @@ class SamplePool:
                     yield metrics
             finally:
                 self.queries_served += 1
+
+    @contextmanager
+    def _metered(self) -> Iterator[None]:
+        """Meter a pool operation (caller holds the pool lock): inside
+        :meth:`query_metrics` the query's scope records it, round
+        annotations and all; outside, a scope of its own folds it into
+        :attr:`lifetime_metrics` on exit, which never records a phase
+        directly."""
+        if self.executor.metrics is not self._lifetime:
+            yield
+            return
+        with executor_scope(self.executor, owned=False):
+            yield
 
     # ------------------------------------------------------------------
     # Config compatibility

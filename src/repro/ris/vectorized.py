@@ -718,7 +718,10 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
             taken = np.add.reduceat(below, ends - degrees_nu, dtype=np.int64)
             edge[nonuni] = row_starts_nu + taken
             survive[nonuni] = taken < degrees_nu
-        return row[survive], self._indices[edge[survive]]
+        # One index list for both gathers: a boolean-mask gather costs
+        # several times an index take.
+        going = survive.nonzero()[0]
+        return row[going], self._indices[edge[going]]
 
     def row_outcomes(self, set_keys, nodes) -> np.ndarray:
         """The row ``(set_keys[j], nodes[j])``'s outcome, for every ``j``:
@@ -748,8 +751,8 @@ class VectorizedLTSampler(_BlockedFrontierSampler):
                 break
             walk_sets, nxt = walk_sets[row], nxt.astype(np.int64)
             marks = walk_sets * n + nxt
-            fresh = ~visited[marks]
-            if not fresh.any():
+            fresh = (~visited[marks]).nonzero()[0]
+            if fresh.size == 0:
                 break
             walk_sets, nxt, marks = walk_sets[fresh], nxt[fresh], marks[fresh]
             visited[marks] = True

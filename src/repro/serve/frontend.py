@@ -14,10 +14,14 @@ One request per line, one JSON reply per line:
   delta a resident pool's model cannot sample is refused unapplied.
 * ``{"op": "ping"}`` — liveness check.
 
-Queries run in worker threads (``asyncio.to_thread``), so slow cold
-queries never stall the event loop; queries hitting the *same* pool
-serialize on the pool lock while queries against different pools (and
-cache hits) proceed concurrently.  Malformed requests get an
+A cache hit is answered on the event loop
+(:meth:`InfluenceService.cached
+<repro.serve.service.InfluenceService.cached>`, which takes no pool
+lock), from a reply line encoded once per cached result.  A miss runs in
+a worker thread (``asyncio.to_thread``), so slow queries never stall the
+event loop: misses on the *same* pool serialize on the pool lock, misses
+on different pools proceed concurrently, and a hit never waits on a
+miss.  Updates run in worker threads too.  Malformed requests get an
 ``{"ok": false, "error": ...}`` reply instead of killing the connection.
 A request line longer than :data:`MAX_LINE_BYTES` gets such a reply too,
 naming the bound, and then the connection is closed: the line is
@@ -35,7 +39,8 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-from typing import Dict
+from collections import OrderedDict
+from typing import Dict, Tuple
 
 from ..applications.result import ApplicationResult
 from ..core.result import IMResult
@@ -98,6 +103,12 @@ class ServingFrontend:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        # Query reply lines by result identity, touched only on the loop.
+        # An entry holds its result, so the id stays that result's; at
+        # most the service's cache size of them, all dropped when the
+        # graph version moves (an update evicts cached results).
+        self._lines: "OrderedDict[int, Tuple[object, bytes]]" = OrderedDict()
+        self._lines_version = service.graph_version
 
     async def start(self) -> None:
         """Bind and start accepting connections (``port=0`` picks a free
@@ -153,14 +164,12 @@ class ServingFrontend:
                         f"request line exceeds the {MAX_LINE_BYTES}-byte limit; "
                         "closing the connection"
                     )
-                    reply = {"ok": False, "error": error}
-                    writer.write(json.dumps(reply).encode() + b"\n")
+                    writer.write(_encode({"ok": False, "error": error}))
                     await bounded(writer.drain())
                     break
                 if expired or not line:
                     break
-                reply = await self._dispatch(line)
-                writer.write(json.dumps(reply).encode() + b"\n")
+                writer.write(await self._dispatch(line))
                 await bounded(writer.drain())
         except ConnectionError:
             if not expired:  # the aborted drain of a stalled client
@@ -170,18 +179,19 @@ class ServingFrontend:
             # raise if the server is being cancelled mid-handler.
             writer.close()
 
-    async def _dispatch(self, line: bytes) -> Dict:
+    async def _dispatch(self, line: bytes) -> bytes:
+        """The reply line for one request line."""
         try:
             req = json.loads(line)
             if not isinstance(req, dict):
                 raise ValueError("request must be a JSON object")
             op = req.pop("op", "query")
             if op == "ping":
-                return {"ok": True, "op": "ping"}
+                return _encode({"ok": True, "op": "ping"})
             if op == "stats":
                 payload = self.service.describe()
                 payload["pools"] = self.service.pool_sizes()
-                return {"ok": True, "op": "stats", **payload}
+                return _encode({"ok": True, "op": "stats", **payload})
             if op == "query":
                 query = Query(
                     kind=req.pop("kind"),
@@ -190,15 +200,36 @@ class ServingFrontend:
                         for k, v in req.items()
                     },
                 )
-                result = await asyncio.to_thread(self.service.query, query)
-                return {"ok": True, "op": "query", **result_payload(result)}
+                result = self.service.cached(query)
+                if result is None:
+                    result = await asyncio.to_thread(self.service.query, query)
+                return self._reply_line(result)
             if op == "update":
                 delta = GraphDelta.from_json(req)
                 summary = await asyncio.to_thread(self.service.apply_update, delta)
-                return {"ok": True, "op": "update", **summary}
+                return _encode({"ok": True, "op": "update", **summary})
             raise ValueError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 — every error becomes a reply
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return _encode({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+
+    def _reply_line(self, result) -> bytes:
+        """The query reply line for ``result``, encoded on its first reply."""
+        if self._lines_version != self.service.graph_version:
+            self._lines.clear()
+            self._lines_version = self.service.graph_version
+        entry = self._lines.get(id(result))
+        if entry is not None:
+            self._lines.move_to_end(id(result))
+            return entry[1]
+        line = _encode({"ok": True, "op": "query", **result_payload(result)})
+        self._lines[id(result)] = (result, line)
+        while len(self._lines) > self.service.cache_size:
+            self._lines.popitem(last=False)
+        return line
+
+
+def _encode(reply: Dict) -> bytes:
+    return json.dumps(reply).encode() + b"\n"
 
 
 async def _discard_line(reader: asyncio.StreamReader) -> None:

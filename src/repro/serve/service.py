@@ -25,6 +25,9 @@ Results are memoized in an LRU cache keyed by ``(query fingerprint,
 pool signature)``; the signature carries both the pool's collection
 sizes and its update epoch, so repeated queries that neither grow nor
 repair the pool are answered without touching the cluster at all.
+:meth:`InfluenceService.cached` is that read alone; it takes no pool
+lock, so the front-end answers hits on its event loop, never behind a
+query in flight.
 
 Dynamic serving
 ---------------
@@ -204,61 +207,102 @@ class InfluenceService:
         self._executor_kwargs = dict(executor=as_spec(executor), network=network)
         self._pools: Dict[Tuple, SamplePool] = {}
         self._cache: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._cache_size = cache_size
+        #: Maximum memoized query results (LRU).
+        self.cache_size = cache_size
         self._lock = threading.Lock()
+        self._build_lock = threading.Lock()
         self.stats = ServiceStats()
         self._closed = False
 
     # ------------------------------------------------------------------
     # Pool registry
     # ------------------------------------------------------------------
-    def _pool(self, key: Tuple, **kwargs) -> SamplePool:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = SamplePool(
-                    self.graph, seed=self.seed, **self._executor_kwargs, **kwargs
-                )
-                self._pools[key] = pool
-            return pool
+    def _pool_key(self, query: Query) -> Tuple:
+        """The key of the pool ``query`` draws from.
 
-    def _im_pool(self, kind: str) -> SamplePool:
-        entry = REGISTRY[kind]
-        single = entry.single_machine  # the l = 1 run: its own pool
-        model = "ic" if entry.ic_only else self.model
-        return self._pool(
-            ("imm" if single else "cluster", model),
-            machines=1 if single else self.machines,
-            model=model,
+        The IMM family's keys are ``("imm" | "cluster", model)``: the
+        ``l = 1`` run has its own pool, and D-SUBSIM's is always IC.
+        budgeted/profit share the IMM family's cluster pool: their cold
+        entry points draw the same coordinates with the same kernel on an
+        identically seeded cluster, so the pool's prefixes are their cold
+        collections.  Targeted queries get one pool per distinct target
+        set: the targeted sampler draws roots from the targets, so
+        different target sets are different samples.
+        """
+        if query.kind == "targeted":
+            return ("targeted", query.targets)
+        entry = REGISTRY.get(query.kind)
+        if entry is None:
+            return ("cluster", self.model)
+        return (
+            "imm" if entry.single_machine else "cluster",
+            "ic" if entry.ic_only else self.model,
         )
 
-    def _app_pool(self, query: Query) -> SamplePool:
-        if query.kind == "targeted":
-            # One pool per distinct target set: the targeted sampler draws
-            # roots from the targets, so different target sets are
-            # different samples.  A factory instead of an instance, so
-            # repair can rebuild the sampler against the mutated graph.
-            targets = list(query.targets)
-            model = self.model
-            return self._pool(
-                ("targeted", query.targets),
-                machines=self.machines,
-                model=self.model,
-                sampler_factory=lambda graph: TargetedSampler(
-                    make_sampler(graph, model=model), targets
-                ),
-            )
-        # budgeted/profit share the IMM family's cluster pool: their cold
-        # entry points draw the same coordinates with the same kernel on an
-        # identically seeded cluster, so the pool's prefixes are their cold
-        # collections.
-        return self._pool(("cluster", self.model), machines=self.machines, model=self.model)
+    def _pool(self, key: Tuple) -> SamplePool:
+        """The pool under ``key``, built on first use.
+
+        Builds serialize on their own lock, not the registry's, so a
+        cache lookup never waits on a pool being built.
+        """
+        with self._build_lock:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("service is closed")
+                pool = self._pools.get(key)
+            if pool is not None:
+                return pool
+            kind, arg = key
+            if kind == "targeted":
+                # A factory instead of an instance, so repair can rebuild
+                # the sampler against the mutated graph.
+                targets, model = list(arg), self.model
+                args = dict(
+                    machines=self.machines,
+                    model=model,
+                    sampler_factory=lambda graph: TargetedSampler(
+                        make_sampler(graph, model=model), targets
+                    ),
+                )
+            else:
+                args = dict(machines=1 if kind == "imm" else self.machines, model=arg)
+            pool = SamplePool(self.graph, seed=self.seed, **self._executor_kwargs, **args)
+            with self._lock:
+                if self._closed:  # closed while the pool was being built
+                    pool.close()
+                    raise RuntimeError("service is closed")
+                self._pools[key] = pool
+            return pool
 
     # ------------------------------------------------------------------
     # Query dispatch
     # ------------------------------------------------------------------
+    def cached(self, query: Query):
+        """The memoized answer to ``query``, or ``None`` on a miss.
+
+        Never blocks on a query: it builds no pool and takes no pool lock
+        (the pool's :meth:`~repro.core.pool.SamplePool.signature` is
+        published lock-free), only the registry lock, which nothing holds
+        for longer than a dict operation.  A hit is counted in
+        :attr:`stats`; a miss is counted by the :meth:`query` that
+        answers it.  The one cache read: :meth:`query` starts with it.
+        """
+        fingerprint = query.fingerprint()
+        key = self._pool_key(query)
+        with self._lock:
+            pool = self._pools.get(key)
+            if pool is None:
+                return None
+            # The signature covers collection sizes and the pool's update
+            # epoch, so entries from before an in-place repair miss here.
+            cache_key = (fingerprint, pool.signature())
+            cached = self._cache.get(cache_key)
+            if cached is None:
+                return None
+            self._cache.move_to_end(cache_key)
+            self.stats.record(query.kind, hit=True)
+            return cached[1]
+
     def query(self, query: Query):
         """Answer ``query`` warm, memoizing by pool state.
 
@@ -267,38 +311,30 @@ class InfluenceService:
         :class:`~repro.applications.result.ApplicationResult` for the
         applications.
         """
-        pool = (
-            self._im_pool(query.kind)
-            if query.kind in REGISTRY
-            else self._app_pool(query)
-        )
-        # The signature covers collection sizes and the pool's update
-        # epoch, so entries from before an in-place repair miss here.
-        cache_key = (query.fingerprint(), pool.signature())
-        with self._lock:
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                self._cache.move_to_end(cache_key)
-                self.stats.record(query.kind, hit=True)
-                return cached[1]
-        if query.kind in REGISTRY:
-            result = self._run_im(query, pool)
-        else:
-            result = self._run_app(query, pool)
-        with self._lock:
-            self.stats.record(query.kind, hit=False)
-            # Values remember which pool produced them, so apply_update
-            # can evict exactly the repaired pools' entries.
-            poolkey = next(
-                (key for key, p in self._pools.items() if p is pool), None
-            )
+        result = self.cached(query)
+        if result is not None:
+            return result
+        poolkey = self._pool_key(query)
+        pool = self._pool(poolkey)
+        # Under the pool lock until the entry is stored, so an update
+        # cannot land between the answer and its key: the entry is keyed
+        # on the pool state the answer was computed on.
+        with pool.lock:
+            if query.kind in REGISTRY:
+                result = self._run_im(query, pool)
+            else:
+                result = self._run_app(query, pool)
             # Key on the pool state *after* the query: identical repeats
             # top up nothing, so they hit this entry.
-            after_key = (query.fingerprint(), pool.signature())
-            self._cache[after_key] = (poolkey, result)
-            self._cache.move_to_end(after_key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+            cache_key = (query.fingerprint(), pool.signature())
+            with self._lock:
+                self.stats.record(query.kind, hit=False)
+                # Values remember which pool produced them, so
+                # apply_update can evict exactly the repaired pools' entries.
+                self._cache[cache_key] = (poolkey, result)
+                self._cache.move_to_end(cache_key)
+                while len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
         return result
 
     def _run_im(self, query: Query, pool: SamplePool):

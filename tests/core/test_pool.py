@@ -5,9 +5,11 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.metrics import RunMetrics
 from repro.core import diimm, imm
 from repro.core.pool import MAX_CACHED_COVERAGE, SamplePool
 from repro.coverage.state import CoverageState
+from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
 from repro.ris import FlatRRCollection, append_batch, make_sampler
 from repro.ris.rrset import set_keys
 
@@ -150,6 +152,37 @@ class TestQueryMetrics:
         assert len(pool.lifetime_metrics.phases) == 1
         with pool.query_metrics() as metrics2:
             assert metrics2.phases == []
+
+    def test_lifetime_totals_stay_bounded_and_match_the_phase_list(
+        self, small_wc_graph, monkeypatch
+    ):
+        """Queries and repairs fold into one record per category, reading
+        the totals the full phase list would have."""
+        base = DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
+        graph = VersionedGraph(base)
+        with SamplePool(graph, machines=3, seed=7) as pool:
+            lifetime = pool.lifetime_metrics
+            # Everything the fold sees, kept whole: the old, growing list.
+            everything = RunMetrics()
+            fold = lifetime.merge
+            monkeypatch.setattr(
+                lifetime, "merge", lambda other: (everything.merge(other), fold(other))
+            )
+            edges = [(u, v) for u, v, _ in graph.edges()]
+            for step in range(24):
+                config = RunConfig(
+                    graph=graph, k=2 + step % 5, machines=3, seed=7, eps=0.5 - 0.01 * step
+                )
+                run("diimm", config, pool=pool)
+                if step % 8 == 7:
+                    pool.apply_update(GraphDelta(remove_edges=edges[step : step + 3]))
+            assert len(everything.phases) > 100
+            assert len(lifetime.phases) <= 3
+            assert lifetime.sets_redrawn == everything.sets_redrawn > 0
+            assert lifetime.total_bytes == everything.total_bytes > 0
+            assert lifetime.wire_summary() == everything.wire_summary()
+            assert lifetime.breakdown() == pytest.approx(everything.breakdown(), rel=1e-12)
+            assert lifetime.sequential_time == pytest.approx(everything.sequential_time, rel=1e-12)
 
 
 class TestCheckConfig:

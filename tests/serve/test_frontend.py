@@ -3,12 +3,14 @@
 import asyncio
 import json
 import socket
+import threading
 
 import pytest
 
 import repro.serve.frontend as frontend_module
 from repro.api import RunConfig, run
-from repro.serve import InfluenceService, ServingFrontend, request
+from repro.graphs import DirectedGraph, GraphDelta
+from repro.serve import InfluenceService, Query, ServingFrontend, request
 from repro.serve.frontend import result_payload
 
 MACHINES = 2
@@ -103,6 +105,144 @@ class TestRequests:
         reply = run_frontend(service, go)
         assert reply["ok"]
         assert len(reply["seeds"]) == 3
+
+
+class Connection:
+    """One persistent client connection: a request in, its raw reply line out."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+        self.stream = self.sock.makefile("rwb")
+
+    def ask(self, payload) -> bytes:
+        self.stream.write(json.dumps(payload).encode() + b"\n")
+        self.stream.flush()
+        return self.stream.readline()
+
+    def close(self):
+        self.stream.close()
+        self.sock.close()
+
+
+def session(port, requests):
+    """Send ``requests`` in order on one connection; return the reply lines."""
+    conn = Connection(port)
+    try:
+        return [conn.ask(payload) for payload in requests]
+    finally:
+        conn.close()
+
+
+class TestLoopHits:
+    """Cache hits are answered on the event loop, from a line encoded once."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"kind": "diimm", "k": 4},
+            {"kind": "budgeted", "budget": 12.0, "num_rr_sets": 2000},
+            {"kind": "profit", "num_rr_sets": 2000},
+            {"kind": "targeted", "k": 3, "targets": [0, 5, 10, 15], "num_rr_sets": 2000},
+        ],
+    )
+    def test_hits_send_the_miss_line_and_are_counted(self, service, monkeypatch, query):
+        answered = []
+        real = InfluenceService.query
+
+        def counting(self, q):
+            answered.append(q)
+            return real(self, q)
+
+        monkeypatch.setattr(InfluenceService, "query", counting)
+        stats, ask = {"op": "stats"}, {"op": "query", **query}
+
+        async def go(port):
+            return await asyncio.to_thread(session, port, [stats, ask, ask, ask, stats])
+
+        before, miss, *hits, after = run_frontend(service, go)
+        assert json.loads(miss)["ok"]
+        assert hits == [miss, miss]
+        before, after = json.loads(before), json.loads(after)
+        assert after["cache_hits"] - before["cache_hits"] == 2
+        assert after["queries"] - before["queries"] == 3
+        assert len(answered) == 1  # the hits never left the loop
+
+    def test_hit_line_is_the_parent_encoding(self, service):
+        async def go(port):
+            return await asyncio.to_thread(session, port, [{"op": "query", "kind": "diimm"}] * 2)
+
+        miss, hit = run_frontend(service, go)
+        result = service.cached(Query(kind="diimm"))
+        expected = json.dumps({"ok": True, "op": "query", **result_payload(result)})
+        assert hit == miss == expected.encode() + b"\n"
+
+    def test_first_query_builds_its_pool_off_the_loop(self, service, monkeypatch):
+        builders = []
+        real = InfluenceService._pool
+
+        def recording(self, key):
+            builders.append(threading.get_ident())
+            return real(self, key)
+
+        monkeypatch.setattr(InfluenceService, "_pool", recording)
+
+        async def go(port):
+            reply = await asyncio.to_thread(request, port, {"op": "query", "kind": "diimm", "k": 3})
+            return threading.get_ident(), reply
+
+        loop_thread, reply = run_frontend(service, go)
+        assert reply["ok"]
+        assert builders and loop_thread not in builders
+        assert service.pool_sizes()
+
+    def test_hit_returns_before_an_in_flight_miss_on_the_same_pool(self, service, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        real = InfluenceService._run_im
+
+        def held(self, query, pool):
+            if query.k == 6:  # the slow miss: hold its pool's lock
+                with pool.lock:
+                    entered.set()
+                    release.wait(60)
+            return real(self, query, pool)
+
+        monkeypatch.setattr(InfluenceService, "_run_im", held)
+        hit = {"op": "query", "kind": "diimm", "k": 3}
+
+        async def go(port):
+            first = await asyncio.to_thread(request, port, hit)
+            miss = asyncio.ensure_future(
+                asyncio.to_thread(request, port, {"op": "query", "kind": "diimm", "k": 6})
+            )
+            await asyncio.to_thread(entered.wait, 60)
+            try:
+                again = await asyncio.wait_for(asyncio.to_thread(request, port, hit), 10)
+                miss_pending = not miss.done()
+            finally:
+                release.set()
+            return first, again, miss_pending, await miss
+
+        first, again, miss_pending, miss = run_frontend(service, go)
+        assert again == first
+        assert miss_pending
+        assert miss["ok"]
+
+    def test_query_after_an_update_reply_misses(self, small_wc_graph):
+        graph = DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays())
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        update = {"op": "update", **GraphDelta(remove_edges=edges[3:8]).to_json()}
+        ask, stats = {"op": "query", "kind": "diimm", "k": 4}, {"op": "stats"}
+
+        async def go(port):
+            return await asyncio.to_thread(session, port, [ask, ask, stats, update, ask, stats])
+
+        with InfluenceService(graph, machines=MACHINES, seed=SEED, dynamic=True) as svc:
+            replies = [json.loads(line) for line in run_frontend(svc, go)]
+        miss, hit, before, updated, again, after = replies
+        assert hit == miss and before["cache_hits"] == 1
+        assert updated["ok"] and updated["evicted"] >= 1
+        assert again["ok"] and after["cache_hits"] == 1
+        assert after["queries"] == 3
 
 
 class TestErrors:

@@ -1,5 +1,6 @@
 """InfluenceService: warm answers must equal cold runs, bit for bit."""
 
+import sys
 import threading
 
 import numpy as np
@@ -159,13 +160,25 @@ class TestCaching:
 
     def test_pool_growth_invalidates_entry_but_answer_is_stable(self, service):
         first = service.query(Query(kind="diimm", k=4))
-        before = service._im_pool("diimm").signature()
+        pool = service._pool(service._pool_key(Query(kind="diimm")))
+        before = pool.signature()
         # A tighter eps needs a larger theta, forcing a pool top-up.
         service.query(Query(kind="diimm", k=4, eps=0.2))
-        assert service._im_pool("diimm").signature() != before
+        assert pool.signature() != before
         again = service.query(Query(kind="diimm", k=4))
         assert again is not first  # recomputed under the new pool signature
         assert again.seeds == first.seeds  # …but the answer cannot change
+
+    def test_cached_builds_nothing_and_counts_only_hits(self, service):
+        query = Query(kind="diimm", k=5)
+        assert service.cached(query) is None
+        assert service.pool_sizes() == {}
+        assert service.describe()["queries"] == 0
+        first = service.query(query)
+        assert service.cached(query) is first
+        assert service.cached(Query(kind="diimm", k=6)) is None
+        stats = service.describe()
+        assert (stats["queries"], stats["cache_hits"]) == (2, 1)
 
     def test_lru_eviction(self, small_wc_graph):
         with InfluenceService(
@@ -234,6 +247,42 @@ class TestConcurrency:
         }
         for idx, k in enumerate(ks):
             assert results[idx] == cold[k]
+
+
+    def test_hits_and_misses_under_thread_switching_lose_no_count(self, service):
+        """More threads than cores on a handful of repeated queries, with
+        a thread switch every microsecond: every call is counted once and
+        every answer to one query is the same."""
+        queries = [
+            Query(kind="diimm", k=3),
+            Query(kind="diimm", k=4),
+            Query(kind="budgeted", budget=12.0, num_rr_sets=1500),
+        ]
+        calls, answers, errors = 12, {}, []
+
+        def worker(offset: int) -> None:
+            try:
+                for step in range(calls):
+                    query = queries[(offset + step) % len(queries)]
+                    result = service.cached(query) or service.query(query)
+                    answers.setdefault(query, set()).add(tuple(result.seeds))
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert service.describe()["queries"] == 6 * calls
+        assert all(len(seen) == 1 for seen in answers.values())
 
 
 class TestLifecycle:

@@ -2,6 +2,8 @@
 graph_version, selective cache eviction, and the frontend update op."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,42 @@ class TestCacheEviction:
         assert dynamic_service.stats.cache_hits == 1
         dynamic_service.query(q)
         assert dynamic_service.stats.cache_hits == 2
+
+    def test_update_racing_a_miss_never_leaves_its_answer_cached(
+        self, dynamic_service, small_wc_graph, monkeypatch
+    ):
+        """An update that lands after a miss computed its answer but
+        before it stored it must not leave the pre-update answer keyed
+        under the post-update pool state."""
+        query = Query(kind="diimm", k=4)
+        dynamic_service.query(Query(kind="diimm", k=3))  # the pool exists
+        answered, release = threading.Event(), threading.Event()
+        real = InfluenceService._run_im
+
+        def held(self, q, pool):
+            result = real(self, q, pool)
+            if q == query:
+                answered.set()
+                release.wait(30)
+            return result
+
+        monkeypatch.setattr(InfluenceService, "_run_im", held)
+        miss = threading.Thread(target=dynamic_service.query, args=(query,), daemon=True)
+        update = threading.Thread(
+            target=dynamic_service.apply_update, args=(make_delta(small_wc_graph),), daemon=True
+        )
+        miss.start()
+        assert answered.wait(30)
+        update.start()
+        time.sleep(0.2)  # let the update run as far as it can
+        release.set()
+        miss.join(30)
+        update.join(30)
+        assert not miss.is_alive() and not update.is_alive()
+        assert dynamic_service.graph_version == 1
+        hits = dynamic_service.stats.cache_hits
+        dynamic_service.query(query)
+        assert dynamic_service.stats.cache_hits == hits  # recomputed on the new graph
 
     def test_untouched_pool_keeps_cache(self, dynamic_service):
         q = Query(kind="diimm", k=4)
