@@ -20,12 +20,11 @@ from .budgeted import budgeted_influence_maximization
 from .profit import profit_maximization
 from .result import ApplicationResult
 from .seedmin import seed_minimization
-from .targeted import TargetedSampler, targeted_influence_maximization
+from .targeted import targeted_influence_maximization
 
 __all__ = [
     "ApplicationResult",
     "targeted_influence_maximization",
-    "TargetedSampler",
     "budgeted_influence_maximization",
     "seed_minimization",
     "profit_maximization",

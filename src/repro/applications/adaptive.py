@@ -36,7 +36,6 @@ from ..ris import make_sampler
 from ..ris.flat import FlatRRCollection, append_batch
 from ..ris.rrset import sample_set_range
 from .result import ApplicationResult
-from .targeted import TargetedSampler
 
 __all__ = ["adaptive_influence_maximization"]
 
@@ -86,7 +85,7 @@ def adaptive_influence_maximization(
         inactive = [v for v in range(graph.num_nodes) if v not in activated]
         if not inactive:
             break
-        sampler = TargetedSampler(make_sampler(residual, model=model), inactive)
+        sampler = make_sampler(residual, model=model)
         # A new residual graph every round: nothing a pool could keep.
         stores = [FlatRRCollection(graph.num_nodes) for __ in range(num_machines)]
 
@@ -94,7 +93,7 @@ def adaptive_influence_maximization(
 
         def generate(mid: int) -> None:
             if shares[mid]:
-                batch = sample_set_range(sampler, seed, mid, range(shares[mid]), label)
+                batch = sample_set_range(sampler, seed, mid, range(shares[mid]), label, inactive)
                 append_batch(stores[mid], batch)
 
         executor.run_phase(MapPhase(f"{label}/generate", generate, category=GENERATION))

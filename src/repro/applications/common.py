@@ -19,7 +19,6 @@ from ..cluster.network import NetworkModel
 from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph
 from ..ris.flat import FlatPrefixView
-from ..ris.rrset import RRSampler
 
 __all__ = ["sampled_stores"]
 
@@ -34,17 +33,17 @@ def sampled_stores(
     network: NetworkModel | None,
     seed: int,
     pool: SamplePool | None,
-    sampler: RRSampler | None = None,
+    roots=None,
 ) -> Iterator[Tuple[Executor, List[FlatPrefixView], RunMetrics]]:
     """Yield ``(executor, stores, metrics)`` over ``num_rr_sets`` RR sets.
 
     With ``pool=None`` a private pool is built on
-    ``SimulatedCluster(num_machines, network, seed)`` (drawing with
-    ``sampler`` when given, else ``model``'s keyed kernel) and
-    closed on exit; a lent pool must draw the same coordinates
+    ``SimulatedCluster(num_machines, network, seed)``, rooting its sets in
+    ``roots`` (``None``: all nodes), and closed on exit; a lent pool must
+    draw the same coordinates from the same roots
     (:meth:`SamplePool.check_streams
     <repro.core.pool.SamplePool.check_streams>`) and keeps its own network
-    model and sampler.  Either way the pool is topped up to the
+    model.  Either way the pool is topped up to the
     per-machine shares of ``num_rr_sets`` (``{label}/generate``; a pool
     already that large draws nothing), ``stores`` are prefix views of
     exactly those shares, and ``metrics`` meters this call alone, under
@@ -56,11 +55,11 @@ def sampled_stores(
         if pool is None:
             pool = stack.enter_context(
                 SamplePool(
-                    graph, num_machines, seed=seed, model=model, network=network, sampler=sampler
+                    graph, num_machines, seed=seed, model=model, network=network, roots=roots
                 )
             )
         else:
-            pool.check_streams(graph, num_machines, seed, model)
+            pool.check_streams(graph, num_machines, seed, model, roots)
         shares = split_count(num_rr_sets, pool.num_machines)
         metrics = stack.enter_context(pool.query_metrics())
         pool.ensure("main", shares, label=f"{label}/generate")

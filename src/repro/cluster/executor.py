@@ -56,6 +56,8 @@ from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from ..ris import check_method_vestige, make_sampler
 from ..ris.flat import append_batch
 from ..ris.rrset import FlatBatch, RRSampler, sample_set_range
@@ -139,6 +141,9 @@ class GeneratePhase:
     starts:
         Per-machine index of the first set drawn; ``None`` (default) is
         each target's current ``num_sets`` — the phase appends.
+    roots:
+        The sorted, unique node ids a set's root is drawn from (targeted
+        IM); ``None`` (default) is all nodes.
     """
 
     label: str
@@ -149,6 +154,7 @@ class GeneratePhase:
     key: str = "main"
     seed: int | None = None
     starts: Tuple[int, ...] | None = None
+    roots: np.ndarray | None = None
 
     def __post_init__(self, method: str) -> None:
         check_method_vestige(method)
@@ -349,7 +355,7 @@ class Executor(ABC):
         :meth:`VersionedGraph.apply
         <repro.graphs.digraph.VersionedGraph.apply>` returned: each cached
         sampler is rebased on those rows
-        (:meth:`~repro.ris.rrset.RRSampler.rebased`), and one that cannot
+        (:meth:`~repro.ris.vectorized.VectorizedICSampler.rebased`), and one that cannot
         be — or every one, when ``touched`` is ``None`` — is dropped and
         built afresh on next use.  Worker-backed executors additionally
         re-broadcast the graph to their workers.
@@ -526,7 +532,7 @@ class Executor(ABC):
         """Draw machine ``mid``'s quota of the resolved ``plan`` in this process."""
         sampler = self.sampler(plan.model)
         ids = range(plan.starts[mid], plan.starts[mid] + plan.counts[mid])
-        return sample_set_range(sampler, plan.seed, mid, ids, plan.key)
+        return sample_set_range(sampler, plan.seed, mid, ids, plan.key, plan.roots)
 
     def _wire_totals(self) -> Tuple[int, int, int]:
         """Cumulative ``(sent, received, round trips)`` of the transport."""

@@ -29,8 +29,9 @@ onto one stream and answered in any order:
     Replies ``("enrolled", seq, info)``.
 ``generate``
     ``{"token", "model", "seed", "key", "machine", "start",
-    "count", "directive"}`` — the worker draws sets ``start .. start +
-    count - 1`` of collection ``key`` on ``machine`` through
+    "count", "roots", "directive"}`` — the worker draws sets ``start ..
+    start + count - 1`` of collection ``key`` on ``machine``, rooted in
+    ``roots`` (``None``: all nodes), through
     :func:`~repro.ris.rrset.sample_set_range`, exactly as the master
     would, and replies ``("batch", seq, (payload, elapsed))`` where
     ``payload`` is the inner frame around the delta + varint encoded
@@ -173,7 +174,7 @@ class WorkerState:
             sampler = self.sampler(request["token"], request["model"])
             ids = range(request["start"], request["start"] + request["count"])
             batch = sample_set_range(
-                sampler, request["seed"], request["machine"], ids, request["key"]
+                sampler, request["seed"], request["machine"], ids, request["key"], request["roots"]
             )
             payload = pack_message(encode_batch(batch))
         except Exception as exc:  # noqa: BLE001 - the executor decides recovery
@@ -516,6 +517,7 @@ class WorkerBackedExecutor(Executor):
                 "machine": mid,
                 "start": plan.starts[mid],
                 "count": plan.counts[mid],
+                "roots": plan.roots,
                 "directive": directives[position] if directives else None,
             }
             try:

@@ -35,9 +35,11 @@ the lock: the pool publishes it, rebuilt under the lock, whenever sizes
 or the update epoch change.
 
 Bit-for-bit warm/cold equivalence holds for every pool: a set's bytes
-are a function of its coordinates and the graph (the model's keyed
-kernel, :mod:`repro.ris.vectorized`, or a custom sampler that takes set
-keys, such as the targeted wrapper over it).
+are a function of its coordinates, the pool's root set and the graph (the
+model's keyed kernel, :mod:`repro.ris.vectorized`).  A targeted pool is a
+pool with ``roots``: its sets are rooted in them, drawn by the same
+:class:`~repro.cluster.executor.GeneratePhase` — on the workers, with
+their retries — as any other.
 
 Dynamic graphs
 --------------
@@ -77,14 +79,33 @@ from ..cluster.network import NetworkModel
 from ..coverage.state import CoverageState
 from ..diffusion.lt import check_lt_feasible
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
-from ..ris.flat import FlatPrefixView, FlatRRCollection, append_batch, gather_rows
+from ..ris.flat import FlatPrefixView, FlatRRCollection, gather_rows
 from ..ris import check_method_vestige
 from ..ris.rrset import RRSampler, sample_set_range, set_keys
 
-__all__ = ["SamplePool"]
+__all__ = ["SamplePool", "as_roots"]
 
 #: Donated coverage snapshots kept per collection key.
 MAX_CACHED_COVERAGE = 4
+
+
+def as_roots(roots, num_nodes: int) -> np.ndarray | None:
+    """``roots`` as the sorted, unique ``int64`` node ids a set's root is
+    drawn from; ``None`` (all nodes) stays ``None``.
+
+    Raises ``ValueError`` for an empty root set or an id outside
+    ``[0, num_nodes)``.
+    """
+    if roots is None:
+        return None
+    roots = np.unique(
+        np.asarray(roots if isinstance(roots, np.ndarray) else list(roots), dtype=np.int64)
+    )
+    if roots.size == 0:
+        raise ValueError("the root set must not be empty")
+    if roots[0] < 0 or roots[-1] >= num_nodes:
+        raise ValueError(f"root ids must lie in [0, {num_nodes})")
+    return roots
 
 
 class SamplePool:
@@ -113,17 +134,10 @@ class SamplePool:
         Vestige: every pool draws coordinate-keyed sets, what ``"per-set"``
         used to select.  Accepted with exactly that value because the frozen
         benchmark harness passes it; the next ``[benchmark]`` PR drops it.
-    sampler:
-        Optional custom :class:`~repro.ris.rrset.RRSampler` (e.g. a
-        :class:`~repro.applications.targeted.TargetedSampler`) used for
-        generation instead of the executor's kernel for ``model``.  It
-        must take set keys (``sample_keys``): pools draw every set at its
-        coordinates, and a generator-driven scalar sampler cannot.
-    sampler_factory:
-        Optional ``graph -> RRSampler`` callable building the custom
-        sampler; required instead of ``sampler`` when the pool must
-        survive graph updates (:meth:`repair` rebuilds the sampler
-        against the mutated graph, which a fixed instance cannot do).
+    roots:
+        The node ids every set's root is drawn from (targeted IM;
+        :func:`as_roots` normalises them into :attr:`roots`), or ``None``
+        (default) for all nodes.
     """
 
     def __init__(
@@ -137,44 +151,33 @@ class SamplePool:
         executor="simulated",
         network: NetworkModel | None = None,
         rng_scheme: str = "per-set",
-        sampler: RRSampler | None = None,
-        sampler_factory=None,
+        roots=None,
     ) -> None:
         check_method_vestige(method)
         if rng_scheme != "per-set":
             raise ValueError(
                 f"rng_scheme is a vestige: only 'per-set' is accepted, got {rng_scheme!r}"
             )
-        if sampler is not None and sampler_factory is not None:
-            raise ValueError("pass either sampler or sampler_factory, not both")
         spec = as_spec(executor)
         self.graph = graph
         self.seed = seed
         self.model = model
         self.method = method
+        #: Sorted unique node ids every set is rooted in; ``None``: all nodes.
+        self.roots = as_roots(roots, graph.num_nodes)
         self.executor = make_executor(
             spec, SimulatedCluster(machines, network=network, seed=seed), graph=graph
         )
-        try:
-            self._sampler_factory = sampler_factory
-            self._sampler = (
-                sampler_factory(graph) if sampler_factory is not None else sampler
-            )
-            if self._sampler is not None and not hasattr(self._sampler, "sample_keys"):
-                raise TypeError(
-                    f"{type(self._sampler).__name__} cannot take set keys (no "
-                    "sample_keys), and a pool draws every RR set at its coordinates: "
-                    "pass a keyed kernel (make_sampler) or a TargetedSampler over one"
-                )
-            if isinstance(graph, VersionedGraph):
-                # A repair replays touched rows on the sampler of the graph
+        if isinstance(graph, VersionedGraph):
+            try:
+                # A repair replays touched rows on the kernel of the graph
                 # before the update, so it must exist before the graph moves.
                 self._kernel()
-        except BaseException:
-            # A raising sampler factory must not leak the worker pool /
-            # shared-memory graph the executor just acquired.
-            self.executor.close()
-            raise
+            except BaseException:
+                # A refused model must not leak the worker pool /
+                # shared-memory graph the executor just acquired.
+                self.executor.close()
+                raise
         self._stores: Dict[str, List[FlatRRCollection]] = {}
         self._coverage_cache: Dict[str, List[CoverageState]] = {}
         self._lock = threading.RLock()
@@ -301,28 +304,7 @@ class SamplePool:
                 return 0
             try:
                 with self._metered():
-                    if self._sampler is None:
-                        self.executor.run_phase(
-                            GeneratePhase(
-                                label,
-                                counts=tuple(counts),
-                                targets=tuple(stores),
-                                model=self.model,
-                                key=key,
-                            )
-                        )
-                    else:
-                        sampler, seed = self._sampler, self.seed
-
-                        def top_up(mid: int) -> int:
-                            first = stores[mid].num_sets
-                            ids = range(first, first + counts[mid])
-                            if ids:
-                                batch = sample_set_range(sampler, seed, mid, ids, key)
-                                append_batch(stores[mid], batch)
-                            return counts[mid]
-
-                        self.executor.run_phase(MapPhase(label, top_up, category=GENERATION))
+                    self._generate(label, key, stores, counts)
             finally:
                 self._publish()
             return total
@@ -368,13 +350,12 @@ class SamplePool:
         world that is a function of its key, so it is unchanged iff each
         touched row it contains keeps its outcome, replayed on the sampler
         of the graph before the update and on the new one
-        (:meth:`~repro.ris.rrset.RRSampler.rows_changed`; the rank-stable
+        (:meth:`~repro.ris.vectorized.VectorizedICSampler.rows_changed`; the rank-stable
         splice keeps most outcomes).  Only a set where some outcome
         differs is redrawn — at its coordinates, spliced in place under
         its id; the others keep their bytes and only their
         ``edges_examined`` becomes the new in-degree sum.  So repaired
-        collections are bit-identical to cold regeneration.  A custom
-        sampler that cannot replay redraws every re-examined set.
+        collections are bit-identical to cold regeneration.
 
         Donated coverage snapshots are patched by retraction deltas for
         the redrawn sets (full invalidation drops them instead).  Returns
@@ -386,21 +367,13 @@ class SamplePool:
         with self._lock:
             before = self._kernel()
             self.executor.refresh_graph(touched)
-            if self._sampler_factory is not None:
-                self._sampler = self._sampler_factory(self.graph)
-            elif self._sampler is not None:
-                raise ValueError(
-                    "the pool's fixed custom sampler cannot be rebuilt against "
-                    "the updated graph; construct the pool with "
-                    "sampler_factory= instead of sampler="
-                )
             sampler = self._kernel()
             repaired: Dict[str, int] = {}
             with self._metered():
                 for key in list(self._stores):
                     stores = self._stores[key]
                     if touched is None:
-                        repaired[key] = self._regenerate_all(key, stores, sampler)
+                        repaired[key] = self._regenerate_all(key, stores)
                     else:
                         repaired[key] = self._repair_touched(key, stores, before, sampler, touched)
             if touched is None:
@@ -415,8 +388,23 @@ class SamplePool:
             return repaired
 
     def _kernel(self) -> RRSampler:
-        """The sampler the pool draws with on the graph as it is now."""
-        return self._sampler if self._sampler is not None else self.executor.sampler(self.model)
+        """The kernel the pool draws with on the graph as it is now."""
+        return self.executor.sampler(self.model)
+
+    def _generate(
+        self, label: str, key: str, stores: List[FlatRRCollection], counts: Sequence[int]
+    ) -> None:
+        """Append the next ``counts[m]`` sets of ``key`` to each machine's store."""
+        self.executor.run_phase(
+            GeneratePhase(
+                label,
+                counts=tuple(counts),
+                targets=tuple(stores),
+                model=self.model,
+                key=key,
+                roots=self.roots,
+            )
+        )
 
     def _repair_touched(
         self,
@@ -428,7 +416,7 @@ class SamplePool:
     ) -> int:
         """Re-examine the sets containing a touched node; redraw and
         splice the ones whose touched rows changed outcome."""
-        seed = self.seed
+        seed, roots = self.seed, self.roots
         cache = tuple(self._coverage_cache.get(key, ()))
         in_indptr = self.graph.in_indptr
         redrawn = [0] * len(stores)
@@ -462,7 +450,7 @@ class SamplePool:
             old_bounds = np.concatenate(([0], np.cumsum(sizes[redraw])))
             ids = ids[redraw]
             # One blocked draw: every changed id redrawn at its own coordinates.
-            batch = sample_set_range(sampler, seed, mid, ids, key)
+            batch = sample_set_range(sampler, seed, mid, ids, key, roots)
             store.replace_sets(ids, batch)
             for state in cache:
                 # Only ids below the snapshot's watermark were ever
@@ -483,9 +471,7 @@ class SamplePool:
         self.executor.metrics.sets_redrawn += sum(redrawn)
         return int(sum(results))
 
-    def _regenerate_all(
-        self, key: str, stores: List[FlatRRCollection], sampler: RRSampler
-    ) -> int:
+    def _regenerate_all(self, key: str, stores: List[FlatRRCollection]) -> int:
         """Full invalidation: rebuild each machine's collection cold.
 
         Node additions change the root-draw range (and possibly the node
@@ -493,23 +479,10 @@ class SamplePool:
         into a fresh collection of the graph's current size; set counts
         are preserved so outstanding schedules resume unchanged.
         """
-        seed = self.seed
-        num_nodes = self.num_nodes
         counts = [store.num_sets for store in stores]
-
-        def rebuild(mid: int) -> int:
-            fresh = FlatRRCollection(num_nodes)
-            if counts[mid]:
-                append_batch(
-                    fresh, sample_set_range(sampler, seed, mid, range(counts[mid]), key)
-                )
-            stores[mid] = fresh
-            return counts[mid]
-
-        results = self.executor.run_phase(
-            MapPhase(f"pool/rebuild/{key}", rebuild, category=GENERATION)
-        ).results
-        return int(sum(results))
+        stores[:] = [FlatRRCollection(self.num_nodes) for _ in stores]
+        self._generate(f"pool/rebuild/{key}", key, stores, counts)
+        return sum(counts)
 
     # ------------------------------------------------------------------
     # Coverage snapshot cache
@@ -582,9 +555,12 @@ class SamplePool:
     # ------------------------------------------------------------------
     # Config compatibility
     # ------------------------------------------------------------------
-    def check_streams(self, graph, machines: int | None, seed: int, model: str) -> None:
+    def check_streams(
+        self, graph, machines: int | None, seed: int, model: str, roots=None
+    ) -> None:
         """Reject a query whose cold run would not draw this pool's streams
-        (``machines=None`` skips the width check)."""
+        (``machines=None`` skips the width check); ``roots`` is the query's
+        root set, ``None`` for all nodes."""
         if machines is not None and self.num_machines != machines:
             raise ValueError(
                 f"pool has {self.num_machines} machines, query needs {machines}"
@@ -598,6 +574,16 @@ class SamplePool:
             )
         if model != self.model:
             raise ValueError(f"pool samples model {self.model!r}; query wants {model!r}")
+        roots = as_roots(roots, self.num_nodes)
+        if (roots is None) != (self.roots is None) or (
+            roots is not None and not np.array_equal(roots, self.roots)
+        ):
+            mine = "all nodes" if self.roots is None else f"{self.roots.size} targets"
+            theirs = "all nodes" if roots is None else f"{roots.size} targets"
+            raise ValueError(
+                f"the query's root set ({theirs}) is not the pool's ({mine}); "
+                "warm results would not match a cold run"
+            )
 
     def check_config(self, config, machines: int | None = None) -> None:
         """Reject a :class:`~repro.core.config.RunConfig` whose results

@@ -114,15 +114,6 @@ class CoverageInstance:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def from_sets(
-        cls,
-        num_universe_sets: int,
-        elements: Sequence[Iterable[int]],
-    ) -> "CoverageInstance":
-        """Alias constructor for readability at call sites."""
-        return cls(num_universe_sets, elements)
-
-    @classmethod
     def from_graph(cls, graph: DirectedGraph, include_self: bool = False) -> "CoverageInstance":
         """The Fig 10 instance: set of node ``u`` covers ``u``'s out-neighbors.
 

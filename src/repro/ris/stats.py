@@ -88,24 +88,6 @@ class RRSetStatistics:
             max_size=int(sizes.max()),
         )
 
-    @classmethod
-    def from_collection(cls, collection) -> "RRSetStatistics":
-        """Summarise a :class:`~repro.ris.flat.FlatRRCollection` (or a
-        prefix view of one) from its offsets array, without touching
-        individual sets.  Stores keep only the aggregate
-        ``total_edges_examined``, so EPT is the stored mean.
-        """
-        if collection.num_sets == 0:
-            raise ValueError("need at least one stored RR set")
-        sizes = np.diff(collection.offsets)
-        return cls(
-            num_sets=collection.num_sets,
-            total_size=int(sizes.sum()),
-            eps=float(sizes.mean()),
-            ept=collection.total_edges_examined / collection.num_sets,
-            max_size=int(sizes.max()),
-        )
-
 
 def collect_statistics(
     sampler: RRSampler,

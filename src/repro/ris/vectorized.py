@@ -19,10 +19,9 @@ a *block* of RR sets advances together, one wave per step, with
 
 The amortised Python overhead per set drops by roughly the block size.
 These kernels are what ``make_sampler`` returns, and the only samplers
-:func:`~repro.ris.rrset.sample_set_range` draws with (directly, or under
-the targeted wrapper's roots).  The triggering model's IC and LT
-distributions are these two kernels; an arbitrary triggering
-distribution has no batched trial form and stays with the scalar
+:func:`~repro.ris.rrset.sample_set_range` draws with.  The triggering
+model's IC and LT distributions are these two kernels; an arbitrary
+triggering distribution has no batched trial form and stays with the scalar
 :class:`~repro.ris.triggering_sampler.TriggeringRRSampler`.
 
 RNG contract
@@ -34,7 +33,8 @@ machine, set index)``) under :func:`~repro.ris.rrset.sample_set_range`,
 or the next 64-bit word of ``rng`` under :meth:`~_BlockedFrontierSampler.sample`
 and :meth:`~_BlockedFrontierSampler.sample_batch` — and
 
-* its root is the multiply-high of ``K`` by ``n`` (no modulo bias);
+* its root is the multiply-high of ``K`` by ``n`` (no modulo bias), or,
+  given a root set ``T`` (targeted IM), ``T[mulhi(K, |T|)]``;
 * node ``v``'s *row key* is ``_mix(K + v * GOLDEN)``;
 * IC: the in-edge of rank ``r`` in ``v``'s in-row is live iff the top 63
   bits of ``_mix(row key + r)`` fall below ``ceil(p * 2**63)``, a pure
@@ -305,14 +305,20 @@ class _BlockedFrontierSampler(RRSampler):
             raise ValueError(f"count must be >= 0, got {count}")
         return self.sample_keys(rng.bit_generator.random_raw(count))
 
-    def sample_keys(self, keys) -> FlatBatch:
+    def sample_keys(self, keys, roots=None) -> FlatBatch:
         """Draw one RR set per 64-bit set key, ``block_size`` at a time.
 
         What :func:`~repro.ris.rrset.sample_set_range` calls; set ``j``'s
-        bytes depend on ``keys[j]`` and the graph alone.
+        bytes depend on ``keys[j]``, ``roots`` and the graph alone.  Its
+        root is ``roots[mulhi(K, |roots|)]`` for the sorted, unique node ids
+        ``roots``, and ``mulhi(K, n)`` — the same over all nodes — when
+        ``roots`` is ``None``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        return self._draw(keys, _mulhi(keys, self.graph.num_nodes))
+        if roots is None:
+            return self._draw(keys, _mulhi(keys, self.graph.num_nodes))
+        roots = np.asarray(roots, dtype=np.int64)
+        return self._draw(keys, roots[_mulhi(keys, roots.size)])
 
     def sample_batch_rooted(self, rng: np.random.Generator, roots) -> FlatBatch:
         """Draw one RR set per pinned root (the property-test entry point).
@@ -336,20 +342,28 @@ class _BlockedFrontierSampler(RRSampler):
         raise NotImplementedError
 
     def rows_changed(self, before, set_keys, nodes) -> np.ndarray:
-        """Replay each row on ``before`` and here; a row changed iff its
-        outcome differs.  ``before`` must be the same kernel over the
-        pre-update graph with as many nodes; anything else falls back to
-        "changed".  Only the samplers' own tables are read, never
-        ``self.graph``, so a sampler of a graph that has since moved on
-        (:class:`~repro.graphs.digraph.VersionedGraph`) still replays it.
+        """Which rows ``(set_keys[j], nodes[j])`` draw differently here than
+        under ``before``: each row is replayed on both, and it changed iff
+        its outcome differs.  ``before`` must be the same kernel over the
+        graph before an update with as many nodes.  Only the samplers' own
+        tables are read, never ``self.graph``, so a sampler of a graph that
+        has since moved on (:class:`~repro.graphs.digraph.VersionedGraph`)
+        still replays it.
         """
         n = self._row_counts.size
-        if type(before) is not type(self) or before._row_counts.size != n:
-            return super().rows_changed(before, set_keys, nodes)
         changed = np.zeros(np.shape(nodes)[0], dtype=bool)
         old, new = before.row_outcomes(set_keys, nodes), self.row_outcomes(set_keys, nodes)
         changed[np.setxor1d(old, new, assume_unique=True) // n] = True
         return changed
+
+    def rebased(self, graph: DirectedGraph, touched) -> "_BlockedFrontierSampler | None":
+        """This kernel over ``graph``, an update of its graph whose changed
+        in-rows are ``touched``, derived from this one's tables; ``None``
+        means build afresh, which is all this base answers.  Whatever it
+        returns leaves this kernel intact: a repair still replays rows on
+        it (:meth:`rows_changed`).
+        """
+        return None
 
     def _draw(self, keys: np.ndarray, roots: np.ndarray) -> FlatBatch:
         """Run ``(keys, roots)`` a block at a time into one flat batch."""

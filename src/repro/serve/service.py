@@ -56,7 +56,7 @@ import numpy as np
 
 from ..applications.budgeted import budgeted_influence_maximization
 from ..applications.profit import profit_maximization
-from ..applications.targeted import TargetedSampler, targeted_influence_maximization
+from ..applications.targeted import targeted_influence_maximization
 from ..cluster.network import NetworkModel
 from ..cluster.spec import as_spec
 from ..core.config import RunConfig
@@ -64,7 +64,6 @@ from ..api import ALGORITHMS
 from ..core.diimm import REGISTRY, run
 from ..core.pool import SamplePool
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
-from ..ris import make_sampler
 
 __all__ = ["QUERY_KINDS", "InfluenceService", "Query", "default_costs"]
 
@@ -226,8 +225,8 @@ class InfluenceService:
         entry points draw the same coordinates with the same kernel on an
         identically seeded cluster, so the pool's prefixes are their cold
         collections.  Targeted queries get one pool per distinct target
-        set: the targeted sampler draws roots from the targets, so
-        different target sets are different samples.
+        set: a targeted pool roots its sets in the targets, so different
+        target sets are different samples.
         """
         if query.kind == "targeted":
             return ("targeted", query.targets)
@@ -254,16 +253,7 @@ class InfluenceService:
                 return pool
             kind, arg = key
             if kind == "targeted":
-                # A factory instead of an instance, so repair can rebuild
-                # the sampler against the mutated graph.
-                targets, model = list(arg), self.model
-                args = dict(
-                    machines=self.machines,
-                    model=model,
-                    sampler_factory=lambda graph: TargetedSampler(
-                        make_sampler(graph, model=model), targets
-                    ),
-                )
+                args = dict(machines=self.machines, model=self.model, roots=arg)
             else:
                 args = dict(machines=1 if kind == "imm" else self.machines, model=arg)
             pool = SamplePool(self.graph, seed=self.seed, **self._executor_kwargs, **args)

@@ -1,34 +1,37 @@
 """Unit tests for targeted influence maximization."""
 
+import numpy as np
 import pytest
 
-from repro.applications import TargetedSampler, targeted_influence_maximization
+from repro.applications import budgeted_influence_maximization, targeted_influence_maximization
+from repro.core.pool import SamplePool
 from repro.graphs import GraphBuilder
 from repro.ris import make_sampler
+from repro.ris.rrset import sample_set_range
 
 
 class TestTargetedSampler:
-    def test_roots_only_from_targets(self, small_wc_graph, rng):
-        base = make_sampler(small_wc_graph, "ic")
+    """Targeted sampling is a root set: a pool's ``roots=``."""
+
+    def test_roots_only_from_targets(self, small_wc_graph):
         targets = [3, 7, 11]
-        sampler = TargetedSampler(base, targets)
-        for __ in range(100):
-            assert sampler.sample(rng).root in targets
+        kernel = make_sampler(small_wc_graph, "ic")
+        batch = sample_set_range(kernel, 1, 0, range(100), "main", targets)
+        assert set(batch.roots.tolist()) <= set(targets)
 
     def test_num_targets_deduplicates(self, small_wc_graph):
-        base = make_sampler(small_wc_graph, "ic")
-        sampler = TargetedSampler(base, [1, 1, 2])
-        assert sampler.num_targets == 2
+        with SamplePool(small_wc_graph, roots=[2, 1, 1]) as pool:
+            assert pool.roots.tolist() == [1, 2]
 
     def test_empty_targets_rejected(self, small_wc_graph):
-        base = make_sampler(small_wc_graph, "ic")
         with pytest.raises(ValueError, match="not be empty"):
-            TargetedSampler(base, [])
+            SamplePool(small_wc_graph, roots=[])
 
     def test_out_of_range_targets_rejected(self, small_wc_graph):
-        base = make_sampler(small_wc_graph, "ic")
-        with pytest.raises(ValueError, match="target ids"):
-            TargetedSampler(base, [10**6])
+        with pytest.raises(ValueError, match="root ids"):
+            SamplePool(small_wc_graph, roots=[10**6])
+        with pytest.raises(ValueError, match="root ids"):
+            SamplePool(small_wc_graph, roots=[-1, 3])
 
 
 class TestTargetedIM:
@@ -83,3 +86,24 @@ class TestTargetedIM:
         )
         assert result.breakdown["generation"] > 0
         assert result.summary_row()["application"] == "targeted-influence-maximization"
+
+    def test_lent_pool_must_draw_from_the_same_roots(self, small_wc_graph):
+        """A lent pool rooted elsewhere is refused, in either direction,
+        rather than answering from the wrong sample."""
+        targets = list(range(0, 200, 7))
+        common = dict(k=3, num_machines=2, num_rr_sets=400, seed=3)
+        cold = targeted_influence_maximization(small_wc_graph, targets, **common)
+        with SamplePool(small_wc_graph, 2, seed=3) as plain:
+            with pytest.raises(ValueError, match="root set"):
+                targeted_influence_maximization(small_wc_graph, targets, pool=plain, **common)
+        with SamplePool(small_wc_graph, 2, seed=3, roots=targets[1:]) as other:
+            with pytest.raises(ValueError, match="root set"):
+                targeted_influence_maximization(small_wc_graph, targets, pool=other, **common)
+        with SamplePool(small_wc_graph, 2, seed=3, roots=targets[::-1] + [0]) as same:
+            warm = targeted_influence_maximization(small_wc_graph, targets, pool=same, **common)
+            assert warm.seeds == cold.seeds and warm.objective == cold.objective
+            costs = np.ones(small_wc_graph.num_nodes)
+            with pytest.raises(ValueError, match="root set"):
+                budgeted_influence_maximization(
+                    small_wc_graph, costs, 5.0, 2, 400, seed=3, pool=same
+                )

@@ -66,20 +66,25 @@ class TestWeightedSplit:
 
     def test_weighted_split_improves_parallel_time(self, small_wc_graph):
         """On a 2-speed cluster, the weighted split's simulated parallel
-        generation time beats the even split."""
-        times = {}
-        for strategy in ("even", "weighted"):
-            cluster = SimulatedCluster(4, seed=1, slowdowns=[1, 1, 4, 4])
-            executor = make_executor("simulated", cluster, graph=small_wc_graph)
-            shares = (
-                split_count(2000, 4)
-                if strategy == "even"
-                else split_count_weighted(2000, cluster.slowdowns)
-            )
-            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in shares]
-            executor.run_phase(GeneratePhase(strategy, counts=tuple(shares), targets=stores))
-            times[strategy] = executor.metrics.generation_time
-        assert times["weighted"] < times["even"]
+        generation time beats the even split.
+
+        Each side is the best of three runs of identical work, and the
+        sides alternate, so a slow spell of the box reaches both.
+        """
+        times = {"even": [], "weighted": []}
+        for _ in range(3):
+            for strategy, runs in times.items():
+                cluster = SimulatedCluster(4, seed=1, slowdowns=[1, 1, 4, 4])
+                executor = make_executor("simulated", cluster, graph=small_wc_graph)
+                shares = (
+                    split_count(2000, 4)
+                    if strategy == "even"
+                    else split_count_weighted(2000, cluster.slowdowns)
+                )
+                stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in shares]
+                executor.run_phase(GeneratePhase(strategy, counts=tuple(shares), targets=stores))
+                runs.append(executor.metrics.generation_time)
+        assert min(times["weighted"]) < min(times["even"])
 
     @pytest.mark.parametrize("executor_name", ["simulated", "multiprocessing"])
     def test_executor_generation_on_heterogeneous_cluster(

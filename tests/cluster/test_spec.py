@@ -26,6 +26,7 @@ from repro.cluster import (
 )
 from repro.core.config import RunConfig
 from repro.core.pool import SamplePool
+from repro.graphs import VersionedGraph
 from repro.serve.service import InfluenceService
 
 
@@ -163,12 +164,6 @@ class TestPoolAndServiceShims:
             assert pool.executor.name == "simulated"
 
     def test_sample_pool_init_failure_closes_executor(self, small_wc_graph):
-        class Boom(Exception):
-            pass
-
-        def bad_factory(graph):
-            raise Boom
-
         closed = []
         import repro.core.pool as pool_mod
 
@@ -182,8 +177,10 @@ class TestPoolAndServiceShims:
 
         pool_mod.make_executor = tracking
         try:
-            with pytest.raises(Boom):
-                SamplePool(small_wc_graph, 1, sampler_factory=bad_factory)
+            # A dynamic pool builds its kernel at once, and an unknown
+            # model refuses to build one.
+            with pytest.raises(ValueError, match="unknown diffusion model"):
+                SamplePool(VersionedGraph(small_wc_graph), 1, model="nope")
         finally:
             pool_mod.make_executor = original
         assert closed

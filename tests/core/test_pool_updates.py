@@ -228,47 +228,6 @@ class TestRefusals:
         finally:
             pool.close()
 
-    def test_fixed_sampler_refuses_repair_factory_works(self, small_wc_graph):
-        graph = fresh_versioned(small_wc_graph)
-        fixed = SamplePool(
-            graph,
-            machines=1,
-            seed=SEED,
-            sampler=make_sampler(graph, model="ic", method="bfs"),
-        )
-        try:
-            fixed.ensure("main", [10])
-            with pytest.raises(ValueError, match="sampler_factory"):
-                fixed.apply_update(make_delta(small_wc_graph, "insert"))
-        finally:
-            fixed.close()
-
-        warm = SamplePool(
-            fresh_versioned(small_wc_graph),
-            machines=1,
-            seed=SEED,
-            sampler_factory=lambda g: make_sampler(g, model="ic", method="bfs"),
-        )
-        try:
-            warm.ensure("main", [10])
-            warm.apply_update(make_delta(small_wc_graph, "insert"))
-            warm.ensure("main", [20])
-            cold_graph = fresh_versioned(small_wc_graph)
-            cold_graph.apply(make_delta(small_wc_graph, "insert"))
-            cold = SamplePool(
-                cold_graph,
-                machines=1,
-                seed=SEED,
-                sampler_factory=lambda g: make_sampler(g, model="ic", method="bfs"),
-            )
-            try:
-                cold.ensure("main", [20])
-                assert_stores_equal(warm, cold)
-            finally:
-                cold.close()
-        finally:
-            warm.close()
-
 
 class TestBlockedDrawCount:
     """A count, not a timing gate: per-set generation reaches the keyed
@@ -478,6 +437,38 @@ def test_repair_redraws_only_changed_worlds(small_wc_graph):
             examined += repaired["main"]
             redrawn += pool.lifetime_metrics.sets_redrawn - before
     assert 0 < redrawn <= examined / 5
+
+
+@pytest.mark.parametrize("executor", ["simulated", "multiprocessing"])
+def test_targeted_repair_redraws_only_changed_worlds(small_wc_graph, executor):
+    """A dynamic targeted pool replays rows like any other pool: over a
+    seeded stream of single-edge removals it redraws fewer sets than it
+    re-examines, and after a node addition's rebuild it still equals a
+    targeted pool built cold on the updated graph."""
+    roots = range(0, 200, 3)
+    rng = np.random.default_rng(3)
+    deltas = []
+    examined = 0
+    with pool_on(fresh_versioned(small_wc_graph), executor, roots=roots) as warm:
+        warm.ensure("main", [300] * MACHINES)
+        for _ in range(20):
+            src, dst, _ = warm.graph.edge_arrays()
+            i = int(rng.integers(src.size))
+            deltas.append(GraphDelta(remove_edges=[(int(src[i]), int(dst[i]))]))
+            examined += warm.apply_update(deltas[-1])["main"]
+        redrawn = warm.lifetime_metrics.sets_redrawn
+        assert 0 < redrawn < examined / 2  # a full redraw would be all of them
+        warm.ensure("main", [350] * MACHINES)
+        cold_graph = fresh_versioned(small_wc_graph)
+        for delta in deltas:
+            cold_graph.apply(delta)
+        with pool_on(cold_graph, executor, roots=roots) as cold:
+            cold.ensure("main", [350] * MACHINES)
+            assert_stores_equal(warm, cold)
+            deltas.append(GraphDelta(add_nodes=1))
+            for pool in (warm, cold):
+                pool.apply_update(deltas[-1])
+            assert_stores_equal(warm, cold)
 
 
 def test_warm_update_patches_the_indexes(small_wc_graph, monkeypatch):

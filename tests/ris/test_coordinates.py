@@ -2,8 +2,9 @@
 
 ``sample_set_range(sampler, seed, machine, ids, key)`` is the one place
 ``(seed, key, machine, index)`` reaches a sampler: as a 64-bit set key
-(``set_keys``) handed to a keyed kernel (or the targeted wrapper over
-one).  Pinned here, each test failing if its property is lost:
+(``set_keys``) handed to a keyed kernel, with the root set a targeted
+draw takes its roots from.  Pinned here, each test failing if its
+property is lost:
 
 * every sampler draws set ``j`` exactly as an independently built oracle
   would — a key computed in plain Python integers — on plain and
@@ -13,7 +14,8 @@ one).  Pinned here, each test failing if its property is lost:
 * distinct coordinates are distinct keys, and the keyed roots (targeted
   ones too) and coins pass chi-square gates;
 * the scalar references (LT walk, SUBSIM) take generators only, and
-  their sequential-stream ``sample_batch`` did not move a byte.
+  their sequential-stream ``sample_batch`` did not move a byte;
+* a targeted pool draws on its workers, byte for byte as in process.
 """
 
 import hashlib
@@ -22,7 +24,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.applications.targeted import TargetedSampler
 from repro.core import distributed_opimc, distributed_ssa
 from repro.core.pool import SamplePool
 from repro.diffusion import ICTriggering, LTTriggering
@@ -38,15 +39,18 @@ from repro.ris.rrset import GOLDEN, concat_batches, sample_set_range, set_keys
 from repro.ris.vectorized import _mix, _mulhi, _row_keys, _thresholds
 
 # name -> graph -> sampler.  "ic-subsim" is make_sampler's ``method``
-# vestige: the keyed IC kernel, like every other method.
+# vestige: the keyed IC kernel, like every other method.  "targeted" is
+# the IC kernel drawing its roots from ROOTS["targeted"].
 SAMPLERS = {
     "ic-bfs": lambda g: make_sampler(g, "ic", "bfs"),
     "ic-subsim": lambda g: make_sampler(g, "ic", "subsim"),
     "ic-vectorized": lambda g: make_sampler(g, "ic", "vectorized"),
     "lt-bfs": lambda g: make_sampler(g, "lt", "bfs"),
     "lt-vectorized": lambda g: make_sampler(g, "lt", "vectorized"),
-    "targeted": lambda g: TargetedSampler(make_sampler(g, "ic"), range(0, 200, 3)),
+    "targeted": lambda g: make_sampler(g, "ic"),
 }
+#: name -> the sorted root set its sets are drawn from; absent: all nodes.
+ROOTS = {"targeted": np.arange(0, 200, 3)}
 # The scalar references: they draw from a generator, never from set keys.
 SCALAR = {
     "ic-reverse-bfs": ICReverseBFSSampler,
@@ -73,19 +77,18 @@ def python_set_key(seed, key, machine, index):
     return z ^ (z >> 31)
 
 
-def python_root(sampler, set_key):
-    """The root a set key picks: ``mulhi(K, n)``, or ``targets[mulhi(K, |T|)]``."""
-    if isinstance(sampler, TargetedSampler):
-        targets = sampler._targets
-        return int(targets[(set_key * targets.size) >> 64])
+def python_root(sampler, set_key, roots=None):
+    """The root a set key picks: ``mulhi(K, n)``, or ``roots[mulhi(K, |T|)]``."""
+    if roots is not None:
+        return int(roots[(set_key * roots.size) >> 64])
     return (set_key * sampler.graph.num_nodes) >> 64
 
 
-def oracle_draw(oracle, seed, key, machine, index):
+def oracle_draw(oracle, seed, key, machine, index, roots=None):
     """Set ``(seed, key, machine, index)`` drawn alone from its coordinates."""
     set_key = python_set_key(seed, key, machine, index)
-    batch = oracle.sample_keys([set_key])
-    assert int(batch.roots[0]) == python_root(oracle, set_key)
+    batch = oracle.sample_keys([set_key], roots)
+    assert int(batch.roots[0]) == python_root(oracle, set_key, roots)
     return batch
 
 
@@ -124,39 +127,42 @@ def digest(batch) -> str:
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 @pytest.mark.parametrize("layout", ["plain", "overlay"])
 def test_set_equals_scalar_draw_from_its_coordinates(small_wc_graph, name, layout):
-    build = SAMPLERS[name]
+    build, roots = SAMPLERS[name], ROOTS.get(name)
     graph = overlaid(small_wc_graph) if layout == "overlay" else small_wc_graph
     sampler, oracle = build(graph), build(graph)
+
+    def draw(seed, machine, ids, key="main"):
+        return digest(sample_set_range(sampler, seed, machine, ids, key, roots))
+
     for key, machine in (("main", 0), ("verify", 3)):
-        batch = sample_set_range(sampler, 21, machine, SCATTERED, key)
+        batch = sample_set_range(sampler, 21, machine, SCATTERED, key, roots)
         assert_equal(
             batch,
-            concat_batches([oracle_draw(oracle, 21, key, machine, i) for i in SCATTERED]),
+            concat_batches([oracle_draw(oracle, 21, key, machine, i, roots) for i in SCATTERED]),
         )
     # Every coordinate matters.
-    base = digest(sample_set_range(sampler, 21, 0, SCATTERED, "main"))
-    assert base == digest(sample_set_range(sampler, 21, 0, SCATTERED))  # the default key
-    assert base != digest(sample_set_range(sampler, 22, 0, SCATTERED, "main"))
-    assert base != digest(sample_set_range(sampler, 21, 1, SCATTERED, "main"))
-    assert base != digest(sample_set_range(sampler, 21, 0, SCATTERED, "R2"))
-    assert base != digest(sample_set_range(sampler, 21, 0, [i + 1 for i in SCATTERED], "main"))
+    base = draw(21, 0, SCATTERED)
+    assert base == digest(sample_set_range(sampler, 21, 0, SCATTERED, roots=roots))  # default key
+    assert base != draw(22, 0, SCATTERED)
+    assert base != draw(21, 1, SCATTERED)
+    assert base != draw(21, 0, SCATTERED, "R2")
+    assert base != draw(21, 0, [i + 1 for i in SCATTERED])
 
 
 @pytest.mark.parametrize("name", ["ic-vectorized", "lt-vectorized", "targeted"])
 def test_keyed_draw_is_position_free(small_wc_graph, name):
     """A keyed set's bytes are its key's: not where its call started, not
     the block width, not which sets share its block."""
-    sampler = SAMPLERS[name](small_wc_graph)
-    kernel = sampler._base if name == "targeted" else sampler
-    run = sample_set_range(sampler, 4, 2, range(70, 370), "main")
-    tail = sample_set_range(sampler, 4, 2, range(170, 370), "main")
-    alone = [oracle_draw(sampler, 4, "main", 2, i) for i in range(170, 370)]
+    sampler, roots = SAMPLERS[name](small_wc_graph), ROOTS.get(name)
+    run = sample_set_range(sampler, 4, 2, range(70, 370), "main", roots)
+    tail = sample_set_range(sampler, 4, 2, range(170, 370), "main", roots)
+    alone = [oracle_draw(sampler, 4, "main", 2, i, roots) for i in range(170, 370)]
     assert_equal(tail, concat_batches(alone))
     assert digest(tail) == digest(_slice(run, 100, 300))
     keys = set_keys(4, 2, range(70, 370))
     for block in (1, 7, 64):
-        kernel.block_size = block
-        assert_equal(sampler.sample_keys(keys), run)
+        sampler.block_size = block
+        assert_equal(sampler.sample_keys(keys, roots), run)
 
 
 def _slice(batch, start, stop):
@@ -173,18 +179,13 @@ def _slice(batch, start, stop):
 def test_which_samplers_take_one_generator_per_set(small_wc_graph):
     """None on the coordinate path: every sampler ``sample_set_range`` or a
     pool draws with takes set keys.  The scalar references take a
-    generator, through ``sample`` / ``sample_batch`` only, and a pool
-    refuses them."""
+    generator, through ``sample`` / ``sample_batch`` only."""
     for build in SAMPLERS.values():
         assert hasattr(build(small_wc_graph), "sample_keys")
     for name, build in SCALAR.items():
         sampler = build(small_wc_graph)
         assert not hasattr(sampler, "sample_keys"), name
         assert sampler.sample_batch(np.random.default_rng(1), 3).count == 3
-        with pytest.raises(TypeError, match="cannot take set keys"):
-            SamplePool(small_wc_graph, machines=1, sampler=sampler)
-        with pytest.raises(TypeError, match="cannot take set keys"):
-            SamplePool(small_wc_graph, machines=1, sampler_factory=build)
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +193,13 @@ def test_which_samplers_take_one_generator_per_set(small_wc_graph):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["ic-bfs", "ic-subsim", "lt-bfs", "targeted"])
 def test_one_call_equals_any_split(small_wc_graph, name):
-    sampler = SAMPLERS[name](small_wc_graph)
-    whole = sample_set_range(sampler, 9, 1, range(300), "main")
-    thirds = [sample_set_range(sampler, 9, 1, range(a, a + 100), "main") for a in (0, 100, 200)]
+    sampler, roots = SAMPLERS[name](small_wc_graph), ROOTS.get(name)
+    whole = sample_set_range(sampler, 9, 1, range(300), "main", roots)
+    thirds = [
+        sample_set_range(sampler, 9, 1, range(a, a + 100), "main", roots) for a in (0, 100, 200)
+    ]
     assert_equal(concat_batches(thirds), whole)
-    singles = [sample_set_range(sampler, 9, 1, [i], "main") for i in range(300)]
+    singles = [sample_set_range(sampler, 9, 1, [i], "main", roots) for i in range(300)]
     assert_equal(concat_batches(singles), whole)
 
 
@@ -228,7 +231,7 @@ class _Probe:
     def __init__(self):
         self.seen = []
 
-    def sample_keys(self, keys):
+    def sample_keys(self, keys, roots=None):
         self.seen.extend(np.asarray(keys, dtype=np.uint64).tolist())
         return concat_batches([])
 
@@ -296,10 +299,10 @@ def test_keyed_roots_of_consecutive_sets_are_uniform():
 def test_keyed_targeted_roots_are_uniform_over_the_targets(small_wc_graph):
     """A targeted set's root is ``targets[mulhi(K, |T|)]``: uniform over a
     67-node target set, and independent across consecutive set ids."""
-    targets = np.arange(0, 200, 3)
+    targets = ROOTS["targeted"]
     assert targets.size == 67
-    sampler = TargetedSampler(make_sampler(small_wc_graph, "ic"), targets)
-    roots = sample_set_range(sampler, 5, 2, range(KEYED_N), "main").roots
+    sampler = make_sampler(small_wc_graph, "ic")
+    roots = sample_set_range(sampler, 5, 2, range(KEYED_N), "main", targets).roots
     assert np.isin(roots, targets).all()
     ranks = np.searchsorted(targets, roots)
     ok, chi2 = chi_square_ok(np.bincount(ranks, minlength=targets.size))
@@ -458,4 +461,29 @@ def test_pool_keys_are_independent_and_reproducible(small_wc_graph):
             assert sum(x == y for x, y in zip(first_sets(a), first_sets(b))) <= 5
             np.testing.assert_array_equal(b.nodes, again.nodes)
             np.testing.assert_array_equal(b.offsets, again.offsets)
+
+
+@pytest.mark.parametrize("executor", ["multiprocessing:2", "socket:2"])
+def test_targeted_pool_draws_on_its_workers(small_wc_graph, executor):
+    """A targeted pool's top-ups are generation phases like any other
+    pool's: the workers draw them, with the root set in the request, and
+    the collections equal an in-process pool's byte for byte."""
+    roots = ROOTS["targeted"]
+    with SamplePool(small_wc_graph, 2, seed=13, roots=roots) as local, SamplePool(
+        small_wc_graph, 2, seed=13, roots=roots, executor=executor
+    ) as remote:
+        for pool in (local, remote):
+            pool.ensure("main", [150, 120])
+            pool.ensure("main", [200, 260])
+        assert remote.lifetime_metrics.wire_summary()["round_trips"] > 0
+        for a, b in zip(local.stores("main"), remote.stores("main")):
+            np.testing.assert_array_equal(a.nodes, b.nodes)
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            assert a.total_edges_examined == b.total_edges_examined
+        # Rooted in the targets: the sets are the kernel's draws from them.
+        kernel = make_sampler(small_wc_graph, "ic")
+        for mid, store in enumerate(local.stores("main")):
+            batch = sample_set_range(kernel, 13, mid, range(store.num_sets), "main", roots)
+            assert np.isin(batch.roots, roots).all()
+            np.testing.assert_array_equal(store.nodes[: batch.offsets[-1]], batch.nodes)
 

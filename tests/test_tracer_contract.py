@@ -4,8 +4,10 @@
 names *by path* (ROADMAP, standing rules); a name that still resolves but
 is no longer the one the code calls goes blind silently.  Since every
 draw goes through ``sample_set_range`` the sampling layer's time arrives
-through two of those names, ``cluster.executor.sample_set_range`` and
-``core.pool.sample_set_range``; this pins that they are called.  (The
+through two of those names, ``cluster.executor.sample_set_range`` (every
+generation phase: runs, pool top-ups and rebuilds) and
+``core.pool.sample_set_range`` (a repair's redraw); this pins that both
+are called.  (The
 harness's own ``test_traced_run_records_layers_and_removes_every_wrapper``
 also asserts ``ris.sampler.sets == num_rr_sets``, a count taken at
 class-level ``sample_batch`` that per-set draws never reach — tracer blind
@@ -16,10 +18,8 @@ test checks is checked here.)
 import pytest
 
 from repro import api
-from repro.applications.targeted import TargetedSampler
 from repro.core.pool import SamplePool
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
-from repro.ris import make_sampler
 
 # Importable when the suite runs from the repository root (tier-1 does).
 trace = pytest.importorskip("benchmarks.e2e.trace")
@@ -65,15 +65,17 @@ def test_cold_generation_time_reaches_the_sampler_layer(small_wc_graph, method):
 def test_pool_draws_reach_the_sampler_layer(small_wc_graph):
     graph = VersionedGraph(DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays()))
     edges = list(small_wc_graph.edges())
-    with SamplePool(
-        graph,
-        machines=2,
-        seed=5,
-        sampler_factory=lambda g: TargetedSampler(make_sampler(g), range(0, 200, 2)),
-    ) as pool, trace.tracing() as tracer:
+    pool = SamplePool(graph, machines=2, seed=5, roots=range(0, 200, 2))
+    with pool, trace.tracing() as tracer:
         with tracer.request("pool"):
-            pool.ensure("main", [40, 40])  # the in-process top-up
+            pool.ensure("main", [40, 40])  # a generation phase
+            top_up = span_names(tracer).count("cluster.executor.sample_set_range")
             pool.apply_update(GraphDelta(remove_edges=[edge[:2] for edge in edges[:6]]))
-            pool.apply_update(GraphDelta(add_nodes=1))  # full rebuild
-    assert span_names(tracer).count("core.pool.sample_set_range") >= 2 + 1 + 2
+            repaired = span_names(tracer).count("core.pool.sample_set_range")
+            pool.apply_update(GraphDelta(add_nodes=1))  # full rebuild: a generation phase
+    names = span_names(tracer)
+    assert top_up == 2  # one draw per machine
+    assert 1 <= repaired <= 2  # the repair's redraw, per machine that redrew
+    assert names.count("cluster.executor.sample_set_range") == 2 + 2
+    assert names.count("core.pool.sample_set_range") == repaired
     assert trace.layer_table(tracer)["ris.sampler.self_s"] > 0
