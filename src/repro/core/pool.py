@@ -80,7 +80,7 @@ from ..coverage.state import CoverageState
 from ..diffusion.lt import check_lt_feasible
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris.flat import FlatPrefixView, FlatRRCollection, gather_rows
-from ..ris import check_method_vestige
+from ..ris import check_method_vestige, check_model
 from ..ris.rrset import RRSampler, sample_set_range, set_keys
 
 __all__ = ["SamplePool", "as_roots"]
@@ -154,6 +154,7 @@ class SamplePool:
         roots=None,
     ) -> None:
         check_method_vestige(method)
+        check_model(model)
         if rng_scheme != "per-set":
             raise ValueError(
                 f"rng_scheme is a vestige: only 'per-set' is accepted, got {rng_scheme!r}"
@@ -174,8 +175,8 @@ class SamplePool:
                 # before the update, so it must exist before the graph moves.
                 self._kernel()
             except BaseException:
-                # A refused model must not leak the worker pool /
-                # shared-memory graph the executor just acquired.
+                # A kernel that cannot be built must not leak the worker
+                # pool / shared-memory graph the executor just acquired.
                 self.executor.close()
                 raise
         self._stores: Dict[str, List[FlatRRCollection]] = {}

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .digraph import DirectedGraph
+from .digraph import DirectedGraph, _pair_order, _pair_starts
 
 __all__ = ["GraphBuilder"]
 
@@ -103,13 +103,12 @@ class GraphBuilder:
             num_nodes = int(max(src.max(), dst.max())) + 1 if src.size else 0
 
         if dedup and src.size:
-            keys = src * num_nodes + dst
-            # Stable sort then keep the *last* occurrence of each key so a
-            # later add_edge overrides an earlier duplicate's probability.
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            last = np.ones(keys.size, dtype=bool)
-            last[:-1] = keys[1:] != keys[:-1]
+            # Stable (src, dst) order, then keep the *last* occurrence of
+            # each pair so a later add_edge overrides an earlier
+            # duplicate's probability.
+            order = _pair_order(src, dst, num_nodes)
+            last = np.ones(order.size, dtype=bool)
+            last[:-1] = _pair_starts(src[order], dst[order])[1:]
             chosen = order[last]
             src, dst, prob = src[chosen], dst[chosen], prob[chosen]
 

@@ -15,6 +15,8 @@ weighting scheme from :mod:`repro.graphs.weights` assigns them.
 
 from __future__ import annotations
 
+import mmap
+from contextlib import suppress
 from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +71,88 @@ def _attach_views(buf, layout: Dict[str, Tuple[int, str, int]]) -> Dict[str, np.
         view.flags.writeable = False
         views[field] = view
     return views
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer ``keys`` in ``[0, bound)``.
+
+    NumPy's stable sort of 16-bit keys is a counting (radix) sort, and a
+    stable sort's permutation is unique, so ids below ``2**16`` (every
+    stand-in's) take one counting pass; wider ids take the stable sort
+    itself.
+    """
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
+def _pair_order(sources: np.ndarray, targets: np.ndarray, bound: int) -> np.ndarray:
+    """The stable order of the ``(source, target)`` pairs, lexicographic:
+    a pass by target, then a stable pass by source."""
+    order = _stable_order(targets, bound)
+    return order[_stable_order(sources[order], bound)]
+
+
+def _pair_starts(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Of pairs in :func:`_pair_order`, which ones begin a run of equal pairs."""
+    starts = np.ones(sources.size, dtype=bool)
+    starts[1:] = (sources[1:] != sources[:-1]) | (targets[1:] != targets[:-1])
+    return starts
+
+
+def _mapped(size: int, dtype) -> np.ndarray:
+    """``size`` zeroed values in a private anonymous mapping of their own.
+
+    Always fresh pages, given back whole when the array is dropped; an
+    ``np.empty`` or ``np.zeros`` of the same size reuses a freed heap hole
+    when one fits, which makes a process's peak memory turn on its
+    allocation history.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(block, dtype=dtype)
+
+
+def _huge_pages(array: np.ndarray, nbytes: int) -> None:
+    """Ask for huge pages under the first ``nbytes`` of a :func:`_mapped`
+    array once they span 4 MiB, as NumPy does for its own arrays; a
+    smaller span keeps small pages and backs only the ones it touches."""
+    if nbytes >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        with suppress(OSError):
+            # array.base is the memoryview NumPy took of the mmap.
+            array.base.obj.madvise(mmap.MADV_HUGEPAGE, 0, nbytes)
+
+
+def _kept(size: int, dtype) -> np.ndarray:
+    """An empty array of ``size`` values for a graph to keep: once it
+    spans 1 MiB, :func:`_mapped`.
+
+    A graph outlives the temporaries its build frees around it.  On the
+    heap its arrays would pin the holes those leave, and the peak memory
+    of later work (a draw's buffers, a store's growth) would turn on the
+    build's allocation history.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    if nbytes < 1 << 20:
+        return np.empty(size, dtype=dtype)
+    array = _mapped(size, dtype)
+    _huge_pages(array, nbytes)
+    return array
+
+
+def _kept_copy(array: np.ndarray, dtype=None) -> np.ndarray:
+    """A :func:`_kept` copy of ``array`` (cast to ``dtype`` if given)."""
+    copy = _kept(array.size, array.dtype if dtype is None else dtype)
+    copy[:] = array
+    return copy
+
+
+def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of the rows named by ``keys`` (ids in ``[0, n)``)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr
 
 
 class SharedGraphHandle:
@@ -136,9 +220,12 @@ class DirectedGraph:
 
     Notes
     -----
-    The constructor sorts the edge list twice (once by source, once by
-    target) to build both CSR directions.  Use
-    :class:`repro.graphs.builder.GraphBuilder` for incremental construction.
+    The constructor orders the edge list twice (once by source, once by
+    target), each a stable counting pass over 16-bit ids when ``n <= 2**16``
+    (:func:`_stable_order`), so a row keeps its edges in list order; an
+    array of 1 MiB or more is kept in a mapping of its own (:func:`_kept`).
+    Use :class:`repro.graphs.builder.GraphBuilder` for incremental
+    construction.
     """
 
     __slots__ = (
@@ -184,26 +271,20 @@ class DirectedGraph:
         self._n = int(num_nodes)
         self._m = int(src.size)
 
-        # Out-adjacency: edges sorted by source node.
-        order = np.argsort(src, kind="stable")
-        self.out_indptr = self._build_indptr(src[order])
-        self.out_indices = np.ascontiguousarray(dst[order], dtype=np.int32)
-        self.out_probs = np.ascontiguousarray(prob[order])
+        # Out-adjacency: edges ordered by source node.
+        order = _stable_order(src, self._n)
+        self.out_indptr = _indptr(src, self._n)
+        self.out_indices = np.take(dst, order, out=_kept(self._m, np.int32))
+        self.out_probs = np.take(prob, order, out=_kept(self._m, np.float64))
 
-        # In-adjacency: edges sorted by target node.
-        order = np.argsort(dst, kind="stable")
-        self.in_indptr = self._build_indptr(dst[order])
-        self.in_indices = np.ascontiguousarray(src[order], dtype=np.int32)
-        self.in_probs = np.ascontiguousarray(prob[order])
+        # In-adjacency: edges ordered by target node.
+        order = _stable_order(dst, self._n)
+        self.in_indptr = _indptr(dst, self._n)
+        self.in_indices = np.take(src, order, out=_kept(self._m, np.int32))
+        self.in_probs = np.take(prob, order, out=_kept(self._m, np.float64))
 
         self._in_prob_sums: np.ndarray | None = None
         self._shm = None
-
-    def _build_indptr(self, sorted_keys: np.ndarray) -> np.ndarray:
-        counts = np.bincount(sorted_keys, minlength=self._n) if self._n else np.zeros(0, np.int64)
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -352,9 +433,29 @@ class DirectedGraph:
     # Derived graphs
     # ------------------------------------------------------------------
     def with_probabilities(self, probs: np.ndarray) -> "DirectedGraph":
-        """Return a copy of this graph with new out-CSR-ordered probabilities."""
-        sources, targets, __ = self.edge_arrays()
-        return DirectedGraph(self._n, sources, targets, probs)
+        """Return a copy of this graph with new out-CSR-ordered probabilities.
+
+        The copy is the graph rebuilt from :meth:`edge_arrays` with
+        ``probs``: it shares the out-CSR structure (and so an attached
+        graph's mapping) and lists each in-row by source, in out-CSR order.
+        """
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.shape != (self._m,):
+            raise ValueError("probs must have the same length as the edge list")
+        prob = _kept_copy(probs)
+        if prob.size and (prob.min() < 0.0 or prob.max() > 1.0):
+            raise ValueError("edge probabilities must lie in [0, 1]")
+        order = _stable_order(self.out_indices, self._n)
+        sources = np.repeat(np.arange(self._n, dtype=np.int32), np.diff(self.out_indptr))
+        arrays = {
+            "out_indptr": self.out_indptr,
+            "out_indices": self.out_indices,
+            "out_probs": prob,
+            "in_indptr": self.in_indptr,
+            "in_indices": np.take(sources, order, out=_kept(self._m, np.int32)),
+            "in_probs": np.take(prob, order, out=_kept(self._m, np.float64)),
+        }
+        return DirectedGraph._over(arrays, self._shm)
 
     def reversed(self) -> "DirectedGraph":
         """Return the graph with every edge direction flipped."""
@@ -581,7 +682,7 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
         spliced = []
         for value, fill in ((indices, other), (probs, prob)):
             if not np.array_equal(value[at], fill):
-                value = value.copy()
+                value = _kept_copy(value)
                 value[at] = fill
             spliced.append(value)
         return indptr, *spliced
@@ -589,8 +690,8 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
     counts[rows] = lengths
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    new_indices = np.empty(int(new_indptr[-1]), dtype=indices.dtype)
-    new_probs = np.empty(new_indices.size, dtype=probs.dtype)
+    new_indices = _kept(int(new_indptr[-1]), indices.dtype)
+    new_probs = _kept(new_indices.size, probs.dtype)
     firsts = [0, *(rows + 1).tolist()]
     lasts = [*rows.tolist(), n]
     for first, last in zip(firsts, lasts):

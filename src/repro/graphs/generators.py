@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .builder import GraphBuilder
-from .digraph import DirectedGraph
+from .digraph import DirectedGraph, _pair_order, _pair_starts
 
 __all__ = [
     "paper_example_graph",
@@ -70,12 +70,44 @@ def _dedup_random_edges(
     sources: np.ndarray,
     targets: np.ndarray,
 ) -> DirectedGraph:
-    """Drop self loops and duplicates from sampled endpoint arrays."""
+    """Drop self loops and duplicates from sampled endpoint arrays.
+
+    The first draw of each ``(source, target)`` pair stays, and the edges
+    come out in pair order, as ``np.unique(pair keys, return_index=True)``
+    would list them.
+    """
     keep = sources != targets
     sources, targets = sources[keep], targets[keep]
-    keys = sources.astype(np.int64) * num_nodes + targets
-    __, unique_idx = np.unique(keys, return_index=True)
-    return DirectedGraph(num_nodes, sources[unique_idx], targets[unique_idx])
+    order = _pair_order(sources, targets, num_nodes)
+    sources, targets = sources[order], targets[order]
+    first = _pair_starts(sources, targets)
+    return DirectedGraph(num_nodes, sources[first], targets[first])
+
+
+def _draw_from(p: np.ndarray, sizes, rng: np.random.Generator) -> list:
+    """``[rng.choice(p.size, size, p=p) for size in sizes]``, value for
+    value and draw for draw: the inverse CDF of one ``rng.random(size)``
+    per size, looked up in a table of ``2**k >= 8 * p.size`` equal buckets
+    of ``[0, 1)``.
+
+    A sample ``u`` in bucket ``j = floor(u * 2**k)`` (exact for a power of
+    two) has between ``first[j]`` and ``first[j + 1]`` CDF values at or
+    below it, so only samples in a bucket that holds a CDF boundary (at
+    most an eighth of them, in expectation) are searched.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (int(p.size - 1).bit_length() + 3)
+    first = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+    drawn = []
+    for size in sizes:
+        draws = rng.random(size)
+        bucket = (draws * buckets).astype(np.int32)
+        picks = first[bucket]
+        split = np.flatnonzero(first[1:][bucket] != picks)
+        picks[split] = np.searchsorted(cdf, draws[split], side="right")
+        drawn.append(picks)
+    return drawn
 
 
 def erdos_renyi(
@@ -175,8 +207,7 @@ def chung_lu(
         raise ValueError(f"exponent must exceed 1, got {exponent}")
     weights = min_weight * (1.0 + rng.pareto(exponent - 1.0, size=num_nodes))
     prob = weights / weights.sum()
-    sources = rng.choice(num_nodes, size=num_edges, p=prob).astype(np.int64)
-    targets = rng.choice(num_nodes, size=num_edges, p=prob).astype(np.int64)
+    sources, targets = _draw_from(prob, (num_edges, num_edges), rng)
     return _dedup_random_edges(num_nodes, sources, targets)
 
 
@@ -199,19 +230,26 @@ def rmat(
         raise ValueError("quadrant probabilities must sum to at most 1")
     num_nodes = 1 << scale
     num_edges = num_nodes * edge_factor
-    sources = np.zeros(num_edges, dtype=np.int64)
-    targets = np.zeros(num_edges, dtype=np.int64)
-    # Vectorised recursive descent: one random draw per (edge, bit).
-    for bit in range(scale):
-        draws = rng.random(num_edges)
-        src_bit = (draws >= a + b).astype(np.int64)
-        # Within each half, the right quadrant is chosen with prob b/(a+b)
-        # (top) or d/(c+d) (bottom).
-        top_right = (draws >= a) & (draws < a + b)
-        bottom_right = draws >= a + b + c
-        dst_bit = (top_right | bottom_right).astype(np.int64)
-        sources = (sources << 1) | src_bit
-        targets = (targets << 1) | dst_bit
+    ids = np.uint16 if scale <= 16 else np.uint32
+    sources = np.zeros(num_edges, dtype=ids)
+    targets = np.zeros(num_edges, dtype=ids)
+    draws = np.empty(num_edges)
+    passed = np.empty(num_edges, dtype=bool)
+    # Vectorised recursive descent, in place: one random draw per (edge,
+    # bit).  The quadrants a | b | c | d split [0, 1) at a, a + b and
+    # a + b + c: the bottom half (c, d) sets the source bit, and the right
+    # column (b, d) is an odd number of thresholds passed.
+    for __ in range(scale):
+        rng.random(out=draws)
+        sources <<= 1
+        targets <<= 1
+        np.greater_equal(draws, a, out=passed)
+        targets ^= passed
+        np.greater_equal(draws, a + b, out=passed)
+        targets ^= passed
+        sources |= passed
+        np.greater_equal(draws, a + b + c, out=passed)
+        targets ^= passed
     return _dedup_random_edges(num_nodes, sources, targets)
 
 

@@ -15,7 +15,7 @@ from typing import IO, Iterator, Tuple, Union
 import numpy as np
 
 from .builder import GraphBuilder
-from .digraph import DirectedGraph
+from .digraph import _CSR_FIELDS, DirectedGraph, _kept_copy, _pair_order, _pair_starts
 
 __all__ = [
     "read_edge_list",
@@ -109,23 +109,72 @@ def write_edge_list(
 
 
 def save_npz(graph: DirectedGraph, path: str | os.PathLike) -> None:
-    """Snapshot a graph (structure + probabilities) to a compressed file."""
-    sources, targets, probs = graph.edge_arrays()
+    """Snapshot a graph (structure + probabilities) to a compressed file.
+
+    Both CSR directions are written as they are, so the reloaded graph
+    lists every row in the same order (an updated
+    :class:`~repro.graphs.digraph.VersionedGraph`'s rank-stable in-rows
+    included) and draws the same RR sets.
+    """
     np.savez_compressed(
         path,
         num_nodes=np.int64(graph.num_nodes),
-        sources=sources,
-        targets=targets,
-        probs=probs,
+        **{field: getattr(graph, field) for field in _CSR_FIELDS},
     )
 
 
 def load_npz(path: str | os.PathLike) -> DirectedGraph:
-    """Load a graph previously written by :func:`save_npz`."""
+    """Load a graph previously written by :func:`save_npz`.
+
+    The saved CSR arrays are checked and adopted as they are, with no
+    sort.  A file in the older edge-list layout (``sources`` /
+    ``targets`` / ``probs``) is rebuilt through :class:`DirectedGraph`.
+    """
     with np.load(path) as data:
-        return DirectedGraph(
-            int(data["num_nodes"]),
-            data["sources"],
-            data["targets"],
-            data["probs"],
-        )
+        num_nodes = int(data["num_nodes"])
+        if "sources" in data:
+            return DirectedGraph(num_nodes, data["sources"], data["targets"], data["probs"])
+        return _checked_csr(num_nodes, {field: data[field] for field in _CSR_FIELDS})
+
+
+def _checked_csr(num_nodes: int, arrays: dict) -> DirectedGraph:
+    """A graph over saved CSR arrays, refused with ``ValueError`` unless
+    each direction is well-formed and both hold the same edges."""
+    if num_nodes < 0:
+        raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
+    for field, dtype in zip(_CSR_FIELDS, (np.int64, np.int32, np.float64) * 2):
+        if arrays[field].ndim != 1:
+            raise ValueError(f"{field} must be one-dimensional")
+        arrays[field] = _kept_copy(arrays[field], dtype)
+    edges = {}
+    for side in ("out", "in"):
+        indptr, indices, probs = (arrays[f"{side}_{x}"] for x in ("indptr", "indices", "probs"))
+        if indptr.shape != (num_nodes + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"{side}_indptr is not a row pointer array over {num_nodes} nodes")
+        if indices.shape != (indptr[-1],) or probs.shape != indices.shape:
+            raise ValueError(f"{side}_indices and {side}_probs must hold {indptr[-1]} entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= num_nodes):
+            raise ValueError(f"{side}_indices hold a node id outside [0, {num_nodes})")
+        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+            raise ValueError("edge probabilities must lie in [0, 1]")
+        owners = np.repeat(np.arange(num_nodes, dtype=np.int32), np.diff(indptr))
+        pair = (owners, indices) if side == "out" else (indices, owners)
+        edges[side] = _sorted_edges(*pair, probs, num_nodes)
+    if not all(map(np.array_equal, edges["out"], edges["in"])):
+        raise ValueError("out_* and in_* do not hold the same (source, target, prob) edges")
+    return DirectedGraph._over(arrays)
+
+
+def _sorted_edges(sources, targets, probs, num_nodes):
+    """The ``(source, target, prob)`` triples in lexicographic order: the
+    pairs by counting passes, then the probabilities of each repeated
+    pair (a multi-edge) by value."""
+    order = _pair_order(sources, targets, num_nodes)
+    sources, targets, probs = sources[order], targets[order], probs[order]
+    starts = _pair_starts(sources, targets)
+    repeated = ~starts
+    repeated[:-1] |= ~starts[1:]
+    at = np.flatnonzero(repeated)
+    if at.size:
+        probs[at] = probs[at][np.lexsort((probs[at], np.cumsum(starts)[at]))]
+    return sources, targets, probs

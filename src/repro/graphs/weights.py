@@ -7,6 +7,9 @@ the literature, *trivalency* (TR) and *uniform* (UN), so ablations can vary
 the weighting scheme.
 
 All functions return a new :class:`DirectedGraph`; the input is untouched.
+The new graph shares the input's out-CSR structure and sorts no edge list:
+the probabilities take their in-CSR order from one counting pass over the
+targets (:meth:`~repro.graphs.digraph.DirectedGraph.with_probabilities`).
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ def weighted_cascade(graph: DirectedGraph) -> DirectedGraph:
     to exactly one, which satisfies the LT constraint
     ``sum_{u in N_v^in} p_{u,v} <= 1`` with equality.
     """
-    sources, targets, __ = graph.edge_arrays()
     indeg = graph.in_degrees().astype(np.float64)
     # Nodes with zero in-degree never appear as a target, so the division
     # below only ever reads positive degrees; guard anyway for empty graphs.
     safe = np.where(indeg > 0, indeg, 1.0)
-    probs = 1.0 / safe[targets]
+    probs = 1.0 / safe[graph.out_indices]
     return graph.with_probabilities(probs)
 
 

@@ -107,7 +107,11 @@ def make_sampler(graph, model: str = "ic", method: str = "bfs") -> RRSampler:
         Vestige (:data:`METHOD_VESTIGES`): accepted, changes nothing.
     """
     check_method_vestige(method.lower())
-    model_key = model.lower()
-    if model_key not in ("ic", "lt"):
+    check_model(model)
+    return VectorizedICSampler(graph) if model.lower() == "ic" else VectorizedLTSampler(graph)
+
+
+def check_model(model: str) -> None:
+    """Refuse a diffusion model :func:`make_sampler` has no kernel for."""
+    if model.lower() not in ("ic", "lt"):
         raise ValueError(f"unknown diffusion model {model!r}")
-    return VectorizedICSampler(graph) if model_key == "ic" else VectorizedLTSampler(graph)

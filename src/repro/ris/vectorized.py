@@ -77,22 +77,19 @@ uniformity within a row, across two nodes of one set, across
 consecutive set ids and across LT's stop and pick draws.
 
 Scratch memory is one byte per visited-mark, in a mapping of its own
-(:func:`_cleared`) a full block long but backed only where draws touched
-it: at most ``num_nodes`` per set of the largest block drawn so far.
-When ``block_size`` is not given, each sampler picks one from the graph
-size (:data:`DEFAULT_BLOCK` / :data:`DEFAULT_SCRATCH_BYTES`); pass an
-explicit value to trade memory against per-wave overhead on unusual
-graphs.
+(:func:`repro.graphs.digraph._mapped`) a full block long but backed only
+where draws touched it: at most ``num_nodes`` per set of the largest
+block drawn so far.  When ``block_size`` is not given, each sampler
+picks one from the graph size (:data:`DEFAULT_BLOCK` /
+:data:`DEFAULT_SCRATCH_BYTES`); pass an explicit value to trade memory
+against per-wave overhead on unusual graphs.
 """
 
 from __future__ import annotations
 
-import mmap
-from contextlib import suppress
-
 import numpy as np
 
-from ..graphs.digraph import DirectedGraph
+from ..graphs.digraph import DirectedGraph, _huge_pages, _mapped
 from .flat import gather_rows
 from .rrset import (
     GOLDEN,
@@ -129,27 +126,6 @@ _RUNNING_SUM_CHUNK = 1 << 20
 
 def _auto_block(num_nodes: int) -> int:
     return max(64, min(DEFAULT_BLOCK, DEFAULT_SCRATCH_BYTES // max(num_nodes, 1)))
-
-
-def _cleared(size: int) -> np.ndarray:
-    """``size`` cleared visited-marks in a private anonymous mapping.
-
-    Always fresh zero pages, given back whole when dropped; ``np.zeros``
-    reuses a freed heap hole when one fits, which made a process's peak
-    memory turn on its allocation history by the whole scratch.
-    """
-    block = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(block, dtype=bool)
-
-
-def _huge_pages(marks: np.ndarray, size: int) -> None:
-    """Ask for huge pages under ``marks[:size]`` once it spans 4 MiB, as
-    NumPy does for its own arrays; a smaller draw keeps small pages and
-    backs only the ones it touches."""
-    if size >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
-        with suppress(OSError):
-            # marks.base is the memoryview NumPy took of the mmap.
-            marks.base.obj.madvise(mmap.MADV_HUGEPAGE, 0, size)
 
 
 _U64 = np.uint64
@@ -272,7 +248,7 @@ class _BlockedFrontierSampler(RRSampler):
         n = self.graph.num_nodes
         size = num_sets * n
         if self._marks is None or self._marks.size < size or self._scratch_dirty:
-            self._marks = _cleared(max(num_sets, self.block_size) * n)
+            self._marks = _mapped(max(num_sets, self.block_size) * n, bool)
             self._visited = None
         if self._visited is None or self._visited.size < size:
             _huge_pages(self._marks, size)

@@ -8,6 +8,7 @@ accepts a spec or its shorthand.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -163,8 +164,9 @@ class TestPoolAndServiceShims:
         with SamplePool(small_wc_graph, 2, executor=SimulatedSpec()) as pool:
             assert pool.executor.name == "simulated"
 
-    def test_sample_pool_init_failure_closes_executor(self, small_wc_graph):
+    def test_sample_pool_init_failure_closes_executor(self, small_wc_graph, monkeypatch):
         closed = []
+        import repro.cluster.executor as executor_mod
         import repro.core.pool as pool_mod
 
         original = pool_mod.make_executor
@@ -175,15 +177,33 @@ class TestPoolAndServiceShims:
             ex.close = lambda: (closed.append(True), real_close())
             return ex
 
-        pool_mod.make_executor = tracking
-        try:
-            # A dynamic pool builds its kernel at once, and an unknown
-            # model refuses to build one.
-            with pytest.raises(ValueError, match="unknown diffusion model"):
-                SamplePool(VersionedGraph(small_wc_graph), 1, model="nope")
-        finally:
-            pool_mod.make_executor = original
+        def refusing(*args, **kwargs):
+            raise RuntimeError("kernel refused")
+
+        monkeypatch.setattr(pool_mod, "make_executor", tracking)
+        # A dynamic pool builds its kernel at once, after the executor.
+        monkeypatch.setattr(executor_mod, "make_sampler", refusing)
+        with pytest.raises(RuntimeError, match="kernel refused"):
+            SamplePool(VersionedGraph(small_wc_graph), 1)
         assert closed
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_sample_pool_refuses_unknown_model_before_executor(
+        self, small_wc_graph, monkeypatch, dynamic
+    ):
+        import repro.core.pool as pool_mod
+
+        made = []
+        original = pool_mod.make_executor
+        monkeypatch.setattr(
+            pool_mod, "make_executor", lambda *a, **kw: made.append(original(*a, **kw))
+        )
+        graph = VersionedGraph(small_wc_graph) if dynamic else small_wc_graph
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="unknown diffusion model"):
+            SamplePool(graph, 2, model="nope", executor="multiprocessing:2")
+        assert made == []
+        assert set(multiprocessing.active_children()) == children
 
     def test_service_accepts_shorthand(self, small_wc_graph):
         service = InfluenceService(small_wc_graph, machines=2, executor="multiprocessing:2")
