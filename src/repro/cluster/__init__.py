@@ -46,8 +46,6 @@ from .metrics import (
 from .network import NetworkModel, gigabit_cluster, shared_memory_server
 from .socket_executor import SocketExecutor, serve_worker
 from .spec import (
-    EXECUTOR_KINDS,
-    EXECUTOR_SPECS,
     ExecutorSpec,
     MultiprocessingSpec,
     SimulatedSpec,
@@ -88,8 +86,6 @@ __all__ = [
     "MasterPhase",
     "PhaseResult",
     "EXECUTORS",
-    "EXECUTOR_KINDS",
-    "EXECUTOR_SPECS",
     "ExecutorSpec",
     "SimulatedSpec",
     "MultiprocessingSpec",

@@ -647,7 +647,7 @@ def make_executor(
             cluster, graph=graph, spec=resolved, faults=faults, retry=retry
         )
     raise ValueError(
-        f"no executor registered for spec kind {resolved.kind!r}; "
+        f"executor spec kind {resolved.kind!r} names no executor; "
         f"expected one of {EXECUTORS}"
     )
 

@@ -401,7 +401,9 @@ class WorkerBackedExecutor(Executor):
         self._ctx = mp.get_context(self.start_method)
         self._channels: List[WorkerChannel] | None = None
         self._handle: SharedGraphHandle | None = None
-        self._zero_copy_mode = spec.zero_copy
+        #: Set once an export fails: from then on local workers get the
+        #: graph inline, as remote ones do.
+        self._inline_graph = False
         self._token = uuid.uuid4().hex
         self._closed = False
 
@@ -413,36 +415,25 @@ class WorkerBackedExecutor(Executor):
         """One worker per machine, capped at the CPU count."""
         return min(max(self.num_machines, 1), mp.cpu_count())
 
-    @property
-    def zero_copy(self) -> bool:
-        """Whether local workers (will) attach the shared-memory export.
-
-        ``True`` until a failed export flips the executor onto the
-        copy-based fallback for good.
-        """
-        return self._zero_copy_mode is not False
-
     def _ensure_channels(self) -> List[WorkerChannel]:
         """The channel list and the graph export local workers attach.
 
         Both are lazy.  The export precedes the first spawn so that every
         worker inherits the master's ``resource_tracker`` (a worker that
         had to start its own would report — and unlink — the block as
-        leaked when it exits), and failing it here raises to the caller
-        instead of reading as a transport failure.
+        leaked when it exits).  A failed export sends every later
+        enrollment the graph inline instead.
         """
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
         if self._channels is None:
             self._channels = self._make_channels()
-        wanted = self.zero_copy and self.graph_path is None
+        wanted = not self._inline_graph and self.graph_path is None
         if wanted and self._handle is None and any(c.local for c in self._channels):
             try:
                 self._handle = self.graph.to_shared()
             except Exception:
-                if self._zero_copy_mode:  # explicitly required
-                    raise
-                self._zero_copy_mode = False
+                self._inline_graph = True
         return self._channels
 
     def _graph_source(self, channel: WorkerChannel) -> Dict[str, Any]:

@@ -5,15 +5,14 @@ as one frozen value:
 
 * :class:`SimulatedSpec` — sequential metered execution (no options);
 * :class:`MultiprocessingSpec` — owned local worker processes over
-  socketpairs (``processes``, ``start_method``, ``zero_copy``);
+  socketpairs (``processes``, ``start_method``);
 * :class:`SocketSpec` — the same workers over TCP
   (:class:`~repro.cluster.socket_executor.SocketExecutor`): either
   ``addresses`` of externally started workers or locally spawned
   loopback workers, plus connection/heartbeat deadlines.
 
-Every spec kind registers itself in :data:`EXECUTOR_SPECS`; the single
-factory :func:`~repro.cluster.executor.make_executor` resolves a spec —
-or its string shorthand — into the executor instance.
+The single factory :func:`~repro.cluster.executor.make_executor`
+resolves a spec — or its string shorthand — into the executor instance.
 
 String shorthands (the CLI surface)
 -----------------------------------
@@ -34,36 +33,16 @@ shorthand, so configs stay JSON-serializable.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Dict, Tuple, Type
+from typing import Callable, ClassVar, Tuple
 
 __all__ = [
     "ExecutorSpec",
     "SimulatedSpec",
     "MultiprocessingSpec",
     "SocketSpec",
-    "EXECUTOR_SPECS",
-    "EXECUTOR_KINDS",
-    "register_spec",
     "as_spec",
     "spec_summary",
 ]
-
-#: Registry mapping spec kind -> spec class; executor construction is
-#: resolved against it by :func:`repro.cluster.executor.make_executor`.
-EXECUTOR_SPECS: Dict[str, Type["ExecutorSpec"]] = {}
-
-
-def register_spec(cls: Type["ExecutorSpec"]) -> Type["ExecutorSpec"]:
-    """Class decorator adding a spec kind to :data:`EXECUTOR_SPECS`."""
-    if not cls.kind or cls.kind in EXECUTOR_SPECS:
-        raise ValueError(f"executor spec kind {cls.kind!r} is empty or taken")
-    EXECUTOR_SPECS[cls.kind] = cls
-    return cls
-
-
-def _kinds() -> Tuple[str, ...]:
-    return tuple(EXECUTOR_SPECS)
-
 
 @dataclass(frozen=True)
 class ExecutorSpec:
@@ -104,11 +83,9 @@ class ExecutorSpec:
         Raises ``ValueError`` for unknown kinds or malformed options.
         """
         head, sep, rest = text.strip().partition(":")
-        cls = EXECUTOR_SPECS.get(head)
+        cls = _SPECS.get(head)
         if cls is None:
-            raise ValueError(
-                f"unknown executor {head!r}; expected one of {_kinds()}"
-            )
+            raise ValueError(f"unknown executor {head!r}; expected one of {tuple(_SPECS)}")
         return cls._parse_options(rest if sep else "").validate()
 
     @classmethod
@@ -134,7 +111,7 @@ class ExecutorSpec:
         if isinstance(value, str):
             return ExecutorSpec.parse(value)
         raise ValueError(
-            f"executor must be an ExecutorSpec or one of {_kinds()} "
+            f"executor must be an ExecutorSpec or one of {tuple(_SPECS)} "
             f"(string shorthands allowed), got {value!r}"
         )
 
@@ -146,7 +123,6 @@ class ExecutorSpec:
 as_spec: Callable[[object], ExecutorSpec] = ExecutorSpec.coerce
 
 
-@register_spec
 @dataclass(frozen=True)
 class SimulatedSpec(ExecutorSpec):
     """Sequential metered execution on the simulated cluster."""
@@ -173,7 +149,6 @@ class _StartMethodOptions(ExecutorSpec):
         return self
 
 
-@register_spec
 @dataclass(frozen=True)
 class MultiprocessingSpec(_StartMethodOptions):
     """Owned local worker processes, each reached over a socketpair.
@@ -186,15 +161,13 @@ class MultiprocessingSpec(_StartMethodOptions):
     start_method:
         ``multiprocessing`` start method; ``None`` defers to
         ``REPRO_MP_START_METHOD``, then ``fork`` where available.
-    zero_copy:
-        ``True`` requires the shared-memory graph broadcast, ``False``
-        forces the copy-based one, ``None`` (default) tries shared
-        memory and falls back.
+
+    Workers attach the graph's shared-memory export, or receive the
+    graph inline where that export fails.
     """
 
     kind: ClassVar[str] = "multiprocessing"
     processes: int | None = None
-    zero_copy: bool | None = None
 
     def validate(self) -> "ExecutorSpec":
         super().validate()
@@ -219,7 +192,6 @@ class MultiprocessingSpec(_StartMethodOptions):
             ) from None
 
 
-@register_spec
 @dataclass(frozen=True)
 class SocketSpec(_StartMethodOptions):
     """TCP workers, each logical machine served over a persistent socket.
@@ -245,12 +217,10 @@ class SocketSpec(_StartMethodOptions):
         ``.npz`` file (:func:`repro.graphs.io.load_npz`) instead of
         shipping it over the wire — the real-cluster mode where every
         machine has the dataset on local disk.
-    zero_copy:
-        Shared-memory graph broadcast for *spawned loopback* workers:
-        ``True`` requires it, ``False`` ships the graph inline over the
-        socket, ``None`` (default) tries shared memory and falls back.
-        Ignored for external ``addresses``, which always enroll over
-        the wire (or from ``graph_path``).
+
+    Otherwise spawned loopback workers attach the graph's shared-memory
+    export (inline over the socket where that export fails), and
+    external ``addresses`` always receive it over the wire.
     """
 
     kind: ClassVar[str] = "socket"
@@ -259,7 +229,6 @@ class SocketSpec(_StartMethodOptions):
     connect_timeout: float = 10.0
     heartbeat_timeout: float = 5.0
     graph_path: str | None = None
-    zero_copy: bool | None = None
 
     def __post_init__(self) -> None:
         if self.addresses is not None:
@@ -330,10 +299,8 @@ class SocketSpec(_StartMethodOptions):
         return cls(addresses=tuple(addresses))
 
 
-#: Kinds registered by this module, in registration order.  Third-party
-#: kinds added later via :func:`register_spec` appear in
-#: ``EXECUTOR_SPECS`` but not here.
-EXECUTOR_KINDS: Tuple[str, ...] = _kinds()
+#: Spec class per kind, the map ``parse`` resolves a shorthand's head against.
+_SPECS = {cls.kind: cls for cls in (SimulatedSpec, MultiprocessingSpec, SocketSpec)}
 
 
 def spec_summary(spec: ExecutorSpec) -> dict:

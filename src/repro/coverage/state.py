@@ -20,9 +20,8 @@ pristine vector and the scratch buffer both carry over from round to
 round — no per-round re-aggregation and no per-round allocation.
 
 The counts produced this way are integer-for-integer identical to a full
-rebuild (:meth:`rebuild_from` is the oracle the tests and the
-``micro_incremental_coverage`` benchmark gate compare against), so seed
-selection is byte-for-byte unchanged.
+rebuild (:meth:`rebuild_from` is the oracle the tests compare against),
+so seed selection is byte-for-byte unchanged.
 """
 
 from __future__ import annotations

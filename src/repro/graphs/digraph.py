@@ -130,7 +130,9 @@ def _kept(size: int, dtype) -> np.ndarray:
     A graph outlives the temporaries its build frees around it.  On the
     heap its arrays would pin the holes those leave, and the peak memory
     of later work (a draw's buffers, a store's growth) would turn on the
-    build's allocation history.
+    build's allocation history.  So a graph that is built, reweighted or
+    loaded keeps its arrays here; an update's splice does not
+    (:func:`_splice`).
     """
     nbytes = size * np.dtype(dtype).itemsize
     if nbytes < 1 << 20:
@@ -672,6 +674,11 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
     reweight-only delta copies only ``probs``).  Otherwise fresh arrays
     are laid out, every span of unchanged rows copied in one slice.
     Nothing is sorted and no input array is written.
+
+    The new arrays are heap arrays, not :func:`_kept` mappings: an update
+    stream frees one version's arrays as it makes the next, and the heap
+    hands those pages back, where a fresh mapping per update faults in
+    every page it writes.
     """
     if rows.size == 0:
         return indptr, indices, probs
@@ -682,7 +689,7 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
         spliced = []
         for value, fill in ((indices, other), (probs, prob)):
             if not np.array_equal(value[at], fill):
-                value = _kept_copy(value)
+                value = value.copy()
                 value[at] = fill
             spliced.append(value)
         return indptr, *spliced
@@ -690,8 +697,8 @@ def _splice(indptr, indices, probs, rows, owner, other, prob):
     counts[rows] = lengths
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    new_indices = _kept(int(new_indptr[-1]), indices.dtype)
-    new_probs = _kept(new_indices.size, probs.dtype)
+    new_indices = np.empty(int(new_indptr[-1]), dtype=indices.dtype)
+    new_probs = np.empty(new_indices.size, dtype=probs.dtype)
     firsts = [0, *(rows + 1).tolist()]
     lasts = [*rows.tolist(), n]
     for first, last in zip(firsts, lasts):

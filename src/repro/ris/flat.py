@@ -31,11 +31,7 @@ inverted index doubles as the edge→RR-set index, because a reverse
 traversal examines the in-rows of exactly the nodes it collects),
 :meth:`replace_sets` splices their regenerated contents over the old
 ones — set ids stay stable — and patches a built index for them rather
-than re-sorting it, and :meth:`invalidate` tombstones sets (contents
-cleared, id kept) when regeneration is deferred.
-:meth:`compact` drops accumulated tombstones and renumbers.  A
-tombstone is any empty set, however it came to be empty, and
-:attr:`num_tombstones` counts them off the offsets.
+than re-sorting it.
 
 Ordering invariants (relied on by the exactness tests):
 
@@ -147,8 +143,7 @@ class FlatRRCollection:
 
     Mutation is appends (:meth:`add` / :meth:`append_arrays`) plus the
     dynamic-graph repair surface: :meth:`replace_sets` rewrites chosen
-    sets in place under stable ids, :meth:`invalidate` tombstones them,
-    and :meth:`compact` drops tombstones.  In-place mutation invalidates
+    sets in place under stable ids.  In-place mutation invalidates
     any outstanding :class:`FlatPrefixView` over this store — build
     views after repairing, as the sample pool does.
     """
@@ -284,16 +279,13 @@ class FlatRRCollection:
         self._pending_edges = []
         self._inv_sets = None
 
-    def _rebuild_index(self) -> None:
-        self._inv_sets, self._inv_offsets = build_inverted_index(
-            self._nodes, self._offsets, self._num_nodes
-        )
-
     def _ensure_index(self) -> None:
         """Fold pending appends, then build ``I_i(v)`` if they outdated it."""
         self._materialize()
         if self._inv_sets is None:
-            self._rebuild_index()
+            self._inv_sets, self._inv_offsets = build_inverted_index(
+                self._nodes, self._offsets, self._num_nodes
+            )
 
     # ------------------------------------------------------------------
     # Repair surface (dynamic graphs)
@@ -430,58 +422,6 @@ class FlatRRCollection:
         self._edges_cumsum = None
         self._total_edges_examined = int(self._edges.sum())
 
-    def invalidate(self, set_ids) -> int:
-        """Tombstone the given sets: contents cleared, ids kept.
-
-        A tombstone is a logically empty set (real RR sets always contain
-        their root, so emptiness is unambiguous); its edge accounting is
-        zeroed.  Returns how many of ``set_ids`` were newly emptied.  Used
-        when regeneration is deferred; the pool's repair path instead
-        regenerates and calls :meth:`replace_sets` directly.
-        """
-        ids = np.unique(np.asarray(set_ids, dtype=np.int64))
-        if ids.size == 0:
-            return 0
-        before = self.num_tombstones
-        empty = FlatBatch(
-            np.zeros(0, dtype=np.int32),
-            np.zeros(ids.size + 1, dtype=np.int64),
-            np.full(ids.size, -1, dtype=np.int64),
-            np.zeros(ids.size, dtype=np.int64),
-        )
-        self.replace_sets(ids, empty)
-        return self.num_tombstones - before
-
-    def compact(self) -> np.ndarray:
-        """Drop tombstoned sets, re-packing the CSR arrays.
-
-        Returns the old→new id mapping (length: old ``num_sets``; ``-1``
-        for dropped sets).  Tombstones hold no node content, so only the
-        offset/edge bookkeeping shrinks; the byte accounting is asserted.
-        """
-        self._materialize()
-        sizes = np.diff(self._offsets)
-        keep = np.flatnonzero(sizes > 0)
-        mapping = np.full(self._num_sets, -1, dtype=np.int64)
-        mapping[keep] = np.arange(keep.size, dtype=np.int64)
-        if keep.size == self._num_sets:
-            return mapping
-        bytes_before = self.nbytes()
-        self._offsets = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(sizes[keep], out=self._offsets[1:])
-        self._edges = self._edges[keep]
-        self._edges_cumsum = None
-        self._num_sets = int(keep.size)
-        self._total_size = int(self._offsets[-1])
-        self._total_edges_examined = int(self._edges.sum())
-        self._rebuild_index()
-        # Byte accounting: all node content was live (tombstones are
-        # empty), so the nodes array is untouched and every index array
-        # shrank or stayed; nothing may have grown.
-        assert int(self._offsets[-1]) == self._nodes.size
-        assert self.nbytes() <= bytes_before, "compact grew the store"
-        return mapping
-
     def nbytes(self) -> int:
         """Bytes held by the materialized CSR arrays, index included.
 
@@ -535,17 +475,6 @@ class FlatRRCollection:
     def num_sets(self) -> int:
         """Number of RR sets stored (``|R_i|``)."""
         return self._num_sets
-
-    @property
-    def num_tombstones(self) -> int:
-        """Number of tombstones: the empty sets :meth:`compact` would drop."""
-        return self._num_sets - self.num_live_sets
-
-    @property
-    def num_live_sets(self) -> int:
-        """Number of stored sets that hold at least one node."""
-        self._materialize()
-        return int(np.count_nonzero(self._offsets[1:] > self._offsets[:-1]))
 
     @property
     def total_size(self) -> int:
@@ -670,10 +599,9 @@ class FlatPrefixView:
     append-mostly growth, and must never exceed the backing store's
     current size — the pool tops the store up *before* advancing any
     view.  After :meth:`FlatRRCollection.replace_sets` the view reads
-    the repaired contents, after :meth:`~FlatRRCollection.compact` its
-    limit counts renumbered sets — neither is the snapshot a query
-    started on, so repair-capable callers (the sample pool) build a
-    fresh view per query and never hold one across an update.
+    the repaired contents — not the snapshot a query started on — so
+    repair-capable callers (the sample pool) build a fresh view per
+    query and never hold one across an update.
     """
 
     def __init__(self, store: FlatRRCollection, limit: int = 0) -> None:

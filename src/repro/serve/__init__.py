@@ -6,8 +6,7 @@ resident in :class:`~repro.core.pool.SamplePool` objects owned by an
 :class:`InfluenceService`, and answers seed-selection queries (varying
 ``k``, accuracy, algorithm, and application variants) against *prefixes*
 of the same samples.  A warm query returns the bit-identical seed set
-the cold :func:`repro.api.run` produces, at a fraction of the latency
-(``benchmarks/bench_serving.py`` holds the speedup floor).
+the cold :func:`repro.api.run` produces, at a fraction of the latency.
 
 :class:`ServingFrontend` exposes the service over an asyncio JSON-lines
 TCP socket; ``python -m repro serve`` starts one from the CLI.

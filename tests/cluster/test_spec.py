@@ -13,8 +13,7 @@ import multiprocessing
 import pytest
 
 from repro.cluster import (
-    EXECUTOR_KINDS,
-    EXECUTOR_SPECS,
+    EXECUTORS,
     ExecutorSpec,
     MultiprocessingSpec,
     SimulatedCluster,
@@ -33,8 +32,8 @@ from repro.serve.service import InfluenceService
 
 class TestRegistry:
     def test_all_kinds_registered(self):
-        assert set(EXECUTOR_KINDS) == {"simulated", "multiprocessing", "socket"}
-        assert set(EXECUTOR_SPECS) == set(EXECUTOR_KINDS)
+        assert EXECUTORS == ("simulated", "multiprocessing", "socket")
+        assert tuple(ExecutorSpec.parse(kind).kind for kind in EXECUTORS) == EXECUTORS
 
     def test_specs_are_frozen(self):
         spec = MultiprocessingSpec(processes=2)

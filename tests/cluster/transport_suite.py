@@ -116,21 +116,35 @@ class TransportSuite:
     def build(self, graph, workers=None, num_machines=MACHINES, faults=None, retry=None, **options):
         return build(self.spec(workers, **options), graph, num_machines, faults=faults, retry=retry)
 
+    @pytest.fixture
+    def no_shared_memory(self, monkeypatch):
+        def broken(self):
+            raise OSError("no shared memory here")
+
+        monkeypatch.setattr(DirectedGraph, "to_shared", broken)
+
+    @pytest.fixture(params=[True, False])
+    def shared_memory(self, request):
+        """Both graph broadcasts: the shared-memory export (``True``) and,
+        with the export failing, the graph sent inline (``False``)."""
+        if not request.param:
+            request.getfixturevalue("no_shared_memory")
+        return request.param
+
 
 # ----------------------------------------------------------------------
 # Bit-identity, dispatch contract, start-method selection
 # ----------------------------------------------------------------------
 class ConformanceSuite(TransportSuite):
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_matches_simulated_backend(self, small_wc_graph, zero_copy, start_method):
+    def test_matches_simulated_backend(self, small_wc_graph, shared_memory, start_method):
         if start_method not in mp.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable")
         plan = generate(small_wc_graph, "t/gen", (15, 10, 5))
         golden, _ = run_and_snapshot("simulated", small_wc_graph, plan)
-        with self.build(small_wc_graph, start_method=start_method, zero_copy=zero_copy) as executor:
+        with self.build(small_wc_graph, start_method=start_method) as executor:
             executor.run_phase(plan)
-            assert executor.zero_copy == zero_copy
+            assert (executor._handle is not None) == shared_memory
             assert executor.start_method == start_method
             assert snapshot(executor, plan.targets) == golden
 
@@ -178,12 +192,12 @@ class ConformanceSuite(TransportSuite):
         assert got == golden
         assert logged in [event.kind for event in metrics.recovery_events]
 
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_fault_directives_in_both_broadcast_modes(self, small_wc_graph, zero_copy):
-        with self.build(small_wc_graph, workers=1, zero_copy=zero_copy) as executor:
+    def test_fault_directives_in_both_broadcast_modes(self, small_wc_graph, shared_memory):
+        with self.build(small_wc_graph, workers=1) as executor:
             outcomes = executor._dispatch(
                 *wave(executor, [5, 5, 5]), directives=[None, CRASH, CORRUPT]
             )
+            assert (executor._handle is not None) == shared_memory
         assert outcomes[0].error is None and outcomes[0].batch.count == 5
         assert outcomes[1].error.startswith("crash:")
         assert outcomes[2].error.startswith("corruption:")
@@ -400,27 +414,14 @@ class LifecycleSuite(TransportSuite):
 # Copy-based fallback
 # ----------------------------------------------------------------------
 class FallbackSuite(TransportSuite):
-    @pytest.fixture
-    def no_shared_memory(self, monkeypatch):
-        def broken(self):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(DirectedGraph, "to_shared", broken)
-
     def test_degrades_to_copy_when_shared_memory_fails(self, small_wc_graph, no_shared_memory):
         with self.build(small_wc_graph) as executor:
-            assert executor.zero_copy  # optimistic until the first export
             outcomes = executor._dispatch(*wave(executor, [8, 8, 8], seed=1))
-            assert not executor.zero_copy
+            assert executor._handle is None and executor._inline_graph
             assert all(o.error is None for o in outcomes)
         # Copies or views, the draws are the same bits.
         expected = sample_set_range(make_sampler(small_wc_graph, "ic"), 1, 0, range(8))
         np.testing.assert_array_equal(outcomes[0].batch.nodes, expected.nodes)
-
-    def test_required_zero_copy_raises_instead_of_degrading(self, small_wc_graph, no_shared_memory):
-        with self.build(small_wc_graph, zero_copy=True) as executor:
-            with pytest.raises(OSError, match="no shared memory"):
-                executor._dispatch(*wave(executor, [1]))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +443,7 @@ _TEARDOWN_SCRIPT = textwrap.dedent(
         stores = [FlatRRCollection(graph.num_nodes) for __ in range(2)]
         executor = make_executor(sys.argv[1] + ":2", cluster, graph=graph)
         executor.run_phase(GeneratePhase("t/gen", counts=(5, 5), targets=stores))
-        assert executor.zero_copy
+        assert executor._handle is not None
         executor.close()
     """
 )
@@ -549,6 +550,10 @@ class WireAccountingSuite(TransportSuite):
         assert record.wire_received >= record.num_bytes
         assert record.wire_received <= record.num_bytes + record.round_trips * 512
         assert record.wire_sent > 0
+        # Everything on the wire beyond the payload, both directions:
+        # at most 2 KiB per round trip.
+        framing = record.wire_sent + record.wire_received - record.num_bytes
+        assert framing <= record.round_trips * 2048
 
     def test_run_metrics_wire_summary(self, small_wc_graph):
         with self.build(small_wc_graph) as executor:

@@ -26,7 +26,7 @@ from repro.cluster.executor import make_executor
 from repro.core.pool import SamplePool
 from repro.coverage import CoverageState
 from repro.graphs import DirectedGraph, GraphDelta, VersionedGraph
-from repro.ris import VectorizedICSampler, make_sampler
+from repro.ris import VectorizedICSampler
 
 SEED = 41
 MACHINES = 2
@@ -417,8 +417,9 @@ def test_replayed_repair_equals_cold_pool(small_wc_graph, model, data):
 
 def test_repair_redraws_only_changed_worlds(small_wc_graph):
     """A seeded IC stream (one removal plus an insert in the same row, one
-    halving per delta): at most a fifth of the re-examined sets are
-    redrawn, and the returned counts are the re-examined ones."""
+    halving per delta): every delta re-examines fewer sets than the pool
+    holds, at most a fifth of the re-examined sets are redrawn, and the
+    returned counts are the re-examined ones."""
     rng = np.random.default_rng(3)
     examined = redrawn = 0
     with pool_on(fresh_versioned(small_wc_graph)) as pool:
@@ -434,6 +435,7 @@ def test_repair_redraws_only_changed_worlds(small_wc_graph):
                     reweight_edges=[(int(src[j]), int(dst[j]), probs[j] * 0.5)],
                 )
             )
+            assert repaired["main"] < 300 * MACHINES
             examined += repaired["main"]
             redrawn += pool.lifetime_metrics.sets_redrawn - before
     assert 0 < redrawn <= examined / 5

@@ -239,7 +239,14 @@ class TestBuildInvertedIndex:
         nodes, offsets = random_csr(rng, 30, 50)
         store = FlatRRCollection(30)
         store.append_arrays(nodes, offsets)
-        store.invalidate([0, 7, 8, 49])
+        ids = np.array([0, 7, 8, 49])
+        empty = FlatBatch(
+            np.zeros(0, np.int32),
+            np.zeros(ids.size + 1, np.int64),
+            np.full(ids.size, -1),
+            np.zeros(ids.size, np.int64),
+        )
+        store.replace_sets(ids, empty)
         want_sets, want_offsets = argsort_index(store.nodes, store.offsets, 30)
         assert np.array_equal(store.inv_sets, want_sets)
         assert np.array_equal(store.inv_offsets, want_offsets)
@@ -315,15 +322,15 @@ def replacement(rng, store, ids, mode, num_nodes):
 
 
 STEP = st.tuples(
-    st.sampled_from(["replace", "invalidate", "append"]),
+    st.sampled_from(["replace", "append"]),
     st.sampled_from(["empty", "smaller", "larger", "fresh", "mixed"]),
     st.integers(0, 2**32 - 1),
 )
 
 
 class TestPatchedIndexEqualsRebuild:
-    """``replace_sets`` / ``invalidate`` patch ``I_i(v)`` for the ids they
-    rewrite instead of re-sorting the store: after every step the patched
+    """``replace_sets`` patches ``I_i(v)`` for the ids it rewrites instead
+    of re-sorting the store: after every step the patched
     index must be what :func:`build_inverted_index` builds from the new
     forward arrays, and no step may call it."""
 
@@ -351,15 +358,10 @@ class TestPatchedIndexEqualsRebuild:
             with mock.patch.object(
                 flat_module, "build_inverted_index", side_effect=AssertionError("rebuilt")
             ):
-                if kind == "invalidate":
-                    store.invalidate(ids)
-                    for sid in ids:
-                        edges[sid] = 0
-                else:
-                    batch = replacement(step_rng, store, ids, mode, num_nodes)
-                    store.replace_sets(ids, batch)
-                    for sid, count in zip(ids, batch.edges_examined):
-                        edges[sid] = int(count)
+                batch = replacement(step_rng, store, ids, mode, num_nodes)
+                store.replace_sets(ids, batch)
+                for sid, count in zip(ids, batch.edges_examined):
+                    edges[sid] = int(count)
             want_sets, want_offsets = build_inverted_index(store.nodes, store.offsets, num_nodes)
             assert store.inv_sets.dtype == store.inv_offsets.dtype == np.int64
             assert np.array_equal(store.inv_sets, want_sets)

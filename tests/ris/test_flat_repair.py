@@ -1,10 +1,7 @@
-"""FlatRRCollection repair surface: affected_sets / replace_sets /
-invalidate / compact byte accounting."""
+"""FlatRRCollection repair surface: affected_sets / replace_sets."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ris import make_sampler
 from repro.ris.flat import FlatRRCollection, append_batch, gather_rows
@@ -128,45 +125,6 @@ class TestReplaceSets:
 
 
 class TestInvalidateAndCompact:
-    def test_invalidate_tombstones(self, store):
-        newly = store.invalidate([4, 9, 4])
-        assert newly == 2
-        assert store.num_tombstones == 2
-        assert store.num_live_sets == store.num_sets - 2
-        assert store.get(4).size == 0
-        assert store.edges_examined_upto(5) == store.edges_examined_upto(4)
-
-    def test_invalidate_already_tombstoned_counts_zero(self, store):
-        store.invalidate([4])
-        assert store.invalidate([4]) == 0
-        assert store.num_tombstones == 1
-
-    def test_compact_drops_tombstones(self, store):
-        total = store.num_sets
-        live_ids = [i for i in range(total) if i not in (0, 7, 19)]
-        live_rows = [store.get(i).copy() for i in live_ids]
-        store.invalidate([0, 7, 19])
-        bytes_before = store.nbytes()
-        mapping = store.compact()
-        assert store.num_sets == total - 3
-        assert store.num_tombstones == 0
-        assert store.nbytes() <= bytes_before
-        assert int(store.offsets[-1]) == store.nodes.size
-        # Old -> new mapping: -1 for dropped, dense ascending for kept.
-        assert mapping.size == total
-        assert all(mapping[i] == -1 for i in (0, 7, 19))
-        kept = mapping[mapping >= 0]
-        assert np.array_equal(kept, np.arange(total - 3))
-        for old_id, row in zip(live_ids, live_rows):
-            assert np.array_equal(store.get(int(mapping[old_id])), row)
-
-    def test_compact_without_tombstones_is_identity(self, store):
-        nodes_before, offsets_before, _ = snapshot(store)
-        mapping = store.compact()
-        assert np.array_equal(mapping, np.arange(store.num_sets))
-        assert np.array_equal(store.nodes, nodes_before)
-        assert np.array_equal(store.offsets, offsets_before)
-
     def test_views_refresh_after_repair(self, store):
         # Prefix views must be rebuilt after in-place mutation; a fresh
         # view over the repaired store sees the new contents.
@@ -178,63 +136,16 @@ class TestInvalidateAndCompact:
         assert 2 in view.sets_containing(8).tolist()
 
 
-
-def empty_sets(store):
-    """Ids of the stored sets that hold no node, one ``get`` at a time."""
-    return [i for i in range(store.num_sets) if store.get(i).size == 0]
-
-
 class TestTombstoneCount:
-    """A tombstone is an empty set, however it came to be empty: appended
-    so, replaced by nothing or invalidated."""
-
     def test_replacing_a_set_appended_empty(self):
         store = FlatRRCollection(8)
         store.append_arrays(np.array([3], dtype=np.int32), np.array([0, 0, 1]))
-        assert store.num_tombstones == 1
+        assert store.offsets.tolist() == [0, 0, 1]
         store.replace_sets(np.array([0]), make_batch([[5]]))
-        assert store.num_tombstones == 0
-        assert store.num_live_sets == store.num_sets == 2
+        assert store.offsets.tolist() == [0, 1, 2]
+        assert store.nodes.tolist() == [5, 3]
+        assert store.num_sets == 2
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        steps=st.lists(
-            st.sampled_from(["append", "replace", "invalidate", "compact"]),
-            min_size=1,
-            max_size=8,
-        ),
-    )
-    def test_tombstones_are_the_empty_sets(self, seed, steps):
-        rng = np.random.default_rng(seed)
-        num_nodes = 12
-
-        def random_sets(count):
-            return [
-                np.sort(rng.choice(num_nodes, size=int(rng.integers(0, 4)), replace=False))
-                for __ in range(count)
-            ]
-
-        store = FlatRRCollection(num_nodes)
-        for kind in steps:
-            if kind == "append":
-                batch = make_batch(random_sets(int(rng.integers(1, 6))))
-                store.append_arrays(batch.nodes, batch.offsets, batch.edges_examined)
-            elif kind == "replace" and store.num_sets:
-                ids = np.flatnonzero(rng.random(store.num_sets) < 0.5)
-                store.replace_sets(ids, make_batch(random_sets(ids.size)))
-            elif kind == "invalidate" and store.num_sets:
-                ids = rng.integers(0, store.num_sets, size=int(rng.integers(0, 4)))
-                nonempty = {int(i) for i in ids if store.get(int(i)).size}
-                assert store.invalidate(ids) == len(nonempty)
-            elif kind == "compact":
-                before, dropped = store.num_sets, len(empty_sets(store))
-                assert store.num_tombstones == dropped
-                mapping = store.compact()
-                assert store.num_sets == before - dropped
-                assert np.count_nonzero(mapping < 0) == dropped
-            assert store.num_tombstones == len(empty_sets(store))
-            assert store.num_live_sets == store.num_sets - store.num_tombstones
 
 class TestConcatBatches:
     def test_rebases_offsets(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.ris import make_sampler
 from repro.ris.rrset import FlatBatch, pack_samples
-from repro.ris.serialization import PayloadCorruptionError
+from repro.ris.serialization import PayloadCorruptionError, pack_message
 from repro.ris.wire import (
     MAX_VARINT_BYTES,
     decode_batch,
@@ -234,6 +234,13 @@ class TestBatchCodec:
             encoded = encode_batch(batch)
             assert encoded_batch_nbytes(batch) == len(encoded)
             assert_batches_equal(decode_batch(encoded), batch)
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_frame_is_smaller_than_pickled_arrays(self, small_wc_graph, model):
+        """The framed encoding of a 2,000-set batch is at least 1.5x smaller
+        than the same frame around the batch's pickled arrays."""
+        batch = make_sampler(small_wc_graph, model).sample_batch(np.random.default_rng(0), 2000)
+        assert 1.5 * len(pack_message(encode_batch(batch))) <= len(pack_message(batch))
 
     def test_tombstone_roots_round_trip(self):
         batch = batch_from_sets([[4, 6], [], [1]])

@@ -3,7 +3,6 @@
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 import repro.ris.flat as flat_module
@@ -157,6 +156,22 @@ class TestCaching:
         stats = service.describe()
         assert stats["queries"] == 2
         assert stats["cache_hits"] == 1
+
+    def test_repeated_mixed_traffic_is_all_hits(self, service, small_wc_graph):
+        """After one pass over a mixed pattern (seed selection at three
+        ``k`` plus two applications), every repeat is a cache hit."""
+        costs = default_costs(small_wc_graph)
+        pattern = [
+            Query(kind="diimm", k=3),
+            Query(kind="diimm", k=6),
+            Query(kind="diimm", k=12),
+            Query(kind="budgeted", budget=12.0, costs=costs, num_rr_sets=1500),
+            Query(kind="profit", costs=costs, num_rr_sets=1500),
+        ]
+        for _ in range(3):
+            for query in pattern:
+                service.query(query)
+        assert service.describe()["cache_hits"] == 2 * len(pattern)
 
     def test_pool_growth_invalidates_entry_but_answer_is_stable(self, service):
         first = service.query(Query(kind="diimm", k=4))
