@@ -1,18 +1,13 @@
-"""Sketch coverage backend benchmarks and the CI memory gate.
+"""The sketch coverage backend's CI memory gate (livejournal stand-in).
 
-Two claims, both on the livejournal stand-in:
-
-* ``test_micro_sketch_memory`` — the headline perf claim.  The same RR
-  sample goes into the exact flat CSR store and a HyperLogLog register
-  bank; the bank must be at least **3x** smaller (the CI floor — the
-  committed full-mode results record >= 5x) while the sketch greedy's
-  seeds, judged on the *exact* store (the differential oracle), cover
-  within **2%** of the exact greedy's.  The flat store grows with theta;
-  the bank does not — the ratio in the committed results is the
-  ``theta`` point the sweep pins, and it only improves at paper scale.
-* ``test_error_adaptive_stops_earlier`` — the adaptive stopping rule
-  certifies its error and stops with strictly fewer RR sets than the
-  worst-case IMM schedule on the same query, at matched spread.
+``test_micro_sketch_memory`` — the headline perf claim.  The same RR
+sample goes into the exact flat CSR store and a HyperLogLog register
+bank; the bank must be at least **3x** smaller (the CI floor — the
+committed full-mode results record >= 5x) while the sketch greedy's
+seeds, judged on the *exact* store (the differential oracle), cover
+within **2%** of the exact greedy's.  The flat store grows with theta;
+the bank does not — the ratio in the committed results is the ``theta``
+point the sweep pins, and it only improves at paper scale.
 
 Everything is fixed-seed and single-pass, so the recorded numbers are
 deterministic run to run.
@@ -21,7 +16,6 @@ deterministic run to run.
 import numpy as np
 from conftest import QUICK
 
-from repro.api import RunConfig, run
 from repro.coverage import greedy_max_coverage
 from repro.coverage.sketch import (
     SketchRRCollection,
@@ -93,42 +87,3 @@ def test_micro_sketch_memory(benchmark, record_rows):
         f"sketch seeds lose {row['spread_loss']:.1%} spread on the exact "
         f"oracle; the gate is {SPREAD_TOLERANCE:.0%}"
     )
-
-
-def test_error_adaptive_stops_earlier(benchmark, record_rows):
-    graph = load_dataset("livejournal").graph
-    base = dict(graph=graph, k=20 if QUICK else 50, machines=4, eps=0.5, seed=SEED)
-
-    def measure() -> list[dict]:
-        rows = []
-        for stopping in ("schedule", "error-adaptive"):
-            result = run("diimm", RunConfig(**base, stopping=stopping))
-            rows.append(
-                {
-                    "dataset": "livejournal",
-                    "stopping": stopping,
-                    "k": base["k"],
-                    "eps": base["eps"],
-                    "num_rr_sets": result.num_rr_sets,
-                    "estimated_spread": round(result.estimated_spread, 1),
-                    "search_rounds": result.search_rounds,
-                    "total_s": round(result.metrics.total_time, 4),
-                }
-            )
-        schedule, adaptive = rows
-        adaptive["theta_saving"] = round(
-            schedule["num_rr_sets"] / adaptive["num_rr_sets"], 2
-        )
-        schedule["theta_saving"] = 1.0
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    record_rows(
-        "sketch_error_adaptive",
-        rows,
-        "Micro — error-adaptive stopping vs the IMM theta schedule",
-    )
-    schedule, adaptive = rows
-    assert adaptive["num_rr_sets"] < schedule["num_rr_sets"]
-    # Earlier stopping must not cost answer quality.
-    assert adaptive["estimated_spread"] >= 0.9 * schedule["estimated_spread"]

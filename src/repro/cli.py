@@ -35,7 +35,7 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from .api import ALGORITHMS
-    from .core.config import BACKENDS, MODELS, STOPPINGS
+    from .core.config import BACKENDS, MODELS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -82,14 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="registers per node for --backend sketch (m = 2**P bytes; "
         "relative error ~ 1.04/sqrt(2**P); default 10)",
-    )
-    run.add_argument(
-        "--stopping",
-        choices=STOPPINGS,
-        default="schedule",
-        help="stopping policy for imm/diimm/dsubsim: the precomputed "
-        "theta schedule, or doubling until the measured relative error "
-        "(sampling + sketch noise) satisfies eps",
     )
     run.add_argument(
         "--checkpoint-dir",
@@ -288,7 +280,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             backend=args.backend,
             sketch_precision=args.sketch_precision,
-            stopping=args.stopping,
             executor=args.executor,
             network=network,
             checkpoint_dir=args.checkpoint_dir,
@@ -388,6 +379,7 @@ def _cmd_app(args: argparse.Namespace) -> int:
     )
     from .experiments import print_table
     from .graphs import load_dataset
+    from .serve import default_costs
 
     dataset = load_dataset(args.dataset)
     graph = dataset.graph
@@ -400,9 +392,8 @@ def _cmd_app(args: argparse.Namespace) -> int:
             num_rr_sets=args.rr_sets, seed=args.seed,
         )
     elif args.name == "budgeted":
-        costs = 1.0 + graph.out_degrees() / max(int(graph.out_degrees().max()), 1) * 9.0
         result = budgeted_influence_maximization(
-            graph, costs, budget=args.budget, num_machines=args.machines,
+            graph, default_costs(graph), budget=args.budget, num_machines=args.machines,
             num_rr_sets=args.rr_sets, seed=args.seed,
         )
     elif args.name == "seedmin":
@@ -412,9 +403,8 @@ def _cmd_app(args: argparse.Namespace) -> int:
             num_rr_sets=args.rr_sets, seed=args.seed,
         )
     elif args.name == "profit":
-        costs = 1.0 + graph.out_degrees() / max(int(graph.out_degrees().max()), 1) * 9.0
         result = profit_maximization(
-            graph, costs, num_machines=args.machines,
+            graph, default_costs(graph), num_machines=args.machines,
             num_rr_sets=args.rr_sets, seed=args.seed,
         )
     else:

@@ -29,7 +29,6 @@ from .driver import (
     RoundPlan,
     StareStoppingRule,
     StoppingRule,
-    SubsimScheduleRule,
 )
 from .result import IMResult
 
@@ -47,7 +46,6 @@ __all__ = [
     "RoundPlan",
     "StoppingRule",
     "ImmScheduleRule",
-    "SubsimScheduleRule",
     "StareStoppingRule",
     "OpimStoppingRule",
     "DriverRun",

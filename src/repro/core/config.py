@@ -20,21 +20,16 @@ from ..cluster.executor import EXECUTORS
 from ..cluster.faults import FaultPlan, RetryPolicy
 from ..cluster.network import NetworkModel
 from ..cluster.spec import ExecutorSpec, as_spec
-from ..coverage.sketch import MAX_PRECISION, MIN_PRECISION, hll_relative_error
+from ..coverage.sketch import MAX_PRECISION, MIN_PRECISION
 from ..ris import check_method_vestige
 
-__all__ = ["RunConfig", "BACKENDS", "MODELS", "STOPPINGS"]
+__all__ = ["RunConfig", "BACKENDS", "MODELS"]
 
 #: RR stores, as accepted by :func:`repro.ris.make_collection`: the exact
 #: CSR store and the HyperLogLog register bank.
 BACKENDS: tuple[str, ...] = ("flat", "sketch")
 #: Diffusion models the samplers implement.
 MODELS: tuple[str, ...] = ("ic", "lt")
-#: Stopping policies for the IMM-schedule algorithms: the precomputed
-#: theta schedule, or error-adaptive doubling until the measured
-#: relative error satisfies eps (see
-#: :class:`~repro.core.driver.ErrorAdaptiveRule`).
-STOPPINGS: tuple[str, ...] = ("schedule", "error-adaptive")
 
 
 @dataclass(frozen=True)
@@ -79,16 +74,10 @@ class RunConfig:
         ``m = 2**sketch_precision`` one-byte HyperLogLog registers, so
         memory is ``n * m`` bytes and the sketch's relative error is
         ``1.04 / sqrt(m)``.  Ignored by the exact store.
-    stopping:
-        Stopping policy for the IMM-schedule algorithms
-        (:data:`STOPPINGS`): ``"schedule"`` (default) runs the
-        precomputed theta schedule; ``"error-adaptive"`` doubles theta
-        until the measured relative error — sampling plus sketch noise —
-        satisfies ``eps``, typically stopping with far fewer samples.
     theta_initial:
         First-round collection size override for the doubling frameworks
-        (D-SSA, D-OPIM-C) and the error-adaptive rule; ``None`` uses
-        each framework's own default.  Ignored by the theta schedule.
+        (D-SSA, D-OPIM-C); ``None`` uses each framework's own default.
+        Ignored by the theta schedule.
     faults:
         Failures to inject: a :class:`~repro.cluster.faults.FaultPlan`
         or its :meth:`~repro.cluster.faults.FaultPlan.parse` string
@@ -110,7 +99,6 @@ class RunConfig:
     seed: int = 0
     backend: str = "flat"
     sketch_precision: int = 10
-    stopping: str = "schedule"
     executor: str | ExecutorSpec = "simulated"
     network: NetworkModel | None = None
     checkpoint_dir: str | None = None
@@ -166,19 +154,8 @@ class RunConfig:
                 f"config.sketch_precision must be an int in "
                 f"[{MIN_PRECISION}, {MAX_PRECISION}], got {self.sketch_precision!r}"
             )
-        if self.stopping not in STOPPINGS:
-            raise ValueError(
-                f"config.stopping must be one of {STOPPINGS}, got {self.stopping!r}"
-            )
-        exact_counts = entry is not None and entry.exact_counts
         if self.backend == "sketch":
-            self._validate_sketch(algorithm, exact_counts)
-        if self.stopping == "error-adaptive" and exact_counts:
-            raise ValueError(
-                "config.stopping='error-adaptive' replaces the IMM theta "
-                f"schedule; {algorithm!r} owns its own stopping certificate "
-                "(stop-and-stare / OPIM-C) and cannot use it"
-            )
+            self._validate_sketch(algorithm, entry is not None and entry.exact_counts)
         if not isinstance(self.executor, ExecutorSpec):
             raise ValueError(
                 f"config.executor must be one of {EXECUTORS}, got {self.executor!r}"
@@ -232,15 +209,6 @@ class RunConfig:
                 "certificate assumes exact coverage counts — use "
                 "backend='flat'"
             )
-        if self.stopping == "error-adaptive":
-            noise_floor = hll_relative_error(self.sketch_precision)
-            if noise_floor >= self.eps:
-                raise ValueError(
-                    f"config.eps={self.eps} is below the sketch noise floor "
-                    f"{noise_floor:.4f} of sketch_precision="
-                    f"{self.sketch_precision} (1.04/sqrt(2**p)); raise "
-                    "sketch_precision or eps"
-                )
 
     def with_overrides(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields replaced (frozen-safe)."""

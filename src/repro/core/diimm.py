@@ -36,20 +36,17 @@ from typing import Callable, Dict
 from ..cluster.cluster import SimulatedCluster
 from ..cluster.executor import executor_scope, make_executor
 from ..cluster.network import shared_memory_server
-from ..coverage.sketch import hll_relative_error
 from ..graphs.digraph import DirectedGraph
 from ..ris import make_collection
 from .bounds import ImmParameters
 from .checkpoint import manager_for
 from .config import RunConfig
 from .driver import (
-    ErrorAdaptiveRule,
     ImmScheduleRule,
     OpimStoppingRule,
     RoundDriver,
     StareStoppingRule,
     StoppingRule,
-    SubsimScheduleRule,
 )
 from .result import IMResult
 
@@ -65,46 +62,11 @@ __all__ = [
 ]
 
 
-def make_schedule_rule(
-    config: RunConfig, n: int, delta: float, rule_type=ImmScheduleRule
-) -> StoppingRule:
-    """The stopping rule a :class:`RunConfig` asks of the IMM schedule.
-
-    ``stopping="schedule"`` is the IMM/SUBSIM theta schedule (Chen's
-    corrected ``lambda*``, arXiv:1808.09363);
-    ``stopping="error-adaptive"`` doubles from ``theta_initial`` (or the
-    schedule's first search round) until the measured error satisfies
-    ``eps``, capped at the schedule's own worst-case final theta — so the
-    adaptive run can never sample more than the schedule would have.
-    ``rule_type`` names the schedule (:class:`SubsimScheduleRule` for
-    D-SUBSIM).
-    """
-    params = ImmParameters.compute(n, config.k, config.eps, delta)
-    if config.stopping == "error-adaptive":
-        theta_initial = (
-            config.theta_initial
-            if config.theta_initial is not None
-            else params.theta_for_round(1)
-        )
-        sketch_error = (
-            hll_relative_error(config.sketch_precision)
-            if config.backend == "sketch"
-            else 0.0
-        )
-        return ErrorAdaptiveRule(
-            n=params.n,
-            eps=config.eps,
-            delta=delta,
-            theta_initial=theta_initial,
-            theta_max=params.theta_final(float(config.k)),
-            sketch_rel_error=sketch_error,
-        )
-    return rule_type(params)
-
-
-def make_subsim_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
-    """D-SUBSIM's rule: the IMM schedule under SUBSIM's name."""
-    return make_schedule_rule(config, n, delta, SubsimScheduleRule)
+def make_schedule_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
+    """IMM's theta schedule (Chen's corrected ``lambda*``,
+    arXiv:1808.09363): the rule of IMM, DIIMM and D-SUBSIM, whose subset
+    sampling changes how a set is drawn, not how many are needed."""
+    return ImmScheduleRule(ImmParameters.compute(n, config.k, config.eps, delta))
 
 
 def make_stare_rule(config: RunConfig, n: int, delta: float) -> StoppingRule:
@@ -170,9 +132,8 @@ class Algorithm:
     #: already linear); its sets are drawn by the keyed IC kernel, the
     #: same distribution and faster (DESIGN.md).
     ic_only: bool = False
-    #: The stopping certificate assumes exact coverage counts and is the
-    #: rule's own: ``backend="sketch"`` and ``stopping="error-adaptive"``
-    #: are refused.
+    #: The stopping certificate assumes exact coverage counts:
+    #: ``backend="sketch"`` is refused.
     exact_counts: bool = False
 
 
@@ -182,7 +143,7 @@ REGISTRY: Dict[str, Algorithm] = {
     "imm": Algorithm("IMM", make_schedule_rule, single_machine=True),
     "diimm": Algorithm("DIIMM", make_schedule_rule),
     "dssa": Algorithm("DSSA", make_stare_rule, exact_counts=True),
-    "dsubsim": Algorithm("DSUBSIM", make_subsim_rule, ic_only=True),
+    "dsubsim": Algorithm("DSUBSIM", make_schedule_rule, ic_only=True),
     "dopimc": Algorithm("DOPIM-C", make_opim_rule, exact_counts=True),
 }
 

@@ -15,9 +15,8 @@ module hoists it into :class:`RoundDriver` and turns the policies into
 :class:`StoppingRule` objects:
 
 * :class:`ImmScheduleRule` — IMM's precomputed lower-bound search plus
-  final sampling (paper Algorithm 2);
-* :class:`SubsimScheduleRule` — the same schedule under SUBSIM's sampler
-  (the paper's Fig 7 configuration);
+  final sampling (paper Algorithm 2), the rule of IMM, DIIMM and
+  D-SUBSIM (SUBSIM changes how a set is drawn, not how many);
 * :class:`StareStoppingRule` — SSA's stop-and-stare comparison against an
   independent verification collection;
 * :class:`OpimStoppingRule` — OPIM-C's martingale lower/upper-bound
@@ -36,10 +35,12 @@ so ``summarize_rounds`` can attribute time and traffic per round.
 
 Checkpoint/resume: give the driver a
 :class:`~repro.core.checkpoint.CheckpointManager` and it snapshots the
-full loop state — collections, coverage counts, RNG streams, rule state
-and position — after every round it decides to continue past.  A crashed
-run resumed from the latest snapshot deterministically re-executes the
-interrupted round and finishes with the identical seed set.
+full loop state — collections, coverage counts, rule state and position
+— after every round it decides to continue past.  No RNG state is saved:
+an RR set is drawn at its coordinates, so the restored collections' sizes
+say where generation continues.  A crashed run resumed from the latest
+snapshot deterministically re-executes the interrupted round and finishes
+with the identical seed set.
 """
 
 from __future__ import annotations
@@ -67,10 +68,8 @@ __all__ = [
     "RoundPlan",
     "StoppingRule",
     "ImmScheduleRule",
-    "SubsimScheduleRule",
     "StareStoppingRule",
     "OpimStoppingRule",
-    "ErrorAdaptiveRule",
     "DriverRun",
     "RoundDriver",
     "SELECTION_MODES",
@@ -239,22 +238,6 @@ class ImmScheduleRule(StoppingRule):
         self.search_rounds = int(state["search_rounds"])
 
 
-class SubsimScheduleRule(ImmScheduleRule):
-    """IMM's schedule driven by SUBSIM's subset-sampling generator.
-
-    SUBSIM (Guo et al., SIGMOD 2020) replaces the RR-set generation
-    procedure with subset sampling, cutting the per-set cost from the
-    in-degree volume to roughly the set size.  It changes how an RR set
-    is *drawn*, not how many are needed, so the rule is the IMM schedule
-    under a different name — the name is what round annotations and
-    checkpoints record — and, as Section III-C predicts and Fig 7 shows,
-    the distributed speedup over single-machine SUBSIM matches DIIMM's
-    over IMM.
-    """
-
-    name = "subsim-schedule"
-
-
 class StareStoppingRule(StoppingRule):
     """SSA's stop-and-stare check over selection/verification collections.
 
@@ -420,106 +403,6 @@ class OpimStoppingRule(StoppingRule):
         self.rounds = int(state["rounds"])
         self.certified_ratio = float(state["certified_ratio"])
         self.estimated_spread = float(state["estimated_spread"])
-
-
-class ErrorAdaptiveRule(StoppingRule):
-    """Sample until the *measured* relative error satisfies eps.
-
-    The IMM schedule sizes theta for the worst case — ``lambda* / LB``
-    with union-bound terms over every candidate seed set — so easy
-    instances (high spread, generous eps) pay for sets they never
-    needed.  Following the count-distinct-sketch IM line of work
-    (Göktürk & Kaya, arXiv:2105.04023), this rule doubles theta and
-    stops as soon as the selection's *achieved* error budget
-
-        eps_hat = sqrt(3 ln(2/delta) / coverage) + sketch_error
-
-    drops to eps: the first term is the multiplicative-Chernoff
-    deviation of the spread estimate at the observed coverage support,
-    the second the backend's register noise floor (``1.04 / sqrt(m)``
-    for ``backend="sketch"``, 0 for the exact stores).  Termination is
-    unconditional — theta is capped at ``theta_max``, the IMM
-    worst-case budget the schedule would have spent anyway.
-    """
-
-    name = "error-adaptive"
-    collection_keys = ("main",)
-    selection_key = "main"
-
-    def __init__(
-        self,
-        n: int,
-        eps: float,
-        delta: float,
-        theta_initial: int,
-        theta_max: int,
-        sketch_rel_error: float = 0.0,
-    ) -> None:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {eps}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        if theta_initial < 1 or theta_max < 1:
-            raise ValueError("theta_initial and theta_max must be >= 1")
-        if sketch_rel_error >= eps:
-            raise ValueError(
-                f"sketch_rel_error={sketch_rel_error:.4f} already exceeds "
-                f"eps={eps}; the error target is unreachable at this "
-                "sketch precision"
-            )
-        self.n = n
-        self.eps = eps
-        self.delta = delta
-        self.theta_max = theta_max
-        self.sketch_rel_error = sketch_rel_error
-        self.theta = min(theta_initial, theta_max)
-        self.rounds = 0
-        #: Last measured total relative error (sampling + sketch terms).
-        self.measured_error = float("inf")
-        self.sampling_error = float("inf")
-        #: Spread lower bound implied by the last selection (reported
-        #: where the IMM schedule reports its LB).
-        self.lower_bound = 1.0
-        self.search_rounds = 0
-
-    def next_round(self) -> RoundPlan:
-        self.rounds += 1
-        return RoundPlan(f"adaptive-{self.rounds}", {"main": self.theta})
-
-    def check(self, driver: "RoundDriver", selection: GreedyResult, plan: RoundPlan) -> bool:
-        coverage = float(selection.coverage)
-        self.search_rounds = self.rounds
-        self.sampling_error = math.sqrt(
-            3.0 * math.log(2.0 / self.delta) / max(coverage, 1.0)
-        )
-        self.measured_error = self.sampling_error + self.sketch_rel_error
-        self.lower_bound = max(
-            1.0, self.n * selection.fraction / (1.0 + self.measured_error)
-        )
-        if self.measured_error <= self.eps:
-            return True
-        if self.theta >= self.theta_max:
-            return True
-        self.theta = min(self.theta * 2, self.theta_max)
-        return False
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "theta": self.theta,
-            "rounds": self.rounds,
-            "measured_error": self.measured_error,
-            "sampling_error": self.sampling_error,
-            "lower_bound": self.lower_bound,
-            "search_rounds": self.search_rounds,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.theta = int(state["theta"])
-        self.rounds = int(state["rounds"])
-        self.measured_error = float(state["measured_error"])
-        self.sampling_error = float(state["sampling_error"])
-        self.lower_bound = float(state["lower_bound"])
-        self.search_rounds = int(state["search_rounds"])
 
 
 @dataclass

@@ -437,9 +437,9 @@ class DirectedGraph:
     def with_probabilities(self, probs: np.ndarray) -> "DirectedGraph":
         """Return a copy of this graph with new out-CSR-ordered probabilities.
 
-        The copy is the graph rebuilt from :meth:`edge_arrays` with
-        ``probs``: it shares the out-CSR structure (and so an attached
-        graph's mapping) and lists each in-row by source, in out-CSR order.
+        The copy shares the out-CSR structure (and so an attached graph's
+        mapping) and ``in_indptr``; :meth:`_in_entries` lays out the
+        in-rows.
         """
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (self._m,):
@@ -447,17 +447,27 @@ class DirectedGraph:
         prob = _kept_copy(probs)
         if prob.size and (prob.min() < 0.0 or prob.max() > 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
-        order = _stable_order(self.out_indices, self._n)
-        sources = np.repeat(np.arange(self._n, dtype=np.int32), np.diff(self.out_indptr))
+        in_indices, in_probs = self._in_entries(prob)
         arrays = {
             "out_indptr": self.out_indptr,
             "out_indices": self.out_indices,
             "out_probs": prob,
             "in_indptr": self.in_indptr,
-            "in_indices": np.take(sources, order, out=_kept(self._m, np.int32)),
-            "in_probs": np.take(prob, order, out=_kept(self._m, np.float64)),
+            "in_indices": in_indices,
+            "in_probs": in_probs,
         }
         return DirectedGraph._over(arrays, self._shm)
+
+    def _in_entries(self, prob: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(in_indices, in_probs)`` for out-CSR-ordered ``prob``: each
+        in-row listed by source, in out-CSR order — the graph rebuilt from
+        :meth:`edge_arrays`, with no sort of the edge list."""
+        order = _stable_order(self.out_indices, self._n)
+        sources = np.repeat(np.arange(self._n, dtype=np.int32), np.diff(self.out_indptr))
+        return (
+            np.take(sources, order, out=_kept(self._m, np.int32)),
+            np.take(prob, order, out=_kept(self._m, np.float64)),
+        )
 
     def reversed(self) -> "DirectedGraph":
         """Return the graph with every edge direction flipped."""
@@ -808,7 +818,8 @@ class VersionedGraph(DirectedGraph):
     surviving edge and a reweight or an insert moves none, which is what
     lets a repair keep every RR set whose touched rows draw the same
     outcome (:meth:`SamplePool.repair <repro.core.pool.SamplePool.repair>`).
-    Out-rows keep their survivors in order and append the inserts.  The
+    Out-rows keep their survivors in order and append the inserts, and a
+    reweighted copy (:meth:`with_probabilities`) keeps every row.  The
     samplers draw on an updated graph exactly what they draw on a
     :class:`DirectedGraph` built from the same edges listed in that
     in-row order.
@@ -930,6 +941,22 @@ class VersionedGraph(DirectedGraph):
         self._adopt(candidate)
         self.version += 1
         return None if delta.add_nodes else in_rows
+
+    def _in_entries(self, prob: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Keep the rank-stable in-rows: ``in_indices`` as they are, and
+        each in-entry takes the probability of its out-entry, matched on
+        the pair key ``source * n + target`` (parallel entries k-th to
+        k-th, in row order)."""
+        rows = np.arange(self._n, dtype=np.int64)
+        out_keys = np.repeat(rows * self._n, np.diff(self.out_indptr)) + self.out_indices
+        in_keys = self.in_indices.astype(np.int64) * self._n + np.repeat(
+            rows, np.diff(self.in_indptr)
+        )
+        in_probs = _kept(self._m, np.float64)
+        in_probs[np.argsort(in_keys, kind="stable")] = prob[
+            np.argsort(out_keys, kind="stable")
+        ]
+        return self.in_indices, in_probs
 
     def compact(self) -> DirectedGraph:
         """A plain :class:`DirectedGraph` over the current arrays (no copy)."""

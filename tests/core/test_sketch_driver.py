@@ -59,44 +59,16 @@ class TestConfigValidation:
     def test_schedule_algorithms_accepted(self, small_wc_graph, algorithm):
         sketch_config(small_wc_graph).validate(algorithm)
 
-    @pytest.mark.parametrize("algorithm", ["dssa", "dopimc"])
-    def test_error_adaptive_refused_for_certificate_algorithms(
-        self, small_wc_graph, algorithm
-    ):
-        config = RunConfig(
-            graph=small_wc_graph, k=3, machines=2, stopping="error-adaptive"
-        )
-        with pytest.raises(
-            ValueError, match="owns its own stopping certificate"
-        ):
-            config.validate(algorithm)
-
     def test_unknown_stopping_rejected(self, small_wc_graph):
-        config = RunConfig(graph=small_wc_graph, k=3, stopping="whenever")
-        with pytest.raises(ValueError, match="config.stopping must be one of"):
-            config.validate()
-
-    def test_eps_below_sketch_noise_floor_refused(self, small_wc_graph):
-        config = sketch_config(
-            small_wc_graph, sketch_precision=4, eps=0.2, stopping="error-adaptive"
-        )
-        with pytest.raises(ValueError, match="below the sketch noise floor"):
-            config.validate("diimm")
-        # Raising precision clears the floor.
-        sketch_config(
-            small_wc_graph, sketch_precision=10, eps=0.2, stopping="error-adaptive"
-        ).validate("diimm")
+        """Each algorithm has one stopping rule: none is chosen by a knob."""
+        for stopping in ("schedule", "error-adaptive"):
+            with pytest.raises(TypeError, match="stopping"):
+                RunConfig(graph=small_wc_graph, k=3, stopping=stopping)
 
     def test_refusals_fire_through_entry_points(self, small_wc_graph):
-        with pytest.raises(ValueError, match="exact coverage counts"):
-            run("dssa", sketch_config(small_wc_graph))
-        with pytest.raises(ValueError, match="stopping certificate"):
-            run(
-                "dopimc",
-                RunConfig(
-                    graph=small_wc_graph, k=3, machines=2, stopping="error-adaptive"
-                ),
-            )
+        for algorithm in ("dssa", "dopimc"):
+            with pytest.raises(ValueError, match="exact coverage counts"):
+                run(algorithm, sketch_config(small_wc_graph))
 
 
 class TestWarmPoolRejection:

@@ -17,11 +17,12 @@ from repro.core.bounds import (
     opim_opt_upper_bound,
     opim_spread_lower_bound,
 )
+from repro.core.config import RunConfig
+from repro.core.diimm import REGISTRY
 from repro.core.driver import (
     ImmScheduleRule,
     OpimStoppingRule,
     StareStoppingRule,
-    SubsimScheduleRule,
 )
 from repro.coverage.greedy import GreedyResult
 
@@ -132,11 +133,12 @@ class TestImmScheduleRule:
         assert restored.next_round() == rule.next_round()
 
     def test_subsim_variant_shares_schedule(self):
-        params = ImmParameters.compute(self.N, self.K, self.EPS, self.DELTA)
-        assert SubsimScheduleRule(params).next_round() == ImmScheduleRule(
-            params
-        ).next_round()
-        assert SubsimScheduleRule.name == "subsim-schedule"
+        """IMM, DIIMM and D-SUBSIM run the one schedule, under its name."""
+        config = RunConfig(graph=None, k=self.K, eps=self.EPS)
+        for name in ("imm", "diimm", "dsubsim"):
+            rule = REGISTRY[name].make_rule(config, self.N, self.DELTA)
+            assert type(rule) is ImmScheduleRule and rule.name == "imm-schedule"
+            assert rule.next_round() == self.make().next_round()
 
 
 class TestStareStoppingRule:

@@ -29,6 +29,8 @@ from repro.graphs import (
 )
 from repro.graphs.digraph import _CSR_FIELDS, _stable_order
 from repro.graphs.generators import _draw_from
+from repro.ris import make_sampler
+from repro.ris.rrset import sample_set_range
 
 #: SHA-1 over the six CSR arrays (dtype string, then bytes, in
 #: ``_CSR_FIELDS`` order) of each stand-in at seed 2022, recorded with the
@@ -181,11 +183,33 @@ class TestWithProbabilities:
         assert_same_csr(weighted_cascade(graph), rebuilt(graph, np.full(3, 1 / 3)))
 
     def test_updated_versioned_graph(self, small_wc_graph):
+        """The out-CSR is the rebuild's; the in-rows keep their rank-stable
+        order and carry the same edges."""
         graph = VersionedGraph(small_wc_graph)
         edges = [(u, v) for u, v, __ in small_wc_graph.edges()]
         graph.apply(GraphDelta(remove_edges=edges[:3], add_edges=[(7, edges[0][1], 0.5)]))
         probs = np.linspace(0.0, 1.0, graph.num_edges)
-        assert_same_csr(graph.with_probabilities(probs), rebuilt(graph, probs))
+        got, want = graph.with_probabilities(probs), rebuilt(graph, probs)
+        for field in ("out_indptr", "out_indices", "out_probs", "in_indptr"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.in_indices is graph.in_indices
+        rows = np.repeat(np.arange(graph.num_nodes), np.diff(got.in_indptr))
+        assert sorted(zip(got.in_indices.tolist(), rows.tolist(), got.in_probs.tolist())) == (
+            sorted(got.edges())
+        )
+
+    def test_noop_reweight_of_updated_graph_draws_the_same_sets(self):
+        graph = VersionedGraph(weighted_cascade(erdos_renyi(200, 2000, np.random.default_rng(3))))
+        v = int(np.argmax(graph.in_degrees()))
+        graph.apply(GraphDelta(remove_edges=[(int(graph.in_neighbors(v)[0]), v)]))
+        copy = graph.with_probabilities(graph.out_probs)
+        for field in ("in_indices", "in_probs"):
+            np.testing.assert_array_equal(getattr(copy, field), getattr(graph, field))
+        live, reweighted = (
+            sample_set_range(make_sampler(g, "ic"), 11, 0, range(2_000)) for g in (graph, copy)
+        )
+        for got, want in zip(reweighted, live):
+            np.testing.assert_array_equal(got, want)
 
     def test_refuses_bad_probabilities(self, small_wc_graph):
         with pytest.raises(ValueError, match="same length"):

@@ -16,7 +16,7 @@ from repro.cluster.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.cluster.network import gigabit_cluster
 from repro.cluster.spec import MultiprocessingSpec
 from repro.core import diimm, distributed_opimc, distributed_ssa, distributed_subsim, imm
-from repro.core.config import BACKENDS, MODELS, STOPPINGS
+from repro.core.config import BACKENDS, MODELS
 from repro.ris import METHOD_VESTIGES
 from repro.core.diimm import REGISTRY
 from repro.core.pool import SamplePool
@@ -102,7 +102,6 @@ class TestRegistryConformance:
         ("overrides", "message"),
         [
             (dict(backend="sketch"), "stopping certificate assumes exact coverage"),
-            (dict(stopping="error-adaptive"), "owns its own stopping certificate"),
         ],
     )
     def test_exact_count_rows_refuse_estimates(
@@ -275,7 +274,6 @@ class TestValidation:
         assert BACKENDS == ("flat", "sketch")
         assert MODELS == ("ic", "lt")
         assert METHOD_VESTIGES == ("bfs", "subsim", "vectorized")
-        assert STOPPINGS == ("schedule", "error-adaptive")
 
 
 class TestRunConfig:

@@ -34,7 +34,7 @@ class TestParser:
     def test_choices_are_the_config_constants(self):
         """Every choice list is read from the module that validates it."""
         from repro.api import ALGORITHMS
-        from repro.core.config import BACKENDS, MODELS, STOPPINGS
+        from repro.core.config import BACKENDS, MODELS
 
         subparsers = next(
             action for action in build_parser()._actions if action.dest == "command"
@@ -47,13 +47,15 @@ class TestParser:
         assert choices("run", "--algorithm") == ALGORITHMS
         assert choices("run", "--model") == MODELS
         assert choices("run", "--backend") == BACKENDS
-        assert choices("run", "--stopping") == STOPPINGS
         assert choices("serve", "--model") == MODELS
         assert choices("validate", "--model") == MODELS
         # ``method`` selects nothing any more: neither command offers it.
         for command in ("run", "serve"):
             flags = {flag for a in subparsers[command]._actions for flag in a.option_strings}
             assert "--method" not in flags
+        # Each algorithm has one stopping rule: no flag picks another.
+        run_flags = {flag for a in subparsers["run"]._actions for flag in a.option_strings}
+        assert "--stopping" not in run_flags
 
     def test_run_rejects_bad_executor_spec(self, capsys):
         code = main(["run", "--dataset", "facebook", "--k", "2", "--executor", "mpi"])
