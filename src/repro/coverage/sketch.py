@@ -28,14 +28,19 @@ Three layers mirror the exact path:
   delta + varint size of each machine's sparse ``(register key, rho)``
   vector;
 * :func:`sketch_lazy_greedy` — CELF-style lazy greedy over estimated
-  marginal gains, with fresh re-evaluation of the top bucket before every
-  pick to guard against sketch noise reordering stale gains.
+  marginal gains.  Against sketch noise reordering stale gains, a pick
+  waits until the best ``guard`` candidates by (−gain, lowest id) are all
+  fresh; each step walks one order of the stale gains, refreshing a
+  prefix of it in batches from the registers each candidate raises above
+  the union (exact sums while ``precision + max register <= 53``, the
+  dense estimate past that).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import insort
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -588,6 +593,83 @@ class SketchCoverageState:
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------
+#: Candidates one fresh-estimate batch takes.  Its temporaries are the
+#: ``(B, m)`` rows and their raised-register mask, ``2·B·m`` bytes (128 KiB
+#: at ``m = 2,048``), so they stay in cache.  A batch carries ~40 µs of
+#: fixed NumPy overhead; on the ``cold_ic_sketch`` banks (2-core Xeon) 32
+#: selected faster than 8, 16, 48 or 64, wasting at most 31 estimates a
+#: step past where the walk stops.
+_REFRESH_BATCH = 32
+
+#: The first ordered window of a step holds this many candidates per unit
+#: of ``guard`` (plus the rest of its last value's tie group); the walk
+#: doubles it when it reaches the end.
+_WINDOW_PER_GUARD = 16
+
+
+def _ordered_window(gains: np.ndarray, below: float, size: int):
+    """The best ``size`` live candidates with gain ``< below``, in order.
+
+    The order is (−gain, lowest id), and the window is exact down to its
+    last value: every candidate with that gain is in it, so the next
+    window (gains ``< floor``) continues the same order.  Returns the
+    ``(−gain, id)`` keys and the floor, ``-inf`` once every live
+    candidate is in.
+    """
+    ids = np.flatnonzero((gains < below) & (gains != -np.inf))
+    values = gains[ids]
+    floor = -np.inf
+    if ids.size > size:
+        floor = np.partition(values, ids.size - size)[ids.size - size]
+        keep = values >= floor
+        ids, values = ids[keep], values[keep]
+    order = np.lexsort((ids, -values))
+    return list(zip((-values[order]).tolist(), ids[order].tolist())), floor
+
+
+class _UnionRefresh:
+    """Fresh union estimates ``hll_estimate(np.maximum(current, bank[u]))``.
+
+    The union's harmonic sum and zero-register count are kept, and a
+    candidate's estimate adds only the registers it raises above the
+    union: ``Σ(2^-new − 2^-old)`` and the zeros it fills.  Every term is
+    a multiple of ``2^-r_max`` and every partial sum lies below ``m``, so
+    the sums are exact, and the estimate bit-equal to the dense one,
+    while ``precision + r_max <= 53`` (:data:`_EXACT_BITS`); a batch
+    past that takes the dense estimate.
+    """
+
+    def __init__(self, bank: np.ndarray) -> None:
+        self.bank = bank
+        self.m = bank.shape[1]
+        self.largest_exact = _EXACT_BITS - (self.m - 1).bit_length()
+        self.current = np.zeros(self.m, dtype=np.uint8)
+        self.harmonic = float(self.m)
+        self.zeros = self.m
+        self.exact = True
+
+    def add(self, node: int) -> None:
+        """Fold ``node``'s row into the union."""
+        np.maximum(self.current, self.bank[node], out=self.current)
+        self.harmonic = float(np.take(_INVERSE_POWERS, self.current).sum())
+        self.zeros = self.m - int(np.count_nonzero(self.current))
+        self.exact = int(self.current.max()) <= self.largest_exact
+
+    def estimates(self, nodes: List[int]) -> np.ndarray:
+        rows = self.bank[nodes]
+        raised = np.flatnonzero(rows > self.current)
+        new = rows.ravel()[raised]
+        if not self.exact or (new.size and int(new.max()) > self.largest_exact):
+            return hll_estimate(np.maximum(self.current, rows))
+        at, register = np.divmod(raised, self.m)
+        old = self.current[register]
+        delta = np.bincount(
+            at, weights=_INVERSE_POWERS[new] - _INVERSE_POWERS[old], minlength=len(nodes)
+        )
+        filled = np.bincount(at[old == 0], minlength=len(nodes))
+        return _estimate_from_sums(self.harmonic + delta, self.zeros - filled, self.m)
+
+
 def sketch_lazy_greedy(
     bank: np.ndarray,
     k: int,
@@ -599,14 +681,25 @@ def sketch_lazy_greedy(
 
     ``bank`` is the merged ``(n, m)`` master bank; candidates are nodes,
     elements are RR sets, and a candidate's marginal gain is the increase
-    of the *union* sketch's estimate.  Stale gains are re-filed lazily as
-    in :class:`~repro.coverage.greedy.BucketQueue`, but because sketch
-    estimates are noisy (not exactly submodular), every pick additionally
-    re-evaluates the whole top-``guard`` bucket fresh against the current
-    union — one batched estimate per pass — before trusting the ordering.
-    Ties break to the lowest node id, matching the exact engines, and the
-    whole routine is a pure function of the bank — the source of
-    cross-executor determinism.
+    of the *union* sketch's estimate.  Sketch estimates are noisy (not
+    exactly submodular), so a pick is trusted only once the best
+    ``guard`` candidates are all fresh against the current union.
+    Candidates are ranked by (−gain, lowest id) — the tie rule of the
+    exact engines — and the routine is a pure function of the bank, the
+    source of cross-executor determinism.
+
+    A step is a walk down one order.  The live candidates are sorted once
+    by their stale gains, over a window that holds its last value's whole
+    tie group and doubles when the walk reaches its end.  Each pass merges
+    the best ``guard`` fresh gains with the next ``guard`` stale ones and
+    refreshes the stale ones that make the cut; the walk stops when none
+    does and picks the best fresh candidate.  So the refreshed candidates
+    are a prefix of the order, and the decisions are those of a loop that
+    re-ranks every gain per pass.  Fresh estimates are computed
+    :data:`_REFRESH_BATCH` candidates at a time from the registers each
+    raises above the union (:class:`_UnionRefresh`); they are bit-equal
+    to ``hll_estimate(np.maximum(union, row))`` while ``precision + max
+    register <= 53``, and are that dense estimate past it.
 
     ``degrees`` are the bank's per-node estimates when the caller already
     holds them (:meth:`SketchCoverageState.degrees`); omitted, they cost
@@ -620,7 +713,7 @@ def sketch_lazy_greedy(
         raise ValueError(f"k must be >= 1, got {k}")
     if guard < 1:
         raise ValueError(f"guard must be >= 1, got {guard}")
-    bank = np.asarray(bank)
+    bank = _as_registers(bank)
     if bank.ndim != 2:
         raise ValueError(f"bank must be 2-D (nodes x registers), got {bank.ndim}-D")
     n = bank.shape[0]
@@ -630,36 +723,54 @@ def sketch_lazy_greedy(
         gains = np.array(degrees, dtype=np.float64)
         if gains.shape != (n,):
             raise ValueError(f"degrees must have one entry per node, got {gains.shape}")
-    # ``gains`` doubles as the masked array the picks read: a selected
-    # node's entry is -inf from the moment it is chosen.
-    stamps = np.full(n, -1, dtype=np.int64)
-    union_ests = np.zeros(n, dtype=np.float64)
-    current = np.zeros(bank.shape[1], dtype=np.uint8)
+    # ``gains`` holds each candidate's gain from the last step that
+    # refreshed it: a step writes its fresh gains back only when it picks,
+    # so its windows keep ordering the stale values.  A selected node's
+    # entry is -inf from the moment it is chosen.
+    union = _UnionRefresh(bank)
     current_est = 0.0
     seeds: List[int] = []
     marginals: List[float] = []
 
-    for step in range(min(k, n)):
+    for _ in range(min(k, n)):
+        order, floor = _ordered_window(gains, math.inf, _WINDOW_PER_GUARD * guard)
+        walked = 0  # order[:walked] is fresh; the rest keeps its stale gain
+        fresh: List[float] = []  # fresh gains of order[:len(fresh)] (computed ahead)
+        unions: List[float] = []  # and their union estimates
+        best: List[Tuple[float, int, int]] = []  # best fresh (−gain, id, position)
         while True:
-            if n > guard:
-                top = np.argpartition(gains, -guard)[-guard:]
-            else:
-                top = np.arange(n)
-            top = top[gains[top] != -np.inf]
-            stale = top[stamps[top] != step]
-            if stale.size == 0:
-                v = int(np.argmax(gains))
-                if stamps[v] == step:
+            while len(order) < walked + guard and floor != -math.inf:
+                more, floor = _ordered_window(gains, floor, len(order))
+                order += more
+            # The next stale candidate makes the cut while fewer than
+            # ``guard`` rank above it: the stale ones before it and
+            # ``ahead`` fresh ones.
+            made_cut = ahead = 0
+            for key in order[walked : walked + guard]:
+                while ahead < len(best) and best[ahead] < key:
+                    ahead += 1
+                if made_cut + ahead >= guard:
                     break
-                stale = np.array([v])
-            fresh = hll_estimate(np.maximum(current, bank[stale]))
-            union_ests[stale] = fresh
-            gains[stale] = np.maximum(fresh - current_est, 0.0)
-            stamps[stale] = step
+                made_cut += 1
+            if not made_cut:
+                break
+            while len(fresh) < walked + made_cut:
+                start = len(fresh)
+                estimates = union.estimates(
+                    [node for _, node in order[start : start + _REFRESH_BATCH]]
+                )
+                unions += estimates.tolist()
+                fresh += np.maximum(estimates - current_est, 0.0).tolist()
+            for position in range(walked, walked + made_cut):
+                insort(best, (-fresh[position], order[position][1], position))
+            del best[guard:]
+            walked += made_cut
+        _, v, position = best[0]
+        gains[[node for _, node in order[:walked]]] = fresh[:walked]
         seeds.append(v)
-        marginals.append(float(gains[v]))
-        np.maximum(current, bank[v], out=current)
-        current_est = max(current_est, float(union_ests[v]))
+        marginals.append(fresh[position])
+        union.add(v)
+        current_est = max(current_est, unions[position])
         gains[v] = -np.inf
 
     coverage = float(min(current_est, float(num_elements)))

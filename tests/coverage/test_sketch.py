@@ -20,6 +20,7 @@ from repro.coverage.sketch import (
     MIN_PRECISION,
     SketchCoverageState,
     SketchRRCollection,
+    _UnionRefresh,
     _alpha,
     _bit_length,
     estimate_bank_degrees,
@@ -32,6 +33,7 @@ from repro.coverage.sketch import (
 )
 from repro.ris import make_collection
 from repro.ris.rrset import RRSample
+from tests.oracle import reference_sketch_lazy_greedy
 
 
 class TestRegisterArithmetic:
@@ -544,41 +546,6 @@ class TestStoredDegrees:
         assert state.registers[[3, 9]].tolist() == [2, 5]
 
 
-def parent_lazy_greedy(bank, k, num_elements, guard=8):
-    """PR 21's loop: one single-row estimate per stale candidate, the
-    masked gains rebuilt per pass, every degree re-estimated up front."""
-    n = bank.shape[0]
-    gains = estimate_bank_degrees(bank)
-    stamps = np.full(n, -1, dtype=np.int64)
-    selected = np.zeros(n, dtype=bool)
-    current = np.zeros(bank.shape[1], dtype=np.uint8)
-    current_est = 0.0
-    seeds, marginals = [], []
-    for step in range(min(k, n)):
-        union_cache = {}
-        while True:
-            masked = np.where(selected, -np.inf, gains)
-            top = np.argpartition(masked, -guard)[-guard:] if n > guard else np.arange(n)
-            top = top[~selected[top]]
-            stale = top[stamps[top] != step]
-            if stale.size == 0:
-                v = int(np.argmax(masked))
-                if stamps[v] == step:
-                    break
-                stale = np.array([v])
-            for u in stale.tolist():
-                union_cache[u] = hll_estimate(np.maximum(current, bank[u]))
-                gains[u] = max(union_cache[u] - current_est, 0.0)
-                stamps[u] = step
-        seeds.append(v)
-        marginals.append(float(gains[v]))
-        selected[v] = True
-        np.maximum(current, bank[v], out=current)
-        current_est = max(current_est, union_cache[v])
-        gains[v] = 0.0
-    return seeds, marginals, float(min(current_est, float(num_elements)))
-
-
 class TestLazyGreedyWithStoredDegrees:
     @pytest.fixture(scope="class")
     def ingested(self):
@@ -612,10 +579,96 @@ class TestLazyGreedyWithStoredDegrees:
         assert stored.marginals == plain.marginals
         assert stored.coverage == plain.coverage
         np.testing.assert_array_equal(degrees, kept)
-        seeds, marginals, coverage = parent_lazy_greedy(state.bank(), 12, total, guard)
-        assert (plain.seeds, plain.marginals, plain.coverage) == (seeds, marginals, coverage)
+        assert plain == reference_sketch_lazy_greedy(state.bank(), 12, total, guard)
 
     def test_degrees_must_cover_every_node(self, ingested):
         state, total = ingested
         with pytest.raises(ValueError, match="one entry per node"):
             sketch_lazy_greedy(state.bank(), 3, total, degrees=state.degrees()[:-1])
+
+
+def tied_bank(rng, n, precision, distinct=12):
+    """``n`` rows copied from ``distinct`` sketches of random id sets.
+
+    Copies tie exactly, and a third of the rows keep only some of their
+    registers, so once a row covering them is picked their gain clamps
+    to zero: heavy ties at every level of the order.
+    """
+    m = 1 << precision
+    base = np.zeros((distinct, m), dtype=np.uint8)
+    for row in base:
+        ids = rng.choice(40 * m, size=int(rng.integers(1, 6 * m)), replace=False)
+        registers, rhos = register_updates(ids.astype(np.uint64), precision)
+        np.maximum.at(row, registers, rhos.astype(np.uint8))
+    bank = base[rng.integers(0, distinct, size=n)]
+    thinned = rng.random(n) < 1 / 3
+    bank[thinned] *= (rng.random((int(thinned.sum()), m)) < 0.5).astype(np.uint8)
+    return bank
+
+
+def past_exact_bound(bank, rng, precision, count=40):
+    """``bank`` with ``count`` registers raised past ``53 - precision``."""
+    bank = bank.copy()
+    rows = rng.integers(0, bank.shape[0], size=count)
+    registers = rng.integers(0, bank.shape[1], size=count)
+    bank[rows, registers] = rng.integers(54 - precision, 64 - precision, size=count)
+    return bank
+
+
+def given_degrees(bank, mode):
+    """No degrees, the bank's own estimates, or coarse ones full of ties."""
+    if mode is None:
+        return None
+    degrees = estimate_bank_degrees(bank)
+    return degrees if mode == "estimates" else np.floor(degrees / 40.0) * 40.0
+
+
+class TestBatchedWalkEqualsGuardLoop:
+    """The ordered walk with batched incremental estimates makes the
+    decisions of the guard loop in :mod:`tests.oracle` — the best
+    ``guard`` re-ranked by (−gain, lowest id) on every pass, one dense
+    estimate per stale row — and returns its seeds, marginals and
+    coverage exactly."""
+
+    N, PRECISION = 150, 6
+
+    @pytest.fixture(scope="class")
+    def banks(self):
+        rng = np.random.default_rng(39)
+        tied = tied_bank(rng, self.N, self.PRECISION)
+        return {
+            "tied": tied,
+            "past-bound": past_exact_bound(tied, rng, self.PRECISION),
+        }
+
+    @pytest.mark.parametrize("kind", ["tied", "past-bound"])
+    @pytest.mark.parametrize("degrees", [None, "estimates", "coarse"])
+    @pytest.mark.parametrize("guard", [1, 2, 8, N + 3])
+    def test_same_seeds_marginals_and_coverage(self, banks, kind, degrees, guard):
+        bank = banks[kind]
+        given = given_degrees(bank, degrees)
+        got = sketch_lazy_greedy(bank, 30, 5000, guard=guard, degrees=given)
+        assert got == reference_sketch_lazy_greedy(bank, 30, 5000, guard, given)
+        if kind == "tied":
+            assert 0.0 in got.marginals  # zero-clamped gains were reached
+
+    @pytest.mark.parametrize("degrees", [None, "coarse"])
+    @pytest.mark.parametrize("guard", [1, 2, 8, 43])
+    def test_k_at_least_n_picks_every_node(self, degrees, guard):
+        rng = np.random.default_rng(guard)
+        bank = tied_bank(rng, 40, self.PRECISION, distinct=5)
+        given = given_degrees(bank, degrees)
+        got = sketch_lazy_greedy(bank, 45, 900, guard=guard, degrees=given)
+        assert sorted(got.seeds) == list(range(40))
+        assert got == reference_sketch_lazy_greedy(bank, 45, 900, guard, given)
+
+    @pytest.mark.parametrize("kind", ["tied", "past-bound"])
+    def test_refresh_is_the_dense_estimate_bit_for_bit(self, banks, kind):
+        bank = banks[kind]
+        union = _UnionRefresh(bank)
+        for node in (3, 77, 140, 12):
+            got = union.estimates(list(range(self.N)))
+            dense = hll_estimate(np.maximum(union.current, bank))
+            assert got.tolist() == dense.tolist()
+            union.add(node)
+        assert union.exact == (kind == "tied")

@@ -18,6 +18,11 @@ slow, obvious way:
   at a time (a Python loop over edge masks or triggering choices, a BFS
   per world), and the brute-force optimum calling it once per candidate
   set: what :mod:`repro.diffusion.exact` enumerates once, vectorized.
+* :func:`reference_sketch_lazy_greedy` — the sketch greedy's guard loop:
+  the best ``guard`` gains re-ranked by (−gain, lowest id) on every pass,
+  one dense ``hll_estimate`` per stale row (what
+  :func:`repro.coverage.sketch.sketch_lazy_greedy` walks in one order per
+  step, with batched incremental estimates);
 * :func:`reference_varint_sizes` / :func:`reference_encode_varints` /
   :func:`reference_decode_varints` — the LEB128 wire codec byte by byte:
   a ``searchsorted`` size per value, one masked pass over every value per
@@ -44,7 +49,8 @@ import numpy as np
 import pytest
 
 from repro.coverage import greedi, greedy_max_coverage, newgreedi
-from repro.coverage.greedy import BucketQueue
+from repro.coverage.greedy import BucketQueue, GreedyResult, _pad_with_unselected
+from repro.coverage.sketch import estimate_bank_degrees, hll_estimate
 from repro.diffusion.base import seeds_to_array
 from repro.diffusion.lt import check_lt_feasible
 from repro.diffusion.triggering import reachable_from
@@ -67,6 +73,7 @@ __all__ = [
     "reference_mark_and_decrement",
     "reference_newgreedi",
     "reference_restricted_greedy",
+    "reference_sketch_lazy_greedy",
     "reference_decode_varints",
     "reference_encode_varints",
     "reference_varint_sizes",
@@ -285,6 +292,50 @@ def reference_greedi(executor, instance, k: int, **options):
     """``greedi`` with the per-element restricted greedy."""
     with reference_engine():
         return greedi(executor, instance, k, **options)
+
+
+def reference_sketch_lazy_greedy(
+    bank, k: int, num_elements: int, guard: int = 8, degrees=None
+) -> GreedyResult:
+    """The sketch greedy as a guard loop, one stale row at a time.
+
+    Every pass ranks the live candidates by (−gain, lowest id), takes the
+    best ``guard``, and re-estimates the stale ones against the current
+    union with one ``hll_estimate(np.maximum(union, row))`` each; the step
+    picks the best candidate once a pass finds none stale.
+    """
+    n = bank.shape[0]
+    if degrees is None:
+        gains = estimate_bank_degrees(bank)
+    else:
+        gains = np.array(degrees, dtype=np.float64)
+    stamps = np.full(n, -1, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    current = np.zeros(bank.shape[1], dtype=np.uint8)
+    current_est = 0.0
+    union_ests: Dict[int, float] = {}
+    seeds: List[int] = []
+    marginals: List[float] = []
+    for step in range(min(k, n)):
+        while True:
+            candidates = np.flatnonzero(live)
+            top = candidates[np.lexsort((candidates, -gains[candidates]))[:guard]]
+            stale = top[stamps[top] != step]
+            if not stale.size:
+                break
+            for u in stale.tolist():
+                union_ests[u] = hll_estimate(np.maximum(current, bank[u]))
+                gains[u] = max(union_ests[u] - current_est, 0.0)
+                stamps[u] = step
+        v = int(top[0])
+        seeds.append(v)
+        marginals.append(float(gains[v]))
+        live[v] = False
+        np.maximum(current, bank[v], out=current)
+        current_est = max(current_est, union_ests[v])
+    coverage = float(min(current_est, float(num_elements)))
+    _pad_with_unselected(seeds, k, n)
+    return GreedyResult(seeds, coverage, num_elements, marginals)
 
 
 #: The shipped store and the oracle's, for tests parametrized over both.
