@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from repro import (
-    CoverageInstance,
     SimulatedCluster,
     SimulatedExecutor,
     greedi,
@@ -31,6 +30,7 @@ from repro import (
     randgreedi,
     shared_memory_server,
 )
+from repro.coverage import from_graph, split_elements
 from repro.experiments import print_table
 
 
@@ -42,7 +42,7 @@ def main() -> None:
     args = parser.parse_args()
 
     dataset = load_dataset(args.dataset)
-    instance = CoverageInstance.from_graph(dataset.graph)
+    instance = from_graph(dataset.graph)
     print(
         f"coverage instance from {dataset.name}: {instance.num_nodes:,} sets over "
         f"{instance.num_sets:,} elements (total size {instance.total_size:,})\n"
@@ -59,7 +59,7 @@ def main() -> None:
     rows = []
     for cores in args.cores:
         # NEWGREEDI: elements scattered uniformly, as distributed RIS would.
-        parts = instance.split(cores, rng=np.random.default_rng(cores))
+        parts = split_elements(instance, cores, rng=np.random.default_rng(cores))
         cluster = SimulatedCluster(cores, network=shared_memory_server(), seed=0)
         executor = SimulatedExecutor(cluster)
         new_result = newgreedi(executor, args.k, stores=parts)

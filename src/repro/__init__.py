@@ -63,7 +63,6 @@ from .core import (
     imm,
 )
 from .coverage import (
-    CoverageInstance,
     greedi,
     greedy_max_coverage,
     newgreedi,
@@ -121,7 +120,6 @@ __all__ = [
     "MultiprocessingSpec",
     "SocketSpec",
     # coverage
-    "CoverageInstance",
     "greedy_max_coverage",
     "newgreedi",
     "greedi",

@@ -2,8 +2,10 @@
 
 The exact engines run the vectorized CSR kernel of
 :mod:`repro.coverage.kernel` over :class:`~repro.ris.flat.FlatRRCollection`
-stores; the HyperLogLog register banks of :mod:`repro.coverage.sketch`
-are the other store, selected by ``backend="sketch"`` on a run.
+stores (an explicit instance is one too, built by
+:mod:`repro.coverage.problem`); the HyperLogLog register banks of
+:mod:`repro.coverage.sketch` are the other store, selected by
+``backend="sketch"`` on a run.
 """
 
 from .greedi import greedi, partition_sets, randgreedi
@@ -15,13 +17,12 @@ from .greedy import (
 )
 from .kernel import (
     apply_sparse_delta,
-    as_flat,
     mark_and_decrement,
     sparse_coverage_delta,
     sparse_decrements,
 )
 from .newgreedi import NewGreeDiResult, NewGreeDiRounds, gather_coverage_counts, newgreedi
-from .problem import CoverageInstance
+from .problem import from_elements, from_graph, split_elements
 from .sketch import (
     SketchCoverageState,
     SketchRRCollection,
@@ -33,7 +34,9 @@ from .sketch import (
 from .state import CoverageState
 
 __all__ = [
-    "CoverageInstance",
+    "from_elements",
+    "from_graph",
+    "split_elements",
     "BucketQueue",
     "GreedyResult",
     "greedy_max_coverage",
@@ -45,7 +48,6 @@ __all__ = [
     "greedi",
     "randgreedi",
     "partition_sets",
-    "as_flat",
     "mark_and_decrement",
     "sparse_decrements",
     "sparse_coverage_delta",

@@ -21,9 +21,9 @@ from typing import List, Sequence
 import numpy as np
 
 from ..cluster.executor import Executor, GatherPhase, MapPhase, MasterPhase
+from ..ris.flat import FlatRRCollection
 from .greedy import BucketQueue, GreedyResult, _pad_with_unselected
-from .kernel import as_flat, candidate_degrees, mark_and_decrement
-from .problem import CoverageInstance
+from .kernel import candidate_degrees, mark_and_decrement
 
 __all__ = ["greedi", "randgreedi", "partition_sets"]
 
@@ -76,7 +76,7 @@ def _restricted_greedy(store, candidates: Sequence[int], k: int) -> List[int]:
 
 def greedi(
     executor: Executor,
-    instance: CoverageInstance,
+    instance: FlatRRCollection,
     k: int,
     kappa: int | None = None,
     rng: np.random.Generator | None = None,
@@ -90,7 +90,8 @@ def greedi(
         The :class:`~repro.cluster.executor.Executor` the local, gather
         and merge phases run on (timing recorded into ``executor.metrics``).
     instance:
-        The *global* coverage instance; set-distributed partitioning is
+        The *global* coverage instance, a flat store (see
+        :mod:`repro.coverage.problem`); set-distributed partitioning is
         performed here, in GREEDI's favour (paper Section IV-A: each
         scheme starts from the data layout that suits it).
     k:
@@ -100,17 +101,15 @@ def greedi(
     rng:
         Optional generator for a random partition (RANDGREEDI).
 
-    The instance is converted to CSR arrays once; every per-partition
-    greedy runs through the vectorized kernel.
+    Every per-partition greedy runs through the vectorized kernel.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kappa = k if kappa is None else kappa
     partitions = partition_sets(instance.num_nodes, executor.num_machines, rng)
-    store = as_flat(instance)
 
     def local_stage(mid: int) -> List[int]:
-        return _restricted_greedy(store, partitions[mid], kappa)
+        return _restricted_greedy(instance, partitions[mid], kappa)
 
     local_solutions = executor.run_phase(MapPhase(f"{label}/local", local_stage)).results
 
@@ -121,17 +120,17 @@ def greedi(
         size = 0
         for set_id in solution:
             size += SET_ID_BYTES
-            size += ELEMENT_ID_BYTES * len(store.sets_containing(set_id))
+            size += ELEMENT_ID_BYTES * len(instance.sets_containing(set_id))
         payload_sizes.append(size)
     executor.run_phase(GatherPhase(f"{label}/candidates", payload_sizes))
 
     def merge_stage() -> GreedyResult:
         union: List[int] = sorted({s for sol in local_solutions for s in sol})
-        seeds = _restricted_greedy(store, union, k)
+        seeds = _restricted_greedy(instance, union, k)
         _pad_with_unselected(seeds, k, instance.num_nodes)
         return GreedyResult(
             seeds=seeds,
-            coverage=store.coverage_of(seeds),
+            coverage=instance.coverage_of(seeds),
             num_elements=instance.num_sets,
         )
 
@@ -140,7 +139,7 @@ def greedi(
 
 def randgreedi(
     executor: Executor,
-    instance: CoverageInstance,
+    instance: FlatRRCollection,
     k: int,
     rng: np.random.Generator,
     kappa: int | None = None,

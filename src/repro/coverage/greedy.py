@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .kernel import FlatArrays, as_flat, mark_and_decrement
+from .kernel import FlatArrays, mark_and_decrement
 
 __all__ = ["BucketQueue", "GreedyResult", "greedy_max_coverage", "naive_greedy_max_coverage"]
 
@@ -172,12 +172,11 @@ def greedy_max_coverage(
 ) -> GreedyResult:
     """Lazy bucket greedy over one or more element stores.
 
-    ``stores`` is any sequence of objects implementing the store protocol
-    (:class:`~repro.ris.flat.FlatRRCollection`, a
-    :class:`~repro.ris.flat.FlatPrefixView` or a
-    :class:`~repro.coverage.problem.CoverageInstance`, which is copied
-    into CSR arrays once); passing several emulates a centralized machine
-    that has gathered all machines' elements.  The inner loop is the
+    ``stores`` is a sequence of flat stores
+    (:class:`~repro.ris.flat.FlatRRCollection` or
+    :class:`~repro.ris.flat.FlatPrefixView`, read as given); passing
+    several emulates a centralized machine that has gathered all
+    machines' elements.  The inner loop is the
     vectorized kernel of :mod:`repro.coverage.kernel`.
 
     ``initial_counts`` supplies pre-aggregated coverage counts (e.g. from
@@ -206,7 +205,7 @@ def greedy_max_coverage(
     for store in stores:
         if store.num_nodes != num_universe_sets:
             raise ValueError("all stores must share the same universe of sets")
-    stores = [FlatArrays(as_flat(store)) for store in stores]
+    stores = [FlatArrays(store) for store in stores]
     if initial_counts is not None:
         if initial_counts.size != num_universe_sets:
             raise ValueError("initial_counts has the wrong length")

@@ -14,7 +14,9 @@ over a :class:`~repro.ris.flat.FlatRRCollection`'s flat arrays:
   map-stage ``Delta_i``) by whichever of a histogram or a sort is
   shorter, and :func:`mark_and_decrement` subtracts that vector.
 
-A selection reads a store's arrays once per seed; :class:`FlatArrays`
+Every store an engine reads is flat (instances from
+:mod:`repro.coverage.problem` too) and is read as given, never copied.  A
+selection reads a store's arrays once per seed; :class:`FlatArrays`
 holds them so the reads are attribute loads.
 
 Both functions perform *exactly* the updates of a per-element loop over a
@@ -34,7 +36,6 @@ from ..ris.flat import FlatPrefixView, FlatRRCollection, gather_rows
 
 __all__ = [
     "FlatArrays",
-    "as_flat",
     "mark_and_decrement",
     "sparse_decrements",
     "sparse_coverage_delta",
@@ -58,20 +59,6 @@ def _require_int64_counts(counts: np.ndarray) -> None:
             "counts must be an int64 array (narrower dtypes overflow "
             f"silently under large collections), got {counts.dtype}"
         )
-
-
-def as_flat(store):
-    """Return ``store`` with the flat CSR surface (no-op when already flat).
-
-    A :class:`~repro.ris.flat.FlatPrefixView` — the warm pool's per-query
-    window onto a shared collection — already exposes what the selection
-    kernels read (``sets_containing`` and the forward arrays) and passes
-    through untouched; anything else is copied into a fresh
-    :class:`FlatRRCollection`.
-    """
-    if isinstance(store, (FlatRRCollection, FlatPrefixView)):
-        return store
-    return FlatRRCollection.from_store(store)
 
 
 class FlatArrays:

@@ -36,7 +36,7 @@ from ..cluster.executor import Executor, GatherPhase, MachineFailure, MapPhase, 
 from ..cluster.metrics import COMPUTATION
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import BucketQueue, GreedyResult, _cannot_pass, _pad_with_unselected
-from .kernel import FlatArrays, as_flat, sparse_decrements
+from .kernel import FlatArrays, sparse_decrements
 
 __all__ = ["NewGreeDiResult", "NewGreeDiRounds", "newgreedi", "gather_coverage_counts"]
 
@@ -144,7 +144,7 @@ class NewGreeDiRounds:
         self._books: List[Tuple[List[float], List[int], float]] = []
 
         def reset_covered(mid: int) -> int:
-            store = self.stores[mid] = FlatArrays(as_flat(self.stores[mid]))
+            store = self.stores[mid] = FlatArrays(self.stores[mid])
             self._covered[mid] = np.zeros(store.num_sets, dtype=bool)
             return store.num_sets
 

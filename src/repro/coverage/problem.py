@@ -7,149 +7,89 @@ paradigm also hosts the paper's standalone maximum-coverage experiment
 (Fig 10), where a graph ``G = (V, E)`` is read as ``|V|`` sets over ``|V|``
 elements: the set of node ``u`` is its neighborhood ``N_u``.
 
-:class:`CoverageInstance` stores both directions of the incidence:
-
-* ``element -> member sets`` (the RR-set contents), which the greedy's
-  decrement pass walks, and
-* ``set -> covered elements`` (the inverted index ``I(v)``), which the
-  greedy's newly-covered pass walks.
-
-It exposes the RR-set store read interface of
-:class:`~repro.ris.flat.FlatRRCollection` (``num_nodes``/``num_sets``/
-``get``/``sets_containing``/``coverage_counts``), so every algorithm in
-this package accepts it; the engines copy it into CSR arrays once
-(:func:`~repro.coverage.kernel.as_flat`).
+An instance therefore *is* an RR store: the builders below return a
+:class:`~repro.ris.flat.FlatRRCollection` whose ``j``-th "RR set" lists
+the (sorted, duplicate-free) ids of the sets covering element ``j``, so
+every engine in this package reads it as it reads a machine's ``R_i``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
 from ..graphs.digraph import DirectedGraph
+from ..ris.flat import FlatRRCollection, gather_rows
 
-__all__ = ["CoverageInstance"]
+__all__ = ["from_elements", "from_graph", "split_elements"]
 
 
-class CoverageInstance:
-    """An explicit maximum-coverage instance.
+def _build(num_sets: int, element_ids, members, num_elements: int) -> FlatRRCollection:
+    """The store of ``num_elements`` elements from ``(element, member)``
+    pairs: each element's members sorted and duplicate-free."""
+    store = FlatRRCollection(num_sets)
+    members = np.asarray(members, dtype=np.int64)
+    if members.size and (int(members.min()) < 0 or int(members.max()) >= num_sets):
+        raise ValueError("element member ids must lie in [0, num_sets)")
+    keys = np.unique(np.asarray(element_ids, dtype=np.int64) * num_sets + members)
+    offsets = np.zeros(num_elements + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // num_sets, minlength=num_elements), out=offsets[1:])
+    store.append_arrays(keys % num_sets, offsets, np.zeros(num_elements, dtype=np.int64))
+    return store
 
-    Parameters
-    ----------
-    num_universe_sets:
-        Number of sets (graph nodes in our applications); set ids are
-        ``0 .. num_universe_sets - 1``.
-    elements:
-        One array/iterable of member-set ids per element.
+
+def from_elements(num_sets: int, elements: Iterable[Iterable[int]]) -> FlatRRCollection:
+    """An explicit instance: one iterable of member-set ids per element.
+
+    Set ids are ``0 .. num_sets - 1``; each element's members are sorted
+    and deduplicated.
     """
+    rows = [np.asarray(list(members), dtype=np.int64) for members in elements]
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    members = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return _build(num_sets, np.arange(len(rows)).repeat(sizes), members, len(rows))
 
-    def __init__(
-        self,
-        num_universe_sets: int,
-        elements: Iterable[Iterable[int]],
-    ) -> None:
-        if num_universe_sets <= 0:
-            raise ValueError(f"num_universe_sets must be positive, got {num_universe_sets}")
-        self._num_universe_sets = num_universe_sets
-        self._elements: List[np.ndarray] = []
-        self._index: Dict[int, List[int]] = {}
-        self._total_size = 0
-        for members in elements:
-            arr = np.unique(np.asarray(list(members), dtype=np.int32))
-            if arr.size and (arr[0] < 0 or arr[-1] >= num_universe_sets):
-                raise ValueError("element member ids must lie in [0, num_universe_sets)")
-            idx = len(self._elements)
-            self._elements.append(arr)
-            for sid in arr:
-                self._index.setdefault(int(sid), []).append(idx)
-            self._total_size += int(arr.size)
 
-    # -- store protocol (mirrors FlatRRCollection) ----------------------
-    @property
-    def num_nodes(self) -> int:
-        """Number of sets; named ``num_nodes`` to match the RR-set stores."""
-        return self._num_universe_sets
+def from_graph(graph: DirectedGraph, include_self: bool = False) -> FlatRRCollection:
+    """The Fig 10 instance: set of node ``u`` covers ``u``'s out-neighbors.
 
-    @property
-    def num_sets(self) -> int:
-        """Number of *elements* stored (RR-store naming: its RR sets)."""
-        return len(self._elements)
+    Element ``v`` lists every node ``u`` with an edge ``<u, v>`` (i.e.
+    ``v``'s in-neighbor row), optionally plus ``v`` itself.
+    """
+    n = graph.num_nodes
+    elements = np.arange(n).repeat(np.diff(graph.in_indptr))
+    members = graph.in_indices
+    if include_self:
+        elements = np.concatenate([elements, np.arange(n)])
+        members = np.concatenate([members, np.arange(n)])
+    return _build(n, elements, members, n)
 
-    @property
-    def total_size(self) -> int:
-        """Total incidence size (sum of element cardinalities)."""
-        return self._total_size
 
-    def get(self, idx: int) -> np.ndarray:
-        """Member-set ids of the ``idx``-th element."""
-        return self._elements[idx]
+def split_elements(
+    store: FlatRRCollection, num_parts: int, rng: np.random.Generator | None = None
+) -> List[FlatRRCollection]:
+    """Partition *elements* across ``num_parts`` stores (element-distributed).
 
-    def sets_containing(self, set_id: int) -> List[int]:
-        """Element indices covered by ``set_id`` (the inverted index)."""
-        return self._index.get(int(set_id), [])
-
-    def coverage_counts(self, start: int = 0) -> np.ndarray:
-        """Per-set count of elements (index >= ``start``) it covers."""
-        counts = np.zeros(self._num_universe_sets, dtype=np.int64)
-        for members in self._elements[start:]:
-            counts[members] += 1
-        return counts
-
-    def coverage_of(self, set_ids: Iterable[int]) -> int:
-        """Number of elements covered by a collection of sets."""
-        covered: set[int] = set()
-        for sid in set(set_ids):
-            covered.update(self.sets_containing(sid))
-        return len(covered)
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __repr__(self) -> str:
-        return (
-            f"CoverageInstance(sets={self._num_universe_sets}, "
-            f"elements={len(self._elements)}, total_size={self._total_size})"
+    With ``rng`` the assignment is uniform random (the paper's
+    random-uniform distribution of RR sets); otherwise round-robin.  Each
+    part keeps its elements in their original order, re-indexed from 0.
+    """
+    if num_parts < 1:
+        raise ValueError(f"num_parts must be >= 1, got {num_parts}")
+    if rng is None:
+        assignment = np.arange(store.num_sets) % num_parts
+    else:
+        assignment = rng.integers(0, num_parts, size=store.num_sets)
+    sizes = np.diff(store.offsets)
+    parts = []
+    for part in range(num_parts):
+        rows = np.flatnonzero(assignment == part)
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes[rows], out=offsets[1:])
+        piece = FlatRRCollection(store.num_nodes)
+        piece.append_arrays(
+            gather_rows(store.nodes, store.offsets, rows), offsets, store.edges_examined[rows]
         )
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def from_graph(cls, graph: DirectedGraph, include_self: bool = False) -> "CoverageInstance":
-        """The Fig 10 instance: set of node ``u`` covers ``u``'s out-neighbors.
-
-        Element ``v`` lists every node ``u`` with an edge ``<u, v>`` (i.e.
-        ``v``'s in-neighbors), optionally plus ``v`` itself.
-        """
-        elements = []
-        for v in range(graph.num_nodes):
-            members = graph.in_neighbors(v).tolist()
-            if include_self:
-                members.append(v)
-            elements.append(members)
-        return cls(graph.num_nodes, elements)
-
-    def subinstance(self, element_indices: Sequence[int]) -> "CoverageInstance":
-        """A new instance containing only the chosen elements (re-indexed)."""
-        return CoverageInstance(
-            self._num_universe_sets,
-            [self._elements[i] for i in element_indices],
-        )
-
-    def split(
-        self, num_parts: int, rng: np.random.Generator | None = None
-    ) -> List["CoverageInstance"]:
-        """Partition *elements* across ``num_parts`` stores (element-distributed).
-
-        With ``rng`` the assignment is uniform random (the paper's
-        random-uniform distribution of RR sets); otherwise round-robin.
-        """
-        if num_parts < 1:
-            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-        if rng is None:
-            assignment = np.arange(len(self._elements)) % num_parts
-        else:
-            assignment = rng.integers(0, num_parts, size=len(self._elements))
-        return [
-            self.subinstance(np.flatnonzero(assignment == part))
-            for part in range(num_parts)
-        ]
+        parts.append(piece)
+    return parts

@@ -46,6 +46,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..cluster.executor import GatherPhase, MapPhase, MasterPhase
+from ..ris.flat import checked_batch
 from ..ris.rrset import splitmix64
 from ..ris.wire import tuple_vector_nbytes
 from .greedy import GreedyResult, _pad_with_unselected
@@ -245,10 +246,10 @@ class SketchRRCollection:
     Implements the growth/accounting protocol of
     :class:`~repro.ris.flat.FlatRRCollection` (``num_nodes`` /
     ``num_sets`` / ``total_size`` / ``total_edges_examined`` /
-    ``append_arrays`` / ``add`` / ``extend`` / ``coverage_of`` /
-    ``nbytes``), so generation phases and the round driver accept it
-    unchanged — but reads return *estimates* and individual set contents
-    are gone the moment they are folded in.
+    ``append_arrays`` / ``coverage_of`` / ``nbytes``), so generation
+    phases and the round driver accept it unchanged — but reads return
+    *estimates* and individual set contents are gone the moment they are
+    folded in.
 
     Appends additionally journal each wave's merged sparse
     ``(register key, rho)`` vector so
@@ -321,32 +322,23 @@ class SketchRRCollection:
         return self._num_sets
 
     # -- growth ----------------------------------------------------------
-    def append_arrays(self, nodes: np.ndarray, offsets: np.ndarray, edges_examined=0) -> None:
+    def append_arrays(
+        self, nodes: np.ndarray, offsets: np.ndarray, edges_examined: np.ndarray
+    ) -> None:
         """Fold a flat CSR wave of RR sets into the register bank.
 
-        Mirrors :meth:`FlatRRCollection.append_arrays
-        <repro.ris.flat.FlatRRCollection.append_arrays>`: ``nodes`` /
-        ``offsets`` are the wave's CSR arrays, ``edges_examined`` a wave
-        aggregate or per-set vector.  Each new set's global id is hashed
-        once; every member node receives the same ``(register, rho)``
-        update, applied with one sorted-unique fancy-indexed ``maximum``.
+        Takes what :meth:`FlatRRCollection.append_arrays
+        <repro.ris.flat.FlatRRCollection.append_arrays>` takes: the wave's
+        CSR arrays and one ``edges_examined`` count per set.  Each new
+        set's global id is hashed once; every member node receives the
+        same ``(register, rho)`` update, applied with one sorted-unique
+        fancy-indexed ``maximum``.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != nodes.size:
-            raise ValueError("offsets must start at 0 and end at nodes.size")
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
-            raise ValueError(f"node ids must lie in [0, {self._num_nodes})")
-        count = int(offsets.size - 1)
-        if np.ndim(edges_examined) > 0:
-            per_set = np.asarray(edges_examined, dtype=np.int64)
-            if per_set.size != count:
-                raise ValueError(
-                    f"edges_examined has {per_set.size} entries for {count} sets"
-                )
-            self._total_edges_examined += int(per_set.sum())
-        else:
-            self._total_edges_examined += int(edges_examined)
+        nodes, offsets, edges = checked_batch(
+            nodes, offsets, edges_examined, self._num_nodes
+        )
+        self._total_edges_examined += int(edges.sum())
+        count = edges.size
         if count == 0:
             return
         set_ids = (np.uint64(self._machine_id) << np.uint64(_MACHINE_SHIFT)) + np.arange(
@@ -356,7 +348,7 @@ class SketchRRCollection:
         lengths = np.diff(offsets)
         member_set = np.repeat(np.arange(count, dtype=np.int64), lengths)
         keys, merged = merge_register_updates(
-            nodes * self._m + registers[member_set], rhos[member_set]
+            nodes.astype(np.int64) * self._m + registers[member_set], rhos[member_set]
         )
         if keys.size:
             # Keys are unique, so one gather + one fancy store suffices
@@ -367,19 +359,6 @@ class SketchRRCollection:
         self._journal.append((self._num_sets, self._num_sets + count, keys, merged))
         self._num_sets += count
         self._total_size += int(nodes.size)
-
-    def add(self, sample) -> None:
-        """Fold one :class:`~repro.ris.rrset.RRSample` in (store protocol)."""
-        nodes = np.asarray(sample.nodes, dtype=np.int64)
-        self.append_arrays(
-            nodes,
-            np.array([0, nodes.size], dtype=np.int64),
-            edges_examined=sample.edges_examined,
-        )
-
-    def extend(self, samples) -> None:
-        for sample in samples:
-            self.add(sample)
 
     # -- wave protocol ---------------------------------------------------
     def register_delta(self, start: int = 0) -> Tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from ..cluster.metrics import COMMUNICATION
 from ..core.config import RunConfig
 from ..core.pool import SamplePool
 from ..coverage.greedy import greedy_max_coverage, naive_greedy_max_coverage
-from ..coverage.problem import CoverageInstance
+from ..coverage.problem import from_graph
 from ..graphs.datasets import load_dataset
 from ..graphs.digraph import DirectedGraph, GraphDelta, VersionedGraph
 from ..ris import FlatRRCollection, ICReverseBFSSampler, SubsimSampler, make_sampler
@@ -55,7 +55,7 @@ def lazy_vs_naive_greedy(
 ) -> list[dict]:
     """Lazy bucket greedy vs naive re-scan on the graph coverage instance."""
     ds = load_dataset(dataset, seed=seed)
-    instance = CoverageInstance.from_graph(ds.graph)
+    instance = from_graph(ds.graph)
     rows = []
     for k in k_values:
         start = time.perf_counter()

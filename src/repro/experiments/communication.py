@@ -19,7 +19,7 @@ from ..cluster.executor import SimulatedExecutor
 from ..cluster.network import gigabit_cluster
 from ..coverage.newgreedi import newgreedi
 from ..graphs.datasets import load_dataset
-from ..ris import FlatRRCollection, make_sampler
+from ..ris import FlatRRCollection, append_batch, make_sampler, pack_samples
 
 __all__ = ["communication_scaling"]
 
@@ -43,8 +43,8 @@ def communication_scaling(
             SimulatedCluster(machines, network=gigabit_cluster(), seed=seed)
         )
         stores = [FlatRRCollection(ds.graph.num_nodes) for __ in range(machines)]
-        for idx, sample in enumerate(pool):
-            stores[idx % machines].add(sample)
+        for mid, store in enumerate(stores):
+            append_batch(store, pack_samples(pool[mid::machines]))
         result = newgreedi(executor, k, stores=stores)
         breakdown = executor.metrics.breakdown()
         comm = breakdown["communication"]

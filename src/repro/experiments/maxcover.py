@@ -11,8 +11,8 @@ union.  Three algorithms run per (dataset, core-count) point:
   sequential greedy — asserted at run time),
 * GREEDI over a set-distributed partition with ``kappa = k``.
 
-All three select on CSR copies made before the clock starts (the
-instance's, and NEWGREEDI's per-machine parts), so the times compare
+All three select on flat stores built before the clock starts (the
+instance, and NEWGREEDI's per-machine parts), so the times compare
 selection, not data-layout conversion.
 
 Paper shapes to compare against: NEWGREEDI speedup ~3.5x at 4 cores,
@@ -32,9 +32,8 @@ from ..cluster.executor import SimulatedExecutor
 from ..cluster.network import shared_memory_server
 from ..coverage.greedi import greedi
 from ..coverage.greedy import greedy_max_coverage
-from ..coverage.kernel import as_flat
 from ..coverage.newgreedi import newgreedi
-from ..coverage.problem import CoverageInstance
+from ..coverage.problem import from_graph, split_elements
 from ..graphs.datasets import DATASET_NAMES, load_dataset
 
 __all__ = ["fig10_maxcover", "SERVER_CORE_COUNTS"]
@@ -52,16 +51,14 @@ def fig10_maxcover(
     rows: list[dict] = []
     for dataset in datasets:
         ds = load_dataset(dataset, seed=seed)
-        instance = CoverageInstance.from_graph(ds.graph)
-
-        store = as_flat(instance)
+        instance = from_graph(ds.graph)
         start = time.perf_counter()
-        sequential = greedy_max_coverage([store], k)
+        sequential = greedy_max_coverage([instance], k)
         sequential_time = time.perf_counter() - start
 
         for cores in core_counts:
             rng = np.random.default_rng(seed + cores)
-            parts = [as_flat(part) for part in instance.split(cores, rng=rng)]
+            parts = split_elements(instance, cores, rng=rng)
             cluster = SimulatedCluster(cores, network=shared_memory_server(), seed=seed)
             new_exec = SimulatedExecutor(cluster)
             new_result = newgreedi(new_exec, k, stores=parts)

@@ -12,9 +12,11 @@ prefix sum.  It is one of the two stores :func:`make_collection` builds;
 the other is the HyperLogLog register bank of
 :class:`~repro.coverage.sketch.SketchRRCollection`.
 
-The collection grows append-mostly: DIIMM grows ``R_i`` in waves, so
-appends are buffered and folded into the forward arrays on the next
-read; the inverted side is built by the first read that needs it
+The collection grows append-mostly, one whole CSR batch at a time
+(:meth:`FlatRRCollection.append_arrays`, with one ``edges_examined``
+count per set): DIIMM grows ``R_i`` in waves, so batches are buffered
+as given and folded into the forward arrays by one concatenation on the
+next read; the inverted side is built by the first read that needs it
 (selection, ``affected_sets``, ``coverage_of``), so a wave's coverage
 ingest — which only counts nodes — never pays for it.  With ``W``
 selection rounds over ``T`` total incidences that is ``W`` sorts of at
@@ -45,11 +47,11 @@ Ordering invariants (relied on by the exactness tests):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from .rrset import FlatBatch, RRSample
+from .rrset import FlatBatch
 
 __all__ = [
     "FlatRRCollection",
@@ -57,6 +59,7 @@ __all__ = [
     "MAX_NODES",
     "append_batch",
     "build_inverted_index",
+    "checked_batch",
     "make_collection",
     "gather_rows",
 ]
@@ -89,6 +92,32 @@ def gather_rows(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np
     index = (starts - ends + lengths).repeat(lengths)
     index += np.arange(total, dtype=np.int64)
     return values[index]
+
+
+def checked_batch(
+    nodes, offsets, edges_examined, num_nodes: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A CSR batch as a store takes it: ``int32`` nodes, ``int64`` offsets
+    and one ``int64`` edge count per set.
+
+    Raises :class:`ValueError` unless ``offsets`` runs from 0 to
+    ``nodes.size``, every node id lies in ``[0, num_nodes)`` and
+    ``edges_examined`` holds exactly one count per set (an aggregate is
+    refused: no store can attribute it to its sets).
+    """
+    nodes = np.asarray(nodes)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != nodes.size:
+        raise ValueError("offsets must start at 0 and end at nodes.size")
+    if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= num_nodes):
+        raise ValueError(f"RR set contains node ids outside [0, {num_nodes})")
+    edges = np.asarray(edges_examined, dtype=np.int64)
+    if edges.shape != (offsets.size - 1,):
+        raise ValueError(
+            f"edges_examined must hold one count per set: shape {edges.shape} "
+            f"for {offsets.size - 1} sets"
+        )
+    return nodes.astype(np.int32, copy=False), offsets, edges
 
 
 def _set_id_bits(num_nodes: int, num_sets: int) -> int:
@@ -136,12 +165,11 @@ class FlatRRCollection:
 
     Implements the store read protocol (``num_nodes`` / ``num_sets`` /
     ``total_size`` / ``get`` / ``sets_containing`` / ``coverage_counts`` /
-    ``coverage_of``) that :class:`FlatPrefixView` and
-    :class:`~repro.coverage.problem.CoverageInstance` share; the flat
+    ``coverage_of``) that :class:`FlatPrefixView` shares; the flat
     kernel additionally reads the raw arrays via :attr:`nodes`,
     :attr:`offsets`, :attr:`inv_sets` and :attr:`inv_offsets`.
 
-    Mutation is appends (:meth:`add` / :meth:`append_arrays`) plus the
+    Mutation is whole-batch appends (:meth:`append_arrays`) plus the
     dynamic-graph repair surface: :meth:`replace_sets` rewrites chosen
     sets in place under stable ids.  In-place mutation invalidates
     any outstanding :class:`FlatPrefixView` over this store — build
@@ -152,7 +180,7 @@ class FlatRRCollection:
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         # Checked before any allocation: past this limit the int32 casts
-        # in _validate would silently wrap node ids into negatives.
+        # in checked_batch would silently wrap node ids into negatives.
         if num_nodes > MAX_NODES:
             raise ValueError(
                 f"num_nodes must be <= {MAX_NODES} (node ids are stored as "
@@ -165,9 +193,9 @@ class FlatRRCollection:
         # until a read that needs the inverted side rebuilds it.
         self._inv_sets = np.zeros(0, dtype=np.int64)
         self._inv_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        # Appends land here until the next read folds them in.
-        self._pending: List[np.ndarray] = []
-        self._pending_edges: List[np.ndarray] = []
+        # Appended ``(nodes, offsets, edges)`` batches, until the next read
+        # folds them in.
+        self._pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # Per-set edges-examined, and its prefix sum (entry j is the total
         # over the first j sets, so any prefix's generation work is one
         # lookup), derived from it by the first read after a write: a
@@ -176,107 +204,49 @@ class FlatRRCollection:
         self._edges_cumsum: np.ndarray | None = None
         self._num_sets = 0
         self._total_size = 0
-        self._total_edges_examined = 0
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _validate(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes)
-        if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= self._num_nodes):
-            raise ValueError(
-                f"RR set contains node ids outside [0, {self._num_nodes})"
-            )
-        return nodes.astype(np.int32, copy=False)
-
-    @staticmethod
-    def _per_set_edges(edges_examined, count: int) -> np.ndarray:
-        """Per-set edge counts for ``count`` sets.
-
-        Accepts a per-set array (exact attribution) or an aggregate int,
-        which is spread evenly — the policy the checkpoint loader relies
-        on when only the aggregate survived.
-        """
-        if np.ndim(edges_examined) > 0:
-            per_set = np.asarray(edges_examined, dtype=np.int64)
-            if per_set.size != count:
-                raise ValueError(
-                    f"edges_examined has {per_set.size} entries for {count} sets"
-                )
-            return per_set
-        total = int(edges_examined)
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        base, extra = divmod(total, count)
-        per_set = np.full(count, base, dtype=np.int64)
-        per_set[:extra] += 1
-        return per_set
-
-    def add(self, sample: RRSample) -> int:
-        """Append one RR set; returns its index within this collection."""
-        nodes = self._validate(sample.nodes)
-        idx = self._num_sets
-        self._pending.append(nodes)
-        self._pending_edges.append(
-            np.asarray([sample.edges_examined], dtype=np.int64)
-        )
-        self._num_sets += 1
-        self._total_size += int(nodes.size)
-        self._total_edges_examined += sample.edges_examined
-        return idx
-
-    def extend(self, samples: Iterable[RRSample]) -> None:
-        """Append many RR sets (one DIIMM generation wave)."""
-        for sample in samples:
-            self.add(sample)
-
     def append_arrays(
         self,
         nodes: np.ndarray,
         offsets: np.ndarray,
-        edges_examined=0,
+        edges_examined: np.ndarray,
     ) -> None:
         """Append a whole flat batch (e.g. a worker's wave) in one call.
 
-        ``edges_examined`` is either the wave's aggregate (an int, spread
-        evenly over its sets) or a per-set ``int64`` array of length
-        ``offsets.size - 1`` (exact attribution, as
+        ``edges_examined`` is the per-set ``int64`` array of length
+        ``offsets.size - 1`` that
         :attr:`FlatBatch.edges_examined <repro.ris.rrset.FlatBatch>`
-        carries it).
+        carries (see :func:`checked_batch`).  The batch is kept as given
+        until the next read folds it in.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != np.asarray(nodes).size:
-            raise ValueError("offsets must start at 0 and end at nodes.size")
-        nodes = self._validate(nodes)
-        count = offsets.size - 1
-        per_set = self._per_set_edges(edges_examined, count)
-        for idx in range(count):
-            self._pending.append(nodes[offsets[idx] : offsets[idx + 1]])
-        self._pending_edges.append(per_set)
-        self._num_sets += count
-        self._total_size += int(nodes.size)
-        # The aggregate keeps its historical semantics even for an empty
-        # batch carrying a scalar count; per-set attribution needs sets.
-        if np.ndim(edges_examined) > 0:
-            self._total_edges_examined += int(per_set.sum())
-        else:
-            self._total_edges_examined += int(edges_examined)
+        nodes, offsets, edges = checked_batch(
+            nodes, offsets, edges_examined, self._num_nodes
+        )
+        if edges.size:
+            self._pending.append((nodes, offsets, edges))
+            self._num_sets += edges.size
+            self._total_size += int(nodes.size)
 
     def _materialize(self) -> None:
-        """Fold pending appends into the forward CSR arrays."""
+        """Fold pending batches into the forward CSR arrays: one
+        concatenation each, every batch's offsets shifted to its start."""
         if not self._pending:
-            self._pending_edges = [e for e in self._pending_edges if e.size]
             return
-        sizes = np.fromiter(
-            (arr.size for arr in self._pending), dtype=np.int64, count=len(self._pending)
-        )
-        self._nodes = np.concatenate([self._nodes, *self._pending])
-        new_offsets = self._offsets[-1] + np.cumsum(sizes)
-        self._offsets = np.concatenate([self._offsets, new_offsets])
+        nodes, offsets, edges = [self._nodes], [self._offsets], [self._edges]
+        end = self._offsets[-1]
+        for batch_nodes, batch_offsets, batch_edges in self._pending:
+            nodes.append(batch_nodes)
+            offsets.append(batch_offsets[1:] + end)
+            edges.append(batch_edges)
+            end += batch_nodes.size
+        self._nodes = np.concatenate(nodes)
+        self._offsets = np.concatenate(offsets)
+        self._edges = np.concatenate(edges)
         self._pending = []
-        self._edges = np.concatenate([self._edges, *self._pending_edges])
         self._edges_cumsum = None
-        self._pending_edges = []
         self._inv_sets = None
 
     def _ensure_index(self) -> None:
@@ -331,9 +301,11 @@ class FlatRRCollection:
             raise IndexError(f"set ids out of range [0, {self._num_sets})")
         if batch.count != ids.size:
             raise ValueError(f"batch has {batch.count} sets for {ids.size} ids")
-        new_nodes = self._validate(batch.nodes)
+        new_nodes, new_offsets, new_edges = checked_batch(
+            batch.nodes, batch.offsets, batch.edges_examined, self._num_nodes
+        )
         sizes = np.diff(self._offsets)
-        old_sizes, new_sizes = sizes[ids], np.diff(batch.offsets)
+        old_sizes, new_sizes = sizes[ids], np.diff(new_offsets)
         old_nodes = gather_rows(self._nodes, self._offsets, ids)
         # Splice: alternate unchanged spans with the replacement rows.
         parts = []
@@ -341,7 +313,7 @@ class FlatRRCollection:
         for pos in range(ids.size):
             sid = int(ids[pos])
             parts.append(self._nodes[self._offsets[prev] : self._offsets[sid]])
-            parts.append(new_nodes[batch.offsets[pos] : batch.offsets[pos + 1]])
+            parts.append(new_nodes[new_offsets[pos] : new_offsets[pos + 1]])
             prev = sid + 1
         parts.append(self._nodes[self._offsets[prev] :])
         self._nodes = np.concatenate(parts)
@@ -349,7 +321,7 @@ class FlatRRCollection:
         self._offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=self._offsets[1:])
         self._total_size = int(self._offsets[-1])
-        self.set_edges_examined(ids, batch.edges_examined)
+        self.set_edges_examined(ids, new_edges)
         if self._inv_sets is not None:
             self._patch_index(ids, old_nodes, old_sizes, new_nodes, new_sizes)
 
@@ -420,7 +392,6 @@ class FlatRRCollection:
         self._materialize()
         self._edges[np.asarray(set_ids, dtype=np.int64)] = edges_examined
         self._edges_cumsum = None
-        self._total_edges_examined = int(self._edges.sum())
 
     def nbytes(self) -> int:
         """Bytes held by the materialized CSR arrays, index included.
@@ -484,15 +455,16 @@ class FlatRRCollection:
     @property
     def total_edges_examined(self) -> int:
         """Sum of ``w(R)`` over stored sets (drives generation time)."""
-        return self._total_edges_examined
+        return self.edges_examined_upto(self._num_sets)
+
+    @property
+    def edges_examined(self) -> np.ndarray:
+        """Per-set ``w(R)``, in set order (do not mutate)."""
+        self._materialize()
+        return self._edges
 
     def edges_examined_upto(self, limit: int) -> int:
-        """Edges examined generating the first ``limit`` RR sets.
-
-        Exact where the sets arrived with per-set counts (sampler
-        batches); evenly attributed where only a wave aggregate survived
-        (checkpoint round-trips).
-        """
+        """Edges examined generating the first ``limit`` RR sets."""
         self._materialize()
         if not 0 <= limit <= self._num_sets:
             raise ValueError(f"limit {limit} out of range [0, {self._num_sets}]")
@@ -536,28 +508,6 @@ class FlatRRCollection:
     def coverage_of(self, seeds: Iterable[int]) -> int:
         """Number of stored RR sets covered by the seed set."""
         return _count_covered(self, seeds, self._num_sets)
-
-    # ------------------------------------------------------------------
-    # Conversions
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_store(cls, store) -> "FlatRRCollection":
-        """Build from any object exposing the store read protocol.
-
-        Accepts a :class:`CoverageInstance
-        <repro.coverage.problem.CoverageInstance>` or another flat
-        collection (copied).
-        """
-        flat = cls(store.num_nodes)
-        for idx in range(store.num_sets):
-            flat._pending.append(flat._validate(store.get(idx)))
-        flat._num_sets = store.num_sets
-        flat._total_size = store.total_size
-        flat._total_edges_examined = int(getattr(store, "total_edges_examined", 0))
-        flat._pending_edges.append(
-            cls._per_set_edges(flat._total_edges_examined, store.num_sets)
-        )
-        return flat
 
     def __repr__(self) -> str:
         return (
@@ -722,12 +672,6 @@ def make_collection(
 
 
 def append_batch(collection, batch: FlatBatch) -> None:
-    """Append a sampler's :class:`~repro.ris.rrset.FlatBatch` to a store.
-
-    Both stores (:class:`FlatRRCollection`, the sketch register bank)
-    take the CSR arrays as-is through ``append_arrays`` — no per-set
-    Python objects are ever created — with per-set edge counts.
-    """
-    collection.append_arrays(
-        batch.nodes, batch.offsets, edges_examined=batch.edges_examined
-    )
+    """Append a sampler's :class:`~repro.ris.rrset.FlatBatch` to either
+    store through its one way in, ``append_arrays``."""
+    collection.append_arrays(batch.nodes, batch.offsets, batch.edges_examined)

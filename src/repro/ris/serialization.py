@@ -65,8 +65,9 @@ __all__ = [
 
 #: Identifies a file as an RR-collection checkpoint.
 FORMAT_MAGIC = "repro-rr-collection"
-#: Current on-disk layout version.  Bump when the array schema changes.
-FORMAT_VERSION = 1
+#: Current on-disk layout version.  Bump when the array schema changes
+#: (2: per-set ``edges_examined`` replaced the aggregate).
+FORMAT_VERSION = 2
 
 
 class CheckpointFormatError(ValueError):
@@ -234,7 +235,7 @@ def read_frame(
 def save_collection(collection: FlatRRCollection, path: str | os.PathLike) -> None:
     """Write a collection (and its accounting) to a compressed file.
 
-    The CSR arrays are written as-is.
+    The CSR arrays and the per-set ``edges_examined`` are written as-is.
     """
     np.savez_compressed(
         path,
@@ -243,7 +244,7 @@ def save_collection(collection: FlatRRCollection, path: str | os.PathLike) -> No
         num_nodes=np.int64(collection.num_nodes),
         offsets=collection.offsets.astype(np.int64, copy=False),
         values=collection.nodes.astype(np.int32, copy=False),
-        total_edges_examined=np.int64(collection.total_edges_examined),
+        edges_examined=collection.edges_examined,
     )
 
 
@@ -272,7 +273,7 @@ def _read_arrays(path: str | os.PathLike):
             int(data["num_nodes"]),
             data["offsets"],
             data["values"],
-            int(data["total_edges_examined"]),
+            data["edges_examined"],
         )
 
 
@@ -281,11 +282,11 @@ def load_collection(path: str | os.PathLike) -> FlatRRCollection:
 
     The on-disk values/offsets pair *is* the store's CSR layout, so this
     performs no per-set work; only the inverted index is rebuilt on first
-    read.  The per-set ``edges_examined`` breakdown is not stored:
-    coverage-based seed selection only consumes RR-set *membership*, so
-    the aggregate is spread evenly over the loaded sets.
+    read.  Each set keeps its own ``edges_examined``, so every prefix's
+    generation work (:meth:`~repro.ris.flat.FlatRRCollection.edges_examined_upto`)
+    reads as it did in the run that saved the file.
     """
-    num_nodes, offsets, values, total_edges = _read_arrays(path)
+    num_nodes, offsets, values, edges = _read_arrays(path)
     collection = FlatRRCollection(num_nodes)
-    collection.append_arrays(values, offsets, edges_examined=total_edges)
+    collection.append_arrays(values, offsets, edges)
     return collection

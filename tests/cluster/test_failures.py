@@ -54,26 +54,24 @@ class TestMachineFailure:
         assert isinstance(info.value.__cause__, OSError)
 
     def test_flat_conversion_failure_attributes_machine(self, small_wc_graph):
-        """The CSR conversion of a non-flat store runs inside the metered
-        reset phase, so a store erroring there is attributed too."""
+        """Reading a store's CSR arrays (its inverted index is built on
+        first read) runs inside the metered reset phase, so a store erroring
+        there is attributed too."""
         import numpy as np
 
         from repro.coverage import newgreedi
-        from repro.ris.rrset import RRSample
-        from tests.oracle import RRCollection
+        from repro.ris import FlatRRCollection
 
-        class PoisonedStore(RRCollection):
-            def get(self, idx: int):
+        class PoisonedStore(FlatRRCollection):
+            @property
+            def inv_sets(self):
                 raise OSError("simulated storage failure")
 
         executor = SimulatedExecutor(SimulatedCluster(2, seed=0))
-        sample = RRSample(
-            nodes=np.asarray([0], dtype=np.int32), root=0, edges_examined=0
-        )
-        healthy = RRCollection(small_wc_graph.num_nodes)
-        healthy.add(sample)
+        healthy = FlatRRCollection(small_wc_graph.num_nodes)
         poisoned = PoisonedStore(small_wc_graph.num_nodes)
-        poisoned.add(sample)
+        for store in (healthy, poisoned):
+            store.append_arrays(np.asarray([0]), np.asarray([0, 1]), np.zeros(1))
         with pytest.raises(MachineFailure) as info:
             newgreedi(executor, 2, stores=[healthy, poisoned])
         assert info.value.machine_id == 1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import SimulatedCluster, SimulatedExecutor
-from repro.coverage import CoverageInstance
+from repro.coverage import from_elements
+from repro.ris import FlatRRCollection, append_batch, pack_samples
 from repro.graphs import (
     GraphBuilder,
     erdos_renyi,
@@ -29,9 +30,9 @@ def paper_graph():
 
 
 @pytest.fixture(scope="session")
-def paper_instance() -> CoverageInstance:
+def paper_instance() -> FlatRRCollection:
     """The 6-RR-set coverage instance of the paper's Fig 2 (Example 3)."""
-    return CoverageInstance(5, paper_coverage_example())
+    return from_elements(5, paper_coverage_example())
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +87,7 @@ def make_random_instance(
     rng: np.random.Generator,
     max_sets: int = 30,
     max_elements: int = 60,
-) -> CoverageInstance:
+) -> FlatRRCollection:
     """Random coverage instance helper used by several test modules."""
     num_sets = int(rng.integers(2, max_sets))
     num_elements = int(rng.integers(1, max_elements))
@@ -98,4 +99,14 @@ def make_random_instance(
         )
         for __ in range(num_elements)
     ]
-    return CoverageInstance(num_sets, elements)
+    return from_elements(num_sets, elements)
+
+
+def round_robin_stores(samples, num_nodes: int, machines: int, store=FlatRRCollection):
+    """``samples`` dealt round-robin over ``machines`` fresh stores of type
+    ``store``: machine ``i`` gets samples ``i, i + machines, ...`` in order,
+    as one packed batch."""
+    stores = [store(num_nodes) for __ in range(machines)]
+    for mid, target in enumerate(stores):
+        append_batch(target, pack_samples(samples[mid::machines]))
+    return stores

@@ -23,10 +23,9 @@ from repro.cluster import COMMUNICATION
 from repro.coverage import greedi, newgreedi
 from repro.coverage.newgreedi import SEED_BYTES
 from repro.graphs import erdos_renyi, weighted_cascade
-from repro.ris import make_sampler
-from repro.ris.rrset import RRSample
+from repro.ris import FlatRRCollection, make_sampler
 from repro.ris.wire import tuple_vector_nbytes
-from tests.conftest import simulated
+from tests.conftest import round_robin_stores, simulated
 from tests.oracle import RRCollection, reference_greedi, reference_newgreedi
 
 MACHINES = 4
@@ -34,13 +33,15 @@ MACHINES = 4
 newgreedi_module = import_module("repro.coverage.newgreedi")
 
 
-def build_stores(seed: int, count: int = 120):
+def build_samples(seed: int, count: int = 120):
     graph = weighted_cascade(erdos_renyi(60, 300, np.random.default_rng(seed)))
     samples = make_sampler(graph, "ic").sample_many(count, np.random.default_rng(seed))
-    stores = [RRCollection(graph.num_nodes) for __ in range(MACHINES)]
-    for idx, sample in enumerate(samples):
-        stores[idx % MACHINES].add(sample)
-    return graph, stores
+    return graph, samples
+
+
+def build_stores(seed: int, count: int = 120, store=FlatRRCollection):
+    graph, samples = build_samples(seed, count)
+    return graph, round_robin_stores(samples, graph.num_nodes, MACHINES, store)
 
 
 def comm_phases(metrics):
@@ -52,11 +53,12 @@ def comm_phases(metrics):
 class TestNewGreediBytes:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_bytes_both_backends(self, seed):
-        graph, stores = build_stores(seed)
+        __, ref_stores = build_stores(seed, store=RRCollection)
+        __, stores = build_stores(seed)
         ref_executor = simulated(MACHINES, seed=0)
         flat_executor = simulated(MACHINES, seed=0)
-        ref = reference_newgreedi(ref_executor, 8, list(stores))
-        flat = newgreedi(flat_executor, 8, stores=list(stores))
+        ref = reference_newgreedi(ref_executor, 8, ref_stores)
+        flat = newgreedi(flat_executor, 8, stores=stores)
         assert flat.seeds == ref.seeds
         # Phase-by-phase: same labels, same payload bytes, same order.
         assert comm_phases(flat_executor.metrics) == comm_phases(ref_executor.metrics)
@@ -134,18 +136,12 @@ class TestApplicationBytes:
 
 class TestGreediBytes:
     def test_identical_bytes_both_backends(self):
-        __, stores = build_stores(9)
-        # RRCollection iterates bare node arrays; rebuild samples to merge.
-        merged = RRCollection(stores[0].num_nodes)
-        for store in stores:
-            for idx in range(store.num_sets):
-                nodes = np.asarray(store.get(idx), dtype=np.int32)
-                merged.add(
-                    RRSample(nodes=nodes, root=int(nodes[0]), edges_examined=0)
-                )
+        graph, samples = build_samples(9)
+        (merged,) = round_robin_stores(samples, graph.num_nodes, 1, RRCollection)
+        (flat_merged,) = round_robin_stores(samples, graph.num_nodes, 1)
         ref_executor = simulated(MACHINES, seed=0)
         flat_executor = simulated(MACHINES, seed=0)
         ref = reference_greedi(ref_executor, merged, 6)
-        flat = greedi(flat_executor, merged, 6)
+        flat = greedi(flat_executor, flat_merged, 6)
         assert flat.seeds == ref.seeds
         assert comm_phases(flat_executor.metrics) == comm_phases(ref_executor.metrics)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import ImmParameters
 from repro.core.driver import ImmScheduleRule
-from repro.coverage import greedy_max_coverage, newgreedi
+from repro.coverage import greedy_max_coverage, newgreedi, split_elements
 from tests.conftest import simulated
 from tests.oracle import engine
 
@@ -77,7 +77,7 @@ def assert_sound(full, cut, accepts):
     data=st.data(),
 )
 def test_newgreedi_early_exit_is_sound(instance, machines, k, data):
-    stores = instance.split(machines)
+    stores = split_elements(instance, machines)
     full = newgreedi(simulated(machines, seed=0), k, stores=stores)
     for accepts in thresholds(data.draw, full, instance.num_nodes):
         cut = newgreedi(simulated(machines, seed=0), k, stores=stores, accepts=accepts)
@@ -110,7 +110,7 @@ def test_a_hopeless_round_runs_no_seed_round(paper_instance, backend):
         cut = newgreedi(
             executor,
             3,
-            stores=paper_instance.split(2),
+            stores=split_elements(paper_instance, 2),
             accepts=lambda coverage, num_elements: coverage > 3 * num_elements,
         )
         central = greedy_max_coverage(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import COMMUNICATION
 from repro.coverage import (
-    CoverageInstance,
+    from_elements,
     greedi,
     greedy_max_coverage,
     partition_sets,
@@ -112,7 +112,7 @@ class TestRandGreedi:
     def test_shuffle_changes_partition_outcome_possible(self):
         # Adversarial instance where round-robin and a random partition can
         # differ; we only check both run and stay below centralized.
-        inst = CoverageInstance(
+        inst = from_elements(
             6, [[0, 1], [0, 2], [3, 4], [3, 5], [1, 4], [2, 5]]
         )
         import itertools
@@ -131,7 +131,7 @@ class TestEdgeCases:
 
     def test_empty_instance_pads_seeds(self):
         executor = simulated(2, seed=0)
-        empty = CoverageInstance(5, [])
+        empty = from_elements(5, [])
         result = greedi(executor, empty, 3)
         assert len(result.seeds) == len(set(result.seeds)) == 3
         assert result.coverage == 0
@@ -147,7 +147,7 @@ class TestEdgeCases:
         # Four sets covering identical element counts: pure tie.  The
         # bucket queue breaks ties to the lowest set id on both the
         # per-partition and the merge stage.
-        inst = CoverageInstance(4, [[0], [1], [2], [3]])
+        inst = from_elements(4, [[0], [1], [2], [3]])
         results = [
             greedi(simulated(2, seed=0), inst, 2) for _ in range(3)
         ]
@@ -155,7 +155,7 @@ class TestEdgeCases:
 
     def test_backends_agree_on_edge_cases(self):
         """The kernel and the oracle's per-element restricted greedy."""
-        inst = CoverageInstance(5, [[0, 1], [1, 2], [3], [3], [3]])
+        inst = from_elements(5, [[0, 1], [1, 2], [3], [3], [3]])
         for k in (1, 3, 5):
             flat = greedi(simulated(2, seed=0), inst, k)
             ref = reference_greedi(simulated(2, seed=0), inst, k)
@@ -163,10 +163,10 @@ class TestEdgeCases:
             assert flat.coverage == ref.coverage
 
     def test_centralized_greedy_empty_and_overfull(self):
-        empty = CoverageInstance(3, [])
+        empty = from_elements(3, [])
         result = greedy_max_coverage([empty], 2)
         assert sorted(result.seeds) == [0, 1] and result.coverage == 0
-        inst = CoverageInstance(3, [[0], [0, 1]])
+        inst = from_elements(3, [[0], [0, 1]])
         result = greedy_max_coverage([inst], 5)
         assert sorted(result.seeds) == [0, 1, 2]
         assert result.coverage == 2

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.coverage import (
     BucketQueue,
-    CoverageInstance,
+    from_elements,
+    split_elements,
     greedy_max_coverage,
     naive_greedy_max_coverage,
 )
@@ -242,7 +243,7 @@ class TestGreedyGeneral:
             greedy_max_coverage([], 1)
 
     def test_rejects_mismatched_universes(self, paper_instance):
-        other = CoverageInstance(3, [[0]])
+        other = from_elements(3, [[0]])
         with pytest.raises(ValueError, match="same universe"):
             greedy_max_coverage([paper_instance, other], 1)
 
@@ -250,25 +251,25 @@ class TestGreedyGeneral:
         from tests.conftest import make_random_instance
 
         inst = make_random_instance(rng)
-        parts = inst.split(3, rng=rng)
+        parts = split_elements(inst, 3, rng=rng)
         merged = greedy_max_coverage(parts, 4)
         single = greedy_max_coverage([inst], 4)
         assert merged.coverage == single.coverage
         assert merged.seeds == single.seeds
 
     def test_padding_when_everything_covered(self):
-        inst = CoverageInstance(5, [[4]])
+        inst = from_elements(5, [[4]])
         result = greedy_max_coverage([inst], 3)
         assert result.seeds == [4, 0, 1]
         assert result.coverage == 1
 
     def test_k_larger_than_universe(self):
-        inst = CoverageInstance(2, [[0], [1]])
+        inst = from_elements(2, [[0], [1]])
         result = greedy_max_coverage([inst], 5)
         assert result.seeds == [0, 1]
 
     def test_fraction_empty_store(self):
-        inst = CoverageInstance(2, [])
+        inst = from_elements(2, [])
         result = greedy_max_coverage([inst], 1)
         assert result.fraction == 0.0
 

@@ -27,7 +27,7 @@ from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import make_sampler
 from repro.ris.rrset import RRSample
 from repro.ris.triggering_sampler import TriggeringRRSampler
-from tests.conftest import simulated
+from tests.conftest import round_robin_stores, simulated
 from tests.oracle import RRCollection, reference_greedi, reference_greedy, reference_newgreedi
 
 MODELS = ("ic", "lt", "trig-ic", "trig-lt")
@@ -55,27 +55,22 @@ def sample_of(nodes, num_nodes: int) -> RRSample:
     return RRSample(nodes=arr, root=root, edges_examined=int(arr.size))
 
 
-def split_round_robin(samples, num_nodes: int, machines: int = MACHINES):
-    stores = [RRCollection(num_nodes) for __ in range(machines)]
-    for idx, sample in enumerate(samples):
-        stores[idx % machines].add(sample)
-    return stores
-
-
 def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
-    """Run all three algorithms on the kernel and the oracle; demand equality."""
-    stores = split_round_robin(samples, num_nodes)
-    merged = RRCollection(num_nodes)
-    merged.extend(samples)
+    """Run all three algorithms on the kernel (flat stores) and the oracle
+    (its dict stores of the same samples); demand equality."""
+    stores = round_robin_stores(samples, num_nodes, MACHINES, RRCollection)
+    flat_stores = round_robin_stores(samples, num_nodes, MACHINES)
+    (merged,) = round_robin_stores(samples, num_nodes, 1, RRCollection)
+    (flat_merged,) = round_robin_stores(samples, num_nodes, 1)
 
     ref = reference_greedy(stores, k)
-    flat = greedy_max_coverage(stores, k)
+    flat = greedy_max_coverage(flat_stores, k)
     assert flat.seeds == ref.seeds
     assert flat.marginals == ref.marginals
     assert flat.coverage == ref.coverage
 
     ref_new = reference_newgreedi(simulated(MACHINES, seed=0), k, list(stores))
-    flat_new = newgreedi(simulated(MACHINES, seed=0), k, stores=list(stores))
+    flat_new = newgreedi(simulated(MACHINES, seed=0), k, stores=flat_stores)
     assert flat_new.seeds == ref_new.seeds
     assert flat_new.marginals == ref_new.marginals
     assert flat_new.covered_per_machine == ref_new.covered_per_machine
@@ -84,7 +79,7 @@ def assert_backends_agree(samples, num_nodes: int, k: int) -> None:
     assert flat_new.seeds == ref.seeds
 
     ref_gre = reference_greedi(simulated(MACHINES, seed=0), merged, k)
-    flat_gre = greedi(simulated(MACHINES, seed=0), merged, k)
+    flat_gre = greedi(simulated(MACHINES, seed=0), flat_merged, k)
     assert flat_gre.seeds == ref_gre.seeds
     assert flat_gre.coverage == ref_gre.coverage
 
@@ -162,7 +157,6 @@ class TestEdgeShapes:
     def test_ties_resolve_to_lowest_id(self):
         """Symmetric instance: kernel and oracle must pin the lowest node id."""
         samples = [sample_of([0, 1], 4), sample_of([2, 3], 4)]
-        stores = split_round_robin(samples, 4)
-        ref = reference_greedy(stores, 1)
-        flat = greedy_max_coverage(stores, 1)
+        ref = reference_greedy(round_robin_stores(samples, 4, MACHINES, RRCollection), 1)
+        flat = greedy_max_coverage(round_robin_stores(samples, 4, MACHINES), 1)
         assert ref.seeds == flat.seeds == [0]

@@ -11,18 +11,19 @@ from repro.cluster import (
     gigabit_cluster,
 )
 from repro.coverage import (
-    CoverageInstance,
+    from_elements,
+    split_elements,
     gather_coverage_counts,
     greedy_max_coverage,
     newgreedi,
 )
 from repro.ris import FlatRRCollection, make_sampler
-from tests.conftest import make_random_instance, simulated
+from tests.conftest import make_random_instance, round_robin_stores, simulated
 
 
 def run_split(instance, k, num_machines, seed=0):
     executor = simulated(num_machines, network=gigabit_cluster(), seed=seed)
-    parts = instance.split(num_machines, rng=np.random.default_rng(seed))
+    parts = split_elements(instance, num_machines, rng=np.random.default_rng(seed))
     return newgreedi(executor, k, stores=parts), executor
 
 
@@ -59,7 +60,7 @@ class TestLemma2Equivalence:
     def test_initial_counts_shortcut(self, paper_instance):
         """Passing precomputed counts must not change the outcome."""
         executor = simulated(2, seed=0)
-        parts = paper_instance.split(2)
+        parts = split_elements(paper_instance, 2)
         counts = parts[0].coverage_counts() + parts[1].coverage_counts()
         result = newgreedi(executor, 2, stores=parts, initial_counts=counts)
         central = greedy_max_coverage([paper_instance], 2)
@@ -67,7 +68,7 @@ class TestLemma2Equivalence:
 
     def test_initial_counts_not_mutated(self, paper_instance):
         executor = simulated(2, seed=0)
-        parts = paper_instance.split(2)
+        parts = split_elements(paper_instance, 2)
         counts = parts[0].coverage_counts() + parts[1].coverage_counts()
         snapshot = counts.copy()
         newgreedi(executor, 2, stores=parts, initial_counts=counts)
@@ -89,9 +90,7 @@ class TestProtocolAccounting:
         totals = {}
         for num_machines in (1, 4):
             executor = simulated(num_machines, seed=0)
-            stores = [FlatRRCollection(small_wc_graph.num_nodes) for __ in range(num_machines)]
-            for idx, sample in enumerate(samples):
-                stores[idx % num_machines].add(sample)
+            stores = round_robin_stores(samples, small_wc_graph.num_nodes, num_machines)
             newgreedi(executor, 5, stores=stores)
             totals[num_machines] = executor.metrics.total_bytes
         assert totals[4] >= totals[1]
@@ -105,12 +104,12 @@ class TestValidation:
     def test_k_must_be_positive(self, paper_instance):
         executor = simulated(2, seed=0)
         with pytest.raises(ValueError):
-            newgreedi(executor, 0, stores=paper_instance.split(2))
+            newgreedi(executor, 0, stores=split_elements(paper_instance, 2))
 
     def test_store_count_must_match(self, paper_instance):
         executor = simulated(3, seed=0)
         with pytest.raises(ValueError, match="expected 3 stores"):
-            newgreedi(executor, 1, stores=paper_instance.split(2))
+            newgreedi(executor, 1, stores=split_elements(paper_instance, 2))
 
     def test_missing_collections_detected(self):
         """Machines hold no stores: the caller must hand them over."""
@@ -122,7 +121,7 @@ class TestValidation:
 
     def test_mismatched_universe_rejected(self):
         executor = simulated(2, seed=0)
-        stores = [CoverageInstance(3, [[0]]), CoverageInstance(4, [[1]])]
+        stores = [from_elements(3, [[0]]), from_elements(4, [[1]])]
         with pytest.raises(ValueError, match="same universe"):
             newgreedi(executor, 1, stores=stores)
 
@@ -132,7 +131,7 @@ class TestValidation:
             newgreedi(
                 executor,
                 1,
-                stores=paper_instance.split(2),
+                stores=split_elements(paper_instance, 2),
                 initial_counts=np.zeros(3, dtype=np.int64),
             )
 
@@ -140,7 +139,7 @@ class TestValidation:
 class TestGatherCoverageCounts:
     def test_matches_direct_sum(self, paper_instance):
         executor = simulated(2, seed=0)
-        parts = paper_instance.split(2)
+        parts = split_elements(paper_instance, 2)
         gathered = gather_coverage_counts(executor, parts)
         direct = parts[0].coverage_counts() + parts[1].coverage_counts()
         assert np.array_equal(gathered, direct)
@@ -161,4 +160,4 @@ class TestGatherCoverageCounts:
     def test_bad_start_indices_length(self, paper_instance):
         executor = simulated(2, seed=0)
         with pytest.raises(ValueError, match="one entry per machine"):
-            gather_coverage_counts(executor, paper_instance.split(2), start_indices=[0])
+            gather_coverage_counts(executor, split_elements(paper_instance, 2), start_indices=[0])

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coverage import (
-    CoverageInstance,
+    from_elements,
+    split_elements,
     greedy_max_coverage,
     naive_greedy_max_coverage,
     newgreedi,
@@ -35,7 +36,7 @@ def coverage_instances(draw):
         )
         for __ in range(num_elements)
     ]
-    return CoverageInstance(num_sets, elements)
+    return from_elements(num_sets, elements)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +84,7 @@ def test_newgreedi_equals_centralized_greedy(instance, k, num_machines, shuffle_
     """Lemma 2, property-based: any distribution of elements, any l."""
     central = greedy_max_coverage([instance], k)
     executor = simulated(num_machines, seed=0)
-    parts = instance.split(num_machines, rng=np.random.default_rng(shuffle_seed))
+    parts = split_elements(instance, num_machines, rng=np.random.default_rng(shuffle_seed))
     result = newgreedi(executor, k, stores=parts)
     assert result.seeds == central.seeds
     assert result.coverage == central.coverage
@@ -115,7 +116,7 @@ def tie_heavy_instances(draw):
         st.integers(min_value=0, max_value=num_sets - 1), min_size=2, max_size=2, unique=True
     )
     elements = draw(st.lists(pairs, min_size=num_sets, max_size=4 * num_sets))
-    return CoverageInstance(num_sets, elements)
+    return from_elements(num_sets, elements)
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,7 +132,7 @@ def test_newgreedi_equals_the_naive_oracle_under_heavy_ties(
     """Lemma 2 where it is decided by the tie rule: the picks read off the
     live counts are the naive re-scan's, seed for seed, gain for gain."""
     naive = naive_greedy_max_coverage([instance], k)
-    parts = instance.split(num_machines, rng=np.random.default_rng(shuffle_seed))
+    parts = split_elements(instance, num_machines, rng=np.random.default_rng(shuffle_seed))
     result = newgreedi(simulated(num_machines, seed=0), k, stores=parts)
     assert result.seeds == naive.seeds
     assert result.marginals == naive.marginals
@@ -145,11 +146,11 @@ def test_newgreedi_equals_the_naive_oracle_on_a_ring_wider_than_the_queue_view()
     each other: every pick is a tie among more entries than the queue
     keeps in view."""
     num_sets = 2500
-    instance = CoverageInstance(
+    instance = from_elements(
         num_sets, [[i, (i + 1) % num_sets] for i in range(num_sets)]
     )
     naive = naive_greedy_max_coverage([instance], 6)
     assert naive.seeds == [0, 2, 4, 6, 8, 10]
-    parts = instance.split(3, rng=np.random.default_rng(1))
+    parts = split_elements(instance, 3, rng=np.random.default_rng(1))
     result = newgreedi(simulated(3, seed=0), 6, stores=parts)
     assert (result.seeds, result.marginals) == (naive.seeds, naive.marginals)

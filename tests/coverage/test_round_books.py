@@ -26,8 +26,8 @@ from repro.coverage.newgreedi import SEED_BYTES, NewGreeDiRounds
 from repro.graphs import erdos_renyi, weighted_cascade
 from repro.ris import make_sampler
 from repro.ris.wire import tuple_vector_nbytes
-from tests.conftest import simulated
-from tests.oracle import RRCollection, engine
+from tests.conftest import round_robin_stores, simulated
+from tests.oracle import STORES, engine
 
 # The package re-exports the function under the submodule's name.
 newgreedi_module = import_module("repro.coverage.newgreedi")
@@ -84,13 +84,10 @@ def books(metrics):
     ]
 
 
-def build_stores(seed: int, count: int = 160):
+def build_stores(seed: int, count: int = 160, backend: str = "flat"):
     graph = weighted_cascade(erdos_renyi(60, 300, np.random.default_rng(seed)))
     samples = make_sampler(graph, "ic").sample_many(count, np.random.default_rng(seed))
-    stores = [RRCollection(graph.num_nodes) for __ in range(MACHINES)]
-    for idx, sample in enumerate(samples):
-        stores[idx % MACHINES].add(sample)
-    return stores
+    return round_robin_stores(samples, graph.num_nodes, MACHINES, STORES[backend])
 
 
 @pytest.mark.parametrize("backend", ["flat", "reference"])
@@ -100,7 +97,9 @@ def test_newgreedi_books_equal_the_per_seed_run_phase_loop(monkeypatch, backend,
     def run():
         executor = simulated(MACHINES, seed=0)
         with executor.metrics.annotated(round_index=3, rule="imm-schedule"):
-            result = newgreedi(executor, 7, stores=build_stores(seed), label="search-3/newgreedi")
+            result = newgreedi(
+                executor, 7, stores=build_stores(seed, backend=backend), label="search-3/newgreedi"
+            )
         return result, books(executor.metrics)
 
     with engine(backend):

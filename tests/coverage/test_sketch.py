@@ -32,8 +32,13 @@ from repro.coverage.sketch import (
     splitmix64,
 )
 from repro.ris import make_collection
-from repro.ris.rrset import RRSample
 from tests.oracle import reference_sketch_lazy_greedy
+
+
+def grow(store, nodes, offsets):
+    """Append a CSR wave whose sets examined no edges."""
+    offsets = np.asarray(offsets)
+    store.append_arrays(nodes, offsets, np.zeros(offsets.size - 1, dtype=np.int64))
 
 
 class TestRegisterArithmetic:
@@ -131,9 +136,9 @@ class TestSketchRRCollection:
             SketchRRCollection(10, machine_id=-1)
         store = SketchRRCollection(10)
         with pytest.raises(ValueError, match="offsets"):
-            store.append_arrays(np.array([1]), np.array([0, 2]))
+            grow(store, np.array([1]), np.array([0, 2]))
         with pytest.raises(ValueError, match="node ids"):
-            store.append_arrays(np.array([10]), np.array([0, 1]))
+            grow(store, np.array([10]), np.array([0, 1]))
         with pytest.raises(ValueError, match="edges_examined"):
             store.append_arrays(
                 np.array([1, 2]), np.array([0, 1, 2]), edges_examined=[1, 2, 3]
@@ -146,32 +151,26 @@ class TestSketchRRCollection:
         assert store.num_sets == 2 and len(store) == 2
         assert store.total_size == 4
         assert store.total_edges_examined == 9
-        store.append_arrays(
-            np.zeros(0, dtype=np.int64), np.array([0]), edges_examined=5
-        )
-        assert store.num_sets == 2 and store.total_edges_examined == 14
+        with pytest.raises(ValueError, match="one count per set"):
+            store.append_arrays(np.zeros(0, dtype=np.int64), np.array([0]), edges_examined=5)
+        store.append_arrays(np.zeros(0, dtype=np.int64), np.array([0]), edges_examined=[])
+        assert store.num_sets == 2 and store.total_edges_examined == 9
 
     def test_add_matches_append_arrays_bit_for_bit(self):
         rng = np.random.default_rng(9)
         nodes, offsets = self.make_batch(rng, 40, 30)
         batched = SketchRRCollection(30, precision=8)
-        batched.append_arrays(nodes, offsets)
+        grow(batched, nodes, offsets)
         one_by_one = SketchRRCollection(30, precision=8)
-        one_by_one.extend(
-            RRSample(
-                nodes=nodes[offsets[i] : offsets[i + 1]].astype(np.int32),
-                root=int(nodes[offsets[i]]),
-                edges_examined=0,
-            )
-            for i in range(40)
-        )
+        for i in range(40):
+            grow(one_by_one, nodes[offsets[i] : offsets[i + 1]], [0, offsets[i + 1] - offsets[i]])
         np.testing.assert_array_equal(batched.registers, one_by_one.registers)
 
     def test_coverage_of_is_a_capped_estimate(self):
         store = SketchRRCollection(5, precision=10)
         # Every set contains node 0; node 4 never appears.
         for _ in range(30):
-            store.append_arrays(np.array([0, 1]), np.array([0, 2]))
+            grow(store, np.array([0, 1]), np.array([0, 2]))
         assert store.coverage_of([]) == 0.0
         assert store.coverage_of([4]) == 0.0
         assert store.coverage_of([0]) == pytest.approx(30, rel=0.15)
@@ -181,10 +180,10 @@ class TestSketchRRCollection:
         rng = np.random.default_rng(2)
         store = SketchRRCollection(25, precision=6)
         nodes, offsets = self.make_batch(rng, 10, 25)
-        store.append_arrays(nodes, offsets)
+        grow(store, nodes, offsets)
         wave1_keys, wave1_rhos = store.register_delta(start=0)
         nodes, offsets = self.make_batch(rng, 15, 25)
-        store.append_arrays(nodes, offsets)
+        grow(store, nodes, offsets)
         # Replaying from 0 must cover both waves' registers.
         both_keys, _ = store.register_delta(start=0)
         assert set(wave1_keys.tolist()) <= set(both_keys.tolist())
@@ -213,8 +212,8 @@ class TestSketchRRCollection:
         offsets = np.array([0, 10], dtype=np.int64)
         a = SketchRRCollection(10, precision=10, machine_id=0)
         b = SketchRRCollection(10, precision=10, machine_id=1)
-        a.append_arrays(nodes, offsets)
-        b.append_arrays(nodes, offsets)
+        grow(a, nodes, offsets)
+        grow(b, nodes, offsets)
         assert not np.array_equal(a.registers, b.registers)
 
     def test_make_collection_dispatch(self):
@@ -230,7 +229,7 @@ class TestSketchCoverageState:
                 lengths = rng.integers(1, 5, size=sets_per_wave)
                 nodes = rng.integers(0, store.num_nodes, size=int(lengths.sum()))
                 offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-                store.append_arrays(nodes.astype(np.int64), offsets)
+                grow(store, nodes.astype(np.int64), offsets)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_nodes"):
@@ -300,7 +299,7 @@ class TestSketchCoverageState:
         stores = [SketchRRCollection(6, precision=10, machine_id=i) for i in range(2)]
         for store in stores:
             for _ in range(20):
-                store.append_arrays(np.array([0, 2]), np.array([0, 2]))
+                grow(store, np.array([0, 2]), np.array([0, 2]))
         state = SketchCoverageState(6, 2, precision=10)
         state.registers = state.rebuild_from(stores)
         assert state.estimate([]) == 0.0
@@ -441,7 +440,7 @@ class TestTableEstimator:
         rng = np.random.default_rng(8)
         for store in stores:
             for _ in range(30):
-                store.append_arrays(rng.integers(0, 6, size=2), np.array([0, 2]))
+                grow(store, rng.integers(0, 6, size=2), np.array([0, 2]))
         state = SketchCoverageState(6, 2, precision=6)
         executor = make_executor("simulated", SimulatedCluster(2, seed=0))
         state.ingest(executor, stores)
@@ -521,9 +520,7 @@ class TestStoredDegrees:
                 if rng.random() < 0.7:  # machines grow at different paces
                     lengths = rng.integers(1, 6, size=int(rng.integers(1, 40)))
                     nodes = rng.integers(0, num_nodes, size=int(lengths.sum()))
-                    store.append_arrays(
-                        nodes, np.concatenate([[0], np.cumsum(lengths)])
-                    )
+                    grow(store, nodes, np.concatenate([[0], np.cumsum(lengths)]))
             state.ingest(executor, stores, communicate=bool(wave % 2))
             np.testing.assert_array_equal(
                 state.degrees(), estimate_bank_degrees(state.bank())
@@ -562,9 +559,7 @@ class TestLazyGreedyWithStoredDegrees:
                 lengths = rng.integers(1, 9, size=150)
                 # Skewed membership: a few hubs, a long tail of ties.
                 nodes = (rng.pareto(1.0, size=int(lengths.sum())) * 4).astype(np.int64)
-                store.append_arrays(
-                    nodes % num_nodes, np.concatenate([[0], np.cumsum(lengths)])
-                )
+                grow(store, nodes % num_nodes, np.concatenate([[0], np.cumsum(lengths)]))
             state.ingest(executor, stores)
         return state, sum(store.num_sets for store in stores)
 

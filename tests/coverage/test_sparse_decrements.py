@@ -16,15 +16,17 @@ from repro.coverage.kernel import FlatArrays, mark_and_decrement, sparse_decreme
 from repro.ris.flat import FlatPrefixView, FlatRRCollection
 from repro.ris.rrset import RRSample
 from repro.ris.wire import tuple_vector_nbytes
+from tests.conftest import round_robin_stores
 from tests.oracle import RRCollection, reference_decrements
 
 
 def stores_of(sets, num_nodes):
-    flat, reference = FlatRRCollection(num_nodes), RRCollection(num_nodes)
-    for nodes in sets:
-        nodes = np.asarray(nodes, dtype=np.int32)
-        for store in (flat, reference):
-            store.add(RRSample(nodes=nodes, root=int(nodes[0]) if nodes.size else 0, edges_examined=0))
+    samples = [
+        RRSample(nodes=nodes, root=int(nodes[0]) if nodes.size else 0, edges_examined=0)
+        for nodes in (np.asarray(nodes, dtype=np.int32) for nodes in sets)
+    ]
+    (flat,) = round_robin_stores(samples, num_nodes, 1)
+    (reference,) = round_robin_stores(samples, num_nodes, 1, RRCollection)
     return flat, reference
 
 
@@ -111,10 +113,11 @@ class TestDensityBoundary:
 class TestResolvedArrays:
     def build(self):
         rng = np.random.default_rng(6)
-        flat = FlatRRCollection(12)
+        samples = []
         for _ in range(50):
             nodes = np.unique(rng.integers(0, 12, size=int(rng.integers(1, 6)))).astype(np.int32)
-            flat.add(RRSample(nodes=nodes, root=int(nodes[0]), edges_examined=1))
+            samples.append(RRSample(nodes=nodes, root=int(nodes[0]), edges_examined=1))
+        (flat,) = round_robin_stores(samples, 12, 1)
         return flat
 
     @pytest.mark.parametrize("limit", [0, 17, 50])

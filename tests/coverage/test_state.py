@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import SimulatedCluster, SimulatedExecutor
 from repro.coverage import CoverageState
 from repro.coverage.kernel import apply_sparse_delta, sparse_coverage_delta
-from repro.ris import make_collection, make_sampler
+from repro.ris import append_batch, make_collection, make_sampler, pack_samples
 from tests.oracle import STORES
 
 
@@ -19,8 +19,7 @@ def grown_stores(graph, rng, num_machines, backend="flat"):
 
     def grow(counts):
         for store, count in zip(stores, counts):
-            for sample in sampler.sample_many(count, rng):
-                store.add(sample)
+            append_batch(store, pack_samples(sampler.sample_many(count, rng)))
         return stores
 
     return stores, grow
@@ -148,8 +147,7 @@ def test_sparse_delta_round_trip(small_wc_graph, rng):
     """kernel-level check: delta-apply equals direct aggregation."""
     sampler = make_sampler(small_wc_graph, model="ic", method="bfs")
     store = make_collection(small_wc_graph.num_nodes, "flat")
-    for sample in sampler.sample_many(50, rng):
-        store.add(sample)
+    append_batch(store, pack_samples(sampler.sample_many(50, rng)))
 
     counts = store.coverage_counts(start=0).copy()
     nodes, deltas = sparse_coverage_delta(store, start=20)

@@ -38,10 +38,19 @@ class TestFrameworkComparison:
 
 class TestHeterogeneityAblation:
     def test_weighted_beats_even(self):
-        rows = heterogeneity(
-            dataset="facebook", num_machines=4, num_rr_sets=2000, max_slowdown=3.0
-        )
-        even = next(r for r in rows if r["strategy"] == "even")
-        weighted = next(r for r in rows if r["strategy"] == "weighted")
-        assert even["parallel_gen_s"] > weighted["parallel_gen_s"]
-        assert even["vs_weighted"] > 1.0
+        # Each split's time is the best of three calls of identical work (a
+        # set is a pure function of its coordinates, so only the box's noise
+        # differs between them).  Every call times both splits in turn, so a
+        # slow spell of the box reaches both.
+        times = {"even": [], "weighted": []}
+        for _ in range(3):
+            rows = heterogeneity(
+                dataset="facebook", num_machines=4, num_rr_sets=2000, max_slowdown=3.0
+            )
+            even, weighted = (next(r for r in rows if r["strategy"] == s) for s in times)
+            assert even["vs_weighted"] == round(
+                even["parallel_gen_s"] / weighted["parallel_gen_s"], 2
+            )
+            for row in (even, weighted):
+                times[row["strategy"]].append(row["parallel_gen_s"])
+        assert min(times["even"]) > min(times["weighted"])

@@ -86,7 +86,9 @@ class RRCollection:
     Implements the RR-store read protocol (``num_nodes`` / ``num_sets`` /
     ``total_size`` / ``total_edges_examined`` / ``get`` /
     ``sets_containing`` / ``coverage_counts`` / ``coverage_of``) and both
-    append forms, so executors can grow it like a flat store.
+    append forms — per set (:meth:`add`, the oracle's own) and per batch
+    (:meth:`append_arrays`, set by set) — so executors can grow it like a
+    flat store.
     """
 
     def __init__(self, num_nodes: int) -> None:
@@ -253,16 +255,16 @@ def reference_engine():
 
     Inside the block ``greedy_max_coverage``, ``greedi`` / ``randgreedi``,
     ``newgreedi`` and :class:`~repro.coverage.newgreedi.NewGreeDiRounds`
-    read their stores as given (no CSR copy) and do their per-element work
-    with this module's loops.
+    read their stores through the store protocol alone (no
+    :class:`~repro.coverage.kernel.FlatArrays`), so they take this
+    module's :class:`RRCollection`, and do their per-element work with
+    this module's loops.
     """
     # The package re-exports functions under their submodules' names.
     greedy_module, greedi_module, newgreedi_module = (
         import_module(f"repro.coverage.{name}") for name in ("greedy", "greedi", "newgreedi")
     )
     with pytest.MonkeyPatch.context() as patch:
-        for module in (greedy_module, greedi_module, newgreedi_module):
-            patch.setattr(module, "as_flat", _unchanged)
         for module in (greedy_module, newgreedi_module):
             patch.setattr(module, "FlatArrays", _unchanged)
         patch.setattr(greedy_module, "mark_and_decrement", reference_mark_and_decrement)

@@ -145,7 +145,7 @@ class TestCollectionIntegration:
 
         via_batch = FlatRRCollection(small_wc_graph.num_nodes)
         append_batch(via_batch, sampler.sample_batch(rng_a, 60))
-        via_extend = FlatRRCollection(small_wc_graph.num_nodes)
+        via_extend = RRCollection(small_wc_graph.num_nodes)
         via_extend.extend(sampler.sample_many(60, rng_b))
 
         assert via_batch.num_sets == via_extend.num_sets == 60

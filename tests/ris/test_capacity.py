@@ -49,7 +49,7 @@ class TestNodeIdCapacity:
         store.append_arrays(
             np.asarray([0, 999, 500, 999], dtype=np.int64),
             np.asarray([0, 2, 4], dtype=np.int64),
-            edges_examined=7,
+            edges_examined=np.asarray([3, 4]),
         )
         assert store.num_sets == 2
         assert store.nodes.dtype == np.int32
@@ -62,6 +62,7 @@ class TestNodeIdCapacity:
             store.append_arrays(
                 np.asarray([3, 10], dtype=np.int64),
                 np.asarray([0, 2], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
             )
 
 

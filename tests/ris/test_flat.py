@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import repro.ris.flat as flat_module
 from repro.coverage.sketch import SketchRRCollection
-from repro.ris import FlatPrefixView, FlatRRCollection, make_collection, make_sampler
+from repro.ris import (
+    FlatPrefixView,
+    FlatRRCollection,
+    append_batch,
+    make_collection,
+    make_sampler,
+    pack_samples,
+)
 from repro.ris.flat import _set_id_bits, build_inverted_index, gather_rows
 from repro.ris.rrset import FlatBatch, RRSample
 from tests.oracle import RRCollection
@@ -24,6 +31,13 @@ def make_sample(nodes, edges=0):
 def drawn_samples(graph, count, seed=0, model="ic"):
     sampler = make_sampler(graph, model)
     return sampler.sample_many(count, np.random.default_rng(seed))
+
+
+def filled(num_nodes, samples):
+    """A flat store holding ``samples``, appended as one packed batch."""
+    store = FlatRRCollection(num_nodes)
+    append_batch(store, pack_samples(samples))
+    return store
 
 
 class TestGatherRows:
@@ -41,10 +55,12 @@ class TestGatherRows:
 
 class TestRoundTrip:
     def test_from_collection_preserves_sets(self, small_wc_graph):
-        """``from_store`` copies any store — here the oracle's dict one."""
+        """A flat store and the oracle's dict store grown from the same
+        samples hold the same sets and accounting."""
+        samples = drawn_samples(small_wc_graph, 150)
         reference = RRCollection(small_wc_graph.num_nodes)
-        reference.extend(drawn_samples(small_wc_graph, 150))
-        flat = FlatRRCollection.from_store(reference)
+        reference.extend(samples)
+        flat = filled(small_wc_graph.num_nodes, samples)
         assert flat.num_sets == reference.num_sets
         assert flat.total_size == reference.total_size
         assert flat.total_edges_examined == reference.total_edges_examined
@@ -53,68 +69,64 @@ class TestRoundTrip:
 
     def test_to_collection_round_trip(self, small_wc_graph):
         """Flat -> the oracle's dict store -> flat keeps every array."""
-        flat = FlatRRCollection(small_wc_graph.num_nodes)
-        flat.extend(drawn_samples(small_wc_graph, 120, seed=3))
+        flat = filled(small_wc_graph.num_nodes, drawn_samples(small_wc_graph, 120, seed=3))
         back = RRCollection.from_store(flat)
         assert back.num_sets == flat.num_sets
         assert back.total_size == flat.total_size
         assert back.total_edges_examined == flat.total_edges_examined
         for idx in range(flat.num_sets):
             assert np.array_equal(back.get(idx), flat.get(idx))
-        again = FlatRRCollection.from_store(back)
+        again = filled(
+            back.num_nodes,
+            [RRSample(nodes=nodes, root=0, edges_examined=0) for nodes in back],
+        )
         assert np.array_equal(again.nodes, flat.nodes)
         assert np.array_equal(again.offsets, flat.offsets)
-
-    def test_from_store_accepts_flat(self, small_wc_graph):
-        flat = FlatRRCollection(small_wc_graph.num_nodes)
-        flat.extend(drawn_samples(small_wc_graph, 40, seed=9))
-        copy = FlatRRCollection.from_store(flat)
-        assert copy is not flat
-        assert np.array_equal(copy.nodes, flat.nodes)
 
 
 class TestIncrementalAppend:
     def test_waves_match_one_shot(self, small_wc_graph):
-        """Appending in DIIMM-style waves gives the same CSR arrays and
-        inverted index as building from all samples at once."""
+        """Appending in DIIMM-style waves gives the same CSR arrays,
+        inverted index and per-set edge counts as one batch of all the
+        samples."""
         samples = drawn_samples(small_wc_graph, 200, seed=5)
-        one_shot = FlatRRCollection(small_wc_graph.num_nodes)
-        one_shot.extend(samples)
+        one_shot = filled(small_wc_graph.num_nodes, samples)
 
         waved = FlatRRCollection(small_wc_graph.num_nodes)
         cut_a, cut_b = 70, 150
-        waved.extend(samples[:cut_a])
+        append_batch(waved, pack_samples(samples[:cut_a]))
         # Interleave reads so the index is rebuilt mid-growth.
         assert waved.num_sets == cut_a
         waved.coverage_counts()
-        waved.extend(samples[cut_a:cut_b])
+        append_batch(waved, pack_samples(samples[cut_a:cut_b]))
         waved.sets_containing(0)
-        waved.extend(samples[cut_b:])
+        append_batch(waved, pack_samples(samples[cut_b:]))
+        append_batch(waved, pack_samples([]))
 
         assert np.array_equal(waved.nodes, one_shot.nodes)
         assert np.array_equal(waved.offsets, one_shot.offsets)
         assert np.array_equal(waved.inv_sets, one_shot.inv_sets)
         assert np.array_equal(waved.inv_offsets, one_shot.inv_offsets)
+        assert np.array_equal(waved.edges_examined, one_shot.edges_examined)
 
     def test_append_arrays_matches_add(self, small_wc_graph):
+        """One packed batch reads like the oracle's per-set ``add`` of the
+        same samples, edge count for edge count."""
         samples = drawn_samples(small_wc_graph, 50, seed=8)
-        by_add = FlatRRCollection(small_wc_graph.num_nodes)
+        by_add = RRCollection(small_wc_graph.num_nodes)
         by_add.extend(samples)
-        sizes = np.asarray([s.nodes.size for s in samples], dtype=np.int64)
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        nodes = np.concatenate([s.nodes for s in samples]).astype(np.int32)
-        edges = sum(s.edges_examined for s in samples)
-        by_batch = FlatRRCollection(small_wc_graph.num_nodes)
-        by_batch.append_arrays(nodes, offsets, edges_examined=edges)
-        assert np.array_equal(by_batch.nodes, by_add.nodes)
-        assert np.array_equal(by_batch.offsets, by_add.offsets)
+        by_batch = filled(small_wc_graph.num_nodes, samples)
+        for idx in range(by_add.num_sets):
+            assert np.array_equal(by_batch.get(idx), by_add.get(idx))
+        assert by_batch.edges_examined.tolist() == [s.edges_examined for s in samples]
         assert by_batch.total_edges_examined == by_add.total_edges_examined
 
     def test_append_arrays_rejects_bad_offsets(self):
         flat = FlatRRCollection(4)
         with pytest.raises(ValueError, match="offsets"):
-            flat.append_arrays(np.asarray([0, 1], dtype=np.int32), np.asarray([0, 1]))
+            flat.append_arrays(
+                np.asarray([0, 1], dtype=np.int32), np.asarray([0, 1]), np.zeros(1)
+            )
 
 
 class TestInvertedIndexAgreement:
@@ -123,8 +135,7 @@ class TestInvertedIndexAgreement:
         samples = drawn_samples(small_wc_graph, 180, seed=11, model=model)
         reference = RRCollection(small_wc_graph.num_nodes)
         reference.extend(samples)
-        flat = FlatRRCollection(small_wc_graph.num_nodes)
-        flat.extend(samples)
+        flat = filled(small_wc_graph.num_nodes, samples)
         for node in range(small_wc_graph.num_nodes):
             assert flat.sets_containing(node).tolist() == reference.sets_containing(node)
 
@@ -132,8 +143,7 @@ class TestInvertedIndexAgreement:
         samples = drawn_samples(small_wc_graph, 150, seed=13)
         reference = RRCollection(small_wc_graph.num_nodes)
         reference.extend(samples)
-        flat = FlatRRCollection(small_wc_graph.num_nodes)
-        flat.extend(samples)
+        flat = filled(small_wc_graph.num_nodes, samples)
         assert np.array_equal(flat.coverage_counts(), reference.coverage_counts())
         assert np.array_equal(
             flat.coverage_counts(start=60), reference.coverage_counts(start=60)
@@ -143,8 +153,7 @@ class TestInvertedIndexAgreement:
         assert flat.coverage_of([]) == 0
 
     def test_out_of_range_node_is_empty(self):
-        flat = FlatRRCollection(5)
-        flat.add(make_sample([0, 4]))
+        flat = filled(5, [make_sample([0, 4])])
         assert flat.sets_containing(7).size == 0
         assert flat.sets_containing(4).tolist() == [0]
 
@@ -157,39 +166,29 @@ class TestValidationAndProtocol:
     def test_add_rejects_out_of_range_ids(self):
         flat = FlatRRCollection(3)
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-            flat.add(make_sample([1, 3]))
+            append_batch(flat, pack_samples([make_sample([1, 3])]))
         with pytest.raises(ValueError, match="outside"):
-            flat.add(RRSample(nodes=np.asarray([-1], dtype=np.int32), root=0, edges_examined=0))
-
-    def test_add_returns_index(self):
-        flat = FlatRRCollection(3)
-        assert flat.add(make_sample([0])) == 0
-        assert flat.add(make_sample([1, 2])) == 1
+            flat.append_arrays(np.asarray([-1], dtype=np.int32), np.asarray([0, 1]), [0])
+        assert flat.num_sets == 0
 
     def test_get_bounds(self):
-        flat = FlatRRCollection(3)
-        flat.add(make_sample([0, 1]))
+        flat = filled(3, [make_sample([0, 1])])
         assert flat.get(-1).tolist() == [0, 1]
         with pytest.raises(IndexError):
             flat.get(1)
 
     def test_iteration_and_len(self):
-        flat = FlatRRCollection(5)
-        flat.add(make_sample([0, 1]))
-        flat.add(make_sample([2]))
+        flat = filled(5, [make_sample([0, 1]), make_sample([2])])
         assert len(flat) == 2
         assert [s.tolist() for s in flat] == [[0, 1], [2]]
 
     def test_empty_set_supported(self):
-        flat = FlatRRCollection(3)
-        flat.add(RRSample(nodes=np.zeros(0, dtype=np.int32), root=0, edges_examined=0))
-        flat.add(make_sample([1]))
+        flat = filled(3, [make_sample([]), make_sample([1])])
         assert flat.get(0).size == 0
         assert flat.coverage_counts().tolist() == [0, 1, 0]
 
     def test_repr(self):
-        flat = FlatRRCollection(3)
-        flat.add(make_sample([0]))
+        flat = filled(3, [make_sample([0])])
         assert "num_sets=1" in repr(flat)
 
     def test_make_collection_factory(self):
@@ -201,13 +200,14 @@ class TestValidationAndProtocol:
 
 
 def random_csr(rng, num_nodes, num_sets, max_size=6):
-    """A random CSR batch: sorted duplicate-free sets, some of them empty."""
+    """A random CSR batch ``(nodes, offsets, edges_examined)``: sorted
+    duplicate-free sets, some of them empty, each examining no edges."""
     sizes = rng.integers(0, min(max_size, num_nodes) + 1, size=num_sets)
     sets = [np.sort(rng.choice(num_nodes, size=int(s), replace=False)) for s in sizes]
     offsets = np.zeros(num_sets + 1, dtype=np.int64)
     np.cumsum([s.size for s in sets], out=offsets[1:])
     nodes = np.concatenate(sets).astype(np.int32) if num_sets else np.zeros(0, np.int32)
-    return nodes, offsets
+    return nodes, offsets, np.zeros(num_sets, dtype=np.int64)
 
 
 def argsort_index(nodes, offsets, num_nodes):
@@ -227,7 +227,7 @@ class TestBuildInvertedIndex:
     def test_equals_stable_argsort_oracle(self, num_nodes, num_sets):
         rng = np.random.default_rng(1000 * num_nodes + num_sets)
         for __ in range(5):
-            nodes, offsets = random_csr(rng, num_nodes, num_sets)
+            nodes, offsets, __ = random_csr(rng, num_nodes, num_sets)
             inv_sets, inv_offsets = build_inverted_index(nodes, offsets, num_nodes)
             want_sets, want_offsets = argsort_index(nodes, offsets, num_nodes)
             assert inv_sets.dtype == inv_offsets.dtype == np.int64
@@ -236,9 +236,8 @@ class TestBuildInvertedIndex:
 
     def test_tombstoned_store_matches_oracle(self):
         rng = np.random.default_rng(21)
-        nodes, offsets = random_csr(rng, 30, 50)
         store = FlatRRCollection(30)
-        store.append_arrays(nodes, offsets)
+        store.append_arrays(*random_csr(rng, 30, 50))
         ids = np.array([0, 7, 8, 49])
         empty = FlatBatch(
             np.zeros(0, np.int32),
@@ -350,9 +349,11 @@ class TestPatchedIndexEqualsRebuild:
             step_rng = np.random.default_rng(step_seed)
             store.inv_sets  # built before the step, so the step patches it
             if kind == "append":
-                nodes, offsets = random_csr(step_rng, num_nodes, int(step_rng.integers(1, 9)))
-                store.append_arrays(nodes, offsets)
-                edges += [0] * (offsets.size - 1)
+                nodes, offsets, zeros = random_csr(
+                    step_rng, num_nodes, int(step_rng.integers(1, 9))
+                )
+                store.append_arrays(nodes, offsets, zeros)
+                edges += zeros.tolist()
                 continue
             ids = np.flatnonzero(step_rng.random(store.num_sets) < step_rng.random())
             with mock.patch.object(
@@ -380,7 +381,9 @@ class TestPrefixViewCutsTheStoreIndex:
     def cold_prefix(store, limit):
         cold = FlatRRCollection(store.num_nodes)
         cold.append_arrays(
-            store.nodes[: store.offsets[limit]].copy(), store.offsets[: limit + 1].copy()
+            store.nodes[: store.offsets[limit]].copy(),
+            store.offsets[: limit + 1].copy(),
+            store.edges_examined[:limit].copy(),
         )
         return cold
 
@@ -422,7 +425,6 @@ class TestPrefixViewCutsTheStoreIndex:
         self.assert_every_limit_matches(store, rng)
 
         ids = np.unique(rng.integers(0, store.num_sets, size=4))
-        nodes, offsets = random_csr(rng, num_nodes, ids.size)
-        fresh = np.zeros(ids.size, dtype=np.int64)
+        nodes, offsets, fresh = random_csr(rng, num_nodes, ids.size)
         store.replace_sets(ids, FlatBatch(nodes, offsets, fresh - 1, fresh))
         self.assert_every_limit_matches(store, rng)

@@ -139,7 +139,7 @@ class TestInvalidateAndCompact:
 class TestTombstoneCount:
     def test_replacing_a_set_appended_empty(self):
         store = FlatRRCollection(8)
-        store.append_arrays(np.array([3], dtype=np.int32), np.array([0, 0, 1]))
+        store.append_arrays(np.array([3], dtype=np.int32), np.array([0, 0, 1]), np.zeros(2))
         assert store.offsets.tolist() == [0, 0, 1]
         store.replace_sets(np.array([0]), make_batch([[5]]))
         assert store.offsets.tolist() == [0, 1, 2]

@@ -10,7 +10,7 @@ per-set edge accounting (:meth:`edges_examined_upto`) the views read.
 import numpy as np
 import pytest
 
-from repro.ris import FlatPrefixView, FlatRRCollection, make_sampler
+from repro.ris import FlatPrefixView, FlatRRCollection, append_batch, make_sampler, pack_samples
 from tests.oracle import RRCollection
 
 
@@ -20,23 +20,24 @@ def drawn_samples(graph, count, seed=0, model="ic"):
 
 
 def truncated_copy(store: FlatRRCollection, limit: int) -> FlatRRCollection:
+    """A fresh store of ``store``'s first ``limit`` sets, one set per batch."""
     fresh = FlatRRCollection(store.num_nodes)
     for idx in range(limit):
         nodes = store.get(idx)
         per_set = store.edges_examined_upto(idx + 1) - store.edges_examined_upto(idx)
-        fresh.append_arrays(
-            nodes,
-            np.asarray([0, nodes.size], dtype=np.int64),
-            edges_examined=per_set,
-        )
+        fresh.append_arrays(nodes, np.asarray([0, nodes.size]), [per_set])
     return fresh
+
+
+def filled(num_nodes, samples):
+    store = FlatRRCollection(num_nodes)
+    append_batch(store, pack_samples(samples))
+    return store
 
 
 @pytest.fixture
 def store(small_wc_graph):
-    flat = FlatRRCollection(small_wc_graph.num_nodes)
-    flat.extend(drawn_samples(small_wc_graph, 120, seed=5))
-    return flat
+    return filled(small_wc_graph.num_nodes, drawn_samples(small_wc_graph, 120, seed=5))
 
 
 class TestPrefixEqualsTruncatedStore:
@@ -101,7 +102,7 @@ class TestLimits:
         before = store.num_sets
         # Reading through the full-limit view borrows the store's index …
         assert view.sets_containing(0) is not None
-        store.extend(drawn_samples(small_wc_graph, 30, seed=9))
+        append_batch(store, pack_samples(drawn_samples(small_wc_graph, 30, seed=9)))
         # … and the borrowed arrays stay valid after the store grows.
         oracle = truncated_copy(store, before)
         for node in range(0, store.num_nodes, 17):
@@ -133,17 +134,15 @@ class TestEdgeAccounting:
 
     def test_round_trip_preserves_totals(self, store):
         # A copy through the oracle's dict store keeps only the aggregate
-        # edge counter, so the round trip preserves the total and re-splits
-        # prefixes by the deterministic divmod rule.
+        # edge counter; a flat store rebuilt from the per-set array keeps
+        # every prefix.
         back = RRCollection.from_store(store)
-        again = FlatRRCollection.from_store(back)
+        assert back.total_edges_examined == store.total_edges_examined
+        again = FlatRRCollection(store.num_nodes)
+        again.append_arrays(store.nodes, store.offsets, store.edges_examined)
         assert again.total_edges_examined == store.total_edges_examined
-        assert (
-            again.edges_examined_upto(again.num_sets)
-            == store.edges_examined_upto(store.num_sets)
-        )
-        upto = [again.edges_examined_upto(i) for i in range(again.num_sets + 1)]
-        assert all(a <= b for a, b in zip(upto, upto[1:]))
+        for limit in range(store.num_sets + 1):
+            assert again.edges_examined_upto(limit) == store.edges_examined_upto(limit)
 
     def test_upto_range_checked(self, store):
         with pytest.raises(ValueError):
@@ -151,15 +150,14 @@ class TestEdgeAccounting:
         with pytest.raises(ValueError):
             store.edges_examined_upto(-1)
 
-    def test_scalar_batch_split_preserves_total(self):
+    def test_scalar_batch_is_refused(self):
+        """An aggregate count cannot be attributed to sets: refused, and
+        the store is left as it was."""
         flat = FlatRRCollection(10)
         nodes = np.asarray([1, 2, 3, 4, 5], dtype=np.int32)
         offsets = np.asarray([0, 2, 3, 5], dtype=np.int64)
-        flat.append_arrays(nodes, offsets, edges_examined=10)  # scalar over 3 sets
-        assert flat.total_edges_examined == 10
-        assert flat.edges_examined_upto(3) == 10
-        # Per-set split is deterministic: base + remainder on the first sets.
-        per_set = np.diff(
-            [flat.edges_examined_upto(i) for i in range(4)]
-        )
-        assert per_set.tolist() == [4, 3, 3]
+        with pytest.raises(ValueError, match="one count per set"):
+            flat.append_arrays(nodes, offsets, edges_examined=10)
+        assert flat.num_sets == flat.total_edges_examined == 0
+        flat.append_arrays(nodes, offsets, edges_examined=[4, 3, 3])
+        assert [flat.edges_examined_upto(i) for i in range(4)] == [0, 4, 7, 10]

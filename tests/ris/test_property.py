@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import GraphBuilder, weighted_cascade
-from repro.ris import FlatRRCollection, ICReverseBFSSampler, LTReverseWalkSampler, SubsimSampler
+from repro.ris import (
+    FlatRRCollection,
+    ICReverseBFSSampler,
+    LTReverseWalkSampler,
+    SubsimSampler,
+    append_batch,
+    pack_samples,
+)
+from tests.conftest import round_robin_stores
 
 
 @st.composite
@@ -64,11 +72,8 @@ def test_collection_counts_are_partition_invariant(graph, seed, parts):
     sampler = ICReverseBFSSampler(graph)
     samples = sampler.sample_many(20, rng)
 
-    whole = FlatRRCollection(graph.num_nodes)
-    whole.extend(samples)
-    pieces = [FlatRRCollection(graph.num_nodes) for __ in range(parts)]
-    for idx, sample in enumerate(samples):
-        pieces[idx % parts].add(sample)
+    (whole,) = round_robin_stores(samples, graph.num_nodes, 1)
+    pieces = round_robin_stores(samples, graph.num_nodes, parts)
 
     combined = sum(
         (p.coverage_counts() for p in pieces),
@@ -84,7 +89,7 @@ def test_inverted_index_matches_membership(graph, seed):
     rng = np.random.default_rng(seed)
     sampler = ICReverseBFSSampler(graph)
     collection = FlatRRCollection(graph.num_nodes)
-    collection.extend(sampler.sample_many(15, rng))
+    append_batch(collection, pack_samples(sampler.sample_many(15, rng)))
     for node in range(graph.num_nodes):
         via_index = set(collection.sets_containing(node).tolist())
         via_scan = {

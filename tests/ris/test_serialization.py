@@ -9,18 +9,24 @@ from repro.ris import (
     FORMAT_VERSION,
     CheckpointFormatError,
     FlatRRCollection,
+    append_batch,
     load_collection,
     make_sampler,
+    pack_samples,
     save_collection,
 )
 from tests.oracle import RRCollection
 
 
 @pytest.fixture
-def populated(small_wc_graph, rng):
-    sampler = make_sampler(small_wc_graph, "ic")
+def samples(small_wc_graph, rng):
+    return make_sampler(small_wc_graph, "ic").sample_many(200, rng)
+
+
+@pytest.fixture
+def populated(small_wc_graph, samples):
     collection = FlatRRCollection(small_wc_graph.num_nodes)
-    collection.extend(sampler.sample_many(200, rng))
+    append_batch(collection, pack_samples(samples))
     return collection
 
 
@@ -40,6 +46,22 @@ class TestRoundtrip:
         loaded = load_collection(path)
         assert loaded.total_size == populated.total_size
         assert loaded.total_edges_examined == populated.total_edges_examined
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_per_set_edges_survive_the_round_trip(self, small_wc_graph, tmp_path, model):
+        """A resumed run reads every prefix's generation work as the run
+        that saved the checkpoint did, set for set."""
+        batch = make_sampler(small_wc_graph, model, "vectorized").sample_batch(
+            np.random.default_rng(4), 300
+        )
+        saved = FlatRRCollection(small_wc_graph.num_nodes)
+        append_batch(saved, batch)
+        assert np.unique(batch.edges_examined).size > 1  # not an even spread
+        path = tmp_path / "batch.npz"
+        save_collection(saved, path)
+        loaded = load_collection(path)
+        for limit in range(saved.num_sets + 1):
+            assert loaded.edges_examined_upto(limit) == saved.edges_examined_upto(limit)
 
     def test_inverted_index_rebuilt(self, populated, tmp_path):
         path = tmp_path / "coll.npz"
@@ -82,12 +104,13 @@ class TestFlatRoundtrip:
         for node in range(loaded.num_nodes):
             assert loaded.sets_containing(node).tolist() == reference.sets_containing(node)
 
-    def test_save_reference_load_flat(self, populated, tmp_path):
-        """A store copied from the oracle's dict store round-trips with the
+    def test_save_reference_load_flat(self, populated, samples, tmp_path):
+        """A store of the oracle's dict store's samples round-trips with the
         oracle's accounting and counts."""
-        reference = RRCollection.from_store(populated)
+        reference = RRCollection(populated.num_nodes)
+        reference.extend(samples)
         path = tmp_path / "ref.npz"
-        save_collection(FlatRRCollection.from_store(reference), path)
+        save_collection(populated, path)
         loaded = load_collection(path)
         assert isinstance(loaded, FlatRRCollection)
         assert loaded.num_sets == reference.num_sets
@@ -143,6 +166,21 @@ class TestFormatHeader:
         self._rewrite(saved, foreign, magic=np.asarray("someone-elses-format"))
         with pytest.raises(CheckpointFormatError, match="not an RR-collection checkpoint"):
             load_collection(foreign)
+
+    def test_version_one_file_rejected(self, saved, tmp_path):
+        """The first layout carried only the aggregate edge count."""
+        stale = tmp_path / "v1.npz"
+        with np.load(saved) as data:
+            total = int(data["edges_examined"].sum())
+        self._rewrite(
+            saved,
+            stale,
+            drop=("edges_examined",),
+            version=np.int64(1),
+            total_edges_examined=np.int64(total),
+        )
+        with pytest.raises(CheckpointFormatError, match="format version 1"):
+            load_collection(stale)
 
     def test_version_mismatch_rejected(self, saved, tmp_path):
         stale = tmp_path / "stale.npz"

@@ -7,7 +7,9 @@ draw goes through ``sample_set_range`` the sampling layer's time arrives
 through two of those names, ``cluster.executor.sample_set_range`` (every
 generation phase: runs, pool top-ups and rebuilds) and
 ``core.pool.sample_set_range`` (a repair's redraw); this pins that both
-are called.  (The
+are called.  Likewise every set a flat store holds enters through
+``FlatRRCollection.append_arrays`` and a repair rewrites sets through
+``replace_sets``, the two names the ``ris.flat`` counts are taken at.  (The
 harness's own ``test_traced_run_records_layers_and_removes_every_wrapper``
 also asserts ``ris.sampler.sets == num_rr_sets``, a count taken at
 class-level ``sample_batch`` that per-set draws never reach — tracer blind
@@ -79,3 +81,34 @@ def test_pool_draws_reach_the_sampler_layer(small_wc_graph):
     assert names.count("cluster.executor.sample_set_range") == 2 + 2
     assert names.count("core.pool.sample_set_range") == repaired
     assert trace.layer_table(tracer)["ris.sampler.self_s"] > 0
+
+
+def test_cold_appends_reach_the_flat_layer(small_wc_graph, drivers):
+    """Every set a cold run stores enters through the one patched
+    ``FlatRRCollection.append_arrays``: the layer is called, and the
+    entries it counts are the stores' whole contents."""
+    config = api.RunConfig(graph=small_wc_graph, k=4, machines=3, eps=0.5, seed=3)
+    with trace.tracing() as tracer:
+        with tracer.request("api.run"):
+            api.run("diimm", config)
+    stores = {
+        id(store): store
+        for driver in drivers
+        for key in driver.stores
+        for store in driver.stores[key]
+    }
+    assert trace.layer_table(tracer)["ris.flat.calls"] > 0
+    appended = tracer.counts["ris.flat.entries_appended"]
+    assert appended == sum(store.total_size for store in stores.values()) > 0
+
+
+def test_pool_repair_reaches_the_flat_layer(small_wc_graph):
+    graph = VersionedGraph(DirectedGraph(small_wc_graph.num_nodes, *small_wc_graph.edge_arrays()))
+    edges = list(small_wc_graph.edges())
+    pool = SamplePool(graph, machines=2, seed=5, roots=range(0, 200, 2))
+    with pool:
+        pool.ensure("main", [40, 40])
+        with trace.tracing() as tracer:
+            with tracer.request("update"):
+                pool.apply_update(GraphDelta(remove_edges=[edge[:2] for edge in edges[:6]]))
+    assert tracer.counts["ris.flat.sets_replaced"] > 0
