@@ -11,8 +11,10 @@ substantiates the claim for four of them:
 * :func:`profit_maximization` — spread benefit minus seeding cost.
 
 Each reuses the same distributed building blocks: a sample pool's
-per-machine RR collections, master-side aggregated marginals, and
-NEWGREEDI's one map/reduce decrement round (``NewGreeDiRounds``).
+per-machine RR collections, master-side aggregated marginals,
+NEWGREEDI's one map/reduce decrement round (``NewGreeDiRounds``), and
+Algorithm 1's lazy pick queue (``BucketQueue``) ranking by the
+application's own score.
 """
 
 from .adaptive import adaptive_influence_maximization

@@ -10,18 +10,19 @@ ratio; the classical guarantee comes from taking the better of this
 solution and the best single affordable node.  Distribution-wise nothing
 changes: marginal coverages still live as aggregated counts at the master
 and are maintained by exactly NEWGREEDI's map/reduce decrement rounds —
-the master simply ranks by ``Delta(v) / c(v)`` instead of ``Delta(v)``.
+the master simply ranks by ``Delta(v) / c(v)`` instead of ``Delta(v)``,
+with Algorithm 1's lazy queue (:class:`~repro.coverage.greedy.BucketQueue`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
 
 from ..cluster.network import NetworkModel
 from ..core.pool import SamplePool
+from ..coverage.greedy import BucketQueue
 from ..coverage.newgreedi import NewGreeDiRounds
 from ..graphs.digraph import DirectedGraph
 from .common import sampled_stores
@@ -61,10 +62,10 @@ def budgeted_influence_maximization(
         ``seeds`` may be any size with total cost within budget;
         ``objective`` is the RIS spread estimate ``n * F_R(S)``.
     """
-    cost_arr = np.asarray(list(costs), dtype=np.float64)
-    if cost_arr.size != graph.num_nodes:
+    cost_arr = np.array(costs, dtype=np.float64)
+    if cost_arr.shape != (graph.num_nodes,):
         raise ValueError("costs must have one entry per node")
-    if np.any(cost_arr <= 0):
+    if not np.all(cost_arr > 0):  # NaN too
         raise ValueError("all costs must be positive")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -80,36 +81,19 @@ def budgeted_influence_maximization(
         # safeguard below, which therefore needs no second gather.
         singleton = counts.copy()
 
-        # Cost-effective lazy greedy: a max-heap on ratio with lazy
-        # re-evaluation (marginals only decrease, so a stale top is re-pushed
-        # with its fresh ratio).
-        nodes = np.flatnonzero((counts > 0) & (cost_arr <= budget))
-        ids, node_counts, node_costs = nodes.tolist(), counts[nodes], cost_arr[nodes]
-        heap = list(zip((-node_counts / node_costs).tolist(), ids))
-        heapq.heapify(heap)
-        heap_counts = dict(zip(ids, node_counts.tolist()))
-        # No node on the heap costs less, so once the budget left is below
-        # this every remaining pop would be skipped as unaffordable.
-        cheapest = node_costs.min(initial=np.inf)
-
-        seeds: list[int] = []
-        chosen: set[int] = set()
+        # Cost-effective lazy greedy: the queue ranks by Delta(v) / c(v),
+        # lowest id on ties.  A node the budget left cannot pay for scores
+        # zero and leaves the queue for good, since that budget only falls.
         remaining = float(budget)
-        while heap and remaining >= cheapest:
-            neg_ratio, candidate = heapq.heappop(heap)
-            if candidate in chosen or cost_arr[candidate] > remaining:
-                continue
-            current = int(counts[candidate])
-            if current <= 0:
-                continue
-            recorded = heap_counts.get(candidate, current)
-            if current < recorded:
-                # Stale ratio: re-file with the fresh marginal.
-                heap_counts[candidate] = current
-                heapq.heappush(heap, (-current / cost_arr[candidate], candidate))
-                continue
+
+        def ratio(ids: np.ndarray) -> np.ndarray:
+            node_costs = cost_arr[ids]
+            return np.where(node_costs <= remaining, counts[ids] / node_costs, 0.0)
+
+        queue = BucketQueue(counts, score=ratio)
+        seeds: list[int] = []
+        while (candidate := queue.pop_max()) is not None:
             seeds.append(candidate)
-            chosen.add(candidate)
             remaining -= float(cost_arr[candidate])
             rounds.select(candidate)
 

@@ -10,18 +10,19 @@ cost, which is the double-greedy-style heuristic those papers build on.
 On RR samples a marginal coverage of ``Delta(v)`` elements is worth
 ``Delta(v) * n / theta`` expected nodes, so the stopping rule becomes
 ``Delta(v) * n / theta > c(v)``.  Distribution again reuses the NEWGREEDI
-round structure verbatim.
+round structure verbatim, and the master picks by that gain with Algorithm
+1's lazy queue (:class:`~repro.coverage.greedy.BucketQueue`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
 
 from ..cluster.network import NetworkModel
 from ..core.pool import SamplePool
+from ..coverage.greedy import BucketQueue
 from ..coverage.newgreedi import NewGreeDiRounds
 from ..graphs.digraph import DirectedGraph
 from .common import sampled_stores
@@ -52,10 +53,10 @@ def profit_maximization(
     answer equals the cold call's.
     """
     n = graph.num_nodes
-    cost_arr = np.asarray(list(costs), dtype=np.float64)
-    if cost_arr.size != n:
+    cost_arr = np.array(costs, dtype=np.float64)
+    if cost_arr.shape != (n,):
         raise ValueError("costs must have one entry per node")
-    if np.any(cost_arr < 0):
+    if not np.all(cost_arr >= 0):  # NaN too
         raise ValueError("costs must be non-negative")
 
     with (
@@ -67,30 +68,15 @@ def profit_maximization(
         counts = rounds.counts
         spread_per_element = n / rounds.num_elements
 
-        # Lazy greedy on the profit gain Delta(v) * n/theta - c(v): marginals
-        # only decrease, so a stale heap top re-files with its fresh gain and
-        # the loop stops as soon as the best fresh gain is non-positive.
-        def gain_of(node: int) -> float:
-            return float(counts[node]) * spread_per_element - float(cost_arr[node])
+        # Lazy greedy on the profit gain Delta(v) * n/theta - c(v), lowest
+        # id on ties: gains only fall with the marginals, and the loop
+        # stops once the best gain left is not positive.
+        def gain(ids: np.ndarray) -> np.ndarray:
+            return counts[ids] * spread_per_element - cost_arr[ids]
 
-        # gain_of, every node at once: the same IEEE operations, elementwise.
-        gains = counts * spread_per_element - cost_arr
-        nodes = np.flatnonzero(gains > 0)
-        ids = nodes.tolist()
-        heap = list(zip((-gains[nodes]).tolist(), ids))
-        heapq.heapify(heap)
-        recorded = dict(zip(ids, gains[nodes].tolist()))
-
+        queue = BucketQueue(counts, score=gain)
         seeds: list[int] = []
-        while heap:
-            neg_gain, candidate = heapq.heappop(heap)
-            fresh = gain_of(candidate)
-            if fresh <= 0:
-                continue
-            if fresh < recorded[candidate] - 1e-12:
-                recorded[candidate] = fresh
-                heapq.heappush(heap, (-fresh, candidate))
-                continue
+        while (candidate := queue.pop_max()) is not None:
             seeds.append(candidate)
             rounds.select(candidate)
 

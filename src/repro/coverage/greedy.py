@@ -30,17 +30,17 @@ ACTIVE_ENTRIES = 1024
 
 
 class BucketQueue:
-    """The vector ``D`` of Algorithm 1, read off the live counts.
+    """The vector ``D`` of Algorithm 1, read off the live scores.
 
     Algorithm 1 files every set under its recorded marginal and re-files
     the outdated ones it meets on the way down (lines 9-11).  Marginals
     only shrink, so the records are implicit in the live array: the queue
-    keeps the :data:`ACTIVE_ENTRIES` entries that were largest, lowest id
-    first among equals, when last it looked at them all — the top buckets
-    of ``D`` — and remembers the smallest of them, its count
-    (``_threshold``) and id (``_horizon``).  Every entry left out was no
-    larger than that one and, where equal, no lower in id, and can only
-    have shrunk since.  So while the largest live count among the active
+    keeps the :data:`ACTIVE_ENTRIES` entries that scored highest, lowest
+    id first among equals, when last it looked at them all — the top
+    buckets of ``D`` — and remembers the lowest of them, its score
+    (``_threshold``) and id (``_horizon``).  Every entry left out scored
+    no higher than that one and, where equal, no lower in id, and can only
+    have fallen since.  So while the best live score among the active
     entries (first holder, hence lowest id) still ranks at or above that
     mark it is the pick of the full scan; when it no longer does, one pass
     over the remaining entries re-draws the active ones.  The picks are
@@ -54,12 +54,22 @@ class BucketQueue:
         decrements it as elements become covered (never increments).
     candidates:
         Optional subset of set ids eligible for selection (used by GREEDI's
-        per-partition runs); defaults to every id.  An id listed twice is
-        two entries.
+        per-partition runs); defaults to every id with a positive count.
+        An id listed twice is two entries.
+    score:
+        Optional map from an array of ids to their live scores, by default
+        ``counts[ids]`` (the applications rank by ``Delta(v) / c(v)`` and
+        ``Delta(v) * n/theta - c(v)``).  A score may only fall, as those do
+        while ``counts`` falls; an entry scoring zero or less is exhausted.
     """
 
-    def __init__(self, counts: np.ndarray, candidates: Sequence[int] | None = None) -> None:
-        self._counts = counts
+    def __init__(
+        self,
+        counts: np.ndarray,
+        candidates: Sequence[int] | None = None,
+        score: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
+        self._score = counts.__getitem__ if score is None else score
         if candidates is None:
             self._pool = np.flatnonzero(counts > 0)
         else:
@@ -71,7 +81,7 @@ class BucketQueue:
     def _refill(self) -> None:
         """Drop popped and exhausted entries; re-draw the active ones."""
         pool = np.delete(self._pool, self._popped)
-        live = self._counts[pool]
+        live = self._score(pool)
         positive = live > 0
         self._pool, live = pool[positive], live[positive]
         self._popped = []
@@ -85,14 +95,14 @@ class BucketQueue:
         ties = np.flatnonzero(live == threshold)[: room - np.count_nonzero(take)]
         take[ties] = True
         self._active = np.flatnonzero(take)
-        self._threshold, self._horizon = int(threshold), int(self._pool[ties[-1]])
+        self._threshold, self._horizon = threshold.item(), int(self._pool[ties[-1]])
 
     def _best(self) -> int | None:
         """Index into the active entries of the pick, if one is certain."""
         if not self._active.size:
             return None
         ids = self._pool[self._active]
-        live = self._counts[ids]
+        live = self._score(ids)
         best = int(live.argmax())
         top = live[best]
         if top > self._threshold or (top == self._threshold and ids[best] <= self._horizon):
@@ -100,9 +110,9 @@ class BucketQueue:
         return None
 
     def pop_max(self) -> int | None:
-        """Return the lowest-id set with the largest current marginal.
+        """Return the lowest-id set with the highest current score.
 
-        Returns ``None`` when every remaining marginal is zero.  The popped
+        Returns ``None`` when no remaining score is positive.  The popped
         entry is removed — it is never returned again, whether or not the
         caller goes on to mark its elements covered and decrement the
         shared counts array.

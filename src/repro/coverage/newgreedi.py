@@ -164,38 +164,43 @@ class NewGreeDiRounds:
         """Run one round for the chosen ``seed``; return its marginal gain.
 
         Every machine marks the RR sets ``seed`` newly covers and answers
-        with its sparse ``(node, decrement)`` vector, timed on its own
-        clock (:meth:`Executor.timed <repro.cluster.executor.Executor.timed>`);
-        each reply is priced at its compressed size
+        with its sparse ``(node, decrement)`` vector, metered as
+        :meth:`Executor.timed <repro.cluster.executor.Executor.timed>`
+        meters a machine (the span of its own call on the cluster's clock,
+        times its ``slowdown``); each reply is priced at its compressed size
         (:func:`repro.ris.wire.tuple_vector_nbytes`) and the master subtracts
         the replies from :attr:`counts`.  The round's phase records are
         written by :meth:`close`.
         """
         executor, stores, covered, counts = self.executor, self.stores, self._covered, self.counts
-        times: List[float] = []
-        sizes: List[int] = []
-        replies = []
-        for mid in range(executor.num_machines):
-            try:
-                reply, elapsed = executor.timed(
-                    lambda: sparse_decrements(stores[mid], seed, covered[mid]), mid
-                )
-            except Exception as exc:
-                raise MachineFailure(mid, f"{self.label}/map") from exc
-            times.append(elapsed)
-            sizes.append(tuple_vector_nbytes(reply[0], reply[1]))
-            replies.append(reply)
+        clock, replies, stamps = executor.cluster.clock, [], []
 
-        def reduce() -> int:
+        def run_round() -> int:
+            # One clock read between machines: each stamp ends one machine's
+            # map and starts the next's; the last two span the reduce.
+            stamps.append(clock())
+            for mid in range(executor.num_machines):
+                try:
+                    replies.append(sparse_decrements(stores[mid], seed, covered[mid]))
+                except Exception as exc:
+                    raise MachineFailure(mid, f"{self.label}/map") from exc
+                stamps.append(clock())
             gained = 0
             for mid, (nodes, decs, newly) in enumerate(replies):
                 self.covered_per_machine[mid] += newly
                 gained += newly
                 if nodes.size:
                     counts[nodes] -= decs
+            stamps.append(clock())
             return gained
 
-        gained, reduce_time = executor.timed(reduce)
+        gained, __ = executor.timed(run_round)  # one collector pause per round
+        times = [
+            (end - start) * slowdown
+            for start, end, slowdown in zip(stamps, stamps[1:-1], executor.cluster.slowdowns)
+        ]
+        reduce_time = stamps[-1] - stamps[-2]
+        sizes = [tuple_vector_nbytes(nodes, decs) for nodes, decs, __ in replies]
         self._books.append((times, sizes, reduce_time))
         self.marginals.append(gained)
         return gained

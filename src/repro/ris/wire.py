@@ -77,6 +77,8 @@ _SIZE_THRESHOLDS = np.power(
     np.uint64(2), np.uint64(7) * np.arange(1, MAX_VARINT_BYTES, dtype=np.uint64)
 )
 
+_INT_THRESHOLDS = _SIZE_THRESHOLDS.tolist()  # exact against signed arrays
+
 _U7F = np.uint64(0x7F)
 _SEVEN = np.uint64(7)
 
@@ -288,6 +290,23 @@ def decode_batch(body: bytes) -> FlatBatch:
     return FlatBatch(ids.astype(np.int32), offsets, roots, edges)
 
 
+def _varint_nbytes(value: int) -> int:
+    """Encoded byte length of one non-negative integer."""
+    return max(1, -(-value.bit_length() // 7))
+
+
+def _bytes_past_first(values: np.ndarray) -> int:
+    """Bytes past one per value that non-negative ``values`` encode to:
+    one per value at or past each 7-bit boundary up to the largest."""
+    top = int(values.max(initial=0))
+    extra = 0
+    for threshold in _INT_THRESHOLDS:
+        if top < threshold:
+            break
+        extra += int(np.count_nonzero(values >= threshold))
+    return extra
+
+
 def tuple_vector_nbytes(nodes: np.ndarray, counts: np.ndarray) -> int:
     """Wire size of a sorted sparse ``(node, count)`` vector.
 
@@ -295,22 +314,14 @@ def tuple_vector_nbytes(nodes: np.ndarray, counts: np.ndarray) -> int:
     its delta + varint size (plus the one-varint length header) keeps
     the simulated communication curves consistent with what the real
     data plane would ship.  ``nodes`` must be sorted ascending — both
-    coverage backends produce their deltas that way.
+    coverage backends produce their deltas that way.  Priced from the
+    node gaps and the counts directly; no stream is built.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     size = nodes.size
-    stream = np.empty(2 * size + 1, dtype=np.uint64)
-    stream[0] = size
+    total = _varint_nbytes(size)
     if size:
-        stream[1] = nodes[0]
-        np.subtract(nodes[1:], nodes[:-1], out=stream[2 : size + 1], casting="unsafe")
-        stream[size + 1 :] = counts
-    # One byte per value, plus one for each value at or past each 7-bit
-    # boundary; almost none are, so the survivors run out after a pass or two.
-    total = stream.size
-    for threshold in _SIZE_THRESHOLDS:
-        stream = stream[stream >= threshold]
-        if not stream.size:
-            break
-        total += stream.size
+        total += 2 * size - 1 + _varint_nbytes(int(nodes[0]))
+        total += _bytes_past_first(nodes[1:] - nodes[:-1])
+        total += _bytes_past_first(np.asarray(counts))
     return total

@@ -26,26 +26,35 @@ class TestBudgetedIM:
         assert len(result.seeds) == 4
 
     def test_loop_stops_when_nothing_left_is_affordable(self, small_wc_graph, monkeypatch):
-        """Once the budget left is below every cost on the heap the loop
-        ends; it used to pop (and skip) every remaining node."""
-        import heapq
-
+        """Once the budget left is below every cost still queued, the queue
+        hands out nothing: every pop is a seed, and the one pop after the
+        last seed finds the queue exhausted (an unaffordable node scores
+        zero).  A loop that popped and skipped the remaining nodes would
+        show them here."""
+        from repro.coverage.greedy import BucketQueue
         from repro.coverage.newgreedi import NewGreeDiRounds
 
         events = []
-        real_pop, real_select = heapq.heappop, NewGreeDiRounds.select
-        monkeypatch.setattr(heapq, "heappop", lambda heap: events.append("pop") or real_pop(heap))
+        real_pop, real_select = BucketQueue.pop_max, NewGreeDiRounds.select
+
+        def recording_pop(self):
+            popped = real_pop(self)
+            events.append(("pop", popped))
+            return popped
+
+        monkeypatch.setattr(BucketQueue, "pop_max", recording_pop)
         monkeypatch.setattr(
             NewGreeDiRounds,
             "select",
-            lambda self, seed: events.append("select") or real_select(self, seed),
+            lambda self, seed: events.append(("select", seed)) or real_select(self, seed),
         )
         costs = np.ones(small_wc_graph.num_nodes)
         result = budgeted_influence_maximization(
             small_wc_graph, costs, budget=3.5, num_machines=2, num_rr_sets=1000, seed=3
         )
-        assert events.count("select") == len(result.seeds) == 3
-        assert events[-1] == "select"
+        assert len(result.seeds) == 3
+        picks = [event for seed in result.seeds for event in (("pop", seed), ("select", seed))]
+        assert events == picks + [("pop", None)]
 
     def test_expensive_hub_skipped(self):
         # Hub covers everything but costs more than the whole budget;
@@ -95,6 +104,19 @@ class TestBudgetedIM:
         with pytest.raises(ValueError, match="positive"):
             budgeted_influence_maximization(
                 small_wc_graph, np.zeros(n), budget=1, num_machines=1, num_rr_sets=10
+            )
+        with pytest.raises(ValueError, match="positive"):
+            budgeted_influence_maximization(
+                small_wc_graph, np.full(n, np.nan), budget=1, num_machines=1, num_rr_sets=10
+            )
+        # A column of n costs holds n entries but is no cost vector.
+        with pytest.raises(ValueError, match="one entry per node"):
+            budgeted_influence_maximization(
+                small_wc_graph,
+                np.linspace(1, 3, n)[:, None],
+                budget=5.0,
+                num_machines=2,
+                num_rr_sets=500,
             )
         with pytest.raises(ValueError, match="budget"):
             budgeted_influence_maximization(

@@ -67,6 +67,21 @@ class TestProfitMaximization:
         with pytest.raises(ValueError, match="non-negative"):
             profit_maximization(
                 small_wc_graph,
+                np.full(small_wc_graph.num_nodes, np.nan),
+                num_machines=1,
+                num_rr_sets=10,
+            )
+        # A column of n costs holds n entries but is no cost vector.
+        with pytest.raises(ValueError, match="one entry per node"):
+            profit_maximization(
+                small_wc_graph,
+                np.linspace(1, 3, small_wc_graph.num_nodes)[:, None],
+                num_machines=2,
+                num_rr_sets=500,
+            )
+        with pytest.raises(ValueError, match="non-negative"):
+            profit_maximization(
+                small_wc_graph,
                 np.full(small_wc_graph.num_nodes, -1.0),
                 num_machines=1,
                 num_rr_sets=10,

@@ -5,11 +5,11 @@ gather → reduce* round lives; NEWGREEDI and the budgeted / profit /
 seed-minimisation loops differ only in how the master picks the next
 node.  The oracles below are the four loops as they stood before the
 round was factored out — each with its own inlined, dict-accumulating
-round on plain lists — and every pick rule driven through the shared
-round must reproduce them on random stores.
+round on plain lists, the budgeted and profit ones on the ``heapq`` pick
+rules of :mod:`tests.oracle` — and every pick rule driven through the
+shared round must reproduce them on random stores and on tie-heavy ones.
 """
 
-import heapq
 from importlib import import_module
 
 import numpy as np
@@ -29,6 +29,7 @@ from repro.coverage.greedy import BucketQueue
 from repro.coverage.newgreedi import NewGreeDiRounds
 from repro.graphs import erdos_renyi, weighted_cascade
 from tests.conftest import simulated
+from tests.oracle import reference_budgeted, reference_profit
 
 THETA = 700
 
@@ -82,30 +83,8 @@ def oracle_newgreedi(stores, k):
 
 def oracle_budgeted(stores, cost_arr, budget):
     rounds = OracleRound(stores)
-    counts = rounds.counts
-    heap = [
-        (-counts[v] / cost_arr[v], v)
-        for v in range(counts.size)
-        if counts[v] > 0 and cost_arr[v] <= budget
-    ]
-    heapq.heapify(heap)
-    heap_counts = {v: int(counts[v]) for __, v in heap}
-    seeds, remaining, coverage = [], float(budget), 0
-    while heap:
-        __, candidate = heapq.heappop(heap)
-        if candidate in seeds or cost_arr[candidate] > remaining:
-            continue
-        current = int(counts[candidate])
-        if current <= 0:
-            continue
-        recorded = heap_counts.get(candidate, current)
-        if current < recorded:
-            heap_counts[candidate] = current
-            heapq.heappush(heap, (-current / cost_arr[candidate], candidate))
-            continue
-        seeds.append(candidate)
-        remaining -= float(cost_arr[candidate])
-        coverage += rounds.run(candidate)
+    seeds = reference_budgeted(rounds.counts, cost_arr, budget, rounds.run)
+    coverage = sum(rounds.marginals)
     # The parent's safeguard: re-aggregate every store, then scan them.
     affordable = np.flatnonzero(cost_arr <= budget)
     if affordable.size:
@@ -119,28 +98,9 @@ def oracle_budgeted(stores, cost_arr, budget):
 
 def oracle_profit(stores, cost_arr):
     rounds = OracleRound(stores)
-    counts = rounds.counts
-    spread_per_element = counts.size / sum(store.num_sets for store in stores)
-
-    def gain_of(node):
-        return float(counts[node]) * spread_per_element - float(cost_arr[node])
-
-    heap = [(-gain_of(v), v) for v in range(counts.size) if gain_of(v) > 0]
-    heapq.heapify(heap)
-    recorded = {v: -g for g, v in heap}
-    seeds, coverage = [], 0
-    while heap:
-        __, candidate = heapq.heappop(heap)
-        fresh = gain_of(candidate)
-        if fresh <= 0:
-            continue
-        if fresh < recorded[candidate] - 1e-12:
-            recorded[candidate] = fresh
-            heapq.heappush(heap, (-fresh, candidate))
-            continue
-        seeds.append(candidate)
-        coverage += rounds.run(candidate)
-    return rounds.outcome(seeds, coverage)
+    spread_per_element = rounds.counts.size / sum(store.num_sets for store in stores)
+    seeds = reference_profit(rounds.counts, cost_arr, spread_per_element, rounds.run)
+    return rounds.outcome(seeds, sum(rounds.marginals))
 
 
 def oracle_seedmin(stores, required_spread, cap):
@@ -166,10 +126,10 @@ def random_graph(seed):
     return weighted_cascade(erdos_renyi(int(rng.integers(40, 90)), 400, rng))
 
 
-def cold_stores(graph, machines, seed):
+def cold_stores(graph, machines, seed, theta=THETA):
     """The stores a cold fixed-budget call draws: ``SamplePool`` streams."""
     with SamplePool(graph, machines, seed=seed) as pool:
-        pool.ensure("main", split_count(THETA, machines))
+        pool.ensure("main", split_count(theta, machines))
         return pool.stores("main")
 
 
@@ -255,6 +215,71 @@ class TestSharedRoundEqualsParentLoops:
         result = seed_minimization(graph, required, machines, THETA, seed=seed, max_seeds=9)
         expected = oracle_seedmin(cold_stores(graph, machines, seed), required, 9)
         assert shared_outcome(result, rounds_made[0]) == expected
+
+
+# ----------------------------------------------------------------------
+# Tie-heavy inputs: the queue's picks are the heap's
+# ----------------------------------------------------------------------
+#: Few sets over a few dozen nodes: many nodes share a count.
+TIE_THETA = 150
+
+
+def tie_graph(seed):
+    rng = np.random.default_rng(seed)
+    return weighted_cascade(erdos_renyi(int(rng.integers(30, 50)), 140, rng))
+
+
+def choice_of(values):
+    """Costs drawn from a few repeated ``values``: ratios and gains tie
+    across different counts (``4 / 2 == 2 / 1``)."""
+    return lambda n, rng: rng.choice(np.asarray(values, dtype=np.float64), size=n)
+
+
+BUDGETED_TIES = {
+    "unit-costs": (lambda n, rng: np.ones(n), 6.0),
+    "repeated-costs": (choice_of([1.0, 2.0, 4.0]), 9.0),
+    # Every cost is affordable at the start; a few picks in, the 4.5s and
+    # then the 2.5s are stranded while cheaper nodes are still queued.
+    "stranding-budget": (choice_of([0.5, 2.5, 4.5]), 7.0),
+    "one-node-costs-the-budget": (choice_of([1.0, 2.0, 5.0]), 5.0),
+}
+
+PROFIT_TIES = {
+    "unit-costs": lambda n, rng: np.ones(n),
+    "repeated-costs": choice_of([0.0, 1.0, 2.0]),
+    "zero-cost-nodes": lambda n, rng: np.where(rng.random(n) < 0.5, 0.0, 1.5),
+    "all-free": lambda n, rng: np.zeros(n),
+    # n / theta * count <= n for every count: nothing is worth seeding.
+    "all-unprofitable": lambda n, rng: np.full(n, n + 1.0),
+}
+
+
+@pytest.mark.parametrize("machines", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestQueueRulesEqualHeapRulesOnTies:
+    @pytest.mark.parametrize("case", sorted(BUDGETED_TIES))
+    def test_budgeted(self, machines, seed, case, rounds_made):
+        graph = tie_graph(seed)
+        make_costs, budget = BUDGETED_TIES[case]
+        costs = make_costs(graph.num_nodes, np.random.default_rng(seed))
+        result = budgeted_influence_maximization(
+            graph, costs, budget, machines, TIE_THETA, seed=seed
+        )
+        stores = cold_stores(graph, machines, seed, TIE_THETA)
+        expected = oracle_budgeted(stores, costs, budget)
+        coverage = round(result.objective * TIE_THETA / graph.num_nodes)
+        assert shared_outcome(result, rounds_made[0], coverage) == expected
+        assert float(costs[result.seeds].sum()) <= budget
+
+    @pytest.mark.parametrize("case", sorted(PROFIT_TIES))
+    def test_profit(self, machines, seed, case, rounds_made):
+        graph = tie_graph(seed)
+        costs = PROFIT_TIES[case](graph.num_nodes, np.random.default_rng(seed))
+        result = profit_maximization(graph, costs, machines, TIE_THETA, seed=seed)
+        expected = oracle_profit(cold_stores(graph, machines, seed, TIE_THETA), costs)
+        assert shared_outcome(result, rounds_made[0]) == expected
+        if case == "all-unprofitable":
+            assert result.seeds == [] and result.objective == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,92 @@ class TestPickFromLiveCounts:
             greedy_module.ACTIVE_ENTRIES = original
 
 
+def sort_drain(counts, score_of, schedule_seed):
+    """The scored queue's oracle: every pop re-scores what is left, drops
+    the entries scoring zero or less for good, and takes the first of the
+    rest sorted by (-score, id).  Decrements as the queues' ``drain``."""
+    counts = counts.copy()
+    entries = np.flatnonzero(counts > 0).tolist()
+    rng = np.random.default_rng(schedule_seed)
+    popped = []
+    while True:
+        scores = score_of(counts, np.asarray(entries, dtype=np.int64)).tolist()
+        ranked = sorted((-score, set_id) for score, set_id in zip(scores, entries) if score > 0)
+        entries = sorted(set_id for __, set_id in ranked)
+        if not ranked:
+            return popped
+        set_id = ranked[0][1]
+        entries.remove(set_id)
+        popped.append(set_id)
+        hit = rng.integers(0, counts.size, size=int(rng.integers(0, 6)))
+        counts[hit] = np.maximum(counts[hit] - rng.integers(1, 4, size=hit.size), 0)
+
+
+def scored_drain(counts, score_of, schedule_seed):
+    counts = counts.copy()
+    queue = BucketQueue(counts, score=lambda ids: score_of(counts, ids))
+    rng = np.random.default_rng(schedule_seed)
+    popped = []
+    while (set_id := queue.pop_max()) is not None:
+        popped.append(set_id)
+        assert type(set_id) is int
+        hit = rng.integers(0, counts.size, size=int(rng.integers(0, 6)))
+        counts[hit] = np.maximum(counts[hit] - rng.integers(1, 4, size=hit.size), 0)
+    return popped
+
+
+class TestScoredQueue:
+    """Scores other than the count — the applications' ratio and gain —
+    picked by the same queue: a full sort of the live scores is the
+    oracle, ties go to the lowest id, and an entry scoring zero or less
+    is exhausted."""
+
+    def test_a_fallen_active_entry_yields_to_a_tie_at_the_horizon(self, monkeypatch):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", 2)
+        counts = np.array([2, 4, 1, 2], dtype=np.int64)
+        costs = np.array([1.0, 2.0, 0.5, 1.0])
+        # Every ratio is 2.0: ids 0 and 1 are in view, the horizon is id 1.
+        queue = BucketQueue(counts, score=lambda ids: counts[ids] / costs[ids])
+        assert queue.pop_max() == 0
+        counts[1] = 3  # 1.5: below the mark, so 2 and 3 (at 2.0) go first
+        assert [queue.pop_max() for __ in range(4)] == [2, 3, 1, None]
+
+    def test_a_fractional_threshold_is_not_rounded(self, monkeypatch):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", 2)
+        counts = np.array([6, 5, 5], dtype=np.int64)
+        costs = np.full(3, 2.0)
+        # Ratios 3.0, 2.5, 2.5: the mark is 2.5 at id 1, and id 2 left out.
+        queue = BucketQueue(counts, score=lambda ids: counts[ids] / costs[ids])
+        assert queue.pop_max() == 0
+        counts[1] = 4  # 2.0, which an integer mark of 2 would still pass
+        assert [queue.pop_max() for __ in range(3)] == [2, 1, None]
+
+    def test_a_non_positive_score_is_exhausted(self):
+        counts = np.array([3, 1, 4, 2], dtype=np.int64)
+        queue = BucketQueue(counts, score=lambda ids: counts[ids] * 0.5 - 1.0)
+        assert [queue.pop_max() for __ in range(3)] == [2, 0, None]
+
+    @pytest.mark.parametrize("view", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("trial", range(25))
+    def test_same_pops_as_a_full_sort(self, monkeypatch, view, trial):
+        monkeypatch.setattr(greedy_module, "ACTIVE_ENTRIES", view)
+        rng = np.random.default_rng(trial)
+        size = int(rng.integers(1, 60))
+        counts = rng.integers(0, int(rng.integers(1, 10)), size=size).astype(np.int64)
+        # Few distinct costs, zero-cost gains and a per-element value that
+        # makes some gains non-positive: ties at every mark.
+        costs = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=size)
+        spread_per_element = float(rng.choice([0.25, 0.5, 1.0]))
+        rules = {
+            "ratio": lambda c, ids: c[ids] / np.where(costs[ids] > 0, costs[ids], 1.0),
+            "gain": lambda c, ids: c[ids] * spread_per_element - costs[ids],
+            "count": lambda c, ids: c[ids],
+        }
+        for score_of in rules.values():
+            want = sort_drain(counts, score_of, trial)
+            assert scored_drain(counts, score_of, trial) == want
+
+
 class TestGreedyExample3:
     """Paper Example 3: {v1, v2} covers all six RR sets."""
 

@@ -13,6 +13,10 @@ slow, obvious way:
 * :func:`reference_decrements` — NEWGREEDI's map stage, accumulating
   ``Delta_i`` in a dict;
 * :func:`reference_restricted_greedy` — GREEDI's per-partition greedy;
+* :func:`reference_budgeted` / :func:`reference_profit` — the budgeted and
+  profit pick rules as ``heapq`` lazy greedies that re-file each stale
+  entry with its fresh ratio or gain (what the applications rank with
+  :class:`~repro.coverage.greedy.BucketQueue` instead);
 * :func:`reference_exact_spread_ic` / :func:`reference_exact_spread_lt` /
   :func:`reference_exact_optimum` — the exact spread, one live-edge world
   at a time (a Python loop over edge masks or triggering choices, a BFS
@@ -40,10 +44,11 @@ priced replies — runs unchanged over the oracle's per-element work; the
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from contextlib import contextmanager, nullcontext
 from importlib import import_module
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 import pytest
@@ -63,6 +68,7 @@ __all__ = [
     "STORES",
     "RRCollection",
     "engine",
+    "reference_budgeted",
     "reference_decrements",
     "reference_engine",
     "reference_exact_optimum",
@@ -72,6 +78,7 @@ __all__ = [
     "reference_greedy",
     "reference_mark_and_decrement",
     "reference_newgreedi",
+    "reference_profit",
     "reference_restricted_greedy",
     "reference_sketch_lazy_greedy",
     "reference_decode_varints",
@@ -243,6 +250,75 @@ def reference_restricted_greedy(store, candidates: Sequence[int], k: int) -> Lis
         reference_mark_and_decrement(store, set_id, covered, counts)
         selected.append(set_id)
     return selected
+
+
+def reference_budgeted(
+    counts: np.ndarray, costs: np.ndarray, budget: float, select: Callable[[int], object]
+) -> List[int]:
+    """Budgeted IM's pick rule as a max-heap on ``Delta(v) / c(v)``.
+
+    A stale top is re-pushed with its fresh ratio; an unaffordable or
+    exhausted pop is dropped.  ``select(node)`` runs the node's round,
+    decrementing ``counts`` in place.  Returns the seeds in pick order.
+    """
+    heap = [
+        (-counts[v] / costs[v], v)
+        for v in range(counts.size)
+        if counts[v] > 0 and costs[v] <= budget
+    ]
+    heapq.heapify(heap)
+    recorded = {v: int(counts[v]) for __, v in heap}
+    seeds: List[int] = []
+    remaining = float(budget)
+    while heap:
+        __, candidate = heapq.heappop(heap)
+        if candidate in seeds or costs[candidate] > remaining:
+            continue
+        current = int(counts[candidate])
+        if current <= 0:
+            continue
+        if current < recorded[candidate]:
+            recorded[candidate] = current
+            heapq.heappush(heap, (-current / costs[candidate], candidate))
+            continue
+        seeds.append(candidate)
+        remaining -= float(costs[candidate])
+        select(candidate)
+    return seeds
+
+
+def reference_profit(
+    counts: np.ndarray,
+    costs: np.ndarray,
+    spread_per_element: float,
+    select: Callable[[int], object],
+) -> List[int]:
+    """Profit maximization's pick rule as a max-heap on
+    ``Delta(v) * n/theta - c(v)``, stopping once no gain is positive.
+
+    ``select(node)`` runs the node's round, decrementing ``counts`` in
+    place.  Returns the seeds in pick order.
+    """
+
+    def gain_of(node: int) -> float:
+        return float(counts[node]) * spread_per_element - float(costs[node])
+
+    heap = [(-gain_of(v), v) for v in range(counts.size) if gain_of(v) > 0]
+    heapq.heapify(heap)
+    recorded = {v: -g for g, v in heap}
+    seeds: List[int] = []
+    while heap:
+        __, candidate = heapq.heappop(heap)
+        fresh = gain_of(candidate)
+        if fresh <= 0:
+            continue
+        if fresh < recorded[candidate] - 1e-12:
+            recorded[candidate] = fresh
+            heapq.heappush(heap, (-fresh, candidate))
+            continue
+        seeds.append(candidate)
+        select(candidate)
+    return seeds
 
 
 def _unchanged(store):
